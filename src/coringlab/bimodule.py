@@ -364,17 +364,22 @@ def tensor_over(a: FinAlgebra, m: Bimodule, n: Bimodule, name=None) -> TensorQuo
                     ech.add(rel)
     free = ech.free_columns()
     qdim = len(free)
-    pos = {c: t for t, c in enumerate(free)}
-    proj_entries = {}
-    for t, c in enumerate(free):
-        proj_entries[(t, c)] = f.one()
-    for p, row in ech.pivot_rows.items():
-        for c, v in row.items():
-            proj_entries[(pos[c], p)] = f.neg(v)
-    project = Matrix.from_entries(f, qdim, flat, proj_entries)
-    section = Matrix.from_entries(
-        f, flat, qdim, {(c, t): f.one() for t, c in enumerate(free)}
-    )
+    if relations:
+        pos = {c: t for t, c in enumerate(free)}
+        proj_entries = {}
+        for t, c in enumerate(free):
+            proj_entries[(t, c)] = f.one()
+        for p, row in ech.pivot_rows.items():
+            for c, v in row.items():
+                proj_entries[(pos[c], p)] = f.neg(v)
+        project = Matrix.from_entries(f, qdim, flat, proj_entries)
+        section = Matrix.from_entries(
+            f, flat, qdim, {(c, t): f.one() for t, c in enumerate(free)}
+        )
+    else:
+        # flat quotient: both maps are the identity, marked so that every
+        # product and Kronecker product with them is a copy
+        project = section = Matrix.identity(f, flat)
 
     left_action = [
         project @ _kron_matrix_side(m.left_action[k], dn, left=True) @ section

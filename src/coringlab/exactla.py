@@ -1,10 +1,16 @@
 """Exact linear algebra over Q and GF(p).
 
-Scalars are `fractions.Fraction` for Q (arbitrary precision, so row reduction
-never overflows) and canonical ints in [0, p) for GF(p).  Matrices are sparse:
-a map row -> {col -> nonzero scalar}.  Reduced row echelon forms are unique
-for a given row space, so pivot columns, kernels and quotient bases are
-reproducible no matter in which order relations are fed in.
+Scalars over Q are exact rationals in canonical form: a Python `int` when
+the value is integral and a `fractions.Fraction` otherwise (arbitrary
+precision, so row reduction never overflows, and integer arithmetic skips
+the gcd work of `Fraction`).  Over GF(p) they are canonical ints in [0, p).
+No scalar is ever a float or a bool.  Matrices are sparse: a map row ->
+{col -> nonzero scalar}.  A matrix built by `Matrix.identity` carries an
+identity mark, so products and Kronecker products with it copy instead of
+multiplying; matrices are immutable and may be shared.  Reduced row echelon
+forms are unique for a given row space, so pivot columns, kernels and
+quotient bases are reproducible no matter in which order relations are fed
+in.
 
 Pivoting convention: columns are eliminated left to right; within a column
 the first remaining row with a nonzero entry is used.  This matches the
@@ -35,29 +41,38 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _canon(x):
+    """x as a canonical QQ scalar: an integral Fraction becomes its int."""
+    return x.numerator if type(x) is Fraction and x.denominator == 1 else x
+
+
 class RationalField:
-    """The field Q with Fraction scalars."""
+    """The field Q with canonical scalars: int when integral, else Fraction.
+
+    `inv` and `div` divide through `Fraction`, so no operation ever yields
+    a float; `str` of an integral value is the same for both types.
+    """
 
     name = "QQ"
     char = 0
 
     def zero(self):
-        return Fraction(0)
+        return 0
 
     def one(self):
-        return Fraction(1)
+        return 1
 
     def from_int(self, n):
-        return Fraction(n)
+        return _canon(Fraction(n))
 
     def add(self, a, b):
-        return a + b
+        return _canon(a + b)
 
     def sub(self, a, b):
-        return a - b
+        return _canon(a - b)
 
     def mul(self, a, b):
-        return a * b
+        return _canon(a * b)
 
     def neg(self, a):
         return -a
@@ -65,20 +80,21 @@ class RationalField:
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
-        return 1 / a
+        return _canon(Fraction(1, a))
 
     def div(self, a, b):
-        return a / b
+        return _canon(Fraction(a, b))
 
     def is_zero(self, a):
         return a == 0
 
     def parse(self, text):
-        if isinstance(text, Fraction):
-            return text
-        if isinstance(text, int):
-            return Fraction(text)
-        return Fraction(str(text))
+        if isinstance(text, (int, Fraction)):
+            return _canon(Fraction(text))
+        try:
+            return _canon(Fraction(str(text)))
+        except (ValueError, ZeroDivisionError):
+            raise InputError(f"bad scalar {text!r} for QQ") from None
 
     def fmt(self, a) -> str:
         return str(a)
@@ -141,13 +157,15 @@ class PrimeField:
     def parse(self, text):
         if isinstance(text, int):
             return text % self.p
-        if isinstance(text, Fraction):
-            return self.div(text.numerator % self.p, text.denominator % self.p)
-        s = str(text)
-        if "/" in s:
-            num, den = s.split("/")
+        try:
+            if isinstance(text, Fraction):
+                return self.div(text.numerator % self.p, text.denominator % self.p)
+            num, slash, den = str(text).partition("/")
+            if not slash:
+                return int(num) % self.p
             return self.div(int(num) % self.p, int(den) % self.p)
-        return int(s) % self.p
+        except (ValueError, ZeroDivisionError):
+            raise InputError(f"bad scalar {text!r} for {self.name}") from None
 
     def fmt(self, a) -> str:
         return str(a % self.p)
@@ -174,11 +192,18 @@ def GF(p: int) -> PrimeField:
 
 
 def field_from_name(name: str):
+    if not isinstance(name, str):
+        raise InputError(
+            f"field must be a string such as 'QQ' or 'GF(p)', got {name!r}")
     name = name.strip()
     if name in ("QQ", "Q"):
         return QQ
     if name.startswith("GF(") and name.endswith(")"):
-        return GF(int(name[3:-1]))
+        try:
+            p = int(name[3:-1])
+        except ValueError:
+            raise InputError(f"bad modulus in field {name!r}") from None
+        return GF(p)
     raise InputError(f"unknown field {name!r}; use 'QQ' or 'GF(p)'")
 
 
@@ -210,9 +235,14 @@ def vec_scale(field, src: dict, coeff) -> dict:
 
 
 class Matrix:
-    """Sparse matrix over a fixed field.  Treat instances as immutable."""
+    """Sparse matrix over a fixed field.
 
-    __slots__ = ("field", "rows", "cols", "data", "_t")
+    Instances are immutable and may be shared: `@` and `kron` return an
+    operand itself when the other one is a marked identity, so no code may
+    mutate `data` in place.  `is_identity` is set only by `identity`.
+    """
+
+    __slots__ = ("field", "rows", "cols", "data", "_t", "is_identity")
 
     def __init__(self, field, rows: int, cols: int, data: dict | None = None):
         if rows < 0 or cols < 0:
@@ -222,6 +252,7 @@ class Matrix:
         self.cols = cols
         self.data = data if data is not None else {}
         self._t = None
+        self.is_identity = False
 
     # -- construction ------------------------------------------------------
 
@@ -232,7 +263,9 @@ class Matrix:
     @classmethod
     def identity(cls, field, n):
         one = field.one()
-        return cls(field, n, n, {i: {i: one} for i in range(n)})
+        m = cls(field, n, n, {i: {i: one} for i in range(n)})
+        m.is_identity = True
+        return m
 
     @classmethod
     def from_rows(cls, field, rows_list):
@@ -341,6 +374,10 @@ class Matrix:
             raise InputError(
                 f"matmul shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
             )
+        if self.is_identity:
+            return other
+        if other.is_identity:
+            return self
         f = self.field
         data = {}
         orows = other.data
@@ -394,10 +431,25 @@ class Matrix:
         return out
 
     def kron(self, other: "Matrix") -> "Matrix":
-        """Kronecker product, row-major index convention."""
+        """Kronecker product, row-major index convention.  A marked identity
+        factor makes the product a block copy of the other factor."""
         f = self.field
-        data = {}
         oc, orr = other.cols, other.rows
+        if self.is_identity and other.is_identity:
+            return Matrix.identity(f, self.rows * orr)
+        if self.is_identity:
+            data = {
+                i1 * orr + i2: {i1 * oc + j2: v for j2, v in r2.items()}
+                for i1 in range(self.rows) for i2, r2 in other.data.items()
+            }
+            return Matrix(f, self.rows * orr, self.cols * oc, data)
+        if other.is_identity:
+            data = {
+                i1 * orr + i2: {j1 * oc + i2: v for j1, v in r1.items()}
+                for i1, r1 in self.data.items() for i2 in range(orr)
+            }
+            return Matrix(f, self.rows * orr, self.cols * oc, data)
+        data = {}
         for i1, r1 in self.data.items():
             for i2, r2 in other.data.items():
                 tgt = data.setdefault(i1 * orr + i2, {})

@@ -83,6 +83,12 @@ def _parse_matrix(field, rows_data, rows, cols, where) -> Matrix:
     return Matrix.from_rows(field, rows_data)
 
 
+def _parse_vec(field, entries) -> dict:
+    """Sparse vector {index: scalar} of a list of scalar texts, zeros dropped."""
+    vec = {k: field.parse(v) for k, v in enumerate(entries)}
+    return {k: v for k, v in vec.items() if not field.is_zero(v)}
+
+
 def parse_session(source) -> SessionFile:
     """Parse a session from a path, file object, JSON text, or dict."""
     if isinstance(source, dict):
@@ -115,13 +121,11 @@ def parse_session(source) -> SessionFile:
                     raise InputError(
                         f"algebra {name}: product vector at ({i},{j}) must "
                         f"have length {dim}")
-                row.append({k: field.parse(v) for k, v in enumerate(vec)
-                            if not field.is_zero(field.parse(v))})
+                row.append(_parse_vec(field, vec))
             mult.append(row)
         if len(data["unit"]) != dim:
             raise InputError(f"algebra {name}: unit must have length {dim}")
-        unit = {k: field.parse(v) for k, v in enumerate(data["unit"])
-                if not field.is_zero(field.parse(v))}
+        unit = _parse_vec(field, data["unit"])
         s.algebras[name] = FinAlgebra(field, dim, mult, unit,
                                       labels=data.get("labels"), name=name)
 

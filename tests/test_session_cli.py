@@ -243,3 +243,36 @@ class TestWitnessReevaluation:
         idx = C.labels.index(w.basis[0])
         assert C.fmt_vec(left.matrix.col(idx)) == w.lhs
         assert C.fmt_vec({idx: QQ.one()}) == w.rhs
+
+
+class TestMalformedScalarsExitTwo:
+    """Bad scalar text and a non-string field are malformed input."""
+
+    @staticmethod
+    def _run(tmp_path, mutate):
+        raw = json.loads(json.dumps(corpus_sessions()["grouplike_coalgebras.json"]))
+        mutate(raw)
+        path = tmp_path / "bad.json"
+        write_session(raw, path)
+        return main(["--session", str(path), "check", "coring", "C2"])
+
+    @pytest.mark.parametrize("text", ["1/0", "x", ""])
+    def test_bad_algebra_unit(self, tmp_path, capsys, text):
+        def mutate(raw):
+            raw["algebras"]["kZ2"]["unit"] = [text, "0"]
+        assert self._run(tmp_path, mutate) == 2
+        assert repr(text) in capsys.readouterr().err
+
+    def test_gf_denominator_zero_mod_p(self, tmp_path, capsys):
+        def mutate(raw):
+            raw["field"] = "GF(5)"
+            raw["algebras"]["kZ2"]["unit"] = ["1/5", "0"]
+        assert self._run(tmp_path, mutate) == 2
+        assert "'1/5'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", [5, None, ["QQ"], "GF(x)"])
+    def test_bad_field(self, tmp_path, capsys, field):
+        def mutate(raw):
+            raw["field"] = field
+        assert self._run(tmp_path, mutate) == 2
+        assert capsys.readouterr().err.startswith("error: ")
