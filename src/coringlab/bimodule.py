@@ -10,7 +10,11 @@ M (x)_A N is the quotient of the ground-field tensor space by the span of
 the balancing relations  m.a (x) n - m (x) a.n.  The quotient basis is the
 set of non-pivot flat coordinates under the canonical reduced row echelon
 form of that span, so it is reproducible and `section` picks pure-tensor
-representatives (project . section = id).
+representatives (project . section = id).  A basis element whose two
+actions are both marked identities gives only zero relations and is
+skipped, so over the ground field the quotient is flat at no cost.  The
+check that the inherited actions descend runs on the echelon rows of the
+relation span, not on the raw relations.
 
 Iterated tensors are built left associated.  A `Space` wraps a factor list
 with the projection/section between the flat tensor space of its *leaves*
@@ -229,22 +233,6 @@ class LinearMap:
         return f"LinearMap({self.name}: {self.domain.name} -> {self.codomain.name})"
 
 
-def is_left_linear(f: LinearMap) -> bool:
-    dom, cod = f.domain, f.codomain
-    for k in range(dom.left_algebra.dim):
-        if cod.left_action[k] @ f.matrix != f.matrix @ dom.left_action[k]:
-            return False
-    return True
-
-
-def is_right_linear(f: LinearMap) -> bool:
-    dom, cod = f.domain, f.codomain
-    for k in range(dom.right_algebra.dim):
-        if cod.right_action[k] @ f.matrix != f.matrix @ dom.right_action[k]:
-            return False
-    return True
-
-
 def bilinearity_report(f: LinearMap, check_name=None) -> Report:
     rep = Report(check_name or f"bilinearity of {f.name}")
     dom, cod = f.domain, f.codomain
@@ -306,9 +294,9 @@ def _apply_kron_side(mat: Matrix, other_dim: int, vec: dict, left: bool) -> dict
         else:
             i, j = divmod(idx, mat.cols)
             cols.setdefault(j, []).append((i, v))
+    mat_cols = mat.transpose().data
     for c, pairs in cols.items():
-        col = mat.col(c)
-        for p, w in col.items():
+        for p, w in mat_cols.get(c, {}).items():
             for j, v in pairs:
                 tgt = p * other_dim + j if left else j * mat.rows + p
                 u = f.add(out.get(tgt, f.zero()), f.mul(w, v))
@@ -322,9 +310,14 @@ def _apply_kron_side(mat: Matrix, other_dim: int, vec: dict, left: bool) -> dict
 def tensor_over(a: FinAlgebra, m: Bimodule, n: Bimodule, name=None) -> TensorQuotient:
     """The quotient M (x)_A N with projection, section and inherited actions.
 
-    The inherited actions are checked to kill the balancing relations; a
-    violation (possible only for inconsistent input actions) raises
-    WellDefinednessError.
+    The relation m.e_k (x) n - m (x) e_k.n is 0 for every m and n when both
+    actions of e_k are marked identities, so those k contribute nothing and
+    are skipped; over the ground field no relation is built at all.
+
+    The inherited actions are checked to kill the balancing relations.  By
+    linearity it suffices to check the rows of their reduced echelon basis;
+    a violation (possible only for inconsistent input actions) raises
+    WellDefinednessError whose `relation` is the first such echelon row.
     """
     key = (id(a), id(m), id(n))
     cached = _TENSOR_CACHE.get(key)
@@ -346,13 +339,17 @@ def tensor_over(a: FinAlgebra, m: Bimodule, n: Bimodule, name=None) -> TensorQuo
     for k in range(a.dim):
         rk = m.right_action[k]
         lk = n.left_action[k]
+        if rk.is_identity and lk.is_identity:
+            continue
+        # row c of a transpose is column c of the action
+        rcols, lcols = rk.transpose().data, lk.transpose().data
         for i in range(dm):
-            ri = rk.col(i)
+            ri = rcols.get(i, {})
             for j in range(dn):
                 rel: dict = {}
                 for p, v in ri.items():
                     rel[p * dn + j] = v
-                for q, w in lk.col(j).items():
+                for q, w in lcols.get(j, {}).items():
                     tgt = i * dn + q
                     u = f.sub(rel.get(tgt, f.zero()), w)
                     if f.is_zero(u):
@@ -393,10 +390,12 @@ def tensor_over(a: FinAlgebra, m: Bimodule, n: Bimodule, name=None) -> TensorQuo
         a, m, n, qdim, left_action, right_action, project, section,
         free, relations, name or f"({m.name}(x){n.name})", echelon=ech,
     )
-    # the inherited actions must descend: they must map relations to relations
+    # the inherited actions must descend: they must map the relation span,
+    # spanned by the echelon rows, into itself
+    basis = [ech.full_row(p) for p in ech.pivots()]
     for k in range(m.left_algebra.dim):
         lk = m.left_action[k]
-        for rel in relations:
+        for rel in basis:
             img = _apply_kron_side(lk, dn, rel, left=True)
             if not tq.kills(img):
                 raise WellDefinednessError(
@@ -404,7 +403,7 @@ def tensor_over(a: FinAlgebra, m: Bimodule, n: Bimodule, name=None) -> TensorQuo
                     f"descend to {tq.name}", relation=rel)
     for k in range(n.right_algebra.dim):
         rk = n.right_action[k]
-        for rel in relations:
+        for rel in basis:
             img = _apply_kron_side(rk, dm, rel, left=False)
             if not tq.kills(img):
                 raise WellDefinednessError(
@@ -606,10 +605,6 @@ class Pipe:
                 f"gives has dim {cod.quotient.dim}")
         flat_map = cod.deep_section @ f.matrix @ dom.deep_project
         return self._stage(flat_map, at, takes, gives)
-
-    def apply_raw(self, matrix: Matrix, at, takes, gives):
-        """Apply a raw leaf-flat-level matrix (for scalar formula maps)."""
-        return self._stage(matrix, at, takes, list(gives))
 
     def insert_central(self, b: Bimodule, element: dict, at):
         """Insert a factor at a fixed central element (units of algebras)."""

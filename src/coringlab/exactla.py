@@ -7,7 +7,8 @@ the gcd work of `Fraction`).  Over GF(p) they are canonical ints in [0, p).
 No scalar is ever a float or a bool.  Matrices are sparse: a map row ->
 {col -> nonzero scalar}.  A matrix built by `Matrix.identity` carries an
 identity mark, so products and Kronecker products with it copy instead of
-multiplying; matrices are immutable and may be shared.  Reduced row echelon
+multiplying, and its entries are built only when something reads `data`;
+matrices are immutable and may be shared.  Reduced row echelon
 forms are unique for a given row space, so pivot columns, kernels and
 quotient bases are reproducible no matter in which order relations are fed
 in.
@@ -238,11 +239,13 @@ class Matrix:
     """Sparse matrix over a fixed field.
 
     Instances are immutable and may be shared: `@` and `kron` return an
-    operand itself when the other one is a marked identity, so no code may
-    mutate `data` in place.  `is_identity` is set only by `identity`.
+    operand itself when the other one is a marked identity, and `transpose`
+    is computed once and cached, so no code may mutate `data` in place.
+    `is_identity` is true only for the matrices `identity` builds.
     """
 
-    __slots__ = ("field", "rows", "cols", "data", "_t", "is_identity")
+    __slots__ = ("field", "rows", "cols", "data", "_t")
+    is_identity = False
 
     def __init__(self, field, rows: int, cols: int, data: dict | None = None):
         if rows < 0 or cols < 0:
@@ -252,7 +255,6 @@ class Matrix:
         self.cols = cols
         self.data = data if data is not None else {}
         self._t = None
-        self.is_identity = False
 
     # -- construction ------------------------------------------------------
 
@@ -262,10 +264,9 @@ class Matrix:
 
     @classmethod
     def identity(cls, field, n):
-        one = field.one()
-        m = cls(field, n, n, {i: {i: one} for i in range(n)})
-        m.is_identity = True
-        return m
+        """The marked n x n identity.  Its entries are built only when `data`
+        is first read, so `@` and `kron` with it cost O(1) per operand."""
+        return _Identity(field, n)
 
     @classmethod
     def from_rows(cls, field, rows_list):
@@ -404,28 +405,26 @@ class Matrix:
                 out[i] = acc
         return out
 
-    def col_iter(self, j):
-        for i, row in self.data.items():
-            if j in row:
-                yield i, row[j]
-
     def transpose(self):
-        data = {}
-        for i, row in self.data.items():
-            for j, v in row.items():
-                data.setdefault(j, {})[i] = v
-        return Matrix(self.field, self.cols, self.rows, data)
+        """The transpose, computed on the first call and cached; row c of it
+        is column c of self."""
+        if self._t is None:
+            data = {}
+            for i, row in self.data.items():
+                for j, v in row.items():
+                    data.setdefault(j, {})[i] = v
+            self._t = Matrix(self.field, self.cols, self.rows, data)
+        return self._t
 
     def tapply(self, vec: dict) -> dict:
         """Matrix times sparse vector, iterating columns (cached transpose);
         preferable when the vector support is much smaller than the row
         count."""
-        if self._t is None:
-            self._t = self.transpose()
+        cols = self.transpose().data
         f = self.field
         out: dict = {}
         for j, v in vec.items():
-            col = self._t.data.get(j)
+            col = cols.get(j)
             if col:
                 vec_add_scaled(f, out, col, v)
         return out
@@ -464,6 +463,33 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.field!r}, {self.rows}x{self.cols}, nnz={self.nnz()})"
+
+
+class _Identity(Matrix):
+    """A marked identity.  `data` is built on its first read, so matrices
+    that are only multiplied or Kronecker-multiplied never hold entries."""
+
+    __slots__ = ("_entries",)
+    is_identity = True
+
+    def __init__(self, field, n):
+        # the base slot `data` stays unset: this class reads `_entries`
+        if n < 0:
+            raise InputError("negative matrix dimensions")
+        self.field = field
+        self.rows = self.cols = n
+        self._t = None
+        self._entries = None
+
+    @property
+    def data(self):
+        if self._entries is None:
+            one = self.field.one()
+            self._entries = {i: {i: one} for i in range(self.rows)}
+        return self._entries
+
+    def transpose(self):
+        return self
 
 
 def kron_all(mats) -> Matrix:

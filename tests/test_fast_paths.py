@@ -5,6 +5,13 @@
 * `tensor_over` returns marked identities as `project` and `section` of a
   flat quotient; they must carry the data the `from_entries` construction
   gives, and the inherited actions must match the plain products.
+* A marked identity builds its entries only when `data` is read; every
+  reader must see what the `from_entries` identity holds.
+* `tensor_over` skips basis elements whose two actions are marked
+  identities, reads columns from cached transposes and checks descent on
+  the echelon rows; relations, quotient maps, actions and descent errors
+  must match a plain construction that reads every column with
+  `Matrix.col` and checks descent on every raw relation.
 * QQ scalars are ints when integral and Fractions otherwise; every
   operation must agree with plain `Fraction` arithmetic.
 """
@@ -22,8 +29,8 @@ from coringlab.bimodule import (
     regular_bimodule,
     tensor_over,
 )
-from coringlab.exactla import GF, QQ, Matrix
-from coringlab.reports import InputError
+from coringlab.exactla import GF, QQ, Echelon, Matrix, solve
+from coringlab.reports import InputError, WellDefinednessError
 
 FIELDS = [QQ, GF(101)]
 QQ_VALUES = st.one_of(
@@ -143,6 +150,184 @@ def test_tensor_over_with_relations_matches_from_entries(field):
     tq = tensor_over(reg.right_algebra, reg, reg)
     assert tq.relations
     _check_against_plain(tq)
+
+
+def _sparse_vector(field, n):
+    return st.dictionaries(
+        st.integers(0, max(n - 1, 0)), st.integers(1, 6).map(field.from_int),
+        max_size=n)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), n=st.integers(0, 6))
+def test_lazy_identity_matches_from_entries(field, data, n):
+    def lazy():
+        # a fresh identity for each reader, so that each read is the first
+        return Matrix.identity(field, n)
+
+    plain = Matrix.from_entries(field, n, n, {(i, i): field.one() for i in range(n)})
+    assert lazy() == plain and plain == lazy()
+    assert lazy().data == plain.data
+    assert lazy().to_rows() == plain.to_rows()
+    assert lazy().transpose() == plain.transpose()
+    assert lazy().nnz() == plain.nnz() == n
+    vec = data.draw(_sparse_vector(field, n))
+    assert lazy().apply(vec) == plain.apply(vec) == vec
+    assert lazy().tapply(vec) == plain.tapply(vec) == vec
+    m = data.draw(sparse_matrix(field))
+    assert lazy().kron(m) == plain.kron(m)
+    assert m.kron(lazy()) == m.kron(plain)
+    assert m.kron(lazy()).data == m.kron(plain).data
+
+
+def test_identity_of_negative_size_is_input_error():
+    with pytest.raises(InputError):
+        Matrix.identity(QQ, -1)
+    assert Matrix.identity(QQ, 0).data == {}
+
+
+def plain_tensor_relations(a, m, n):
+    """The balancing relations of M (x)_A N and their echelon form, built
+    without fast paths: every basis element of A, every (i, j), columns
+    read with `Matrix.col`."""
+    f = m.field
+    dn = n.dim
+    ech = Echelon(f, m.dim * dn)
+    relations = []
+    for k in range(a.dim):
+        for i in range(m.dim):
+            for j in range(dn):
+                rel = {p * dn + j: v for p, v in m.right_action[k].col(i).items()}
+                for q, w in n.left_action[k].col(j).items():
+                    u = f.sub(rel.get(i * dn + q, f.zero()), w)
+                    if f.is_zero(u):
+                        rel.pop(i * dn + q, None)
+                    else:
+                        rel[i * dn + q] = u
+                if rel:
+                    relations.append(rel)
+                    ech.add(rel)
+    return relations, ech
+
+
+def raw_descent_message(m, n, relations, ech):
+    """The message of the descent check run on every raw relation, or None
+    when both inherited actions descend."""
+    f, name = m.field, f"({m.name}(x){n.name})"
+    for k, act in enumerate(m.left_action):
+        big = unmarked(act).kron(plain_identity(f, n.dim))
+        if any(ech.reduce(big.apply(rel)) for rel in relations):
+            return (f"left action of {m.left_algebra.labels[k]} does not "
+                    f"descend to {name}")
+    for k, act in enumerate(n.right_action):
+        big = plain_identity(f, m.dim).kron(unmarked(act))
+        if any(ech.reduce(big.apply(rel)) for rel in relations):
+            return (f"right action of {n.right_algebra.labels[k]} does not "
+                    f"descend to {name}")
+    return None
+
+
+def _block_diag(field, mats):
+    entries, off = {}, 0
+    for mat in mats:
+        for i, row in mat.data.items():
+            for j, v in row.items():
+                entries[(off + i, off + j)] = v
+        off += mat.rows
+    return Matrix.from_entries(field, off, off, entries)
+
+
+@st.composite
+def change_of_basis(draw, field, d):
+    """An invertible P (unitriangular factors) and its inverse."""
+    def unitriangular(lower):
+        entries = {(i, i): field.one() for i in range(d)}
+        for i in range(d):
+            for j in range(d):
+                if (j < i) if lower else (j > i):
+                    entries[(i, j)] = field.from_int(draw(st.integers(-2, 2)))
+        return Matrix.from_entries(field, d, d, entries)
+
+    p = unitriangular(True) @ unitriangular(False)
+    return p, solve(p, plain_identity(field, d))
+
+
+@st.composite
+def side_bimodule(draw, field, base, base_on_right, name):
+    """A bimodule with `base` acting on the right (or left) side.
+
+    Over kZ/g it is a sum of copies of the regular bimodule.  Over the
+    ground field the base acts by a marked or a plain identity and a group
+    algebra kZ/h acts on the other side.  Either may be written in a random
+    basis; conjugation leaves no marked identity.
+    """
+    copies = draw(st.integers(1, 2))
+    if base.dim == 1:
+        other = group_algebra_cyclic(field, draw(st.integers(1, 3)))
+        reg = regular_bimodule(other)
+        d = copies * other.dim
+        acts = reg.left_action if base_on_right else reg.right_action
+        other_act = [_block_diag(field, [x] * copies) for x in acts]
+        ident = (Matrix.identity if draw(st.booleans()) else plain_identity)(field, d)
+        if base_on_right:
+            left, right, la, ra = other, base, other_act, [ident]
+        else:
+            left, right, la, ra = base, other, [ident], other_act
+    else:
+        reg = regular_bimodule(base)
+        d = copies * base.dim
+        left = right = base
+        la = [_block_diag(field, [x] * copies) for x in reg.left_action]
+        ra = [_block_diag(field, [x] * copies) for x in reg.right_action]
+    if draw(st.booleans()):
+        p, p_inv = draw(change_of_basis(field, d))
+        la = [p_inv @ x @ p for x in la]
+        ra = [p_inv @ x @ p for x in ra]
+    return Bimodule(left, right, d, la, ra, name=name)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), g=st.integers(1, 3))
+def test_tensor_over_matches_plain_construction(field, data, g):
+    clear_caches()
+    base = field_algebra(field) if g == 1 else group_algebra_cyclic(field, g)
+    m = data.draw(side_bimodule(field, base, True, "M"))
+    n = data.draw(side_bimodule(field, base, False, "N"))
+    relations, ech = plain_tensor_relations(base, m, n)
+    assert raw_descent_message(m, n, relations, ech) is None
+    tq = tensor_over(base, m, n)
+    assert tq.relations == relations
+    assert tq.free_cols == ech.free_columns()
+    assert tq.echelon.pivot_rows == ech.pivot_rows
+    _check_against_plain(tq)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_descent_failure_matches_raw_relation_check(field, side):
+    clear_caches()
+    a = group_algebra_cyclic(field, 2)
+    reg = regular_bimodule(a)
+    ident = Matrix.identity(field, 2)
+    # diag(1, -1) does not commute with the regular action of g, which
+    # swaps the basis
+    twist = Matrix.from_entries(field, 2, 2, {(0, 0): field.one(),
+                                              (1, 1): field.neg(field.one())})
+    if side == "left":
+        m = Bimodule(a, a, 2, [ident, twist], reg.right_action, name="M")
+        n = Bimodule(a, a, 2, reg.left_action, reg.right_action, name="N")
+    else:
+        m = Bimodule(a, a, 2, reg.left_action, reg.right_action, name="M")
+        n = Bimodule(a, a, 2, reg.left_action, [ident, twist], name="N")
+    relations, ech = plain_tensor_relations(a, m, n)
+    expected = raw_descent_message(m, n, relations, ech)
+    assert expected is not None and expected.startswith(side)
+    with pytest.raises(WellDefinednessError) as err:
+        tensor_over(a, m, n)
+    assert str(err.value) == expected
+    assert err.value.relation in [ech.full_row(p) for p in ech.pivots()]
 
 
 def _assert_canonical(x, expected: Fraction):

@@ -276,3 +276,40 @@ class TestMalformedScalarsExitTwo:
             raw["field"] = field
         assert self._run(tmp_path, mutate) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestMalformedShapesExitTwo:
+    """A value of the wrong JSON kind, or a missing one, is malformed input
+    reported with its JSON path."""
+
+    @pytest.mark.parametrize("mutate, path", [
+        (lambda raw: raw["algebras"]["kZ2"].pop("unit"), "$.algebras.kZ2.unit"),
+        (lambda raw: raw["algebras"]["kZ2"].update(mult=None),
+         "$.algebras.kZ2.mult"),
+        (lambda raw: raw["algebras"]["kZ2"]["mult"][1].__setitem__(0, "1"),
+         "$.algebras.kZ2.mult[1][0]"),
+        (lambda raw: raw["algebras"]["kZ2"].update(dim="2"),
+         "$.algebras.kZ2.dim"),
+        (lambda raw: raw.update(corings=[]), "$.corings"),
+        (lambda raw: raw["maps"].update({"C2.comult": 5}), "$.maps.C2.comult"),
+        (lambda raw: raw["bimodules"]["C2"]["left_action"].__setitem__(0, None),
+         "$.bimodules.C2.left_action[0]"),
+        (lambda raw: raw["corings"]["C2"].pop("counit"),
+         "$.corings.C2.counit"),
+    ], ids=["no-unit", "mult-null", "mult-entry", "dim-string",
+            "corings-array", "map-number", "action-null", "no-counit"])
+    def test_bad_shape(self, tmp_path, capsys, mutate, path):
+        assert TestMalformedScalarsExitTwo._run(tmp_path, mutate) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+    def test_session_not_an_object(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text('[{"field": "QQ"}]')
+        assert main(["--session", str(path), "check", "coring", "C2"]) == 2
+        assert capsys.readouterr().err.startswith("error: $: expected an object")
+
+    def test_reference_of_wrong_kind(self):
+        raw = json.loads(json.dumps(corpus_sessions()["grouplike_coalgebras.json"]))
+        raw["corings"]["C2"]["base"] = ["QQ"]
+        with pytest.raises(InputError, match="unknown algebra"):
+            parse_session(raw)
