@@ -240,16 +240,14 @@ def _block_diag(field, mats):
 
 @st.composite
 def change_of_basis(draw, field, d):
-    """An invertible P (unitriangular factors) and its inverse."""
-    def unitriangular(lower):
-        entries = {(i, i): field.one() for i in range(d)}
-        for i in range(d):
-            for j in range(d):
-                if (j < i) if lower else (j > i):
-                    entries[(i, j)] = field.from_int(draw(st.integers(-2, 2)))
-        return Matrix.from_entries(field, d, d, entries)
-
-    p = unitriangular(True) @ unitriangular(False)
+    """An invertible P, a permuted unitriangular matrix with entries in
+    {-1, 0, 1}, and its inverse."""
+    perm = draw(st.permutations(range(d)))
+    entries = {(perm[i], i): field.one() for i in range(d)}
+    for i in range(d):
+        for j in range(i):
+            entries[(perm[i], j)] = field.from_int(draw(st.integers(-1, 1)))
+    p = Matrix.from_entries(field, d, d, entries)
     return p, solve(p, plain_identity(field, d))
 
 
