@@ -44,9 +44,6 @@ class FinAlgebra:
 
     # -- multiplication -----------------------------------------------------
 
-    def mul_basis(self, i, j) -> dict:
-        return self.mult[i][j]
-
     def mul_vec(self, u: dict, v: dict) -> dict:
         f = self.field
         out: dict = {}

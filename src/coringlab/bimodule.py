@@ -22,15 +22,21 @@ with the projection/section between the flat tensor space of its *leaves*
 quotient; `regroup` converts between bracketings of the same leaves, which
 is the explicit associator.
 
+The mirror reads a bimodule in the opposite bicategory: `op` gives the
+opposite algebra, `mirror` swaps a bimodule's two actions and reverses the
+factors of a tensor quotient, and `rev` is the explicit isomorphism
+x -> mirror(x); `mirror_map` conjugates a map by it.  Left-handed structures
+are checked as the mirrors of right-handed ones.
+
 All values are immutable after construction and all operations are pure.
-Quotients and spaces are memoized by object identity; the memo tables are
-the only mutable state, so concurrent readers are safe once the structures
-they share have been built.
+Quotients, spaces and mirrors are memoized by object identity; the memo
+tables are the only mutable state, so concurrent readers are safe once the
+structures they share have been built.
 """
 
 from __future__ import annotations
 
-from .algebra import FinAlgebra
+from .algebra import FinAlgebra, opposite_algebra
 from .exactla import Matrix, kron_all
 from .reports import InputError, Report, WellDefinednessError, Witness
 
@@ -59,10 +65,17 @@ class Bimodule:
         for m in self.left_action + self.right_action:
             if m.rows != dim or m.cols != dim:
                 raise InputError("action matrix shape mismatch")
-        self.labels = list(labels) if labels else [f"m{i}" for i in range(dim)]
-        if len(self.labels) != dim:
+        if labels and len(labels) != dim:
             raise InputError("label count must equal dim")
+        self._labels = list(labels) if labels else None
         self.name = name
+
+    @property
+    def labels(self):
+        """The basis labels; the default `m0, m1, ...` is built only when read."""
+        if self._labels is None:
+            return [f"m{i}" for i in range(self.dim)]
+        return self._labels
 
     # -- actions by arbitrary elements --------------------------------------
 
@@ -79,7 +92,7 @@ class Bimodule:
         return out
 
     def basis_label(self, i) -> str:
-        return self.labels[i]
+        return f"m{i}" if self._labels is None else self._labels[i]
 
     def fmt_vec(self, v: dict) -> str:
         f = self.field
@@ -535,6 +548,83 @@ def associator(m: Bimodule, n: Bimodule, p: Bimodule):
 
 
 # ---------------------------------------------------------------------------
+# the mirror: opposite algebras and reversed tensor products
+
+_MIRROR_CACHE: dict = {}
+
+
+def mirrored(x, build):
+    """The memoized image build(x) of x under an involution: built once,
+    with x recorded as the image of its image."""
+    hit = _MIRROR_CACHE.get(id(x))
+    if hit is None:
+        y = build(x)
+        hit = _MIRROR_CACHE[id(x)] = (x, y)
+        _MIRROR_CACHE[id(y)] = (y, x)
+    return hit[1]
+
+
+def op(a: FinAlgebra) -> FinAlgebra:
+    """The opposite algebra; op(op(a)) is a."""
+    return mirrored(a, opposite_algebra)
+
+
+def mirror(b: Bimodule) -> Bimodule:
+    """An (A, B)-bimodule as a (B^op, A^op)-bimodule: the same space and
+    labels with the two action lists swapped.  The regular bimodule of A
+    goes to that of A^op, and M (x)_A N to N^op (x)_{A^op} M^op, presented
+    on its own canonical basis (`rev` is the isomorphism).  mirror(mirror(b))
+    is b."""
+    return mirrored(b, _build_mirror)
+
+
+def _build_mirror(b: Bimodule) -> Bimodule:
+    if isinstance(b, TensorQuotient):
+        return tensor_over(op(b.base), mirror(b.factor_right),
+                           mirror(b.factor_left))
+    if b is getattr(b.left_algebra, "_regular_bimodule", None):
+        return regular_bimodule(op(b.left_algebra))
+    return Bimodule(op(b.right_algebra), op(b.left_algebra), b.dim,
+                    b.right_action, b.left_action, labels=b._labels,
+                    name=b.name)
+
+
+def _reversal(src: Space, dst: Space) -> Matrix:
+    """The leaf-reversing permutation of the leaf-flat spaces, conjugated
+    into the quotients like `regroup`: m1 (x) ... (x) mk -> mk (x) ... (x) m1."""
+    if tuple(dst.leaves) != tuple(mirror(l) for l in reversed(src.leaves)):
+        raise InputError("reversal needs the mirrored leaves in reverse order")
+    f = src.field
+    if len(src.leaves) == 1:
+        return dst.deep_project @ src.deep_section
+    # pos[i] is the reversed flat index of the leaf-flat index i
+    pos, width = [0], 1
+    for leaf in src.leaves:
+        pos = [j * width + p for p in pos for j in range(leaf.dim)]
+        width *= leaf.dim
+    perm = Matrix.from_entries(f, width, width,
+                               {(p, i): f.one() for i, p in enumerate(pos)})
+    return dst.deep_project @ perm @ src.deep_section
+
+
+def rev(x: Bimodule) -> LinearMap:
+    """The reversal isomorphism x -> mirror(x)."""
+    return LinearMap(x, mirror(x), _reversal(space(x), space(mirror(x))),
+                     name="rev")
+
+
+def mirror_map(f: LinearMap, dom: Space = None, cod: Space = None) -> LinearMap:
+    """rev(cod) . f . rev(mirror(dom)): f between the mirrors of its domain
+    and codomain, or between `dom` and `cod`, other bracketings of their
+    leaves."""
+    dom = dom if dom is not None else space(mirror(f.domain))
+    cod = cod if cod is not None else space(mirror(f.codomain))
+    mat = (_reversal(space(f.codomain), cod) @ f.matrix
+           @ _reversal(dom, space(f.domain)))
+    return LinearMap(dom.quotient, cod.quotient, mat, name=f.name)
+
+
+# ---------------------------------------------------------------------------
 # map pipelines
 
 
@@ -554,9 +644,6 @@ class Pipe:
         self.matrix = Matrix.identity(self.field, source.leaf_flat_dim())
 
     # -- geometry helpers ----------------------------------------------------
-
-    def _leaf_dims(self):
-        return [l.dim for f in self.factors for l in leaf_factors(f)]
 
     def _pre_post(self, at, takes):
         pre = 1
@@ -640,14 +727,6 @@ class Pipe:
         self.factors[at:at + 1] = [f.factor_left, f.factor_right]
         return self
 
-    def coarsen(self, at, takes, tq: Bimodule):
-        """Re-bracket: group consecutive factors whose leaves match tq's."""
-        grouped = tuple(l for f in self.factors[at:at + takes] for l in leaf_factors(f))
-        if grouped != leaf_factors(tq):
-            raise InputError("coarsen leaves do not match")
-        self.factors[at:at + takes] = [tq]
-        return self
-
     # -- finish ---------------------------------------------------------------
 
     def done(self, target: Space = None, name="pipe") -> LinearMap:
@@ -723,9 +802,10 @@ def unit_iso(side: str, m: Bimodule):
 
 
 def clear_caches():
-    """Drop memoized tensor quotients and spaces (mostly for tests)."""
+    """Drop memoized tensor quotients, spaces and mirrors (mostly for tests)."""
     _TENSOR_CACHE.clear()
     _SPACE_CACHE.clear()
+    _MIRROR_CACHE.clear()
 
 
 # ---------------------------------------------------------------------------

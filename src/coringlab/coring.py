@@ -15,6 +15,10 @@ from .bimodule import (
     Matrix,
     bilinearity_report,
     k_bimodule,
+    mirror,
+    mirror_map,
+    mirrored,
+    op,
     pipe,
     regular_bimodule,
     space,
@@ -65,6 +69,14 @@ class Coring:
 
     def __repr__(self):
         return f"Coring({self.name} over {self.base.name}, dim={self.carrier.dim})"
+
+
+def coop(c: Coring) -> Coring:
+    """The co-opposite coring over A^op: the mirrored carrier, with
+    comultiplication c -> c_(2) (x) c_(1) through `rev`; coop(coop(c)) is c."""
+    return mirrored(c, lambda c: Coring(
+        op(c.base), mirror(c.carrier), mirror_map(c.comult),
+        mirror_map(c.counit), name=f"{c.name}^cop"))
 
 
 def check_coring(c: Coring) -> Report:

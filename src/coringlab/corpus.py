@@ -59,10 +59,6 @@ class Corpus:
     def z3(self):
         return self._get("z3", lambda: group_algebra_cyclic(QQ, 3, name="kZ3"))
 
-    @property
-    def tpoly2(self):
-        return self._get("tpoly2", lambda: truncated_poly_algebra(QQ, 2))
-
     # -- corings ------------------------------------------------------------
 
     @property

@@ -9,7 +9,9 @@ morphisms; both routes are implemented so their equivalence is testable.
 
 The product construction turns C (x) M into a coring over the base; the
 comodule categories, the induction functors and the adjunction transposes
-live here as well.
+live here as well.  Left-handed cowreath data (from a mixed distributive
+law) is checked as the right-handed cowreath of its mirror over the
+co-opposite coring.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .bimodule import (
     MapSolver,
     Matrix,
     bilinearity_report,
+    mirror_map,
     pipe,
     regroup,
     regular_bimodule,
@@ -27,10 +30,11 @@ from .bimodule import (
     space,
     tensor_over,
 )
-from .coring import Comodule, Coring, compare_maps, flip_map
+from .coring import Comodule, Coring, check_coring_morphism, compare_maps, flip_map
 from .entwine import EntwiningStructure, entwined_coring, lift_r_object, _normal_form_matrix
-from .rcat import LObject, RMorphism, RObject, check_l_object, check_r_object, r_tensor_objects
-from .reports import InputError, PreconditionFailure, Report
+from .rcat import (LObject, RMorphism, RObject, check_r_morphism, check_r_object,
+                   identity_r_object, mirror_object, r_tensor_objects)
+from .reports import InputError, PreconditionFailure, Report, mirrored_report
 
 
 class Cowreath:
@@ -213,7 +217,6 @@ def check_cowreath_abstract(w: Cowreath) -> Report:
 
 def unit_cowreath(c: Coring) -> Cowreath:
     """The base algebra with its unit twist, xi and delta the unit maps."""
-    from .rcat import identity_r_object
     obj = identity_r_object(c)
     C = c.carrier
     areg = obj.carrier
@@ -260,81 +263,12 @@ class LCowreath:
 
 
 def check_l_cowreath(w: LCowreath) -> Report:
-    rep = Report(f"left cowreath {w.name}")
-    rep.extend(check_l_object(w.lobject))
-    d = w.coring
-    D, L = d.carrier, w.lobject.carrier
-    tw = w.lobject.twist
-    rep.extend(bilinearity_report(w.xi, "xi"))
-    rep.extend(bilinearity_report(w.delta, "delta"))
-
-    # colinearity for rho = L (x) comult, lam = (tw x D).(L x comult)
-    xr_l = (
-        pipe(space(L, D)).apply(w.xi, 0, 2, [D])
-        .apply(d.comult, 0, 1, [D, D]).done(name="comult.xi")
-    )
-    xr_r = (
-        pipe(space(L, D)).apply(d.comult, 1, 1, [D, D])
-        .apply(w.xi, 0, 2, [D]).done(name="(xi x D).(L x comult)")
-    )
-    compare_maps(rep, "xi-right-colinear", xr_l, xr_r)
-    xl_r = (
-        pipe(space(L, D)).apply(d.comult, 1, 1, [D, D])
-        .apply(tw, 0, 2, [D, L])
-        .apply(w.xi, 1, 2, [D])
-        .done(name="(D x xi).(tw x D).(L x comult)")
-    )
-    compare_maps(rep, "xi-left-colinear", xr_l, xl_r)
-    dr_l = (
-        pipe(space(L, D)).apply(w.delta, 0, 2, [L, L, D])
-        .apply(d.comult, 2, 1, [D, D]).done(name="(LL x comult).delta")
-    )
-    dr_r = (
-        pipe(space(L, D)).apply(d.comult, 1, 1, [D, D])
-        .apply(w.delta, 0, 2, [L, L, D]).done(name="(delta x D).(L x comult)")
-    )
-    compare_maps(rep, "delta-right-colinear", dr_l, dr_r)
-    dl_l = (
-        pipe(space(L, D)).apply(w.delta, 0, 2, [L, L, D])
-        .apply(d.comult, 2, 1, [D, D])
-        .apply(tw, 1, 2, [D, L])
-        .apply(tw, 0, 2, [D, L])
-        .done(name="(tw2 x D).(LL x comult).delta")
-    )
-    dl_r = (
-        pipe(space(L, D)).apply(d.comult, 1, 1, [D, D])
-        .apply(tw, 0, 2, [D, L])
-        .apply(w.delta, 1, 2, [L, L, D])
-        .done(name="(D x delta).(tw x D).(L x comult)")
-    )
-    compare_maps(rep, "delta-left-colinear", dl_l, dl_r)
-
-    d1 = (
-        pipe(space(L, D)).apply(w.delta, 0, 2, [L, L, D])
-        .apply(w.xi, 1, 2, [D]).done(name="(L x xi).delta")
-    )
-    compare_maps(rep, "cw-counit", d1, LinearMap.identity(space(L, D).quotient))
-    d2 = (
-        pipe(space(L, D)).apply(w.delta, 0, 2, [L, L, D])
-        .apply(tw, 1, 2, [D, L])
-        .apply(w.xi, 0, 2, [D])
-        .done(name="(xi x L).(L x tw).delta")
-    )
-    compare_maps(rep, "cw-twist", d2, tw)
-    lhs = (
-        pipe(space(L, D)).apply(w.delta, 0, 2, [L, L, D])
-        .apply(tw, 1, 2, [D, L])
-        .apply(w.delta, 0, 2, [L, L, D])
-        .done(name="(delta x L).(L x tw).delta")
-    )
-    rhs = (
-        pipe(space(L, D)).apply(w.delta, 0, 2, [L, L, D])
-        .apply(w.delta, 1, 2, [L, L, D])
-        .apply(tw, 2, 2, [D, L])
-        .done(name="(LL x tw).(L x delta).delta")
-    )
-    compare_maps(rep, "cw-coassoc", lhs, rhs)
-    return rep
+    """The right-handed cowreath laws on the mirror of w."""
+    o = mirror_object(w.lobject)
+    D, L = o.coring.carrier, o.carrier
+    mw = Cowreath(o, mirror_map(w.xi), mirror_map(w.delta, cod=space(D, L, L)),
+                  name=w.name)
+    return mirrored_report(check_cowreath(mw), f"left cowreath {w.name}")
 
 
 def coring_distributive_cowreath(c: Coring, d: Coring, dmap: LinearMap,
@@ -501,7 +435,6 @@ def cowreath_product(w: Cowreath, name=None):
     product = Coring(c.base, carrier, comult, counit,
                      name=name or f"{c.name}(x){w.object.name}")
     xi_as_map = LinearMap(carrier, C, w.xi.matrix, name="xi")
-    from .coring import check_coring_morphism
     morph = check_coring_morphism(xi_as_map, product, c,
                                   name=f"xi as coring morphism ({w.name})")
     return product, morph
@@ -545,14 +478,14 @@ def check_cow_comodule(x: CowComodule) -> Report:
     rep.extend(bilinearity_report(x.coaction, "coaction"))
 
     # the coaction is a morphism into the product object
-    prod = r_tensor_objects(x.object, w.object)
-    tshape = space(C, X, M) if x.side == "right" else space(C, M, X)
     if x.side == "right":
-        conv = regroup(tshape, space(C, prod.carrier))
-        mor = RMorphism(x.object, prod, conv.after(x.coaction),
-                        name="coaction")
-        from .rcat import check_r_morphism
-        rep.extend(check_r_morphism(mor))
+        prod, tshape = r_tensor_objects(x.object, w.object), space(C, X, M)
+    else:
+        prod, tshape = r_tensor_objects(w.object, x.object), space(C, M, X)
+    conv = regroup(tshape, space(C, prod.carrier))
+    rep.extend(check_r_morphism(
+        RMorphism(x.object, prod, conv.after(x.coaction), name="coaction")))
+    if x.side == "right":
         d1 = (
             pipe(space(C, X)).apply(x.coaction, 0, 2, [C, X, M])
             .apply(xt, 0, 2, [X, C])
@@ -574,12 +507,6 @@ def check_cow_comodule(x: CowComodule) -> Report:
         )
         compare_maps(rep, "comodule-coassoc", lhs, rhs)
     else:
-        prod_l = r_tensor_objects(w.object, x.object)
-        conv = regroup(tshape, space(C, prod_l.carrier))
-        mor = RMorphism(x.object, prod_l, conv.after(x.coaction),
-                        name="coaction")
-        from .rcat import check_r_morphism
-        rep.extend(check_r_morphism(mor))
         d1 = (
             pipe(space(C, X)).apply(x.coaction, 0, 2, [C, M, X])
             .apply(w.xi, 0, 2, [C])
@@ -611,7 +538,6 @@ def check_cow_comodule_morphism(f: LinearMap, x: CowComodule,
     C = w.coring.carrier
     X, Y = x.object.carrier, y.object.carrier
     M = w.object.carrier
-    from .rcat import check_r_morphism
     rep.extend(check_r_morphism(RMorphism(x.object, y.object, f)))
     if x.side == "right":
         lhs = (

@@ -295,11 +295,6 @@ class Matrix:
                 data.setdefault(i, {})[j] = v
         return cls(field, rows, cols, data)
 
-    @classmethod
-    def column(cls, field, vec: dict, rows):
-        data = {i: {0: v} for i, v in vec.items() if not field.is_zero(v)}
-        return cls(field, rows, 1, data)
-
     # -- access ------------------------------------------------------------
 
     def entry(self, i, j):
@@ -311,9 +306,6 @@ class Matrix:
             if j in row:
                 out[i] = row[j]
         return out
-
-    def row(self, i) -> dict:
-        return dict(self.data.get(i, {}))
 
     def to_rows(self):
         z = self.field.zero()
@@ -518,10 +510,6 @@ class Echelon:
         self.ncols = ncols
         self.pivot_rows: dict = {}
         self.touch: dict = {}
-
-    @property
-    def rank(self):
-        return len(self.pivot_rows)
 
     def reduce(self, vec: dict) -> dict:
         """Residual of vec modulo the current row space (vec is not mutated).

@@ -5,6 +5,14 @@ An object is an A-bimodule M with an A-bilinear twist t: C (x) M -> M (x) C
 compatible with the comultiplication and counit.  A morphism (in unreduced
 form) is a C-bicolinear map C (x) M -> C (x) M', where C (x) M carries the
 left coaction comult (x) M and the right coaction (C (x) t).(comult (x) M).
+
+The left-handed mirror has objects (L, t: L (x) C -> C (x) L).  Its laws are
+not restated: an LObject is the RObject (L^op, rev . t . rev) over the
+co-opposite coring, read in the opposite bicategory, so every left-handed
+check and construction is the right-handed one conjugated by `mirror_object`
+and `mirror_morphism`.  Reports keep the left-handed check names with
+`left` and `right` swapped in each tag; a failing witness names a basis
+element of the mirrored space, whose tensor factors come in reverse order.
 """
 
 from __future__ import annotations
@@ -14,14 +22,16 @@ from .bimodule import (
     LinearMap,
     Matrix,
     bilinearity_report,
+    mirror,
+    mirror_map,
     pipe,
     regroup,
     regular_bimodule,
     space,
     tensor_over,
 )
-from .coring import Bicomodule, Coring, compare_maps
-from .reports import InputError, Report
+from .coring import Bicomodule, Coring, compare_maps, coop
+from .reports import InputError, Report, mirrored_report
 
 
 class RObject:
@@ -309,149 +319,6 @@ def check_r_algebra(o: RObject, eta: LinearMap, mu: LinearMap) -> Report:
     return rep
 
 
-# ---------------------------------------------------------------------------
-# the left-handed mirror category
-
-
-class LObject:
-    """A pair (twist, L) with twist: L (x) C -> C (x) L."""
-
-    def __init__(self, coring: Coring, carrier: Bimodule, twist: LinearMap,
-                 name=None):
-        self.coring = coring
-        self.carrier = carrier
-        self.twist = twist
-        self.name = name or carrier.name
-        C = coring.carrier
-        if (twist.domain.dim != space(carrier, C).dim
-                or twist.codomain.dim != space(C, carrier).dim):
-            raise InputError(f"left twist of {self.name}: shape mismatch")
-
-    @property
-    def lc(self):
-        return space(self.carrier, self.coring.carrier)
-
-
-def check_l_object(o: LObject) -> Report:
-    rep = Report(f"left twist object {o.name}")
-    c = o.coring
-    C, L = c.carrier, o.carrier
-    rep.extend(bilinearity_report(o.twist, "twist"))
-    areg = regular_bimodule(c.base)
-    lhs = (
-        pipe(space(L, C))
-        .apply(o.twist, 0, 2, [C, L])
-        .apply(c.counit, 0, 1, [areg])
-        .absorb_right(0)
-        .done(name="(eps x L).twist")
-    )
-    rhs = (
-        pipe(space(L, C))
-        .apply(c.counit, 1, 1, [areg])
-        .absorb_left(1)
-        .done(name="L x eps")
-    )
-    compare_maps(rep, "twist-counit", lhs, rhs)
-    lhs2 = (
-        pipe(space(L, C))
-        .apply(o.twist, 0, 2, [C, L])
-        .apply(c.comult, 0, 1, [C, C])
-        .done(name="(comult x L).twist")
-    )
-    rhs2 = (
-        pipe(space(L, C))
-        .apply(c.comult, 1, 1, [C, C])
-        .apply(o.twist, 0, 2, [C, L])
-        .apply(o.twist, 1, 2, [C, L])
-        .done(name="(C x twist).(twist x C).(L x comult)")
-    )
-    compare_maps(rep, "twist-comult", lhs2, rhs2)
-    return rep
-
-
-def identity_l_object(c: Coring) -> LObject:
-    areg = regular_bimodule(c.base)
-    C = c.carrier
-    twist = (
-        pipe(space(areg, C))
-        .absorb_right(0)
-        .insert_central(areg, c.base.unit_vector(), 1)
-        .done(space(C, areg), name="unit-twist")
-    )
-    return LObject(c, areg, twist, name=f"I({c.base.name})")
-
-
-def l_tensor_objects(o1: LObject, o2: LObject, name=None) -> LObject:
-    """Product object ((t1 x K).(L x t2), L (x) K)."""
-    c = o1.coring
-    C = c.carrier
-    L, K = o1.carrier, o2.carrier
-    carrier = tensor_over(L.right_algebra, L, K)
-    twist = (
-        pipe(space(carrier, C))
-        .refine(0)
-        .apply(o2.twist, 1, 2, [C, K])
-        .apply(o1.twist, 0, 2, [C, L])
-        .done(space(C, carrier), name="twist")
-    )
-    return LObject(c, carrier, twist, name=name or f"{o1.name}(x){o2.name}")
-
-
-class LMorphism:
-    """A map L (x) C -> L' (x) C between left twist objects."""
-
-    def __init__(self, src: LObject, dst: LObject, map: LinearMap, name=None):
-        self.src = src
-        self.dst = dst
-        self.map = map
-        self.name = name or map.name
-        if (map.domain.dim != src.lc.dim or map.codomain.dim != dst.lc.dim):
-            raise InputError(f"left morphism {self.name}: shape mismatch")
-
-    @classmethod
-    def identity(cls, o: LObject):
-        return cls(o, o, LinearMap.identity(o.lc.quotient), name="id")
-
-
-def check_l_morphism(m: LMorphism) -> Report:
-    """Colinearity for the structures rho = L x comult and
-    lam = (twist x C).(L x comult)."""
-    rep = Report(f"left twist morphism {m.name}")
-    c = m.src.coring
-    C = c.carrier
-    L, K = m.src.carrier, m.dst.carrier
-    rep.extend(bilinearity_report(m.map, "morphism"))
-    lhs = (
-        pipe(space(L, C))
-        .apply(m.map, 0, 2, [K, C])
-        .apply(c.comult, 1, 1, [C, C])
-        .done(name="(K x comult).f")
-    )
-    rhs = (
-        pipe(space(L, C))
-        .apply(c.comult, 1, 1, [C, C])
-        .apply(m.map, 0, 2, [K, C])
-        .done(name="(f x C).(L x comult)")
-    )
-    compare_maps(rep, "morphism-right-colinear", lhs, rhs)
-    lhs2 = (
-        pipe(space(L, C))
-        .apply(m.map, 0, 2, [K, C])
-        .apply(c.comult, 1, 1, [C, C])
-        .apply(m.dst.twist, 0, 2, [C, K])
-        .done(name="(twist' x C).(K x comult).f")
-    )
-    rhs2 = (
-        pipe(space(L, C))
-        .apply(c.comult, 1, 1, [C, C])
-        .apply(m.src.twist, 0, 2, [C, L])
-        .apply(m.map, 1, 2, [K, C])
-        .done(name="(C x f).(twist x C).(L x comult)")
-    )
-    compare_maps(rep, "morphism-left-colinear", lhs2, rhs2)
-    return rep
-
-
 def sample_r_morphisms(src: RObject, dst: RObject, count=5, seed=0):
     """Deterministic sample of morphisms src -> dst over a ground-field
     coring, by solving the two colinearity constraints exactly."""
@@ -490,24 +357,86 @@ def sample_r_morphisms(src: RObject, dst: RObject, count=5, seed=0):
             for i, m in enumerate(mats)]
 
 
+# ---------------------------------------------------------------------------
+# the left-handed mirror category: every law and construction is the
+# right-handed one, conjugated by the mirror over the co-opposite coring
+
+
+class LObject:
+    """A pair (twist, L) with twist: L (x) C -> C (x) L."""
+
+    def __init__(self, coring: Coring, carrier: Bimodule, twist: LinearMap,
+                 name=None):
+        self.coring = coring
+        self.carrier = carrier
+        self.twist = twist
+        self.name = name or carrier.name
+        C = coring.carrier
+        if (twist.domain.dim != space(carrier, C).dim
+                or twist.codomain.dim != space(C, carrier).dim):
+            raise InputError(f"left twist of {self.name}: shape mismatch")
+
+    @property
+    def lc(self):
+        return space(self.carrier, self.coring.carrier)
+
+
+class LMorphism:
+    """A map L (x) C -> L' (x) C between left twist objects."""
+
+    def __init__(self, src: LObject, dst: LObject, map: LinearMap, name=None):
+        self.src = src
+        self.dst = dst
+        self.map = map
+        self.name = name or map.name
+        if (map.domain.dim != src.lc.dim or map.codomain.dim != dst.lc.dim):
+            raise InputError(f"left morphism {self.name}: shape mismatch")
+
+    @classmethod
+    def identity(cls, o: LObject):
+        return cls(o, o, LinearMap.identity(o.lc.quotient), name="id")
+
+
+def mirror_object(o, name=None):
+    """The twist object of the other hand over the co-opposite coring:
+    (L, L (x) C -> C (x) L) goes to (L^op, C^op (x) L^op -> L^op (x) C^op)
+    as an RObject, and an RObject back to an LObject."""
+    cls = RObject if isinstance(o, LObject) else LObject
+    return cls(coop(o.coring), mirror(o.carrier), mirror_map(o.twist),
+               name=name or o.name)
+
+
+def mirror_morphism(m):
+    cls = RMorphism if isinstance(m, LMorphism) else LMorphism
+    return cls(mirror_object(m.src), mirror_object(m.dst), mirror_map(m.map),
+               name=m.name)
+
+
+def check_l_object(o: LObject) -> Report:
+    return mirrored_report(check_r_object(mirror_object(o)),
+                           f"left twist object {o.name}")
+
+
+def check_l_morphism(m: LMorphism) -> Report:
+    """Colinearity for the structures rho = L x comult and
+    lam = (twist x C).(L x comult)."""
+    return mirrored_report(check_r_morphism(mirror_morphism(m)),
+                           f"left twist morphism {m.name}")
+
+
+def identity_l_object(c: Coring) -> LObject:
+    return mirror_object(identity_r_object(coop(c)), name=f"I({c.base.name})")
+
+
+def l_tensor_objects(o1: LObject, o2: LObject, name=None) -> LObject:
+    """Product object ((t1 x K).(L x t2), L (x) K)."""
+    prod = r_tensor_objects(mirror_object(o2), mirror_object(o1))
+    return mirror_object(prod, name=name or f"{o1.name}(x){o2.name}")
+
+
 def l_tensor_morphisms(f: LMorphism, g: LMorphism, name=None) -> LMorphism:
     """Product of morphisms in the mirror category."""
-    c = f.src.coring
-    C = c.carrier
-    L, Lp = f.src.carrier, f.dst.carrier
-    K, Kp = g.src.carrier, g.dst.carrier
-    src = l_tensor_objects(f.src, g.src)
-    dst = l_tensor_objects(f.dst, g.dst)
-    areg = regular_bimodule(c.base)
-    mp = (
-        pipe(space(src.carrier, C))
-        .refine(0)
-        .apply(c.comult, 2, 1, [C, C])
-        .apply(g.map, 1, 2, [Kp, C])
-        .apply(g.dst.twist, 1, 2, [C, Kp])
-        .apply(f.map, 0, 2, [Lp, C])
-        .apply(c.counit, 1, 1, [areg])
-        .absorb_left(1)
-        .done(space(dst.carrier, C), name="f(x)g")
-    )
-    return LMorphism(src, dst, mp, name=name or f"{f.name}(x){g.name}")
+    prod = r_tensor_morphisms(mirror_morphism(g), mirror_morphism(f))
+    return LMorphism(l_tensor_objects(f.src, g.src),
+                     l_tensor_objects(f.dst, g.dst), mirror_map(prod.map),
+                     name=name or f"{f.name}(x){g.name}")

@@ -8,6 +8,7 @@ so reports serialize to JSON without knowing the scalar type.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 
@@ -51,7 +52,7 @@ class Witness:
 @dataclass
 class Report:
     check: str
-    status: str = "pass"  # pass | fail | error
+    status: str = "pass"  # pass | fail
     witnesses: list = field(default_factory=list)
 
     @property
@@ -88,3 +89,23 @@ class Report:
                 f"  {w.equation} at {w.basis}: lhs={w.lhs} rhs={w.rhs}"
             )
         return "\n".join(lines)
+
+
+_OTHER_HAND = {"left": "right", "right": "left"}
+
+
+def mirrored_report(rep: Report, check: str, prefixes=()) -> Report:
+    """A report of a check run on a mirrored structure, under the name of
+    the check of the other hand.  Each tag has `left` and `right` swapped,
+    then the first matching (old, new) tag prefix replaced.  Witness bases
+    and values stay those of the mirrored spaces, whose tensor factors come
+    in reverse order."""
+    out = Report(check, rep.status)
+    for w in rep.witnesses:
+        tag = re.sub("left|right", lambda m: _OTHER_HAND[m.group()], w.equation)
+        for old, new in prefixes:
+            if tag.startswith(old):
+                tag = new + tag[len(old):]
+                break
+        out.witnesses.append(Witness(tag, w.basis, w.lhs, w.rhs))
+    return out

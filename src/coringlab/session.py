@@ -299,8 +299,8 @@ def parse_session(source) -> SessionFile:
 
 
 def _fmt_matrix(field, mat: Matrix):
-    return [[field.fmt(mat.entry(i, j)) for j in range(mat.cols)]
-            for i in range(mat.rows)]
+    data = mat.data
+    return [_fmt_vec(field, data.get(i, {}), mat.cols) for i in range(mat.rows)]
 
 
 def _fmt_vec(field, vec, dim):

@@ -5,7 +5,10 @@ with a twist T (x) P -> P (x) T compatible with the multiplication and unit
 of T; a wreath adds T-bilinear structure maps eta: T -> R (x) T and
 mu: R (x) R (x) T -> R (x) T subject to three diagrams, and its product
 makes R (x) T a ring extension of T.  Twisted tensor products, module
-twisting maps and the dual comparison functors all live here.
+twisting maps and the dual comparison functors all live here.  The
+left-handed wreath of a twisted tensor product is checked as the
+right-handed wreath of its mirror over the opposite extension, with the
+tags renamed `rt-` -> `lt-` and `w-` -> `lw-`.
 """
 
 from __future__ import annotations
@@ -24,6 +27,10 @@ from .bimodule import (
     Matrix,
     _deep_pair,
     bilinearity_report,
+    mirror,
+    mirror_map,
+    mirrored,
+    op,
     pipe,
     regular_bimodule,
     restricted_bimodule,
@@ -32,7 +39,7 @@ from .bimodule import (
     tensor_over,
 )
 from .coring import compare_maps
-from .reports import InputError, PreconditionFailure, Report, Witness
+from .reports import InputError, PreconditionFailure, Report, Witness, mirrored_report
 
 
 class RingExtension:
@@ -71,11 +78,17 @@ class RingExtension:
         return cached
 
 
-def algebra_mult_map(alg: FinAlgebra, carrier: Bimodule) -> LinearMap:
-    """Multiplication of an A-ring as a map of A-bimodule quotients."""
-    sp = space(carrier, carrier)
-    return LinearMap(sp.quotient, carrier,
-                     multiplication_matrix(alg) @ sp.section, name="mult")
+def opposite_extension(ext: RingExtension) -> RingExtension:
+    """iota: A^op -> T^op, whose T-bimodule is the mirror of ext's, so that
+    the mirrored spaces coincide; opposite_extension is an involution."""
+    def build(ext):
+        iota = AlgebraMorphism(op(ext.base), op(ext.total), ext.iota.matrix,
+                               name=ext.iota.name)
+        opp = RingExtension(op(ext.base), op(ext.total), iota,
+                            name=f"{ext.name}^op")
+        opp._t_bimodule = mirror(ext.t_bimodule)
+        return opp
+    return mirrored(ext, build)
 
 
 class RTObject:
@@ -197,17 +210,19 @@ def outer_right_action(ext: RingExtension, factors) -> LinearMap:
     return p.done(space(*factors, tb), name="r-outer")
 
 
-def action_matrices(action: LinearMap, alg: FinAlgebra,
-                    elt_bimodule: Bimodule, carrier: Bimodule, side: str):
-    """Per-basis-element action matrices on the carrier from a quotient
-    level action map (elt (x) carrier -> carrier or mirrored)."""
+def element_action_matrices(action: LinearMap, elt_carrier: Bimodule,
+                            carrier: Bimodule, side="left"):
+    """Per-basis action matrices for an action map elt (x) carrier -> carrier
+    (or carrier (x) elt -> carrier) where elt may itself be a quotient."""
     f = carrier.field
-    pc, sc = _deep_pair(carrier)
+    _, sc = _deep_pair(carrier)
+    _, se = _deep_pair(elt_carrier)
+    sp = (space(elt_carrier, carrier) if side == "left"
+          else space(carrier, elt_carrier))
     out = []
-    sp = (space(elt_bimodule, carrier) if side == "left"
-          else space(carrier, elt_bimodule))
-    for i in range(alg.dim):
-        col = Matrix.from_entries(f, elt_bimodule.dim, 1, {(i, 0): f.one()})
+    for i in range(elt_carrier.dim):
+        col = se @ Matrix.from_entries(f, elt_carrier.dim, 1,
+                                       {(i, 0): f.one()})
         emb = col.kron(sc) if side == "left" else sc.kron(col)
         out.append(action.matrix @ sp.deep_project @ emb)
     return out
@@ -216,8 +231,8 @@ def action_matrices(action: LinearMap, alg: FinAlgebra,
 def t_bimodule_from_maps(total: FinAlgebra, carrier: Bimodule,
                          l_map: LinearMap, r_map: LinearMap,
                          tb: Bimodule, name=None) -> Bimodule:
-    left = action_matrices(l_map, total, tb, carrier, "left")
-    right = action_matrices(r_map, total, tb, carrier, "right")
+    left = element_action_matrices(l_map, tb, carrier)
+    right = element_action_matrices(r_map, tb, carrier, side="right")
     return Bimodule(total, total, carrier.dim, left, right,
                     labels=carrier.labels, name=name or f"{carrier.name}|T")
 
@@ -360,6 +375,20 @@ def check_wreath(w: Wreath) -> Report:
     return rep
 
 
+def _product_algebra(carrier: Bimodule, mult: LinearMap, eta: LinearMap,
+                     total: FinAlgebra, name) -> FinAlgebra:
+    """The algebra on a tensor quotient with multiplication
+    mult: carrier (x) carrier -> carrier and unit eta(1)."""
+    f = carrier.field
+    d = carrier.dim
+    project = space(carrier, carrier).project
+    table = [[mult.matrix.tapply(project.tapply({i * d + j: f.one()}))
+              for j in range(d)] for i in range(d)]
+    return FinAlgebra(f, d, table, eta.matrix.tapply(dict(total.unit)),
+                      labels=[carrier.basis_label(i) for i in range(d)],
+                      name=name)
+
+
 def wreath_product(w: Wreath, name=None):
     """The product algebra on R (x) T and the extension of T into it.
 
@@ -378,25 +407,15 @@ def wreath_product(w: Wreath, name=None):
         .apply(ext.mult_map(), 1, 2, [tb])
         .done(space(rt), name="product-mult")
     )
-    f = R.field
-    sp2 = space(rt, rt)
-    mult_table = []
-    for i in range(rt.dim):
-        row = []
-        for j in range(rt.dim):
-            v = sp2.project.tapply({i * rt.dim + j: f.one()})
-            row.append(mult.matrix.tapply(v))
-        mult_table.append(row)
-    unit_vec = w.eta.matrix.tapply(dict(ext.total.unit))
-    product = FinAlgebra(f, rt.dim, mult_table, unit_vec,
-                         labels=[rt.basis_label(i) for i in range(rt.dim)],
-                         name=name or f"{w.name}-product")
+    product = _product_algebra(rt, mult, w.eta, ext.total,
+                               name or f"{w.name}-product")
     alg_rep = check_algebra(product)
     eta_morph = AlgebraMorphism(ext.total, product, w.eta.matrix, name="eta")
     eta_rep = check_algebra_morphism(eta_morph)
+    f = R.field
     iota_mat_cols = {}
     for i in range(ext.base.dim):
-        img = rt.act_left_matrix({i: f.one()}).tapply(unit_vec)
+        img = rt.act_left_matrix({i: f.one()}).tapply(product.unit)
         for r, v in img.items():
             iota_mat_cols[(r, i)] = v
     iota = AlgebraMorphism(
@@ -543,108 +562,15 @@ class LWreath:
 
 
 def check_l_wreath(w: LWreath) -> Report:
-    """Mirror object laws plus the three mirrored wreath diagrams and
-    R-bilinearity of the structure maps."""
-    rep = Report(f"left wreath {w.name}")
-    rext = w.rext
-    rb = rext.t_bimodule
-    U = w.carrier
-    mult = rext.mult_map()
-    rep.extend(bilinearity_report(w.twist, "twist"))
-    lhs = (
-        pipe(space(U, rb, rb))
-        .apply(mult, 1, 2, [rb])
-        .apply(w.twist, 0, 2, [rb, U])
-        .done(name="tw.(U x mult)")
-    )
-    rhs = (
-        pipe(space(U, rb, rb))
-        .apply(w.twist, 0, 2, [rb, U])
-        .apply(w.twist, 1, 2, [rb, U])
-        .apply(mult, 0, 2, [rb])
-        .done(name="(mult x U).(R x tw).(tw x R)")
-    )
-    compare_maps(rep, "lt-mult", lhs, rhs)
-    one_r = rext.total.unit_vector()
-    lhs2 = (
-        pipe(space(U))
-        .insert_central(rb, one_r, 1)
-        .apply(w.twist, 0, 2, [rb, U])
-        .done(name="tw.(U x 1)")
-    )
-    rhs2 = (
-        pipe(space(U))
-        .insert_central(rb, one_r, 0)
-        .done(space(rb, U), name="1 x U")
-    )
-    compare_maps(rep, "lt-unit", lhs2, rhs2)
-
-    # R-bimodule structures: outer left, twisted right
-    l_ru = (
-        pipe(space(rb, rb, U))
-        .apply(mult, 0, 2, [rb])
-        .done(space(rb, U), name="l-outer")
-    )
-    r_ru = (
-        pipe(space(rb, U, rb))
-        .apply(w.twist, 1, 2, [rb, U])
-        .apply(mult, 0, 2, [rb])
-        .done(space(rb, U), name="r-twisted")
-    )
-    ru = tensor_over(rb.right_algebra, rb, U)
-    ru_tt = t_bimodule_from_maps(rext.total, ru, l_ru, r_ru, rb, name="R(x)U")
-    l_ruu = (
-        pipe(space(rb, rb, U, U))
-        .apply(mult, 0, 2, [rb])
-        .done(space(rb, U, U), name="l-outer")
-    )
-    r_ruu = (
-        pipe(space(rb, U, U, rb))
-        .apply(w.twist, 2, 2, [rb, U])
-        .apply(w.twist, 1, 2, [rb, U])
-        .apply(mult, 0, 2, [rb])
-        .done(space(rb, U, U), name="r-twisted")
-    )
-    ruu_tt = t_bimodule_from_maps(rext.total, space(rb, U, U).quotient,
-                                  l_ruu, r_ruu, rb, name="R(x)U(x)U")
-    r_tt = regular_bimodule(rext.total)
-    rep.extend(bilinearity_report(
-        LinearMap(r_tt, ru_tt, w.eta.matrix, name="eta"), "eta-R"))
-    rep.extend(bilinearity_report(
-        LinearMap(ruu_tt, ru_tt, w.mu.matrix, name="mu"), "mu-R"))
-
-    d1 = (
-        pipe(space(rb, U))
-        .apply(w.eta, 0, 1, [rb, U])
-        .apply(w.mu, 0, 3, [rb, U])
-        .done(name="mu.(eta x U)")
-    )
-    compare_maps(rep, "lw-unit", d1,
-                 LinearMap.identity(space(rb, U).quotient))
-    d2 = (
-        pipe(space(U, rb))
-        .apply(w.eta, 1, 1, [rb, U])
-        .apply(w.twist, 0, 2, [rb, U])
-        .apply(w.mu, 0, 3, [rb, U])
-        .done(name="mu.(tw x U).(U x eta)")
-    )
-    compare_maps(rep, "lw-twist", d2, w.twist)
-    lhs3 = (
-        pipe(space(U, rb, U, U))
-        .apply(w.mu, 1, 3, [rb, U])
-        .apply(w.twist, 0, 2, [rb, U])
-        .apply(w.mu, 0, 3, [rb, U])
-        .done(name="mu.(tw x U).(U x mu)")
-    )
-    rhs3 = (
-        pipe(space(U, rb, U, U))
-        .apply(w.twist, 0, 2, [rb, U])
-        .apply(w.mu, 0, 3, [rb, U])
-        .apply(w.mu, 0, 3, [rb, U])
-        .done(name="mu.(mu x U).(tw x U x U)")
-    )
-    compare_maps(rep, "lw-assoc", lhs3, rhs3)
-    return rep
+    """The right-handed wreath laws on the mirror of w, over the opposite
+    extension of R."""
+    ext = opposite_extension(w.rext)
+    R, U = ext.t_bimodule, mirror(w.carrier)
+    mw = Wreath(RTObject(ext, U, mirror_map(w.twist), name=w.name),
+                mirror_map(w.eta), mirror_map(w.mu, dom=space(U, U, R)),
+                name=w.name)
+    return mirrored_report(check_wreath(mw), f"left wreath {w.name}",
+                           (("rt-", "lt-"), ("w-", "lw-")))
 
 
 def l_wreath_product(w: LWreath, name=None):
@@ -662,19 +588,8 @@ def l_wreath_product(w: LWreath, name=None):
         .apply(w.mu, 0, 3, [rb, U])
         .done(space(ru), name="product-mult")
     )
-    f = rb.field
-    sp2 = space(ru, ru)
-    mult_table = []
-    for i in range(ru.dim):
-        row = []
-        for j in range(ru.dim):
-            v = sp2.project.tapply({i * ru.dim + j: f.one()})
-            row.append(mult.matrix.tapply(v))
-        mult_table.append(row)
-    unit_vec = w.eta.matrix.tapply(dict(rext.total.unit))
-    product = FinAlgebra(f, ru.dim, mult_table, unit_vec,
-                         labels=[ru.basis_label(i) for i in range(ru.dim)],
-                         name=name or f"{w.name}-product")
+    product = _product_algebra(ru, mult, w.eta, rext.total,
+                               name or f"{w.name}-product")
     return product, check_algebra(product)
 
 
@@ -881,24 +796,6 @@ def induced_twisted_action(mt: ModuleTwist, y: Bimodule,
     )
 
 
-def element_action_matrices(action: LinearMap, elt_carrier: Bimodule,
-                            carrier: Bimodule, side="left"):
-    """Per-basis action matrices for an action map elt (x) carrier -> carrier
-    (or carrier (x) elt -> carrier) where elt may itself be a quotient."""
-    f = carrier.field
-    _, sc = _deep_pair(carrier)
-    _, se = _deep_pair(elt_carrier)
-    sp = (space(elt_carrier, carrier) if side == "left"
-          else space(carrier, elt_carrier))
-    out = []
-    for i in range(elt_carrier.dim):
-        col = se @ Matrix.from_entries(f, elt_carrier.dim, 1,
-                                       {(i, 0): f.one()})
-        emb = col.kron(sc) if side == "left" else sc.kron(col)
-        out.append(action.matrix @ sp.deep_project @ emb)
-    return out
-
-
 def check_product_module(product: FinAlgebra, rt_carrier: Bimodule,
                          carrier: Bimodule, action: LinearMap,
                          check_name="product module") -> Report:
@@ -1042,7 +939,7 @@ def r_action_matrices_check(mt: ModuleTwist, y: Bimodule, l_y: LinearMap,
     f = mt.carrier.field
     acts = element_action_matrices(action, rt_carrier, xy)
     rb = mt.rext.t_bimodule
-    lx_mats = action_matrices(mt.l_x, mt.rext.total, rb, mt.carrier, "left")
+    lx_mats = element_action_matrices(mt.l_x, rb, mt.carrier)
     one_t = mt.wreath.ext.total.unit_vector()
     sp = space(mt.carrier, y)
     for i in range(mt.rext.total.dim):
@@ -1100,9 +997,9 @@ def check_functor_o_dual(w: Wreath, y: RTObject, l_action: LinearMap) -> Report:
     rt = w.rt_carrier()
     rep.extend(check_product_module(product, rt, yt, l_map))
     f = yt.field
-    racts = action_matrices(
+    racts = element_action_matrices(
         LinearMap(space(yt, tb).quotient, yt, r_map.matrix, name="r"),
-        ext.total, tb, yt, "right")
+        tb, yt, side="right")
     ident = Matrix.identity(f, yt.dim)
     one_mat = Matrix.zeros(f, yt.dim, yt.dim)
     for k, v in ext.total.unit.items():
@@ -1164,7 +1061,7 @@ def sample_dual_maps(o: RTObject, x_carrier: Bimodule, l_x: LinearMap,
     f = P.field
     pt = tensor_over(P.right_algebra, P, tb)
     pt_tt = pt_bimodule(o)
-    x_lacts = action_matrices(l_x, ext.total, tb, x_carrier, "left")
+    x_lacts = element_action_matrices(l_x, tb, x_carrier)
     solver = MapSolver(f, pt.dim, x_carrier.dim)
     for k in range(ext.total.dim):
         solver.add_equation([
