@@ -29,8 +29,10 @@ x -> mirror(x); `mirror_map` conjugates a map by it.  Left-handed structures
 are checked as the mirrors of right-handed ones.
 
 All values are immutable after construction and all operations are pure.
-Quotients, spaces and mirrors are memoized by object identity; the memo
-tables are the only mutable state, so concurrent readers are safe once the
+Derived structures (quotients, spaces, mirrors, regular bimodules) are
+memoized by `memo` on the object they are built from, so an entry lives
+exactly as long as its owner and nothing is kept at module level.  The memo
+entries are the only mutable state, so concurrent readers are safe once the
 structures they share have been built.
 """
 
@@ -39,6 +41,21 @@ from __future__ import annotations
 from .algebra import FinAlgebra, opposite_algebra
 from .exactla import Matrix, kron_all
 from .reports import InputError, Report, WellDefinednessError, Witness
+
+
+def memo(owner, key, build):
+    """build(), computed once per key and kept in owner's `__dict__`, so the
+    entry lives exactly as long as owner does (a cycle through the entry is
+    freed by the cyclic garbage collector).
+
+    A key may contain id(x) only if the built value references x: x then
+    outlives every entry whose key holds its id, so no other object can
+    reuse that id while the entry is live.
+    """
+    table = owner.__dict__.setdefault("_memo", {})
+    if key not in table:
+        table[key] = build()
+    return table[key]
 
 
 def algebras_match(a: FinAlgebra, b: FinAlgebra) -> bool:
@@ -145,17 +162,19 @@ def check_bimodule(m: Bimodule) -> Report:
 
 
 def regular_bimodule(a: FinAlgebra) -> Bimodule:
-    """A as an (A, A)-bimodule by multiplication (cached per algebra)."""
-    cached = getattr(a, "_regular_bimodule", None)
-    if cached is None:
-        cached = Bimodule(
-            a, a, a.dim,
-            [a.left_mult_matrix(i) for i in range(a.dim)],
-            [a.right_mult_matrix(i) for i in range(a.dim)],
-            labels=a.labels, name=a.name,
-        )
-        a._regular_bimodule = cached
-    return cached
+    """A as an (A, A)-bimodule by multiplication (memoized on a)."""
+    return memo(a, "regular_bimodule", lambda: Bimodule(
+        a, a, a.dim,
+        [a.left_mult_matrix(i) for i in range(a.dim)],
+        [a.right_mult_matrix(i) for i in range(a.dim)],
+        labels=a.labels, name=a.name,
+    ))
+
+
+def is_regular(b: Bimodule) -> bool:
+    """True when b is `regular_bimodule` of its left algebra."""
+    a = b.left_algebra
+    return a is b.right_algebra and b.dim == a.dim and b is regular_bimodule(a)
 
 
 def k_bimodule(kalg: FinAlgebra, dim, labels=None, name="V") -> Bimodule:
@@ -292,9 +311,6 @@ class TensorQuotient(Bimodule):
         return f"{self.factor_left.basis_label(i)}(x){self.factor_right.basis_label(j)}"
 
 
-_TENSOR_CACHE: dict = {}
-
-
 def _apply_kron_side(mat: Matrix, other_dim: int, vec: dict, left: bool) -> dict:
     """(mat (x) I).apply(vec) or (I (x) mat).apply(vec) without building kron."""
     f = mat.field
@@ -321,7 +337,8 @@ def _apply_kron_side(mat: Matrix, other_dim: int, vec: dict, left: bool) -> dict
 
 
 def tensor_over(a: FinAlgebra, m: Bimodule, n: Bimodule, name=None) -> TensorQuotient:
-    """The quotient M (x)_A N with projection, section and inherited actions.
+    """The quotient M (x)_A N with projection, section and inherited actions,
+    memoized on m.
 
     The relation m.e_k (x) n - m (x) e_k.n is 0 for every m and n when both
     actions of e_k are marked identities, so those k contribute nothing and
@@ -332,10 +349,11 @@ def tensor_over(a: FinAlgebra, m: Bimodule, n: Bimodule, name=None) -> TensorQuo
     a violation (possible only for inconsistent input actions) raises
     WellDefinednessError whose `relation` is the first such echelon row.
     """
-    key = (id(a), id(m), id(n))
-    cached = _TENSOR_CACHE.get(key)
-    if cached is not None:
-        return cached
+    return memo(m, ("tensor", id(a), id(n)),
+                lambda: _build_tensor(a, m, n, name))
+
+
+def _build_tensor(a, m, n, name):
     if not algebras_match(m.right_algebra, a) or not algebras_match(n.left_algebra, a):
         raise InputError(
             f"tensor base mismatch: {m.name} has right algebra "
@@ -422,7 +440,6 @@ def tensor_over(a: FinAlgebra, m: Bimodule, n: Bimodule, name=None) -> TensorQuo
                 raise WellDefinednessError(
                     f"right action of {n.right_algebra.labels[k]} does not "
                     f"descend to {tq.name}", relation=rel)
-    _TENSOR_CACHE[key] = tq
     return tq
 
 
@@ -462,28 +479,22 @@ def leaf_factors(b: Bimodule):
     return (b,)
 
 
-def _deep_pair(b: Bimodule):
+def deep_pair(b: Bimodule):
     """(project, section) between the leaf-flat space of b and b itself."""
-    cached = getattr(b, "_deep_pair", None)
-    if cached is not None:
-        return cached
-    if isinstance(b, TensorQuotient):
-        pl, sl = _deep_pair(b.factor_left)
-        pr, sr = _deep_pair(b.factor_right)
-        proj = b.project @ pl.kron(pr)
-        sec = sl.kron(sr) @ b.section
-    else:
-        proj = sec = Matrix.identity(b.field, b.dim)
-    b._deep_pair = (proj, sec)
-    return b._deep_pair
+    def build():
+        if not isinstance(b, TensorQuotient):
+            ident = Matrix.identity(b.field, b.dim)
+            return ident, ident
+        pl, sl = deep_pair(b.factor_left)
+        pr, sr = deep_pair(b.factor_right)
+        return b.project @ pl.kron(pr), sl.kron(sr) @ b.section
+    return memo(b, "deep_pair", build)
 
 
 class Space:
     """A left-associated iterated tensor quotient of a factor list."""
 
     def __init__(self, factors):
-        if not factors:
-            raise InputError("space needs at least one factor")
         self.factors = tuple(factors)
         self.field = factors[0].field
         cur = factors[0]
@@ -500,7 +511,7 @@ class Space:
         self.project = proj      # factor flat -> quotient
         self.section = sec
         self.leaves = tuple(l for f in factors for l in leaf_factors(f))
-        dp = [_deep_pair(f) for f in factors]
+        dp = [deep_pair(f) for f in factors]
         self.deep_project = proj @ kron_all([p for p, _ in dp])
         self.deep_section = kron_all([s for _, s in dp]) @ sec
 
@@ -518,16 +529,12 @@ class Space:
         return f"Space({'x'.join(f.name for f in self.factors)}, dim={self.dim})"
 
 
-_SPACE_CACHE: dict = {}
-
-
 def space(*factors) -> Space:
-    key = tuple(id(f) for f in factors)
-    sp = _SPACE_CACHE.get(key)
-    if sp is None:
-        sp = Space(factors)
-        _SPACE_CACHE[key] = sp
-    return sp
+    """The memoized `Space` of factors, kept on the first factor."""
+    if not factors:
+        raise InputError("space needs at least one factor")
+    return memo(factors[0], ("space",) + tuple(id(f) for f in factors[1:]),
+                lambda: Space(factors))
 
 
 def regroup(src: Space, dst: Space, name="regroup") -> LinearMap:
@@ -550,18 +557,14 @@ def associator(m: Bimodule, n: Bimodule, p: Bimodule):
 # ---------------------------------------------------------------------------
 # the mirror: opposite algebras and reversed tensor products
 
-_MIRROR_CACHE: dict = {}
-
-
 def mirrored(x, build):
-    """The memoized image build(x) of x under an involution: built once,
-    with x recorded as the image of its image."""
-    hit = _MIRROR_CACHE.get(id(x))
-    if hit is None:
+    """The memoized image build(x) of x under an involution: built once and
+    kept on x, with x recorded on the image as the image of its image."""
+    def make():
         y = build(x)
-        hit = _MIRROR_CACHE[id(x)] = (x, y)
-        _MIRROR_CACHE[id(y)] = (y, x)
-    return hit[1]
+        memo(y, "mirror", lambda: x)
+        return y
+    return memo(x, "mirror", make)
 
 
 def op(a: FinAlgebra) -> FinAlgebra:
@@ -582,7 +585,7 @@ def _build_mirror(b: Bimodule) -> Bimodule:
     if isinstance(b, TensorQuotient):
         return tensor_over(op(b.base), mirror(b.factor_right),
                            mirror(b.factor_left))
-    if b is getattr(b.left_algebra, "_regular_bimodule", None):
+    if is_regular(b):
         return regular_bimodule(op(b.left_algebra))
     return Bimodule(op(b.right_algebra), op(b.left_algebra), b.dim,
                     b.right_action, b.left_action, labels=b._labels,
@@ -698,7 +701,7 @@ class Pipe:
         col = Matrix.from_entries(
             self.field, b.dim, 1,
             {(i, 0): v for i, v in element.items()})
-        pd, sd = _deep_pair(b)
+        pd, sd = deep_pair(b)
         return self._stage(sd @ col, at, 0, [b])
 
     def absorb_left(self, at):
@@ -745,8 +748,8 @@ def _contract_matrix(x: Bimodule, b: Bimodule, into_left: bool) -> Matrix:
     b must be the regular bimodule of the algebra acting on x on that side.
     """
     f = x.field
-    pb, sb = _deep_pair(b)
-    px, sx = _deep_pair(x)
+    pb, sb = deep_pair(b)
+    px, sx = deep_pair(x)
     actions = x.right_action if into_left else x.left_action
     alg_dim = len(actions)
     if b.dim != alg_dim:
@@ -802,10 +805,9 @@ def unit_iso(side: str, m: Bimodule):
 
 
 def clear_caches():
-    """Drop memoized tensor quotients, spaces and mirrors (mostly for tests)."""
-    _TENSOR_CACHE.clear()
-    _SPACE_CACHE.clear()
-    _MIRROR_CACHE.clear()
+    """Nothing to do: every memo entry is kept on the object it was built
+    from and dies with it (see `memo`).  Kept so that callers which reset
+    between runs still import."""
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from .algebra import (
     truncated_poly_algebra,
     unit_inclusion,
 )
-from .bimodule import LinearMap, Matrix, space
+from .bimodule import LinearMap, Matrix, memo, space
 from .coring import (
     coalgebra_over_field,
     flip_map,
@@ -37,49 +37,41 @@ from .wreath import ModuleTwist, RingExtension, twisted_tensor_product
 class Corpus:
     """Lazily built standard instances, shared across the test suite."""
 
-    def __init__(self):
-        self._cache = {}
-
-    def _get(self, key, build):
-        if key not in self._cache:
-            self._cache[key] = build()
-        return self._cache[key]
-
     # -- algebras -----------------------------------------------------------
 
     @property
     def k(self):
-        return self._get("k", lambda: field_algebra(QQ))
+        return memo(self, "k", lambda: field_algebra(QQ))
 
     @property
     def z2(self):
-        return self._get("z2", lambda: group_algebra_cyclic(QQ, 2, name="kZ2"))
+        return memo(self, "z2", lambda: group_algebra_cyclic(QQ, 2, name="kZ2"))
 
     @property
     def z3(self):
-        return self._get("z3", lambda: group_algebra_cyclic(QQ, 3, name="kZ3"))
+        return memo(self, "z3", lambda: group_algebra_cyclic(QQ, 3, name="kZ3"))
 
     # -- corings ------------------------------------------------------------
 
     @property
     def triv_z2(self):
-        return self._get("triv_z2", lambda: trivial_coring(self.z2))
+        return memo(self, "triv_z2", lambda: trivial_coring(self.z2))
 
     @property
     def c2(self):
-        return self._get("c2", lambda: grouplike_coalgebra(QQ, 2, name="C2"))
+        return memo(self, "c2", lambda: grouplike_coalgebra(QQ, 2, name="C2"))
 
     @property
     def c3(self):
-        return self._get("c3", lambda: grouplike_coalgebra(QQ, 3, name="C3"))
+        return memo(self, "c3", lambda: grouplike_coalgebra(QQ, 3, name="C3"))
 
     @property
     def d2(self):
-        return self._get("d2", lambda: grouplike_coalgebra(QQ, 2, name="D2"))
+        return memo(self, "d2", lambda: grouplike_coalgebra(QQ, 2, name="D2"))
 
     @property
     def gp(self):
-        return self._get("gp", lambda: grouplike_primitive_coalgebra(QQ))
+        return memo(self, "gp", lambda: grouplike_primitive_coalgebra(QQ))
 
     @property
     def broken_coalgebra(self):
@@ -89,21 +81,21 @@ class Corpus:
             return coalgebra_over_field(
                 QQ, 2, [{0: one}, {3: one}], [one, QQ.zero()],
                 labels=["1", "g"], name="brokenC")
-        return self._get("broken_coalgebra", build)
+        return memo(self, "broken_coalgebra", build)
 
     # -- entwinings ---------------------------------------------------------
 
     @property
     def flip_entwining(self):
-        return self._get(
-            "flip_entwining", lambda: flip_entwining(self.z2, self.c2))
+        return memo(
+            self, "flip_entwining", lambda: flip_entwining(self.z2, self.c2))
 
     @property
     def dk_entwining(self):
         def build():
             return doi_koppinen_entwining(
                 doi_koppinen_self(self.z2, self.c2), name="dk")
-        return self._get("dk_entwining", build)
+        return memo(self, "dk_entwining", build)
 
     @property
     def broken_entwining(self):
@@ -114,41 +106,41 @@ class Corpus:
                 QQ, 4, 4, {(3, 3): QQ.one()})
             psi = LinearMap(base.psi.domain, base.psi.codomain, mat, "bad")
             return EntwiningStructure(self.z2, self.c2, psi, name="broken")
-        return self._get("broken_entwining", build)
+        return memo(self, "broken_entwining", build)
 
     # -- cowreaths ----------------------------------------------------------
 
     @property
     def flip_cw(self):
-        return self._get("flip_cw", lambda: flip_cowreath(self.c2, self.d2))
+        return memo(self, "flip_cw", lambda: flip_cowreath(self.c2, self.d2))
 
     @property
     def flip_cw3(self):
-        return self._get("flip_cw3", lambda: flip_cowreath(self.c2, self.c3))
+        return memo(self, "flip_cw3", lambda: flip_cowreath(self.c2, self.c3))
 
     @property
     def unit_cw(self):
-        return self._get("unit_cw", lambda: unit_cowreath(self.triv_z2))
+        return memo(self, "unit_cw", lambda: unit_cowreath(self.triv_z2))
 
     @property
     def dl_cw(self):
         def build():
             dm = flip_map(self.c2.carrier, self.d2.carrier)
             return coring_distributive_cowreath(self.c2, self.d2, dm)
-        return self._get("dl_cw", build)
+        return memo(self, "dl_cw", build)
 
     @property
     def lifted_flip_cw(self):
         from .cowreath import entwining_lift_cowreath
-        return self._get(
-            "lifted_flip_cw",
+        return memo(
+            self, "lifted_flip_cw",
             lambda: entwining_lift_cowreath(self.flip_entwining, self.flip_cw))
 
     @property
     def lifted_dk_cw(self):
         from .cowreath import entwining_lift_cowreath
-        return self._get(
-            "lifted_dk_cw",
+        return memo(
+            self, "lifted_dk_cw",
             lambda: entwining_lift_cowreath(self.dk_entwining, self.flip_cw))
 
     @property
@@ -158,7 +150,7 @@ class Corpus:
             return Cowreath(w.object, w.xi,
                             LinearMap.zero(w.delta.domain, w.delta.codomain),
                             name="broken-delta")
-        return self._get("broken_cw_delta", build)
+        return memo(self, "broken_cw_delta", build)
 
     @property
     def broken_cw_xi(self):
@@ -166,7 +158,7 @@ class Corpus:
             w = self.flip_cw
             return Cowreath(w.object, w.xi.scale(QQ.from_int(2)), w.delta,
                             name="broken-xi")
-        return self._get("broken_cw_xi", build)
+        return memo(self, "broken_cw_xi", build)
 
     # -- twisted tensor products ---------------------------------------------
 
@@ -191,7 +183,7 @@ class Corpus:
             text = RingExtension(self.k, T, unit_inclusion(self.k, T))
             rmap = self._sign_flip_map(rext, text)
             return (rext, text, rmap) + twisted_tensor_product(rext, text, rmap)
-        return self._get("sign_flip_ttp", build)
+        return memo(self, "sign_flip_ttp", build)
 
     @property
     def plain_flip_ttp(self):
@@ -203,7 +195,7 @@ class Corpus:
             fl = flip_map(text.t_bimodule, rext.t_bimodule)
             rmap = LinearMap(fl.domain, fl.codomain, fl.matrix, "flip")
             return (rext, text, rmap) + twisted_tensor_product(rext, text, rmap)
-        return self._get("plain_flip_ttp", build)
+        return memo(self, "plain_flip_ttp", build)
 
     def broken_ttp_map(self):
         rext, text, rmap = self.sign_flip_ttp[:3]
@@ -217,7 +209,7 @@ class Corpus:
             rext, text, rmap, rw, lw, prod_ext, alg_rep, eta_rep = self.sign_flip_ttp
             return ModuleTwist(rw, rext, rext.t_bimodule, rext.mult_map(),
                                rmap, name="X=R")
-        return self._get("module_twist_self", build)
+        return memo(self, "module_twist_self", build)
 
     # -- skew polynomial data -------------------------------------------------
 
@@ -227,7 +219,7 @@ class Corpus:
             B = truncated_poly_algebra(QQ, 3)
             return SkewPolyData(B, identity_morphism(B),
                                 Matrix.zeros(QQ, 3, 3), name="commutative")
-        return self._get("ore_commutative", build)
+        return memo(self, "ore_commutative", build)
 
     @property
     def ore_quantum_plane(self):
@@ -241,7 +233,7 @@ class Corpus:
                 name="q2")
             return SkewPolyData(B, sigma, Matrix.zeros(QQ, 3, 3),
                                 name="quantum-plane")
-        return self._get("ore_quantum_plane", build)
+        return memo(self, "ore_quantum_plane", build)
 
     @property
     def ore_weyl(self):
@@ -252,7 +244,7 @@ class Corpus:
             B = truncated_poly_algebra(f3, 3)
             delta = Matrix.from_entries(f3, 3, 3, {(0, 1): 1, (1, 2): 2})
             return SkewPolyData(B, identity_morphism(B), delta, name="weyl")
-        return self._get("ore_weyl", build)
+        return memo(self, "ore_weyl", build)
 
     @property
     def ore_weyl_target(self):
@@ -268,7 +260,7 @@ class Corpus:
             })
             z = {1: 1, 5: 2}
             return S, phi, z
-        return self._get("ore_weyl_target", build)
+        return memo(self, "ore_weyl_target", build)
 
     @property
     def ore_broken(self):
@@ -279,7 +271,7 @@ class Corpus:
                 (0, 1): QQ.one(), (1, 2): QQ.from_int(2)})
             return SkewPolyData(B, identity_morphism(B), delta,
                                 name="broken-derivation")
-        return self._get("ore_broken", build)
+        return memo(self, "ore_broken", build)
 
 
 CORPUS = Corpus()

@@ -13,18 +13,17 @@ from .algebra import (
     multiplication_matrix,
     unit_column,
 )
-from .bimodule import Bimodule, LinearMap, Matrix, k_bimodule, regular_bimodule, space
+from .bimodule import Bimodule, LinearMap, Matrix, k_bimodule, memo, regular_bimodule, space
 from .coring import Coring
 from .rcat import RObject, check_r_algebra
 from .reports import InputError, Report, Witness
 
 
 def algebra_as_k_bimodule(a: FinAlgebra, kalg: FinAlgebra) -> Bimodule:
-    cached = getattr(a, "_k_bimodule", None)
-    if cached is None:
-        cached = k_bimodule(kalg, a.dim, labels=a.labels, name=a.name)
-        a._k_bimodule = cached
-    return cached
+    """The space of a as a bimodule over the ground algebra kalg (memoized
+    on a, per kalg)."""
+    return memo(a, ("k_bimodule", id(kalg)),
+                lambda: k_bimodule(kalg, a.dim, labels=a.labels, name=a.name))
 
 
 class EntwiningStructure:

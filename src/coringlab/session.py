@@ -401,12 +401,12 @@ class SessionStore:
         return name
 
     def space_ref(self, b: Bimodule):
-        from .bimodule import TensorQuotient
+        from .bimodule import TensorQuotient, is_regular
         for name, x in self.s.bimodules.items():
             if x is b:
                 return name
         for name, a in self.s.algebras.items():
-            if getattr(a, "_regular_bimodule", None) is b:
+            if a is b.left_algebra and is_regular(b):
                 return name
         if isinstance(b, TensorQuotient):
             return [self.space_ref(b.factor_left),

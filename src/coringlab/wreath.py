@@ -25,8 +25,9 @@ from .bimodule import (
     LinearMap,
     MapSolver,
     Matrix,
-    _deep_pair,
     bilinearity_report,
+    deep_pair,
+    memo,
     mirror,
     mirror_map,
     mirrored,
@@ -56,26 +57,21 @@ class RingExtension:
 
     @property
     def t_bimodule(self) -> Bimodule:
-        cached = getattr(self, "_t_bimodule", None)
-        if cached is None:
-            cached = restricted_bimodule(self.total, self.iota)
-            self._t_bimodule = cached
-        return cached
+        return memo(self, "t_bimodule",
+                    lambda: restricted_bimodule(self.total, self.iota))
 
     def check(self) -> Report:
         return check_algebra_morphism(self.iota)
 
     def mult_map(self) -> LinearMap:
         """Multiplication T (x)_A T -> T as a map of quotients."""
-        cached = getattr(self, "_mult_map", None)
-        if cached is None:
+        def build():
             tb = self.t_bimodule
             sp = space(tb, tb)
-            cached = LinearMap(sp.quotient, tb,
-                               multiplication_matrix(self.total) @ sp.section,
-                               name="mult")
-            self._mult_map = cached
-        return cached
+            return LinearMap(sp.quotient, tb,
+                             multiplication_matrix(self.total) @ sp.section,
+                             name="mult")
+        return memo(self, "mult_map", build)
 
 
 def opposite_extension(ext: RingExtension) -> RingExtension:
@@ -86,7 +82,7 @@ def opposite_extension(ext: RingExtension) -> RingExtension:
                                name=ext.iota.name)
         opp = RingExtension(op(ext.base), op(ext.total), iota,
                             name=f"{ext.name}^op")
-        opp._t_bimodule = mirror(ext.t_bimodule)
+        memo(opp, "t_bimodule", lambda: mirror(ext.t_bimodule))
         return opp
     return mirrored(ext, build)
 
@@ -215,8 +211,8 @@ def element_action_matrices(action: LinearMap, elt_carrier: Bimodule,
     """Per-basis action matrices for an action map elt (x) carrier -> carrier
     (or carrier (x) elt -> carrier) where elt may itself be a quotient."""
     f = carrier.field
-    _, sc = _deep_pair(carrier)
-    _, se = _deep_pair(elt_carrier)
+    _, sc = deep_pair(carrier)
+    _, se = deep_pair(elt_carrier)
     sp = (space(elt_carrier, carrier) if side == "left"
           else space(carrier, elt_carrier))
     out = []
