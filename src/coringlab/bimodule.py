@@ -44,15 +44,18 @@ from .reports import InputError, Report, WellDefinednessError, Witness
 
 
 def memo(owner, key, build):
-    """build(), computed once per key and kept in owner's `__dict__`, so the
-    entry lives exactly as long as owner does (a cycle through the entry is
-    freed by the cyclic garbage collector).
+    """build(), computed once per key and kept in the instance attribute
+    `owner._memo`, so the entry lives exactly as long as owner does (a cycle
+    through the entry is freed by the cyclic garbage collector).
 
     A key may contain id(x) only if the built value references x: x then
     outlives every entry whose key holds its id, so no other object can
     reuse that id while the entry is live.
     """
-    table = owner.__dict__.setdefault("_memo", {})
+    try:
+        table = owner._memo
+    except AttributeError:
+        table = owner._memo = {}
     if key not in table:
         table[key] = build()
     return table[key]
@@ -533,7 +536,7 @@ def space(*factors) -> Space:
     """The memoized `Space` of factors, kept on the first factor."""
     if not factors:
         raise InputError("space needs at least one factor")
-    return memo(factors[0], ("space",) + tuple(id(f) for f in factors[1:]),
+    return memo(factors[0], ("space", *map(id, factors[1:])),
                 lambda: Space(factors))
 
 
