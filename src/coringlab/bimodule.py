@@ -17,10 +17,13 @@ check that the inherited actions descend runs on the echelon rows of the
 relation span, not on the raw relations.
 
 Iterated tensors are built left associated.  A `Space` wraps a factor list
-with the projection/section between the flat tensor space of its *leaves*
-(atomic factors, recursively unfolding quotient factors) and the iterated
-quotient; `regroup` converts between bracketings of the same leaves, which
-is the explicit associator.
+with the projection/section between its *factor-flat* space (the ground
+field tensor product of the factors, each on its own quotient basis) and
+the iterated quotient.  `Pipe` composes maps on factor-flat spaces.  The
+leaf-flat space unfolds quotient factors recursively down to their atomic
+*leaves*; its projection/section are built only when read: by `regroup`
+(which converts between bracketings of the same leaves, the explicit
+associator), by the mirror and by a pipe that ends in another bracketing.
 
 The mirror reads a bimodule in the opposite bicategory: `op` gives the
 opposite algebra, `mirror` swaps a bimodule's two actions and reverses the
@@ -37,6 +40,8 @@ structures they share have been built.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 from .algebra import FinAlgebra, opposite_algebra
 from .exactla import Matrix, kron_all
@@ -495,7 +500,14 @@ def deep_pair(b: Bimodule):
 
 
 class Space:
-    """A left-associated iterated tensor quotient of a factor list."""
+    """A left-associated iterated tensor quotient of a factor list.
+
+    `project` and `section` map between the factor-flat space (the ground
+    field tensor product of the factors, each on its own basis) and the
+    quotient.  `deep_project` and `deep_section` do the same for the
+    leaf-flat space; they are built on first read, which only `regroup`,
+    the mirror and `Pipe.done` into another bracketing do.
+    """
 
     def __init__(self, factors):
         self.factors = tuple(factors)
@@ -514,9 +526,14 @@ class Space:
         self.project = proj      # factor flat -> quotient
         self.section = sec
         self.leaves = tuple(l for f in factors for l in leaf_factors(f))
-        dp = [deep_pair(f) for f in factors]
-        self.deep_project = proj @ kron_all([p for p, _ in dp])
-        self.deep_section = kron_all([s for _, s in dp]) @ sec
+
+    @cached_property
+    def deep_project(self):
+        return self.project @ kron_all([deep_pair(f)[0] for f in self.factors])
+
+    @cached_property
+    def deep_section(self):
+        return kron_all([deep_pair(f)[1] for f in self.factors]) @ self.section
 
     @property
     def dim(self):
@@ -637,40 +654,36 @@ def mirror_map(f: LinearMap, dom: Space = None, cod: Space = None) -> LinearMap:
 class Pipe:
     """Builds a composite map between iterated quotients stage by stage.
 
-    The accumulated matrix acts on the flat tensor space of the current leaf
-    sequence.  Every stage map must be bilinear over its outer algebras (the
-    checkers verify this for user-supplied maps before piping them), which
-    makes the final projection independent of the chosen representatives.
+    The accumulated matrix maps the source quotient into the factor-flat
+    space of the current factor list: each stage lifts its map through the
+    quotients it touches (`section` after, `project` before) and acts by
+    identities on the other factors.  Every stage map must be bilinear over
+    its outer algebras (the checkers verify this for user-supplied maps
+    before piping them).  A section is bilinear up to the balancing
+    relations of its own quotient, so every stage then carries the
+    relations of the current factors into those of the next, and the final
+    projection is independent of the chosen representatives.
     """
 
     def __init__(self, source: Space):
         self.source = source
         self.factors = list(source.factors)
         self.field = source.field
-        self.matrix = Matrix.identity(self.field, source.leaf_flat_dim())
-
-    # -- geometry helpers ----------------------------------------------------
-
-    def _pre_post(self, at, takes):
-        pre = 1
-        for f in self.factors[:at]:
-            for l in leaf_factors(f):
-                pre *= l.dim
-        mid_src = 1
-        for f in self.factors[at:at + takes]:
-            for l in leaf_factors(f):
-                mid_src *= l.dim
-        post = 1
-        for f in self.factors[at + takes:]:
-            for l in leaf_factors(f):
-                post *= l.dim
-        return pre, mid_src, post
+        self.matrix = source.section
 
     def _stage(self, flat_map: Matrix, at, takes, gives):
-        pre, mid, post = self._pre_post(at, takes)
+        dims = [f.dim for f in self.factors]
+        mid = 1
+        for d in dims[at:at + takes]:
+            mid *= d
         if flat_map.cols != mid:
             raise InputError(
                 f"stage expects flat dim {mid}, map has {flat_map.cols}")
+        pre = post = 1
+        for d in dims[:at]:
+            pre *= d
+        for d in dims[at + takes:]:
+            post *= d
         stage = flat_map
         if pre != 1:
             stage = Matrix.identity(self.field, pre).kron(stage)
@@ -696,7 +709,7 @@ class Pipe:
             raise InputError(
                 f"pipe stage {f.name}: codomain dim {f.codomain.dim} but "
                 f"gives has dim {cod.quotient.dim}")
-        flat_map = cod.deep_section @ f.matrix @ dom.deep_project
+        flat_map = cod.section @ f.matrix @ dom.project
         return self._stage(flat_map, at, takes, gives)
 
     def insert_central(self, b: Bimodule, element: dict, at):
@@ -704,8 +717,7 @@ class Pipe:
         col = Matrix.from_entries(
             self.field, b.dim, 1,
             {(i, 0): v for i, v in element.items()})
-        pd, sd = deep_pair(b)
-        return self._stage(sd @ col, at, 0, [b])
+        return self._stage(col, at, 0, [b])
 
     def absorb_left(self, at):
         """Contract a regular-algebra factor into its left neighbour."""
@@ -726,33 +738,38 @@ class Pipe:
         return self._stage(mat, at, 2, [x])
 
     def refine(self, at):
-        """Re-bracket: expose the two factors of a quotient factor."""
+        """Re-bracket: expose the two factors of a quotient factor, lifting
+        it through its section."""
         f = self.factors[at]
         if not isinstance(f, TensorQuotient):
             raise InputError("refine needs a TensorQuotient factor")
-        self.factors[at:at + 1] = [f.factor_left, f.factor_right]
-        return self
+        return self._stage(f.section, at, 1, [f.factor_left, f.factor_right])
 
     # -- finish ---------------------------------------------------------------
 
     def done(self, target: Space = None, name="pipe") -> LinearMap:
-        cur = space(*self.factors)
+        """The composite into target, by default the space of the current
+        factors.  A target with other factors must have the same leaves; it
+        is reached through the leaf-flat space."""
         if target is None:
-            target = cur
-        if tuple(target.leaves) != tuple(cur.leaves):
-            raise InputError("pipe target leaves do not match")
-        mat = target.deep_project @ self.matrix @ self.source.deep_section
+            target = space(*self.factors)
+        if target.factors == tuple(self.factors):
+            mat = target.project @ self.matrix
+        else:
+            if target.leaves != tuple(
+                    l for f in self.factors for l in leaf_factors(f)):
+                raise InputError("pipe target leaves do not match")
+            flat = kron_all([deep_pair(f)[1] for f in self.factors])
+            mat = target.deep_project @ flat @ self.matrix
         return LinearMap(self.source.quotient, target.quotient, mat, name)
 
 
 def _contract_matrix(x: Bimodule, b: Bimodule, into_left: bool) -> Matrix:
-    """Leaf-flat matrix of x (x) b -> x.b, or b (x) x -> b.x.
+    """Factor-flat matrix of x (x) b -> x.b, or b (x) x -> b.x.
 
     b must be the regular bimodule of the algebra acting on x on that side.
     """
     f = x.field
-    pb, sb = deep_pair(b)
-    px, sx = deep_pair(x)
     actions = x.right_action if into_left else x.left_action
     alg_dim = len(actions)
     if b.dim != alg_dim:
@@ -766,9 +783,7 @@ def _contract_matrix(x: Bimodule, b: Bimodule, into_left: bool) -> Matrix:
                     entries[(i, j * alg_dim + k)] = v
                 else:
                     entries[(i, k * x.dim + j)] = v
-    core = Matrix.from_entries(f, x.dim, x.dim * alg_dim, entries)
-    flat_in = px.kron(pb) if into_left else pb.kron(px)
-    return sx @ core @ flat_in
+    return Matrix.from_entries(f, x.dim, x.dim * alg_dim, entries)
 
 
 def pipe(source: Space) -> Pipe:

@@ -89,6 +89,23 @@ class RationalField:
     def is_zero(self, a):
         return a == 0
 
+    def axpy(self, target: dict, src: dict, coeff):
+        """target += coeff * src in place, in plain int/Fraction arithmetic:
+        a sum that cancels is removed and a Fraction sum that is integral is
+        stored as its int."""
+        if not coeff:
+            return target
+        get = target.get
+        for j, v in src.items():
+            w = get(j, 0) + coeff * v
+            if not w:
+                target.pop(j, None)
+            elif type(w) is Fraction and w.denominator == 1:
+                target[j] = w.numerator
+            else:
+                target[j] = w
+        return target
+
     def parse(self, text):
         if isinstance(text, (int, Fraction)):
             return _canon(Fraction(text))
@@ -155,6 +172,21 @@ class PrimeField:
     def is_zero(self, a):
         return a % self.p == 0
 
+    def axpy(self, target: dict, src: dict, coeff):
+        """target += coeff * src in place, with one reduction mod p per
+        entry; a sum that cancels is removed."""
+        p = self.p
+        if not coeff % p:
+            return target
+        get = target.get
+        for j, v in src.items():
+            w = (get(j, 0) + coeff * v) % p
+            if w:
+                target[j] = w
+            else:
+                target.pop(j, None)
+        return target
+
     def parse(self, text):
         if isinstance(text, int):
             return text % self.p
@@ -213,16 +245,8 @@ def field_from_name(name: str):
 
 
 def vec_add_scaled(field, target: dict, src: dict, coeff):
-    """target += coeff * src, in place."""
-    if field.is_zero(coeff):
-        return target
-    for j, v in src.items():
-        w = field.add(target.get(j, field.zero()), field.mul(coeff, v))
-        if field.is_zero(w):
-            target.pop(j, None)
-        else:
-            target[j] = w
-    return target
+    """target += coeff * src, in place, by the field's own `axpy` loop."""
+    return field.axpy(target, src, coeff)
 
 
 def vec_scale(field, src: dict, coeff) -> dict:
@@ -371,7 +395,7 @@ class Matrix:
             return other
         if other.is_identity:
             return self
-        f = self.field
+        axpy = self.field.axpy
         data = {}
         orows = other.data
         for i, arow in self.data.items():
@@ -379,10 +403,10 @@ class Matrix:
             for k, v in arow.items():
                 brow = orows.get(k)
                 if brow:
-                    vec_add_scaled(f, acc, brow, v)
+                    axpy(acc, brow, v)
             if acc:
                 data[i] = acc
-        return Matrix(f, self.rows, other.cols, data)
+        return Matrix(self.field, self.rows, other.cols, data)
 
     def apply(self, vec: dict) -> dict:
         """Matrix times sparse column vector."""
@@ -413,12 +437,12 @@ class Matrix:
         preferable when the vector support is much smaller than the row
         count."""
         cols = self.transpose().data
-        f = self.field
+        axpy = self.field.axpy
         out: dict = {}
         for j, v in vec.items():
             col = cols.get(j)
             if col:
-                vec_add_scaled(f, out, col, v)
+                axpy(out, col, v)
         return out
 
     def kron(self, other: "Matrix") -> "Matrix":

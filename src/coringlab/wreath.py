@@ -26,7 +26,6 @@ from .bimodule import (
     MapSolver,
     Matrix,
     bilinearity_report,
-    deep_pair,
     memo,
     mirror,
     mirror_map,
@@ -211,16 +210,14 @@ def element_action_matrices(action: LinearMap, elt_carrier: Bimodule,
     """Per-basis action matrices for an action map elt (x) carrier -> carrier
     (or carrier (x) elt -> carrier) where elt may itself be a quotient."""
     f = carrier.field
-    _, sc = deep_pair(carrier)
-    _, se = deep_pair(elt_carrier)
+    ident = Matrix.identity(f, carrier.dim)
     sp = (space(elt_carrier, carrier) if side == "left"
           else space(carrier, elt_carrier))
     out = []
     for i in range(elt_carrier.dim):
-        col = se @ Matrix.from_entries(f, elt_carrier.dim, 1,
-                                       {(i, 0): f.one()})
-        emb = col.kron(sc) if side == "left" else sc.kron(col)
-        out.append(action.matrix @ sp.deep_project @ emb)
+        col = Matrix.from_entries(f, elt_carrier.dim, 1, {(i, 0): f.one()})
+        emb = col.kron(ident) if side == "left" else ident.kron(col)
+        out.append(action.matrix @ sp.project @ emb)
     return out
 
 

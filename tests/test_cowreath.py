@@ -154,6 +154,24 @@ class TestProduct:
             rep = check_coring(prod)
             assert rep.ok, rep.summary()
 
+    def test_lift_over_kz2_with_three_grouplikes(self, corpus):
+        # kZ2/C3/D2: the coassociativity space of the product has relations
+        # between leaves, so its leaf-flat space is larger than the
+        # factor-flat one the pipes work on
+        from coringlab.bimodule import space
+        from coringlab.cowreath import entwining_lift_cowreath
+        from coringlab.entwine import flip_entwining as make_flip
+        e = make_flip(corpus.z2, corpus.c3)
+        lifted = entwining_lift_cowreath(e, flip_cowreath(corpus.c3, corpus.d2))
+        rep = check_cowreath(lifted)
+        assert rep.ok, rep.summary()
+        prod, morph = cowreath_product(lifted)
+        rep = check_coring(prod)
+        assert rep.ok and morph.ok, rep.summary()
+        p = prod.carrier
+        coassoc = space(p, p, p)
+        assert coassoc.leaf_flat_dim() > p.dim ** 3 > coassoc.dim
+
 
 class TestCowreathComodules:
     def test_self_comodule(self, corpus):

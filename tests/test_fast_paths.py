@@ -14,6 +14,12 @@
   `Matrix.col` and checks descent on every raw relation.
 * QQ scalars are ints when integral and Fractions otherwise; every
   operation must agree with plain `Fraction` arithmetic.
+* Each field's `axpy` replaces a loop of `field.add` and `field.mul`; it
+  must store the same canonical sums and drop the same cancelled entries.
+* `Pipe` works on the factor-flat space of its current factors; its
+  composites must equal those of `LeafPipe`, the leaf-flat pipe it
+  replaced, on generated stage sequences over kZ2 and kZ3 and on every
+  corpus checker.
 """
 
 from fractions import Fraction
@@ -21,16 +27,27 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from coringlab import bimodule
 from coringlab.algebra import field_algebra, group_algebra_cyclic
 from coringlab.bimodule import (
     Bimodule,
+    LinearMap,
+    MapSolver,
+    TensorQuotient,
+    _contract_matrix,
+    bilinearity_report,
     clear_caches,
+    deep_pair,
     k_bimodule,
+    leaf_factors,
     regular_bimodule,
+    space,
     tensor_over,
 )
+from coringlab.coring import Coring, check_coring
+from coringlab.corpus import Corpus
 from coringlab.exactla import GF, QQ, Echelon, Matrix, solve
-from coringlab.reports import InputError, WellDefinednessError
+from coringlab.reports import InputError, PreconditionFailure, WellDefinednessError
 
 FIELDS = [QQ, GF(101)]
 QQ_VALUES = st.one_of(
@@ -386,3 +403,376 @@ def test_gf_denominator_divisible_by_p_is_input_error():
     with pytest.raises(InputError):
         GF(5).parse(Fraction(2, 15))
     assert GF(5).parse("3/2") == 4
+
+
+# ---------------------------------------------------------------------------
+# axpy against the plain field loop
+
+
+def plain_axpy(field, target, src, coeff):
+    """target += coeff * src through `field.add` and `field.mul`."""
+    if field.is_zero(coeff):
+        return target
+    for j, v in src.items():
+        w = field.add(target.get(j, field.zero()), field.mul(coeff, v))
+        if field.is_zero(w):
+            target.pop(j, None)
+        else:
+            target[j] = w
+    return target
+
+
+@st.composite
+def axpy_case(draw, field):
+    """(target, src, coeff) over field.  Part of src is drawn as the exact
+    negative of target / coeff, so some sums cancel; over QQ the scalars
+    are Fractions with small denominators, so some sums become integral."""
+    scalar = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6)).map(field.parse)
+    idx = st.integers(0, 7)
+    target = {j: v for j, v in draw(st.dictionaries(idx, scalar)).items() if v}
+    src = {j: v for j, v in draw(st.dictionaries(idx, scalar)).items() if v}
+    coeff = draw(st.one_of(st.just(field.zero()), scalar))
+    if not field.is_zero(coeff):
+        for j in draw(st.lists(st.sampled_from(sorted(target)), unique=True)
+                      if target else st.just([])):
+            src[j] = field.neg(field.div(target[j], coeff))
+    return target, src, coeff
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_axpy_matches_plain_field_loop(field, data):
+    target, src, coeff = data.draw(axpy_case(field))
+    expected = plain_axpy(field, dict(target), src, coeff)
+    got = dict(target)
+    assert field.axpy(got, src, coeff) is got
+    assert got == expected
+    assert all(not field.is_zero(v) for v in got.values())
+    for v in got.values():
+        assert type(v) is (int if field != QQ or Fraction(v).denominator == 1
+                           else Fraction)
+    if field.is_zero(coeff):
+        assert got == target
+
+
+def test_axpy_cancels_and_canonicalizes():
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    target = {0: half, 1: third, 2: 5}
+    QQ.axpy(target, {0: half, 1: -third, 3: Fraction(3, 4)}, 1)
+    assert target == {0: 1, 2: 5, 3: Fraction(3, 4)}
+    assert type(target[0]) is int
+    gf = GF(101)
+    target = {0: 3, 1: 100}
+    gf.axpy(target, {0: 98, 1: 1, 2: 50}, 1)
+    assert target == {2: 50}
+    assert gf.axpy(target, {2: 7}, 101) == {2: 50}
+
+
+# ---------------------------------------------------------------------------
+# the factor-level Pipe against the leaf-level pipe it replaced
+
+
+def _leaf_dim(factors):
+    d = 1
+    for f in factors:
+        for leaf in leaf_factors(f):
+            d *= leaf.dim
+    return d
+
+
+class LeafPipe:
+    """The leaf-level pipe: the accumulated matrix acts on the flat space of
+    the current leaves, and every stage goes through the deep projections
+    and sections of the quotients it touches."""
+
+    def __init__(self, source):
+        self.source = source
+        self.factors = list(source.factors)
+        self.field = source.field
+        self.matrix = Matrix.identity(self.field, source.leaf_flat_dim())
+
+    def _stage(self, flat_map, at, takes, gives):
+        pre = _leaf_dim(self.factors[:at])
+        mid = _leaf_dim(self.factors[at:at + takes])
+        post = _leaf_dim(self.factors[at + takes:])
+        if flat_map.cols != mid:
+            raise InputError(
+                f"stage expects flat dim {mid}, map has {flat_map.cols}")
+        stage = flat_map
+        if pre != 1:
+            stage = Matrix.identity(self.field, pre).kron(stage)
+        if post != 1:
+            stage = stage.kron(Matrix.identity(self.field, post))
+        self.matrix = stage @ self.matrix
+        self.factors[at:at + takes] = list(gives)
+        return self
+
+    def apply(self, f, at=0, takes=1, gives=None):
+        dom = space(*self.factors[at:at + takes])
+        gives = list(gives) if gives is not None else [f.codomain]
+        cod = space(*gives)
+        if dom.dim != f.domain.dim or cod.dim != f.codomain.dim:
+            raise InputError(f"pipe stage {f.name}: dimension mismatch")
+        flat_map = cod.deep_section @ f.matrix @ dom.deep_project
+        return self._stage(flat_map, at, takes, gives)
+
+    def insert_central(self, b, element, at):
+        col = Matrix.from_entries(self.field, b.dim, 1,
+                                  {(i, 0): v for i, v in element.items()})
+        return self._stage(deep_pair(b)[1] @ col, at, 0, [b])
+
+    def _absorb(self, x, b, into_left):
+        px, sx = deep_pair(x)
+        pb = deep_pair(b)[0]
+        flat_in = px.kron(pb) if into_left else pb.kron(px)
+        return sx @ _contract_matrix(x, b, into_left) @ flat_in
+
+    def absorb_left(self, at):
+        if at == 0:
+            raise InputError("absorb_left needs a left neighbour")
+        x = self.factors[at - 1]
+        return self._stage(self._absorb(x, self.factors[at], True),
+                           at - 1, 2, [x])
+
+    def absorb_right(self, at):
+        if at == len(self.factors) - 1:
+            raise InputError("absorb_right needs a right neighbour")
+        x = self.factors[at + 1]
+        return self._stage(self._absorb(x, self.factors[at], False),
+                           at, 2, [x])
+
+    def refine(self, at):
+        f = self.factors[at]
+        if not isinstance(f, TensorQuotient):
+            raise InputError("refine needs a TensorQuotient factor")
+        self.factors[at:at + 1] = [f.factor_left, f.factor_right]
+        return self
+
+    def done(self, target=None, name="pipe"):
+        cur = space(*self.factors)
+        if target is None:
+            target = cur
+        if tuple(target.leaves) != tuple(cur.leaves):
+            raise InputError("pipe target leaves do not match")
+        mat = target.deep_project @ self.matrix @ self.source.deep_section
+        return LinearMap(self.source.quotient, target.quotient, mat, name)
+
+
+def hom_basis(x, y):
+    """Canonical basis of the bimodule maps x -> y."""
+    f = x.field
+    solver = MapSolver(f, y.dim, x.dim)
+    for acts_x, acts_y in ((x.left_action, y.left_action),
+                           (x.right_action, y.right_action)):
+        for ax, ay in zip(acts_x, acts_y):
+            solver.add_equation([
+                (1, ay, Matrix.identity(f, x.dim), "none", 0),
+                (-1, Matrix.identity(f, y.dim), ax, "none", 0),
+            ])
+    return solver.solve_basis()
+
+
+def right_nested(base, factors):
+    """f1 (x) (f2 (x) (... (x) fk)): another bracketing of the same leaves."""
+    out = factors[-1]
+    for f in reversed(factors[:-1]):
+        out = tensor_over(base, f, out)
+    return out
+
+
+# leaf-flat spaces stay at most this large, so the leaf-level reference
+# stays cheap
+LEAF_BUDGET = 216
+
+
+@st.composite
+def pipe_program(draw, field, base):
+    """A source space over base and a stage sequence for it.
+
+    The factors are generated A-bimodules, the regular bimodule of A and a
+    left-associated quotient of two of them.  Every applied map is a
+    bimodule map drawn from the canonical Hom basis, so every stage is
+    bilinear; `done` goes to the current factors or, through right-nested
+    groups, to another bracketing of the same leaves.
+    """
+    areg = regular_bimodule(base)
+    mods = [draw(side_bimodule(field, base, True, f"M{i}")) for i in range(2)]
+    pool = mods + [areg, tensor_over(base, mods[0], mods[1])]
+    factors = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3)
+                   .filter(lambda fs: _leaf_dim(fs) <= LEAF_BUDGET))
+    source = space(*factors)
+    factors = list(factors)
+    homs = {}
+    stages = []
+    for _ in range(draw(st.integers(1, 4))):
+        kinds = ["apply", "apply", "insert"]
+        if any(isinstance(f, TensorQuotient) for f in factors):
+            kinds.append("refine")
+        if any(f is areg for f in factors) and len(factors) > 1:
+            kinds.append("absorb")
+        kind = draw(st.sampled_from(kinds))
+        if kind == "refine":
+            at = draw(st.sampled_from(
+                [i for i, f in enumerate(factors) if isinstance(f, TensorQuotient)]))
+            stages.append(("refine", at))
+            factors[at:at + 1] = [factors[at].factor_left, factors[at].factor_right]
+        elif kind == "absorb":
+            at = draw(st.sampled_from([i for i, f in enumerate(factors) if f is areg]))
+            if at > 0 and (at == len(factors) - 1 or draw(st.booleans())):
+                stages.append(("absorb_left", at))
+                del factors[at]
+            else:
+                stages.append(("absorb_right", at))
+                del factors[at]
+        elif kind == "insert":
+            at = draw(st.integers(0, len(factors)))
+            if _leaf_dim(factors + [areg]) > LEAF_BUDGET:
+                continue
+            stages.append(("insert_central", areg, base.unit_vector(), at))
+            factors.insert(at, areg)
+        else:
+            # a map on two factors at once is what tells a projection from
+            # a choice of coordinates, so it is drawn more often
+            at = draw(st.integers(0, len(factors) - 1))
+            takes = min(len(factors) - at, draw(st.sampled_from([1, 2, 2])))
+            consumed = factors[at:at + takes]
+            gives = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=2))
+            rest = factors[:at] + factors[at + takes:]
+            if _leaf_dim(rest + gives) > LEAF_BUDGET:
+                continue
+            x, y = space(*consumed).quotient, space(*gives).quotient
+            key = (id(x), id(y))
+            if key not in homs:
+                homs[key] = hom_basis(x, y)
+            mat = Matrix.zeros(field, y.dim, x.dim)
+            for b in homs[key]:
+                c = draw(st.integers(-2, 2))
+                if c:
+                    mat = mat + b.scale(field.from_int(c))
+            stages.append(("apply", LinearMap(x, y, mat, "f"), at, takes, gives))
+            factors[at:at + takes] = gives
+    target = None
+    if draw(st.booleans()):
+        cuts = sorted(draw(st.sets(st.integers(1, len(factors) - 1)))
+                      if len(factors) > 1 else set())
+        bounds = [0] + cuts + [len(factors)]
+        target = space(*[right_nested(base, factors[a:b])
+                         for a, b in zip(bounds, bounds[1:])])
+    return source, stages, target
+
+
+def run_program(cls, source, stages, target):
+    p = cls(source)
+    for stage in stages:
+        getattr(p, stage[0])(*stage[1:])
+    return p.done(target)
+
+
+@pytest.mark.parametrize("g", [2, 3])
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_pipe_matches_leaf_pipe(field, g, data):
+    base = group_algebra_cyclic(field, g)
+    source, stages, target = data.draw(pipe_program(field, base))
+    fast = run_program(bimodule.Pipe, source, stages, target)
+    slow = run_program(LeafPipe, source, stages, target)
+    assert fast.domain is slow.domain and fast.codomain is slow.codomain
+    assert fast.matrix == slow.matrix
+
+
+def corpus_outputs(corpus):
+    """The report of every corpus checker as JSON, and the structure maps
+    that pipes build, in the order of `scripts/run_corpus_checks.py`."""
+    from coringlab import coring, cowreath, entwine, ore, wreath
+    out = []
+
+    def add(rep):
+        out.append(rep.to_json())
+
+    def maps(*lin):
+        out.append([(m.domain.dim, m.codomain.dim, m.matrix.data) for m in lin])
+
+    C = corpus
+    for c in (C.triv_z2, C.c2, C.c3, C.gp, C.broken_coalgebra):
+        add(check_coring(c))
+    for e in (C.flip_entwining, C.dk_entwining):
+        add(entwine.check_entwining(e))
+        ec = entwine.entwined_coring(e)
+        maps(ec.comult, ec.counit)
+        add(check_coring(ec))
+        add(entwine.check_entwining_wreath(e))
+    add(entwine.check_entwining(C.broken_entwining))
+    for w in (C.flip_cw, C.flip_cw3, C.unit_cw, C.dl_cw[0], C.lifted_flip_cw,
+              C.lifted_dk_cw):
+        maps(w.delta, w.xi, w.object.twist)
+        add(cowreath.check_cowreath(w))
+        prod, morph = cowreath.cowreath_product(w)
+        maps(prod.comult, prod.counit)
+        add(check_coring(prod))
+        add(morph)
+    add(cowreath.check_l_cowreath(C.dl_cw[1]))
+    add(cowreath.check_cowreath(C.broken_cw_delta))
+    add(cowreath.check_cowreath(C.broken_cw_xi))
+    rext, text, rmap, rw, lw, prod_ext, alg_rep, eta_rep = C.sign_flip_ttp
+    add(wreath.check_wreath(rw))
+    add(wreath.check_l_wreath(lw))
+    add(alg_rep)
+    add(eta_rep)
+    with pytest.raises(PreconditionFailure) as err:
+        wreath.twisted_tensor_product(*C.broken_ttp_map())
+    add(err.value.report)
+    add(wreath.check_left_module_twisting(C.module_twist_self))
+    for d in (C.ore_commutative, C.ore_quantum_plane, C.ore_weyl):
+        add(ore.check_ore_wreath(d, 4))
+        add(ore.ore_vs_wreath_product(d, 4))
+    add(ore.check_ore_wreath(C.ore_broken, 3))
+    return out
+
+
+def test_corpus_checkers_match_leaf_pipe(monkeypatch):
+    fast = corpus_outputs(Corpus())
+    monkeypatch.setattr(bimodule, "Pipe", LeafPipe)
+    slow = corpus_outputs(Corpus())
+    assert len(fast) == len(slow)
+    for a, b in zip(fast, slow):
+        assert a == b
+
+
+@st.composite
+def perturbation(draw, field, rows, cols):
+    entries = draw(st.dictionaries(
+        st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1)),
+        st.integers(-2, 2).map(field.from_int), max_size=3))
+    return Matrix.from_entries(field, rows, cols, entries)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), which=st.sampled_from(["triv", "flip", "dk"]))
+def test_perturbed_coring_over_kz2_matches_leaf_pipe(data, which):
+    """Perturbed structure maps of corings over kZ2 are mostly not
+    bilinear.  Their further tags depend on the representatives the
+    sections pick, so only the status must agree; a perturbation that
+    happens to stay bilinear must give the same report."""
+    from coringlab import entwine
+    corpus = Corpus()
+    base = {"triv": corpus.triv_z2,
+            "flip": lambda: entwine.entwined_coring(corpus.flip_entwining),
+            "dk": lambda: entwine.entwined_coring(corpus.dk_entwining)}[which]
+    base = base() if callable(base) else base
+    comult = base.comult.matrix + data.draw(
+        perturbation(QQ, base.comult.matrix.rows, base.comult.matrix.cols))
+    counit = base.counit.matrix + data.draw(
+        perturbation(QQ, base.counit.matrix.rows, base.counit.matrix.cols))
+    c = Coring(base.base, base.carrier,
+               LinearMap(base.comult.domain, base.comult.codomain, comult, "d"),
+               LinearMap(base.counit.domain, base.counit.codomain, counit, "e"),
+               name="perturbed")
+    fast = check_coring(c)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bimodule, "Pipe", LeafPipe)
+        slow = check_coring(c)
+    assert fast.status == slow.status
+    if bilinearity_report(c.comult).ok and bilinearity_report(c.counit).ok:
+        assert fast.to_json() == slow.to_json()
