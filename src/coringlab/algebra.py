@@ -7,10 +7,8 @@ only; element identity is positional.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .exactla import Matrix, vec_add_scaled
-from .reports import InputError, Report, Witness
+from .reports import InputError, Record, Report, Witness
 
 
 class FinAlgebra:
@@ -92,21 +90,18 @@ class FinAlgebra:
         return f"FinAlgebra({self.name}, dim={self.dim}, {self.field!r})"
 
 
-@dataclass
-class AlgebraMorphism:
-    source: FinAlgebra
-    target: FinAlgebra
-    matrix: Matrix
-    name: str = "f"
+class AlgebraMorphism(Record):
+    _fields = ("source", "target", "matrix", "name")
 
-    def __post_init__(self):
-        if (
-            self.matrix.rows != self.target.dim
-            or self.matrix.cols != self.source.dim
-        ):
+    def __init__(self, source: FinAlgebra, target: FinAlgebra, matrix: Matrix,
+                 name: str = "f"):
+        if matrix.rows != target.dim or matrix.cols != source.dim:
             raise InputError(
-                f"morphism matrix must be {self.target.dim}x{self.source.dim}"
-            )
+                f"morphism matrix must be {target.dim}x{source.dim}")
+        self.source = source
+        self.target = target
+        self.matrix = matrix
+        self.name = name
 
     def apply(self, v: dict) -> dict:
         return self.matrix.apply(v)

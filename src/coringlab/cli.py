@@ -14,20 +14,7 @@ import os
 import sys
 
 from . import session as session_mod
-from .algebra import check_algebra
-from .bimodule import check_bimodule
-from .coring import check_comodule, check_coring
-from .cowreath import (
-    adjunction_hat,
-    adjunction_tilde,
-    check_cowreath,
-    cowreath_product,
-)
-from .entwine import check_entwining, entwined_coring
-from .ore import check_ore_wreath, ore_vs_wreath_product, twist_vs_skew_mul
-from .rcat import check_r_object
 from .reports import InputError, PreconditionFailure, Report, WellDefinednessError
-from .wreath import check_l_wreath, check_wreath, twisted_tensor_product, wreath_product
 
 
 def _add_common(sp):
@@ -110,21 +97,31 @@ def parse_with_location(path):
 
 
 def run_check(s, kind, name):
+    """The reports of one check.  Each branch imports its checker, so a
+    command loads only the modules it runs."""
     if kind == "algebra":
+        from .algebra import check_algebra
         return [check_algebra(s.lookup("algebras", name))]
     if kind == "bimodule":
+        from .bimodule import check_bimodule
         return [check_bimodule(s.lookup("bimodules", name))]
     if kind == "coring":
+        from .coring import check_coring
         return [check_coring(s.lookup("corings", name))]
     if kind == "comodule":
+        from .coring import check_comodule
         return [check_comodule(s.lookup("comodules", name))]
     if kind == "entwining":
+        from .entwine import check_entwining
         return [check_entwining(s.lookup("entwinings", name))]
     if kind == "r-object":
+        from .rcat import check_r_object
         return [check_r_object(s.lookup("r_objects", name))]
     if kind == "cowreath":
+        from .cowreath import check_cowreath
         return [check_cowreath(s.lookup("cowreaths", name))]
     if kind == "wreath":
+        from .wreath import check_l_wreath, check_wreath, twisted_tensor_product
         if name in s.wreaths:
             return [check_wreath(s.wreaths[name])]
         if name in s.ttps:
@@ -146,16 +143,19 @@ def run_build(s, kind, names, out):
     """Execute a build and serialize the result into the session."""
     store = session_mod.SessionStore(s)
     if kind == "entwined-coring":
+        from .entwine import entwined_coring
         e = s.lookup("entwinings", names[0])
         cor = entwined_coring(e, name=out)
         store.add_coring(out, cor)
         return [Report(f"built entwined coring {out}")]
     if kind == "cowreath-product":
+        from .cowreath import cowreath_product
         w = s.lookup("cowreaths", names[0])
         prod, morph = cowreath_product(w, name=out)
         store.add_coring(out, prod)
         return [Report(f"built cowreath product {out}"), morph]
     if kind in ("wreath-product", "twisted-product"):
+        from .wreath import twisted_tensor_product, wreath_product
         if kind == "twisted-product":
             rext, text, rmap = s.lookup("ttps", names[0])
             rw, lw, prod_ext, alg_rep, eta_rep = twisted_tensor_product(
@@ -177,6 +177,7 @@ def run_build(s, kind, names, out):
 
 
 def run_adjoint(s, args):
+    from .cowreath import adjunction_hat, adjunction_tilde
     w = s.lookup("cowreaths", args.cowreath)
     x = s.lookup("comodules", args.x)
     y = s.lookup("comodules", args.y)
@@ -204,6 +205,7 @@ def main(argv=None) -> int:
                 session_mod.write_session(s.raw, args.save)
             return emit(reports, args.format)
         if args.command == "ore":
+            from .ore import check_ore_wreath, ore_vs_wreath_product, twist_vs_skew_mul
             d = s.lookup("skewpoly", args.data)
             if args.action == "check":
                 reports = [check_ore_wreath(d, args.degree)]
@@ -212,6 +214,8 @@ def main(argv=None) -> int:
                            twist_vs_skew_mul(d, args.degree)]
             return emit(reports, args.format)
         if args.command == "adjoint":
+            if args.save and not args.out:
+                raise InputError("--save needs --out")
             out_map = run_adjoint(s, args)
             if args.out:
                 session_mod.SessionStore(s).map_name(out_map, args.out)

@@ -10,28 +10,27 @@ every reported pass exact rather than a truncation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebra import AlgebraMorphism, FinAlgebra, check_algebra_morphism
 from .exactla import Matrix
-from .reports import InputError, Report, Witness
+from .reports import InputError, Record, Report, Witness
 
 
-@dataclass
-class SkewPolyData:
+class SkewPolyData(Record):
     """Coefficient algebra B, endomorphism sigma, left sigma-derivation."""
 
-    coeff_algebra: FinAlgebra
-    sigma: AlgebraMorphism
-    delta: Matrix
-    name: str = "ore"
+    _fields = ("coeff_algebra", "sigma", "delta", "name")
 
-    def __post_init__(self):
-        b = self.coeff_algebra
-        if self.sigma.source is not b or self.sigma.target is not b:
+    def __init__(self, coeff_algebra: FinAlgebra, sigma: AlgebraMorphism,
+                 delta: Matrix, name: str = "ore"):
+        b = coeff_algebra
+        if sigma.source is not b or sigma.target is not b:
             raise InputError("sigma must be an endomorphism of B")
-        if self.delta.rows != b.dim or self.delta.cols != b.dim:
+        if delta.rows != b.dim or delta.cols != b.dim:
             raise InputError("delta must be a square matrix on B")
+        self.coeff_algebra = coeff_algebra
+        self.sigma = sigma
+        self.delta = delta
+        self.name = name
 
 
 def check_skew_data(d: SkewPolyData) -> Report:

@@ -9,7 +9,6 @@ so reports serialize to JSON without knowing the scalar type.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 
 class InputError(ValueError):
@@ -33,12 +32,35 @@ class PreconditionFailure(ValueError):
         self.report = report
 
 
-@dataclass
-class Witness:
-    equation: str
-    basis: tuple
-    lhs: str
-    rhs: str
+class Record:
+    """A plain class that compares and prints field by field, as a dataclass
+    does: `_fields` names the constructor arguments in order.  Instances
+    are mutable, so they are unhashable."""
+
+    _fields = ()
+    __hash__ = None
+
+    def _values(self):
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({args})"
+
+
+class Witness(Record):
+    _fields = ("equation", "basis", "lhs", "rhs")
+
+    def __init__(self, equation: str, basis: tuple, lhs: str, rhs: str):
+        self.equation = equation
+        self.basis = basis
+        self.lhs = lhs
+        self.rhs = rhs
 
     def to_json(self):
         return {
@@ -49,11 +71,13 @@ class Witness:
         }
 
 
-@dataclass
-class Report:
-    check: str
-    status: str = "pass"  # pass | fail
-    witnesses: list = field(default_factory=list)
+class Report(Record):
+    _fields = ("check", "status", "witnesses")
+
+    def __init__(self, check: str, status: str = "pass", witnesses=None):
+        self.check = check
+        self.status = status  # pass | fail
+        self.witnesses = [] if witnesses is None else witnesses
 
     @property
     def ok(self) -> bool:

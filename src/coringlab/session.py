@@ -14,15 +14,10 @@ from __future__ import annotations
 import json
 
 from .algebra import AlgebraMorphism, FinAlgebra
-from .bimodule import Bimodule, LinearMap, Matrix, regular_bimodule, space
-from .coring import Comodule, Coring
-from .cowreath import Cowreath
-from .entwine import EntwiningStructure
+from .bimodule import (Bimodule, LinearMap, Matrix, TensorQuotient, is_regular,
+                       regular_bimodule, space)
 from .exactla import field_from_name
-from .ore import SkewPolyData
-from .rcat import RObject
 from .reports import InputError
-from .wreath import ModuleTwist, RingExtension, RTObject, Wreath
 
 
 SECTIONS = (
@@ -149,7 +144,10 @@ def _parse_vec(field, entries) -> dict:
 
 
 def parse_session(source) -> SessionFile:
-    """Parse a session from a path, file object, JSON text, or dict."""
+    """Parse a session from a path, file object, JSON text, or dict.
+
+    A section imports the class of its entries at its first entry, so
+    parsing loads only the modules that the session's sections need."""
     if isinstance(source, dict):
         raw = source
     elif hasattr(source, "read"):
@@ -221,6 +219,7 @@ def parse_session(source) -> SessionFile:
         s.maps[name] = LinearMap(dom, cod, mat, name=name)
 
     for name, data in _entries(raw, "corings"):
+        from .coring import Coring
         base = s.lookup("algebras", data["base"])
         carrier = s.resolve_space(data["carrier"])
         comult = s.lookup("maps", data["comult"])
@@ -228,6 +227,7 @@ def parse_session(source) -> SessionFile:
         s.corings[name] = Coring(base, carrier, comult, counit, name=name)
 
     for name, data in _entries(raw, "comodules"):
+        from .coring import Comodule
         coring = s.lookup("corings", data["coring"])
         carrier = s.resolve_space(data["carrier"])
         coaction = s.lookup("maps", data["coaction"])
@@ -235,36 +235,42 @@ def parse_session(source) -> SessionFile:
                                      carrier, coaction, name=name)
 
     for name, data in _entries(raw, "r_objects"):
+        from .rcat import RObject
         coring = s.lookup("corings", data["coring"])
         carrier = s.resolve_space(data["carrier"])
         twist = s.lookup("maps", data["twist"])
         s.r_objects[name] = RObject(coring, carrier, twist, name=name)
 
     for name, data in _entries(raw, "entwinings"):
+        from .entwine import EntwiningStructure
         alg = s.lookup("algebras", data["algebra"])
         coalg = s.lookup("corings", data["coalgebra"])
         psi = s.lookup("maps", data["psi"])
         s.entwinings[name] = EntwiningStructure(alg, coalg, psi, name=name)
 
     for name, data in _entries(raw, "cowreaths"):
+        from .cowreath import Cowreath
         obj = s.lookup("r_objects", data["object"])
         xi = s.lookup("maps", data["xi"])
         delta = s.lookup("maps", data["delta"])
         s.cowreaths[name] = Cowreath(obj, xi, delta, name=name)
 
     for name, data in _entries(raw, "extensions"):
+        from .wreath import RingExtension
         base = s.lookup("algebras", data["base"])
         total = s.lookup("algebras", data["total"])
         iota = s.lookup("morphisms", data["iota"])
         s.extensions[name] = RingExtension(base, total, iota, name=name)
 
     for name, data in _entries(raw, "rt_objects"):
+        from .wreath import RTObject
         ext = s.lookup("extensions", data["extension"])
         carrier = s.resolve_space(data["carrier"])
         twist = s.lookup("maps", data["twist"])
         s.rt_objects[name] = RTObject(ext, carrier, twist, name=name)
 
     for name, data in _entries(raw, "wreaths"):
+        from .wreath import Wreath
         obj = s.lookup("rt_objects", data["object"])
         eta = s.lookup("maps", data["eta"])
         mu = s.lookup("maps", data["mu"])
@@ -277,6 +283,7 @@ def parse_session(source) -> SessionFile:
         s.ttps[name] = (rext, text, rmap)
 
     for name, data in _entries(raw, "twistings"):
+        from .wreath import ModuleTwist
         wr = s.lookup("wreaths", data["wreath"])
         rext = s.lookup("extensions", data["r"])
         carrier = s.resolve_space(data["carrier"])
@@ -286,6 +293,7 @@ def parse_session(source) -> SessionFile:
                                         name=name)
 
     for name, data in _entries(raw, "skewpoly"):
+        from .ore import SkewPolyData
         coeff = s.lookup("algebras", data["coeff"])
         sigma = s.lookup("morphisms", data["sigma"])
         delta = _parse_matrix(field, data["delta"], coeff.dim, coeff.dim,
@@ -401,7 +409,6 @@ class SessionStore:
         return name
 
     def space_ref(self, b: Bimodule):
-        from .bimodule import TensorQuotient, is_regular
         for name, x in self.s.bimodules.items():
             if x is b:
                 return name
