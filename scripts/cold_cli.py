@@ -1,0 +1,130 @@
+#!/usr/bin/env python3
+"""Time the README commands as cold processes and list what each imports.
+
+    python3 scripts/cold_cli.py [--runs N] [CHECKOUT ...]
+
+For each README command and each checkout (default: the one holding this
+script) it prints the exit code, the median wall time of N cold runs in a
+fresh interpreter, and the `coringlab` submodules the command loaded,
+followed by `+dataclasses` or `+inspect` when either was loaded.  With
+several checkouts the runs alternate between them, each round starting
+with the next checkout, so drift in the machine's speed falls on all of
+them alike.  Wall time includes interpreter start-up; nothing here gates
+a test.  Only the standard library is used.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+
+# The README commands, in an order where each build runs before the check
+# of the session it saves.  `{tmp}` is a scratch directory per checkout.
+COMMANDS = [
+    ("check coring C2",
+     ["--session", "sessions/grouplike_coalgebras.json", "check", "coring", "C2"]),
+    ("check coring broken",
+     ["--session", "sessions/grouplike_coalgebras.json", "check", "coring", "broken"]),
+    ("check entwining dk",
+     ["--session", "sessions/entwinings.json", "check", "entwining", "dk",
+      "--format", "json"]),
+    ("build cowreath-product",
+     ["--session", "sessions/cowreaths.json", "build", "cowreath-product", "flip",
+      "--out", "P", "--save", "{tmp}/out.json"]),
+    ("check coring P", ["--session", "{tmp}/out.json", "check", "coring", "P"]),
+    ("build lift",
+     ["--session", "sessions/cowreaths.json", "build", "lift", "flip-ent", "flip",
+      "--out", "L", "--save", "{tmp}/lift.json"]),
+    ("check wreath signflip",
+     ["--session", "sessions/sign_flip_ttp.json", "check", "wreath", "signflip"]),
+    ("check twisting X=R",
+     ["--session", "sessions/sign_flip_ttp.json", "check", "twisting", "X=R"]),
+    ("ore check",
+     ["--session", "sessions/ore_rational.json", "ore", "check", "--data",
+      "quantum-plane", "--degree", "4"]),
+    ("ore compare",
+     ["--session", "sessions/ore_rational.json", "ore", "compare", "--data",
+      "commutative", "--degree", "4"]),
+    ("adjoint hat",
+     ["--session", "perfbench/fixtures/my_session.json", "adjoint", "hat",
+      "--cowreath", "W", "--x", "X", "--y", "Y", "--map", "f"]),
+]
+
+# Runs one command through `coringlab.cli.main`, then writes the names of
+# the loaded modules, one a line, to the file named by its first argument.
+CHILD = """\
+import sys
+from coringlab.cli import main
+code = main(sys.argv[2:])
+with open(sys.argv[1], "w", encoding="utf-8") as fh:
+    fh.write("\\n".join(sorted(sys.modules)))
+sys.exit(code)
+"""
+
+
+def run_command(checkout, argv, tmp):
+    """(wall seconds, exit code, loaded module names) of one cold run."""
+    argv = [a.replace("{tmp}", tmp) for a in argv]
+    env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"))
+    modules_file = os.path.join(tmp, "modules.txt")
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", CHILD, modules_file, *argv],
+                          cwd=checkout, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL)
+    wall = time.perf_counter() - t0
+    with open(modules_file, encoding="utf-8") as fh:
+        modules = fh.read().split("\n")
+    return wall, proc.returncode, modules
+
+
+def describe(modules):
+    """The coringlab submodules, then the heavy standard modules, loaded."""
+    names = sorted(m[len("coringlab."):] for m in modules
+                   if m.startswith("coringlab."))
+    names += [f"+{m}" for m in ("dataclasses", "inspect") if m in modules]
+    return " ".join(names)
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("checkouts", nargs="*", default=[os.path.dirname(HERE)])
+    ap.add_argument("--runs", type=int, default=5,
+                    help="cold runs per command and checkout (default 5)")
+    args = ap.parse_args()
+    checkouts = [os.path.abspath(c) for c in args.checkouts]
+
+    walls = {(c, name): [] for c in checkouts for name, _ in COMMANDS}
+    seen = {}
+    with tempfile.TemporaryDirectory() as scratch:
+        tmps = {c: os.path.join(scratch, str(i)) for i, c in enumerate(checkouts)}
+        for tmp in tmps.values():
+            os.mkdir(tmp)
+        for r in range(args.runs):
+            for c in checkouts[r % len(checkouts):] + checkouts[:r % len(checkouts)]:
+                for name, argv in COMMANDS:
+                    wall, code, modules = run_command(c, argv, tmps[c])
+                    walls[c, name].append(wall)
+                    seen[c, name] = code, describe(modules)
+
+    width = max(len(c) for c in checkouts)
+    for name, _ in COMMANDS:
+        print(name)
+        for c in checkouts:
+            code, mods = seen[c, name]
+            ms = 1000 * statistics.median(walls[c, name])
+            print(f"  {c:<{width}}  exit {code}  {ms:6.1f} ms  {mods}")
+    for c in checkouts:
+        total = sum(1000 * statistics.median(walls[c, name]) for name, _ in COMMANDS)
+        print(f"total of medians  {c:<{width}}  {total:7.1f} ms")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -42,7 +42,7 @@ _MODULE_OF = {name: module for module, names in _EXPORTS_BY_MODULE.items()
               for name in names}
 _SUBMODULES = (*_EXPORTS_BY_MODULE, "corpus", "session", "cli")
 
-__all__ = [*_MODULE_OF, "__version__"]
+__all__ = list(_MODULE_OF)
 
 
 def __getattr__(name):

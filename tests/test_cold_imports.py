@@ -1,0 +1,61 @@
+"""A cold CLI command imports only the modules it runs.  Each README
+command runs in a fresh interpreter (through `scripts/cold_cli.py`), which
+reports the modules it loaded; nothing here is timed."""
+
+import importlib.util
+import os
+
+import pytest
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+
+_spec = importlib.util.spec_from_file_location(
+    "cold_cli", os.path.join(ROOT, "scripts", "cold_cli.py"))
+cold_cli = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(cold_cli)
+
+
+@pytest.fixture(scope="module")
+def loaded(tmp_path_factory):
+    """command name -> (exit code, set of loaded modules), the commands run
+    in README order so that each check finds the session its build saved."""
+    tmp = str(tmp_path_factory.mktemp("cold"))
+    out = {}
+    for name, argv in cold_cli.COMMANDS:
+        _, code, modules = cold_cli.run_command(ROOT, argv, tmp)
+        out[name] = code, set(modules)
+    return out
+
+
+def test_commands_succeed(loaded):
+    codes = {name: code for name, (code, _) in loaded.items()}
+    assert codes == {name: 1 if name == "check coring broken" else 0
+                     for name, _ in cold_cli.COMMANDS}
+
+
+def test_check_coring_loads_only_the_coring_chain(loaded):
+    _, modules = loaded["check coring C2"]
+    for sub in ("cowreath", "entwine", "rcat", "wreath", "ore", "corpus"):
+        assert f"coringlab.{sub}" not in modules
+    assert "coringlab.coring" in modules
+
+
+@pytest.mark.parametrize("name", ["ore check", "ore compare"])
+def test_ore_loads_no_coring_or_wreath(loaded, name):
+    _, modules = loaded[name]
+    assert "coringlab.coring" not in modules
+    assert "coringlab.wreath" not in modules
+    assert "coringlab.ore" in modules
+
+
+@pytest.mark.parametrize("name", ["check wreath signflip", "check twisting X=R"])
+def test_wreath_checks_load_no_cowreath(loaded, name):
+    _, modules = loaded[name]
+    assert "coringlab.cowreath" not in modules
+    assert "coringlab.wreath" in modules
+
+
+def test_no_command_loads_dataclasses(loaded):
+    for name, (_, modules) in loaded.items():
+        assert "dataclasses" not in modules, name
+        assert "inspect" not in modules, name

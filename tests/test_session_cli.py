@@ -192,7 +192,9 @@ class TestCliBuilds:
 
 
 class TestAdjointCommand:
-    def test_hat_and_tilde(self, tmp_path, capsys):
+    @pytest.fixture
+    def hat_argv(self, tmp_path):
+        """`adjoint hat` on a saved session of the flip cowreath over C2."""
         from coringlab.corpus import CORPUS
         from coringlab.coring import comodule_over_itself
         from coringlab.cowreath import (
@@ -213,11 +215,25 @@ class TestAdjointCommand:
         fn = store.map_name(f, "f")
         path = str(tmp_path / "adj.json")
         write_session(store.raw, path)
-        code = main(["--session", path, "adjoint", "hat", "--cowreath", wn,
-                     "--x", xn, "--y", yn, "--map", fn, "--format", "json"])
+        return ["--session", path, "adjoint", "hat", "--cowreath", wn,
+                "--x", xn, "--y", yn, "--map", fn]
+
+    def test_hat_and_tilde(self, hat_argv, capsys):
+        code = main(hat_argv + ["--format", "json"])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["matrix"]
+
+    def test_out_and_save_store_the_map(self, hat_argv, tmp_path, capsys):
+        saved = tmp_path / "saved.json"
+        assert main(hat_argv + ["--out", "g", "--save", str(saved)]) == 0
+        assert "g" in parse_session(str(saved)).maps
+
+    def test_save_needs_out(self, hat_argv, tmp_path, capsys):
+        saved = tmp_path / "saved.json"
+        assert main(hat_argv + ["--save", str(saved)]) == 2
+        assert "--save needs --out" in capsys.readouterr().err
+        assert not saved.exists()
 
 
 class TestWitnessReevaluation:
