@@ -10,10 +10,12 @@ M (x)_A N is the quotient of the ground-field tensor space by the span of
 the balancing relations  m.a (x) n - m (x) a.n.  The quotient basis is the
 set of non-pivot flat coordinates under the canonical reduced row echelon
 form of that span, so it is reproducible and `section` picks pure-tensor
-representatives (project . section = id).  A basis element whose two
-actions are both marked identities gives only zero relations and is
-skipped, so over the ground field the quotient is flat at no cost.  The
-check that the inherited actions descend runs on the echelon rows of the
+representatives (project . section = id).  A bimodule stores every
+action equal to the identity as the marked identity.  A basis element whose
+two actions are both marked gives only zero relations and is skipped, so
+over the ground field the quotient is flat at no cost, and a marked action
+is inherited as the marked identity without a descent check.  The check
+that the other inherited actions descend runs on the echelon rows of the
 relation span, not on the raw relations.
 
 Iterated tensors are built left associated.  A `Space` wraps a factor list
@@ -72,8 +74,25 @@ def algebras_match(a: FinAlgebra, b: FinAlgebra) -> bool:
     )
 
 
+def _marked(mat: Matrix) -> Matrix:
+    """mat, or the marked identity when mat is a square identity matrix."""
+    if mat.is_identity or mat.rows != mat.cols or len(mat.data) != mat.rows:
+        return mat
+    one = mat.field.one()
+    for i, row in mat.data.items():
+        if len(row) != 1 or row.get(i) != one:
+            return mat
+    return Matrix.identity(mat.field, mat.rows)
+
+
 class Bimodule:
-    """An (A, B)-bimodule with explicit action matrices."""
+    """An (A, B)-bimodule with explicit action matrices.
+
+    An action matrix equal to the identity is stored as the marked identity
+    (`Matrix.identity`), whatever matrix was passed: it is `==` to that
+    matrix and has the same entries, but `@` and `kron` short-circuit on it
+    and `tensor_over` neither recomputes nor descent-checks it.
+    """
 
     def __init__(self, left_algebra, right_algebra, dim, left_action,
                  right_action, labels=None, name="M"):
@@ -81,8 +100,8 @@ class Bimodule:
         self.left_algebra = left_algebra
         self.right_algebra = right_algebra
         self.dim = dim
-        self.left_action = list(left_action)
-        self.right_action = list(right_action)
+        self.left_action = [_marked(m) for m in left_action]
+        self.right_action = [_marked(m) for m in right_action]
         if len(self.left_action) != left_algebra.dim:
             raise InputError("need one left action matrix per basis element")
         if len(self.right_action) != right_algebra.dim:
@@ -351,11 +370,17 @@ def tensor_over(a: FinAlgebra, m: Bimodule, n: Bimodule, name=None) -> TensorQuo
     The relation m.e_k (x) n - m (x) e_k.n is 0 for every m and n when both
     actions of e_k are marked identities, so those k contribute nothing and
     are skipped; over the ground field no relation is built at all.
+    `Bimodule` marks every action equal to the identity, so the unit of a
+    unital bimodule is always skipped.
 
     The inherited actions are checked to kill the balancing relations.  By
     linearity it suffices to check the rows of their reduced echelon basis;
     a violation (possible only for inconsistent input actions) raises
     WellDefinednessError whose `relation` is the first such echelon row.
+    A marked action is inherited as the marked identity of the quotient
+    (project . section = id) and is not checked, since the identity keeps
+    the relation span; every other action, a unit acting by another
+    idempotent included, is computed and checked.
     """
     return memo(m, ("tensor", id(a), id(n)),
                 lambda: _build_tensor(a, m, n, name))
@@ -400,6 +425,9 @@ def _build_tensor(a, m, n, name):
                     ech.add(rel)
     free = ech.free_columns()
     qdim = len(free)
+    # project . section = id, so a marked action is inherited as the marked
+    # identity of the quotient
+    ident = Matrix.identity(f, qdim)
     if relations:
         pos = {c: t for t, c in enumerate(free)}
         proj_entries = {}
@@ -415,25 +443,29 @@ def _build_tensor(a, m, n, name):
     else:
         # flat quotient: both maps are the identity, marked so that every
         # product and Kronecker product with them is a copy
-        project = section = Matrix.identity(f, flat)
+        project = section = ident
 
     left_action = [
-        project @ _kron_matrix_side(m.left_action[k], dn, left=True) @ section
-        for k in range(m.left_algebra.dim)
+        ident if act.is_identity
+        else project @ _kron_matrix_side(act, dn, left=True) @ section
+        for act in m.left_action
     ]
     right_action = [
-        project @ _kron_matrix_side(n.right_action[k], dm, left=False) @ section
-        for k in range(n.right_algebra.dim)
+        ident if act.is_identity
+        else project @ _kron_matrix_side(act, dm, left=False) @ section
+        for act in n.right_action
     ]
     tq = TensorQuotient(
         a, m, n, qdim, left_action, right_action, project, section,
         free, relations, name or f"({m.name}(x){n.name})", echelon=ech,
     )
     # the inherited actions must descend: they must map the relation span,
-    # spanned by the echelon rows, into itself
+    # spanned by the echelon rows, into itself (a marked identity does)
     basis = [ech.full_row(p) for p in ech.pivots()]
     for k in range(m.left_algebra.dim):
         lk = m.left_action[k]
+        if lk.is_identity:
+            continue
         for rel in basis:
             img = _apply_kron_side(lk, dn, rel, left=True)
             if not tq.kills(img):
@@ -442,6 +474,8 @@ def _build_tensor(a, m, n, name):
                     f"descend to {tq.name}", relation=rel)
     for k in range(n.right_algebra.dim):
         rk = n.right_action[k]
+        if rk.is_identity:
+            continue
         for rel in basis:
             img = _apply_kron_side(rk, dm, rel, left=False)
             if not tq.kills(img):
