@@ -1,17 +1,22 @@
 #!/usr/bin/env python3
 """Time cowreaths lifted over a base that is not the ground field.
 
-    python3 scripts/time_lifts.py
+    python3 scripts/time_lifts.py [--runs N]
 
 For each case it prints the wall-clock seconds of the lift
 (`entwining_lift_cowreath`), its `check_cowreath`, its `cowreath_product`
-and the product's `check_coring`, each a single run from fresh structures,
-and the dimensions of the product's coassociativity space P (x) P (x) P:
-the quotient, the factor-flat space (dim P cubed) and the leaf-flat space.
-It checks every verdict but gates nothing on time.
+and the product's `check_coring`, each run from fresh structures, and the
+dimensions of the product's coassociativity space P (x) P (x) P: the
+quotient, the factor-flat space (dim P cubed) and the leaf-flat space.
+With `--runs N` (default 1) each case is run N times, each time from fresh
+structures, and every time column is the median of the N runs (the total
+column is the median of the per-run totals).  It checks every verdict but
+gates nothing on time.
 """
 
+import argparse
 import os
+import statistics
 import sys
 import time
 
@@ -53,21 +58,43 @@ def timed(fn, *args):
     return out, time.perf_counter() - t0
 
 
-def main():
+def run_case(entwine, c, d):
+    """The four timings of one case, whether every verdict passed, and the
+    product's carrier."""
+    e = entwine(c)
+    lifted, t_lift = timed(entwining_lift_cowreath, e, flip_cowreath(c, d))
+    rep, t_check = timed(check_cowreath, lifted)
+    (prod, morph), t_prod = timed(cowreath_product, lifted)
+    prep, t_pcheck = timed(check_coring, prod)
+    times = (t_lift, t_check, t_prod, t_pcheck)
+    return times, rep.ok and morph.ok and prep.ok, prod.carrier
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(
+        description="Time cowreaths lifted over a base that is not the ground field.")
+    ap.add_argument("--runs", type=int, default=1,
+                    help="fresh runs per case; the time columns are their medians")
+    args = ap.parse_args(argv)
+    if args.runs < 1:
+        ap.error("--runs must be at least 1")
     print(f"{'case':<24} {'lift':>7} {'check':>7} {'product':>8} "
           f"{'p-check':>8} {'total':>7}   coassoc dims: quotient / "
           "factor-flat / leaf-flat")
     bad = 0
-    for label, entwine, c, d in cases():
-        e = entwine(c)
-        lifted, t_lift = timed(entwining_lift_cowreath, e, flip_cowreath(c, d))
-        rep, t_check = timed(check_cowreath, lifted)
-        (prod, morph), t_prod = timed(cowreath_product, lifted)
-        prep, t_pcheck = timed(check_coring, prod)
-        bad += not (rep.ok and morph.ok and prep.ok)
-        p = prod.carrier
+    for index, (label, *_) in enumerate(cases()):
+        runs, ok = [], True
+        for _ in range(args.runs):
+            # a fresh case each run, so that no memo carries over
+            _, entwine, c, d = list(cases())[index]
+            times, passed, p = run_case(entwine, c, d)
+            runs.append(times)
+            ok = ok and passed
+        bad += not ok
+        t_lift, t_check, t_prod, t_pcheck = (
+            statistics.median(col) for col in zip(*runs))
+        total = statistics.median(sum(times) for times in runs)
         sp = space(p, p, p)
-        total = t_lift + t_check + t_prod + t_pcheck
         print(f"{label:<24} {t_lift:7.3f} {t_check:7.3f} {t_prod:8.3f} "
               f"{t_pcheck:8.3f} {total:7.3f}   {sp.dim} / {p.dim ** 3} / "
               f"{sp.leaf_flat_dim()}")

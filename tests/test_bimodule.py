@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from coringlab.exactla import QQ, Matrix
+from coringlab.exactla import GF, QQ, Matrix
 from coringlab.algebra import (
     field_algebra,
     group_algebra_cyclic,
@@ -84,6 +84,56 @@ class TestBimoduleChecks:
                        name="bad")
         rep = check_bimodule(bad)
         assert not rep.ok and "left-assoc" in rep.equations()
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=repr)
+class TestIdentityMarker:
+    """`Bimodule` stores an action equal to the identity as the marked
+    identity, and every other action as it was given."""
+
+    def test_plain_identity_is_marked(self, field):
+        one = field.one()
+        from_entries = Matrix.from_entries(field, 3, 3,
+                                           {(i, i): one for i in range(3)})
+        from_rows = Matrix.from_rows(field, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        a = group_algebra_cyclic(field, 2)
+        m = Bimodule(a, a, 3, [from_entries, from_rows],
+                     [from_rows, from_entries])
+        for act, given in zip(m.left_action + m.right_action,
+                              [from_entries, from_rows, from_rows, from_entries]):
+            assert act.is_identity and not given.is_identity
+            assert act == given and given == act
+            assert act.to_rows() == given.to_rows()
+
+    def test_regular_unit_column_is_marked(self, field):
+        a = group_algebra_cyclic(field, 2)
+        reg = regular_bimodule(a)
+        assert reg.left_action[0].is_identity
+        assert reg.right_action[0].is_identity
+        assert reg.left_action[0] == a.left_mult_matrix(0)
+        assert not reg.left_action[1].is_identity
+        assert not reg.right_action[1].is_identity
+
+    def test_zero_dimensional_bimodule_is_marked(self, field):
+        from coringlab.coring import zero_bimodule
+        z = zero_bimodule(group_algebra_cyclic(field, 2))
+        assert all(act.is_identity and act.rows == 0
+                   for act in z.left_action + z.right_action)
+
+    @pytest.mark.parametrize("rows", [
+        [[1, 0], [0, -1]],
+        [[0, 1], [1, 0]],
+        [[2, 0], [0, 2]],
+        [[1, 1], [0, 1]],
+    ], ids=["diag(1,-1)", "permutation", "2I", "I+offdiag"])
+    def test_other_actions_stay_unmarked(self, field, rows):
+        a = group_algebra_cyclic(field, 2)
+        act = Matrix.from_rows(field, rows)
+        ident = Matrix.from_rows(field, [[1, 0], [0, 1]])
+        m = Bimodule(a, a, 2, [ident, act], [act, ident])
+        assert m.left_action[1] is act and m.right_action[0] is act
+        assert not act.is_identity
+        assert m.left_action[0].is_identity and m.right_action[1].is_identity
 
 
 class TestTensorQuotient:

@@ -7,11 +7,14 @@
   gives, and the inherited actions must match the plain products.
 * A marked identity builds its entries only when `data` is read; every
   reader must see what the `from_entries` identity holds.
-* `tensor_over` skips basis elements whose two actions are marked
-  identities, reads columns from cached transposes and checks descent on
-  the echelon rows; relations, quotient maps, actions and descent errors
-  must match a plain construction that reads every column with
-  `Matrix.col` and checks descent on every raw relation.
+* `Bimodule` stores every action equal to the identity as the marked
+  identity.  `tensor_over` skips basis elements whose two actions are
+  marked, gives a marked action the marked identity of the quotient as its
+  inherited action without a descent check, reads columns from cached
+  transposes and checks descent on the echelon rows; relations, quotient
+  maps, actions, their markers and descent errors must match a plain
+  construction that reads every column with `Matrix.col`, multiplies
+  unmarked matrices and checks descent on every raw relation.
 * QQ scalars are ints when integral and Fractions otherwise; every
   operation must agree with plain `Fraction` arithmetic.
 * Each field's `axpy` replaces a loop of `field.add` and `field.mul`; it
@@ -129,17 +132,24 @@ def _plain_project_section(tq):
 
 
 def _check_against_plain(tq):
+    """tq's maps and inherited actions equal the plain products, and an
+    inherited action is marked exactly when its input action is the
+    identity (on the inputs checked here no other inherited action is)."""
     project, section = _plain_project_section(tq)
     assert tq.project == project and tq.section == section
     assert (tq.project.rows, tq.project.cols) == (project.rows, project.cols)
     assert tq.project.is_identity == tq.section.is_identity == (not tq.relations)
     m, n = tq.factor_left, tq.factor_right
     for k, act in enumerate(tq.left_action):
+        given = m.left_action[k]
         plain = plain_identity(tq.field, n.dim)
-        assert act == project @ unmarked(m.left_action[k]).kron(plain) @ section
+        assert act == project @ unmarked(given).kron(plain) @ section
+        assert act.is_identity == (unmarked(given) == plain_identity(tq.field, m.dim))
     for k, act in enumerate(tq.right_action):
+        given = n.right_action[k]
         plain = plain_identity(tq.field, m.dim)
-        assert act == project @ plain.kron(unmarked(n.right_action[k])) @ section
+        assert act == project @ plain.kron(unmarked(given)) @ section
+        assert act.is_identity == (unmarked(given) == plain_identity(tq.field, n.dim))
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
@@ -245,6 +255,21 @@ def raw_descent_message(m, n, relations, ech):
     return None
 
 
+def echelon_descent_relation(m, n, ech):
+    """The first echelon row, in the order `tensor_over` checks them, that
+    the plain Kronecker product of an action does not keep in the relation
+    span; every action is checked, marked or not.  None when all descend."""
+    f = m.field
+    rows = [ech.full_row(p) for p in ech.pivots()]
+    bigs = [unmarked(act).kron(plain_identity(f, n.dim)) for act in m.left_action]
+    bigs += [plain_identity(f, m.dim).kron(unmarked(act)) for act in n.right_action]
+    for big in bigs:
+        for row in rows:
+            if ech.reduce(big.apply(row)):
+                return row
+    return None
+
+
 def _block_diag(field, mats):
     entries, off = {}, 0
     for mat in mats:
@@ -275,7 +300,10 @@ def side_bimodule(draw, field, base, base_on_right, name):
     Over kZ/g it is a sum of copies of the regular bimodule.  Over the
     ground field the base acts by a marked or a plain identity and a group
     algebra kZ/h acts on the other side.  Either may be written in a random
-    basis; conjugation leaves no marked identity.
+    basis.  `Bimodule` marks every action equal to the identity, so the
+    base's action over the ground field and the unit's actions reach
+    `tensor_over` marked whether they were given plain, marked or
+    conjugated.
     """
     copies = draw(st.integers(1, 2))
     if base.dim == 1:
@@ -317,6 +345,16 @@ def test_tensor_over_matches_plain_construction(field, data, g):
     assert tq.free_cols == ech.free_columns()
     assert tq.echelon.pivot_rows == ech.pivot_rows
     _check_against_plain(tq)
+    # a quotient of a quotient: its factor's inherited actions are the
+    # input actions, marked where the plain products are the identity
+    p = data.draw(side_bimodule(field, tq.right_algebra, False, "P"))
+    nested = space(m, n, p).quotient
+    assert nested.factor_left is tq
+    relations, ech = plain_tensor_relations(tq.right_algebra, tq, p)
+    assert raw_descent_message(tq, p, relations, ech) is None
+    assert nested.relations == relations
+    assert nested.free_cols == ech.free_columns()
+    _check_against_plain(nested)
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
@@ -343,6 +381,64 @@ def test_descent_failure_matches_raw_relation_check(field, side):
         tensor_over(a, m, n)
     assert str(err.value) == expected
     assert err.value.relation in [ech.full_row(p) for p in ech.pivots()]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_non_identity_unit_action_is_descent_checked(field, monkeypatch):
+    """The unit of kZ2 acting by an idempotent other than the identity: the
+    skips are keyed on the matrix, not on the algebra's unit."""
+    clear_caches()
+    a = group_algebra_cyclic(field, 2)
+    n = regular_bimodule(a)
+    # kZ2 (+) k: on the left the unit acts by diag(1, 1, 0) and g swaps m0
+    # and m1 and kills m2; on the right the unit acts by the identity and g
+    # swaps m0 and m1 and fixes m2
+    unit = Matrix.from_rows(field, [[1, 0, 0], [0, 1, 0], [0, 0, 0]])
+    g = Matrix.from_rows(field, [[0, 1, 0], [1, 0, 0], [0, 0, 0]])
+    g_right = Matrix.from_rows(field, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+    m = Bimodule(a, a, 3, [unit, g], [plain_identity(field, 3), g_right],
+                 name="M")
+    assert not m.left_action[0].is_identity and m.right_action[0].is_identity
+    checked = []
+    real = bimodule._apply_kron_side
+
+    def spy(mat, other_dim, vec, left):
+        checked.append(mat)
+        return real(mat, other_dim, vec, left)
+
+    monkeypatch.setattr(bimodule, "_apply_kron_side", spy)
+    relations, ech = plain_tensor_relations(a, m, n)
+    assert raw_descent_message(m, n, relations, ech) is None
+    tq = tensor_over(a, m, n)
+    assert tq.relations == relations
+    assert any(mat is m.left_action[0] for mat in checked)
+    _check_against_plain(tq)
+    assert not tq.left_action[0].is_identity
+
+    # with the unit idempotent on the right too, its relations m2 (x) n = 0
+    # are built; the quotient kills m2, so the inherited unit action is the
+    # identity there and construction marks it
+    m = Bimodule(a, a, 3, [unit, g], [unit, g], name="M")
+    relations, ech = plain_tensor_relations(a, m, n)
+    tq = tensor_over(a, m, n)
+    assert tq.relations == relations
+    assert {2 * n.dim: field.neg(field.one())} in tq.relations
+    project, section = _plain_project_section(tq)
+    plain = plain_identity(field, n.dim)
+    assert tq.left_action[0] == project @ unmarked(unit).kron(plain) @ section
+    assert tq.left_action[0].is_identity
+
+    # an idempotent that moves m2 onto m0 does not descend
+    bad = Matrix.from_rows(field, [[1, 0, 1], [0, 1, 0], [0, 0, 0]])
+    m = Bimodule(a, a, 3, [bad, g], [unit, g], name="M")
+    assert not m.left_action[0].is_identity
+    relations, ech = plain_tensor_relations(a, m, n)
+    expected = raw_descent_message(m, n, relations, ech)
+    assert expected == "left action of 1 does not descend to (M(x)k[Z/2])"
+    with pytest.raises(WellDefinednessError) as err:
+        tensor_over(a, m, n)
+    assert str(err.value) == expected
+    assert err.value.relation == echelon_descent_relation(m, n, ech)
 
 
 def _assert_canonical(x, expected: Fraction):
