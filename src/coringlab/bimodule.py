@@ -14,9 +14,10 @@ representatives (project . section = id).  A bimodule stores every
 action equal to the identity as the marked identity.  A basis element whose
 two actions are both marked gives only zero relations and is skipped, so
 over the ground field the quotient is flat at no cost, and a marked action
-is inherited as the marked identity without a descent check.  The check
-that the other inherited actions descend runs on the echelon rows of the
-relation span, not on the raw relations.
+is inherited as the marked identity without a descent check.  Every other
+action K (act (x) I or I (x) act) descends when project . K vanishes on the
+relation span, which is ker project: one sparse test that project . K
+factors through project (`TensorQuotient.kills`).
 
 Iterated tensors are built left associated.  A `Space` wraps a factor list
 with the projection/section between its *factor-flat* space (the ground
@@ -327,40 +328,31 @@ class TensorQuotient(Bimodule):
         self.relations = relations
         self.echelon = echelon
 
-    def kills(self, vec: dict) -> bool:
-        """True when vec lies in the balancing relation span."""
-        if self.echelon is not None:
-            return not self.echelon.reduce(vec)
-        return not self.project.apply(vec)
+    def kills(self, mat: Matrix) -> bool:
+        """True when mat, a map out of the flat space, vanishes on the
+        balancing relation span.  That span is ker project, so this holds
+        exactly when mat factors through project: mat == (mat . section) .
+        project.  A flat quotient has no relations and kills every map."""
+        return not self.relations or (
+            mat == _through_section(mat, self.section) @ self.project)
 
     def basis_label(self, t) -> str:
         i, j = divmod(self.free_cols[t], self.factor_right.dim)
         return f"{self.factor_left.basis_label(i)}(x){self.factor_right.basis_label(j)}"
 
 
-def _apply_kron_side(mat: Matrix, other_dim: int, vec: dict, left: bool) -> dict:
-    """(mat (x) I).apply(vec) or (I (x) mat).apply(vec) without building kron."""
-    f = mat.field
-    out: dict = {}
-    cols = {}
-    for idx, v in vec.items():
-        if left:
-            i, j = divmod(idx, other_dim)
-            cols.setdefault(i, []).append((j, v))
-        else:
-            i, j = divmod(idx, mat.cols)
-            cols.setdefault(j, []).append((i, v))
-    mat_cols = mat.transpose().data
-    for c, pairs in cols.items():
-        for p, w in mat_cols.get(c, {}).items():
-            for j, v in pairs:
-                tgt = p * other_dim + j if left else j * mat.rows + p
-                u = f.add(out.get(tgt, f.zero()), f.mul(w, v))
-                if f.is_zero(u):
-                    out.pop(tgt, None)
-                else:
-                    out[tgt] = u
-    return out
+def _through_section(mat: Matrix, section: Matrix) -> Matrix:
+    """mat . section, taken as the free columns of mat: row c of a quotient's
+    section is {t: 1} when c is its t-th free column and empty otherwise."""
+    if section.is_identity:
+        return mat
+    sec = section.data
+    data = {}
+    for i, row in mat.data.items():
+        sel = {t: v for c, v in row.items() if c in sec for t in sec[c]}
+        if sel:
+            data[i] = sel
+    return Matrix(mat.field, mat.rows, section.cols, data)
 
 
 def tensor_over(a: FinAlgebra, m: Bimodule, n: Bimodule, name=None) -> TensorQuotient:
@@ -373,14 +365,17 @@ def tensor_over(a: FinAlgebra, m: Bimodule, n: Bimodule, name=None) -> TensorQuo
     `Bimodule` marks every action equal to the identity, so the unit of a
     unital bimodule is always skipped.
 
-    The inherited actions are checked to kill the balancing relations.  By
-    linearity it suffices to check the rows of their reduced echelon basis;
-    a violation (possible only for inconsistent input actions) raises
-    WellDefinednessError whose `relation` is the first such echelon row.
-    A marked action is inherited as the marked identity of the quotient
-    (project . section = id) and is not checked, since the identity keeps
-    the relation span; every other action, a unit acting by another
-    idempotent included, is computed and checked.
+    Each inherited action is pk . section for pk = project . K, with K the
+    action tensored with an identity, and it is well defined when K keeps
+    the relation span, that is when pk kills the relations
+    (`TensorQuotient.kills`, one test per action).  A violation (possible
+    only for inconsistent input actions) raises WellDefinednessError whose
+    `relation` is the first echelon row, in pivot order, that K moves out
+    of the span.  A marked action is inherited as the marked identity of
+    the quotient (project . section = id) and is not checked, since the
+    identity keeps the relation span; every other action, a unit acting by
+    another idempotent included, is computed and checked.  A flat quotient
+    has nothing to check.
     """
     return memo(m, ("tensor", id(a), id(n)),
                 lambda: _build_tensor(a, m, n, name))
@@ -445,43 +440,29 @@ def _build_tensor(a, m, n, name):
         # product and Kronecker product with them is a copy
         project = section = ident
 
-    left_action = [
-        ident if act.is_identity
-        else project @ _kron_matrix_side(act, dn, left=True) @ section
-        for act in m.left_action
-    ]
-    right_action = [
-        ident if act.is_identity
-        else project @ _kron_matrix_side(act, dm, left=False) @ section
-        for act in n.right_action
-    ]
+    left_pk = [None if act.is_identity
+               else project @ _kron_matrix_side(act, dn, left=True)
+               for act in m.left_action]
+    right_pk = [None if act.is_identity
+                else project @ _kron_matrix_side(act, dm, left=False)
+                for act in n.right_action]
     tq = TensorQuotient(
-        a, m, n, qdim, left_action, right_action, project, section,
-        free, relations, name or f"({m.name}(x){n.name})", echelon=ech,
+        a, m, n, qdim,
+        [ident if pk is None else _through_section(pk, section) for pk in left_pk],
+        [ident if pk is None else _through_section(pk, section) for pk in right_pk],
+        project, section, free, relations,
+        name or f"({m.name}(x){n.name})", echelon=ech,
     )
-    # the inherited actions must descend: they must map the relation span,
-    # spanned by the echelon rows, into itself (a marked identity does)
-    basis = [ech.full_row(p) for p in ech.pivots()]
-    for k in range(m.left_algebra.dim):
-        lk = m.left_action[k]
-        if lk.is_identity:
-            continue
-        for rel in basis:
-            img = _apply_kron_side(lk, dn, rel, left=True)
-            if not tq.kills(img):
-                raise WellDefinednessError(
-                    f"left action of {m.left_algebra.labels[k]} does not "
-                    f"descend to {tq.name}", relation=rel)
-    for k in range(n.right_algebra.dim):
-        rk = n.right_action[k]
-        if rk.is_identity:
-            continue
-        for rel in basis:
-            img = _apply_kron_side(rk, dm, rel, left=False)
-            if not tq.kills(img):
-                raise WellDefinednessError(
-                    f"right action of {n.right_algebra.labels[k]} does not "
-                    f"descend to {tq.name}", relation=rel)
+    if relations:
+        for side, alg, pks in (("left", m.left_algebra, left_pk),
+                               ("right", n.right_algebra, right_pk)):
+            for k, pk in enumerate(pks):
+                if pk is not None and not tq.kills(pk):
+                    rows = (ech.full_row(p) for p in ech.pivots())
+                    raise WellDefinednessError(
+                        f"{side} action of {alg.labels[k]} does not descend "
+                        f"to {tq.name}",
+                        relation=next(row for row in rows if pk.tapply(row)))
     return tq
 
 
@@ -495,19 +476,21 @@ def tensor_maps(f: LinearMap, g: LinearMap, source_q: TensorQuotient,
     """The induced map f (x) g between tensor quotients.
 
     Verifies well-definedness: f (x) g must carry the relation span of the
-    source into the kernel of the target projection.
+    source into the kernel of the target projection, that is
+    target.project . (f (x) g) must kill the source relations.  On a
+    violation `relation` is the first raw source relation not carried.
     """
     if source_q.factor_left.dim != f.domain.dim or source_q.factor_right.dim != g.domain.dim:
         raise InputError("source quotient factors do not match map domains")
     if target_q.factor_left.dim != f.codomain.dim or target_q.factor_right.dim != g.codomain.dim:
         raise InputError("target quotient factors do not match map codomains")
-    big = f.matrix.kron(g.matrix)
-    for rel in source_q.relations:
-        if not target_q.kills(big.tapply(rel)):
-            raise WellDefinednessError(
-                f"{f.name}(x){g.name} is not well defined on {source_q.name}: "
-                f"relation {sorted(rel.items())} not killed", relation=rel)
-    mat = target_q.project @ big @ source_q.section
+    mat = target_q.project @ f.matrix.kron(g.matrix)
+    if not source_q.kills(mat):
+        rel = next(rel for rel in source_q.relations if mat.tapply(rel))
+        raise WellDefinednessError(
+            f"{f.name}(x){g.name} is not well defined on {source_q.name}: "
+            f"relation {sorted(rel.items())} not killed", relation=rel)
+    mat = _through_section(mat, source_q.section)
     return LinearMap(source_q, target_q, mat, name or f"{f.name}(x){g.name}")
 
 

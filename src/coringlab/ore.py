@@ -133,15 +133,9 @@ def _rewrite_once(data: SkewPolyData, coeffs: dict) -> dict:
     out: dict = {}
     for i, vec in coeffs.items():
         for tgt_deg, mat in ((i + 1, data.sigma.matrix), (i, data.delta)):
-            img = mat.apply(vec)
+            img = mat.tapply(vec)
             if img:
-                tgt = out.setdefault(tgt_deg, {})
-                for k, c in img.items():
-                    u = f.add(tgt.get(k, f.zero()), c)
-                    if f.is_zero(u):
-                        tgt.pop(k, None)
-                    else:
-                        tgt[k] = u
+                f.axpy(out.setdefault(tgt_deg, {}), img, f.one())
     return {n: v for n, v in out.items() if v}
 
 
@@ -197,7 +191,7 @@ class OreTwistTable:
                 f"degree {n} exceeds the table bound {self.max_degree}")
         out = {}
         for i, mat in self.table[n].items():
-            img = mat.apply(bvec)
+            img = mat.tapply(bvec)
             if img:
                 out[i] = img
         return out

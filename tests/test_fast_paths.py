@@ -11,10 +11,17 @@
   identity.  `tensor_over` skips basis elements whose two actions are
   marked, gives a marked action the marked identity of the quotient as its
   inherited action without a descent check, reads columns from cached
-  transposes and checks descent on the echelon rows; relations, quotient
-  maps, actions, their markers and descent errors must match a plain
-  construction that reads every column with `Matrix.col`, multiplies
-  unmarked matrices and checks descent on every raw relation.
+  transposes and checks descent with one `TensorQuotient.kills` test per
+  action; relations, quotient maps, actions, their markers and descent
+  errors must match a plain construction that reads every column with
+  `Matrix.col`, multiplies unmarked matrices and checks descent on every
+  raw relation.
+* `TensorQuotient.kills` tests that a map factors through `project`
+  instead of checking each relation; on generated maps over kZ2 and kZ3 it
+  must agree with the per-relation check, and the errors of `tensor_maps`
+  must name the relation the plain first-raw-relation loop names.
+* The Ore twist table and rewrite apply their matrices by `tapply`; twists,
+  rewrites and reports must match the row loop of `Matrix.apply`.
 * QQ scalars are ints when integral and Fractions otherwise; every
   operation must agree with plain `Fraction` arithmetic.
 * Each field's `axpy` replaces a loop of `field.add` and `field.mul`; it
@@ -30,7 +37,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coringlab import bimodule
+from coringlab import bimodule, ore
 from coringlab.algebra import field_algebra, group_algebra_cyclic
 from coringlab.bimodule import (
     Bimodule,
@@ -45,11 +52,19 @@ from coringlab.bimodule import (
     leaf_factors,
     regular_bimodule,
     space,
+    tensor_maps,
     tensor_over,
 )
 from coringlab.coring import Coring, check_coring
 from coringlab.corpus import Corpus
 from coringlab.exactla import GF, QQ, Echelon, Matrix, solve
+from coringlab.ore import (
+    OreTwistTable,
+    check_ore_wreath,
+    ore_universal_check,
+    ore_vs_wreath_product,
+    twist_vs_skew_mul,
+)
 from coringlab.reports import InputError, PreconditionFailure, WellDefinednessError
 
 FIELDS = [QQ, GF(101)]
@@ -400,18 +415,20 @@ def test_non_identity_unit_action_is_descent_checked(field, monkeypatch):
                  name="M")
     assert not m.left_action[0].is_identity and m.right_action[0].is_identity
     checked = []
-    real = bimodule._apply_kron_side
+    real = TensorQuotient.kills
 
-    def spy(mat, other_dim, vec, left):
+    def spy(self, mat):
         checked.append(mat)
-        return real(mat, other_dim, vec, left)
+        return real(self, mat)
 
-    monkeypatch.setattr(bimodule, "_apply_kron_side", spy)
+    monkeypatch.setattr(TensorQuotient, "kills", spy)
     relations, ech = plain_tensor_relations(a, m, n)
     assert raw_descent_message(m, n, relations, ech) is None
     tq = tensor_over(a, m, n)
     assert tq.relations == relations
-    assert any(mat is m.left_action[0] for mat in checked)
+    project, _ = _plain_project_section(tq)
+    unit_pk = project @ unmarked(unit).kron(plain_identity(field, n.dim))
+    assert any(mat == unit_pk for mat in checked)
     _check_against_plain(tq)
     assert not tq.left_action[0].is_identity
 
@@ -873,3 +890,180 @@ def test_perturbed_coring_over_kz2_matches_leaf_pipe(data, which):
     assert fast.status == slow.status
     if bilinearity_report(c.comult).ok and bilinearity_report(c.counit).ok:
         assert fast.to_json() == slow.to_json()
+
+
+def _plain_kills(relations, mat):
+    """mat vanishes on every raw relation."""
+    return all(not mat.apply(rel) for rel in relations)
+
+
+@pytest.mark.parametrize("g", [2, 3])
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_kills_matches_per_relation_check(field, g, data):
+    """`kills` on project . K, for K an action tensored with the identity,
+    perturbed or not, and on maps out of the flat space that factor through
+    `project`, perturbed or not, against the plain per-relation checks."""
+    clear_caches()
+    base = group_algebra_cyclic(field, g)
+    m = data.draw(side_bimodule(field, base, True, "M"))
+    n = data.draw(side_bimodule(field, base, False, "N"))
+    tq = tensor_over(base, m, n)
+    relations, ech = plain_tensor_relations(base, m, n)
+    assert tq.relations == relations
+    flat = m.dim * n.dim
+    acts = ([unmarked(x).kron(plain_identity(field, n.dim)) for x in m.left_action]
+            + [plain_identity(field, m.dim).kron(unmarked(x))
+               for x in n.right_action])
+    for act in acts:
+        assert tq.kills(tq.project @ act)
+    act = data.draw(st.sampled_from(acts)) + data.draw(
+        perturbation(field, flat, flat))
+    assert tq.kills(tq.project @ act) == all(
+        not ech.reduce(act.apply(rel)) for rel in relations)
+    rows = data.draw(st.integers(1, 4))
+    through = data.draw(perturbation(field, rows, tq.dim)) @ tq.project
+    assert tq.kills(through)
+    mat = through + data.draw(perturbation(field, rows, flat))
+    assert tq.kills(mat) == _plain_kills(relations, mat)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_kills_rejects_non_descending_action(field):
+    clear_caches()
+    a = group_algebra_cyclic(field, 2)
+    reg = regular_bimodule(a)
+    tq = tensor_over(a, reg, reg)
+    twist = Matrix.from_entries(field, 2, 2, {(0, 0): field.one(),
+                                              (1, 1): field.neg(field.one())})
+    act = twist.kron(plain_identity(field, 2))
+    assert any(tq.echelon.reduce(act.apply(rel)) for rel in tq.relations)
+    assert not tq.kills(tq.project @ act)
+    assert not tq.kills(act) and not _plain_kills(tq.relations, act)
+
+
+@pytest.mark.parametrize("g", [2, 3])
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_tensor_maps_matches_first_raw_relation(field, g, data):
+    """f (x) g for perturbed identities f and g: an ill-defined one names
+    the first raw relation it does not carry into the target relations, a
+    well-defined one is the plain product."""
+    clear_caches()
+    base = group_algebra_cyclic(field, g)
+    m = data.draw(side_bimodule(field, base, True, "M"))
+    n = data.draw(side_bimodule(field, base, False, "N"))
+    tq = tensor_over(base, m, n)
+    relations, ech = plain_tensor_relations(base, m, n)
+    fmat = plain_identity(field, m.dim) + data.draw(
+        perturbation(field, m.dim, m.dim))
+    gmat = plain_identity(field, n.dim) + data.draw(
+        perturbation(field, n.dim, n.dim))
+    fmap, gmap = LinearMap(m, m, fmat, "f"), LinearMap(n, n, gmat, "g")
+    big = unmarked(fmat).kron(unmarked(gmat))
+    bad = next((rel for rel in relations if ech.reduce(big.apply(rel))), None)
+    if bad is None:
+        project, section = _plain_project_section(tq)
+        assert tensor_maps(fmap, gmap, tq, tq).matrix == project @ big @ section
+        return
+    with pytest.raises(WellDefinednessError) as err:
+        tensor_maps(fmap, gmap, tq, tq)
+    assert str(err.value) == (f"f(x)g is not well defined on {tq.name}: "
+                              f"relation {sorted(bad.items())} not killed")
+    assert err.value.relation == bad
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_flat_quotient_calls_kills_zero_times(field, monkeypatch):
+    clear_caches()
+    calls = []
+    real = TensorQuotient.kills
+
+    def spy(self, mat):
+        calls.append(mat)
+        return real(self, mat)
+
+    monkeypatch.setattr(TensorQuotient, "kills", spy)
+    k = field_algebra(field)
+    group = regular_bimodule(group_algebra_cyclic(field, 3))
+    # kZ3 acts on the left by non-identity matrices, which are inherited
+    m = Bimodule(group.left_algebra, k, group.dim, group.left_action,
+                 [Matrix.identity(field, group.dim)], name="G")
+    for tq in (tensor_over(k, m, k_bimodule(k, 2)),
+               tensor_over(k, k_bimodule(k, 2), k_bimodule(k, 3))):
+        assert not tq.relations
+    assert calls == []
+
+
+ORE_CASES = ["ore_commutative", "ore_quantum_plane", "ore_weyl", "ore_broken"]
+
+
+def plain_twist(table, n, bvec):
+    """`OreTwistTable.twist` by the row loop of `Matrix.apply`."""
+    out = {}
+    for i, mat in table.table[n].items():
+        img = mat.apply(bvec)
+        if img:
+            out[i] = img
+    return out
+
+
+def plain_rewrite_once(data, coeffs):
+    """`ore._rewrite_once` by the row loop of `Matrix.apply` and
+    `field.add`."""
+    f = data.coeff_algebra.field
+    out = {}
+    for i, vec in coeffs.items():
+        for deg, mat in ((i + 1, data.sigma.matrix), (i, data.delta)):
+            tgt = out.setdefault(deg, {})
+            for k, c in mat.apply(vec).items():
+                u = f.add(tgt.get(k, f.zero()), c)
+                if f.is_zero(u):
+                    tgt.pop(k, None)
+                else:
+                    tgt[k] = u
+    return {deg: v for deg, v in out.items() if v}
+
+
+def _nonzero_vector(field, n):
+    return st.dictionaries(st.integers(0, n - 1), st.integers(-6, 6).map(
+        field.from_int).filter(lambda v: not field.is_zero(v)), max_size=n)
+
+
+@pytest.mark.parametrize("case", ORE_CASES)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_ore_twist_and_rewrite_match_row_loop(case, data):
+    """Over QQ (commutative, quantum plane, broken derivation) and GF(3)
+    (Weyl)."""
+    d = getattr(Corpus(), case)
+    f, dim = d.coeff_algebra.field, d.coeff_algebra.dim
+    table = OreTwistTable(d, 4)
+    vec = data.draw(_nonzero_vector(f, dim))
+    for n in range(5):
+        assert table.twist(n, vec) == plain_twist(table, n, vec)
+    coeffs = data.draw(st.dictionaries(st.integers(0, 4), _nonzero_vector(f, dim),
+                                       max_size=3))
+    assert ore._rewrite_once(d, coeffs) == plain_rewrite_once(d, coeffs)
+
+
+@pytest.mark.parametrize("case", ORE_CASES)
+def test_ore_reports_match_row_loop(case, monkeypatch):
+    corpus = Corpus()
+    d = getattr(corpus, case)
+
+    def reports():
+        out = [check_ore_wreath(d, 4), ore_vs_wreath_product(d, 4),
+               twist_vs_skew_mul(d, 4)]
+        if case == "ore_weyl":
+            out.append(ore_universal_check(d, 4, *corpus.ore_weyl_target))
+        return out
+
+    fast = reports()
+    monkeypatch.setattr(OreTwistTable, "twist",
+                        lambda self, n, bvec: plain_twist(self, n, bvec))
+    monkeypatch.setattr(ore, "_rewrite_once", plain_rewrite_once)
+    assert fast == reports()
+    assert (case == "ore_broken") == any(not r.ok for r in fast)
