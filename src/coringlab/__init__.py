@@ -40,7 +40,7 @@ _EXPORTS_BY_MODULE = {
 # exported name -> the submodule that defines it
 _MODULE_OF = {name: module for module, names in _EXPORTS_BY_MODULE.items()
               for name in names}
-_SUBMODULES = (*_EXPORTS_BY_MODULE, "corpus", "session", "cli")
+_SUBMODULES = (*_EXPORTS_BY_MODULE, "corpus", "session", "session_write", "cli")
 
 __all__ = list(_MODULE_OF)
 

@@ -141,7 +141,8 @@ def run_check(s, kind, name):
 
 def run_build(s, kind, names, out):
     """Execute a build and serialize the result into the session."""
-    store = session_mod.SessionStore(s)
+    from .session_write import SessionStore
+    store = SessionStore(s)
     if kind == "entwined-coring":
         from .entwine import entwined_coring
         e = s.lookup("entwinings", names[0])
@@ -202,7 +203,8 @@ def main(argv=None) -> int:
             except PreconditionFailure as exc:
                 return emit([exc.report], args.format)
             if args.save:
-                session_mod.write_session(s.raw, args.save)
+                from .session_write import write_session
+                write_session(s.raw, args.save)
             return emit(reports, args.format)
         if args.command == "ore":
             from .ore import check_ore_wreath, ore_vs_wreath_product, twist_vs_skew_mul
@@ -218,9 +220,10 @@ def main(argv=None) -> int:
                 raise InputError("--save needs --out")
             out_map = run_adjoint(s, args)
             if args.out:
-                session_mod.SessionStore(s).map_name(out_map, args.out)
+                from .session_write import SessionStore, write_session
+                SessionStore(s).map_name(out_map, args.out)
                 if args.save:
-                    session_mod.write_session(s.raw, args.save)
+                    write_session(s.raw, args.save)
             payload = {
                 "name": out_map.name,
                 "matrix": session_mod._fmt_matrix(s.field, out_map.matrix),

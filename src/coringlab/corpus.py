@@ -280,7 +280,7 @@ CORPUS = Corpus()
 def corpus_sessions() -> dict:
     """Raw session dictionaries for the shipped example files."""
     from .coring import comodule_over_itself
-    from .session import SessionStore
+    from .session_write import SessionStore
 
     out = {}
 

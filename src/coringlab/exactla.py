@@ -589,6 +589,8 @@ class Echelon:
 
     def free_columns(self):
         piv = self.pivot_rows
+        if not piv:
+            return tuple(range(self.ncols))
         return tuple(c for c in range(self.ncols) if c not in piv)
 
     def full_row(self, pivot) -> dict:
