@@ -59,3 +59,12 @@ def test_no_command_loads_dataclasses(loaded):
     for name, (_, modules) in loaded.items():
         assert "dataclasses" not in modules, name
         assert "inspect" not in modules, name
+
+
+WRITING = ("build cowreath-product", "build lift")
+
+
+def test_only_builds_load_the_session_writer(loaded):
+    assert set(WRITING) <= set(loaded)
+    for name, (_, modules) in loaded.items():
+        assert ("coringlab.session_write" in modules) == (name in WRITING), name

@@ -22,6 +22,9 @@
   must name the relation the plain first-raw-relation loop names.
 * The Ore twist table and rewrite apply their matrices by `tapply`; twists,
   rewrites and reports must match the row loop of `Matrix.apply`.
+* `Echelon.free_columns` of an echelon without pivots, which every flat
+  quotient has, is `range(ncols)`; with and without pivots it must equal
+  the column-by-column test against `pivot_rows`.
 * QQ scalars are ints when integral and Fractions otherwise; every
   operation must agree with plain `Fraction` arithmetic.
 * Each field's `axpy` replaces a loop of `field.add` and `field.mul`; it
@@ -567,6 +570,30 @@ def test_axpy_matches_plain_field_loop(field, data):
                            else Fraction)
     if field.is_zero(coeff):
         assert got == target
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_free_columns_match_plain_scan(field, data):
+    ncols = data.draw(st.integers(0, 8))
+    ech = Echelon(field, ncols)
+    vecs = data.draw(st.lists(st.dictionaries(
+        st.integers(0, max(ncols - 1, 0)), st.integers(-3, 3).map(field.parse),
+        max_size=ncols), max_size=4))
+    for vec in vecs:
+        ech.add({c: v for c, v in vec.items() if not field.is_zero(v)})
+    plain = tuple(c for c in range(ncols) if c not in ech.pivot_rows)
+    assert ech.free_columns() == plain
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_free_columns_with_and_without_pivots(field):
+    ech = Echelon(field, 5)
+    assert ech.free_columns() == (0, 1, 2, 3, 4)
+    ech.add({1: field.one(), 3: field.from_int(2)})
+    assert ech.free_columns() == (0, 2, 3, 4)
+    assert Echelon(field, 0).free_columns() == ()
 
 
 def test_axpy_cancels_and_canonicalizes():

@@ -1,0 +1,108 @@
+"""`serialize_session` writes session text directly; it must give exactly
+the text of `json.dumps(raw, indent=1, sort_keys=True)`, which stays here
+as the oracle.  It is checked on the shipped files, on `SessionStore`
+output for the corpus corings, cowreaths, products and lifts and for the
+ladder products over QQ and GF(101), and on generated JSON trees."""
+
+import glob
+import json
+import os
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from coringlab.coring import grouplike_coalgebra
+from coringlab.cowreath import cowreath_product, flip_cowreath
+from coringlab.exactla import GF, QQ
+from coringlab.session import SessionStore, serialize_session
+
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+SHIPPED = sorted(glob.glob(os.path.join(ROOT, "sessions", "*.json"))) + [
+    os.path.join(ROOT, "perfbench", "fixtures", "my_session.json")]
+CORINGS = ("triv_z2", "c2", "c3", "gp")
+COWREATHS = ("flip_cw", "flip_cw3", "unit_cw", "dl_cw", "lifted_flip_cw",
+             "lifted_dk_cw")
+
+
+def oracle(raw):
+    return json.dumps(raw, indent=1, sort_keys=True)
+
+
+def test_shipped_files_exist():
+    assert len(SHIPPED) > 1 and all(os.path.exists(p) for p in SHIPPED)
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=os.path.basename)
+def test_shipped_file_is_its_serialization(path):
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    raw = json.loads(text)
+    assert serialize_session(raw) == oracle(raw)
+    assert serialize_session(raw) + "\n" == text
+
+
+def test_corpus_objects_products_and_lifts(corpus):
+    for name in CORINGS + COWREATHS:
+        obj = corpus.dl_cw[0] if name == "dl_cw" else getattr(corpus, name)
+        store = SessionStore.empty(QQ)
+        if name in CORINGS:
+            store.add_coring("P", obj)
+        else:
+            store.add_cowreath("W", obj)
+            store.add_coring("P", cowreath_product(obj)[0])
+        assert serialize_session(store.raw) == oracle(store.raw), name
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=repr)
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_ladder_products(field, n):
+    w = flip_cowreath(grouplike_coalgebra(field, n, name=f"C{n}"),
+                      grouplike_coalgebra(field, n, name=f"D{n}"))
+    product, _ = cowreath_product(w)
+    store = SessionStore.empty(field)
+    store.add_coring("P", product)
+    assert serialize_session(store.raw) == oracle(store.raw)
+
+
+# strings that need escapes: quotes, backslashes, control characters,
+# non-ASCII, the line separator U+2028 and astral characters
+TEXT = st.text(st.one_of(
+    st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "\u00e9",
+                     "\u2028", "\U0001F600", "/", " ", "0"]),
+    st.characters()), max_size=6)
+LEAVES = st.one_of(
+    TEXT, st.booleans(), st.none(),
+    st.integers(-10, 10), st.integers(min_value=-10**40, max_value=10**40),
+    st.floats())
+TREES = st.recursive(
+    LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(TEXT, max_size=4),
+        st.dictionaries(TEXT, children, max_size=4)),
+    max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tree=TREES)
+def test_generated_trees(tree):
+    assert serialize_session(tree) == oracle(tree)
+
+
+@pytest.mark.parametrize("tree", [
+    {}, [], {"a": []}, {"a": {}}, [[]], [{}], [[], {}, [[]]],
+    ["x", ["y", "z"]], ["x", 1, None, True, False], [1, "x"],
+    ("x", ("y",)), {"t": ()}, [("0", "1"), ("2", "3")],
+    {"k": [["1", "0"], ["-1/2", "0"]], "e": {"": [{}]}},
+    {'q"\\\n\u2028\U0001F600\u00e9': ['\x00"\\', "\u2028", "\U0001F600"]},
+], ids=repr)
+def test_edge_trees(tree):
+    assert serialize_session(tree) == oracle(tree)
+
+
+def test_session_module_resolves_the_writer():
+    from coringlab import session, session_write
+    for name in ("SessionStore", "serialize_session", "write_session"):
+        assert getattr(session, name) is getattr(session_write, name)
+    with pytest.raises(AttributeError):
+        session.no_such_name
