@@ -6,6 +6,15 @@ polynomials multiply through the same rewrite but on an unrelated data
 structure, so the two act as mutual oracles.  All wreath verifications are
 degree bounded: inputs are chosen so no output exceeds the bound, making
 every reported pass exact rather than a truncation.
+
+Each side computes a value once.  `skew_mul` keeps the rewrite Y^n . c in a
+memo on the `SkewPolyData`, keyed on (n, c), so it lives exactly as long as
+the data and references nothing that points back at it; it never reads an
+`OreTwistTable`.  A table twists each basis vector once per degree, and the
+checks below read those twists and form each product once instead of
+recomputing them inside their loops.  Neither hands a cached dict to a
+caller: `twist`, `ore_twist` and `skew_mul` return fresh dicts.  Like every
+structure here, a `SkewPolyData` is treated as immutable once built.
 """
 
 from __future__ import annotations
@@ -31,6 +40,9 @@ class SkewPolyData(Record):
         self.sigma = sigma
         self.delta = delta
         self.name = name
+        # Y^n . c by the rewrite, keyed on (n, frozenset(c.items())); read
+        # only through `_rewritten`
+        self._rewrites = {}
 
 
 def check_skew_data(d: SkewPolyData) -> Report:
@@ -139,23 +151,33 @@ def _rewrite_once(data: SkewPolyData, coeffs: dict) -> dict:
     return {n: v for n, v in out.items() if v}
 
 
+def _rewritten(d: SkewPolyData, n: int, cvec: dict) -> dict:
+    """Y^n . c as {degree: vector}: n rewrites of c, each kept in the memo
+    on d.  The result is shared with the memo and must not be mutated."""
+    if n <= 0:
+        return {0: cvec}
+    memo = d._rewrites
+    key = frozenset(cvec.items())
+    done = n
+    while done and (done, key) not in memo:
+        done -= 1
+    moved = memo[done, key] if done else {0: cvec}
+    for k in range(done + 1, n + 1):
+        moved = memo[k, key] = _rewrite_once(d, moved)
+    return moved
+
+
 def skew_mul(d: SkewPolyData, p: SkewPoly, q: SkewPoly) -> SkewPoly:
     """Product under the rewrite rule, left-coefficient convention."""
     b = d.coeff_algebra
     f = b.field
-    out = SkewPoly(d)
+    one = f.one()
+    out: dict = {}
     for n, bvec in p.coeffs.items():
         for m, cvec in q.coeffs.items():
-            moved = {0: dict(cvec)}
-            for _ in range(n):
-                moved = _rewrite_once(d, moved)
-            acc = {}
-            for i, vec in moved.items():
-                prod = b.mul_vec(bvec, vec)
-                if prod:
-                    acc[i + m] = prod
-            out = out + SkewPoly(d, acc)
-    return out
+            for i, vec in _rewritten(d, n, cvec).items():
+                f.axpy(out.setdefault(i + m, {}), b.mul_vec(bvec, vec), one)
+    return SkewPoly(d, out)
 
 
 # ---------------------------------------------------------------------------
@@ -183,9 +205,12 @@ class OreTwistTable:
                     cur = nxt.get(tgt)
                     nxt[tgt] = step @ mat if cur is None else cur + step @ mat
             self.table.append({i: m for i, m in nxt.items() if not m.is_zero()})
+        self._basis = [None] * (max_degree + 1)
 
     def twist(self, n: int, bvec: dict) -> dict:
         """Coefficients {degree: vector} of the twist on X^n (x) b."""
+        if n < 0:
+            raise InputError(f"negative degree {n}")
         if n > self.max_degree:
             raise InputError(
                 f"degree {n} exceeds the table bound {self.max_degree}")
@@ -195,6 +220,17 @@ class OreTwistTable:
             if img:
                 out[i] = img
         return out
+
+    def _basis_twists(self, n: int) -> list:
+        """[twist(n, e_k) for each basis vector e_k], computed once per
+        degree 0 <= n <= max_degree and shared: callers must not mutate it."""
+        got = self._basis[n]
+        if got is None:
+            one = self.data.coeff_algebra.field.one()
+            got = self._basis[n] = [
+                self.twist(n, {k: one})
+                for k in range(self.data.coeff_algebra.dim)]
+        return got
 
 
 def ore_twist(t: OreTwistTable, n: int, bvec: dict) -> dict:
@@ -207,6 +243,17 @@ def _fmt_poly(b: FinAlgebra, coeffs: dict) -> str:
     return " + ".join(f"({b.fmt_vec(coeffs[n])})X^{n}" for n in sorted(coeffs))
 
 
+def _left_mul(b: FinAlgebra, u: dict, poly: dict, shift: int = 0) -> dict:
+    """u . poly for a {degree: vector} poly, degrees raised by shift and
+    zero coefficients dropped."""
+    out = {}
+    for deg, vec in poly.items():
+        prod = b.mul_vec(u, vec)
+        if prod:
+            out[deg + shift] = prod
+    return out
+
+
 def check_ore_wreath(d: SkewPolyData, bound: int) -> Report:
     """Degree-bounded wreath laws for the inductive twist with unit
     X^n -> 1 (x) X^n and multiplication b (x) b' (x) X^n -> bb' (x) X^n."""
@@ -214,30 +261,25 @@ def check_ore_wreath(d: SkewPolyData, bound: int) -> Report:
     rep.extend(check_skew_data(d))
     b = d.coeff_algebra
     f = b.field
+    one_f = f.one()
     table = OreTwistTable(d, bound)
+    # tw[n][k] is the twist of X^n (x) e_k
+    tw = [table._basis_twists(n) for n in range(bound + 1)]
+    basis = [{i: one_f} for i in range(b.dim)]
 
-    for i in range(b.dim):
-        e = {i: f.one()}
-        if table.twist(0, e) != {0: e}:
+    for i, e in enumerate(basis):
+        if tw[0][i] != {0: e}:
             rep.add(Witness("rt-unit", (b.labels[i],),
-                            _fmt_poly(b, table.twist(0, e)),
-                            _fmt_poly(b, {0: e})))
+                            _fmt_poly(b, tw[0][i]), _fmt_poly(b, {0: e})))
 
     for n in range(bound + 1):
         for m in range(bound + 1 - n):
             for idx in range(b.dim):
-                e = {idx: f.one()}
-                lhs = table.twist(n + m, e)
+                lhs = tw[n + m][idx]
                 rhs: dict = {}
-                for i, vec in table.twist(m, e).items():
+                for i, vec in tw[m][idx].items():
                     for j, vec2 in table.twist(n, vec).items():
-                        tgt = rhs.setdefault(i + j, {})
-                        for k, c in vec2.items():
-                            u = f.add(tgt.get(k, f.zero()), c)
-                            if f.is_zero(u):
-                                tgt.pop(k, None)
-                            else:
-                                tgt[k] = u
+                        f.axpy(rhs.setdefault(i + j, {}), vec2, one_f)
                 rhs = {k: v for k, v in rhs.items() if v}
                 if lhs != rhs:
                     rep.add(Witness("rt-mult", (n, m, b.labels[idx]),
@@ -254,22 +296,13 @@ def check_ore_wreath(d: SkewPolyData, bound: int) -> Report:
     # must match threading through bb'
     for n in range(bound + 1):
         for i in range(b.dim):
-            bi = {i: f.one()}
-            ti = table.twist(n, bi)
+            ti = tw[n][i]
             for j in range(b.dim):
-                bj = {j: f.one()}
-                lhs: dict = {}
+                lhs = {}
                 for deg1, vec1 in ti.items():
-                    for deg2, vec2 in table.twist(deg1, bj).items():
-                        prod = b.mul_vec(vec1, vec2)
-                        if prod:
-                            tgt = lhs.setdefault(deg2, {})
-                            for k, c in prod.items():
-                                u = f.add(tgt.get(k, f.zero()), c)
-                                if f.is_zero(u):
-                                    tgt.pop(k, None)
-                                else:
-                                    tgt[k] = u
+                    for deg2, vec2 in tw[deg1][j].items():
+                        f.axpy(lhs.setdefault(deg2, {}),
+                               b.mul_vec(vec1, vec2), one_f)
                 lhs = {k: v for k, v in lhs.items() if v}
                 rhs = table.twist(n, b.mult[i][j])
                 if lhs != rhs:
@@ -279,33 +312,21 @@ def check_ore_wreath(d: SkewPolyData, bound: int) -> Report:
 
     # the three wreath diagrams on monomial inputs
     for n in range(bound + 1):
-        for i in range(b.dim):
-            bi = {i: f.one()}
+        # e_j . tw(X^n (x) e_k), shared by every i below
+        jk = [[_left_mul(b, ej, tk) for tk in tw[n]] for ej in basis]
+        for i, bi in enumerate(basis):
             # unit section: mu.(B x eta) applied to b (x) X^n
             if b.mul_vec(bi, one) != bi:
                 rep.add(Witness("w-unit", (b.labels[i], n), "b.1", "b"))
             # twist compatibility: mu.(B x tw).(eta x B) = tw
-            lhs = {}
-            for deg, vec in table.twist(n, bi).items():
-                prod = b.mul_vec(one, vec)
-                if prod:
-                    lhs[deg] = prod
-            if lhs != table.twist(n, bi):
+            lhs = _left_mul(b, one, tw[n][i])
+            if lhs != tw[n][i]:
                 rep.add(Witness("w-twist", (n, b.labels[i]),
-                                _fmt_poly(b, lhs),
-                                _fmt_poly(b, table.twist(n, bi))))
+                                _fmt_poly(b, lhs), _fmt_poly(b, tw[n][i])))
             for j in range(b.dim):
                 for k in range(b.dim):
-                    lhs = {}
-                    for deg, vec in table.twist(n, {k: f.one()}).items():
-                        prod = b.mul_vec(b.mult[i][j], vec)
-                        if prod:
-                            lhs[deg] = prod
-                    rhs = {}
-                    for deg, vec in table.twist(n, {k: f.one()}).items():
-                        prod = b.mul_vec({i: f.one()}, b.mul_vec({j: f.one()}, vec))
-                        if prod:
-                            rhs[deg] = prod
+                    lhs = _left_mul(b, b.mult[i][j], tw[n][k])
+                    rhs = _left_mul(b, bi, jk[j][k])
                     if lhs != rhs:
                         rep.add(Witness("w-assoc",
                                         (b.labels[i], b.labels[j], n, b.labels[k]),
@@ -316,13 +337,7 @@ def check_ore_wreath(d: SkewPolyData, bound: int) -> Report:
 def wreath_monomial_product(table: OreTwistTable, bvec: dict, n: int,
                             cvec: dict, m: int) -> dict:
     """(b (x) X^n)(c (x) X^m) through the twist table; {degree: vector}."""
-    b = table.data.coeff_algebra
-    out = {}
-    for i, vec in table.twist(n, cvec).items():
-        prod = b.mul_vec(bvec, vec)
-        if prod:
-            out[i + m] = prod
-    return out
+    return _left_mul(table.data.coeff_algebra, bvec, table.twist(n, cvec), m)
 
 
 def ore_vs_wreath_product(d: SkewPolyData, bound: int) -> Report:
@@ -332,17 +347,18 @@ def ore_vs_wreath_product(d: SkewPolyData, bound: int) -> Report:
     b = d.coeff_algebra
     f = b.field
     table = OreTwistTable(d, bound)
+    basis = [{i: f.one()} for i in range(b.dim)]
+    monos = [[SkewPoly.monomial(d, e, n) for e in basis]
+             for n in range(bound + 1)]
     for n in range(bound + 1):
+        # (e_i (x) X^n)(e_j (x) 1) through the table; X^m only shifts it
+        prods = [[_left_mul(b, ei, tj) for tj in table._basis_twists(n)]
+                 for ei in basis]
         for m in range(bound + 1 - n):
             for i in range(b.dim):
                 for j in range(b.dim):
-                    lhs = wreath_monomial_product(
-                        table, {i: f.one()}, n, {j: f.one()}, m)
-                    rhs = skew_mul(
-                        d,
-                        SkewPoly.monomial(d, {i: f.one()}, n),
-                        SkewPoly.monomial(d, {j: f.one()}, m),
-                    ).coeffs
+                    lhs = {deg + m: v for deg, v in prods[i][j].items()}
+                    rhs = skew_mul(d, monos[n][i], monos[m][j]).coeffs
                     if lhs != rhs:
                         rep.add(Witness(
                             "product-mismatch",

@@ -22,6 +22,13 @@
   must name the relation the plain first-raw-relation loop names.
 * The Ore twist table and rewrite apply their matrices by `tapply`; twists,
   rewrites and reports must match the row loop of `Matrix.apply`.
+* `skew_mul` reads Y^n . c from a memo on the `SkewPolyData` and sums into
+  one dict, and the Ore checks twist each basis vector once per table and
+  form each product once; products, twists and reports (witness order
+  included) must match the plain rewrite loop, a fresh `tapply` twist and
+  the re-twisting check loops, from a cold and a warm memo.  `skew_mul`
+  must never read a twist table, no cached dict may reach a caller, and a
+  dropped `SkewPolyData` must be freed without the cyclic collector.
 * `Echelon.free_columns` of an echelon without pivots, which every flat
   quotient has, is `range(ncols)`; with and without pivots it must equal
   the column-by-column test against `pivot_rows`.
@@ -41,7 +48,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coringlab import bimodule, ore
-from coringlab.algebra import field_algebra, group_algebra_cyclic
+from coringlab.algebra import (
+    AlgebraMorphism,
+    FinAlgebra,
+    field_algebra,
+    group_algebra_cyclic,
+    truncated_poly_algebra,
+)
 from coringlab.bimodule import (
     Bimodule,
     LinearMap,
@@ -63,6 +76,7 @@ from coringlab.corpus import Corpus
 from coringlab.exactla import GF, QQ, Echelon, Matrix, solve
 from coringlab.ore import (
     OreTwistTable,
+    SkewPolyData,
     check_ore_wreath,
     ore_universal_check,
     ore_vs_wreath_product,
@@ -1094,3 +1108,410 @@ def test_ore_reports_match_row_loop(case, monkeypatch):
     monkeypatch.setattr(ore, "_rewrite_once", plain_rewrite_once)
     assert fast == reports()
     assert (case == "ore_broken") == any(not r.ok for r in fast)
+
+
+# -- the Ore rewrite memo, basis twists and single accumulator ---------------
+#
+# `skew_mul` reads Y^n . c from a memo on the `SkewPolyData` and accumulates
+# into one dict; the checks read each basis twist once per table and form
+# each product once.  The oracles below are the plain paths they replace:
+# n calls of `_rewrite_once` per term summed by `SkewPoly.__add__`, the
+# uncached `tapply` twist, and the check loops that re-twist and re-multiply
+# inside every iteration.
+
+ORE_GEN_FIELDS = [QQ, GF(101)]
+
+
+def plain_skew_mul(d, p, q):
+    """The product by n calls of `ore._rewrite_once` per term, each term a
+    `SkewPoly` added to the running sum."""
+    b = d.coeff_algebra
+    out = ore.SkewPoly(d)
+    for n, bvec in p.coeffs.items():
+        for m, cvec in q.coeffs.items():
+            moved = {0: dict(cvec)}
+            for _ in range(n):
+                moved = ore._rewrite_once(d, moved)
+            acc = {}
+            for i, vec in moved.items():
+                prod = b.mul_vec(bvec, vec)
+                if prod:
+                    acc[i + m] = prod
+            out = out + ore.SkewPoly(d, acc)
+    return out
+
+
+def tapply_twist(table, n, bvec):
+    """The twist by one `tapply` per table matrix, computed afresh."""
+    if not 0 <= n <= table.max_degree:
+        raise InputError(f"degree {n} out of range")
+    out = {}
+    for i, mat in table.table[n].items():
+        img = mat.tapply(bvec)
+        if img:
+            out[i] = img
+    return out
+
+
+def _plain_add_into(f, tgt, vec):
+    for k, c in vec.items():
+        u = f.add(tgt.get(k, f.zero()), c)
+        if f.is_zero(u):
+            tgt.pop(k, None)
+        else:
+            tgt[k] = u
+
+
+def plain_check_ore_wreath(d, bound):
+    """`check_ore_wreath` that twists and multiplies inside every loop."""
+    fmt = ore._fmt_poly
+    rep = ore.Report(f"ore wreath {d.name} (degree <= {bound})")
+    rep.extend(ore.check_skew_data(d))
+    b = d.coeff_algebra
+    f = b.field
+    table = ore.OreTwistTable(d, bound)
+    tw = lambda n, v: tapply_twist(table, n, v)  # noqa: E731
+    W = ore.Witness
+    for i in range(b.dim):
+        e = {i: f.one()}
+        if tw(0, e) != {0: e}:
+            rep.add(W("rt-unit", (b.labels[i],), fmt(b, tw(0, e)), fmt(b, {0: e})))
+    for n in range(bound + 1):
+        for m in range(bound + 1 - n):
+            for idx in range(b.dim):
+                e = {idx: f.one()}
+                lhs = tw(n + m, e)
+                rhs = {}
+                for i, vec in tw(m, e).items():
+                    for j, vec2 in tw(n, vec).items():
+                        _plain_add_into(f, rhs.setdefault(i + j, {}), vec2)
+                rhs = {k: v for k, v in rhs.items() if v}
+                if lhs != rhs:
+                    rep.add(W("rt-mult", (n, m, b.labels[idx]), fmt(b, lhs), fmt(b, rhs)))
+    one = b.unit_vector()
+    for n in range(bound + 1):
+        if tw(n, one) != {n: one}:
+            rep.add(W("eta-left-linear", (n,), fmt(b, tw(n, one)), fmt(b, {n: one})))
+    for n in range(bound + 1):
+        for i in range(b.dim):
+            for j in range(b.dim):
+                lhs = {}
+                for deg1, vec1 in tw(n, {i: f.one()}).items():
+                    for deg2, vec2 in tw(deg1, {j: f.one()}).items():
+                        prod = b.mul_vec(vec1, vec2)
+                        if prod:
+                            _plain_add_into(f, lhs.setdefault(deg2, {}), prod)
+                lhs = {k: v for k, v in lhs.items() if v}
+                rhs = tw(n, b.mult[i][j])
+                if lhs != rhs:
+                    rep.add(W("mu-left-linear", (n, b.labels[i], b.labels[j]),
+                              fmt(b, lhs), fmt(b, rhs)))
+
+    def times(u, poly):
+        return {deg: p for deg, vec in poly.items() if (p := b.mul_vec(u, vec))}
+
+    for n in range(bound + 1):
+        for i in range(b.dim):
+            bi = {i: f.one()}
+            if b.mul_vec(bi, one) != bi:
+                rep.add(W("w-unit", (b.labels[i], n), "b.1", "b"))
+            lhs = times(one, tw(n, bi))
+            if lhs != tw(n, bi):
+                rep.add(W("w-twist", (n, b.labels[i]), fmt(b, lhs), fmt(b, tw(n, bi))))
+            for j in range(b.dim):
+                for k in range(b.dim):
+                    lhs = times(b.mult[i][j], tw(n, {k: f.one()}))
+                    rhs = times(bi, times({j: f.one()}, tw(n, {k: f.one()})))
+                    if lhs != rhs:
+                        rep.add(W("w-assoc", (b.labels[i], b.labels[j], n, b.labels[k]),
+                                  fmt(b, lhs), fmt(b, rhs)))
+    return rep
+
+
+def plain_ore_vs_wreath_product(d, bound):
+    """`ore_vs_wreath_product` with a fresh twist, product and monomials for
+    every (n, m, i, j)."""
+    rep = ore.Report(f"ore product comparison {d.name} (degree <= {bound})")
+    b = d.coeff_algebra
+    f = b.field
+    table = ore.OreTwistTable(d, bound)
+    for n in range(bound + 1):
+        for m in range(bound + 1 - n):
+            for i in range(b.dim):
+                for j in range(b.dim):
+                    lhs = {}
+                    for deg, vec in tapply_twist(table, n, {j: f.one()}).items():
+                        prod = b.mul_vec({i: f.one()}, vec)
+                        if prod:
+                            lhs[deg + m] = prod
+                    rhs = plain_skew_mul(d, ore.SkewPoly.monomial(d, {i: f.one()}, n),
+                                         ore.SkewPoly.monomial(d, {j: f.one()}, m)).coeffs
+                    if lhs != rhs:
+                        rep.add(ore.Witness("product-mismatch", (b.labels[i], n, b.labels[j], m),
+                                            ore._fmt_poly(b, lhs), ore._fmt_poly(b, rhs)))
+    return rep
+
+
+def plain_twist_vs_skew_mul(d, bound):
+    rep = ore.Report(f"twist table vs rewrite {d.name}")
+    b = d.coeff_algebra
+    f = b.field
+    table = ore.OreTwistTable(d, bound)
+    for n in range(bound + 1):
+        for i in range(b.dim):
+            via_table = tapply_twist(table, n, {i: f.one()})
+            via_mul = plain_skew_mul(d, ore.SkewPoly.y(d, n),
+                                     ore.SkewPoly.monomial(d, {i: f.one()}, 0)).coeffs
+            if via_table != via_mul:
+                rep.add(ore.Witness("twist-vs-rewrite", (n, b.labels[i]),
+                                    ore._fmt_poly(b, via_table), ore._fmt_poly(b, via_mul)))
+    return rep
+
+
+def _ore_scalar(field):
+    """Small scalars; the denominators are units in GF(3) and GF(101)."""
+    return st.builds(Fraction, st.integers(-4, 4),
+                     st.sampled_from([1, 2, 4])).map(field.parse)
+
+
+def _ore_vector(field, dim):
+    return st.dictionaries(st.integers(0, dim - 1), _ore_scalar(field), max_size=dim)
+
+
+@st.composite
+def generated_skew_data(draw, field):
+    """Arbitrary sigma and delta on k[x]/(x^dim) or on arbitrary structure
+    constants: the rewrite and the table need no validity, and invalid data
+    makes every law of the checks report witnesses."""
+    dim = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        B = truncated_poly_algebra(field, dim)
+    else:
+        vec = _ore_vector(field, dim)
+        B = FinAlgebra(field, dim, [[draw(vec) for _ in range(dim)]
+                                    for _ in range(dim)], draw(vec))
+    cells = st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1))
+    sigma = Matrix.from_entries(field, dim, dim, draw(
+        st.dictionaries(cells, _ore_scalar(field), max_size=dim * dim)))
+    delta = Matrix.from_entries(field, dim, dim, draw(
+        st.dictionaries(cells, _ore_scalar(field), max_size=dim * dim)))
+    return SkewPolyData(B, AlgebraMorphism(B, B, sigma, name="s"), delta, name="gen")
+
+
+def _ore_poly(d, data):
+    f, dim = d.coeff_algebra.field, d.coeff_algebra.dim
+    return ore.SkewPoly(d, data.draw(st.dictionaries(
+        st.integers(0, 4), _ore_vector(f, dim), max_size=3)))
+
+
+def _fresh_corpus_data(case):
+    return getattr(Corpus(), case)
+
+
+ORE_DATA = ([pytest.param(lambda data, c=c: _fresh_corpus_data(c), id=c)
+             for c in ORE_CASES]
+            + [pytest.param(lambda data, f=f: data.draw(generated_skew_data(f)),
+                            id=f"generated-{f.name}") for f in ORE_GEN_FIELDS])
+
+
+def _count_rewrites(monkeypatch):
+    calls = []
+    real = ore._rewrite_once
+
+    def counted(d, coeffs):
+        calls.append(1)
+        return real(d, coeffs)
+
+    monkeypatch.setattr(ore, "_rewrite_once", counted)
+    return calls
+
+
+@pytest.mark.parametrize("make", ORE_DATA)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_skew_mul_matches_plain_rewrite_loop(make, data):
+    """Multi-term products from a cold memo, the same products from a warm
+    one, and products that reuse part of it, all equal the plain loop."""
+    d = make(data)
+    pairs = [(_ore_poly(d, data), _ore_poly(d, data)) for _ in range(3)]
+    expected = [plain_skew_mul(d, p, q) for p, q in pairs]
+    cold = [ore.skew_mul(d, p, q) for p, q in pairs]
+    warm = [ore.skew_mul(d, p, q) for p, q in pairs]
+    assert cold == expected == warm
+    for r in cold:
+        assert all(r.coeffs.values())
+        assert all(not d.coeff_algebra.field.is_zero(c)
+                   for vec in r.coeffs.values() for c in vec.values())
+
+
+@pytest.mark.parametrize("field", ORE_GEN_FIELDS, ids=repr)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_warm_skew_mul_rewrites_nothing(field, data):
+    """A warm memo answers Y^n . c without rewriting, and a higher degree
+    continues from the highest rewrite kept."""
+    d = data.draw(generated_skew_data(field))
+    c = data.draw(_ore_vector(field, d.coeff_algebra.dim))
+    y = lambda n: ore.SkewPoly.monomial(d, {0: field.one()}, n)  # noqa: E731
+    cpoly = ore.SkewPoly(d, {0: c})
+    expected = {n: plain_skew_mul(d, y(n), cpoly) for n in (2, 3, 5)}
+    rewrites = 1 if cpoly.coeffs else 0
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _count_rewrites(mp)
+        assert ore.skew_mul(d, y(3), cpoly) == expected[3]
+        assert len(calls) == 3 * rewrites
+        calls.clear()
+        assert ore.skew_mul(d, y(3), cpoly) == expected[3]
+        assert ore.skew_mul(d, y(2), cpoly) == expected[2]
+        assert calls == []
+        assert ore.skew_mul(d, y(5), cpoly) == expected[5]
+        assert len(calls) == 2 * rewrites
+
+
+@pytest.mark.parametrize("make", ORE_DATA)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_twists_match_uncached_tapply(make, data):
+    """Basis twists, kept once per degree, and twists of non-basis vectors,
+    asked twice, equal a fresh `tapply` per table matrix."""
+    d = make(data)
+    f, dim = d.coeff_algebra.field, d.coeff_algebra.dim
+    table = OreTwistTable(d, 4)
+    vecs = [data.draw(_ore_vector(f, dim)) for _ in range(3)]
+    for n in range(5):
+        assert table._basis_twists(n) == [
+            tapply_twist(table, n, {k: f.one()}) for k in range(dim)]
+        assert table._basis_twists(n) is table._basis_twists(n)
+        for v in vecs:
+            assert table.twist(n, v) == tapply_twist(table, n, v)
+            assert ore.ore_twist(table, n, v) == tapply_twist(table, n, v)
+
+
+@pytest.mark.parametrize("make", ORE_DATA)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_ore_reports_match_plain_loops(make, data):
+    """Reports, witnesses and their order: the hoisted checks against the
+    loops that twist and multiply in every iteration, on fresh data (a cold
+    memo) and again on the same data (a warm one)."""
+    d = make(data)
+    bound = data.draw(st.integers(0, 4))
+    expected = [plain_check_ore_wreath(d, bound),
+                plain_ore_vs_wreath_product(d, bound),
+                plain_twist_vs_skew_mul(d, bound)]
+    for _ in range(2):
+        assert [check_ore_wreath(d, bound), ore_vs_wreath_product(d, bound),
+                twist_vs_skew_mul(d, bound)] == expected
+
+
+def test_skew_mul_never_reads_the_twist_table(monkeypatch):
+    """A spy on every `OreTwistTable` entry point sees no call from
+    `skew_mul`, cold or warm, and the memo holds only dicts."""
+    seen = []
+    for name in ("__init__", "twist", "_basis_twists"):
+        real = getattr(OreTwistTable, name)
+
+        def spy(self, *args, _real=real, _name=name):
+            seen.append(_name)
+            return _real(self, *args)
+
+        monkeypatch.setattr(OreTwistTable, name, spy)
+    for case in ORE_CASES:
+        d = _fresh_corpus_data(case)
+        f = d.coeff_algebra.field
+        for _ in range(2):
+            for n in range(6):
+                for j in range(d.coeff_algebra.dim):
+                    ore.skew_mul(d, ore.SkewPoly.y(d, n),
+                                 ore.SkewPoly(d, {1: {j: f.one()}, 0: {0: f.one()}}))
+        assert d._rewrites
+        assert all(type(v) is dict and all(type(w) is dict for w in v.values())
+                   for v in d._rewrites.values())
+    assert seen == []
+    OreTwistTable(_fresh_corpus_data("ore_weyl"), 2).twist(1, {0: 1})
+    assert seen == ["__init__", "twist"]
+
+
+def _perturbed_table(monkeypatch, degree=2):
+    """Every table built from now on has e_0 added to the top entry of
+    `degree`, so its twists disagree with the rewrite."""
+    real = OreTwistTable.__init__
+
+    def init(self, data, max_degree):
+        real(self, data, max_degree)
+        if max_degree >= degree:
+            f, dim = data.coeff_algebra.field, data.coeff_algebra.dim
+            bump = Matrix.from_entries(f, dim, dim, {(0, 0): f.one()})
+            cur = self.table[degree].get(degree)
+            self.table[degree][degree] = bump if cur is None else cur + bump
+
+    monkeypatch.setattr(OreTwistTable, "__init__", init)
+
+
+@pytest.mark.parametrize("case", ORE_CASES)
+def test_perturbed_table_is_caught_as_by_the_plain_loops(case, monkeypatch):
+    """With one table entry perturbed, the comparisons report exactly the
+    `product-mismatch` and `twist-vs-rewrite` witnesses of the plain
+    computation, cold and warm; were `skew_mul` to read the table, the two
+    sides would agree and report nothing."""
+    _perturbed_table(monkeypatch)
+    d = _fresh_corpus_data(case)
+    expected = [plain_ore_vs_wreath_product(d, 4), plain_twist_vs_skew_mul(d, 4)]
+    assert "product-mismatch" in expected[0].equations()
+    assert "twist-vs-rewrite" in expected[1].equations()
+    for _ in range(2):
+        assert [ore_vs_wreath_product(d, 4), twist_vs_skew_mul(d, 4)] == expected
+
+
+def test_cached_values_are_not_handed_out(corpus):
+    """Mutating what `ore_twist`, `wreath_monomial_product` and `skew_mul`
+    return, or the polynomials passed in, changes no later result."""
+    for d in (corpus.ore_weyl, corpus.ore_quantum_plane):
+        f = d.coeff_algebra.field
+        table = OreTwistTable(d, 4)
+        table._basis_twists(3)
+        before = [ore.ore_twist(table, 3, {k: f.one()}) for k in range(3)]
+        for k in range(3):
+            got = ore.ore_twist(table, 3, {k: f.one()})
+            for vec in got.values():
+                vec[0] = f.from_int(7)
+            got[9] = {1: f.one()}
+            ore.wreath_monomial_product(table, {1: f.one()}, 3, {k: f.one()}, 0)[5] = {}
+        assert [ore.ore_twist(table, 3, {k: f.one()}) for k in range(3)] == before
+        assert [tapply_twist(table, 3, {k: f.one()}) for k in range(3)] == before
+        assert table._basis_twists(3) == before
+
+        p = ore.SkewPoly(d, {2: {1: f.one()}, 1: {0: f.from_int(2)}})
+        q = ore.SkewPoly(d, {3: {0: f.one(), 2: f.one()}, 0: {1: f.one()}})
+        first = ore.skew_mul(d, p, q)
+        expect = plain_skew_mul(d, p, q)
+        for vec in first.coeffs.values():
+            vec[2] = f.from_int(5)
+        first.coeffs[11] = {0: f.one()}
+        for vec in q.coeffs.values():
+            vec[1] = f.from_int(3)
+        q2 = ore.SkewPoly(d, {3: {0: f.one(), 2: f.one()}, 0: {1: f.one()}})
+        assert ore.skew_mul(d, p, q2) == expect == plain_skew_mul(d, p, q2)
+
+
+def test_dropped_skew_data_frees_its_memo_without_gc():
+    """The memo holds no reference back to its data, so dropping the data
+    and its table frees both by reference counting alone."""
+    import gc
+    import weakref
+
+    B = truncated_poly_algebra(GF(101), 3)
+    delta = Matrix.from_entries(GF(101), 3, 3, {(0, 1): 1, (1, 2): 2})
+    d = SkewPolyData(B, AlgebraMorphism(B, B, Matrix.identity(GF(101), 3)), delta)
+    check_ore_wreath(d, 4)
+    ore_vs_wreath_product(d, 4)
+    assert d._rewrites
+    table = OreTwistTable(d, 4)
+    table._basis_twists(4)
+    refs = [weakref.ref(d), weakref.ref(table)]
+    gc.disable()
+    try:
+        del d, table
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()

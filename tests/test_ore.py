@@ -103,6 +103,16 @@ class TestTwistTable:
         with pytest.raises(InputError):
             ore_twist(t, 3, {0: QQ.one()})
 
+    def test_negative_degree_is_input_error(self, corpus):
+        # a negative degree once read the top-degree row of the table
+        t = OreTwistTable(corpus.ore_commutative, 3)
+        e0 = {0: QQ.one()}
+        with pytest.raises(InputError, match="negative degree"):
+            ore_twist(t, -1, e0)
+        with pytest.raises(InputError, match="negative degree"):
+            wreath_monomial_product(t, e0, -1, e0, 0)
+        assert ore_twist(t, 3, e0) == {3: e0}
+
     def test_table_agrees_with_rewrite_engine(self, corpus):
         for d in all_cases(corpus):
             rep = twist_vs_skew_mul(d, BOUND)
