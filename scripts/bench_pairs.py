@@ -13,7 +13,8 @@ metric, each side's runs, median and quartiles, the pairs the change won,
 and whether the change stays within the metric's bound.  With
 `--trace-seeds` it also runs `--trace 1` once per side per seed and keeps
 every per-layer metric that is nonzero on either side.  Only the standard
-library is used; each run is a fresh process in its own checkout.
+library is used; each run is a fresh process in its own checkout.  A
+checkout that holds `__pycache__` directories under `src/` is refused.
 """
 
 from __future__ import annotations
@@ -37,6 +38,13 @@ def run_bench(checkout, workload, seed, seconds, trace):
         sys.exit(f"bench_pairs: {' '.join(cmd)} in {checkout} printed no "
                  f"result (exit {proc.returncode}):\n{proc.stderr}")
     return json.loads(lines[-1]), json.loads(lines[-2])["record"]
+
+
+def bytecode_caches(checkout):
+    """The `__pycache__` directories under the checkout's `src/`.  With them
+    a cold `cli` command skips compiling, so that side reads faster."""
+    return sorted(root for root, _, _ in os.walk(os.path.join(checkout, "src"))
+                  if os.path.basename(root) == "__pycache__")
 
 
 def git_state(checkout):
@@ -88,6 +96,12 @@ def main():
     ap.add_argument("--trace-seeds", type=int, nargs="*", default=[])
     ap.add_argument("--note", default="", help="what the change does")
     args = ap.parse_args()
+    for checkout in (args.parent, args.change):
+        cached = bytecode_caches(checkout)
+        if cached:
+            sys.exit(f"bench_pairs: {cached[0]} holds bytecode caches, which "
+                     f"make cold cli commands skip compiling; delete every "
+                     f"__pycache__ under {os.path.join(checkout, 'src')}")
 
     with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)

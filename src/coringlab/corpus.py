@@ -298,9 +298,9 @@ def corpus_sessions() -> dict:
     out["grouplike_coalgebras.json"] = store.raw
 
     store = SessionStore.empty(QQ)
-    store.add_entwining("flip", CORPUS.flip_entwining)
-    store.add_entwining("dk", CORPUS.dk_entwining)
-    store.add_entwining("broken", CORPUS.broken_entwining)
+    store.add("entwinings", "flip", CORPUS.flip_entwining)
+    store.add("entwinings", "dk", CORPUS.dk_entwining)
+    store.add("entwinings", "broken", CORPUS.broken_entwining)
     out["entwinings.json"] = store.raw
 
     store = SessionStore.empty(QQ)
@@ -308,15 +308,15 @@ def corpus_sessions() -> dict:
     store.add_cowreath("unit", CORPUS.unit_cw)
     store.add_cowreath("dl", CORPUS.dl_cw[0])
     store.add_cowreath("broken-delta", CORPUS.broken_cw_delta)
-    store.add_entwining("flip-ent", CORPUS.flip_entwining)
+    store.add("entwinings", "flip-ent", CORPUS.flip_entwining)
     out["cowreaths.json"] = store.raw
 
     store = SessionStore.empty(QQ)
     rext, text, rmap, rw, lw, prod_ext, alg_rep, eta_rep = CORPUS.sign_flip_ttp
-    store.add_ttp("signflip", rext, text, rmap)
-    wreath_name = store.add_wreath("signflip.wreath", rw)
-    store.add_twisting("X=R", CORPUS.module_twist_self, wreath_name)
-    store.add_ttp("broken", *CORPUS.broken_ttp_map())
+    store.add("ttps", "signflip", (rext, text, rmap))
+    store.add("wreaths", "signflip.wreath", rw)
+    store.add("twistings", "X=R", CORPUS.module_twist_self)
+    store.add("ttps", "broken", CORPUS.broken_ttp_map())
     out["sign_flip_ttp.json"] = store.raw
 
     store = SessionStore.empty(QQ)

@@ -8,6 +8,12 @@ list of space references meaning the left-associated tensor product of the
 referenced factors over their boundary algebras; matrix coordinates on such
 spaces use the canonical quotient bases.
 
+The ten reference sections, `corings` to `twistings`, whose entries only
+name other entries, are defined once, in `SCHEMA`; `parse_session` reads
+them with one loop over that table and `SessionStore` writes them from it.
+The sections with inline data (`algebras`, `morphisms`, `bimodules`,
+`maps`, `skewpoly`) are read by hand.
+
 A session file is written with the bytes `json.dumps(raw, indent=1,
 sort_keys=True)` would give, followed by a newline.  This module holds the
 reading half, which every command needs.  The writing half, `SessionStore`,
@@ -19,6 +25,7 @@ only read a session do not compile it.
 from __future__ import annotations
 
 import json
+from importlib import import_module
 
 from .algebra import AlgebraMorphism, FinAlgebra
 from .bimodule import Bimodule, LinearMap, Matrix, regular_bimodule, space
@@ -26,11 +33,47 @@ from .exactla import field_from_name
 from .reports import InputError
 
 
-SECTIONS = (
-    "algebras", "morphisms", "bimodules", "maps", "corings", "comodules",
-    "r_objects", "entwinings", "cowreaths", "extensions", "rt_objects",
-    "wreaths", "ttps", "twistings", "skewpoly",
-)
+# The ten reference sections, whose entries only name other entries: each
+# maps to the module and class of its entries and lists their fields as
+# (key, kind, attribute) in constructor order.  A kind is the section the
+# key names, "space" for a space reference or "side" for a comodule's side.
+# `parse_session` and `SessionStore` both read this table.  A `ttps` entry
+# is a plain (r, t, rmap) tuple, so it has no class and no attributes.
+SCHEMA = {
+    "corings": ("coring", "Coring", (
+        ("base", "algebras", "base"), ("carrier", "space", "carrier"),
+        ("comult", "maps", "comult"), ("counit", "maps", "counit"))),
+    "comodules": ("coring", "Comodule", (
+        ("side", "side", "side"), ("coring", "corings", "coring"),
+        ("carrier", "space", "carrier"), ("coaction", "maps", "coaction"))),
+    "r_objects": ("rcat", "RObject", (
+        ("coring", "corings", "coring"), ("carrier", "space", "carrier"),
+        ("twist", "maps", "twist"))),
+    "entwinings": ("entwine", "EntwiningStructure", (
+        ("algebra", "algebras", "algebra"),
+        ("coalgebra", "corings", "coalgebra"), ("psi", "maps", "psi"))),
+    "cowreaths": ("cowreath", "Cowreath", (
+        ("object", "r_objects", "object"), ("xi", "maps", "xi"),
+        ("delta", "maps", "delta"))),
+    "extensions": ("wreath", "RingExtension", (
+        ("base", "algebras", "base"), ("total", "algebras", "total"),
+        ("iota", "morphisms", "iota"))),
+    "rt_objects": ("wreath", "RTObject", (
+        ("extension", "extensions", "ext"), ("carrier", "space", "carrier"),
+        ("twist", "maps", "twist"))),
+    "wreaths": ("wreath", "Wreath", (
+        ("object", "rt_objects", "object"), ("eta", "maps", "eta"),
+        ("mu", "maps", "mu"))),
+    "ttps": (None, None, (
+        ("r", "extensions", None), ("t", "extensions", None),
+        ("rmap", "maps", None))),
+    "twistings": ("wreath", "ModuleTwist", (
+        ("wreath", "wreaths", "wreath"), ("r", "extensions", "rext"),
+        ("carrier", "space", "carrier"), ("action", "maps", "l_x"),
+        ("twist", "maps", "twist"))),
+}
+
+SECTIONS = ("algebras", "morphisms", "bimodules", "maps", *SCHEMA, "skewpoly")
 
 
 class SessionFile:
@@ -39,21 +82,8 @@ class SessionFile:
     def __init__(self, field, raw):
         self.field = field
         self.raw = raw
-        self.algebras = {}
-        self.morphisms = {}
-        self.bimodules = {}
-        self.maps = {}
-        self.corings = {}
-        self.comodules = {}
-        self.r_objects = {}
-        self.entwinings = {}
-        self.cowreaths = {}
-        self.extensions = {}
-        self.rt_objects = {}
-        self.wreaths = {}
-        self.ttps = {}
-        self.twistings = {}
-        self.skewpoly = {}
+        for section in SECTIONS:
+            setattr(self, section, {})
 
     # -- resolution ---------------------------------------------------------
 
@@ -116,6 +146,8 @@ class _Entry:
         labels = self.get("labels")
         if labels is not None:
             _expect(labels, list, f"{self.path}.labels")
+            for i, label in enumerate(labels):
+                _expect(label, str, f"{self.path}.labels[{i}]")
         return labels
 
     def dim(self):
@@ -147,6 +179,15 @@ def _parse_vec(field, entries) -> dict:
     """Sparse vector {index: scalar} of a list of scalar texts, zeros dropped."""
     vec = {k: field.parse(v) for k, v in enumerate(entries)}
     return {k: v for k, v in vec.items() if not field.is_zero(v)}
+
+
+def _field(s, data, key, kind):
+    """The value of one field of a reference entry (see `SCHEMA`)."""
+    if kind == "space":
+        return s.resolve_space(data[key])
+    if kind == "side":
+        return data.get(key, "right")
+    return s.lookup(kind, data[key])
 
 
 def parse_session(source) -> SessionFile:
@@ -224,79 +265,14 @@ def parse_session(source) -> SessionFile:
                             f"{data.path}.matrix")
         s.maps[name] = LinearMap(dom, cod, mat, name=name)
 
-    for name, data in _entries(raw, "corings"):
-        from .coring import Coring
-        base = s.lookup("algebras", data["base"])
-        carrier = s.resolve_space(data["carrier"])
-        comult = s.lookup("maps", data["comult"])
-        counit = s.lookup("maps", data["counit"])
-        s.corings[name] = Coring(base, carrier, comult, counit, name=name)
-
-    for name, data in _entries(raw, "comodules"):
-        from .coring import Comodule
-        coring = s.lookup("corings", data["coring"])
-        carrier = s.resolve_space(data["carrier"])
-        coaction = s.lookup("maps", data["coaction"])
-        s.comodules[name] = Comodule(data.get("side", "right"), coring,
-                                     carrier, coaction, name=name)
-
-    for name, data in _entries(raw, "r_objects"):
-        from .rcat import RObject
-        coring = s.lookup("corings", data["coring"])
-        carrier = s.resolve_space(data["carrier"])
-        twist = s.lookup("maps", data["twist"])
-        s.r_objects[name] = RObject(coring, carrier, twist, name=name)
-
-    for name, data in _entries(raw, "entwinings"):
-        from .entwine import EntwiningStructure
-        alg = s.lookup("algebras", data["algebra"])
-        coalg = s.lookup("corings", data["coalgebra"])
-        psi = s.lookup("maps", data["psi"])
-        s.entwinings[name] = EntwiningStructure(alg, coalg, psi, name=name)
-
-    for name, data in _entries(raw, "cowreaths"):
-        from .cowreath import Cowreath
-        obj = s.lookup("r_objects", data["object"])
-        xi = s.lookup("maps", data["xi"])
-        delta = s.lookup("maps", data["delta"])
-        s.cowreaths[name] = Cowreath(obj, xi, delta, name=name)
-
-    for name, data in _entries(raw, "extensions"):
-        from .wreath import RingExtension
-        base = s.lookup("algebras", data["base"])
-        total = s.lookup("algebras", data["total"])
-        iota = s.lookup("morphisms", data["iota"])
-        s.extensions[name] = RingExtension(base, total, iota, name=name)
-
-    for name, data in _entries(raw, "rt_objects"):
-        from .wreath import RTObject
-        ext = s.lookup("extensions", data["extension"])
-        carrier = s.resolve_space(data["carrier"])
-        twist = s.lookup("maps", data["twist"])
-        s.rt_objects[name] = RTObject(ext, carrier, twist, name=name)
-
-    for name, data in _entries(raw, "wreaths"):
-        from .wreath import Wreath
-        obj = s.lookup("rt_objects", data["object"])
-        eta = s.lookup("maps", data["eta"])
-        mu = s.lookup("maps", data["mu"])
-        s.wreaths[name] = Wreath(obj, eta, mu, name=name)
-
-    for name, data in _entries(raw, "ttps"):
-        rext = s.lookup("extensions", data["r"])
-        text = s.lookup("extensions", data["t"])
-        rmap = s.lookup("maps", data["rmap"])
-        s.ttps[name] = (rext, text, rmap)
-
-    for name, data in _entries(raw, "twistings"):
-        from .wreath import ModuleTwist
-        wr = s.lookup("wreaths", data["wreath"])
-        rext = s.lookup("extensions", data["r"])
-        carrier = s.resolve_space(data["carrier"])
-        action = s.lookup("maps", data["action"])
-        twist = s.lookup("maps", data["twist"])
-        s.twistings[name] = ModuleTwist(wr, rext, carrier, action, twist,
-                                        name=name)
+    for section, (module, cls_name, fields) in SCHEMA.items():
+        entries = _entries(raw, section)
+        if entries and cls_name:
+            cls = getattr(import_module(f".{module}", __package__), cls_name)
+        table = getattr(s, section)
+        for name, data in entries:
+            args = [_field(s, data, key, kind) for key, kind, _ in fields]
+            table[name] = cls(*args, name=name) if cls_name else tuple(args)
 
     for name, data in _entries(raw, "skewpoly"):
         from .ore import SkewPolyData

@@ -1,6 +1,12 @@
 """The writing half of the session format: `SessionStore` turns objects
 into session data, and `serialize_session` writes that data as text.
 
+`SessionStore.add(section, name, obj)` writes an entry of any reference
+section from `session.SCHEMA`, the table the reader uses too, and
+`name_of(section, obj)` finds an object by identity or adds it under its
+own name.  The sections with inline data keep their own writers
+(`algebra_name`, `morphism_name`, `space_ref`, `map_name`, `add_skewpoly`).
+
 Only commands that write a session import this module; `coringlab.session`
 resolves `SessionStore`, `serialize_session` and `write_session` from here.
 """
@@ -12,7 +18,7 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from .algebra import FinAlgebra
 from .bimodule import Bimodule, LinearMap, TensorQuotient, is_regular
-from .session import SessionFile, _fmt_matrix, _fmt_vec
+from .session import SCHEMA, SessionFile, _fmt_matrix, _fmt_vec
 
 
 def serialize_session(raw: dict) -> str:
@@ -159,134 +165,50 @@ class SessionStore:
 
     # -- adders ----------------------------------------------------------------
 
-    def add_coring(self, name, cor: Coring) -> str:
-        name = self._fresh(self.s.corings, name)
-        self.raw.setdefault("corings", {})[name] = {
-            "base": self.algebra_name(cor.base),
-            "carrier": self.space_ref(cor.carrier),
-            "comult": self.map_name(cor.comult, f"{name}.comult"),
-            "counit": self.map_name(cor.counit, f"{name}.counit"),
-        }
-        self.s.corings[name] = cor
+    def add(self, section, name, obj) -> str:
+        """Add `obj` to a reference section (see `SCHEMA`) under a fresh form
+        of `name`, adding what its fields refer to first, in field order."""
+        _, cls_name, fields = SCHEMA[section]
+        table = getattr(self.s, section)
+        name = self._fresh(table, name)
+        values = obj if cls_name is None else [
+            getattr(obj, attr) for _, _, attr in fields]
+        self.raw.setdefault(section, {})[name] = {
+            key: self._field(kind, value, f"{name}.{key}")
+            for (key, kind, _), value in zip(fields, values)}
+        table[name] = obj
         return name
 
-    def add_comodule(self, name, m: Comodule) -> str:
-        name = self._fresh(self.s.comodules, name)
-        coring_name = self.coring_name(m.coring)
-        self.raw.setdefault("comodules", {})[name] = {
-            "coring": coring_name,
-            "side": m.side,
-            "carrier": self.space_ref(m.carrier),
-            "coaction": self.map_name(m.coaction, f"{name}.coaction"),
-        }
-        self.s.comodules[name] = m
-        return name
-
-    def coring_name(self, cor) -> str:
-        for name, x in self.s.corings.items():
-            if x is cor:
+    def name_of(self, section, obj) -> str:
+        """The name of `obj` in a reference section, adding it under its own
+        name if it is not there yet."""
+        for name, x in getattr(self.s, section).items():
+            if x is obj:
                 return name
-        return self.add_coring(cor.name, cor)
+        return self.add(section, obj.name, obj)
 
-    def add_r_object(self, name, o: RObject) -> str:
-        name = self._fresh(self.s.r_objects, name)
-        self.raw.setdefault("r_objects", {})[name] = {
-            "coring": self.coring_name(o.coring),
-            "carrier": self.space_ref(o.carrier),
-            "twist": self.map_name(o.twist, f"{name}.twist"),
-        }
-        self.s.r_objects[name] = o
-        return name
+    def _field(self, kind, value, map_name):
+        """The session value of one field; a new map is named `map_name`."""
+        if kind == "side":
+            return value
+        if kind == "space":
+            return self.space_ref(value)
+        if kind == "maps":
+            return self.map_name(value, map_name)
+        if kind == "algebras":
+            return self.algebra_name(value)
+        if kind == "morphisms":
+            return self.morphism_name(value)
+        return self.name_of(kind, value)
 
-    def r_object_name(self, o) -> str:
-        for name, x in self.s.r_objects.items():
-            if x is o:
-                return name
-        return self.add_r_object(o.name, o)
+    def add_coring(self, name, cor) -> str:
+        return self.add("corings", name, cor)
 
-    def add_entwining(self, name, e: EntwiningStructure) -> str:
-        name = self._fresh(self.s.entwinings, name)
-        self.raw.setdefault("entwinings", {})[name] = {
-            "algebra": self.algebra_name(e.algebra),
-            "coalgebra": self.coring_name(e.coalgebra),
-            "psi": self.map_name(e.psi, f"{name}.psi"),
-        }
-        self.s.entwinings[name] = e
-        return name
+    def add_comodule(self, name, m) -> str:
+        return self.add("comodules", name, m)
 
-    def add_cowreath(self, name, w: Cowreath) -> str:
-        name = self._fresh(self.s.cowreaths, name)
-        self.raw.setdefault("cowreaths", {})[name] = {
-            "object": self.r_object_name(w.object),
-            "xi": self.map_name(w.xi, f"{name}.xi"),
-            "delta": self.map_name(w.delta, f"{name}.delta"),
-        }
-        self.s.cowreaths[name] = w
-        return name
-
-    def add_extension(self, name, ext: RingExtension) -> str:
-        name = self._fresh(self.s.extensions, name)
-        self.raw.setdefault("extensions", {})[name] = {
-            "base": self.algebra_name(ext.base),
-            "total": self.algebra_name(ext.total),
-            "iota": self.morphism_name(ext.iota),
-        }
-        self.s.extensions[name] = ext
-        return name
-
-    def extension_name(self, ext) -> str:
-        for name, x in self.s.extensions.items():
-            if x is ext:
-                return name
-        return self.add_extension(ext.name, ext)
-
-    def add_rt_object(self, name, o: RTObject) -> str:
-        name = self._fresh(self.s.rt_objects, name)
-        self.raw.setdefault("rt_objects", {})[name] = {
-            "extension": self.extension_name(o.ext),
-            "carrier": self.space_ref(o.carrier),
-            "twist": self.map_name(o.twist, f"{name}.twist"),
-        }
-        self.s.rt_objects[name] = o
-        return name
-
-    def rt_object_name(self, o) -> str:
-        for name, x in self.s.rt_objects.items():
-            if x is o:
-                return name
-        return self.add_rt_object(o.name, o)
-
-    def add_wreath(self, name, w: Wreath) -> str:
-        name = self._fresh(self.s.wreaths, name)
-        self.raw.setdefault("wreaths", {})[name] = {
-            "object": self.rt_object_name(w.object),
-            "eta": self.map_name(w.eta, f"{name}.eta"),
-            "mu": self.map_name(w.mu, f"{name}.mu"),
-        }
-        self.s.wreaths[name] = w
-        return name
-
-    def add_ttp(self, name, rext, text, rmap) -> str:
-        name = self._fresh(self.s.ttps, name)
-        self.raw.setdefault("ttps", {})[name] = {
-            "r": self.extension_name(rext),
-            "t": self.extension_name(text),
-            "rmap": self.map_name(rmap, f"{name}.rmap"),
-        }
-        self.s.ttps[name] = (rext, text, rmap)
-        return name
-
-    def add_twisting(self, name, mt: ModuleTwist, wreath_name) -> str:
-        name = self._fresh(self.s.twistings, name)
-        self.raw.setdefault("twistings", {})[name] = {
-            "wreath": wreath_name,
-            "r": self.extension_name(mt.rext),
-            "carrier": self.space_ref(mt.carrier),
-            "action": self.map_name(mt.l_x, f"{name}.action"),
-            "twist": self.map_name(mt.twist, f"{name}.twist"),
-        }
-        self.s.twistings[name] = mt
-        return name
+    def add_cowreath(self, name, w) -> str:
+        return self.add("cowreaths", name, w)
 
     def add_skewpoly(self, name, d: SkewPolyData) -> str:
         name = self._fresh(self.s.skewpoly, name)

@@ -1092,21 +1092,27 @@ def test_ore_twist_and_rewrite_match_row_loop(case, data):
 
 @pytest.mark.parametrize("case", ORE_CASES)
 def test_ore_reports_match_row_loop(case, monkeypatch):
-    corpus = Corpus()
-    d = getattr(corpus, case)
-
-    def reports():
+    def reports(corpus):
+        d = getattr(corpus, case)
         out = [check_ore_wreath(d, 4), ore_vs_wreath_product(d, 4),
                twist_vs_skew_mul(d, 4)]
         if case == "ore_weyl":
             out.append(ore_universal_check(d, 4, *corpus.ore_weyl_target))
         return out
 
-    fast = reports()
+    fast = reports(Corpus())
+    rewrites = []
+
+    def counted_rewrite_once(d, coeffs):
+        rewrites.append(1)
+        return plain_rewrite_once(d, coeffs)
+
     monkeypatch.setattr(OreTwistTable, "twist",
                         lambda self, n, bvec: plain_twist(self, n, bvec))
-    monkeypatch.setattr(ore, "_rewrite_once", plain_rewrite_once)
-    assert fast == reports()
+    monkeypatch.setattr(ore, "_rewrite_once", counted_rewrite_once)
+    # fresh data, so that its rewrite memo is empty and the oracle runs
+    assert fast == reports(Corpus())
+    assert rewrites
     assert (case == "ore_broken") == any(not r.ok for r in fast)
 
 

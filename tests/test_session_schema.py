@@ -1,0 +1,142 @@
+"""`SCHEMA` defines the ten reference sections once, for the reader and the
+writer alike.  Every field of every section is checked here: a missing key
+and a dangling name are malformed input naming the entry, and an object of
+any section written alone into an empty store (with everything it names)
+parses back to objects that write the same bytes again."""
+
+import json
+
+import pytest
+
+from coringlab.cli import main
+from coringlab.coring import comodule_over_itself
+from coringlab.corpus import CORPUS, corpus_sessions
+from coringlab.exactla import QQ
+from coringlab.reports import InputError
+from coringlab.session import (
+    SCHEMA,
+    SECTIONS,
+    SessionStore,
+    parse_session,
+    serialize_session,
+    write_session,
+)
+
+
+def one_of_each():
+    """section -> one corpus object of that section."""
+    rext, text, rmap, rw = CORPUS.sign_flip_ttp[:4]
+    return {
+        "corings": CORPUS.c2,
+        "comodules": comodule_over_itself(CORPUS.c2),
+        "r_objects": CORPUS.flip_cw.object,
+        "entwinings": CORPUS.flip_entwining,
+        "cowreaths": CORPUS.flip_cw,
+        "extensions": rext,
+        "rt_objects": rw.object,
+        "wreaths": rw,
+        "ttps": (rext, text, rmap),
+        "twistings": CORPUS.module_twist_self,
+    }
+
+
+FIELDS = [(section, key, kind) for section, (_, _, fields) in SCHEMA.items()
+          for key, kind, _ in fields]
+
+
+def test_schema_covers_the_reference_sections():
+    assert set(one_of_each()) == set(SCHEMA)
+    assert SECTIONS == ("algebras", "morphisms", "bimodules", "maps",
+                        *SCHEMA, "skewpoly")
+    assert {kind for _, _, kind in FIELDS} <= set(SECTIONS) | {"space", "side"}
+
+
+@pytest.fixture(scope="module")
+def every_section():
+    """Raw session data with an entry "x" in each reference section."""
+    store = SessionStore.empty(QQ)
+    for section, obj in one_of_each().items():
+        assert store.add(section, "x", obj) == "x"
+    return json.loads(serialize_session(store.raw))
+
+
+def test_every_section_parses(every_section):
+    s = parse_session(every_section)
+    for section in SCHEMA:
+        assert "x" in getattr(s, section)
+    assert isinstance(s.ttps["x"], tuple) and len(s.ttps["x"]) == 3
+
+
+@pytest.mark.parametrize("section, key, kind", FIELDS,
+                         ids=[f"{s}.{k}" for s, k, _ in FIELDS])
+def test_missing_key(every_section, section, key, kind):
+    raw = json.loads(json.dumps(every_section))
+    del raw[section]["x"][key]
+    if kind == "side":
+        # a comodule without a side is a right comodule
+        assert parse_session(raw).comodules["x"].side == "right"
+        return
+    with pytest.raises(InputError) as err:
+        parse_session(raw)
+    assert str(err.value) == f"$.{section}.x.{key}: missing"
+
+
+@pytest.mark.parametrize("section, key, kind", FIELDS,
+                         ids=[f"{s}.{k}" for s, k, _ in FIELDS])
+def test_dangling_name(every_section, section, key, kind):
+    raw = json.loads(json.dumps(every_section))
+    raw[section]["x"][key] = "nowhere"
+    with pytest.raises(InputError) as err:
+        parse_session(raw)
+    expected = {"space": "unknown space reference 'nowhere'",
+                "side": "side must be 'left' or 'right'"}
+    assert str(err.value) == expected.get(kind, f"unknown {kind[:-1]} 'nowhere'")
+
+
+@pytest.mark.parametrize("section", list(SCHEMA))
+def test_one_object_round_trips(section):
+    """An object added alone brings in what it names; the parsed objects,
+    written into a new store, give the same bytes."""
+    store = SessionStore.empty(QQ)
+    store.add(section, "x", one_of_each()[section])
+    text = serialize_session(store.raw)
+    s = parse_session(text)
+    again = SessionStore.empty(s.field)
+    again.add(section, "x", getattr(s, section)["x"])
+    assert serialize_session(again.raw) == text
+    assert serialize_session(parse_session(text).raw) == text
+
+
+def test_twisting_alone_brings_in_what_it_names():
+    store = SessionStore.empty(QQ)
+    mt = CORPUS.module_twist_self
+    store.add("twistings", "X", mt)
+    raw = store.raw
+    wreath = raw["twistings"]["X"]["wreath"]
+    rt_object = raw["wreaths"][wreath]["object"]
+    assert set(raw["extensions"]) == {
+        raw["twistings"]["X"]["r"], raw["rt_objects"][rt_object]["extension"]}
+    assert store.name_of("wreaths", mt.wreath) == wreath
+    assert store.name_of("extensions", mt.rext) == raw["twistings"]["X"]["r"]
+    assert raw["twistings"]["X"]["action"] == "X.action"
+
+
+def test_name_of_adds_once():
+    store = SessionStore.empty(QQ)
+    name = store.name_of("corings", CORPUS.c3)
+    assert name == CORPUS.c3.name
+    assert store.name_of("corings", CORPUS.c3) == name
+    assert list(store.raw["corings"]) == [name]
+    assert store.add("corings", name, CORPUS.c3) == f"{name}2"
+
+
+@pytest.mark.parametrize("section, name", [
+    ("algebras", "kZ2"), ("bimodules", "brokenC")])
+def test_non_string_labels_exit_two(tmp_path, capsys, section, name):
+    raw = json.loads(json.dumps(corpus_sessions()["grouplike_coalgebras.json"]))
+    raw[section][name]["labels"] = [7, 8]
+    path = tmp_path / "bad.json"
+    write_session(raw, path)
+    assert main(["--session", str(path), "check", "coring", "broken"]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: $.{section}.{name}.labels[0]: expected a string, got an integer")
