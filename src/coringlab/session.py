@@ -8,11 +8,9 @@ list of space references meaning the left-associated tensor product of the
 referenced factors over their boundary algebras; matrix coordinates on such
 spaces use the canonical quotient bases.
 
-The ten reference sections, `corings` to `twistings`, whose entries only
-name other entries, are defined once, in `SCHEMA`; `parse_session` reads
-them with one loop over that table and `SessionStore` writes them from it.
-The sections with inline data (`algebras`, `morphisms`, `bimodules`,
-`maps`, `skewpoly`) are read by hand.
+The ten reference sections, `corings` to `twistings`, are defined once, in
+`SCHEMA`, which both `parse_session` and `SessionStore` read; the sections
+with inline data are read and written by hand.
 
 A session file is written with the bytes `json.dumps(raw, indent=1,
 sort_keys=True)` would give, followed by a newline.  This module holds the

@@ -2,10 +2,8 @@
 into session data, and `serialize_session` writes that data as text.
 
 `SessionStore.add(section, name, obj)` writes an entry of any reference
-section from `session.SCHEMA`, the table the reader uses too, and
-`name_of(section, obj)` finds an object by identity or adds it under its
-own name.  The sections with inline data keep their own writers
-(`algebra_name`, `morphism_name`, `space_ref`, `map_name`, `add_skewpoly`).
+section from `session.SCHEMA`, the table the reader uses too; the sections
+with inline data keep their own writers.
 
 Only commands that write a session import this module; `coringlab.session`
 resolves `SessionStore`, `serialize_session` and `write_session` from here.
