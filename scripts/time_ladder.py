@@ -1,0 +1,97 @@
+#!/usr/bin/env python3
+"""Time flip cowreaths and their product corings on large ladder rungs.
+
+    python3 scripts/time_ladder.py [--rungs N ...] [--runs N]
+
+Rung n is the flip cowreath of two rescaled grouplike coalgebras of
+dimension n (the basis h_i = lam_i g_i, so the structure constants are
+fractions), over QQ and over GF(101); the benchmark's ladder stops at
+n = 5.  For each rung and field it prints the wall-clock seconds of
+`flip_cowreath`, its `check_cowreath`, its `cowreath_product` and the
+product's `check_coring`, each run from fresh structures, and the
+dimension of the product's coassociativity space (n^6, every quotient is
+flat).  With `--runs N` (default 1) each time column is the median of the
+N runs (the total column is the median of the per-run totals).  It checks
+every verdict but gates nothing on time.
+"""
+
+import argparse
+import os
+import statistics
+import sys
+import time
+from fractions import Fraction
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+
+from coringlab.coring import check_coring, coalgebra_over_field
+from coringlab.cowreath import check_cowreath, cowreath_product, flip_cowreath
+from coringlab.exactla import GF, QQ
+
+FIELDS = (QQ, GF(101))
+
+
+def rescaled_grouplike(field, n, shift, name):
+    """Delta(h_i) = lam_i^-1 h_i (x) h_i and eps(h_i) = lam_i, for
+    lam_i = +-(i + shift) / (i + 1); numerator and denominator stay below
+    101 for every rung this script is meant for, so GF(101) inverts them."""
+    lams = [Fraction((-1) ** i * (i + shift), i + 1) for i in range(n)]
+    return coalgebra_over_field(
+        field, n, [{i * n + i: str(1 / lam)} for i, lam in enumerate(lams)],
+        [str(lam) for lam in lams], [f"h{i}" for i in range(n)], name)
+
+
+def timed(fn, *args):
+    t0 = time.perf_counter()
+    out = fn(*args)
+    return out, time.perf_counter() - t0
+
+
+def run_rung(field, n):
+    """The four timings of one rung, whether every verdict passed, and the
+    product's dimension."""
+    c = rescaled_grouplike(field, n, 2, f"C{n}")
+    d = rescaled_grouplike(field, n, 3, f"D{n}")
+    w, t_flip = timed(flip_cowreath, c, d)
+    rep, t_check = timed(check_cowreath, w)
+    (prod, morph), t_prod = timed(cowreath_product, w)
+    prep, t_pcheck = timed(check_coring, prod)
+    times = (t_flip, t_check, t_prod, t_pcheck)
+    return times, rep.ok and morph.ok and prep.ok, prod.carrier.dim
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(
+        description="Time flip cowreaths and their product corings on ladder rungs.")
+    ap.add_argument("--rungs", type=int, nargs="+", default=[6, 7, 8],
+                    help="coalgebra dimensions n (default 6 7 8)")
+    ap.add_argument("--runs", type=int, default=1,
+                    help="fresh runs per rung; the time columns are their medians")
+    args = ap.parse_args(argv)
+    if args.runs < 1:
+        ap.error("--runs must be at least 1")
+    if any(n < 1 for n in args.rungs):
+        ap.error("--rungs must be at least 1")
+    print(f"{'rung':<12} {'flip':>7} {'check':>7} {'product':>8} "
+          f"{'p-check':>8} {'total':>7}   coassoc flat dim")
+    bad = 0
+    for n in args.rungs:
+        for field in FIELDS:
+            runs, ok = [], True
+            for _ in range(args.runs):
+                times, passed, pdim = run_rung(field, n)
+                runs.append(times)
+                ok = ok and passed
+            bad += not ok
+            t_flip, t_check, t_prod, t_pcheck = (
+                statistics.median(col) for col in zip(*runs))
+            total = statistics.median(sum(times) for times in runs)
+            print(f"{f'n={n} {field!r}':<12} {t_flip:7.3f} {t_check:7.3f} "
+                  f"{t_prod:8.3f} {t_pcheck:8.3f} {total:7.3f}   {pdim ** 3}")
+    if bad:
+        print(f"{bad} rung(s) did not pass", file=sys.stderr)
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -22,11 +22,15 @@ factors through project (`TensorQuotient.kills`).
 Iterated tensors are built left associated.  A `Space` wraps a factor list
 with the projection/section between its *factor-flat* space (the ground
 field tensor product of the factors, each on its own quotient basis) and
-the iterated quotient.  `Pipe` composes maps on factor-flat spaces.  The
-leaf-flat space unfolds quotient factors recursively down to their atomic
-*leaves*; its projection/section are built only when read: by `regroup`
-(which converts between bracketings of the same leaves, the explicit
-associator), by the mirror and by a pipe that ends in another bracketing.
+the iterated quotient; its quotients are built with it, the two maps on
+first read.  `Pipe` composes maps on factor-flat spaces, and a stage that
+acts on some factors is never materialized as the Kronecker product
+I (x) F (x) I: `Matrix.padded_matmul` scatters the rows of the accumulated
+matrix through F.  The leaf-flat space unfolds quotient factors
+recursively down to their atomic *leaves*; its projection/section are
+built only when read: by `regroup` (which converts between bracketings of
+the same leaves, the explicit associator), by the mirror and by a pipe
+that ends in another bracketing.
 
 The mirror reads a bimodule in the opposite bicategory: `op` gives the
 opposite algebra, `mirror` swaps a bimodule's two actions and reverses the
@@ -522,27 +526,37 @@ class Space:
     `project` and `section` map between the factor-flat space (the ground
     field tensor product of the factors, each on its own basis) and the
     quotient.  `deep_project` and `deep_section` do the same for the
-    leaf-flat space; they are built on first read, which only `regroup`,
-    the mirror and `Pipe.done` into another bracketing do.
+    leaf-flat space.  All four are built on first read: a space that a pipe
+    only ends in never builds `section`, and only `regroup`, the mirror and
+    `Pipe.done` into another bracketing read the leaf-flat maps.  Every
+    tensor quotient is built with the space, so an action that does not
+    descend raises `WellDefinednessError` when the space is made.
     """
 
     def __init__(self, factors):
         self.factors = tuple(factors)
         self.field = factors[0].field
-        cur = factors[0]
-        proj = Matrix.identity(self.field, cur.dim)
-        sec = Matrix.identity(self.field, cur.dim)
+        chain = [factors[0]]
         for nxt in factors[1:]:
-            base = cur.right_algebra
-            tq = tensor_over(base, cur, nxt)
-            ident = Matrix.identity(self.field, nxt.dim)
-            proj = tq.project @ proj.kron(ident)
-            sec = sec.kron(ident) @ tq.section
-            cur = tq
-        self.quotient = cur
-        self.project = proj      # factor flat -> quotient
-        self.section = sec
+            chain.append(tensor_over(chain[-1].right_algebra, chain[-1], nxt))
+        self._chain = chain[1:]
+        self.quotient = chain[-1]
         self.leaves = tuple(l for f in factors for l in leaf_factors(f))
+
+    @cached_property
+    def project(self):
+        proj = Matrix.identity(self.field, self.factors[0].dim)
+        for tq in self._chain:
+            ident = Matrix.identity(self.field, tq.factor_right.dim)
+            proj = tq.project @ proj.kron(ident)
+        return proj
+
+    @cached_property
+    def section(self):
+        sec = Matrix.identity(self.field, self.factors[0].dim)
+        for tq in self._chain:
+            sec = sec.padded_matmul(1, tq.factor_right.dim, tq.section)
+        return sec
 
     @cached_property
     def deep_project(self):
@@ -674,7 +688,8 @@ class Pipe:
     The accumulated matrix maps the source quotient into the factor-flat
     space of the current factor list: each stage lifts its map through the
     quotients it touches (`section` after, `project` before) and acts by
-    identities on the other factors.  Every stage map must be bilinear over
+    identities on the other factors, through `Matrix.padded_matmul`, so
+    I (x) F (x) I is never built.  Every stage map must be bilinear over
     its outer algebras (the checkers verify this for user-supplied maps
     before piping them).  A section is bilinear up to the balancing
     relations of its own quotient, so every stage then carries the
@@ -701,12 +716,7 @@ class Pipe:
             pre *= d
         for d in dims[at + takes:]:
             post *= d
-        stage = flat_map
-        if pre != 1:
-            stage = Matrix.identity(self.field, pre).kron(stage)
-        if post != 1:
-            stage = stage.kron(Matrix.identity(self.field, post))
-        self.matrix = stage @ self.matrix
+        self.matrix = flat_map.padded_matmul(pre, post, self.matrix)
         self.factors[at:at + takes] = list(gives)
         return self
 

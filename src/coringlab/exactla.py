@@ -445,6 +445,48 @@ class Matrix:
                 axpy(out, col, v)
         return out
 
+    def padded_matmul(self, pre: int, post: int, m: "Matrix") -> "Matrix":
+        """(I_pre (x) self (x) I_post) @ m without building the Kronecker
+        product.  Row k = (a*fc + c)*post + b of m is scattered into each
+        row (a*fr + r)*post + b, scaled by self[r, c] (read from the cached
+        transpose), for fr x fc the shape of self; rows that cancel are
+        dropped.  The sums are those of the product with the Kronecker
+        product, so every entry is the same.  A marked identity self leaves
+        m as it is, and a marked identity m makes the Kronecker product the
+        result, so it is built."""
+        fr, fc, f = self.rows, self.cols, self.field
+        if m.rows != pre * fc * post:
+            raise InputError(
+                f"padded matmul shape mismatch I{pre} x {fr}x{fc} x I{post} "
+                f"@ {m.rows}x{m.cols}")
+        if self.is_identity:
+            return m
+        if m.is_identity:
+            out = self
+            if pre != 1:
+                out = Matrix.identity(f, pre).kron(out)
+            if post != 1:
+                out = out.kron(Matrix.identity(f, post))
+            return out
+        cols = self.transpose().data
+        axpy = f.axpy
+        block = fc * post
+        data: dict = {}
+        for k, row in m.data.items():
+            a, rest = divmod(k, block)
+            c, b = divmod(rest, post)
+            col = cols.get(c)
+            if col:
+                base = a * fr * post + b
+                for r, v in col.items():
+                    i = base + r * post
+                    acc = data.get(i)
+                    if acc is None:
+                        acc = data[i] = {}
+                    axpy(acc, row, v)
+        return Matrix(f, pre * fr * post, m.cols,
+                      {i: acc for i, acc in data.items() if acc})
+
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product, row-major index convention.  A marked identity
         factor makes the product a block copy of the other factor."""

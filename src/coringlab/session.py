@@ -140,12 +140,14 @@ class _Entry:
     def list(self, key):
         return _expect(self[key], list, f"{self.path}.{key}")
 
-    def labels(self):
+    def labels(self, dim):
         labels = self.get("labels")
         if labels is not None:
             _expect(labels, list, f"{self.path}.labels")
             for i, label in enumerate(labels):
                 _expect(label, str, f"{self.path}.labels[{i}]")
+            if len(labels) != dim:
+                raise InputError(f"{self.path}.labels: must have length {dim}")
         return labels
 
     def dim(self):
@@ -232,7 +234,7 @@ def parse_session(source) -> SessionFile:
             raise InputError(f"{data.path}.unit: must have length {dim}")
         unit = _parse_vec(field, data["unit"])
         s.algebras[name] = FinAlgebra(field, dim, mult, unit,
-                                      labels=data.labels(), name=name)
+                                      labels=data.labels(dim), name=name)
 
     for name, data in _entries(raw, "morphisms"):
         src = s.lookup("algebras", data["source"])
@@ -254,7 +256,7 @@ def parse_session(source) -> SessionFile:
         ras = [_parse_matrix(field, m, dim, dim, f"{data.path}.right_action[{k}]")
                for k, m in enumerate(data.list("right_action"))]
         s.bimodules[name] = Bimodule(left, right, dim, las, ras,
-                                     labels=data.labels(), name=name)
+                                     labels=data.labels(dim), name=name)
 
     for name, data in _entries(raw, "maps"):
         dom = s.resolve_space(data["domain"])

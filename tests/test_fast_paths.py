@@ -40,6 +40,15 @@
   composites must equal those of `LeafPipe`, the leaf-flat pipe it
   replaced, on generated stage sequences over kZ2 and kZ3 and on every
   corpus checker.
+* A `Pipe` stage multiplies by I_pre (x) F (x) I_post through
+  `Matrix.padded_matmul`, which scatters rows instead of building the
+  Kronecker product; it must equal that product (no empty row stored,
+  identity marks kept), and the pipes must give the composites, reports
+  and product maps of the plain stage on ladder rungs 1-4, on the corpus
+  lifts and on generated stage sequences.
+* `Space.project` and `Space.section` are built on first read; they must
+  equal the maps of the eager loop, and a space that a pipe only ends in
+  must never build its section.
 """
 
 from fractions import Fraction
@@ -103,11 +112,16 @@ def unmarked(m):
 @st.composite
 def sparse_matrix(draw, field):
     rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    return draw(shaped_matrix(field, rows, cols))
+
+
+@st.composite
+def shaped_matrix(draw, field, rows, cols):
     entries = draw(st.dictionaries(
         st.tuples(st.integers(0, max(rows - 1, 0)),
                   st.integers(0, max(cols - 1, 0))),
         st.one_of(st.integers(-6, 6), st.fractions(max_denominator=7)),
-        max_size=rows * cols))
+        max_size=min(rows * cols, 30)))
     return Matrix.from_entries(
         field, rows, cols, {k: field.parse(v) for k, v in entries.items()})
 
@@ -931,6 +945,225 @@ def test_perturbed_coring_over_kz2_matches_leaf_pipe(data, which):
     assert fast.status == slow.status
     if bilinearity_report(c.comult).ok and bilinearity_report(c.counit).ok:
         assert fast.to_json() == slow.to_json()
+
+
+# ---------------------------------------------------------------------------
+# padded products against the Kronecker products they replace
+
+
+def _assert_padded(f, pre, post, m):
+    """f.padded_matmul(pre, post, m) equals the product with
+    I_pre (x) f (x) I_post built as a matrix, stores no empty row and keeps
+    its identity mark; returns it."""
+    field = f.field
+    plain = (Matrix.identity(field, pre).kron(f)
+             .kron(Matrix.identity(field, post)) @ m)
+    fast = f.padded_matmul(pre, post, m)
+    assert fast == plain
+    assert (fast.rows, fast.cols) == (plain.rows, plain.cols)
+    assert fast.is_identity == plain.is_identity
+    assert all(fast.data.values())
+    return fast
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), pre=st.integers(1, 3), post=st.integers(1, 3))
+def test_padded_matmul_matches_kron_product(field, data, pre, post):
+    f = data.draw(sparse_matrix(field))
+    rows = pre * f.cols * post
+    m = data.draw(shaped_matrix(field, rows, data.draw(st.integers(0, 4))))
+    _assert_padded(f, pre, post, m)
+    _assert_padded(f, pre, post, Matrix.identity(field, rows))
+    m = data.draw(shaped_matrix(field, pre * f.rows * post, 3))
+    assert Matrix.identity(field, f.rows).padded_matmul(pre, post, m) is m
+    with pytest.raises(InputError):
+        f.padded_matmul(pre, post, Matrix.zeros(field, rows + 1, 1))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@pytest.mark.parametrize("pre, post", [(1, 1), (1, 3), (2, 1), (2, 3)])
+def test_padded_matmul_cases(field, pre, post):
+    one = field.one()
+    # a column, as `insert_central` pipes it (takes = 0, so f has one column)
+    col = Matrix.from_entries(field, 3, 1, {(0, 0): one, (2, 0): field.from_int(5)})
+    m = Matrix.from_entries(field, pre * post, 4, {
+        (i, i % 4): field.from_int(i + 2) for i in range(pre * post)})
+    _assert_padded(col, pre, post, m)
+    _assert_padded(col, pre, post, Matrix.identity(field, pre * post))
+    # rows that cancel: row 0 of f scatters m_0 - m_1 = 0
+    f = Matrix.from_rows(field, [[1, -1], [1, 1]])
+    rows = pre * 2 * post
+    m = Matrix.from_entries(field, rows, 2,
+                            {(i, j): one for i in range(rows) for j in range(2)})
+    out = _assert_padded(f, pre, post, m)
+    assert len(out.data) == pre * post
+    assert all((i // post) % 2 == 1 for i in out.data)
+    # a rectangular f
+    wide = Matrix.from_rows(field, [[1, 0, 2]])
+    _assert_padded(wide, pre, post, Matrix.from_entries(
+        field, pre * 3 * post, 2, {(i, i % 2): one for i in range(pre * 3 * post)}))
+    # a marked identity f leaves m as it is; a marked identity m makes the
+    # Kronecker product the result
+    assert Matrix.identity(field, 2).padded_matmul(pre, post, m) is m
+    assert _assert_padded(Matrix.identity(field, 2), pre, post,
+                          Matrix.identity(field, rows)).is_identity
+    assert f.padded_matmul(1, 1, Matrix.identity(field, 2)) is f
+
+
+def plain_stage(self, flat_map, at, takes, gives):
+    """The `Pipe` stage that `padded_matmul` replaced: I_pre (x) flat_map (x)
+    I_post is built as a matrix and multiplied once."""
+    dims = [f.dim for f in self.factors]
+    pre, mid, post = (_prod(dims[:at]), _prod(dims[at:at + takes]),
+                      _prod(dims[at + takes:]))
+    if flat_map.cols != mid:
+        raise InputError(f"stage expects flat dim {mid}, map has {flat_map.cols}")
+    stage = flat_map
+    if pre != 1:
+        stage = Matrix.identity(self.field, pre).kron(stage)
+    if post != 1:
+        stage = stage.kron(Matrix.identity(self.field, post))
+    self.matrix = stage @ self.matrix
+    self.factors[at:at + takes] = list(gives)
+    return self
+
+
+def _prod(dims):
+    out = 1
+    for d in dims:
+        out *= d
+    return out
+
+
+def rescaled_grouplike(field, lams, name):
+    """The grouplike coalgebra on h_i = lam_i g_i, as the benchmark's
+    dimension ladder builds it."""
+    from coringlab.coring import coalgebra_over_field
+    n = len(lams)
+    return coalgebra_over_field(
+        field, n, [{i * n + i: str(1 / lam)} for i, lam in enumerate(lams)],
+        [str(lam) for lam in lams], [f"h{i}" for i in range(n)], name)
+
+
+def ladder_outputs(field, n):
+    """The flip cowreath of rung n, from fresh structures: its report, the
+    product's maps, the morphism report and the product's report."""
+    from coringlab import cowreath
+    lams = [Fraction((-1) ** i * (i + 2), i + 1) for i in range(n)]
+    mus = [Fraction(i + 3, (-1) ** i * (2 * i + 1)) for i in range(n)]
+    w = cowreath.flip_cowreath(rescaled_grouplike(field, lams, f"C{n}"),
+                               rescaled_grouplike(field, mus, f"D{n}"))
+    prod, morph = cowreath.cowreath_product(w)
+    return [cowreath.check_cowreath(w).to_json(), prod.comult.matrix,
+            prod.counit.matrix, morph.to_json(), check_coring(prod).to_json()]
+
+
+def lift_outputs(corpus):
+    from coringlab import cowreath
+    out = []
+    for w in (corpus.lifted_flip_cw, corpus.lifted_dk_cw):
+        prod, morph = cowreath.cowreath_product(w)
+        out += [w.delta.matrix, w.xi.matrix, cowreath.check_cowreath(w).to_json(),
+                prod.comult.matrix, prod.counit.matrix, morph.to_json(),
+                check_coring(prod).to_json()]
+    return out
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_ladder_rung_matches_plain_stage(field, n, monkeypatch):
+    fast = ladder_outputs(field, n)
+    assert all(fast[i]["status"] == "pass" for i in (0, 3, 4))
+    monkeypatch.setattr(bimodule.Pipe, "_stage", plain_stage)
+    assert ladder_outputs(field, n) == fast
+
+
+def test_corpus_lifts_match_plain_stage(monkeypatch):
+    fast = lift_outputs(Corpus())
+    monkeypatch.setattr(bimodule.Pipe, "_stage", plain_stage)
+    assert lift_outputs(Corpus()) == fast
+
+
+@pytest.mark.parametrize("g", [2, 3])
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_pipe_matches_plain_stage(field, g, data):
+    base = group_algebra_cyclic(field, g)
+    source, stages, target = data.draw(pipe_program(field, base))
+    fast = run_program(bimodule.Pipe, source, stages, target)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bimodule.Pipe, "_stage", plain_stage)
+        slow = run_program(bimodule.Pipe, source, stages, target)
+    assert fast.matrix == slow.matrix
+
+
+# ---------------------------------------------------------------------------
+# Space maps, built on first read, against the eager loop
+
+
+def eager_project_section(factors):
+    """project and section of space(*factors) as the loop in `Space.__init__`
+    built both, with the Kronecker product of each step."""
+    f = factors[0].field
+    cur = factors[0]
+    proj = sec = Matrix.identity(f, cur.dim)
+    for nxt in factors[1:]:
+        tq = tensor_over(cur.right_algebra, cur, nxt)
+        ident = Matrix.identity(f, nxt.dim)
+        proj = tq.project @ proj.kron(ident)
+        sec = sec.kron(ident) @ tq.section
+        cur = tq
+    return proj, sec
+
+
+def _assert_eager_maps(factors):
+    sp = space(*factors)
+    proj, sec = eager_project_section(factors)
+    for fast, plain in ((sp.section, sec), (sp.project, proj)):
+        assert fast == plain
+        assert (fast.rows, fast.cols) == (plain.rows, plain.cols)
+        assert fast.is_identity == plain.is_identity
+        assert all(fast.data.values())
+    assert sp.project @ sp.section == plain_identity(sp.field, sp.dim)
+
+
+@pytest.mark.parametrize("g", [2, 3])
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_space_maps_match_eager_loop(field, g, data):
+    base = group_algebra_cyclic(field, g)
+    mods = [data.draw(side_bimodule(field, base, True, f"M{i}")) for i in range(2)]
+    pool = mods + [regular_bimodule(base), tensor_over(base, mods[0], mods[1])]
+    _assert_eager_maps(data.draw(st.lists(st.sampled_from(pool), min_size=1,
+                                          max_size=3)))
+
+
+def test_corpus_space_maps_match_eager_loop():
+    corpus = Corpus()
+    for c in (corpus.triv_z2, corpus.c3, corpus.gp, corpus.lifted_flip_cw.coring):
+        _assert_eager_maps((c.carrier,) * 2)
+        _assert_eager_maps((c.carrier,) * 3)
+
+
+def test_target_space_never_builds_section():
+    """A space that a pipe only ends in reads `project`, never `section`,
+    and every tensor quotient of a space is built when the space is."""
+    base = group_algebra_cyclic(QQ, 2)
+    areg = regular_bimodule(base)
+    lin = bimodule.pipe(space(areg)).insert_central(
+        areg, base.unit_vector(), 1).done()
+    target = space(areg, areg)
+    assert lin.codomain is target.quotient
+    assert "project" in vars(target) and "section" not in vars(target)
+    # g acts on the right by diag(1, -1), which does not commute with its
+    # left action, so the right action does not descend to the last quotient
+    bad = Bimodule(base, base, 2, areg.left_action,
+                   [areg.right_action[0], Matrix.from_rows(QQ, [[1, 0], [0, -1]])])
+    with pytest.raises(WellDefinednessError):
+        space(areg, areg, bad)
 
 
 def _plain_kills(relations, mat):

@@ -42,9 +42,9 @@ class TestRoundTrip:
             s = parse_session(path)
             store = SessionStore.empty(s.field)
             for name, a in s.algebras.items():
-                assert store.algebra_name(a) == name or True
+                assert store.algebra_name(a) == name
             again = parse_session(store.raw)
-            assert set(again.algebras) <= set(s.algebras) or True
+            assert set(again.algebras) == set(s.algebras)
 
     def test_empty_session_is_valid(self):
         s = parse_session({"field": "QQ"})

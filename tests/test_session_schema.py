@@ -140,3 +140,18 @@ def test_non_string_labels_exit_two(tmp_path, capsys, section, name):
     assert main(["--session", str(path), "check", "coring", "broken"]) == 2
     assert capsys.readouterr().err.startswith(
         f"error: $.{section}.{name}.labels[0]: expected a string, got an integer")
+
+
+@pytest.mark.parametrize("labels", [["a", "b", "c"], ["a"], []],
+                         ids=["long", "short", "empty"])
+@pytest.mark.parametrize("section, name", [
+    ("algebras", "kZ2"), ("bimodules", "brokenC")])
+def test_wrong_label_count_exit_two(tmp_path, capsys, section, name, labels):
+    raw = json.loads(json.dumps(corpus_sessions()["grouplike_coalgebras.json"]))
+    assert raw[section][name]["dim"] == 2
+    raw[section][name]["labels"] = labels
+    path = tmp_path / "bad.json"
+    write_session(raw, path)
+    assert main(["--session", str(path), "check", "coring", "broken"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: $.{section}.{name}.labels: must have length 2\n")
