@@ -49,6 +49,7 @@ structures they share have been built.
 from __future__ import annotations
 
 from functools import cached_property
+from math import prod
 
 from .algebra import FinAlgebra, opposite_algebra
 from .exactla import Matrix, kron_all
@@ -705,18 +706,12 @@ class Pipe:
 
     def _stage(self, flat_map: Matrix, at, takes, gives):
         dims = [f.dim for f in self.factors]
-        mid = 1
-        for d in dims[at:at + takes]:
-            mid *= d
+        mid = prod(dims[at:at + takes])
         if flat_map.cols != mid:
             raise InputError(
                 f"stage expects flat dim {mid}, map has {flat_map.cols}")
-        pre = post = 1
-        for d in dims[:at]:
-            pre *= d
-        for d in dims[at + takes:]:
-            post *= d
-        self.matrix = flat_map.padded_matmul(pre, post, self.matrix)
+        self.matrix = flat_map.padded_matmul(
+            prod(dims[:at]), prod(dims[at + takes:]), self.matrix)
         self.factors[at:at + takes] = list(gives)
         return self
 

@@ -52,6 +52,7 @@
 """
 
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -1015,8 +1016,8 @@ def plain_stage(self, flat_map, at, takes, gives):
     """The `Pipe` stage that `padded_matmul` replaced: I_pre (x) flat_map (x)
     I_post is built as a matrix and multiplied once."""
     dims = [f.dim for f in self.factors]
-    pre, mid, post = (_prod(dims[:at]), _prod(dims[at:at + takes]),
-                      _prod(dims[at + takes:]))
+    pre, mid, post = (prod(dims[:at]), prod(dims[at:at + takes]),
+                      prod(dims[at + takes:]))
     if flat_map.cols != mid:
         raise InputError(f"stage expects flat dim {mid}, map has {flat_map.cols}")
     stage = flat_map
@@ -1027,13 +1028,6 @@ def plain_stage(self, flat_map, at, takes, gives):
     self.matrix = stage @ self.matrix
     self.factors[at:at + takes] = list(gives)
     return self
-
-
-def _prod(dims):
-    out = 1
-    for d in dims:
-        out *= d
-    return out
 
 
 def rescaled_grouplike(field, lams, name):
@@ -1054,19 +1048,19 @@ def ladder_outputs(field, n):
     mus = [Fraction(i + 3, (-1) ** i * (2 * i + 1)) for i in range(n)]
     w = cowreath.flip_cowreath(rescaled_grouplike(field, lams, f"C{n}"),
                                rescaled_grouplike(field, mus, f"D{n}"))
-    prod, morph = cowreath.cowreath_product(w)
-    return [cowreath.check_cowreath(w).to_json(), prod.comult.matrix,
-            prod.counit.matrix, morph.to_json(), check_coring(prod).to_json()]
+    product, morph = cowreath.cowreath_product(w)
+    return [cowreath.check_cowreath(w).to_json(), product.comult.matrix,
+            product.counit.matrix, morph.to_json(), check_coring(product).to_json()]
 
 
 def lift_outputs(corpus):
     from coringlab import cowreath
     out = []
     for w in (corpus.lifted_flip_cw, corpus.lifted_dk_cw):
-        prod, morph = cowreath.cowreath_product(w)
+        product, morph = cowreath.cowreath_product(w)
         out += [w.delta.matrix, w.xi.matrix, cowreath.check_cowreath(w).to_json(),
-                prod.comult.matrix, prod.counit.matrix, morph.to_json(),
-                check_coring(prod).to_json()]
+                product.comult.matrix, product.counit.matrix, morph.to_json(),
+                check_coring(product).to_json()]
     return out
 
 
