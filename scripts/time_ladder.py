@@ -11,8 +11,10 @@ n = 5.  For each rung and field it prints the wall-clock seconds of
 product's `check_coring`, each run from fresh structures, and the
 dimension of the product's coassociativity space (n^6, every quotient is
 flat).  With `--runs N` (default 1) each time column is the median of the
-N runs (the total column is the median of the per-run totals).  It checks
-every verdict but gates nothing on time.
+N runs (the total column is the median of the per-run totals).  After
+the two rows of a rung it prints the ratio of the QQ total to the GF(101)
+total: the same shapes cost that much more with Fraction scalars.  It
+checks every verdict but gates nothing on time.
 """
 
 import argparse
@@ -76,6 +78,7 @@ def main(argv=None):
           f"{'p-check':>8} {'total':>7}   coassoc flat dim")
     bad = 0
     for n in args.rungs:
+        totals = []
         for field in FIELDS:
             runs, ok = [], True
             for _ in range(args.runs):
@@ -86,8 +89,11 @@ def main(argv=None):
             t_flip, t_check, t_prod, t_pcheck = (
                 statistics.median(col) for col in zip(*runs))
             total = statistics.median(sum(times) for times in runs)
+            totals.append(total)
             print(f"{f'n={n} {field!r}':<12} {t_flip:7.3f} {t_check:7.3f} "
                   f"{t_prod:8.3f} {t_pcheck:8.3f} {total:7.3f}   {pdim ** 3}")
+        print(f"{f'n={n}':<12} {'QQ / GF(101) total':>33} "
+              f"{totals[0] / totals[1]:7.2f}")
     if bad:
         print(f"{bad} rung(s) did not pass", file=sys.stderr)
     return 1 if bad else 0

@@ -320,8 +320,7 @@ class TensorQuotient(Bimodule):
     """M (x)_A N presented on the canonical non-pivot pure-tensor basis."""
 
     def __init__(self, base, factor_left, factor_right, dim, left_action,
-                 right_action, project, section, free_cols, relations, name,
-                 echelon=None):
+                 right_action, project, section, relations, name, echelon):
         super().__init__(factor_left.left_algebra, factor_right.right_algebra,
                          dim, left_action, right_action, name=name)
         self.base = base
@@ -329,9 +328,14 @@ class TensorQuotient(Bimodule):
         self.factor_right = factor_right
         self.project = project    # dim x (dim M * dim N)
         self.section = section    # (dim M * dim N) x dim
-        self.free_cols = free_cols
         self.relations = relations
         self.echelon = echelon
+
+    @cached_property
+    def free_cols(self):
+        """The flat coordinates of the quotient basis, in order: the
+        non-pivot columns of the relation echelon."""
+        return self.echelon.free_columns()
 
     def kills(self, mat: Matrix) -> bool:
         """True when mat, a map out of the flat space, vanishes on the
@@ -423,12 +427,12 @@ def _build_tensor(a, m, n, name):
                 if rel:
                     relations.append(rel)
                     ech.add(rel)
-    free = ech.free_columns()
-    qdim = len(free)
+    qdim = flat - len(ech.pivot_rows)
     # project . section = id, so a marked action is inherited as the marked
     # identity of the quotient
     ident = Matrix.identity(f, qdim)
     if relations:
+        free = ech.free_columns()
         pos = {c: t for t, c in enumerate(free)}
         proj_entries = {}
         for t, c in enumerate(free):
@@ -455,8 +459,8 @@ def _build_tensor(a, m, n, name):
         a, m, n, qdim,
         [ident if pk is None else _through_section(pk, section) for pk in left_pk],
         [ident if pk is None else _through_section(pk, section) for pk in right_pk],
-        project, section, free, relations,
-        name or f"({m.name}(x){n.name})", echelon=ech,
+        project, section, relations,
+        name or f"({m.name}(x){n.name})", ech,
     )
     if relations:
         for side, alg, pks in (("left", m.left_algebra, left_pk),

@@ -3,7 +3,11 @@
 Scalars over Q are exact rationals in canonical form: a Python `int` when
 the value is integral and a `fractions.Fraction` otherwise (arbitrary
 precision, so row reduction never overflows, and integer arithmetic skips
-the gcd work of `Fraction`).  Over GF(p) they are canonical ints in [0, p).
+the gcd work of `Fraction`).  The QQ kernels do no Fraction arithmetic
+whose result is known: `axpy` stores the product alone in an entry new to
+its target and copies or negates for a coefficient of +-1, `inv(+-1)` is
+its argument and `vec_scale` by 1 copies.  Over GF(p) they are canonical
+ints in [0, p).
 No scalar is ever a float or a bool.  Matrices are sparse: a map row ->
 {col -> nonzero scalar}.  A matrix built by `Matrix.identity` carries an
 identity mark, so products and Kronecker products with it copy instead of
@@ -51,7 +55,10 @@ class RationalField:
     """The field Q with canonical scalars: int when integral, else Fraction.
 
     `inv` and `div` divide through `Fraction`, so no operation ever yields
-    a float; `str` of an integral value is the same for both types.
+    a float; `str` of an integral value is the same for both types.  Since
+    a canonical +-1 is an int, `axpy` and `inv` test for it by type and
+    then do no Fraction arithmetic for it, nor for an entry new to the
+    target of `axpy`.
     """
 
     name = "QQ"
@@ -81,6 +88,8 @@ class RationalField:
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
+        if type(a) is int and (a == 1 or a == -1):
+            return a
         return _canon(Fraction(1, a))
 
     def div(self, a, b):
@@ -91,13 +100,19 @@ class RationalField:
 
     def axpy(self, target: dict, src: dict, coeff):
         """target += coeff * src in place, in plain int/Fraction arithmetic:
-        a sum that cancels is removed and a Fraction sum that is integral is
-        stored as its int."""
+        a sum that cancels is removed and a Fraction that is integral is
+        stored as its int.  An entry new to target stores the product alone,
+        and a coefficient of 1 or -1 (always an int) copies or negates src's
+        entry instead of multiplying."""
         if not coeff:
             return target
+        unit = type(coeff) is int and (coeff == 1 or coeff == -1)
         get = target.get
         for j, v in src.items():
-            w = get(j, 0) + coeff * v
+            w = (v if coeff == 1 else -v) if unit else coeff * v
+            t = get(j)
+            if t is not None:
+                w += t
             if not w:
                 target.pop(j, None)
             elif type(w) is Fraction and w.denominator == 1:
@@ -252,6 +267,8 @@ def vec_add_scaled(field, target: dict, src: dict, coeff):
 def vec_scale(field, src: dict, coeff) -> dict:
     if field.is_zero(coeff):
         return {}
+    if type(coeff) is int and coeff == 1:
+        return dict(src)
     return {j: field.mul(coeff, v) for j, v in src.items()}
 
 

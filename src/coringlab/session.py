@@ -2,7 +2,7 @@
 the command line can check or build.
 
 Scalars are written as integers or "p/q" strings (integers mod p for prime
-fields).  Matrices are row-major lists of rows.  A space reference is a
+fields); a float, a boolean or null is malformed input.  Matrices are row-major lists of rows.  A space reference is a
 bimodule name, an algebra name (standing for its regular bimodule), or a
 list of space references meaning the left-associated tensor product of the
 referenced factors over their boundary algebras; matrix coordinates on such
@@ -172,11 +172,26 @@ def _parse_matrix(field, rows_data, rows, cols, where) -> Matrix:
         raise InputError(
             f"{where}: matrix must be {rows}x{cols}, "
             f"got {len(rows_data)}x{len(rows_data[0]) if rows_data else 0}")
+    for i, r in enumerate(rows_data):
+        _scalars(r, f"{where}[{i}]")
     return Matrix.from_rows(field, rows_data)
 
 
-def _parse_vec(field, entries) -> dict:
+def _scalars(entries, path):
+    """Check that each entry is a JSON integer or string: a float, a
+    boolean or null is not a session scalar (a string is checked by the
+    field's `parse`)."""
+    for k, v in enumerate(entries):
+        if type(v) is not int and type(v) is not str:
+            got = "a float" if type(v) is float else _JSON_KINDS.get(
+                type(v), type(v).__name__)
+            raise InputError(f'{path}[{k}]: expected an integer or a "p/q" '
+                             f"string, got {got}")
+
+
+def _parse_vec(field, entries, path) -> dict:
     """Sparse vector {index: scalar} of a list of scalar texts, zeros dropped."""
+    _scalars(entries, path)
     vec = {k: field.parse(v) for k, v in enumerate(entries)}
     return {k: v for k, v in vec.items() if not field.is_zero(v)}
 
@@ -228,11 +243,12 @@ def parse_session(source) -> SessionFile:
                 if len(vec) != dim:
                     raise InputError(
                         f"{data.path}.mult[{i}][{j}]: must have length {dim}")
-                row.append(_parse_vec(field, vec))
+                row.append(_parse_vec(field, vec,
+                                      f"{data.path}.mult[{i}][{j}]"))
             mult.append(row)
         if len(data.list("unit")) != dim:
             raise InputError(f"{data.path}.unit: must have length {dim}")
-        unit = _parse_vec(field, data["unit"])
+        unit = _parse_vec(field, data["unit"], f"{data.path}.unit")
         s.algebras[name] = FinAlgebra(field, dim, mult, unit,
                                       labels=data.labels(dim), name=name)
 

@@ -31,11 +31,18 @@
   dropped `SkewPolyData` must be freed without the cyclic collector.
 * `Echelon.free_columns` of an echelon without pivots, which every flat
   quotient has, is `range(ncols)`; with and without pivots it must equal
-  the column-by-column test against `pivot_rows`.
+  the column-by-column test against `pivot_rows`.  `TensorQuotient`
+  reads its `free_cols` from its echelon on first use.
 * QQ scalars are ints when integral and Fractions otherwise; every
   operation must agree with plain `Fraction` arithmetic.
 * Each field's `axpy` replaces a loop of `field.add` and `field.mul`; it
   must store the same canonical sums and drop the same cancelled entries.
+* The QQ `axpy` stores the product alone in an entry new to its target and
+  copies or negates for a coefficient of +-1, `QQ.inv(+-1)` returns its
+  argument and `vec_scale` by 1 copies; each must match the plain path on
+  every such case, with canonical types, and the ladder rungs 1-4 and the
+  corpus lifts must give the same matrices and reports with the plain
+  paths patched in.
 * `Pipe` works on the factor-flat space of its current factors; its
   composites must equal those of `LeafPipe`, the leaf-flat pipe it
   replaced, on generated stage sequences over kZ2 and kZ3 and on every
@@ -57,7 +64,7 @@ from math import prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coringlab import bimodule, ore
+from coringlab import bimodule, exactla, ore
 from coringlab.algebra import (
     AlgebraMorphism,
     FinAlgebra,
@@ -83,7 +90,7 @@ from coringlab.bimodule import (
 )
 from coringlab.coring import Coring, check_coring
 from coringlab.corpus import Corpus
-from coringlab.exactla import GF, QQ, Echelon, Matrix, solve
+from coringlab.exactla import GF, QQ, Echelon, Matrix, _canon, solve, vec_scale
 from coringlab.ore import (
     OreTwistTable,
     SkewPolyData,
@@ -637,6 +644,142 @@ def test_axpy_cancels_and_canonicalizes():
     gf.axpy(target, {0: 98, 1: 1, 2: 50}, 1)
     assert target == {2: 50}
     assert gf.axpy(target, {2: 7}, 101) == {2: 50}
+
+
+# -- the QQ kernels that skip arithmetic with 0 and +-1 ------------------------
+
+QQ_AXPY_KINDS = ["empty-target", "one", "minus-one", "integral-products"]
+
+
+def _assert_canonical_qq(values):
+    for v in values:
+        assert v and type(v) is (int if Fraction(v).denominator == 1 else Fraction)
+
+
+@st.composite
+def qq_axpy_case(draw, kind):
+    """(target, src, coeff) over QQ for one fast path of `RationalField.axpy`:
+    an empty target, a coefficient of 1 or -1, or a Fraction coefficient
+    p/q whose product with every src entry is integral (the entries are
+    k q / p).  Except for the last kind, part of src is the exact negative
+    of target / coeff, so some sums cancel."""
+    scalar = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6)).map(QQ.parse)
+    idx = st.integers(0, 7)
+    target = {} if kind == "empty-target" else {
+        j: v for j, v in draw(st.dictionaries(idx, scalar)).items() if v}
+    if kind == "integral-products":
+        coeff = draw(st.builds(Fraction, st.integers(-6, 6).filter(bool),
+                               st.integers(2, 7)).filter(lambda c: c.denominator > 1))
+        ks = draw(st.dictionaries(idx, st.integers(-6, 6).filter(bool)))
+        return target, {j: QQ.div(k * coeff.denominator, coeff.numerator)
+                        for j, k in ks.items()}, coeff
+    coeff = {"one": 1, "minus-one": -1}.get(kind) or draw(scalar.filter(bool))
+    src = {j: v for j, v in draw(st.dictionaries(idx, scalar)).items() if v}
+    for j in draw(st.lists(st.sampled_from(sorted(target)), unique=True)
+                  if target else st.just([])):
+        src[j] = QQ.neg(QQ.div(target[j], coeff))
+    return target, src, coeff
+
+
+@pytest.mark.parametrize("kind", QQ_AXPY_KINDS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_qq_axpy_fast_paths_match_plain_field_loop(kind, data):
+    target, src, coeff = data.draw(qq_axpy_case(kind))
+    expected = plain_axpy(QQ, dict(target), src, coeff)
+    got = dict(target)
+    assert QQ.axpy(got, src, coeff) is got
+    assert got == expected
+    _assert_canonical_qq(got.values())
+    if kind == "integral-products":
+        assert all(type(got[j]) is int for j in src.keys() - target.keys())
+
+
+def test_qq_axpy_fast_paths_cases():
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    # new entries: the product alone, integral ones as ints
+    got = QQ.axpy({}, {0: Fraction(3, 2), 1: half}, Fraction(2, 3))
+    assert got == {0: 1, 1: third} and type(got[0]) is int
+    # +-1 copies or negates, and still cancels and canonicalizes sums
+    assert QQ.axpy({0: half, 1: third}, {0: half, 1: -third, 2: 4}, 1) == {0: 1, 2: 4}
+    assert QQ.axpy({0: half, 1: 2}, {0: half, 1: 1, 2: third}, -1) == {1: 1, 2: -third}
+    # an entry of src that is a stored zero stores nothing
+    assert QQ.axpy({}, {0: 0, 1: half}, Fraction(2, 3)) == {1: third}
+    assert QQ.axpy({}, {0: 0}, 1) == {}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(QQ_VALUES, st.sampled_from([1, -1])).filter(bool))
+def test_qq_inv_matches_fraction(a):
+    x = QQ.parse(a)
+    expected = _canon(Fraction(1, x))
+    got = QQ.inv(x)
+    assert got == expected and type(got) is type(expected)
+
+
+def test_qq_inv_of_unit_is_the_int():
+    for a in (1, -1):
+        assert type(QQ.inv(a)) is int and QQ.inv(a) == a
+    with pytest.raises(ZeroDivisionError):
+        QQ.inv(0)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_vec_scale_matches_plain_loop(field, data):
+    scalar = st.fractions(max_denominator=7).map(field.parse)
+    src = data.draw(st.dictionaries(st.integers(0, 5), scalar.filter(bool)))
+    coeff = data.draw(st.one_of(st.sampled_from([0, 1, -1]).map(field.parse), scalar))
+    got = vec_scale(field, src, coeff)
+    assert got == plain_vec_scale(field, src, coeff)
+    assert got is not src
+    if field == QQ:
+        _assert_canonical_qq(got.values())
+
+
+def test_vec_scale_by_one_is_a_copy():
+    src = {0: Fraction(1, 2), 3: 5}
+    out = vec_scale(QQ, src, 1)
+    assert out == src and out is not src
+    out[1] = 7
+    assert 1 not in src
+
+
+def plain_vec_scale(field, src, coeff):
+    if field.is_zero(coeff):
+        return {}
+    return {j: field.mul(coeff, v) for j, v in src.items()}
+
+
+def plain_qq_kernels(monkeypatch):
+    """Replace the QQ `axpy`, `inv` and `vec_scale` fast paths by the plain
+    paths they replaced."""
+    monkeypatch.setattr(QQ, "axpy", lambda t, s, c: plain_axpy(QQ, t, s, c))
+    monkeypatch.setattr(QQ, "inv", lambda a: _canon(Fraction(1, a)))
+    monkeypatch.setattr(exactla, "vec_scale", plain_vec_scale)
+
+
+def _assert_canonical_outputs(outputs):
+    for out in outputs:
+        if isinstance(out, Matrix):
+            for row in out.data.values():
+                _assert_canonical_qq(row.values())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_qq_ladder_rung_matches_plain_kernels(n, monkeypatch):
+    fast = ladder_outputs(QQ, n)
+    _assert_canonical_outputs(fast)
+    plain_qq_kernels(monkeypatch)
+    assert ladder_outputs(QQ, n) == fast
+
+
+def test_corpus_lifts_match_plain_kernels(monkeypatch):
+    fast = lift_outputs(Corpus())
+    _assert_canonical_outputs(fast)
+    plain_qq_kernels(monkeypatch)
+    assert lift_outputs(Corpus()) == fast
 
 
 # ---------------------------------------------------------------------------

@@ -155,3 +155,40 @@ def test_wrong_label_count_exit_two(tmp_path, capsys, section, name, labels):
     assert main(["--session", str(path), "check", "coring", "broken"]) == 2
     assert capsys.readouterr().err == (
         f"error: $.{section}.{name}.labels: must have length 2\n")
+
+
+def _set(raw, path, value):
+    *keys, last = path
+    for key in keys:
+        raw = raw[key]
+    raw[last] = value
+
+
+@pytest.mark.parametrize("value, kind", [
+    (0.1, "a float"), (1.0, "a float"), (True, "a boolean"),
+    (False, "a boolean"), (None, "null")])
+@pytest.mark.parametrize("path, shown", [
+    (("maps", "C2.comult", "matrix", 0, 0), "$.maps.C2.comult.matrix[0][0]"),
+    (("algebras", "kZ2", "mult", 1, 0, 1), "$.algebras.kZ2.mult[1][0][1]"),
+    (("algebras", "kZ2", "unit", 0), "$.algebras.kZ2.unit[0]"),
+    (("bimodules", "brokenC", "left_action", 0, 1, 1),
+     "$.bimodules.brokenC.left_action[0][1][1]")])
+def test_non_integer_scalars_exit_two(tmp_path, capsys, path, shown, value, kind):
+    """A session scalar is an integer or a "p/q" string: a float (even an
+    integral one), a boolean or null is malformed input naming its path,
+    not a value, whatever `field.parse` would make of it."""
+    raw = json.loads(json.dumps(corpus_sessions()["grouplike_coalgebras.json"]))
+    _set(raw, path, value)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    assert main(["--session", str(bad), "check", "coring", "C2"]) == 2
+    assert capsys.readouterr().err == (
+        f'error: {shown}: expected an integer or a "p/q" string, got {kind}\n')
+
+
+def test_integer_and_fraction_scalars_are_read():
+    raw = json.loads(json.dumps(corpus_sessions()["grouplike_coalgebras.json"]))
+    _set(raw, ("maps", "C2.counit", "matrix", 0, 0), 1)
+    _set(raw, ("maps", "C2.counit", "matrix", 0, 1), "2/2")
+    s = parse_session(raw)
+    assert s.maps["C2.counit"].matrix.data == {0: {0: 1, 1: 1}}
