@@ -3,19 +3,19 @@
 Scalars over Q are exact rationals in canonical form: a Python `int` when
 the value is integral and a `fractions.Fraction` otherwise (arbitrary
 precision, so row reduction never overflows, and integer arithmetic skips
-the gcd work of `Fraction`).  The QQ kernels do no Fraction arithmetic
-whose result is known: `axpy` stores the product alone in an entry new to
-its target and copies or negates for a coefficient of +-1, `inv(+-1)` is
-its argument and `vec_scale` by 1 copies.  Over GF(p) they are canonical
-ints in [0, p).
-No scalar is ever a float or a bool.  Matrices are sparse: a map row ->
-{col -> nonzero scalar}.  A matrix built by `Matrix.identity` carries an
-identity mark, so products and Kronecker products with it copy instead of
-multiplying, and its entries are built only when something reads `data`;
-matrices are immutable and may be shared.  Reduced row echelon
-forms are unique for a given row space, so pivot columns, kernels and
-quotient bases are reproducible no matter in which order relations are fed
-in.
+the gcd work of `Fraction`).  Over GF(p) they are canonical ints in [0, p).
+No scalar is ever a float or a bool.  The QQ kernels do no Fraction
+arithmetic whose result is known: `axpy` stores the product alone in an
+entry new to its target and copies or negates for a coefficient of +-1,
+`inv(+-1)` is its argument and `vec_scale` by 1 copies.
+
+Matrices are sparse: a map row -> {col -> nonzero scalar}.  A matrix built
+by `Matrix.identity` carries an identity mark, so products and Kronecker
+products with it copy instead of multiplying, and its entries are built
+only when something reads `data`; matrices are immutable and may be
+shared.  Reduced row echelon forms are unique for a given row space, so
+pivot columns, kernels and quotient bases are reproducible no matter in
+which order relations are fed in.
 
 Pivoting convention: columns are eliminated left to right; within a column
 the first remaining row with a nonzero entry is used.  This matches the
@@ -55,10 +55,8 @@ class RationalField:
     """The field Q with canonical scalars: int when integral, else Fraction.
 
     `inv` and `div` divide through `Fraction`, so no operation ever yields
-    a float; `str` of an integral value is the same for both types.  Since
-    a canonical +-1 is an int, `axpy` and `inv` test for it by type and
-    then do no Fraction arithmetic for it, nor for an entry new to the
-    target of `axpy`.
+    a float; `str` of an integral value is the same for both types.  A
+    canonical +-1 is an int, so `axpy` and `inv` recognize it by its type.
     """
 
     name = "QQ"

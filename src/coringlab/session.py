@@ -2,11 +2,12 @@
 the command line can check or build.
 
 Scalars are written as integers or "p/q" strings (integers mod p for prime
-fields); a float, a boolean or null is malformed input.  Matrices are row-major lists of rows.  A space reference is a
-bimodule name, an algebra name (standing for its regular bimodule), or a
-list of space references meaning the left-associated tensor product of the
-referenced factors over their boundary algebras; matrix coordinates on such
-spaces use the canonical quotient bases.
+fields); a float, a boolean or null is malformed input.  Matrices are
+row-major lists of rows.  A space reference is a bimodule name, an algebra
+name (standing for its regular bimodule), or a list of space references
+meaning the left-associated tensor product of the referenced factors over
+their boundary algebras; matrix coordinates on such spaces use the
+canonical quotient bases.
 
 The ten reference sections, `corings` to `twistings`, are defined once, in
 `SCHEMA`, which both `parse_session` and `SessionStore` read; the sections
