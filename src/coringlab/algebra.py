@@ -1,7 +1,8 @@
 """Finite-dimensional unital associative algebras by structure constants.
 
 The table `mult[i][j]` holds the coefficient vector of e_i * e_j in the
-chosen basis, as a sparse dict {k: scalar}.  Labels are display metadata
+chosen basis, as a sparse dict {k: scalar} that stores no zero (zero
+entries given to the constructor are dropped).  Labels are display metadata
 only; element identity is positional.
 """
 
@@ -9,6 +10,10 @@ from __future__ import annotations
 
 from .exactla import Matrix, vec_add_scaled
 from .reports import InputError, Record, Report, Witness
+
+
+def _nonzero(field, vec: dict) -> dict:
+    return {k: v for k, v in vec.items() if not field.is_zero(v)}
 
 
 class FinAlgebra:
@@ -21,18 +26,19 @@ class FinAlgebra:
             raise InputError("structure constant table must be dim x dim")
         self.field = field
         self.dim = dim
-        self.mult = [
-            [dict(mult[i][j]) for j in range(dim)] for i in range(dim)
-        ]
+        mult = [[dict(mult[i][j]) for j in range(dim)] for i in range(dim)]
         for i in range(dim):
             for j in range(dim):
-                if any(not (0 <= k < dim) for k in self.mult[i][j]):
+                if any(not (0 <= k < dim) for k in mult[i][j]):
                     raise InputError(
                         f"product vector at ({i},{j}) uses an index outside "
                         f"the basis")
-        self.unit = dict(unit)
-        if any(not (0 <= k < dim) for k in self.unit):
+        unit = dict(unit)
+        if any(not (0 <= k < dim) for k in unit):
             raise InputError("unit vector uses an index outside the basis")
+        # zero entries are dropped, so equal algebras have equal tables
+        self.mult = [[_nonzero(field, vec) for vec in row] for row in mult]
+        self.unit = _nonzero(field, unit)
         self.labels = list(labels) if labels else [f"e{i}" for i in range(dim)]
         if len(self.labels) != dim:
             raise InputError("label count must equal dim")

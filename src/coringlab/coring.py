@@ -119,15 +119,33 @@ def check_coring(c: Coring) -> Report:
 
 def check_coring_morphism(phi: LinearMap, src: Coring, dst: Coring,
                           name=None) -> Report:
-    """eps_dst . phi = eps_src and (phi x phi) . Delta_src = Delta_dst . phi."""
+    """eps_dst . phi = eps_src and (phi x phi) . Delta_src = Delta_dst . phi.
+
+    A bilinear phi makes phi (x) phi well defined, so the left side of
+    `morphism-comult` is piped: Delta_src, then phi on each factor, n^2
+    products per stage instead of the n^4 of the Kronecker product phi (x)
+    phi.  The matrix is the same.  A phi that is not bilinear goes through
+    `tensor_maps`, which builds phi (x) phi and raises WellDefinednessError
+    when it does not descend to the quotients."""
     rep = Report(name or f"coring morphism {phi.name}: {src.name} -> {dst.name}")
     if not (src.base is dst.base or src.base.mult == dst.base.mult):
         raise InputError("coring morphism needs a common base")
-    rep.extend(bilinearity_report(phi, "morphism"))
+    bilinear = bilinearity_report(phi, "morphism")
+    rep.extend(bilinear)
     compare_maps(rep, "morphism-counit", dst.counit.after(phi), src.counit)
-    pp = tensor_maps(phi, phi, src.cc.quotient, dst.cc.quotient)
-    compare_maps(rep, "morphism-comult", pp.after(src.comult),
-                 dst.comult.after(phi))
+    if bilinear.ok:
+        S, D = src.carrier, dst.carrier
+        lhs = (
+            pipe(space(src.comult.domain))
+            .apply(src.comult, 0, 1, [S, S])
+            .apply(phi, 0, 1, [D])
+            .apply(phi, 1, 1, [D])
+            .done(dst.cc, name=f"({phi.name}x{phi.name}).comult")
+        )
+    else:
+        pp = tensor_maps(phi, phi, src.cc.quotient, dst.cc.quotient)
+        lhs = pp.after(src.comult)
+    compare_maps(rep, "morphism-comult", lhs, dst.comult.after(phi))
     return rep
 
 

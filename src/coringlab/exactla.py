@@ -4,10 +4,15 @@ Scalars over Q are exact rationals in canonical form: a Python `int` when
 the value is integral and a `fractions.Fraction` otherwise (arbitrary
 precision, so row reduction never overflows, and integer arithmetic skips
 the gcd work of `Fraction`).  Over GF(p) they are canonical ints in [0, p).
-No scalar is ever a float or a bool.  The QQ kernels do no Fraction
-arithmetic whose result is known: `axpy` stores the product alone in an
-entry new to its target and copies or negates for a coefficient of +-1,
-`inv(+-1)` is its argument and `vec_scale` by 1 copies.
+No scalar is ever a float or a bool.  Each field has two vector kernels:
+`axpy` adds a scaled vector into another in place, and `scaled` returns a
+scaled copy with no lookups and no zero tests (a nonzero times a nonzero
+is nonzero).  `Matrix.__matmul__` and `Matrix.padded_matmul` start each
+output row as a scaled copy of its first contribution and add the rest
+with `axpy`; `vec_scale` and `Matrix.scale` are `scaled`.  The QQ kernels
+do no Fraction arithmetic whose result is known: `axpy` stores the product
+alone in an entry new to its target, `axpy` and `scaled` copy or negate
+for a coefficient of +-1, and `inv(+-1)` is its argument.
 
 Matrices are sparse: a map row -> {col -> nonzero scalar}.  A matrix built
 by `Matrix.identity` carries an identity mark, so products and Kronecker
@@ -119,6 +124,20 @@ class RationalField:
                 target[j] = w
         return target
 
+    def scaled(self, src: dict, coeff) -> dict:
+        """coeff * src as a new dict: a copy or its negation for a
+        coefficient of 1 or -1, else each product with an integral Fraction
+        stored as its int; {} for a zero coefficient."""
+        if not coeff:
+            return {}
+        if type(coeff) is int and (coeff == 1 or coeff == -1):
+            return dict(src) if coeff == 1 else {j: -v for j, v in src.items()}
+        out = {}
+        for j, v in src.items():
+            w = coeff * v
+            out[j] = w.numerator if type(w) is Fraction and w.denominator == 1 else w
+        return out
+
     def parse(self, text):
         if isinstance(text, (int, Fraction)):
             return _canon(Fraction(text))
@@ -200,6 +219,14 @@ class PrimeField:
                 target.pop(j, None)
         return target
 
+    def scaled(self, src: dict, coeff) -> dict:
+        """coeff * src as a new dict, each entry reduced mod p; {} for a
+        coefficient that is 0 mod p."""
+        p = self.p
+        if not coeff % p:
+            return {}
+        return {j: coeff * v % p for j, v in src.items()}
+
     def parse(self, text):
         if isinstance(text, int):
             return text % self.p
@@ -263,11 +290,8 @@ def vec_add_scaled(field, target: dict, src: dict, coeff):
 
 
 def vec_scale(field, src: dict, coeff) -> dict:
-    if field.is_zero(coeff):
-        return {}
-    if type(coeff) is int and coeff == 1:
-        return dict(src)
-    return {j: field.mul(coeff, v) for j, v in src.items()}
+    """coeff * src as a new dict, by the field's own `scaled` kernel."""
+    return field.scaled(src, coeff)
 
 
 # ---------------------------------------------------------------------------
@@ -393,10 +417,8 @@ class Matrix:
         f = self.field
         if f.is_zero(coeff):
             return Matrix(f, self.rows, self.cols)
-        data = {
-            i: {j: f.mul(coeff, v) for j, v in r.items()}
-            for i, r in self.data.items()
-        }
+        scaled = f.scaled
+        data = {i: scaled(r, coeff) for i, r in self.data.items()}
         return Matrix(f, self.rows, self.cols, data)
 
     def __matmul__(self, other):
@@ -410,15 +432,18 @@ class Matrix:
             return other
         if other.is_identity:
             return self
-        axpy = self.field.axpy
+        axpy, scaled = self.field.axpy, self.field.scaled
         data = {}
         orows = other.data
         for i, arow in self.data.items():
-            acc = {}
+            acc = None
             for k, v in arow.items():
                 brow = orows.get(k)
                 if brow:
-                    axpy(acc, brow, v)
+                    if acc is None:
+                        acc = scaled(brow, v)
+                    else:
+                        axpy(acc, brow, v)
             if acc:
                 data[i] = acc
         return Matrix(self.field, self.rows, other.cols, data)
@@ -484,7 +509,7 @@ class Matrix:
                 out = out.kron(Matrix.identity(f, post))
             return out
         cols = self.transpose().data
-        axpy = f.axpy
+        axpy, scaled = f.axpy, f.scaled
         block = fc * post
         data: dict = {}
         for k, row in m.data.items():
@@ -497,8 +522,9 @@ class Matrix:
                     i = base + r * post
                     acc = data.get(i)
                     if acc is None:
-                        acc = data[i] = {}
-                    axpy(acc, row, v)
+                        data[i] = scaled(row, v)
+                    else:
+                        axpy(acc, row, v)
         return Matrix(f, pre * fr * post, m.cols,
                       {i: acc for i, acc in data.items() if acc})
 

@@ -86,7 +86,8 @@ class SessionFile:
 
     # -- resolution ---------------------------------------------------------
 
-    def resolve_space(self, ref) -> Bimodule:
+    def resolve_space(self, ref, path) -> Bimodule:
+        """The bimodule that ref names; path is its JSON path, for errors."""
         if isinstance(ref, str):
             if ref in self.bimodules:
                 return self.bimodules[ref]
@@ -94,7 +95,10 @@ class SessionFile:
                 return regular_bimodule(self.algebras[ref])
             raise InputError(f"unknown space reference {ref!r}")
         if isinstance(ref, list):
-            factors = [self.resolve_space(r) for r in ref]
+            if not ref:
+                raise InputError(f"{path}: space needs at least one factor")
+            factors = [self.resolve_space(r, f"{path}[{i}]")
+                       for i, r in enumerate(ref)]
             return space(*factors).quotient
         raise InputError(f"bad space reference {ref!r}")
 
@@ -169,7 +173,12 @@ def _parse_matrix(field, rows_data, rows, cols, where) -> Matrix:
     _expect(rows_data, list, where)
     for i, r in enumerate(rows_data):
         _expect(r, list, f"{where}[{i}]")
-    if len(rows_data) != rows or any(len(r) != cols for r in rows_data):
+    lengths = {len(r) for r in rows_data}
+    if len(lengths) > 1:
+        i = next(i for i, r in enumerate(rows_data) if len(r) != cols)
+        raise InputError(f"{where}[{i}]: must have length {cols}, "
+                         f"got {len(rows_data[i])}")
+    if len(rows_data) != rows or lengths - {cols}:
         raise InputError(
             f"{where}: matrix must be {rows}x{cols}, "
             f"got {len(rows_data)}x{len(rows_data[0]) if rows_data else 0}")
@@ -200,7 +209,7 @@ def _parse_vec(field, entries, path) -> dict:
 def _field(s, data, key, kind):
     """The value of one field of a reference entry (see `SCHEMA`)."""
     if kind == "space":
-        return s.resolve_space(data[key])
+        return s.resolve_space(data[key], f"{data.path}.{key}")
     if kind == "side":
         return data.get(key, "right")
     return s.lookup(kind, data[key])
@@ -276,8 +285,8 @@ def parse_session(source) -> SessionFile:
                                      labels=data.labels(dim), name=name)
 
     for name, data in _entries(raw, "maps"):
-        dom = s.resolve_space(data["domain"])
-        cod = s.resolve_space(data["codomain"])
+        dom = s.resolve_space(data["domain"], f"{data.path}.domain")
+        cod = s.resolve_space(data["codomain"], f"{data.path}.codomain")
         mat = _parse_matrix(field, data["matrix"], cod.dim, dom.dim,
                             f"{data.path}.matrix")
         s.maps[name] = LinearMap(dom, cod, mat, name=name)

@@ -98,3 +98,30 @@ def test_opposite_preserves_validity():
     bad = FinAlgebra(f, 2, [[{0: one}, {1: one}], [{1: one}, {1: one}]],
                      {0: one}, name="bad")
     assert check_algebra(bad).ok == check_algebra(opposite_algebra(bad)).ok
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=repr)
+def test_zero_entries_are_dropped(field):
+    """An algebra given with stored zeros in its table or unit is the same
+    algebra as without them: `algebras_match` says so and `tensor_over`
+    accepts one as the base of the other's regular bimodule."""
+    from coringlab.bimodule import algebras_match, regular_bimodule, tensor_over
+    with_zeros = FinAlgebra(field, 2, [[{0: 1, 1: 0}, {1: 1}], [{1: 1}, {0: 1}]],
+                            {0: 1, 1: 0})
+    plain = FinAlgebra(field, 2, [[{0: 1}, {1: 1}], [{1: 1}, {0: 1}]], {0: 1})
+    assert with_zeros.mult == plain.mult and with_zeros.unit == plain.unit
+    assert algebras_match(with_zeros, plain) and algebras_match(plain, with_zeros)
+    tq = tensor_over(with_zeros, regular_bimodule(with_zeros), regular_bimodule(plain))
+    assert tq.dim == 2
+    if field != QQ:
+        # a multiple of p is zero in GF(p)
+        mod_p = FinAlgebra(field, 2, [[{0: 1, 1: 101}, {1: 1}], [{1: 1}, {0: 1}]],
+                           {0: 1, 1: -202})
+        assert mod_p.mult == plain.mult and mod_p.unit == plain.unit
+
+
+def test_zero_entries_outside_the_basis_are_still_rejected():
+    with pytest.raises(InputError, match="outside the basis"):
+        FinAlgebra(QQ, 1, [[{0: 1, 3: 0}]], {0: 1})
+    with pytest.raises(InputError, match="outside the basis"):
+        FinAlgebra(QQ, 1, [[{0: 1}]], {0: 1, 2: 0})

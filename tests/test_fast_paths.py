@@ -43,6 +43,16 @@
   every such case, with canonical types, and the ladder rungs 1-4 and the
   corpus lifts must give the same matrices and reports with the plain
   paths patched in.
+* Each field's `scaled` returns coeff * src as a new dict with no zero
+  test, and `@` and `padded_matmul` start each output row with it; it
+  must match the plain loop for coefficients 0, +-1, an int and a
+  Fraction, with canonical types, and `@` must match the entry-by-entry
+  sum of products.  `vec_scale` and `Matrix.scale` are `scaled`.
+* `check_coring_morphism` pipes (phi (x) phi) . Delta for a bilinear phi
+  instead of building phi (x) phi with `tensor_maps`; the left side must
+  be the matrix `tensor_maps` gives and the report (or the error) must be
+  that of the `tensor_maps` route, on ladder rungs 1-4, on the corpus
+  lifts and on generated bilinear and non-bilinear phi.
 * `Pipe` works on the factor-flat space of its current factors; its
   composites must equal those of `LeafPipe`, the leaf-flat pipe it
   replaced, on generated stage sequences over kZ2 and kZ3 and on every
@@ -62,7 +72,7 @@ from fractions import Fraction
 from math import prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from coringlab import bimodule, exactla, ore
 from coringlab.algebra import (
@@ -88,7 +98,8 @@ from coringlab.bimodule import (
     tensor_maps,
     tensor_over,
 )
-from coringlab.coring import Coring, check_coring
+from coringlab import coring
+from coringlab.coring import Coring, check_coring, check_coring_morphism, compare_maps
 from coringlab.corpus import Corpus
 from coringlab.exactla import GF, QQ, Echelon, Matrix, _canon, solve, vec_scale
 from coringlab.ore import (
@@ -99,7 +110,12 @@ from coringlab.ore import (
     ore_vs_wreath_product,
     twist_vs_skew_mul,
 )
-from coringlab.reports import InputError, PreconditionFailure, WellDefinednessError
+from coringlab.reports import (
+    InputError,
+    PreconditionFailure,
+    Report,
+    WellDefinednessError,
+)
 
 FIELDS = [QQ, GF(101)]
 QQ_VALUES = st.one_of(
@@ -750,10 +766,93 @@ def test_vec_scale_by_one_is_a_copy():
     assert out == src and out is not src
 
 
+def plain_scaled(field, src, coeff):
+    """coeff * src the plain way: the field loop of `plain_axpy` into an
+    empty dict, as every output row of `@` started before `scaled`."""
+    return plain_axpy(field, {}, src, coeff)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_scaled_matches_plain_loop(field, data):
+    scalar = st.fractions(max_denominator=7).map(field.parse)
+    src = data.draw(st.dictionaries(st.integers(0, 5),
+                                    scalar.filter(lambda v: not field.is_zero(v))))
+    coeff = data.draw(st.one_of(
+        st.sampled_from([0, 1, -1, 3, -7]).map(field.parse), scalar))
+    before = dict(src)
+    got = field.scaled(src, coeff)
+    assert got == plain_scaled(field, src, coeff) == plain_vec_scale(field, src, coeff)
+    assert got is not src and src == before
+    if field == QQ:
+        _assert_canonical_qq(got.values())
+    else:
+        assert all(type(v) is int and 0 < v < field.p for v in got.values())
+
+
+def test_scaled_cases():
+    half = Fraction(1, 2)
+    src = {0: Fraction(3, 2), 2: 4, 5: half}
+    assert QQ.scaled(src, 0) == {}
+    assert QQ.scaled(src, 1) == src and QQ.scaled(src, 1) is not src
+    assert QQ.scaled(src, -1) == {0: Fraction(-3, 2), 2: -4, 5: -half}
+    assert QQ.scaled(src, 6) == {0: 9, 2: 24, 5: 3}
+    got = QQ.scaled(src, Fraction(2, 3))
+    assert got == {0: 1, 2: Fraction(8, 3), 5: Fraction(1, 3)}
+    assert type(got[0]) is int
+    gf = GF(7)
+    assert gf.scaled({0: 3, 1: 6}, 0) == gf.scaled({0: 3}, 14) == {}
+    assert gf.scaled({0: 3, 1: 6}, -1) == {0: 4, 1: 1}
+    assert gf.scaled({0: 3, 1: 6}, 12) == {0: 1, 1: 2}
+
+
+def plain_matmul(a, b):
+    """a @ b entry by entry, through `field.add` and `field.mul`."""
+    f = a.field
+    data = {}
+    for i in range(a.rows):
+        for j in range(b.cols):
+            acc = f.zero()
+            for k in range(a.cols):
+                acc = f.add(acc, f.mul(a.entry(i, k), b.entry(k, j)))
+            if not f.is_zero(acc):
+                data.setdefault(i, {})[j] = acc
+    return Matrix(f, a.rows, b.cols, data)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_matmul_matches_entry_sums(field, data):
+    rows, mid, cols = (data.draw(st.integers(0, 5)) for _ in range(3))
+    a = data.draw(shaped_matrix(field, rows, mid))
+    b = data.draw(shaped_matrix(field, mid, cols))
+    got = a @ b
+    assert got == plain_matmul(a, b)
+    assert all(got.data.values())
+    if field == QQ:
+        for row in got.data.values():
+            _assert_canonical_qq(row.values())
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_matmul_drops_rows_that_cancel(field):
+    """Row 0 of a takes rows 0 and 1 of b, which are negatives, equally: it
+    cancels and is not stored.  Row 1 starts as a copy of row 0 of b."""
+    p = field.parse
+    a = Matrix(field, 2, 2, {0: {0: p("1/2"), 1: p("1/2")}, 1: {0: 1}})
+    b = Matrix(field, 2, 3, {0: {0: p("2/3"), 2: 3}, 1: {0: p("-2/3"), 2: p(-3)}})
+    got = a @ b
+    assert got.data == {1: {0: p("2/3"), 2: 3}}
+    assert got.data[1] is not b.data[0]
+
+
 def plain_qq_kernels(monkeypatch):
-    """Replace the QQ `axpy`, `inv` and `vec_scale` fast paths by the plain
-    paths they replaced."""
+    """Replace the QQ `axpy`, `scaled`, `inv` and `vec_scale` fast paths by
+    the plain paths they replaced."""
     monkeypatch.setattr(QQ, "axpy", lambda t, s, c: plain_axpy(QQ, t, s, c))
+    monkeypatch.setattr(QQ, "scaled", lambda s, c: plain_scaled(QQ, s, c))
     monkeypatch.setattr(QQ, "inv", lambda a: _canon(Fraction(1, a)))
     monkeypatch.setattr(exactla, "vec_scale", plain_vec_scale)
 
@@ -1181,14 +1280,20 @@ def rescaled_grouplike(field, lams, name):
         [str(lam) for lam in lams], [f"h{i}" for i in range(n)], name)
 
 
+def ladder_cowreath(field, n):
+    """The flip cowreath of rung n, from fresh structures."""
+    from coringlab import cowreath
+    lams = [Fraction((-1) ** i * (i + 2), i + 1) for i in range(n)]
+    mus = [Fraction(i + 3, (-1) ** i * (2 * i + 1)) for i in range(n)]
+    return cowreath.flip_cowreath(rescaled_grouplike(field, lams, f"C{n}"),
+                                  rescaled_grouplike(field, mus, f"D{n}"))
+
+
 def ladder_outputs(field, n):
     """The flip cowreath of rung n, from fresh structures: its report, the
     product's maps, the morphism report and the product's report."""
     from coringlab import cowreath
-    lams = [Fraction((-1) ** i * (i + 2), i + 1) for i in range(n)]
-    mus = [Fraction(i + 3, (-1) ** i * (2 * i + 1)) for i in range(n)]
-    w = cowreath.flip_cowreath(rescaled_grouplike(field, lams, f"C{n}"),
-                               rescaled_grouplike(field, mus, f"D{n}"))
+    w = ladder_cowreath(field, n)
     product, morph = cowreath.cowreath_product(w)
     return [cowreath.check_cowreath(w).to_json(), product.comult.matrix,
             product.counit.matrix, morph.to_json(), check_coring(product).to_json()]
@@ -1232,6 +1337,141 @@ def test_pipe_matches_plain_stage(field, g, data):
         mp.setattr(bimodule.Pipe, "_stage", plain_stage)
         slow = run_program(bimodule.Pipe, source, stages, target)
     assert fast.matrix == slow.matrix
+
+
+# ---------------------------------------------------------------------------
+# the piped morphism equation against the tensor_maps route it replaced
+
+
+def tensor_maps_morphism_report(phi, src, dst, name=None):
+    """`check_coring_morphism` as it was before the pipe: phi (x) phi is
+    built by `tensor_maps` for every phi, bilinear or not."""
+    rep = Report(name or f"coring morphism {phi.name}: {src.name} -> {dst.name}")
+    if not (src.base is dst.base or src.base.mult == dst.base.mult):
+        raise InputError("coring morphism needs a common base")
+    rep.extend(bilinearity_report(phi, "morphism"))
+    compare_maps(rep, "morphism-counit", dst.counit.after(phi), src.counit)
+    pp = tensor_maps(phi, phi, src.cc.quotient, dst.cc.quotient)
+    compare_maps(rep, "morphism-comult", pp.after(src.comult),
+                 dst.comult.after(phi))
+    return rep
+
+
+def _outcome(check, phi, src, dst):
+    try:
+        return check(phi, src, dst).to_json()
+    except WellDefinednessError as err:
+        return "WellDefinednessError", str(err), err.relation
+
+
+def assert_morphism_matches_tensor_maps(phi, src, dst):
+    """`check_coring_morphism` gives the report, or raises the error, of the
+    `tensor_maps` route; for a bilinear phi its `morphism-comult` left side
+    is the matrix of that route.  Returns the report."""
+    sides = []
+
+    def spy(rep, tag, lhs, rhs, max_witnesses=3):
+        if tag == "morphism-comult":
+            sides.append(lhs)
+        return compare_maps(rep, tag, lhs, rhs, max_witnesses)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(coring, "compare_maps", spy)
+        fast = _outcome(check_coring_morphism, phi, src, dst)
+    assert fast == _outcome(tensor_maps_morphism_report, phi, src, dst)
+    if bilinearity_report(phi).ok:
+        plain = tensor_maps(phi, phi, src.cc.quotient, dst.cc.quotient).after(src.comult)
+        [lhs] = sides
+        assert lhs.matrix == plain.matrix
+        assert (lhs.domain, lhs.codomain) == (plain.domain, plain.codomain)
+    return fast
+
+
+def xi_morphism(w):
+    """(xi as a map out of the product, the product coring, the factor coring)."""
+    from coringlab import cowreath
+    product, _ = cowreath.cowreath_product(w)
+    return LinearMap(product.carrier, w.coring.carrier, w.xi.matrix, name="xi"), \
+        product, w.coring
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_ladder_xi_morphism_matches_tensor_maps(field, n):
+    rep = assert_morphism_matches_tensor_maps(*xi_morphism(ladder_cowreath(field, n)))
+    assert rep["status"] == "pass"
+
+
+def test_corpus_lift_xi_morphisms_match_tensor_maps():
+    corpus = Corpus()
+    for w in (corpus.lifted_flip_cw, corpus.lifted_dk_cw):
+        phi, product, c = xi_morphism(w)
+        assert product.base.dim == 2
+        assert assert_morphism_matches_tensor_maps(phi, product, c)["status"] == "pass"
+
+
+def _kz2_morphism_case(which):
+    """(src, dst) corings over kZ2: a corpus lift's product and its factor
+    coring, or a coring over kZ2 and itself."""
+    from coringlab import entwine
+    corpus = Corpus()
+    if which == "lift":
+        _, product, c = xi_morphism(corpus.lifted_flip_cw)
+        return product, c
+    if which == "triv":
+        return corpus.triv_z2, corpus.triv_z2
+    c = entwine.entwined_coring(corpus.dk_entwining)
+    return c, c
+
+
+@st.composite
+def bilinear_map(draw, src, dst):
+    """A combination of the canonical basis of the bimodule maps between the
+    carriers, with small integer coefficients."""
+    field = src.carrier.field
+    basis = hom_basis(src.carrier, dst.carrier)
+    mat = Matrix.zeros(field, dst.carrier.dim, src.carrier.dim)
+    for b in basis:
+        mat = mat + b.scale(field.from_int(draw(st.integers(-2, 2))))
+    return LinearMap(src.carrier, dst.carrier, mat, name="phi")
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data(), which=st.sampled_from(["lift", "triv", "dk"]))
+def test_bilinear_non_morphisms_over_kz2_match_tensor_maps(data, which):
+    src, dst = _kz2_morphism_case(which)
+    phi = data.draw(bilinear_map(src, dst))
+    assert bilinearity_report(phi).ok
+    rep = assert_morphism_matches_tensor_maps(phi, src, dst)
+    if rep["status"] == "fail":
+        assert {w["equation"] for w in rep["witnesses"]} <= {
+            "morphism-counit", "morphism-comult"}
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data(), n=st.integers(1, 3))
+def test_generated_non_morphisms_on_ladder_match_tensor_maps(field, n, data):
+    """Over the ground field every map is bilinear: random maps out of a
+    rung's product, into its factor coring, are almost never morphisms."""
+    _, product, c = xi_morphism(ladder_cowreath(field, n))
+    mat = data.draw(shaped_matrix(field, c.carrier.dim, product.carrier.dim))
+    phi = LinearMap(product.carrier, c.carrier, mat, name="phi")
+    assert_morphism_matches_tensor_maps(phi, product, c)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), which=st.sampled_from(["lift", "triv", "dk"]))
+def test_non_bilinear_maps_over_kz2_raise_or_report_as_before(data, which):
+    """A perturbed bimodule map that is no longer bilinear still goes
+    through `tensor_maps`: the same report, or the same
+    WellDefinednessError naming the same relation."""
+    src, dst = _kz2_morphism_case(which)
+    phi = data.draw(bilinear_map(src, dst))
+    bump = data.draw(perturbation(QQ, dst.carrier.dim, src.carrier.dim))
+    phi = LinearMap(src.carrier, dst.carrier, phi.matrix + bump, name="phi")
+    assume(not bilinearity_report(phi).ok)
+    assert_morphism_matches_tensor_maps(phi, src, dst)
 
 
 # ---------------------------------------------------------------------------

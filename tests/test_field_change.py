@@ -13,9 +13,11 @@ import copy
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coringlab.cli import run_check
 from coringlab.corpus import corpus_sessions
+from coringlab.exactla import GF, QQ
 from coringlab.ore import check_ore_wreath, ore_vs_wreath_product, twist_vs_skew_mul
 from coringlab.session import parse_session
 
@@ -83,3 +85,65 @@ def test_verdicts_survive_reduction_mod_p(fname, p, qq_verdicts):
 
 def test_denominators_of_scalar_strings_only():
     assert denominators({"a": [["1/6", "2"]], "b": "3/4", "c": "k[x]/(x^2)"}) == {6, 4}
+
+
+# ---------------------------------------------------------------------------
+# generated flip cowreaths with fractional constants
+
+
+def rescaled_grouplike(field, lams, name):
+    """Delta(h_i) = lam_i^-1 h_i (x) h_i and eps(h_i) = lam_i: the grouplike
+    coalgebra on h_i = lam_i g_i, as the benchmark's dimension ladder builds
+    it, read from "p/q" strings so that each field reduces the same text."""
+    from coringlab.coring import coalgebra_over_field
+    n = len(lams)
+    return coalgebra_over_field(
+        field, n, [{i * n + i: str(1 / lam)} for i, lam in enumerate(lams)],
+        [str(lam) for lam in lams], [f"h{i}" for i in range(n)], name)
+
+
+def cowreath_verdicts(field, lams, mus, twin):
+    """(status, tag set) of `check_cowreath`, of the morphism report of
+    `cowreath_product` and of the product's `check_coring`, for the flip
+    cowreath of the two rescaled grouplikes, or for its twin with xi or
+    delta scaled by t when twin is (which, t)."""
+    from coringlab.coring import check_coring
+    from coringlab.cowreath import Cowreath, check_cowreath, cowreath_product, flip_cowreath
+    w = flip_cowreath(rescaled_grouplike(field, lams, "C"),
+                      rescaled_grouplike(field, mus, "D"))
+    if twin is not None:
+        which, t = twin
+        t = field.parse(str(t))
+        w = Cowreath(w.object, w.xi.scale(t) if which == "xi" else w.xi,
+                     w.delta.scale(t) if which == "delta" else w.delta,
+                     name="twin")
+    product, morph = cowreath_product(w)
+    return [(r.status, {x.equation for x in r.witnesses})
+            for r in (check_cowreath(w), morph, check_coring(product))]
+
+
+FRACTIONS = st.builds(Fraction, st.integers(-12, 12).filter(bool), st.integers(1, 12))
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 3), data=st.data(),
+       twin=st.one_of(st.none(), st.tuples(st.sampled_from(["xi", "delta"]),
+                                           FRACTIONS.filter(lambda t: t != 1))))
+def test_generated_cowreath_verdicts_survive_reduction_mod_p(n, data, twin):
+    """A flip cowreath of two rescaled grouplikes, and a twin with xi or
+    delta scaled by t != 1, keep their verdicts over GF(p).  The constants
+    are the lam_i, the mu_i and, for a twin, t and t - 1 (a twin whose t
+    is 0 or 1 mod p is not broken in the same way); a p that divides a
+    numerator or denominator of one of them is skipped."""
+    lams = data.draw(st.lists(FRACTIONS, min_size=n, max_size=n))
+    mus = data.draw(st.lists(FRACTIONS, min_size=n, max_size=n))
+    constants = lams + mus + ([twin[1], twin[1] - 1] if twin else [])
+    expected = cowreath_verdicts(QQ, lams, mus, twin)
+    if twin is None:
+        assert all(status == "pass" for status, _ in expected)
+    else:
+        assert expected[0][0] == "fail"
+    for p in PRIMES:
+        if any(c.numerator % p == 0 or c.denominator % p == 0 for c in constants):
+            continue
+        assert cowreath_verdicts(GF(p), lams, mus, twin) == expected, p

@@ -192,3 +192,47 @@ def test_integer_and_fraction_scalars_are_read():
     _set(raw, ("maps", "C2.counit", "matrix", 0, 1), "2/2")
     s = parse_session(raw)
     assert s.maps["C2.counit"].matrix.data == {0: {0: 1, 1: 1}}
+
+
+@pytest.mark.parametrize("row, value, shown", [
+    (3, ["0", "1", "0"], "$.maps.C2.comult.matrix[3]: must have length 2, got 3"),
+    (1, ["0"], "$.maps.C2.comult.matrix[1]: must have length 2, got 1"),
+    (0, [], "$.maps.C2.comult.matrix[0]: must have length 2, got 0")])
+def test_ragged_matrix_names_its_row(tmp_path, capsys, row, value, shown):
+    """A row of the wrong length is named with its path; the message does
+    not read the shape from row 0."""
+    raw = json.loads(json.dumps(corpus_sessions()["grouplike_coalgebras.json"]))
+    raw["maps"]["C2.comult"]["matrix"][row] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    assert main(["--session", str(bad), "check", "coring", "C2"]) == 2
+    assert capsys.readouterr().err == f"error: {shown}\n"
+
+
+@pytest.mark.parametrize("rows, shown", [
+    ([["1", "0"], ["0", "1"]], "got 2x2"),
+    ([["1", "0", "0"]] * 4, "got 4x3"),
+    ([], "got 0x0")])
+def test_wrong_matrix_shape_is_reported_whole(tmp_path, capsys, rows, shown):
+    raw = json.loads(json.dumps(corpus_sessions()["grouplike_coalgebras.json"]))
+    raw["maps"]["C2.comult"]["matrix"] = rows
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    assert main(["--session", str(bad), "check", "coring", "C2"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: $.maps.C2.comult.matrix: matrix must be 4x2, {shown}\n")
+
+
+@pytest.mark.parametrize("path, shown", [
+    (("maps", "C2.comult", "codomain"), "$.maps.C2.comult.codomain"),
+    (("maps", "C2.comult", "domain"), "$.maps.C2.comult.domain"),
+    (("maps", "C2.comult", "codomain", 1), "$.maps.C2.comult.codomain[1]"),
+    (("corings", "C2", "carrier"), "$.corings.C2.carrier")])
+def test_empty_space_list_names_its_path(tmp_path, capsys, path, shown):
+    raw = json.loads(json.dumps(corpus_sessions()["grouplike_coalgebras.json"]))
+    _set(raw, path, [])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    assert main(["--session", str(bad), "check", "coring", "C2"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {shown}: space needs at least one factor\n")
