@@ -99,7 +99,7 @@ def main(argv=None):
             totals.append(total)
             morphs.append(t_morph)
             print(f"{f'n={n} {field!r}':<12} {t_flip:7.3f} {t_check:7.3f} "
-                  f"{t_prod:8.3f} {t_pcheck:8.3f} {total:7.3f} {t_morph:7.3f}"
+                  f"{t_prod:8.3f} {t_pcheck:8.3f} {total:7.3f} {t_morph:7.4f}"
                   f"   {pdim ** 3}")
         print(f"{f'n={n}':<12} {'QQ / GF(101)':>33} "
               f"{totals[0] / totals[1]:7.2f} {morphs[0] / morphs[1]:7.2f}")

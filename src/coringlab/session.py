@@ -100,7 +100,7 @@ class SessionFile:
             factors = [self.resolve_space(r, f"{path}[{i}]")
                        for i, r in enumerate(ref)]
             return space(*factors).quotient
-        raise InputError(f"bad space reference {ref!r}")
+        raise InputError(f"{path}: bad space reference {ref!r}")
 
     def lookup(self, section, name):
         table = getattr(self, section)
@@ -184,6 +184,9 @@ def _parse_matrix(field, rows_data, rows, cols, where) -> Matrix:
             f"got {len(rows_data)}x{len(rows_data[0]) if rows_data else 0}")
     for i, r in enumerate(rows_data):
         _scalars(r, f"{where}[{i}]")
+    if not rows_data:
+        # [] is every matrix with no rows; from_rows would read 0 columns
+        return Matrix.zeros(field, 0, cols)
     return Matrix.from_rows(field, rows_data)
 
 

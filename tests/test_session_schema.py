@@ -15,6 +15,7 @@ from coringlab.exactla import QQ
 from coringlab.reports import InputError
 from coringlab.session import (
     SCHEMA,
+    _fmt_matrix,
     SECTIONS,
     SessionStore,
     parse_session,
@@ -236,3 +237,37 @@ def test_empty_space_list_names_its_path(tmp_path, capsys, path, shown):
     assert main(["--session", str(bad), "check", "coring", "C2"]) == 2
     assert capsys.readouterr().err == (
         f"error: {shown}: space needs at least one factor\n")
+
+
+@pytest.mark.parametrize("value, shown", [
+    (5, "$.maps.C2.comult.codomain: bad space reference 5"),
+    (None, "$.maps.C2.comult.codomain: bad space reference None"),
+    (["C2", 5], "$.maps.C2.comult.codomain[1]: bad space reference 5")])
+def test_bad_space_reference_names_its_path(tmp_path, capsys, value, shown):
+    raw = json.loads(json.dumps(corpus_sessions()["grouplike_coalgebras.json"]))
+    raw["maps"]["C2.comult"]["codomain"] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    assert main(["--session", str(bad), "check", "coring", "C2"]) == 2
+    assert capsys.readouterr().err == f"error: {shown}\n"
+
+
+def test_maps_into_and_out_of_a_zero_space_round_trip():
+    """A matrix with no rows is written as [] whatever its column count; the
+    reader takes the column count from the map's domain."""
+    raw = {"field": "QQ",
+           "algebras": {"k": {"dim": 1, "mult": [[["1"]]], "unit": ["1"]}},
+           "bimodules": {
+               "Z": {"left": "k", "right": "k", "dim": 0,
+                     "left_action": [[]], "right_action": [[]]},
+               "V": {"left": "k", "right": "k", "dim": 2,
+                     "left_action": [[["1", "0"], ["0", "1"]]],
+                     "right_action": [[["1", "0"], ["0", "1"]]]}},
+           "maps": {"f": {"domain": "V", "codomain": "Z", "matrix": []},
+                    "g": {"domain": "Z", "codomain": "V", "matrix": [[], []]}}}
+    s = parse_session(raw)
+    f, g = s.maps["f"].matrix, s.maps["g"].matrix
+    assert (f.rows, f.cols, f.data) == (0, 2, {})
+    assert (g.rows, g.cols, g.data) == (2, 0, {})
+    # the writer's rows of f and g are what was read
+    assert _fmt_matrix(QQ, f) == [] and _fmt_matrix(QQ, g) == [[], []]
