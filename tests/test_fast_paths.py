@@ -1391,8 +1391,8 @@ def xi_morphism(w):
     """(xi as a map out of the product, the product coring, the factor coring)."""
     from coringlab import cowreath
     product, _ = cowreath.cowreath_product(w)
-    return LinearMap(product.carrier, w.coring.carrier, w.xi.matrix, name="xi"), \
-        product, w.coring
+    xi = LinearMap(product.carrier, w.coring.carrier, w.xi.matrix, name="xi")
+    return xi, product, w.coring
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)

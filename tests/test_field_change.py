@@ -7,7 +7,8 @@ ranks.  A prime that divides a denominator of the session's constants is
 skipped, since the constant has no image in GF(p).  The QQ runs use the
 rational kernels of `exactla` and the GF(p) runs the modular ones, so the
 two field implementations are checked against each other on the same
-structures."""
+structures.  Generated flip cowreaths with fractional constants, and
+twins with a scaled structure map, are checked the same way."""
 
 import copy
 from fractions import Fraction
@@ -16,7 +17,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coringlab.cli import run_check
+from coringlab.coring import check_coring, coalgebra_over_field
 from coringlab.corpus import corpus_sessions
+from coringlab.cowreath import Cowreath, check_cowreath, cowreath_product, flip_cowreath
 from coringlab.exactla import GF, QQ
 from coringlab.ore import check_ore_wreath, ore_vs_wreath_product, twist_vs_skew_mul
 from coringlab.session import parse_session
@@ -95,7 +98,6 @@ def rescaled_grouplike(field, lams, name):
     """Delta(h_i) = lam_i^-1 h_i (x) h_i and eps(h_i) = lam_i: the grouplike
     coalgebra on h_i = lam_i g_i, as the benchmark's dimension ladder builds
     it, read from "p/q" strings so that each field reduces the same text."""
-    from coringlab.coring import coalgebra_over_field
     n = len(lams)
     return coalgebra_over_field(
         field, n, [{i * n + i: str(1 / lam)} for i, lam in enumerate(lams)],
@@ -107,8 +109,6 @@ def cowreath_verdicts(field, lams, mus, twin):
     `cowreath_product` and of the product's `check_coring`, for the flip
     cowreath of the two rescaled grouplikes, or for its twin with xi or
     delta scaled by t when twin is (which, t)."""
-    from coringlab.coring import check_coring
-    from coringlab.cowreath import Cowreath, check_cowreath, cowreath_product, flip_cowreath
     w = flip_cowreath(rescaled_grouplike(field, lams, "C"),
                       rescaled_grouplike(field, mus, "D"))
     if twin is not None:
