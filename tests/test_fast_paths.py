@@ -74,7 +74,7 @@ from math import prod
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from coringlab import bimodule, exactla, ore
+from coringlab import bimodule, coring, exactla, ore
 from coringlab.algebra import (
     AlgebraMorphism,
     FinAlgebra,
@@ -98,7 +98,6 @@ from coringlab.bimodule import (
     tensor_maps,
     tensor_over,
 )
-from coringlab import coring
 from coringlab.coring import Coring, check_coring, check_coring_morphism, compare_maps
 from coringlab.corpus import Corpus
 from coringlab.exactla import GF, QQ, Echelon, Matrix, _canon, solve, vec_scale
