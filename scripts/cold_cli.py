@@ -9,8 +9,11 @@ fresh interpreter, and the `coringlab` submodules the command loaded,
 followed by `+dataclasses` or `+inspect` when either was loaded.  With
 several checkouts the runs alternate between them, each round starting
 with the next checkout, so drift in the machine's speed falls on all of
-them alike.  Wall time includes interpreter start-up; nothing here gates
-a test.  Only the standard library is used.
+them alike.  After that table it prints, for each `coringlab` module any
+command loaded, its line count and the median ms of `compile()` of its
+source over 30 runs in each checkout: without cached bytecode every cold
+command pays that compile, so this shows the start-up cost of code size.  Wall time includes interpreter start-up;
+nothing here gates a test.  Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import tempfile
 import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
+COMPILES = 30  # compile() runs per module and checkout
 
 # The README commands, in an order where each build runs before the check
 # of the session it saves.  `{tmp}` is a scratch directory per checkout.
@@ -92,6 +96,30 @@ def describe(modules):
     return " ".join(names)
 
 
+def compile_costs(checkouts, modules, runs):
+    """{(checkout, module): (lines, median compile() ms)} for the named
+    coringlab modules.  Each run compiles every module once in every
+    checkout, the checkouts next to each other, so drift in the machine's
+    speed falls on all of them alike."""
+    sources = {}
+    for mod in sorted(modules):
+        for c in checkouts:
+            path = os.path.join(c, "src", *mod.split("."))
+            path = (os.path.join(path, "__init__.py") if os.path.isdir(path)
+                    else path + ".py")
+            if os.path.isfile(path):
+                with open(path, encoding="utf-8") as fh:
+                    sources[c, mod] = path, fh.read()
+    times = {key: [] for key in sources}
+    for _ in range(runs):
+        for key, (path, source) in sources.items():
+            t0 = time.perf_counter()
+            compile(source, path, "exec")
+            times[key].append(time.perf_counter() - t0)
+    return {key: (source.count("\n"), 1000 * statistics.median(times[key]))
+            for key, (_, source) in sources.items()}
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("checkouts", nargs="*", default=[os.path.dirname(HERE)])
@@ -102,6 +130,7 @@ def main():
 
     walls = {(c, name): [] for c in checkouts for name, _ in COMMANDS}
     seen = {}
+    loaded = {c: set() for c in checkouts}
     with tempfile.TemporaryDirectory() as scratch:
         tmps = {c: os.path.join(scratch, str(i)) for i, c in enumerate(checkouts)}
         for tmp in tmps.values():
@@ -112,6 +141,8 @@ def main():
                     wall, code, modules = run_command(c, argv, tmps[c])
                     walls[c, name].append(wall)
                     seen[c, name] = code, describe(modules)
+                    loaded[c].update(m for m in modules if m == "coringlab"
+                                     or m.startswith("coringlab."))
 
     width = max(len(c) for c in checkouts)
     for name, _ in COMMANDS:
@@ -123,6 +154,19 @@ def main():
     for c in checkouts:
         total = sum(1000 * statistics.median(walls[c, name]) for name, _ in COMMANDS)
         print(f"total of medians  {c:<{width}}  {total:7.1f} ms")
+
+    modules = set().union(*loaded.values())
+    costs = compile_costs(checkouts, modules, COMPILES)
+    print("\nlines and median compile() ms of each loaded module")
+    for mod in sorted(modules):
+        print(mod)
+        for c in checkouts:
+            lines, ms = costs.get((c, mod), (0, 0.0))
+            print(f"  {c:<{width}}  {lines:6d} lines  {ms:6.2f} ms")
+    for c in checkouts:
+        mine = [costs[c, mod] for mod in modules if (c, mod) in costs]
+        print(f"total  {c:<{width}}  {sum(n for n, _ in mine):6d} lines  "
+              f"{sum(t for _, t in mine):6.2f} ms")
     return 0
 
 

@@ -32,17 +32,19 @@ from coringlab.cowreath import (
     flip_cowreath,
 )
 from coringlab.entwine import doi_koppinen_entwining, doi_koppinen_self, flip_entwining
-from coringlab.exactla import QQ
+from coringlab.exactla import GF, QQ
 
 
 def cases():
     """(label, entwining builder, C, D) for each lift; C is the coalgebra
-    the entwining is over and the first factor of the flip cowreath."""
+    the entwining is over and the first factor of the flip cowreath.  The
+    last two are over GF(2) and GF(3), where kZ2 and kZ3 are modular group
+    algebras, so they are not semisimple."""
     z2 = group_algebra_cyclic(QQ, 2, name="kZ2")
     z3 = group_algebra_cyclic(QQ, 3, name="kZ3")
 
-    def gl(n, name):
-        return grouplike_coalgebra(QQ, n, name=name)
+    def gl(n, name, field=QQ):
+        return grouplike_coalgebra(field, n, name=name)
 
     yield "kZ2/C2/D2 flip", lambda c: flip_entwining(z2, c), gl(2, "C2"), gl(2, "D2")
     yield ("kZ2/C2/D2 doi-koppinen",
@@ -50,6 +52,11 @@ def cases():
            gl(2, "C2"), gl(2, "D2"))
     yield "kZ2/C3/D2 flip", lambda c: flip_entwining(z2, c), gl(3, "C3"), gl(2, "D2")
     yield "kZ3/C2/D2 flip", lambda c: flip_entwining(z3, c), gl(2, "C2"), gl(2, "D2")
+    for g in (2, 3):
+        field = GF(g)
+        zg = group_algebra_cyclic(field, g, name=f"kZ{g}")
+        yield (f"kZ{g}/C2/D2 flip GF({g})", lambda c, zg=zg: flip_entwining(zg, c),
+               gl(2, "C2", field), gl(2, "D2", field))
 
 
 def timed(fn, *args):

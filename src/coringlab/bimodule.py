@@ -10,14 +10,19 @@ M (x)_A N is the quotient of the ground-field tensor space by the span of
 the balancing relations  m.a (x) n - m (x) a.n.  The quotient basis is the
 set of non-pivot flat coordinates under the canonical reduced row echelon
 form of that span, so it is reproducible and `section` picks pure-tensor
-representatives (project . section = id).  A bimodule stores every
-action equal to the identity as the marked identity.  A basis element whose
-two actions are both marked gives only zero relations and is skipped, so
-over the ground field the quotient is flat at no cost, and a marked action
-is inherited as the marked identity without a descent check.  Every other
-action K (act (x) I or I (x) act) descends when project . K vanishes on the
-relation span, which is ker project: one sparse test that project . K
-factors through project (`TensorQuotient.kills`).
+representatives (project . section = id).  `project` is kept in column
+form, one {basis index: coeff} per flat column, and everything else is
+derived from it.  A bimodule stores every action equal to the identity as
+the marked identity.  A basis element whose two actions are both marked
+gives only zero relations and is skipped, so over the ground field the
+quotient is flat at no cost, and a marked action is inherited as the
+marked identity without a descent check.  When the other actions are
+monomial (one entry per column), as in every lift of the corpus, each
+relation ties two flat columns or kills one, and a weighted union-find
+gives the echelon form without `Echelon`.  Every other action K
+(act (x) I or I (x) act) descends when project . K vanishes on the
+relation span, which is ker project: one sparse test, column by column,
+that project . K factors through project (`TensorQuotient.kills`).
 
 Iterated tensors are built left associated.  A `Space` wraps a factor list
 with the projection/section between its *factor-flat* space (the ground
@@ -52,7 +57,7 @@ from functools import cached_property
 from math import prod
 
 from .algebra import FinAlgebra, opposite_algebra
-from .exactla import Matrix, kron_all
+from .exactla import Echelon, Matrix, Transposed, kron_all
 from .reports import InputError, Report, WellDefinednessError, Witness
 
 
@@ -317,51 +322,90 @@ def bilinearity_report(f: LinearMap, check_name=None) -> Report:
 
 
 class TensorQuotient(Bimodule):
-    """M (x)_A N presented on the canonical non-pivot pure-tensor basis."""
+    """M (x)_A N presented on the canonical non-pivot pure-tensor basis.
 
-    def __init__(self, base, factor_left, factor_right, dim, left_action,
-                 right_action, project, section, relations, name, echelon):
+    `project` is kept in column form (`exactla.Transposed`): row c of
+    `project.transpose()` is column c of project, {t: coeff} with e_c =
+    sum_t coeff * (basis vector t), and no row when e_c is 0.  `section`,
+    `echelon` and `relations` are derived on first read.  A flat quotient
+    has no relations, and its two maps are one marked identity.
+    """
+
+    def __init__(self, base, factor_left, factor_right, left_action,
+                 right_action, project, free, name):
         super().__init__(factor_left.left_algebra, factor_right.right_algebra,
-                         dim, left_action, right_action, name=name)
+                         project.rows, left_action, right_action, name=name)
         self.base = base
         self.factor_left = factor_left
         self.factor_right = factor_right
         self.project = project    # dim x (dim M * dim N)
-        self.section = section    # (dim M * dim N) x dim
-        self.relations = relations
-        self.echelon = echelon
+        if not project.is_identity:
+            self.free_cols = free  # a flat quotient builds it on first read
 
     @cached_property
     def free_cols(self):
         """The flat coordinates of the quotient basis, in order: the
         non-pivot columns of the relation echelon."""
-        return self.echelon.free_columns()
+        return tuple(range(self.dim))
+
+    @cached_property
+    def pivots(self):
+        """The pivot columns of the relation echelon, in order."""
+        free = set(self.free_cols)
+        return tuple(c for c in range(self.project.cols) if c not in free)
+
+    @cached_property
+    def section(self):
+        """Row c is {t: 1} when c is the t-th free column, else empty."""
+        if self.project.is_identity:
+            return self.project
+        one = self.field.one()
+        return Matrix(self.field, self.project.cols, self.dim,
+                      {c: {t: one} for t, c in enumerate(self.free_cols)})
+
+    @cached_property
+    def echelon(self):
+        """The reduced echelon form of the relations: the row of pivot p is
+        e_p - sum_t project[t, p] e_(free_cols[t])."""
+        f, free, cols = self.field, self.free_cols, self.project.transpose().data
+        ech = Echelon(f, self.project.cols)
+        for p in self.pivots:
+            ech.pivot_rows[p] = row = {free[t]: f.neg(v)
+                                       for t, v in cols.get(p, {}).items()}
+            ech._track(p, row)
+        return ech
+
+    @cached_property
+    def relations(self):
+        """The raw balancing relations, built on first read."""
+        return list(_balancing(self.factor_left, self.factor_right))
 
     def kills(self, mat: Matrix) -> bool:
         """True when mat, a map out of the flat space, vanishes on the
         balancing relation span.  That span is ker project, so this holds
-        exactly when mat factors through project: mat == (mat . section) .
-        project.  A flat quotient has no relations and kills every map."""
-        return not self.relations or (
-            mat == _through_section(mat, self.section) @ self.project)
+        exactly when mat factors through project: each column c of mat is
+        sum_t project[t, c] (column free_cols[t] of mat).  A free column
+        holds trivially, and a pivot column fails exactly when mat does not
+        kill that pivot's echelon row (`_moved`).  A flat quotient has no
+        relations and kills every map."""
+        return self.project.is_identity or next(self._moved(mat), None) is None
+
+    def _moved(self, mat: Matrix):
+        """The pivots, in order, whose echelon row mat does not kill."""
+        proj, free = self.project.transpose().data, self.free_cols
+        cols, axpy, scaled = mat.transpose().data, self.field.axpy, self.field.scaled
+        for c in self.pivots:
+            want = {}
+            for t, v in proj.get(c, {}).items():
+                col = cols.get(free[t])
+                if col:
+                    want = axpy(want, col, v) if want else scaled(col, v)
+            if want != cols.get(c, {}):
+                yield c
 
     def basis_label(self, t) -> str:
         i, j = divmod(self.free_cols[t], self.factor_right.dim)
         return f"{self.factor_left.basis_label(i)}(x){self.factor_right.basis_label(j)}"
-
-
-def _through_section(mat: Matrix, section: Matrix) -> Matrix:
-    """mat . section, taken as the free columns of mat: row c of a quotient's
-    section is {t: 1} when c is its t-th free column and empty otherwise."""
-    if section.is_identity:
-        return mat
-    sec = section.data
-    data = {}
-    for i, row in mat.data.items():
-        sel = {t: v for c, v in row.items() if c in sec for t in sec[c]}
-        if sel:
-            data[i] = sel
-    return Matrix(mat.field, mat.rows, section.cols, data)
 
 
 def tensor_over(a: FinAlgebra, m: Bimodule, n: Bimodule, name=None) -> TensorQuotient:
@@ -374,20 +418,53 @@ def tensor_over(a: FinAlgebra, m: Bimodule, n: Bimodule, name=None) -> TensorQuo
     `Bimodule` marks every action equal to the identity, so the unit of a
     unital bimodule is always skipped.
 
+    When every other R_k (the right action of e_k on M) and L_k (the left
+    action on N) is monomial, with at most one entry per column, each
+    relation is e_a = lam e_b or e_a = 0, and the quotient comes from a
+    weighted union-find over the flat columns with no `Echelon`
+    (`_union_find`).  Otherwise the relations go through `Echelon`.  Both
+    paths give the same reduced echelon form, as the columns of `project`.
+
     Each inherited action is pk . section for pk = project . K, with K the
-    action tensored with an identity, and it is well defined when K keeps
-    the relation span, that is when pk kills the relations
-    (`TensorQuotient.kills`, one test per action).  A violation (possible
-    only for inconsistent input actions) raises WellDefinednessError whose
-    `relation` is the first echelon row, in pivot order, that K moves out
-    of the span.  A marked action is inherited as the marked identity of
-    the quotient (project . section = id) and is not checked, since the
-    identity keeps the relation span; every other action, a unit acting by
-    another idempotent included, is computed and checked.  A flat quotient
-    has nothing to check.
+    action tensored with an identity.  pk is built in column form from the
+    columns of project and of the action (`_scatter`), with no Kronecker
+    product and no matrix product, and pk . section is its free columns.
+    It is well defined when K keeps the relation span, that is when pk
+    kills the relations (`TensorQuotient.kills`, one test per action).  A
+    violation (possible only for inconsistent input actions) raises
+    WellDefinednessError whose `relation` is the first echelon row, in
+    pivot order, that K moves out of the span.  A marked action is
+    inherited as the marked identity of the quotient and is not checked,
+    since the identity keeps the relation span; every other action, a unit
+    acting by another idempotent included, is computed and checked.  A flat
+    quotient inherits act (x) I and has nothing to check.
     """
     return memo(m, ("tensor", id(a), id(n)),
                 lambda: _build_tensor(a, m, n, name))
+
+
+def _balancing(m, n):
+    """The nonzero balancing relations m.e_k (x) n - m (x) e_k.n, by k and
+    then by flat index, for the k whose actions are not both marked."""
+    f, dn = m.field, n.dim
+    for rk, lk in zip(m.right_action, n.left_action):
+        if rk.is_identity and lk.is_identity:
+            continue
+        # row c of a transpose is column c of the action
+        rcols, lcols = rk.transpose().data, lk.transpose().data
+        for i in range(m.dim):
+            ri = rcols.get(i, {})
+            for j in range(dn):
+                rel = {p * dn + j: v for p, v in ri.items()}
+                for q, w in lcols.get(j, {}).items():
+                    tgt = i * dn + q
+                    u = f.sub(rel.get(tgt, f.zero()), w)
+                    if f.is_zero(u):
+                        rel.pop(tgt, None)
+                    else:
+                        rel[tgt] = u
+                if rel:
+                    yield rel
 
 
 def _build_tensor(a, m, n, name):
@@ -397,87 +474,143 @@ def _build_tensor(a, m, n, name):
             f"{m.right_algebra.name}, {n.name} has left algebra "
             f"{n.left_algebra.name}, expected {a.name}"
         )
-    f = m.field
-    dm, dn = m.dim, n.dim
+    f, dm, dn = m.field, m.dim, n.dim
     flat = dm * dn
-
-    from .exactla import Echelon
-    ech = Echelon(f, flat)
-    relations = []
-    for k in range(a.dim):
-        rk = m.right_action[k]
-        lk = n.left_action[k]
-        if rk.is_identity and lk.is_identity:
-            continue
-        # row c of a transpose is column c of the action
-        rcols, lcols = rk.transpose().data, lk.transpose().data
-        for i in range(dm):
-            ri = rcols.get(i, {})
-            for j in range(dn):
-                rel: dict = {}
-                for p, v in ri.items():
-                    rel[p * dn + j] = v
-                for q, w in lcols.get(j, {}).items():
-                    tgt = i * dn + q
-                    u = f.sub(rel.get(tgt, f.zero()), w)
-                    if f.is_zero(u):
-                        rel.pop(tgt, None)
-                    else:
-                        rel[tgt] = u
-                if rel:
-                    relations.append(rel)
-                    ech.add(rel)
-    qdim = flat - len(ech.pivot_rows)
-    # project . section = id, so a marked action is inherited as the marked
-    # identity of the quotient
-    ident = Matrix.identity(f, qdim)
-    if relations:
-        free = ech.free_columns()
+    pairs = [(rk, lk) for rk, lk in zip(m.right_action, n.left_action)
+             if not (rk.is_identity and lk.is_identity)]
+    free = ()
+    if pairs and all(len(col) <= 1 for pair in pairs for x in pair
+                     for col in x.transpose().data.values()):
+        free, proj = _union_find(f, dm, dn, pairs)
+    elif pairs:
+        ech = Echelon(f, flat)
+        for rel in _balancing(m, n):
+            ech.add(rel)
+        free, rows = ech.free_columns(), ech.pivot_rows
         pos = {c: t for t, c in enumerate(free)}
-        proj_entries = {}
-        for t, c in enumerate(free):
-            proj_entries[(t, c)] = f.one()
-        for p, row in ech.pivot_rows.items():
-            for c, v in row.items():
-                proj_entries[(pos[c], p)] = f.neg(v)
-        project = Matrix.from_entries(f, qdim, flat, proj_entries)
-        section = Matrix.from_entries(
-            f, flat, qdim, {(c, t): f.one() for t, c in enumerate(free)}
-        )
+        # a pivot with an empty row is 0 in the quotient: no column entry
+        proj = {p: {pos[c]: f.neg(v) for c, v in rows[p].items()}
+                if p in rows else {pos[p]: f.one()}
+                for p in range(flat) if rows.get(p, True)}
+    qdim = len(free) if pairs else flat
+    ident = Matrix.identity(f, qdim)
+    if qdim == flat:  # no relations, or all of them 0
+        project = ident
     else:
-        # flat quotient: both maps are the identity, marked so that every
-        # product and Kronecker product with them is a copy
-        project = section = ident
+        projt = Matrix(f, flat, qdim, proj)
+        project = Transposed(projt)
+    checks = []
 
-    left_pk = [None if act.is_identity
-               else project @ _kron_matrix_side(act, dn, left=True)
-               for act in m.left_action]
-    right_pk = [None if act.is_identity
-                else project @ _kron_matrix_side(act, dm, left=False)
-                for act in n.right_action]
+    def inherit(act, left, side, label):
+        if act.is_identity:
+            return ident
+        if project.is_identity:
+            return (act.kron(Matrix.identity(f, dn)) if left
+                    else Matrix.identity(f, dm).kron(act))
+        pkt = Matrix(f, flat, qdim, _scatter(f, proj, act, dm, dn, left))
+        checks.append((side, label, Transposed(pkt)))
+        rows = pkt.data
+        return Transposed(Matrix(f, qdim, qdim, {t: rows[c] for t, c in enumerate(free)
+                                                 if c in rows}))
+
     tq = TensorQuotient(
-        a, m, n, qdim,
-        [ident if pk is None else _through_section(pk, section) for pk in left_pk],
-        [ident if pk is None else _through_section(pk, section) for pk in right_pk],
-        project, section, relations,
-        name or f"({m.name}(x){n.name})", ech,
-    )
-    if relations:
-        for side, alg, pks in (("left", m.left_algebra, left_pk),
-                               ("right", n.right_algebra, right_pk)):
-            for k, pk in enumerate(pks):
-                if pk is not None and not tq.kills(pk):
-                    rows = (ech.full_row(p) for p in ech.pivots())
-                    raise WellDefinednessError(
-                        f"{side} action of {alg.labels[k]} does not descend "
-                        f"to {tq.name}",
-                        relation=next(row for row in rows if pk.tapply(row)))
+        a, m, n,
+        [inherit(x, True, "left", lab)
+         for x, lab in zip(m.left_action, m.left_algebra.labels)],
+        [inherit(x, False, "right", lab)
+         for x, lab in zip(n.right_action, n.right_algebra.labels)],
+        project, free, name or f"({m.name}(x){n.name})")
+    for side, label, pk in checks:
+        if not tq.kills(pk):
+            raise WellDefinednessError(
+                f"{side} action of {label} does not descend to {tq.name}",
+                relation=tq.echelon.full_row(next(tq._moved(pk))))
     return tq
 
 
-def _kron_matrix_side(mat: Matrix, other_dim: int, left: bool) -> Matrix:
-    ident = Matrix.identity(mat.field, other_dim)
-    return mat.kron(ident) if left else ident.kron(mat)
+def _scatter(f, proj, act, dm, dn, left):
+    """The columns of project . K, K = act (x) I_dn (left) or I_dm (x) act,
+    from the columns proj of project: column (i, j) of K is column i (or j)
+    of act placed at j (or i)."""
+    axpy, scaled = f.axpy, f.scaled
+    stride = dn if left else 1
+    out = {}
+    for own, acol in act.transpose().data.items():
+        for r, v in acol.items():
+            shift = (r - own) * stride
+            for c in (range(own * dn, own * dn + dn) if left
+                      else range(own, dm * dn, dn)):
+                src = proj.get(c + shift)
+                if src:
+                    col = out.get(c)
+                    if col is None:
+                        out[c] = scaled(src, v)
+                    else:
+                        axpy(col, src, v)
+    return {c: col for c, col in out.items() if col}
+
+
+def _union_find(f, dm, dn, pairs):
+    """(free columns, columns of project) when every R_k, L_k in pairs is
+    monomial.
+
+    The relation for (i, j) is v e_(p, j) - w e_(i, q), with (p, v) the
+    entry of column i of R_k and (q, w) that of column j of L_k; with one of
+    them missing it kills one column.  A tree of ties has e_c = weight[c]
+    e_parent[c], with its largest column at the root and paths compressed
+    on every `find`.  A component with a one-term relation, or with a tie
+    that contradicts its weights, is dead: all its columns are pivots with
+    empty echelon rows.  A live component keeps its root free, and each
+    other column c is the pivot of e_c - weight[c] e_root.  That is the
+    reduced echelon form `Echelon` gives.
+    """
+    flat, one, mul, inv = dm * dn, f.one(), f.mul, f.inv
+    parent, weight, dead = list(range(flat)), [one] * flat, [False] * flat
+
+    def find(c):
+        """(root, w) with e_c = w e_root; a root has weight 1."""
+        p = parent[c]
+        if parent[p] == p:
+            return p, weight[c]
+        path = []
+        while parent[c] != c:
+            path.append(c)
+            c = parent[c]
+        w = one
+        for x in reversed(path):
+            w = mul(weight[x], w)
+            parent[x], weight[x] = c, w
+        return c, w
+
+    for rk, lk in pairs:
+        rcols, lcols = rk.transpose().data, lk.transpose().data
+        rs = [next(iter(rcols[i].items())) if i in rcols else None for i in range(dm)]
+        ls = [next(iter(lcols[j].items())) if j in lcols else None for j in range(dn)]
+        for i, r in enumerate(rs):
+            for j, l in enumerate(ls):
+                if r is None or l is None:
+                    if r is not None or l is not None:
+                        c = r[0] * dn + j if l is None else i * dn + l[0]
+                        dead[find(c)[0]] = True
+                    continue
+                ra, wa = find(r[0] * dn + j)
+                rb, wb = find(i * dn + l[0])
+                x, y = mul(r[1], wa), mul(l[1], wb)  # x e_ra = y e_rb
+                if ra == rb:
+                    dead[ra] = dead[ra] or x != y
+                else:
+                    if ra > rb:
+                        ra, rb, x, y = rb, ra, y, x
+                    parent[ra], weight[ra] = rb, mul(y, inv(x))
+                    dead[rb] = dead[rb] or dead[ra]
+    free = tuple(c for c in range(flat) if parent[c] == c and not dead[c])
+    pos = {c: t for t, c in enumerate(free)}
+    proj = {}
+    for c in range(flat):
+        r, w = find(c)
+        if not dead[r]:
+            proj[c] = {pos[r]: w}
+    return free, proj
 
 
 def tensor_maps(f: LinearMap, g: LinearMap, source_q: TensorQuotient,
@@ -499,7 +632,7 @@ def tensor_maps(f: LinearMap, g: LinearMap, source_q: TensorQuotient,
         raise WellDefinednessError(
             f"{f.name}(x){g.name} is not well defined on {source_q.name}: "
             f"relation {sorted(rel.items())} not killed", relation=rel)
-    mat = _through_section(mat, source_q.section)
+    mat = mat @ source_q.section
     return LinearMap(source_q, target_q, mat, name or f"{f.name}(x){g.name}")
 
 
@@ -917,7 +1050,7 @@ class MapSolver:
 
     def solve_basis(self):
         """Canonical basis of the solution space, as a list of matrices."""
-        from .exactla import Echelon, kernel_basis
+        from .exactla import kernel_basis
         n = self.out_dim * self.in_dim
         mat = Matrix(self.field, len(self.rows), n,
                      {i: dict(r) for i, r in enumerate(self.rows) if r})

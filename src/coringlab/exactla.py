@@ -591,6 +591,26 @@ class _Identity(Matrix):
         return self
 
 
+class Transposed(Matrix):
+    """The transpose of t, a matrix given by its columns (the rows of t):
+    t is its cached transpose, and its own rows are built on the first read
+    of `data`, so a reader of columns alone never builds them."""
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, t):
+        # the base slot `data` stays unset: this class reads `_rows`
+        self.field, self.rows, self.cols = t.field, t.cols, t.rows
+        self._t = t
+        self._rows = None
+
+    @property
+    def data(self):
+        if self._rows is None:
+            self._rows = self._t.transpose().data
+        return self._rows
+
+
 def kron_all(mats) -> Matrix:
     out = None
     for m in mats:

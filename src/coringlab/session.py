@@ -93,7 +93,7 @@ class SessionFile:
                 return self.bimodules[ref]
             if ref in self.algebras:
                 return regular_bimodule(self.algebras[ref])
-            raise InputError(f"unknown space reference {ref!r}")
+            raise InputError(f"{path}: unknown space reference {ref!r}")
         if isinstance(ref, list):
             if not ref:
                 raise InputError(f"{path}: space needs at least one factor")
@@ -102,10 +102,13 @@ class SessionFile:
             return space(*factors).quotient
         raise InputError(f"{path}: bad space reference {ref!r}")
 
-    def lookup(self, section, name):
+    def lookup(self, section, name, path=None):
+        """The entry of section that name names; a reference from a session
+        entry passes its JSON path, which prefixes the error."""
         table = getattr(self, section)
         if not isinstance(name, str) or name not in table:
-            raise InputError(f"unknown {section[:-1]} {name!r}")
+            where = f"{path}: " if path else ""
+            raise InputError(f"{where}unknown {section[:-1]} {name!r}")
         return table[name]
 
 
@@ -211,11 +214,15 @@ def _parse_vec(field, entries, path) -> dict:
 
 def _field(s, data, key, kind):
     """The value of one field of a reference entry (see `SCHEMA`)."""
+    path = f"{data.path}.{key}"
     if kind == "space":
-        return s.resolve_space(data[key], f"{data.path}.{key}")
+        return s.resolve_space(data[key], path)
     if kind == "side":
-        return data.get(key, "right")
-    return s.lookup(kind, data[key])
+        side = data.get(key, "right")
+        if side not in ("left", "right"):
+            raise InputError(f"{path}: side must be 'left' or 'right'")
+        return side
+    return s.lookup(kind, data[key], path)
 
 
 def parse_session(source) -> SessionFile:
@@ -266,8 +273,8 @@ def parse_session(source) -> SessionFile:
                                       labels=data.labels(dim), name=name)
 
     for name, data in _entries(raw, "morphisms"):
-        src = s.lookup("algebras", data["source"])
-        dst = s.lookup("algebras", data["target"])
+        src = s.lookup("algebras", data["source"], f"{data.path}.source")
+        dst = s.lookup("algebras", data["target"], f"{data.path}.target")
         mat = _parse_matrix(field, data["matrix"], dst.dim, src.dim,
                             f"{data.path}.matrix")
         s.morphisms[name] = AlgebraMorphism(src, dst, mat, name=name)
@@ -277,8 +284,8 @@ def parse_session(source) -> SessionFile:
             raise InputError(
                 f"name {name!r} is declared both as an algebra and a "
                 f"bimodule; space references would be ambiguous")
-        left = s.lookup("algebras", data["left"])
-        right = s.lookup("algebras", data["right"])
+        left = s.lookup("algebras", data["left"], f"{data.path}.left")
+        right = s.lookup("algebras", data["right"], f"{data.path}.right")
         dim = data.dim()
         las = [_parse_matrix(field, m, dim, dim, f"{data.path}.left_action[{k}]")
                for k, m in enumerate(data.list("left_action"))]
@@ -305,8 +312,8 @@ def parse_session(source) -> SessionFile:
 
     for name, data in _entries(raw, "skewpoly"):
         from .ore import SkewPolyData
-        coeff = s.lookup("algebras", data["coeff"])
-        sigma = s.lookup("morphisms", data["sigma"])
+        coeff = s.lookup("algebras", data["coeff"], f"{data.path}.coeff")
+        sigma = s.lookup("morphisms", data["sigma"], f"{data.path}.sigma")
         delta = _parse_matrix(field, data["delta"], coeff.dim, coeff.dim,
                               f"{data.path}.delta")
         s.skewpoly[name] = SkewPolyData(coeff, sigma, delta, name=name)

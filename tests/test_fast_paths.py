@@ -66,6 +66,22 @@
 * `Space.project` and `Space.section` are built on first read; they must
   equal the maps of the eager loop, and a space that a pipe only ends in
   must never build its section.
+* When every unmarked R_k and L_k is monomial, `tensor_over` builds the
+  column form of `project` from a weighted union-find over the flat
+  columns instead of `Echelon`, scatters each inherited action through
+  those columns and checks descent column by column.  Against the plain
+  path (`echelon_oracle`: raw relations through `Echelon`, from_entries
+  maps, plain Kronecker products, the raw-relation descent check), the
+  relations, free columns, echelon rows, `project`, `section`, inherited
+  actions and their marks, and descent errors with the echelon row they
+  name must match.  Inputs: free monomial actions over QQ and GF(101)
+  (one-term relations, inconsistent cycles, dead components, actions
+  that do not descend), sums of regular bimodules of kZ2, kZ3, the
+  modular kZ2 over GF(2) and kZ3 over GF(3), Sweedler's H4 (x^2 = 0),
+  k[x]/(x^3) and M2, conjugated by diagonal matrices for weights other
+  than +-1, their quotients of three factors, and every quotient of the
+  corpus lifts.  Monomial input never calls `Echelon.add`, even when
+  `relations` and `echelon` are read; other input still does.
 """
 
 from fractions import Fraction
@@ -80,6 +96,7 @@ from coringlab.algebra import (
     FinAlgebra,
     field_algebra,
     group_algebra_cyclic,
+    matrix_algebra,
     truncated_poly_algebra,
 )
 from coringlab.bimodule import (
@@ -2128,3 +2145,275 @@ def test_dropped_skew_data_frees_its_memo_without_gc():
         assert [r() for r in refs] == [None, None]
     finally:
         gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# monomial quotients: the union-find path against the Echelon path
+
+
+def echelon_oracle(a, m, n):
+    """What `tensor_over` must give for M (x)_A N, built the plain way: the
+    raw relations through `Echelon`, project and section from_entries, each
+    inherited action as project @ (act (x) I) @ section with the plain
+    Kronecker product, or, when an action does not descend, the message of
+    the raw-relation check and the first echelon row it names."""
+    f = m.field
+    relations, ech = plain_tensor_relations(a, m, n)
+    rows = [ech.full_row(p) for p in ech.pivots()]
+    bigs = [("left", label, unmarked(x).kron(plain_identity(f, n.dim)))
+            for label, x in zip(m.left_algebra.labels, m.left_action)]
+    bigs += [("right", label, plain_identity(f, m.dim).kron(unmarked(x)))
+             for label, x in zip(n.right_algebra.labels, n.right_action)]
+    for side, label, big in bigs:
+        if any(ech.reduce(big.tapply(rel)) for rel in relations):
+            row = next(row for row in rows if ech.reduce(big.tapply(row)))
+            return {"error": (f"{side} action of {label} does not descend to "
+                              f"({m.name}(x){n.name})", row)}
+    free = ech.free_columns()
+    pos = {c: t for t, c in enumerate(free)}
+    entries = {(t, c): f.one() for t, c in enumerate(free)}
+    for p, row in ech.pivot_rows.items():
+        for c, v in row.items():
+            entries[(pos[c], p)] = f.neg(v)
+    flat = m.dim * n.dim
+    project = Matrix.from_entries(f, len(free), flat, entries)
+    section = Matrix.from_entries(
+        f, flat, len(free), {(c, t): f.one() for t, c in enumerate(free)})
+    acts = [project @ unmarked(x).kron(plain_identity(f, n.dim)) @ section
+            for x in m.left_action]
+    acts += [project @ plain_identity(f, m.dim).kron(unmarked(x)) @ section
+             for x in n.right_action]
+    return {"relations": relations, "free": free, "pivot_rows": ech.pivot_rows,
+            "project": project, "section": section, "acts": acts}
+
+
+def assert_matches_echelon(a, m, n):
+    """tensor_over(a, m, n) gives what `echelon_oracle` gives: the same
+    relations, basis, echelon rows, maps, inherited actions and marks, or
+    the same descent error naming the same echelon row.  Returns the
+    quotient, or None after an error."""
+    want = echelon_oracle(a, m, n)
+    if "error" in want:
+        message, relation = want["error"]
+        with pytest.raises(WellDefinednessError) as err:
+            tensor_over(a, m, n)
+        assert str(err.value) == message
+        assert err.value.relation == relation
+        return None
+    tq = tensor_over(a, m, n)
+    assert tq.relations == want["relations"]
+    assert tq.free_cols == want["free"]
+    assert tq.echelon.pivot_rows == want["pivot_rows"]
+    assert tq.echelon.pivots() == tuple(sorted(want["pivot_rows"]))
+    assert tq.project == want["project"] and tq.section == want["section"]
+    assert tq.project.is_identity == tq.section.is_identity == (not tq.relations)
+    ident = plain_identity(m.field, tq.dim)
+    for got, plain in zip(tq.left_action + tq.right_action, want["acts"]):
+        assert got == plain
+        assert got.is_identity == (plain == ident)
+    return tq
+
+
+def nonzero_scalars(field):
+    if field == QQ:
+        return st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)])
+    return st.integers(1, field.p - 1)
+
+
+@st.composite
+def monomial_matrix(draw, field, d):
+    """A d x d matrix with at most one nonzero entry in each column, mostly
+    1, so that random ties still leave components alive."""
+    entries = {}
+    for j in range(d):
+        if draw(st.integers(0, 7)):
+            v = draw(st.one_of(st.just(1), nonzero_scalars(field)))
+            entries[(draw(st.integers(0, d - 1)), j)] = v
+    return Matrix.from_entries(field, d, d, entries)
+
+
+@st.composite
+def monomial_input(draw, field):
+    """(a, m, n) with free monomial R_k and L_k, so that the relations tie
+    columns at random: one-term relations, inconsistent cycles and dead
+    components all occur.  Some R_k, L_k and inherited actions are the
+    identity (marked by `Bimodule`); the other inherited actions are
+    monomial, so some do not descend."""
+    def acts(d, count):
+        return [plain_identity(field, d) if draw(st.integers(0, 2)) == 0
+                else draw(monomial_matrix(field, d)) for _ in range(count)]
+
+    a = group_algebra_cyclic(field, draw(st.integers(1, 3)))
+    outer = group_algebra_cyclic(field, draw(st.integers(1, 2)))
+    dm, dn = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    keep = draw(st.booleans())  # inherited actions all identity: they descend
+    m = Bimodule(outer, a, dm,
+                 [plain_identity(field, dm)] * outer.dim if keep else acts(dm, outer.dim),
+                 acts(dm, a.dim), name="M")
+    n = Bimodule(a, outer, dn, acts(dn, a.dim),
+                 [plain_identity(field, dn)] * outer.dim if keep else acts(dn, outer.dim),
+                 name="N")
+    return a, m, n
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_generated_monomial_quotients_match_echelon(field, data):
+    a, m, n = data.draw(monomial_input(field))
+    assert_matches_echelon(a, m, n)
+
+
+def sweedler_algebra(field):
+    """Sweedler's H4: basis 1, g, x, gx with g^2 = 1, x^2 = 0, xg = -gx."""
+    one, neg = field.one(), field.neg(field.one())
+    mult = [[{0: one}, {1: one}, {2: one}, {3: one}],
+            [{1: one}, {0: one}, {3: one}, {2: one}],
+            [{2: one}, {3: neg}, {}, {}],
+            [{3: one}, {2: neg}, {}, {}]]
+    return FinAlgebra(field, 4, mult, {0: one}, ["1", "g", "x", "gx"], "H4")
+
+
+def conjugated(b, d):
+    """b with every action conjugated by the invertible diagonal matrix d,
+    so the actions stay monomial but their entries are no longer +-1."""
+    f = b.field
+    inv = Matrix(f, d.rows, d.cols, {i: {i: f.inv(row[i])} for i, row in d.data.items()})
+    return Bimodule(b.left_algebra, b.right_algebra, b.dim,
+                    [inv @ x @ d for x in b.left_action],
+                    [inv @ x @ d for x in b.right_action], name=b.name)
+
+
+MONOMIAL_BASES = [
+    ("kZ2/QQ", lambda: group_algebra_cyclic(QQ, 2)),
+    ("kZ3/GF(101)", lambda: group_algebra_cyclic(GF(101), 3)),
+    ("kZ2/GF(2)", lambda: group_algebra_cyclic(GF(2), 2)),
+    ("kZ3/GF(3)", lambda: group_algebra_cyclic(GF(3), 3)),
+    ("H4/QQ", lambda: sweedler_algebra(QQ)),
+    ("H4/GF(3)", lambda: sweedler_algebra(GF(3))),
+    ("k[x]/(x^3)/QQ", lambda: truncated_poly_algebra(QQ, 3)),
+    ("M2/GF(101)", lambda: matrix_algebra(GF(101), 2)),
+]
+
+
+@pytest.mark.parametrize("make", [m for _, m in MONOMIAL_BASES],
+                         ids=[name for name, _ in MONOMIAL_BASES])
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_regular_bimodules_match_echelon(make, data):
+    """Sums of regular bimodules over semisimple, modular and nilpotent
+    bases, each conjugated by a diagonal matrix or not, and the quotients of
+    three factors built on them."""
+    a = make()
+    f = a.field
+    reg = regular_bimodule(a)
+
+    def factor(name):
+        copies = data.draw(st.integers(1, 2))
+        d = copies * a.dim
+        b = Bimodule(a, a, d, [_block_diag(f, [x] * copies) for x in reg.left_action],
+                     [_block_diag(f, [x] * copies) for x in reg.right_action], name=name)
+        if data.draw(st.booleans()):
+            diag = [data.draw(nonzero_scalars(f)) for _ in range(d)]
+            b = conjugated(b, Matrix(f, d, d, {i: {i: f.parse(v)} for i, v in enumerate(diag)}))
+        return b
+
+    m, n, p = factor("M"), factor("N"), factor("P")
+    tq = assert_matches_echelon(a, m, n)
+    assert tq is not None and tq.relations
+    nested = assert_matches_echelon(a, tq, p)
+    assert nested is not None and nested.dim == a.dim * (tq.dim // a.dim) * (p.dim // a.dim)
+
+
+def test_sweedler_quotient_has_one_term_relations():
+    """x^2 = 0 gives relations with one term; the regular H4 (x) H4 over H4
+    is H4 again, on the free columns of the largest pure tensors."""
+    a = sweedler_algebra(QQ)
+    reg = regular_bimodule(a)
+    tq = assert_matches_echelon(a, reg, reg)
+    assert any(len(rel) == 1 for rel in tq.relations)
+    assert tq.dim == 4
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=repr)
+def test_inconsistent_cycle_and_dead_component(field):
+    """M . e sends m0 to m1, m1 to 2 m0, m2 to 0 and fixes m3, and e fixes
+    n0.  The relations m1 (x) n0 = m0 (x) n0 and 2 m0 (x) n0 = m1 (x) n0
+    close a cycle of weight 2, so that component is 0; the one-term
+    relation m2 (x) n0 = 0 kills the next; m3 (x) n0 alone stays free."""
+    a = field_algebra(field)
+    one, two = field.one(), field.from_int(2)
+    e = Matrix.from_entries(field, 4, 4, {(1, 0): one, (0, 1): two, (3, 3): one})
+    k = field_algebra(field)
+    m = Bimodule(k, a, 4, [Matrix.identity(field, 4)], [e], name="M")
+    n = Bimodule(a, k, 1, [Matrix.from_entries(field, 1, 1, {(0, 0): one})],
+                 [Matrix.identity(field, 1)], name="N")
+    tq = assert_matches_echelon(a, m, n)
+    assert tq.free_cols == (3,)
+    assert tq.echelon.pivot_rows == {0: {}, 1: {}, 2: {}}
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_non_descending_monomial_action_names_the_echelon_row(field):
+    """kZ3 (x)_kZ3 kZ3 with the left action of g on M replaced by a
+    transposition, which does not commute with the right action."""
+    a = group_algebra_cyclic(field, 3)
+    reg = regular_bimodule(a)
+    swap = Matrix.from_entries(field, 3, 3, {(1, 0): 1, (0, 1): 1, (2, 2): 1})
+    m = Bimodule(a, a, 3, [reg.left_action[0], swap, swap @ swap @ swap],
+                 reg.right_action, name="M")
+    assert assert_matches_echelon(a, m, reg) is None
+
+
+def test_corpus_lifts_match_echelon(monkeypatch):
+    """Every quotient the corpus lifts build, with their checks and
+    products, against the Echelon path."""
+    from coringlab import cowreath
+    built = []
+    real = bimodule._build_tensor
+
+    def spy(a, m, n, name):
+        built.append((a, m, n))
+        return real(a, m, n, name)
+
+    monkeypatch.setattr(bimodule, "_build_tensor", spy)
+    corpus = Corpus()
+    for w in (corpus.lifted_flip_cw, corpus.lifted_dk_cw):
+        assert cowreath.check_cowreath(w).ok
+        product, morph = cowreath.cowreath_product(w)
+        assert morph.ok and check_coring(product).ok
+    monkeypatch.setattr(bimodule, "_build_tensor", real)
+    with_relations = 0
+    for a, m, n in built:
+        with_relations += bool(assert_matches_echelon(a, m, n).relations)
+    assert with_relations >= 10
+
+
+def test_monomial_input_never_calls_echelon_add(monkeypatch):
+    calls = []
+    real = Echelon.add
+
+    def spy(self, vec):
+        calls.append(vec)
+        return real(self, vec)
+
+    monkeypatch.setattr(Echelon, "add", spy)
+    a = group_algebra_cyclic(QQ, 3)
+    reg = regular_bimodule(a)
+    tq = space(reg, reg, reg).quotient
+    tq.kills(tq.project)
+    assert tq.relations and tq.echelon.pivot_rows and tq.section
+    assert calls == []
+    # regular kZ2 in a basis where g acts by [[-1, 0], [1, 1]], whose first
+    # column has two entries
+    a = group_algebra_cyclic(QQ, 2)
+    reg = regular_bimodule(a)
+    p = Matrix.from_rows(QQ, [[1, 1], [0, 1]])
+    p_inv = solve(p, plain_identity(QQ, 2))
+    m = Bimodule(a, a, 2, [p_inv @ x @ p for x in reg.left_action],
+                 [p_inv @ x @ p for x in reg.right_action], name="M")
+    assert m.right_action[1] == Matrix.from_rows(QQ, [[-1, 0], [1, 1]])
+    calls.clear()  # solve used Echelon
+    tensor_over(a, m, m)
+    assert calls
+    assert_matches_echelon(a, m, m)

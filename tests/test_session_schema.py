@@ -91,7 +91,51 @@ def test_dangling_name(every_section, section, key, kind):
         parse_session(raw)
     expected = {"space": "unknown space reference 'nowhere'",
                 "side": "side must be 'left' or 'right'"}
-    assert str(err.value) == expected.get(kind, f"unknown {kind[:-1]} 'nowhere'")
+    assert str(err.value) == f"$.{section}.x.{key}: " + expected.get(
+        kind, f"unknown {kind[:-1]} 'nowhere'")
+
+
+@pytest.mark.parametrize("section, key, name", [
+    ("morphisms", "source", "kZ2"), ("morphisms", "target", "kZ2"),
+    ("bimodules", "left", "kZ2"), ("bimodules", "right", "kZ2"),
+    ("skewpoly", "coeff", "kZ2"), ("skewpoly", "sigma", "id")])
+def test_dangling_name_outside_the_schema(section, key, name):
+    """The references that entries of the other sections make name their
+    JSON path too."""
+    raw = {"field": "QQ",
+           "algebras": {"kZ2": {"dim": 2, "mult": [[[1, 0], [0, 1]], [[0, 1], [1, 0]]],
+                                "unit": [1, 0]}},
+           "morphisms": {"id": {"source": "kZ2", "target": "kZ2",
+                                "matrix": [[1, 0], [0, 1]]}},
+           "bimodules": {"M": {"left": "kZ2", "right": "kZ2", "dim": 1,
+                               "left_action": [[[1]], [[1]]],
+                               "right_action": [[[1]], [[1]]]}},
+           "skewpoly": {"S": {"coeff": "kZ2", "sigma": "id",
+                              "delta": [[0, 0], [0, 0]]}}}
+    parse_session(raw)
+    entry = next(iter(raw[section]))
+    raw[section][entry][key] = "nowhere"
+    kind = "morphism" if key == "sigma" else "algebra"
+    with pytest.raises(InputError) as err:
+        parse_session(raw)
+    assert str(err.value) == f"$.{section}.{entry}.{key}: unknown {kind} 'nowhere'"
+
+
+def test_dangling_name_exits_two_with_its_path(every_section, tmp_path, capsys):
+    raw = json.loads(json.dumps(every_section))
+    raw["cowreaths"]["x"]["object"] = "nowhere"
+    path = tmp_path / "dangling.json"
+    path.write_text(json.dumps(raw))
+    assert main(["--session", str(path), "check", "coring", "x"]) == 2
+    assert capsys.readouterr().err == (
+        "error: $.cowreaths.x.object: unknown r_object 'nowhere'\n")
+
+
+def test_name_typed_on_the_cli_keeps_its_message(every_section, tmp_path, capsys):
+    path = tmp_path / "session.json"
+    path.write_text(json.dumps(every_section))
+    assert main(["--session", str(path), "check", "coring", "nowhere"]) == 2
+    assert capsys.readouterr().err == "error: unknown coring 'nowhere'\n"
 
 
 @pytest.mark.parametrize("section", list(SCHEMA))
