@@ -8,6 +8,9 @@ For each case it prints the wall-clock seconds of the lift
 and the product's `check_coring`, each run from fresh structures, and the
 dimensions of the product's coassociativity space P (x) P (x) P: the
 quotient, the factor-flat space (dim P cubed) and the leaf-flat space.
+Two more columns, not added to the total, time the changes of bracketing
+on that space: `regroup` between space(P, P, P) and space(P, P (x) P),
+both ways, and `rev` of space(P, P, P)'s quotient and of its mirror.
 With `--runs N` (default 1) each case is run N times, each time from fresh
 structures, and every time column is the median of the N runs (the total
 column is the median of the per-run totals).  It checks every verdict but
@@ -23,7 +26,7 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from coringlab.algebra import group_algebra_cyclic
-from coringlab.bimodule import space
+from coringlab.bimodule import mirror, regroup, rev, space, tensor_over
 from coringlab.coring import check_coring, grouplike_coalgebra
 from coringlab.cowreath import (
     check_cowreath,
@@ -32,7 +35,7 @@ from coringlab.cowreath import (
     flip_cowreath,
 )
 from coringlab.entwine import doi_koppinen_entwining, doi_koppinen_self, flip_entwining
-from coringlab.exactla import GF, QQ
+from coringlab.exactla import GF, QQ, Matrix
 
 
 def cases():
@@ -77,6 +80,22 @@ def run_case(entwine, c, d):
     return times, rep.ok and morph.ok and prep.ok, prod.carrier
 
 
+def time_bracketings(p):
+    """The seconds of `regroup` between the two bracketings of
+    P (x) P (x) P, both ways, and of `rev` both ways, each with its round
+    trip checked; the quotients are built before the clock starts."""
+    left = space(p, p, p)
+    right = space(p, tensor_over(p.right_algebra, p, p))
+    x = left.quotient
+    space(mirror(x))
+    (there, back), t_regroup = timed(
+        lambda: (regroup(left, right), regroup(right, left)))
+    (r, r_back), t_rev = timed(lambda: (rev(x), rev(mirror(x))))
+    ok = all(b.after(a).matrix == Matrix.identity(p.field, x.dim)
+             for a, b in ((there, back), (r, r_back)))
+    return (t_regroup, t_rev), ok
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(
         description="Time cowreaths lifted over a base that is not the ground field.")
@@ -86,25 +105,28 @@ def main(argv=None):
     if args.runs < 1:
         ap.error("--runs must be at least 1")
     print(f"{'case':<24} {'lift':>7} {'check':>7} {'product':>8} "
-          f"{'p-check':>8} {'total':>7}   coassoc dims: quotient / "
-          "factor-flat / leaf-flat")
+          f"{'p-check':>8} {'total':>7} {'regroup':>8} {'rev':>7}   coassoc "
+          "dims: quotient / factor-flat / leaf-flat")
     bad = 0
     for index, (label, *_) in enumerate(cases()):
-        runs, ok = [], True
+        runs, brackets, ok = [], [], True
         for _ in range(args.runs):
             # a fresh case each run, so that no memo carries over
             _, entwine, c, d = list(cases())[index]
             times, passed, p = run_case(entwine, c, d)
             runs.append(times)
-            ok = ok and passed
+            bracket, trips = time_bracketings(p)
+            brackets.append(bracket)
+            ok = ok and passed and trips
         bad += not ok
         t_lift, t_check, t_prod, t_pcheck = (
             statistics.median(col) for col in zip(*runs))
         total = statistics.median(sum(times) for times in runs)
+        t_regroup, t_rev = (statistics.median(col) for col in zip(*brackets))
         sp = space(p, p, p)
         print(f"{label:<24} {t_lift:7.3f} {t_check:7.3f} {t_prod:8.3f} "
-              f"{t_pcheck:8.3f} {total:7.3f}   {sp.dim} / {p.dim ** 3} / "
-              f"{sp.leaf_flat_dim()}")
+              f"{t_pcheck:8.3f} {total:7.3f} {t_regroup:8.3f} {t_rev:7.3f}   "
+              f"{sp.dim} / {p.dim ** 3} / {sp.leaf_flat_dim()}")
     if bad:
         print(f"{bad} case(s) did not pass", file=sys.stderr)
     return 1 if bad else 0

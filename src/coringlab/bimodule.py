@@ -31,11 +31,13 @@ the iterated quotient; its quotients are built with it, the two maps on
 first read.  `Pipe` composes maps on factor-flat spaces, and a stage that
 acts on some factors is never materialized as the Kronecker product
 I (x) F (x) I: `Matrix.padded_matmul` scatters the rows of the accumulated
-matrix through F.  The leaf-flat space unfolds quotient factors
-recursively down to their atomic *leaves*; its projection/section are
-built only when read: by `regroup` (which converts between bracketings of
-the same leaves, the explicit associator), by the mirror and by a pipe
-that ends in another bracketing.
+matrix through F.  This is the only level: every change of bracketing is a
+pipe program on it, with sections down (`refine` splits a quotient factor
+into its two factors) and projections up (two neighbouring factors merge
+into their quotient).  `regroup` (the explicit associator between two
+bracketings of the same atomic *leaves*), the mirror and a pipe that ends
+in another bracketing go down to the leaves and up again one quotient at a
+time, so no map is built on the product of all leaf dimensions.
 
 The mirror reads a bimodule in the opposite bicategory: `op` gives the
 opposite algebra, `mirror` swaps a bimodule's two actions and reverses the
@@ -57,7 +59,7 @@ from functools import cached_property
 from math import prod
 
 from .algebra import FinAlgebra, opposite_algebra
-from .exactla import Echelon, Matrix, Transposed, kron_all
+from .exactla import Echelon, Matrix, Transposed
 from .reports import InputError, Report, WellDefinednessError, Witness
 
 
@@ -646,29 +648,17 @@ def leaf_factors(b: Bimodule):
     return (b,)
 
 
-def deep_pair(b: Bimodule):
-    """(project, section) between the leaf-flat space of b and b itself."""
-    def build():
-        if not isinstance(b, TensorQuotient):
-            ident = Matrix.identity(b.field, b.dim)
-            return ident, ident
-        pl, sl = deep_pair(b.factor_left)
-        pr, sr = deep_pair(b.factor_right)
-        return b.project @ pl.kron(pr), sl.kron(sr) @ b.section
-    return memo(b, "deep_pair", build)
-
-
 class Space:
     """A left-associated iterated tensor quotient of a factor list.
 
     `project` and `section` map between the factor-flat space (the ground
     field tensor product of the factors, each on its own basis) and the
-    quotient.  `deep_project` and `deep_section` do the same for the
-    leaf-flat space.  All four are built on first read: a space that a pipe
-    only ends in never builds `section`, and only `regroup`, the mirror and
-    `Pipe.done` into another bracketing read the leaf-flat maps.  Every
-    tensor quotient is built with the space, so an action that does not
-    descend raises `WellDefinednessError` when the space is made.
+    quotient.  Both are built on first read, so a space that a pipe only
+    ends in never builds `section`.  `leaves` are the atomic factors the
+    quotient factors unfold to: spaces with the same leaves are bracketings
+    of one another, and `Pipe.done` converts between them.  Every tensor
+    quotient is built with the space, so an action that does not descend
+    raises `WellDefinednessError` when the space is made.
     """
 
     def __init__(self, factors):
@@ -696,23 +686,12 @@ class Space:
             sec = sec.padded_matmul(1, tq.factor_right.dim, tq.section)
         return sec
 
-    @cached_property
-    def deep_project(self):
-        return self.project @ kron_all([deep_pair(f)[0] for f in self.factors])
-
-    @cached_property
-    def deep_section(self):
-        return kron_all([deep_pair(f)[1] for f in self.factors]) @ self.section
-
     @property
     def dim(self):
         return self.quotient.dim
 
     def leaf_flat_dim(self):
-        d = 1
-        for l in self.leaves:
-            d *= l.dim
-        return d
+        return prod(l.dim for l in self.leaves)
 
     def __repr__(self):
         return f"Space({'x'.join(f.name for f in self.factors)}, dim={self.dim})"
@@ -728,10 +707,7 @@ def space(*factors) -> Space:
 
 def regroup(src: Space, dst: Space, name="regroup") -> LinearMap:
     """Canonical isomorphism between two bracketings of the same leaves."""
-    if tuple(src.leaves) != tuple(dst.leaves):
-        raise InputError("regroup requires identical leaf sequences")
-    return LinearMap(src.quotient, dst.quotient,
-                     dst.deep_project @ src.deep_section, name)
+    return pipe(src).done(dst, name)
 
 
 def associator(m: Bimodule, n: Bimodule, p: Bimodule):
@@ -781,28 +757,9 @@ def _build_mirror(b: Bimodule) -> Bimodule:
                     name=b.name)
 
 
-def _reversal(src: Space, dst: Space) -> Matrix:
-    """The leaf-reversing permutation of the leaf-flat spaces, conjugated
-    into the quotients like `regroup`: m1 (x) ... (x) mk -> mk (x) ... (x) m1."""
-    if tuple(dst.leaves) != tuple(mirror(l) for l in reversed(src.leaves)):
-        raise InputError("reversal needs the mirrored leaves in reverse order")
-    f = src.field
-    if len(src.leaves) == 1:
-        return dst.deep_project @ src.deep_section
-    # pos[i] is the reversed flat index of the leaf-flat index i
-    pos, width = [0], 1
-    for leaf in src.leaves:
-        pos = [j * width + p for p in pos for j in range(leaf.dim)]
-        width *= leaf.dim
-    perm = Matrix.from_entries(f, width, width,
-                               {(p, i): f.one() for i, p in enumerate(pos)})
-    return dst.deep_project @ perm @ src.deep_section
-
-
 def rev(x: Bimodule) -> LinearMap:
     """The reversal isomorphism x -> mirror(x)."""
-    return LinearMap(x, mirror(x), _reversal(space(x), space(mirror(x))),
-                     name="rev")
+    return pipe(space(x)).reverse().done(space(mirror(x)), "rev")
 
 
 def mirror_map(f: LinearMap, dom: Space = None, cod: Space = None) -> LinearMap:
@@ -811,9 +768,10 @@ def mirror_map(f: LinearMap, dom: Space = None, cod: Space = None) -> LinearMap:
     leaves."""
     dom = dom if dom is not None else space(mirror(f.domain))
     cod = cod if cod is not None else space(mirror(f.codomain))
-    mat = (_reversal(space(f.codomain), cod) @ f.matrix
-           @ _reversal(dom, space(f.domain)))
-    return LinearMap(dom.quotient, cod.quotient, mat, name=f.name)
+    there = pipe(dom).reverse().done(space(f.domain))
+    back = pipe(space(f.codomain)).reverse().done(cod)
+    return LinearMap(dom.quotient, cod.quotient,
+                     back.matrix @ f.matrix @ there.matrix, name=f.name)
 
 
 # ---------------------------------------------------------------------------
@@ -904,23 +862,58 @@ class Pipe:
             raise InputError("refine needs a TensorQuotient factor")
         return self._stage(f.section, at, 1, [f.factor_left, f.factor_right])
 
+    def _refine_all(self):
+        """Refine every quotient factor down to its leaves."""
+        at = 0
+        while at < len(self.factors):
+            if isinstance(self.factors[at], TensorQuotient):
+                self.refine(at)
+            else:
+                at += 1
+
+    def _merge(self, node, at):
+        """Merge the leaves of node, from position at on, into node:
+        children first, each quotient by its projection."""
+        if isinstance(node, TensorQuotient):
+            self._merge(node.factor_left, at)
+            self._merge(node.factor_right, at + 1)
+            self._stage(node.project, at, 2, [node])
+
+    def reverse(self):
+        """Reverse the leaves, m1 (x) ... (x) mk -> mk (x) ... (x) m1, and
+        replace each leaf by its mirror: refine to the leaves, then renumber
+        the rows of the matrix into the reversed mixed-radix order."""
+        self._refine_all()
+        dims = [l.dim for l in self.factors]
+        if len(dims) > 1:
+            rows = {}
+            for r, row in self.matrix.data.items():
+                out = 0
+                for d in reversed(dims):
+                    r, digit = divmod(r, d)
+                    out = out * d + digit
+                rows[out] = row
+            self.matrix = Matrix(self.field, self.matrix.rows, self.matrix.cols, rows)
+        self.factors = [mirror(l) for l in reversed(self.factors)]
+        return self
+
     # -- finish ---------------------------------------------------------------
 
     def done(self, target: Space = None, name="pipe") -> LinearMap:
         """The composite into target, by default the space of the current
-        factors.  A target with other factors must have the same leaves; it
-        is reached through the leaf-flat space."""
+        factors.  A target with other factors must have the same leaves: the
+        current factors are refined down to them (sections) and merged into
+        the target's factors (projections)."""
         if target is None:
             target = space(*self.factors)
-        if target.factors == tuple(self.factors):
-            mat = target.project @ self.matrix
-        else:
-            if target.leaves != tuple(
-                    l for f in self.factors for l in leaf_factors(f)):
+        if target.factors != tuple(self.factors):
+            self._refine_all()
+            if target.leaves != tuple(self.factors):
                 raise InputError("pipe target leaves do not match")
-            flat = kron_all([deep_pair(f)[1] for f in self.factors])
-            mat = target.deep_project @ flat @ self.matrix
-        return LinearMap(self.source.quotient, target.quotient, mat, name)
+            for at, f in enumerate(target.factors):
+                self._merge(f, at)
+        return LinearMap(self.source.quotient, target.quotient,
+                         target.project @ self.matrix, name)
 
 
 def _contract_matrix(x: Bimodule, b: Bimodule, into_left: bool) -> Matrix:
@@ -1046,6 +1039,16 @@ class MapSolver:
         for (r, c), v in coeffs.items():
             rows.setdefault(r, {})[c] = v
         self.rows.extend(rows.values())
+        return self
+
+    def add_intertwining(self, pairs):
+        """F . a = b . F for each (b, a) in order: b acts on the output
+        space and a on the input space."""
+        ident_in = Matrix.identity(self.field, self.in_dim)
+        ident_out = Matrix.identity(self.field, self.out_dim)
+        for b, a in pairs:
+            self.add_equation([(1, b, ident_in, "none", 0),
+                               (-1, ident_out, a, "none", 0)])
         return self
 
     def solve_basis(self):

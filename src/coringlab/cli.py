@@ -141,6 +141,10 @@ def run_check(s, kind, name):
 
 def run_build(s, kind, names, out):
     """Execute a build and serialize the result into the session."""
+    want = 2 if kind == "lift" else 1
+    if len(names) != want:
+        raise InputError(f"build {kind} takes {want} name{'s' * (want > 1)}, "
+                         f"got {len(names)}")
     from .session_write import SessionStore
     store = SessionStore(s)
     if kind == "entwined-coring":

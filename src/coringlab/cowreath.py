@@ -771,17 +771,8 @@ def sample_adjunction_maps(w: Cowreath, x: Comodule, y: Comodule,
     C = c.carrier
     X, Y = x.carrier, y.carrier
     f_field = X.field
-    solver = MapSolver(f_field, X.dim, Y.dim)
-    for k in range(X.left_algebra.dim):
-        solver.add_equation([
-            (1, X.left_action[k], Matrix.identity(f_field, Y.dim), "none", 0),
-            (-1, Matrix.identity(f_field, X.dim), Y.left_action[k], "none", 0),
-        ])
-    for k in range(X.right_algebra.dim):
-        solver.add_equation([
-            (1, X.right_action[k], Matrix.identity(f_field, Y.dim), "none", 0),
-            (-1, Matrix.identity(f_field, X.dim), Y.right_action[k], "none", 0),
-        ])
+    solver = MapSolver(f_field, X.dim, Y.dim).add_intertwining(
+        [*zip(X.left_action, Y.left_action), *zip(X.right_action, Y.right_action)])
     y_xi = induction_xi(w, y, c)
     xc = space(X, C)
     yc = space(Y, C)
@@ -801,17 +792,8 @@ def sample_vw_maps(o: RObject, z: Comodule, count=5, seed=0):
     f_field = C.field
     wy = vw_functor_w(o)
     CY = wy.carrier
-    solver = MapSolver(f_field, Z.dim, CY.dim)
-    for k in range(Z.left_algebra.dim):
-        solver.add_equation([
-            (1, Z.left_action[k], Matrix.identity(f_field, CY.dim), "none", 0),
-            (-1, Matrix.identity(f_field, Z.dim), CY.left_action[k], "none", 0),
-        ])
-    for k in range(Z.right_algebra.dim):
-        solver.add_equation([
-            (1, Z.right_action[k], Matrix.identity(f_field, CY.dim), "none", 0),
-            (-1, Matrix.identity(f_field, Z.dim), CY.right_action[k], "none", 0),
-        ])
+    solver = MapSolver(f_field, Z.dim, CY.dim).add_intertwining(
+        [*zip(Z.left_action, CY.left_action), *zip(Z.right_action, CY.right_action)])
     zc = space(Z, C)
     cyc = space(CY, C)
     solver.add_equation([

@@ -611,15 +611,6 @@ class Transposed(Matrix):
         return self._rows
 
 
-def kron_all(mats) -> Matrix:
-    out = None
-    for m in mats:
-        out = m if out is None else out.kron(m)
-    if out is None:
-        raise InputError("kron of empty list")
-    return out
-
-
 # ---------------------------------------------------------------------------
 # echelon forms
 

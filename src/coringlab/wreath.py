@@ -1055,17 +1055,8 @@ def sample_dual_maps(o: RTObject, x_carrier: Bimodule, l_x: LinearMap,
     pt = tensor_over(P.right_algebra, P, tb)
     pt_tt = pt_bimodule(o)
     x_lacts = element_action_matrices(l_x, tb, x_carrier)
-    solver = MapSolver(f, pt.dim, x_carrier.dim)
-    for k in range(ext.total.dim):
-        solver.add_equation([
-            (1, pt_tt.left_action[k], Matrix.identity(f, x_carrier.dim), "none", 0),
-            (-1, Matrix.identity(f, pt.dim), x_lacts[k], "none", 0),
-        ])
-    for k in range(x_carrier.right_algebra.dim):
-        solver.add_equation([
-            (1, pt.right_action[k], Matrix.identity(f, x_carrier.dim), "none", 0),
-            (-1, Matrix.identity(f, pt.dim), x_carrier.right_action[k], "none", 0),
-        ])
+    solver = MapSolver(f, pt.dim, x_carrier.dim).add_intertwining(
+        [*zip(pt_tt.left_action, x_lacts), *zip(pt.right_action, x_carrier.right_action)])
     basis = solver.solve_basis()
     mats = sample_solutions(basis, count, seed, f)
     return [LinearMap(x_carrier, pt, m, name=f"g{i}") for i, m in enumerate(mats)]

@@ -57,6 +57,14 @@
   composites must equal those of `LeafPipe`, the leaf-flat pipe it
   replaced, on generated stage sequences over kZ2 and kZ3 and on every
   corpus checker.
+* Every change of bracketing is a pipe program on that level: `Pipe.done`
+  into another bracketing refines to the leaves by sections and merges
+  them by projections, and `Pipe.reverse` renumbers the rows into the
+  reversed leaf order.  `regroup`, `associator`, `rev`, `mirror_map` and
+  `Pipe.done` must equal the leaf-flat maps they replaced (`deep_pair`,
+  `deep_project`, `deep_section` and the leaf-reversing permutation, kept
+  here as the oracle) on generated spaces over kZ2 and kZ3, over QQ and
+  GF(101), and on P (x) P (x) P of the kZ2/C2/D2 flip product.
 * A `Pipe` stage multiplies by I_pre (x) F (x) I_post through
   `Matrix.padded_matmul`, which scatters rows instead of building the
   Kronecker product; it must equal that product (no empty row stored,
@@ -105,12 +113,17 @@ from coringlab.bimodule import (
     MapSolver,
     TensorQuotient,
     _contract_matrix,
+    associator,
     bilinearity_report,
     clear_caches,
-    deep_pair,
     k_bimodule,
     leaf_factors,
+    memo,
+    mirror,
+    mirror_map,
+    regroup,
     regular_bimodule,
+    rev,
     space,
     tensor_maps,
     tensor_over,
@@ -907,6 +920,71 @@ def _leaf_dim(factors):
     return d
 
 
+def _kron_all(mats):
+    out = mats[0]
+    for m in mats[1:]:
+        out = out.kron(m)
+    return out
+
+
+def deep_pair(b):
+    """(project, section) between the leaf-flat space of b and b itself."""
+    def build():
+        if not isinstance(b, TensorQuotient):
+            ident = Matrix.identity(b.field, b.dim)
+            return ident, ident
+        pl, sl = deep_pair(b.factor_left)
+        pr, sr = deep_pair(b.factor_right)
+        return b.project @ pl.kron(pr), sl.kron(sr) @ b.section
+    return memo(b, "deep_pair", build)
+
+
+def deep_project(sp):
+    """The projection of the leaf-flat space of sp onto its quotient."""
+    return sp.project @ _kron_all([deep_pair(f)[0] for f in sp.factors])
+
+
+def deep_section(sp):
+    """The section of the leaf-flat space of sp."""
+    return _kron_all([deep_pair(f)[1] for f in sp.factors]) @ sp.section
+
+
+def leaf_reversal(leaves):
+    """The permutation m1 (x) ... (x) mk -> mk (x) ... (x) m1 of the
+    leaf-flat space of leaves."""
+    f = leaves[0].field
+    # pos[i] is the reversed flat index of the leaf-flat index i
+    pos, width = [0], 1
+    for leaf in leaves:
+        pos = [j * width + p for p in pos for j in range(leaf.dim)]
+        width *= leaf.dim
+    return Matrix.from_entries(f, width, width,
+                               {(p, i): f.one() for i, p in enumerate(pos)})
+
+
+def leaf_regroup(src, dst):
+    """`regroup` through the leaf-flat space."""
+    if src.leaves != dst.leaves:
+        raise InputError("regroup requires identical leaf sequences")
+    return deep_project(dst) @ deep_section(src)
+
+
+def leaf_rev_matrix(src, dst):
+    """The reversal from src to dst, a bracketing of its mirrored leaves in
+    reverse order, through the leaf-flat space."""
+    if dst.leaves != tuple(mirror(l) for l in reversed(src.leaves)):
+        raise InputError("reversal needs the mirrored leaves in reverse order")
+    return deep_project(dst) @ leaf_reversal(src.leaves) @ deep_section(src)
+
+
+def leaf_mirror_map(f, dom=None, cod=None):
+    """`mirror_map` through the leaf-flat space."""
+    dom = dom if dom is not None else space(mirror(f.domain))
+    cod = cod if cod is not None else space(mirror(f.codomain))
+    return (leaf_rev_matrix(space(f.codomain), cod) @ f.matrix
+            @ leaf_rev_matrix(dom, space(f.domain)))
+
+
 class LeafPipe:
     """The leaf-level pipe: the accumulated matrix acts on the flat space of
     the current leaves, and every stage goes through the deep projections
@@ -940,7 +1018,7 @@ class LeafPipe:
         cod = space(*gives)
         if dom.dim != f.domain.dim or cod.dim != f.codomain.dim:
             raise InputError(f"pipe stage {f.name}: dimension mismatch")
-        flat_map = cod.deep_section @ f.matrix @ dom.deep_project
+        flat_map = deep_section(cod) @ f.matrix @ deep_project(dom)
         return self._stage(flat_map, at, takes, gives)
 
     def insert_central(self, b, element, at):
@@ -975,36 +1053,58 @@ class LeafPipe:
         self.factors[at:at + 1] = [f.factor_left, f.factor_right]
         return self
 
+    def reverse(self):
+        leaves = [l for f in self.factors for l in leaf_factors(f)]
+        self.matrix = leaf_reversal(leaves) @ self.matrix
+        self.factors = [mirror(l) for l in reversed(leaves)]
+        return self
+
     def done(self, target=None, name="pipe"):
         cur = space(*self.factors)
         if target is None:
             target = cur
         if tuple(target.leaves) != tuple(cur.leaves):
             raise InputError("pipe target leaves do not match")
-        mat = target.deep_project @ self.matrix @ self.source.deep_section
+        mat = deep_project(target) @ self.matrix @ deep_section(self.source)
         return LinearMap(self.source.quotient, target.quotient, mat, name)
 
 
 def hom_basis(x, y):
     """Canonical basis of the bimodule maps x -> y."""
-    f = x.field
-    solver = MapSolver(f, y.dim, x.dim)
-    for acts_x, acts_y in ((x.left_action, y.left_action),
-                           (x.right_action, y.right_action)):
-        for ax, ay in zip(acts_x, acts_y):
-            solver.add_equation([
-                (1, ay, Matrix.identity(f, x.dim), "none", 0),
-                (-1, Matrix.identity(f, y.dim), ax, "none", 0),
-            ])
-    return solver.solve_basis()
+    return MapSolver(x.field, y.dim, x.dim).add_intertwining(
+        [*zip(y.left_action, x.left_action), *zip(y.right_action, x.right_action)]
+    ).solve_basis()
 
 
-def right_nested(base, factors):
-    """f1 (x) (f2 (x) (... (x) fk)): another bracketing of the same leaves."""
+@st.composite
+def hom_combination(draw, x, y, basis):
+    """A combination of basis, a basis of bimodule maps x -> y, with
+    coefficients in -2..2."""
+    field = x.field
+    mat = Matrix.zeros(field, y.dim, x.dim)
+    for b in basis:
+        c = draw(st.integers(-2, 2))
+        if c:
+            mat = mat + b.scale(field.from_int(c))
+    return mat
+
+
+def _nested(factors):
+    """f1 (x) (f2 (x) (... (x) fk)), each quotient over the right algebra of
+    its left factor."""
     out = factors[-1]
     for f in reversed(factors[:-1]):
-        out = tensor_over(base, f, out)
+        out = tensor_over(f.right_algebra, f, out)
     return out
+
+
+@st.composite
+def bracketing(draw, factors):
+    """A space on factors in order, cut into right-nested groups."""
+    cuts = sorted(draw(st.sets(st.integers(1, len(factors) - 1)))
+                  if len(factors) > 1 else set())
+    bounds = [0] + cuts + [len(factors)]
+    return space(*[_nested(factors[a:b]) for a, b in zip(bounds, bounds[1:])])
 
 
 # leaf-flat spaces stay at most this large, so the leaf-level reference
@@ -1071,20 +1171,10 @@ def pipe_program(draw, field, base):
             key = (id(x), id(y))
             if key not in homs:
                 homs[key] = hom_basis(x, y)
-            mat = Matrix.zeros(field, y.dim, x.dim)
-            for b in homs[key]:
-                c = draw(st.integers(-2, 2))
-                if c:
-                    mat = mat + b.scale(field.from_int(c))
+            mat = draw(hom_combination(x, y, homs[key]))
             stages.append(("apply", LinearMap(x, y, mat, "f"), at, takes, gives))
             factors[at:at + takes] = gives
-    target = None
-    if draw(st.booleans()):
-        cuts = sorted(draw(st.sets(st.integers(1, len(factors) - 1)))
-                      if len(factors) > 1 else set())
-        bounds = [0] + cuts + [len(factors)]
-        target = space(*[right_nested(base, factors[a:b])
-                         for a, b in zip(bounds, bounds[1:])])
+    target = draw(bracketing(factors)) if draw(st.booleans()) else None
     return source, stages, target
 
 
@@ -1106,6 +1196,85 @@ def test_pipe_matches_leaf_pipe(field, g, data):
     slow = run_program(LeafPipe, source, stages, target)
     assert fast.domain is slow.domain and fast.codomain is slow.codomain
     assert fast.matrix == slow.matrix
+
+
+@pytest.mark.parametrize("g", [2, 3])
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_bracketing_maps_match_leaf_flat(field, g, data):
+    """`regroup`, `associator`, `rev`, `mirror_map` and `Pipe.done` into
+    another bracketing re-bracket through pipe stages; each must equal its
+    leaf-flat construction, and the round trips must be the identity."""
+    base = group_algebra_cyclic(field, g)
+    areg = regular_bimodule(base)
+    mods = [data.draw(side_bimodule(field, base, True, f"M{i}")) for i in range(2)]
+    pool = mods + [areg, tensor_over(base, mods[0], mods[1])]
+    factors = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3)
+                        .filter(lambda fs: _leaf_dim(fs) <= LEAF_BUDGET))
+    src = space(*factors)
+    dst = data.draw(bracketing(list(src.leaves)))
+    there, back = regroup(src, dst), regroup(dst, src)
+    assert there.domain is src.quotient and there.codomain is dst.quotient
+    assert there.matrix == leaf_regroup(src, dst)
+    assert back.matrix == leaf_regroup(dst, src)
+    assert back.matrix @ there.matrix == Matrix.identity(field, src.dim)
+    assert bimodule.pipe(src).done(dst).matrix == there.matrix
+
+    m, n, q = (data.draw(st.sampled_from(pool)) for _ in range(3))
+    assume(_leaf_dim([m, n, q]) <= LEAF_BUDGET)
+    fwd, inv = associator(m, n, q)
+    left = space(tensor_over(base, m, n), q)
+    right = space(m, tensor_over(base, n, q))
+    assert fwd.matrix == leaf_regroup(left, right)
+    assert inv.matrix == leaf_regroup(right, left)
+
+    for x in (src.quotient, dst.quotient):
+        r, r_back = rev(x), rev(mirror(x))
+        assert r.domain is x and r.codomain is mirror(x)
+        assert r.matrix == leaf_rev_matrix(space(x), space(mirror(x)))
+        assert r_back.matrix == leaf_rev_matrix(space(mirror(x)), space(x))
+        assert r_back.matrix @ r.matrix == Matrix.identity(field, x.dim)
+
+    x, y = src.quotient, data.draw(st.sampled_from(pool))
+    f = LinearMap(x, y, data.draw(hom_combination(x, y, hom_basis(x, y))), "f")
+    assert mirror_map(f).matrix == leaf_mirror_map(f)
+    dom = data.draw(bracketing([mirror(l) for l in reversed(src.leaves)]))
+    cod = data.draw(bracketing([mirror(l) for l in reversed(space(y).leaves)]))
+    mf = mirror_map(f, dom=dom, cod=cod)
+    assert mf.domain is dom.quotient and mf.codomain is cod.quotient
+    assert mf.matrix == leaf_mirror_map(f, dom, cod)
+
+
+def test_lift_product_cube_bracketings_match_leaf_flat(monkeypatch):
+    """P (x) P (x) P for the product P of the kZ2/C2/D2 flip lift, whose
+    leaf-flat space has dimension 32,768: both bracketings and both
+    reversals build no identity or Kronecker product of that size, match
+    the leaf-flat maps, and their round trips are the identity."""
+    from coringlab import cowreath
+    p = cowreath.cowreath_product(Corpus().lifted_flip_cw)[0].carrier
+    left = space(p, p, p)
+    right = space(p, tensor_over(p.right_algebra, p, p))
+    x = left.quotient
+    space(mirror(x))
+    assert left.leaf_flat_dim() == 32768
+    sizes = [0]
+    kron, identity = Matrix.kron, Matrix.identity
+    monkeypatch.setattr(Matrix, "kron", lambda a, b: (
+        sizes.append(a.rows * b.rows), kron(a, b))[1])
+    monkeypatch.setattr(Matrix, "identity", classmethod(lambda cls, f, n: (
+        sizes.append(n), identity(f, n))[1]))
+    there, back = regroup(left, right), regroup(right, left)
+    r, r_back = rev(x), rev(mirror(x))
+    monkeypatch.undo()
+    assert max(sizes) < p.dim ** 3 < left.leaf_flat_dim()
+    ident = Matrix.identity(p.field, left.dim)
+    assert there.matrix == leaf_regroup(left, right)
+    assert back.matrix == leaf_regroup(right, left)
+    assert back.matrix @ there.matrix == ident
+    assert r.matrix == leaf_rev_matrix(space(x), space(mirror(x)))
+    assert r_back.matrix == leaf_rev_matrix(space(mirror(x)), space(x))
+    assert r_back.matrix @ r.matrix == ident
 
 
 def corpus_outputs(corpus):

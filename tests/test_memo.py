@@ -1,7 +1,7 @@
 """Memoized constructions: one value per owner and key, and no value that
 outlives its owner.
 
-`regroup`, `_reversal` and the checkers compare leaves and factors by
+`Pipe.done`, `Pipe.reverse` and the checkers compare leaves and factors by
 identity, so a repeated call of a memoized constructor must return the same
 object.  Entries live on the object they are built from (`bimodule.memo`),
 so dropping the inputs of a computation frees every quotient and space it

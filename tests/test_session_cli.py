@@ -190,6 +190,17 @@ class TestCliBuilds:
                      "build", "twisted-product", "broken",
                      "--out", "Q"]) == 1
 
+    @pytest.mark.parametrize("fname, kind, names, message", [
+        ("entwinings.json", "lift", ["flip"], "build lift takes 2 names, got 1"),
+        ("cowreaths.json", "cowreath-product", ["flip", "extra"],
+         "build cowreath-product takes 1 name, got 2"),
+    ])
+    def test_build_name_count_is_two(self, session_files, capsys, fname, kind,
+                                     names, message):
+        assert main(["--session", session_files[fname],
+                     "build", kind, *names, "--out", "x"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 class TestAdjointCommand:
     @pytest.fixture
