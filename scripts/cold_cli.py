@@ -10,21 +10,29 @@ followed by `+dataclasses` or `+inspect` when either was loaded.  With
 several checkouts the runs alternate between them, each round starting
 with the next checkout, so drift in the machine's speed falls on all of
 them alike.  After that table it prints, for each `coringlab` module any
-command loaded, its line count and the median ms of `compile()` of its
-source over 30 runs in each checkout: without cached bytecode every cold
-command pays that compile, so this shows the start-up cost of code size.  Wall time includes interpreter start-up;
-nothing here gates a test.  Only the standard library is used.
+command loaded, its line count, its parser token count (`tokenize`
+tokens other than COMMENT and NL), the median ms of `compile()` of its
+source over 30 runs in each checkout and the `tracemalloc` peak of one
+`compile()`: without cached bytecode every cold command pays that compile,
+so this shows the start-up cost of code size.  The compile peak steps up
+when a module's token count passes a power of two (the parser's token
+array doubles), so a module just past 8,192 tokens peaks about 0.45 MB
+higher.  Wall time includes interpreter start-up; nothing here gates a
+test.  Only the standard library is used.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import statistics
 import subprocess
 import sys
 import tempfile
 import time
+import tokenize
+import tracemalloc
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 COMPILES = 30  # compile() runs per module and checkout
@@ -96,11 +104,29 @@ def describe(modules):
     return " ".join(names)
 
 
+def tokens(source):
+    """The parser's token count of source: every `tokenize` token except
+    comments and non-logical newlines."""
+    lines = io.StringIO(source).readline
+    return sum(1 for t in tokenize.generate_tokens(lines)
+               if t.type not in (tokenize.COMMENT, tokenize.NL))
+
+
+def compile_peak_kb(source, path):
+    """The `tracemalloc` peak, in KB, of one `compile()` of source."""
+    tracemalloc.start()
+    try:
+        compile(source, path, "exec")
+        return tracemalloc.get_traced_memory()[1] / 1024
+    finally:
+        tracemalloc.stop()
+
+
 def compile_costs(checkouts, modules, runs):
-    """{(checkout, module): (lines, median compile() ms)} for the named
-    coringlab modules.  Each run compiles every module once in every
-    checkout, the checkouts next to each other, so drift in the machine's
-    speed falls on all of them alike."""
+    """{(checkout, module): (lines, tokens, median compile() ms, compile
+    peak KB)} for the named coringlab modules.  Each run compiles every
+    module once in every checkout, the checkouts next to each other, so
+    drift in the machine's speed falls on all of them alike."""
     sources = {}
     for mod in sorted(modules):
         for c in checkouts:
@@ -116,8 +142,9 @@ def compile_costs(checkouts, modules, runs):
             t0 = time.perf_counter()
             compile(source, path, "exec")
             times[key].append(time.perf_counter() - t0)
-    return {key: (source.count("\n"), 1000 * statistics.median(times[key]))
-            for key, (_, source) in sources.items()}
+    return {key: (source.count("\n"), tokens(source),
+                  1000 * statistics.median(times[key]), compile_peak_kb(source, path))
+            for key, (path, source) in sources.items()}
 
 
 def main():
@@ -157,16 +184,18 @@ def main():
 
     modules = set().union(*loaded.values())
     costs = compile_costs(checkouts, modules, COMPILES)
-    print("\nlines and median compile() ms of each loaded module")
+    print("\nlines, parser tokens, median compile() ms and compile() peak "
+          "of each loaded module")
     for mod in sorted(modules):
         print(mod)
         for c in checkouts:
-            lines, ms = costs.get((c, mod), (0, 0.0))
-            print(f"  {c:<{width}}  {lines:6d} lines  {ms:6.2f} ms")
+            lines, toks, ms, kb = costs.get((c, mod), (0, 0, 0.0, 0.0))
+            print(f"  {c:<{width}}  {lines:6d} lines  {toks:6d} tokens  "
+                  f"{ms:6.2f} ms  {kb:7.0f} KB peak")
     for c in checkouts:
         mine = [costs[c, mod] for mod in modules if (c, mod) in costs]
-        print(f"total  {c:<{width}}  {sum(n for n, _ in mine):6d} lines  "
-              f"{sum(t for _, t in mine):6.2f} ms")
+        print(f"total  {c:<{width}}  {sum(m[0] for m in mine):6d} lines  "
+              f"{sum(m[1] for m in mine):6d} tokens  {sum(m[2] for m in mine):6.2f} ms")
     return 0
 
 

@@ -31,13 +31,20 @@ the iterated quotient; its quotients are built with it, the two maps on
 first read.  `Pipe` composes maps on factor-flat spaces, and a stage that
 acts on some factors is never materialized as the Kronecker product
 I (x) F (x) I: `Matrix.padded_matmul` scatters the rows of the accumulated
-matrix through F.  This is the only level: every change of bracketing is a
-pipe program on it, with sections down (`refine` splits a quotient factor
-into its two factors) and projections up (two neighbouring factors merge
-into their quotient).  `regroup` (the explicit associator between two
-bracketings of the same atomic *leaves*), the mirror and a pipe that ends
-in another bracketing go down to the leaves and up again one quotient at a
-time, so no map is built on the product of all leaf dimensions.
+matrix through F.  This is the only level, and the only projection
+mechanism: a pipe goes down by sections (`refine` splits a quotient factor
+into its two factors) and up by projections (two neighbouring factors
+merge into their quotient), one level at a time.  `Pipe.apply` merges the
+factors it consumes into their quotient, applies its map to that one
+factor and refines the image into the factors it gives; `Pipe.done`
+merges into the target's quotient; `Space.project` is those merge stages
+on the identity.  A flat level's projection and section are the marked
+identity, so it costs no stage and only renames the factors: over flat
+levels an `apply` is one `padded_matmul`.  `regroup` (the explicit
+associator between two bracketings of the same atomic *leaves*), the
+mirror and a pipe that ends in another bracketing go down to the leaves
+and up again one quotient at a time, so no map is built on the product of
+all leaf dimensions.
 
 The mirror reads a bimodule in the opposite bicategory: `op` gives the
 opposite algebra, `mirror` swaps a bimodule's two actions and reverses the
@@ -88,13 +95,16 @@ def algebras_match(a: FinAlgebra, b: FinAlgebra) -> bool:
 
 
 def _marked(mat: Matrix) -> Matrix:
-    """mat, or the marked identity when mat is a square identity matrix."""
-    if mat.is_identity or mat.rows != mat.cols or len(mat.data) != mat.rows:
+    """mat, or the marked identity when mat is a square identity matrix.  A
+    `Transposed` is tested on its columns, so its rows are not built: an
+    identity is its own transpose."""
+    if mat.is_identity or mat.rows != mat.cols:
         return mat
+    data = (mat.transpose() if isinstance(mat, Transposed) else mat).data
     one = mat.field.one()
-    for i, row in mat.data.items():
-        if len(row) != 1 or row.get(i) != one:
-            return mat
+    if len(data) != mat.rows or any(len(row) != 1 or row.get(i) != one
+                                    for i, row in data.items()):
+        return mat
     return Matrix.identity(mat.field, mat.rows)
 
 
@@ -653,8 +663,10 @@ class Space:
 
     `project` and `section` map between the factor-flat space (the ground
     field tensor product of the factors, each on its own basis) and the
-    quotient.  Both are built on first read, so a space that a pipe only
-    ends in never builds `section`.  `leaves` are the atomic factors the
+    quotient.  Both are built on first read, `project` from the merge
+    stages of a pipe and `section` from the sections of the levels; a pipe
+    merges into a space by those stages itself, so a space that a pipe
+    only ends in builds neither.  `leaves` are the atomic factors the
     quotient factors unfold to: spaces with the same leaves are bracketings
     of one another, and `Pipe.done` converts between them.  Every tensor
     quotient is built with the space, so an action that does not descend
@@ -673,11 +685,10 @@ class Space:
 
     @cached_property
     def project(self):
-        proj = Matrix.identity(self.field, self.factors[0].dim)
-        for tq in self._chain:
-            ident = Matrix.identity(self.field, tq.factor_right.dim)
-            proj = tq.project @ proj.kron(ident)
-        return proj
+        """The merge stages of a pipe (`_Stages._merge`) on the identity of
+        the factor-flat space."""
+        flat = Matrix.identity(self.field, prod(f.dim for f in self.factors))
+        return _Stages(self.factors, flat)._merge(self.quotient, 0).matrix
 
     @cached_property
     def section(self):
@@ -778,26 +789,15 @@ def mirror_map(f: LinearMap, dom: Space = None, cod: Space = None) -> LinearMap:
 # map pipelines
 
 
-class Pipe:
-    """Builds a composite map between iterated quotients stage by stage.
+class _Stages:
+    """A matrix into the factor-flat space of a factor list, changed stage by
+    stage: a stage replaces the factors at [at, at+takes) by `gives` and
+    multiplies by I (x) F (x) I through `Matrix.padded_matmul`, so the
+    Kronecker product is never built."""
 
-    The accumulated matrix maps the source quotient into the factor-flat
-    space of the current factor list: each stage lifts its map through the
-    quotients it touches (`section` after, `project` before) and acts by
-    identities on the other factors, through `Matrix.padded_matmul`, so
-    I (x) F (x) I is never built.  Every stage map must be bilinear over
-    its outer algebras (the checkers verify this for user-supplied maps
-    before piping them).  A section is bilinear up to the balancing
-    relations of its own quotient, so every stage then carries the
-    relations of the current factors into those of the next, and the final
-    projection is independent of the chosen representatives.
-    """
-
-    def __init__(self, source: Space):
-        self.source = source
-        self.factors = list(source.factors)
-        self.field = source.field
-        self.matrix = source.section
+    def __init__(self, factors, matrix):
+        self.factors = list(factors)
+        self.matrix = matrix
 
     def _stage(self, flat_map: Matrix, at, takes, gives):
         dims = [f.dim for f in self.factors]
@@ -810,10 +810,53 @@ class Pipe:
         self.factors[at:at + takes] = list(gives)
         return self
 
+    def _level(self, mat, at, takes, gives):
+        """The stage of mat, a quotient's projection or section; a flat
+        quotient's is the marked identity and only renames the factors."""
+        if mat.is_identity:
+            self.factors[at:at + takes] = gives
+            return self
+        return self._stage(mat, at, takes, gives)
+
+    def _merge(self, node, at):
+        """Merge the factors from position at on into node, which they
+        bracket: children first, each quotient by its projection."""
+        if self.factors[at] is not node:
+            self._merge(node.factor_left, at)
+            self._merge(node.factor_right, at + 1)
+            self._level(node.project, at, 2, [node])
+        return self
+
+
+class Pipe(_Stages):
+    """Builds a composite map between iterated quotients stage by stage.
+
+    The accumulated matrix maps the source quotient into the factor-flat
+    space of the current factor list.  A map on some factors is applied in
+    stages: the factors are merged into their quotient by the projection of
+    each level, the map acts on that one factor, and its image is refined
+    into the factors given by the section of each level.  Every stage acts
+    by identities on the other factors, through `Matrix.padded_matmul`, so
+    I (x) F (x) I is never built, and a flat level, whose projection and
+    section are the marked identity, costs no stage.  Every stage map must
+    be bilinear over its outer algebras (the checkers verify this for
+    user-supplied maps before piping them).  A section is bilinear up to
+    the balancing relations of its own quotient, so every stage then
+    carries the relations of the current factors into those of the next,
+    and the final projection is independent of the chosen representatives.
+    """
+
+    def __init__(self, source: Space):
+        super().__init__(source.factors, source.section)
+        self.source = source
+        self.field = source.field
+
     # -- stages ---------------------------------------------------------------
 
     def apply(self, f: LinearMap, at=0, takes=1, gives=None):
-        """Apply f to the factors at positions [at, at+takes)."""
+        """Apply f to the factors at positions [at, at+takes): merge them
+        into their quotient, apply f to it and refine its image into
+        `gives` (by default f's codomain)."""
         consumed = self.factors[at:at + takes]
         dom = space(*consumed)
         if dom.quotient.dim != f.domain.dim:
@@ -826,8 +869,10 @@ class Pipe:
             raise InputError(
                 f"pipe stage {f.name}: codomain dim {f.codomain.dim} but "
                 f"gives has dim {cod.quotient.dim}")
-        flat_map = cod.section @ f.matrix @ dom.project
-        return self._stage(flat_map, at, takes, gives)
+        self._merge(dom.quotient, at)._stage(f.matrix, at, 1, [cod.quotient])
+        for _ in gives[1:]:
+            self.refine(at)
+        return self
 
     def insert_central(self, b: Bimodule, element: dict, at):
         """Insert a factor at a fixed central element (units of algebras)."""
@@ -860,7 +905,7 @@ class Pipe:
         f = self.factors[at]
         if not isinstance(f, TensorQuotient):
             raise InputError("refine needs a TensorQuotient factor")
-        return self._stage(f.section, at, 1, [f.factor_left, f.factor_right])
+        return self._level(f.section, at, 1, [f.factor_left, f.factor_right])
 
     def _refine_all(self):
         """Refine every quotient factor down to its leaves."""
@@ -870,14 +915,6 @@ class Pipe:
                 self.refine(at)
             else:
                 at += 1
-
-    def _merge(self, node, at):
-        """Merge the leaves of node, from position at on, into node:
-        children first, each quotient by its projection."""
-        if isinstance(node, TensorQuotient):
-            self._merge(node.factor_left, at)
-            self._merge(node.factor_right, at + 1)
-            self._stage(node.project, at, 2, [node])
 
     def reverse(self):
         """Reverse the leaves, m1 (x) ... (x) mk -> mk (x) ... (x) m1, and
@@ -901,19 +938,17 @@ class Pipe:
 
     def done(self, target: Space = None, name="pipe") -> LinearMap:
         """The composite into target, by default the space of the current
-        factors.  A target with other factors must have the same leaves: the
-        current factors are refined down to them (sections) and merged into
-        the target's factors (projections)."""
+        factors, merged into the target's quotient by projection stages.  A
+        target with other factors must have the same leaves: the current
+        factors are first refined down to them (sections)."""
         if target is None:
             target = space(*self.factors)
         if target.factors != tuple(self.factors):
             self._refine_all()
             if target.leaves != tuple(self.factors):
                 raise InputError("pipe target leaves do not match")
-            for at, f in enumerate(target.factors):
-                self._merge(f, at)
-        return LinearMap(self.source.quotient, target.quotient,
-                         target.project @ self.matrix, name)
+        self._merge(target.quotient, 0)
+        return LinearMap(self.source.quotient, target.quotient, self.matrix, name)
 
 
 def _contract_matrix(x: Bimodule, b: Bimodule, into_left: bool) -> Matrix:

@@ -149,17 +149,16 @@ def run_build(s, kind, names, out):
     store = SessionStore(s)
     if kind == "entwined-coring":
         from .entwine import entwined_coring
-        e = s.lookup("entwinings", names[0])
-        cor = entwined_coring(e, name=out)
-        store.add_coring(out, cor)
-        return [Report(f"built entwined coring {out}")]
-    if kind == "cowreath-product":
+        cor = entwined_coring(s.lookup("entwinings", names[0]), name=out)
+        stored = store.add_coring(out, cor)
+        reports = [Report(f"built entwined coring {out}")]
+    elif kind == "cowreath-product":
         from .cowreath import cowreath_product
         w = s.lookup("cowreaths", names[0])
         prod, morph = cowreath_product(w, name=out)
-        store.add_coring(out, prod)
-        return [Report(f"built cowreath product {out}"), morph]
-    if kind in ("wreath-product", "twisted-product"):
+        stored = store.add_coring(out, prod)
+        reports = [Report(f"built cowreath product {out}"), morph]
+    elif kind in ("wreath-product", "twisted-product"):
         from .wreath import twisted_tensor_product, wreath_product
         if kind == "twisted-product":
             rext, text, rmap = s.lookup("ttps", names[0])
@@ -169,16 +168,19 @@ def run_build(s, kind, names, out):
             w = s.lookup("wreaths", names[0])
             prod_ext, alg_rep, eta_rep = wreath_product(w, name=out)
         prod_ext.total.name = out
-        store.algebra_name(prod_ext.total)
-        return [Report(f"built wreath product {out}"), alg_rep, eta_rep]
-    if kind == "lift":
+        stored = store.algebra_name(prod_ext.total)
+        reports = [Report(f"built wreath product {out}"), alg_rep, eta_rep]
+    else:  # lift: the parser admits no other kind
         from .cowreath import entwining_lift_cowreath
         e = s.lookup("entwinings", names[0])
         n = s.lookup("cowreaths", names[1])
-        lifted = entwining_lift_cowreath(e, n, name=out)
-        store.add_cowreath(out, lifted)
-        return [Report(f"built lifted cowreath {out}")]
-    raise InputError(f"unknown build kind {kind!r}")
+        stored = store.add_cowreath(out, entwining_lift_cowreath(e, n, name=out))
+        reports = [Report(f"built lifted cowreath {out}")]
+    if stored != out:
+        # a later `check ... OUT` would read the entry that holds the name
+        raise InputError(f"--out {out} is already taken in the session "
+                         f"(the result would be stored as {stored})")
+    return reports
 
 
 def run_adjoint(s, args):

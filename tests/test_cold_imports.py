@@ -68,3 +68,12 @@ def test_only_builds_load_the_session_writer(loaded):
     assert set(WRITING) <= set(loaded)
     for name, (_, modules) in loaded.items():
         assert ("coringlab.session_write" in modules) == (name in WRITING), name
+
+
+def test_token_count_skips_comments_and_blank_lines():
+    """The parser's count: comment tokens and non-logical newlines are not
+    tokens of the grammar, so comment lines and blank lines add none."""
+    plain = "x = 1\ny = (1, 2)\n"
+    noisy = "x = 1  # one\n\n# a comment line\ny = (1,\n     2)\n"
+    assert cold_cli.tokens(plain) == cold_cli.tokens(noisy) == 13
+    assert cold_cli.compile_peak_kb(plain, "<plain>") > 0

@@ -73,7 +73,20 @@
   lifts and on generated stage sequences.
 * `Space.project` and `Space.section` are built on first read; they must
   equal the maps of the eager loop, and a space that a pipe only ends in
-  must never build its section.
+  must build neither.
+* `Pipe.apply` merges the factors it takes into their quotient by one
+  projection stage per level, applies its map to that factor and refines
+  the image into the factors it gives; `Pipe.done` merges into the
+  target's quotient the same way, and `Space.project` is those merge
+  stages on the identity.  Against `ProjectPipe` (one stage of
+  cod.section @ f @ dom.project, and target.project at the end, with the
+  eager loop's `project`), on generated programs over kZ2 and kZ3, QQ and
+  GF(101) that take and give 1 to 3 factors and mix flat and non-flat
+  levels, with three-factor and re-bracketed targets, and on
+  P (x) P (x) P of the kZ2/C2/D2 flip product, the maps must be equal.  A
+  flat level costs no stage (an `apply` over flat levels is one
+  `padded_matmul`), and `_marked` tests a `Transposed` on its columns
+  without building its rows.
 * When every unmarked R_k and L_k is monomial, `tensor_over` builds the
   column form of `project` from a weighted union-find over the flat
   columns instead of `Echelon`, scatters each inherited action through
@@ -940,8 +953,10 @@ def deep_pair(b):
 
 
 def deep_project(sp):
-    """The projection of the leaf-flat space of sp onto its quotient."""
-    return sp.project @ _kron_all([deep_pair(f)[0] for f in sp.factors])
+    """The projection of the leaf-flat space of sp onto its quotient, with
+    the factor-flat projection of the eager loop."""
+    return (eager_project_section(sp.factors)[0]
+            @ _kron_all([deep_pair(f)[0] for f in sp.factors]))
 
 
 def deep_section(sp):
@@ -1709,21 +1724,219 @@ def test_corpus_space_maps_match_eager_loop():
 
 
 def test_target_space_never_builds_section():
-    """A space that a pipe only ends in reads `project`, never `section`,
-    and every tensor quotient of a space is built when the space is."""
+    """A space that a pipe only ends in builds neither `project` nor
+    `section`: `done` merges into its quotient by stages.  Every tensor
+    quotient of a space is built when the space is."""
     base = group_algebra_cyclic(QQ, 2)
     areg = regular_bimodule(base)
     lin = bimodule.pipe(space(areg)).insert_central(
         areg, base.unit_vector(), 1).done()
     target = space(areg, areg)
     assert lin.codomain is target.quotient
-    assert "project" in vars(target) and "section" not in vars(target)
+    assert "project" not in vars(target) and "section" not in vars(target)
     # g acts on the right by diag(1, -1), which does not commute with its
     # left action, so the right action does not descend to the last quotient
     bad = Bimodule(base, base, 2, areg.left_action,
                    [areg.right_action[0], Matrix.from_rows(QQ, [[1, 0], [0, -1]])])
     with pytest.raises(WellDefinednessError):
         space(areg, areg, bad)
+
+
+# ---------------------------------------------------------------------------
+# projection by stages against the factor-flat projection it replaced
+
+
+class ProjectPipe(bimodule.Pipe):
+    """The pipe before projection by stages: `apply` multiplies by
+    cod.section @ f @ dom.project in one stage and `done` by
+    target.project, with `project` from the eager kron+matmul loop."""
+
+    def apply(self, f, at=0, takes=1, gives=None):
+        dom = space(*self.factors[at:at + takes])
+        gives = list(gives) if gives is not None else [f.codomain]
+        cod = space(*gives)
+        flat_map = cod.section @ f.matrix @ eager_project_section(dom.factors)[0]
+        return self._stage(flat_map, at, takes, gives)
+
+    def done(self, target=None, name="pipe"):
+        if target is None:
+            target = space(*self.factors)
+        if target.factors != tuple(self.factors):
+            self._refine_all()
+            assert target.leaves == tuple(self.factors)
+            for at, f in enumerate(target.factors):
+                self._merge(f, at)
+        proj = eager_project_section(target.factors)[0]
+        return LinearMap(self.source.quotient, target.quotient,
+                         proj @ self.matrix, name)
+
+
+@st.composite
+def trivial_bimodule(draw, field, base, name):
+    """k^d with every basis element of base acting by the identity on both
+    sides (a plain identity, which `Bimodule` marks): its quotients with
+    other trivial factors are flat."""
+    d = draw(st.integers(1, 2))
+    ident = plain_identity(field, d)
+    return Bimodule(base, base, d, [ident] * base.dim, [ident] * base.dim, name=name)
+
+
+# factor-flat spaces stay at most this large, so the eager projections stay
+# cheap
+FLAT_BUDGET = 216
+
+
+def _flat_dim(factors):
+    return prod(f.dim for f in factors)
+
+
+@st.composite
+def apply_program(draw, field, base):
+    """A source space over base, `apply` stages that take and give 1 to 3
+    factors, and a target: the final factors, or another bracketing of
+    them.  Trivial factors next to each other give flat levels and next to
+    the others non-flat ones, so spaces mix both.  The stage maps are
+    arbitrary matrices: projecting by stages only re-associates the
+    product, so it must agree exactly for any map."""
+    areg = regular_bimodule(base)
+    mods = [draw(side_bimodule(field, base, True, f"M{i}")) for i in range(2)]
+    triv = [draw(trivial_bimodule(field, base, f"T{i}")) for i in range(2)]
+    pool = mods + triv + [areg, tensor_over(base, triv[0], triv[1]),
+                          tensor_over(base, mods[0], triv[0])]
+    factors = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3)
+                   .filter(lambda fs: _flat_dim(fs) <= FLAT_BUDGET))
+    source, stages = space(*factors), []
+    for _ in range(draw(st.integers(1, 3))):
+        takes = min(len(factors), draw(st.integers(1, 3)))
+        at = draw(st.integers(0, len(factors) - takes))
+        gives = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+        new = factors[:at] + gives + factors[at + takes:]
+        if _flat_dim(new) > FLAT_BUDGET:
+            continue
+        x, y = space(*factors[at:at + takes]).quotient, space(*gives).quotient
+        mat = draw(shaped_matrix(field, y.dim, x.dim))
+        stages.append(("apply", LinearMap(x, y, mat, "f"), at, takes, gives))
+        factors = new
+    target = draw(bracketing(factors)) if draw(st.booleans()) else None
+    return source, stages, target
+
+
+@pytest.mark.parametrize("g", [2, 3])
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_staged_projection_matches_factor_flat_project(field, g, data):
+    """`apply` merges and refines by stages, `done` merges into the target
+    by stages, and `Space.project` is those merge stages on the identity;
+    each must equal the factor-flat projection of the eager loop."""
+    base = group_algebra_cyclic(field, g)
+    source, stages, target = data.draw(apply_program(field, base))
+    fast = run_program(bimodule.Pipe, source, stages, target)
+    slow = run_program(ProjectPipe, source, stages, target)
+    assert fast.domain is slow.domain and fast.codomain is slow.codomain
+    assert fast.matrix == slow.matrix
+    assert all(fast.matrix.data.values())
+    _assert_eager_maps(source.factors)
+    if target is not None:
+        _assert_eager_maps(target.factors)
+
+
+def test_lift_product_cube_pipes_match_factor_flat_project():
+    """P (x) P (x) P for the product P of the kZ2/C2/D2 flip lift, whose
+    levels have relations: the comultiplication piped twice (gives of two,
+    three-factor targets), a map on all three factors into another
+    bracketing, and the counit absorbed into a neighbour must equal the
+    factor-flat projection of the eager loop."""
+    from coringlab import cowreath
+    prod = cowreath.cowreath_product(Corpus().lifted_flip_cw)[0]
+    p, delta, eps = prod.carrier, prod.comult, prod.counit
+    cube = space(p, p, p)
+    right = space(p, tensor_over(p.right_algebra, p, p))
+    assoc = regroup(cube, right)
+    programs = [
+        (space(p), [("apply", delta, 0, 1, [p, p]),
+                    ("apply", delta, 1, 1, [p, p])], None),
+        (space(p), [("apply", delta, 0, 1, [p, p]),
+                    ("apply", delta, 0, 1, [p, p])], right),
+        (cube, [("apply", assoc, 0, 3, list(right.factors))], cube),
+        (cube, [("apply", eps, 2, 1, [eps.codomain]), ("absorb_left", 2),
+                ("apply", delta, 0, 1, [p, p])], None),
+    ]
+    for source, stages, target in programs:
+        fast = run_program(bimodule.Pipe, source, stages, target)
+        slow = run_program(ProjectPipe, source, stages, target)
+        assert fast.codomain is slow.codomain
+        assert fast.matrix == slow.matrix
+    assert run_program(bimodule.Pipe, *programs[2]).matrix == Matrix.identity(
+        p.field, cube.dim)
+    _assert_eager_maps(cube.factors)
+    _assert_eager_maps(right.factors)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_flat_levels_cost_no_stage(field, monkeypatch):
+    """Over the ground field every level is flat, so its projection and
+    section are marked identities and cost no stage: an `apply` is one
+    `padded_matmul` whatever it takes and gives, `done` adds none, and
+    `Space.project` stays the marked identity."""
+    x = rescaled_grouplike(field, [Fraction(2), Fraction(-3), Fraction(1, 2)],
+                           "C").carrier
+    two, three = space(x, x), space(x, x, x)
+    f = LinearMap(two.quotient, three.quotient,
+                  Matrix.from_entries(field, 27, 9, {(i * 3, i): field.one()
+                                                      for i in range(9)}), "f")
+    g = LinearMap(x, two.quotient,
+                  Matrix.from_entries(field, 9, 3, {(4, 1): field.one()}), "g")
+    p = bimodule.pipe(two)
+    calls = []
+    monkeypatch.setattr(Matrix, "padded_matmul", lambda *a, _f=Matrix.padded_matmul: (
+        calls.append("padded_matmul"), _f(*a))[1])
+    monkeypatch.setattr(bimodule.Pipe, "_stage", lambda *a, _f=bimodule.Pipe._stage: (
+        calls.append("stage"), _f(*a))[1])
+    p.apply(f, 0, 2, [x, x, x])
+    assert calls == ["stage", "padded_matmul"]
+    p.apply(g, 2, 1, [x, x]).apply(f, 1, 2, [x, x, x])
+    lin = p.done()
+    assert calls == ["stage", "padded_matmul"] * 3
+    monkeypatch.undo()
+    target = space(x, x, x, x, x)
+    assert lin.codomain is target.quotient
+    assert "project" not in vars(target)
+    assert target.project.is_identity and target.section.is_identity
+    slow = run_program(ProjectPipe, two, [("apply", f, 0, 2, [x, x, x]),
+                                          ("apply", g, 2, 1, [x, x]),
+                                          ("apply", f, 1, 2, [x, x, x])], None)
+    assert lin.matrix == slow.matrix
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(0, 4))
+def test_marked_transposed_matches_plain_rows(field, data, n):
+    """`_marked` reads a `Transposed` by its columns: it marks exactly the
+    matrices the row test marks, and leaves the rows of the others
+    unbuilt."""
+    m = data.draw(st.one_of(shaped_matrix(field, n, n),
+                            st.just(plain_identity(field, n)),
+                            shaped_matrix(field, n, n + 1)))
+    t = exactla.Transposed(m)
+    out = bimodule._marked(t)
+    plain = bimodule._marked(unmarked(m.transpose()))
+    assert out.is_identity == plain.is_identity
+    if not out.is_identity:
+        assert out is t and t._rows is None
+    assert out == plain
+
+
+def test_inherited_actions_keep_their_rows_unbuilt():
+    """The inherited actions of a quotient with relations are built in
+    column form, and marking them builds no rows."""
+    base = group_algebra_cyclic(QQ, 2)
+    areg = regular_bimodule(base)
+    tq = space(areg, areg, areg).quotient
+    acts = [a for a in tq.left_action + tq.right_action if not a.is_identity]
+    assert acts and all(isinstance(a, exactla.Transposed) and a._rows is None
+                        for a in acts)
 
 
 def _plain_kills(relations, mat):

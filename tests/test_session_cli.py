@@ -201,6 +201,26 @@ class TestCliBuilds:
                      "build", kind, *names, "--out", "x"]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("fname, kind, names, out, stored", [
+        ("cowreaths.json", "cowreath-product", ["flip"], "C2", "C22"),
+        ("entwinings.json", "entwined-coring", ["dk"], "C2", "C22"),
+        ("cowreaths.json", "lift", ["flip-ent", "flip"], "flip", "flip2"),
+        ("sign_flip_ttp.json", "wreath-product", ["signflip.wreath"], "R", "R2"),
+        ("sign_flip_ttp.json", "twisted-product", ["signflip"], "T|QQ", "T|QQ2"),
+    ])
+    def test_build_out_name_taken_exits_2(self, session_files, tmp_path, capsys,
+                                          fname, kind, names, out, stored):
+        """A taken --out name would store the result under another name, so
+        a later check of --out would read the old entry: exit 2, save
+        nothing."""
+        saved = tmp_path / "taken.json"
+        assert main(["--session", session_files[fname], "build", kind, *names,
+                     "--out", out, "--save", str(saved)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --out {out} is already taken in the session "
+            f"(the result would be stored as {stored})\n")
+        assert not saved.exists()
+
 
 class TestAdjointCommand:
     @pytest.fixture
