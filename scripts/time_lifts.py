@@ -8,9 +8,13 @@ For each case it prints the wall-clock seconds of the lift
 and the product's `check_coring`, each run from fresh structures, and the
 dimensions of the product's coassociativity space P (x) P (x) P: the
 quotient, the factor-flat space (dim P cubed) and the leaf-flat space.
-Two more columns, not added to the total, time the changes of bracketing
-on that space: `regroup` between space(P, P, P) and space(P, P (x) P),
-both ways, and `rev` of space(P, P, P)'s quotient and of its mirror.
+Three more columns are not added to the total.  `quotients` is the part
+of the four timings spent inside `bimodule._build_tensor`, which builds
+each tensor quotient: it shows how much of a lift is the quotients
+themselves.  `regroup` and `rev` time the changes of bracketing on the
+coassociativity space: `regroup` between space(P, P, P) and
+space(P, P (x) P), both ways, and `rev` of space(P, P, P)'s quotient and
+of its mirror.
 With `--runs N` (default 1) each case is run N times, each time from fresh
 structures, and every time column is the median of the N runs (the total
 column is the median of the per-run totals).  It checks every verdict but
@@ -25,6 +29,7 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from coringlab import bimodule
 from coringlab.algebra import group_algebra_cyclic
 from coringlab.bimodule import mirror, regroup, rev, space, tensor_over
 from coringlab.coring import check_coring, grouplike_coalgebra
@@ -68,6 +73,25 @@ def timed(fn, *args):
     return out, time.perf_counter() - t0
 
 
+def timed_quotients(fn, *args):
+    """fn(*args) and the seconds spent inside `bimodule._build_tensor`
+    while it ran."""
+    real, spent = bimodule._build_tensor, [0.0]
+
+    def wrapped(*a):
+        t0 = time.perf_counter()
+        try:
+            return real(*a)
+        finally:
+            spent[0] += time.perf_counter() - t0
+
+    bimodule._build_tensor = wrapped
+    try:
+        return fn(*args), spent[0]
+    finally:
+        bimodule._build_tensor = real
+
+
 def run_case(entwine, c, d):
     """The four timings of one case, whether every verdict passed, and the
     product's carrier."""
@@ -105,16 +129,17 @@ def main(argv=None):
     if args.runs < 1:
         ap.error("--runs must be at least 1")
     print(f"{'case':<24} {'lift':>7} {'check':>7} {'product':>8} "
-          f"{'p-check':>8} {'total':>7} {'regroup':>8} {'rev':>7}   coassoc "
-          "dims: quotient / factor-flat / leaf-flat")
+          f"{'p-check':>8} {'total':>7} {'quotients':>9} {'regroup':>8} {'rev':>7}   "
+          "coassoc dims: quotient / factor-flat / leaf-flat")
     bad = 0
     for index, (label, *_) in enumerate(cases()):
-        runs, brackets, ok = [], [], True
+        runs, quotients, brackets, ok = [], [], [], True
         for _ in range(args.runs):
             # a fresh case each run, so that no memo carries over
             _, entwine, c, d = list(cases())[index]
-            times, passed, p = run_case(entwine, c, d)
+            (times, passed, p), t_quot = timed_quotients(run_case, entwine, c, d)
             runs.append(times)
+            quotients.append(t_quot)
             bracket, trips = time_bracketings(p)
             brackets.append(bracket)
             ok = ok and passed and trips
@@ -125,7 +150,8 @@ def main(argv=None):
         t_regroup, t_rev = (statistics.median(col) for col in zip(*brackets))
         sp = space(p, p, p)
         print(f"{label:<24} {t_lift:7.3f} {t_check:7.3f} {t_prod:8.3f} "
-              f"{t_pcheck:8.3f} {total:7.3f} {t_regroup:8.3f} {t_rev:7.3f}   "
+              f"{t_pcheck:8.3f} {total:7.3f} {statistics.median(quotients):9.3f} "
+              f"{t_regroup:8.3f} {t_rev:7.3f}   "
               f"{sp.dim} / {p.dim ** 3} / {sp.leaf_flat_dim()}")
     if bad:
         print(f"{bad} case(s) did not pass", file=sys.stderr)

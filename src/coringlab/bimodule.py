@@ -19,10 +19,15 @@ quotient is flat at no cost, and a marked action is inherited as the
 marked identity without a descent check.  When the other actions are
 monomial (one entry per column), as in every lift of the corpus, each
 relation ties two flat columns or kills one, and a weighted union-find
-gives the echelon form without `Echelon`.  Every other action K
+gives the echelon form without `Echelon`; `project` is then monomial
+too, two flat lists (`exactla.Monomial`).  Every other action K
 (act (x) I or I (x) act) descends when project . K vanishes on the
-relation span, which is ker project: one sparse test, column by column,
-that project . K factors through project (`TensorQuotient.kills`).
+relation span, which is ker project: one test that project . K factors
+through project (`TensorQuotient.kills`).  With a monomial project and a
+monomial action, project . K is again monomial (block copies or a
+permutation of project's lists), the inherited action is its free
+columns and the test is one pass over the lists; otherwise project . K
+is scattered column by column and tested pivot by pivot.
 
 Iterated tensors are built left associated.  A `Space` wraps a factor list
 with the projection/section between its *factor-flat* space (the ground
@@ -66,7 +71,7 @@ from functools import cached_property
 from math import prod
 
 from .algebra import FinAlgebra, opposite_algebra
-from .exactla import Echelon, Matrix, Transposed
+from .exactla import Echelon, Matrix, Monomial, Transposed
 from .reports import InputError, Report, WellDefinednessError, Witness
 
 
@@ -95,17 +100,9 @@ def algebras_match(a: FinAlgebra, b: FinAlgebra) -> bool:
 
 
 def _marked(mat: Matrix) -> Matrix:
-    """mat, or the marked identity when mat is a square identity matrix.  A
-    `Transposed` is tested on its columns, so its rows are not built: an
-    identity is its own transpose."""
-    if mat.is_identity or mat.rows != mat.cols:
-        return mat
-    data = (mat.transpose() if isinstance(mat, Transposed) else mat).data
-    one = mat.field.one()
-    if len(data) != mat.rows or any(len(row) != 1 or row.get(i) != one
-                                    for i, row in data.items()):
-        return mat
-    return Matrix.identity(mat.field, mat.rows)
+    """mat, or the marked identity when mat is a square identity matrix
+    (`Matrix.marked`, which reads each matrix kind in its own form)."""
+    return mat.marked()
 
 
 class Bimodule:
@@ -336,9 +333,12 @@ def bilinearity_report(f: LinearMap, check_name=None) -> Report:
 class TensorQuotient(Bimodule):
     """M (x)_A N presented on the canonical non-pivot pure-tensor basis.
 
-    `project` is kept in column form (`exactla.Transposed`): row c of
-    `project.transpose()` is column c of project, {t: coeff} with e_c =
-    sum_t coeff * (basis vector t), and no row when e_c is 0.  `section`,
+    `project` is kept in column form: row c of `project.transpose()` is
+    column c of project, {t: coeff} with e_c = sum_t coeff * (basis
+    vector t), and no row when e_c is 0.  From the union-find it is an
+    `exactla.Monomial`, whose two flat lists hold those columns and build
+    the dicts only when read; from `Echelon` it is an `exactla.Transposed`
+    of the column dicts.  `section`,
     `echelon` and `relations` are derived on first read.  A flat quotient
     has no relations, and its two maps are one marked identity.
     """
@@ -396,11 +396,16 @@ class TensorQuotient(Bimodule):
         """True when mat, a map out of the flat space, vanishes on the
         balancing relation span.  That span is ker project, so this holds
         exactly when mat factors through project: each column c of mat is
-        sum_t project[t, c] (column free_cols[t] of mat).  A free column
-        holds trivially, and a pivot column fails exactly when mat does not
-        kill that pivot's echelon row (`_moved`).  A flat quotient has no
+        sum_t project[t, c] (column free_cols[t] of mat).  When mat and
+        project are both `Monomial`, that is one pass over their lists
+        (`Monomial.factors_through`).  Otherwise a free column holds
+        trivially, and a pivot column fails exactly when mat does not kill
+        that pivot's echelon row (`_moved`).  A flat quotient has no
         relations and kills every map."""
-        return self.project.is_identity or next(self._moved(mat), None) is None
+        proj = self.project
+        if isinstance(mat, Monomial) and isinstance(proj, Monomial):
+            return mat.factors_through(proj, self.free_cols)
+        return proj.is_identity or next(self._moved(mat), None) is None
 
     def _moved(self, mat: Matrix):
         """The pivots, in order, whose echelon row mat does not kill."""
@@ -438,11 +443,15 @@ def tensor_over(a: FinAlgebra, m: Bimodule, n: Bimodule, name=None) -> TensorQuo
     paths give the same reduced echelon form, as the columns of `project`.
 
     Each inherited action is pk . section for pk = project . K, with K the
-    action tensored with an identity.  pk is built in column form from the
-    columns of project and of the action (`_scatter`), with no Kronecker
-    product and no matrix product, and pk . section is its free columns.
-    It is well defined when K keeps the relation span, that is when pk
-    kills the relations (`TensorQuotient.kills`, one test per action).  A
+    action tensored with an identity, and pk . section is the free columns
+    of pk.  When project and the action are monomial, pk is a monomial
+    built from project's lists (`Monomial.after`: O(flat) list copies and
+    no dict, the inherited action O(qdim)).  Otherwise pk is built in
+    column form from the columns of project and of the action
+    (`_scatter`).  Neither builds a Kronecker product or a matrix product.
+    The action is well defined when K keeps the relation span, that is
+    when pk kills the relations (`TensorQuotient.kills`, one test per
+    action, a single pass over the lists for a monomial pk).  A
     violation (possible only for inconsistent input actions) raises
     WellDefinednessError whose `relation` is the first echelon row, in
     pivot order, that K moves out of the span.  A marked action is
@@ -491,9 +500,9 @@ def _build_tensor(a, m, n, name):
     pairs = [(rk, lk) for rk, lk in zip(m.right_action, n.left_action)
              if not (rk.is_identity and lk.is_identity)]
     free = ()
-    if pairs and all(len(col) <= 1 for pair in pairs for x in pair
-                     for col in x.transpose().data.values()):
-        free, proj = _union_find(f, dm, dn, pairs)
+    mono = [x.monomial() for pair in pairs for x in pair]
+    if pairs and all(mono):
+        free, project = _union_find(f, dm, dn, mono)
     elif pairs:
         ech = Echelon(f, flat)
         for rel in _balancing(m, n):
@@ -501,16 +510,14 @@ def _build_tensor(a, m, n, name):
         free, rows = ech.free_columns(), ech.pivot_rows
         pos = {c: t for t, c in enumerate(free)}
         # a pivot with an empty row is 0 in the quotient: no column entry
-        proj = {p: {pos[c]: f.neg(v) for c, v in rows[p].items()}
-                if p in rows else {pos[p]: f.one()}
-                for p in range(flat) if rows.get(p, True)}
+        project = Transposed(Matrix(f, flat, len(free), {
+            p: {pos[c]: f.neg(v) for c, v in rows[p].items()}
+            if p in rows else {pos[p]: f.one()}
+            for p in range(flat) if rows.get(p, True)}))
     qdim = len(free) if pairs else flat
     ident = Matrix.identity(f, qdim)
     if qdim == flat:  # no relations, or all of them 0
         project = ident
-    else:
-        projt = Matrix(f, flat, qdim, proj)
-        project = Transposed(projt)
     checks = []
 
     def inherit(act, left, side, label):
@@ -519,11 +526,14 @@ def _build_tensor(a, m, n, name):
         if project.is_identity:
             return (act.kron(Matrix.identity(f, dn)) if left
                     else Matrix.identity(f, dm).kron(act))
-        pkt = Matrix(f, flat, qdim, _scatter(f, proj, act, dm, dn, left))
-        checks.append((side, label, Transposed(pkt)))
-        rows = pkt.data
-        return Transposed(Matrix(f, qdim, qdim, {t: rows[c] for t, c in enumerate(free)
-                                                 if c in rows}))
+        k = isinstance(project, Monomial) and act.monomial()
+        if k:
+            pk = project.after(1, k, dn) if left else project.after(dm, k, 1)
+        else:
+            pk = Transposed(Matrix(f, flat, qdim, _scatter(
+                f, project.transpose().data, act, dm, dn, left)))
+        checks.append((side, label, pk))
+        return pk.columns(free)
 
     tq = TensorQuotient(
         a, m, n,
@@ -562,9 +572,9 @@ def _scatter(f, proj, act, dm, dn, left):
     return {c: col for c, col in out.items() if col}
 
 
-def _union_find(f, dm, dn, pairs):
-    """(free columns, columns of project) when every R_k, L_k in pairs is
-    monomial.
+def _union_find(f, dm, dn, mono):
+    """(free columns, project as a `Monomial`) from the monomial forms
+    R_0, L_0, R_1, L_1, ... of the unmarked pairs.
 
     The relation for (i, j) is v e_(p, j) - w e_(i, q), with (p, v) the
     entry of column i of R_k and (q, w) that of column j of L_k; with one of
@@ -574,7 +584,9 @@ def _union_find(f, dm, dn, pairs):
     that contradicts its weights, is dead: all its columns are pivots with
     empty echelon rows.  A live component keeps its root free, and each
     other column c is the pivot of e_c - weight[c] e_root.  That is the
-    reduced echelon form `Echelon` gives.
+    reduced echelon form `Echelon` gives.  Column c of project is
+    {position of its root among the free columns: weight}, or zero in a
+    dead component; the only lists kept are those two.
     """
     flat, one, mul, inv = dm * dn, f.one(), f.mul, f.inv
     parent, weight, dead = list(range(flat)), [one] * flat, [False] * flat
@@ -594,20 +606,21 @@ def _union_find(f, dm, dn, pairs):
             parent[x], weight[x] = c, w
         return c, w
 
-    for rk, lk in pairs:
-        rcols, lcols = rk.transpose().data, lk.transpose().data
-        rs = [next(iter(rcols[i].items())) if i in rcols else None for i in range(dm)]
-        ls = [next(iter(lcols[j].items())) if j in lcols else None for j in range(dn)]
-        for i, r in enumerate(rs):
-            for j, l in enumerate(ls):
-                if r is None or l is None:
-                    if r is not None or l is not None:
-                        c = r[0] * dn + j if l is None else i * dn + l[0]
-                        dead[find(c)[0]] = True
+    for rk, lk in zip(mono[::2], mono[1::2]):
+        ls = list(enumerate(zip(lk.tgt, lk.wt)))
+        for i, (p, v) in enumerate(zip(rk.tgt, rk.wt)):
+            for j, (q, w) in ls:
+                if p < 0 or q < 0:
+                    if p >= 0 or q >= 0:
+                        dead[find(p * dn + j if q < 0 else i * dn + q)[0]] = True
                     continue
-                ra, wa = find(r[0] * dn + j)
-                rb, wb = find(i * dn + l[0])
-                x, y = mul(r[1], wa), mul(l[1], wb)  # x e_ra = y e_rb
+                a, b = p * dn + j, i * dn + q
+                ra, rb = parent[a], parent[b]  # find's first test, inlined
+                ra, wa = (ra, weight[a]) if parent[ra] == ra else find(a)
+                rb, wb = (rb, weight[b]) if parent[rb] == rb else find(b)
+                # x e_ra = y e_rb
+                x = v if wa == one else mul(v, wa)
+                y = w if wb == one else mul(w, wb)
                 if ra == rb:
                     dead[ra] = dead[ra] or x != y
                 else:
@@ -615,14 +628,13 @@ def _union_find(f, dm, dn, pairs):
                         ra, rb, x, y = rb, ra, y, x
                     parent[ra], weight[ra] = rb, mul(y, inv(x))
                     dead[rb] = dead[rb] or dead[ra]
-    free = tuple(c for c in range(flat) if parent[c] == c and not dead[c])
-    pos = {c: t for t, c in enumerate(free)}
-    proj = {}
     for c in range(flat):
-        r, w = find(c)
-        if not dead[r]:
-            proj[c] = {pos[r]: w}
-    return free, proj
+        find(c)  # every column now points at its root
+    free = tuple(c for c in range(flat) if parent[c] == c and not dead[c])
+    pos = [-1] * flat
+    for t, c in enumerate(free):
+        pos[c] = t
+    return free, Monomial(f, len(free), [pos[r] for r in parent], weight)
 
 
 def tensor_maps(f: LinearMap, g: LinearMap, source_q: TensorQuotient,

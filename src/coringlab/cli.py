@@ -176,11 +176,16 @@ def run_build(s, kind, names, out):
         n = s.lookup("cowreaths", names[1])
         stored = store.add_cowreath(out, entwining_lift_cowreath(e, n, name=out))
         reports = [Report(f"built lifted cowreath {out}")]
+    _stored_as(out, stored)
+    return reports
+
+
+def _stored_as(out, stored):
+    """Exit 2 unless the result was stored under the --out name: a later
+    `check ... OUT` or `--map OUT` would read the entry that holds it."""
     if stored != out:
-        # a later `check ... OUT` would read the entry that holds the name
         raise InputError(f"--out {out} is already taken in the session "
                          f"(the result would be stored as {stored})")
-    return reports
 
 
 def run_adjoint(s, args):
@@ -189,11 +194,7 @@ def run_adjoint(s, args):
     x = s.lookup("comodules", args.x)
     y = s.lookup("comodules", args.y)
     f = s.lookup("maps", args.map_name)
-    if args.direction == "hat":
-        out_map = adjunction_hat(w, x, y, f)
-    else:
-        out_map = adjunction_tilde(w, x, y, f)
-    return out_map
+    return (adjunction_hat if args.direction == "hat" else adjunction_tilde)(w, x, y, f)
 
 
 def main(argv=None) -> int:
@@ -227,7 +228,7 @@ def main(argv=None) -> int:
             out_map = run_adjoint(s, args)
             if args.out:
                 from .session_write import SessionStore, write_session
-                SessionStore(s).map_name(out_map, args.out)
+                _stored_as(args.out, SessionStore(s).map_name(out_map, args.out))
                 if args.save:
                     write_session(s.raw, args.save)
             payload = {

@@ -18,7 +18,15 @@ Matrices are sparse: a map row -> {col -> nonzero scalar}.  A matrix built
 by `Matrix.identity` carries an identity mark, so products and Kronecker
 products with it copy instead of multiplying, and its entries are built
 only when something reads `data`; matrices are immutable and may be
-shared.  Reduced row echelon forms are unique for a given row space, so
+shared.  Two more kinds keep a matrix by its columns and build its rows
+only when `data` is read: `Transposed` holds the column dicts, and
+`Monomial`, a matrix with at most one entry per column, holds two flat
+lists (target row and weight per column) and builds even its column dicts
+only on first read.  Monomials compose with the padded form
+I (x) act (x) I of another monomial, select columns and test that they
+factor through a monomial projection in one pass over the lists, with no
+dict; `Matrix.monomial` converts any matrix that qualifies, and
+`Matrix.marked` finds an identity in each kind's own form.  Reduced row echelon forms are unique for a given row space, so
 pivot columns, kernels and quotient bases are reproducible no matter in
 which order relations are fed in.
 
@@ -472,6 +480,29 @@ class Matrix:
             self._t = Matrix(self.field, self.cols, self.rows, data)
         return self._t
 
+    def monomial(self) -> "Monomial | None":
+        """self as a `Monomial`, or None when a column has two entries."""
+        tgt, wt = [-1] * self.cols, [self.field.zero()] * self.cols
+        for c, col in self.transpose().data.items():
+            if len(col) > 1:
+                return None
+            (tgt[c], wt[c]), = col.items()
+        return Monomial(self.field, self.rows, tgt, wt)
+
+    def marked(self) -> "Matrix":
+        """The marked identity when self is a square identity matrix, else
+        self.  A matrix kept by its columns (`Transposed`) is tested on
+        them, so its rows are not built: an identity is its own
+        transpose."""
+        if self.is_identity or self.rows != self.cols:
+            return self
+        lines = (self.transpose() if isinstance(self, Transposed) else self).data
+        one = self.field.one()
+        if len(lines) != self.rows or any(len(line) != 1 or line.get(i) != one
+                                          for i, line in lines.items()):
+            return self
+        return Matrix.identity(self.field, self.rows)
+
     def tapply(self, vec: dict) -> dict:
         """Matrix times sparse vector, iterating columns (cached transpose);
         preferable when the vector support is much smaller than the row
@@ -590,6 +621,10 @@ class _Identity(Matrix):
     def transpose(self):
         return self
 
+    def monomial(self):
+        return Monomial(self.field, self.rows, list(range(self.rows)),
+                        [self.field.one()] * self.rows)
+
 
 class Transposed(Matrix):
     """The transpose of t, a matrix given by its columns (the rows of t):
@@ -609,6 +644,100 @@ class Transposed(Matrix):
         if self._rows is None:
             self._rows = self._t.transpose().data
         return self._rows
+
+    def columns(self, cols):
+        """The matrix whose column t is column cols[t] of self, in column
+        form; it shares the column dicts of self."""
+        data = self._t.data
+        return Transposed(Matrix(self.field, len(cols), self.rows,
+                                 {t: data[c] for t, c in enumerate(cols) if c in data}))
+
+
+class Monomial(Transposed):
+    """A rows x cols matrix with at most one entry per column, kept as two
+    flat lists: column c is {tgt[c]: wt[c]}, and it is zero where
+    tgt[c] is -1 (wt[c] is then not read).  The column dicts (`transpose`)
+    and the rows (`data`) are built on first read and equal those of a
+    plain `Matrix` with the same entries, so every other operation reads
+    a monomial like any matrix.  Composition with the padded form of
+    another monomial (`after`), a choice of columns (`columns`) and the
+    test that it factors through a monomial projection (`factors_through`)
+    are one pass over the lists."""
+
+    __slots__ = ("tgt", "wt")
+
+    def __init__(self, field, rows, tgt, wt):
+        # the base slot `data` stays unset, as in `Transposed`
+        self.field, self.rows, self.cols = field, rows, len(tgt)
+        self.tgt, self.wt = tgt, wt
+        self._t = self._rows = None
+
+    def transpose(self):
+        if self._t is None:
+            self._t = Matrix(self.field, self.cols, self.rows,
+                             {c: {t: w} for c, (t, w) in enumerate(zip(self.tgt, self.wt))
+                              if t >= 0})
+        return self._t
+
+    @property
+    def data(self):
+        if self._rows is None:
+            rows = {}
+            for c, (t, w) in enumerate(zip(self.tgt, self.wt)):
+                if t >= 0:
+                    rows.setdefault(t, {})[c] = w
+            self._rows = rows
+        return self._rows
+
+    def monomial(self):
+        return self
+
+    def marked(self):
+        one = self.field.one()
+        if (self.rows == self.cols and self.tgt == list(range(self.rows))
+                and all(w == one for w in self.wt)):
+            return Matrix.identity(self.field, self.rows)
+        return self
+
+    def columns(self, cols):
+        tgt, wt = self.tgt, self.wt
+        return Monomial(self.field, self.rows, [tgt[c] for c in cols],
+                        [wt[c] for c in cols])
+
+    def after(self, pre, act, post):
+        """self @ (I_pre (x) act (x) I_post) for a monomial act: column
+        (a, c, b) is column (a, r, b) of self times v, for act's column c
+        = {r: v}.  With post > 1 that copies blocks of the lists, scaled
+        only where v is not 1; with post = 1 it permutes within each
+        block."""
+        tgt, wt, mul, one = self.tgt, self.wt, self.field.mul, self.field.one()
+        if self.cols != pre * act.rows * post:
+            raise InputError("monomial product shape mismatch")
+        out_t, out_w = [], []
+        for a in range(pre):
+            for r, v in zip(act.tgt, act.wt):
+                if r < 0:
+                    out_t += [-1] * post
+                    out_w += [one] * post
+                    continue
+                s = (a * act.rows + r) * post
+                out_t += tgt[s:s + post]
+                out_w += wt[s:s + post] if v == one else [mul(w, v) for w in wt[s:s + post]]
+        return Monomial(self.field, self.rows, out_t, out_w)
+
+    def factors_through(self, proj, free):
+        """self == self.columns(free) @ proj, for a monomial proj whose
+        column free[t] is e_t: column c of self is proj.wt[c] times column
+        free[proj.tgt[c]] of self, or zero where column c of proj is.  One
+        pass over the targets and one over the live weights; no dict is
+        built."""
+        tgt, wt, one, mul = self.tgt, self.wt, self.field.one(), self.field.mul
+        top = [tgt[c] for c in free]
+        if [top[t] if t >= 0 else -1 for t in proj.tgt] != tgt:
+            return False
+        top = [wt[c] for c in free]
+        return all(u == top[t] if w == one else u == mul(w, top[t])
+                   for s, t, w, u in zip(tgt, proj.tgt, proj.wt, wt) if s >= 0)
 
 
 # ---------------------------------------------------------------------------

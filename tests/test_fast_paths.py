@@ -103,6 +103,20 @@
   than +-1, their quotients of three factors, and every quotient of the
   corpus lifts.  Monomial input never calls `Echelon.add`, even when
   `relations` and `echelon` are read; other input still does.
+* A union-find quotient keeps `project` as an `exactla.Monomial` (two flat
+  lists), and with a monomial action builds project . K from those lists
+  (`Monomial.after`), inherits its free columns (`columns`) and tests
+  descent in one pass (`factors_through`).  A `Monomial` must read like
+  the plain Matrix with its entries (`==`, `transpose`, `@` on either
+  side, `kron`, `tapply`, `padded_matmul`, `_marked`), and its kernels
+  must match plain products.  Against `scatter_path` (project as a
+  `Transposed` of column dicts, `_scatter`, the pivot-by-pivot `_moved`),
+  on generated inputs over kZ2 and kZ3, QQ and GF(101), with one-term
+  kills, dead components, monomial actions that do not descend and
+  actions with two entries in a column (which keep the scatter path), and
+  on every corpus lift quotient, the maps, inherited actions, marks, pks
+  handed to `kills` and descent errors must match.  A monomial pk that
+  descends never builds its column dicts or rows.
 """
 
 from fractions import Fraction
@@ -2799,3 +2813,361 @@ def test_monomial_input_never_calls_echelon_add(monkeypatch):
     tensor_over(a, m, m)
     assert calls
     assert_matches_echelon(a, m, m)
+
+
+# ---------------------------------------------------------------------------
+# monomial matrices: the two-list kind against a plain Matrix, and the
+# monomial path of a union-find quotient against the scatter path
+
+
+@st.composite
+def monomial_lists(draw, field, rows, cols):
+    """(tgt, wt) of a rows x cols monomial: each column zero (target -1) or
+    one nonzero entry.  A zero column still gets a nonzero weight, which no
+    reader may use."""
+    tgt = [draw(st.integers(-1, rows - 1)) for _ in range(cols)]
+    wt = [draw(nonzero_scalars(field)) for _ in range(cols)]
+    return tgt, wt
+
+
+def plain_of(field, rows, tgt, wt):
+    """The plain Matrix with the entries of the monomial (tgt, wt)."""
+    return Matrix.from_entries(field, rows, len(tgt), {
+        (t, c): w for c, (t, w) in enumerate(zip(tgt, wt)) if t >= 0})
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), rows=st.integers(0, 4), cols=st.integers(0, 4))
+def test_monomial_matches_plain_matrix(field, data, rows, cols):
+    """A `Monomial` reads like the plain Matrix with its entries under `==`,
+    `transpose`, `@` on either side, `kron` on either side, `apply`,
+    `tapply` and as the stage matrix of `padded_matmul`; each reader gets
+    a fresh monomial, so that every read is the first."""
+    tgt, wt = data.draw(monomial_lists(field, rows, cols))
+    plain = plain_of(field, rows, tgt, wt)
+
+    def mono():
+        return exactla.Monomial(field, rows, list(tgt), list(wt))
+
+    assert mono() == plain and plain == mono()
+    assert mono().data == plain.data and mono().to_rows() == plain.to_rows()
+    assert mono().transpose() == plain.transpose()
+    assert mono().transpose().data == plain.transpose().data
+    assert mono().nnz() == plain.nnz()
+    vec = data.draw(_sparse_vector(field, cols))
+    assert mono().apply(vec) == plain.apply(vec)
+    assert mono().tapply(vec) == plain.tapply(vec)
+    right = data.draw(shaped_matrix(field, cols, data.draw(st.integers(0, 4))))
+    left = data.draw(shaped_matrix(field, data.draw(st.integers(0, 4)), rows))
+    assert mono() @ right == plain @ right
+    assert left @ mono() == left @ plain
+    other = data.draw(sparse_matrix(field))
+    assert mono().kron(other) == plain.kron(other)
+    assert other.kron(mono()) == other.kron(plain)
+    pre, post = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 2))
+    m = data.draw(shaped_matrix(field, pre * cols * post, data.draw(st.integers(0, 3))))
+    assert mono().padded_matmul(pre, post, m) == plain.padded_matmul(pre, post, m)
+    converted = plain.monomial()
+    assert isinstance(converted, exactla.Monomial) and converted == plain
+    assert converted.tgt == tgt
+    assert mono().monomial() == plain
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(0, 4))
+def test_marked_monomial_matches_plain_rows(field, data, n):
+    """`_marked` finds an identity in a `Monomial`'s lists: it marks exactly
+    the matrices the row test marks, and builds neither the rows nor the
+    column dicts of the others."""
+    tgt, wt = data.draw(st.one_of(
+        monomial_lists(field, n, n),
+        st.just((list(range(n)), [field.one()] * n)),
+        monomial_lists(field, n, n + 1)))
+    mono = exactla.Monomial(field, n, tgt, wt)
+    out = bimodule._marked(mono)
+    plain = bimodule._marked(plain_of(field, n, tgt, wt))
+    assert out.is_identity == plain.is_identity
+    if not out.is_identity:
+        assert out is mono and mono._t is None and mono._rows is None
+    assert out == plain
+    assert plain_of(field, n, tgt, wt).monomial().marked().is_identity == plain.is_identity
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_monomial_kernels_match_plain_products(field, data):
+    """`after` is self @ (I_pre (x) act (x) I_post), `columns` picks
+    columns, and `factors_through` holds exactly when
+    self == self.columns(free) @ proj, each against plain products; a
+    monomial that is X @ proj by construction factors, and one with a
+    changed weight or target does so only when the plain test says so."""
+    draw = data.draw
+    pre, post = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    d, e, rows = draw(st.integers(1, 3)), draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    tgt, wt = draw(monomial_lists(field, rows, pre * d * post))
+    act = draw(monomial_lists(field, d, e))
+    got = exactla.Monomial(field, rows, tgt, wt).after(
+        pre, exactla.Monomial(field, d, *act), post)
+    padded = plain_identity(field, pre).kron(plain_of(field, d, *act)).kron(
+        plain_identity(field, post))
+    assert isinstance(got, exactla.Monomial)
+    assert got._t is None and got._rows is None
+    assert got == plain_of(field, rows, tgt, wt) @ padded
+    picks = draw(st.lists(st.integers(0, len(tgt) - 1), max_size=5))
+    assert exactla.Monomial(field, rows, tgt, wt).columns(picks) == Matrix.from_entries(
+        field, rows, len(picks), {(t, s): wt[c] for s, c in enumerate(picks)
+                                  if (t := tgt[c]) >= 0})
+
+    # a monomial projection: free[t] is e_t, every other column anywhere
+    flat = draw(st.integers(1, 6))
+    free = sorted(draw(st.sets(st.integers(0, flat - 1), max_size=flat)))
+    qdim = len(free)
+    ptgt, pwt = draw(monomial_lists(field, qdim, flat))
+    for t, c in enumerate(free):
+        ptgt[c], pwt[c] = t, field.one()
+    proj = exactla.Monomial(field, qdim, ptgt, pwt)
+    plain_proj = plain_of(field, qdim, ptgt, pwt)
+    xt, xw = draw(monomial_lists(field, rows, qdim))
+    through = (plain_of(field, rows, xt, xw) @ plain_proj).monomial()
+    assert through.factors_through(proj, free)
+    mt, mw = list(through.tgt), list(through.wt)
+    c = draw(st.integers(0, flat - 1))
+    mw[c] = draw(nonzero_scalars(field))
+    if draw(st.booleans()):
+        mt[c] = draw(st.integers(-1, rows - 1))
+    changed = plain_of(field, rows, mt, mw)
+    sec = Matrix.from_entries(field, flat, qdim, {(c, t): field.one() for t, c in enumerate(free)})
+    assert exactla.Monomial(field, rows, mt, mw).factors_through(proj, free) == (
+        changed == changed @ sec @ plain_proj)
+
+
+def scatter_path(a, m, n):
+    """What `tensor_over` gave before monomial projects, on input whose
+    unmarked R_k and L_k are monomial: `project` a `Transposed` of column
+    dicts (from the plain echelon of the raw relations), each unmarked
+    action scattered through them (`_scatter`) into pk, its inherited
+    action the free columns of pk, and descent tested pivot by pivot on
+    dicts (`_moved`).  Returns {"error": (message, relation)} for the first
+    action that does not descend, else project, section, free columns, the
+    pks in checking order and the inherited actions; None for a flat
+    quotient."""
+    f, dm, dn = m.field, m.dim, n.dim
+    flat = dm * dn
+    _, ech = plain_tensor_relations(a, m, n)
+    free = ech.free_columns()
+    if len(free) == flat:  # a flat quotient takes neither path
+        return None
+    pos = {c: t for t, c in enumerate(free)}
+    cols = {c: {t: f.one()} for t, c in enumerate(free)}
+    for p, row in ech.pivot_rows.items():
+        if row:
+            cols[p] = {pos[c]: f.neg(v) for c, v in row.items()}
+    project = exactla.Transposed(Matrix(f, flat, len(free), cols))
+    ident = Matrix.identity(f, len(free))
+    old = TensorQuotient(a, m, n, [ident] * m.left_algebra.dim,
+                         [ident] * n.right_algebra.dim, project, free, "old")
+    name = f"({m.name}(x){n.name})"
+    pks, acts = [], []
+    sides = [("left", True, lab, x) for lab, x in zip(m.left_algebra.labels, m.left_action)]
+    sides += [("right", False, lab, x) for lab, x in zip(n.right_algebra.labels, n.right_action)]
+    for side, left, label, act in sides:
+        if act.is_identity:
+            acts.append(ident)
+            continue
+        pkt = Matrix(f, flat, len(free), bimodule._scatter(f, cols, act, dm, dn, left))
+        pk = exactla.Transposed(pkt)
+        moved = next(old._moved(pk), None)
+        if moved is not None:
+            return {"error": (f"{side} action of {label} does not descend to {name}",
+                              old.echelon.full_row(moved))}
+        pks.append(pk)
+        rows = pkt.data
+        acts.append(exactla.Transposed(Matrix(f, len(free), len(free), {
+            t: rows[c] for t, c in enumerate(free) if c in rows})))
+    section = Matrix.from_entries(f, flat, len(free),
+                                  {(c, t): f.one() for t, c in enumerate(free)})
+    return {"project": project, "section": section, "free": free, "pks": pks,
+            "acts": acts}
+
+
+def assert_matches_scatter_path(a, m, n, want, monkeypatch):
+    """M (x)_A N, built afresh, against want = `scatter_path(a, m, n)` on a
+    union-find quotient: the same project, section, free columns, inherited
+    actions and marks, or the same descent error and relation; each pk
+    handed to `kills` equals the scattered one, and is a `Monomial` exactly
+    when its action is monomial.  Returns the quotient, or None after an
+    error."""
+    handed = []
+    real = TensorQuotient.kills
+
+    def spy(self, mat):
+        handed.append((mat, real(self, mat)))
+        return handed[-1][1]
+
+    monkeypatch.setattr(TensorQuotient, "kills", spy)
+    try:
+        if "error" in want:
+            with pytest.raises(WellDefinednessError) as err:
+                bimodule._build_tensor(a, m, n, None)
+            message, relation = want["error"]
+            assert str(err.value) == message and err.value.relation == relation
+            assert [ok for _, ok in handed] == [True] * (len(handed) - 1) + [False]
+            return None
+        tq = bimodule._build_tensor(a, m, n, None)
+    finally:
+        monkeypatch.setattr(TensorQuotient, "kills", real)
+    assert isinstance(tq.project, exactla.Monomial)
+    assert tq.project == want["project"] and tq.section == want["section"]
+    assert tq.free_cols == want["free"]
+    ident = plain_identity(m.field, tq.dim)
+    for got, plain in zip(tq.left_action + tq.right_action, want["acts"]):
+        assert got == plain and got.is_identity == (plain == ident)
+    unmarked_acts = [x for x in m.left_action + n.right_action if not x.is_identity]
+    assert len(handed) == len(want["pks"]) == len(unmarked_acts)
+    for (pk, ok), old, act in zip(handed, want["pks"], unmarked_acts):
+        assert ok and pk == old
+        assert isinstance(pk, exactla.Monomial) == (act.monomial() is not None)
+    return tq
+
+
+@st.composite
+def two_entry_matrix(draw, field, d):
+    """A d x d monomial matrix with a second entry added to one column, so
+    that it is not monomial (d >= 2)."""
+    base = draw(monomial_matrix(field, d))
+    entries = {(i, j): v for i, row in base.data.items() for j, v in row.items()}
+    j = draw(st.integers(0, d - 1))
+    rows = draw(st.lists(st.integers(0, d - 1), min_size=2, max_size=2, unique=True))
+    for i in rows:
+        entries[(i, j)] = draw(nonzero_scalars(field))
+    return Matrix.from_entries(field, d, d, entries)
+
+
+@st.composite
+def union_find_input(draw, field, g):
+    """(a, m, n) over a = kZg whose unmarked R_k and L_k are monomial, so
+    the quotient takes the union-find path.  R_k and L_k are the identity
+    or random monomials (empty columns give one-term kills, weights other
+    than 1 give inconsistent cycles and dead components), or block copies
+    of the regular actions, whose quotient is large.  With all R_k, or all
+    L_k, the identity, every action on that side descends.  Each outer
+    action is the identity, a scalar c I, a diagonal matrix (which keeps
+    every target, so only its weights can fail to descend), a random
+    monomial (which on a regular quotient mostly does not descend) or a
+    matrix with two entries in a column, which must take the scatter
+    path."""
+    a = group_algebra_cyclic(field, g)
+    outer = group_algebra_cyclic(field, draw(st.integers(1, 2)))
+    mode = draw(st.sampled_from(["random", "R", "L", "regular"]))
+    if mode == "regular":
+        reg = regular_bimodule(a)
+        dm, dn = g * draw(st.integers(1, 2)), g * draw(st.integers(1, 2))
+    else:
+        dm, dn = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+
+    def balancing(d, side):
+        if mode == side:
+            return [plain_identity(field, d)] * g
+        if mode == "regular":
+            acts = reg.right_action if side == "R" else reg.left_action
+            return [_block_diag(field, [x] * (d // g)) for x in acts]
+        return [plain_identity(field, d) if draw(st.integers(0, 3)) == 0
+                else draw(monomial_matrix(field, d)) for _ in range(g)]
+
+    def outer_acts(d):
+        out = []
+        for _ in range(outer.dim):
+            kind = draw(st.sampled_from(
+                ["identity", "scalar", "diagonal", "monomial", "two-entry"]))
+            if kind == "two-entry" and d < 2:
+                kind = "monomial"
+            if kind == "identity":
+                out.append(plain_identity(field, d))
+            elif kind == "scalar":
+                out.append(plain_identity(field, d).scale(draw(nonzero_scalars(field))))
+            elif kind == "diagonal":
+                out.append(Matrix(field, d, d, {i: {i: draw(nonzero_scalars(field))}
+                                                for i in range(d)}))
+            elif kind == "monomial":
+                out.append(draw(monomial_matrix(field, d)))
+            else:
+                out.append(draw(two_entry_matrix(field, d)))
+        return out
+
+    m = Bimodule(outer, a, dm, outer_acts(dm), balancing(dm, "R"), name="M")
+    n = Bimodule(a, outer, dn, balancing(dn, "L"), outer_acts(dn), name="N")
+    return a, m, n
+
+
+@pytest.mark.parametrize("g", [2, 3])
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_monomial_path_matches_scatter_path(field, g, data):
+    """A union-find quotient's project, section, free columns, inherited
+    actions and descent errors against the scatter path, over kZ2 and kZ3;
+    each pk handed to `kills` equals the scattered one and is monomial
+    exactly when its action is."""
+    a, m, n = data.draw(union_find_input(field, g))
+    want = scatter_path(a, m, n)
+    assume(want is not None)
+    with pytest.MonkeyPatch.context() as mp:
+        assert_matches_scatter_path(a, m, n, want, mp)
+
+
+def test_corpus_lift_quotients_match_scatter_path(monkeypatch):
+    """Every quotient with relations that the corpus lifts build, with
+    their checks and products, against the scatter path."""
+    from coringlab import cowreath
+    built = []
+    real = bimodule._build_tensor
+
+    def spy(a, m, n, name):
+        built.append((a, m, n))
+        return real(a, m, n, name)
+
+    monkeypatch.setattr(bimodule, "_build_tensor", spy)
+    corpus = Corpus()
+    for w in (corpus.lifted_flip_cw, corpus.lifted_dk_cw):
+        assert cowreath.check_cowreath(w).ok
+        product, morph = cowreath.cowreath_product(w)
+        assert morph.ok and check_coring(product).ok
+    monkeypatch.setattr(bimodule, "_build_tensor", real)
+    checked = 0
+    for a, m, n in built:
+        want = scatter_path(a, m, n)
+        if want is not None:
+            assert assert_matches_scatter_path(a, m, n, want, monkeypatch) is not None
+            checked += 1
+    assert checked >= 10
+
+
+def test_descending_monomial_pk_keeps_its_lists_only(monkeypatch):
+    """When a union-find quotient with monomial actions descends, no action
+    is scattered, and the pk handed to `kills` builds neither its column
+    dicts (`transpose`) nor its rows."""
+    handed = []
+    real = TensorQuotient.kills
+
+    def spy(self, mat):
+        handed.append(mat)
+        return real(self, mat)
+
+    def no_scatter(*args):
+        raise AssertionError("a monomial action was scattered")
+
+    monkeypatch.setattr(TensorQuotient, "kills", spy)
+    monkeypatch.setattr(bimodule, "_scatter", no_scatter)
+    for field in FIELDS:
+        reg = regular_bimodule(group_algebra_cyclic(field, 3))
+        tq = space(reg, reg, reg).quotient
+        assert isinstance(tq.project, exactla.Monomial)
+        assert tq.factor_left.dim == 3 and tq.dim == 3
+    # the unmarked g and g^2 on each side, at both levels, over each field
+    assert len(handed) == 8 * len(FIELDS)
+    for pk in handed:
+        assert isinstance(pk, exactla.Monomial)
+        assert pk._t is None and pk._rows is None

@@ -266,6 +266,19 @@ class TestAdjointCommand:
         assert "--save needs --out" in capsys.readouterr().err
         assert not saved.exists()
 
+    def test_out_name_taken_exits_2(self, hat_argv, tmp_path, capsys):
+        """`--out` naming a map the session holds would store the transpose
+        under another name, as `build` would: exit 2 before anything is
+        printed or written."""
+        taken = hat_argv[hat_argv.index("--map") + 1]
+        saved = tmp_path / "taken.json"
+        assert main(hat_argv + ["--out", taken, "--save", str(saved)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == (f"error: --out {taken} is already taken in the session "
+                           f"(the result would be stored as {taken}2)\n")
+        assert not saved.exists()
+
 
 class TestWitnessReevaluation:
     def test_counit_witness_recomputes(self):
