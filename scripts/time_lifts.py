@@ -8,13 +8,14 @@ For each case it prints the wall-clock seconds of the lift
 and the product's `check_coring`, each run from fresh structures, and the
 dimensions of the product's coassociativity space P (x) P (x) P: the
 quotient, the factor-flat space (dim P cubed) and the leaf-flat space.
-Three more columns are not added to the total.  `quotients` is the part
+Four more columns are not added to the total.  `quotients` is the part
 of the four timings spent inside `bimodule._build_tensor`, which builds
 each tensor quotient: it shows how much of a lift is the quotients
-themselves.  `regroup` and `rev` time the changes of bracketing on the
-coassociativity space: `regroup` between space(P, P, P) and
-space(P, P (x) P), both ways, and `rev` of space(P, P, P)'s quotient and
-of its mirror.
+themselves.  `stages` is the part spent inside `bimodule._Stages._stage`,
+the pipe stages that multiply by I (x) F (x) I.  `regroup` and `rev`
+time the changes of bracketing on the coassociativity space: `regroup`
+between space(P, P, P) and space(P, P (x) P), both ways, and `rev` of
+space(P, P, P)'s quotient and of its mirror.
 With `--runs N` (default 1) each case is run N times, each time from fresh
 structures, and every time column is the median of the N runs (the total
 column is the median of the per-run totals).  It checks every verdict but
@@ -73,23 +74,30 @@ def timed(fn, *args):
     return out, time.perf_counter() - t0
 
 
-def timed_quotients(fn, *args):
-    """fn(*args) and the seconds spent inside `bimodule._build_tensor`
-    while it ran."""
-    real, spent = bimodule._build_tensor, [0.0]
+PARTS = ((bimodule, "_build_tensor"), (bimodule._Stages, "_stage"))
 
-    def wrapped(*a):
-        t0 = time.perf_counter()
-        try:
-            return real(*a)
-        finally:
-            spent[0] += time.perf_counter() - t0
 
-    bimodule._build_tensor = wrapped
+def timed_parts(fn, *args):
+    """fn(*args) and the seconds spent inside each of `PARTS` (the
+    quotients and the pipe stages) while it ran."""
+    reals, spent = [getattr(owner, name) for owner, name in PARTS], [0.0] * len(PARTS)
+
+    def wrap(k, real):
+        def wrapped(*a):
+            t0 = time.perf_counter()
+            try:
+                return real(*a)
+            finally:
+                spent[k] += time.perf_counter() - t0
+        return wrapped
+
+    for k, ((owner, name), real) in enumerate(zip(PARTS, reals)):
+        setattr(owner, name, wrap(k, real))
     try:
-        return fn(*args), spent[0]
+        return fn(*args), spent
     finally:
-        bimodule._build_tensor = real
+        for (owner, name), real in zip(PARTS, reals):
+            setattr(owner, name, real)
 
 
 def run_case(entwine, c, d):
@@ -129,17 +137,18 @@ def main(argv=None):
     if args.runs < 1:
         ap.error("--runs must be at least 1")
     print(f"{'case':<24} {'lift':>7} {'check':>7} {'product':>8} "
-          f"{'p-check':>8} {'total':>7} {'quotients':>9} {'regroup':>8} {'rev':>7}   "
+          f"{'p-check':>8} {'total':>7} {'quotients':>9} {'stages':>7} {'regroup':>8} "
+          f"{'rev':>7}   "
           "coassoc dims: quotient / factor-flat / leaf-flat")
     bad = 0
     for index, (label, *_) in enumerate(cases()):
-        runs, quotients, brackets, ok = [], [], [], True
+        runs, parts, brackets, ok = [], [], [], True
         for _ in range(args.runs):
             # a fresh case each run, so that no memo carries over
             _, entwine, c, d = list(cases())[index]
-            (times, passed, p), t_quot = timed_quotients(run_case, entwine, c, d)
+            (times, passed, p), spent = timed_parts(run_case, entwine, c, d)
             runs.append(times)
-            quotients.append(t_quot)
+            parts.append(spent)
             bracket, trips = time_bracketings(p)
             brackets.append(bracket)
             ok = ok and passed and trips
@@ -148,9 +157,10 @@ def main(argv=None):
             statistics.median(col) for col in zip(*runs))
         total = statistics.median(sum(times) for times in runs)
         t_regroup, t_rev = (statistics.median(col) for col in zip(*brackets))
+        t_quot, t_stages = (statistics.median(col) for col in zip(*parts))
         sp = space(p, p, p)
         print(f"{label:<24} {t_lift:7.3f} {t_check:7.3f} {t_prod:8.3f} "
-              f"{t_pcheck:8.3f} {total:7.3f} {statistics.median(quotients):9.3f} "
+              f"{t_pcheck:8.3f} {total:7.3f} {t_quot:9.3f} {t_stages:7.3f} "
               f"{t_regroup:8.3f} {t_rev:7.3f}   "
               f"{sp.dim} / {p.dim ** 3} / {sp.leaf_flat_dim()}")
     if bad:

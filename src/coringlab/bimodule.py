@@ -10,7 +10,8 @@ M (x)_A N is the quotient of the ground-field tensor space by the span of
 the balancing relations  m.a (x) n - m (x) a.n.  The quotient basis is the
 set of non-pivot flat coordinates under the canonical reduced row echelon
 form of that span, so it is reproducible and `section` picks pure-tensor
-representatives (project . section = id).  `project` is kept in column
+representatives (project . section = id): it is an `exactla.Monomial`
+whose column t is the t-th free flat column.  `project` is kept in column
 form, one {basis index: coeff} per flat column, and everything else is
 derived from it.  A bimodule stores every action equal to the identity as
 the marked identity.  A basis element whose two actions are both marked
@@ -36,20 +37,22 @@ the iterated quotient; its quotients are built with it, the two maps on
 first read.  `Pipe` composes maps on factor-flat spaces, and a stage that
 acts on some factors is never materialized as the Kronecker product
 I (x) F (x) I: `Matrix.padded_matmul` scatters the rows of the accumulated
-matrix through F.  This is the only level, and the only projection
-mechanism: a pipe goes down by sections (`refine` splits a quotient factor
-into its two factors) and up by projections (two neighbouring factors
-merge into their quotient), one level at a time.  `Pipe.apply` merges the
-factors it consumes into their quotient, applies its map to that one
-factor and refines the image into the factors it gives; `Pipe.done`
-merges into the target's quotient; `Space.project` is those merge stages
-on the identity.  A flat level's projection and section are the marked
-identity, so it costs no stage and only renames the factors: over flat
-levels an `apply` is one `padded_matmul`.  `regroup` (the explicit
-associator between two bracketings of the same atomic *leaves*), the
-mirror and a pipe that ends in another bracketing go down to the leaves
-and up again one quotient at a time, so no map is built on the product of
-all leaf dimensions.
+matrix through F, and a monomial F (every non-flat section, and the
+projection of a union-find quotient) re-indexes and scales those rows
+from its two lists.  This is the only level, and the only projection
+mechanism: a pipe goes down by sections (`refine` splits a quotient
+factor into its two factors) and up by projections (two neighbouring
+factors merge into their quotient), one level at a time.  `Pipe.apply`
+merges the factors it consumes into their quotient, applies its map to
+that one factor and refines the image into the factors it gives;
+`Pipe.done` merges into the target's quotient; `Space.project` is those
+merge stages on the identity.  A flat level's projection and section are
+the marked identity, so it costs no stage and only renames the factors:
+over flat levels an `apply` is one `padded_matmul`.  `regroup` (the
+explicit associator between two bracketings of the same atomic
+*leaves*), the mirror and a pipe that ends in another bracketing go down
+to the leaves and up again one quotient at a time, so no map is built on
+the product of all leaf dimensions.
 
 The mirror reads a bimodule in the opposite bicategory: `op` gives the
 opposite algebra, `mirror` swaps a bimodule's two actions and reverses the
@@ -338,7 +341,7 @@ class TensorQuotient(Bimodule):
     vector t), and no row when e_c is 0.  From the union-find it is an
     `exactla.Monomial`, whose two flat lists hold those columns and build
     the dicts only when read; from `Echelon` it is an `exactla.Transposed`
-    of the column dicts.  `section`,
+    of the column dicts.  `section` (a `Monomial` on both paths),
     `echelon` and `relations` are derived on first read.  A flat quotient
     has no relations, and its two maps are one marked identity.
     """
@@ -368,12 +371,12 @@ class TensorQuotient(Bimodule):
 
     @cached_property
     def section(self):
-        """Row c is {t: 1} when c is the t-th free column, else empty."""
+        """A `Monomial`: column t is e_(free_cols[t]) with weight 1, so row
+        c is {t: 1} when c is the t-th free column, else empty."""
         if self.project.is_identity:
             return self.project
-        one = self.field.one()
-        return Matrix(self.field, self.project.cols, self.dim,
-                      {c: {t: one} for t, c in enumerate(self.free_cols)})
+        return Monomial(self.field, self.project.cols, list(self.free_cols),
+                        [self.field.one()] * self.dim)
 
     @cached_property
     def echelon(self):
@@ -804,8 +807,10 @@ def mirror_map(f: LinearMap, dom: Space = None, cod: Space = None) -> LinearMap:
 class _Stages:
     """A matrix into the factor-flat space of a factor list, changed stage by
     stage: a stage replaces the factors at [at, at+takes) by `gives` and
-    multiplies by I (x) F (x) I through `Matrix.padded_matmul`, so the
-    Kronecker product is never built."""
+    multiplies by I (x) F (x) I through `padded_matmul`, so the Kronecker
+    product is never built.  A monomial F (`exactla.Monomial`) takes its
+    own kernel, which moves each row of the matrix to its target row,
+    scaled by its weight, and builds no column dict."""
 
     def __init__(self, factors, matrix):
         self.factors = list(factors)
@@ -848,9 +853,11 @@ class Pipe(_Stages):
     stages: the factors are merged into their quotient by the projection of
     each level, the map acts on that one factor, and its image is refined
     into the factors given by the section of each level.  Every stage acts
-    by identities on the other factors, through `Matrix.padded_matmul`, so
+    by identities on the other factors, through `padded_matmul`, so
     I (x) F (x) I is never built, and a flat level, whose projection and
-    section are the marked identity, costs no stage.  Every stage map must
+    section are the marked identity, costs no stage.  Every other section,
+    and the projection of a union-find quotient, is monomial, so its stage
+    only re-indexes rows (`Monomial.padded_matmul`).  Every stage map must
     be bilinear over its outer algebras (the checkers verify this for
     user-supplied maps before piping them).  A section is bilinear up to
     the balancing relations of its own quotient, so every stage then

@@ -25,10 +25,14 @@ lists (target row and weight per column) and builds even its column dicts
 only on first read.  Monomials compose with the padded form
 I (x) act (x) I of another monomial, select columns and test that they
 factor through a monomial projection in one pass over the lists, with no
-dict; `Matrix.monomial` converts any matrix that qualifies, and
-`Matrix.marked` finds an identity in each kind's own form.  Reduced row echelon forms are unique for a given row space, so
-pivot columns, kernels and quotient bases are reproducible no matter in
-which order relations are fed in.
+dict, and their padded form I (x) self (x) I times a matrix
+(`padded_matmul`) moves and scales whole rows of that matrix by the lists,
+with no column dict.  `Matrix.monomial` converts any matrix that
+qualifies, and `Matrix.marked` finds an identity in each kind's own form.
+
+Reduced row echelon forms are unique for a given row space, so pivot
+columns, kernels and quotient bases are reproducible no matter in which
+order relations are fed in.
 
 Pivoting convention: columns are eliminated left to right; within a column
 the first remaining row with a nonzero entry is used.  This matches the
@@ -524,7 +528,8 @@ class Matrix:
         dropped.  The sums are those of the product with the Kronecker
         product, so every entry is the same.  A marked identity self leaves
         m as it is, and a marked identity m makes the Kronecker product the
-        result, so it is built."""
+        result, so it is built.  A `Monomial` self reads its two lists
+        instead of the transpose."""
         fr, fc, f = self.rows, self.cols, self.field
         if m.rows != pre * fc * post:
             raise InputError(
@@ -660,9 +665,10 @@ class Monomial(Transposed):
     and the rows (`data`) are built on first read and equal those of a
     plain `Matrix` with the same entries, so every other operation reads
     a monomial like any matrix.  Composition with the padded form of
-    another monomial (`after`), a choice of columns (`columns`) and the
-    test that it factors through a monomial projection (`factors_through`)
-    are one pass over the lists."""
+    another monomial (`after`), a choice of columns (`columns`), the test
+    that it factors through a monomial projection (`factors_through`) and
+    a pipe stage through its padded form (`padded_matmul`, which re-indexes
+    the rows of the accumulated matrix) are one pass over the lists."""
 
     __slots__ = ("tgt", "wt")
 
@@ -704,15 +710,46 @@ class Monomial(Transposed):
         return Monomial(self.field, self.rows, [tgt[c] for c in cols],
                         [wt[c] for c in cols])
 
+    def padded_matmul(self, pre, post, m):
+        """`Matrix.padded_matmul` read from the lists: row (a, c, b) of m
+        goes to row (a, tgt[c], b), scaled by wt[c], or is dropped where
+        column c is zero; rows that collide are summed with `axpy` and
+        dropped when they cancel.  No column dict is built.  A marked
+        identity m, or a shape mismatch, takes the plain path."""
+        if m.is_identity or m.rows != pre * self.cols * post:
+            return super().padded_matmul(pre, post, m)
+        tgt, wt, f = self.tgt, self.wt, self.field
+        axpy, scaled, fr, block = f.axpy, f.scaled, self.rows, self.cols * post
+        data: dict = {}
+        for k, row in m.data.items():
+            a, rest = divmod(k, block)
+            c, b = divmod(rest, post)
+            r = tgt[c]
+            if r >= 0:
+                i = (a * fr + r) * post + b
+                acc = data.get(i)
+                if acc is None:
+                    data[i] = scaled(row, wt[c])
+                else:
+                    axpy(acc, row, wt[c])
+        return Matrix(f, pre * fr * post, m.cols, {i: acc for i, acc in data.items() if acc})
+
     def after(self, pre, act, post):
         """self @ (I_pre (x) act (x) I_post) for a monomial act: column
         (a, c, b) is column (a, r, b) of self times v, for act's column c
         = {r: v}.  With post > 1 that copies blocks of the lists, scaled
-        only where v is not 1; with post = 1 it permutes within each
-        block."""
+        only where v is not 1; with post = 1 column (a, c) is column
+        a * act.rows + r of self, so both lists are read through one index
+        list."""
         tgt, wt, mul, one = self.tgt, self.wt, self.field.mul, self.field.one()
         if self.cols != pre * act.rows * post:
             raise InputError("monomial product shape mismatch")
+        if post == 1:
+            d = act.rows
+            idx = [a * d + r if r >= 0 else -1 for a in range(pre) for r in act.tgt]
+            return Monomial(self.field, self.rows, [tgt[i] if i >= 0 else -1 for i in idx],
+                            [one if i < 0 else wt[i] if v == one else mul(wt[i], v)
+                             for i, v in zip(idx, act.wt * pre)])
         out_t, out_w = [], []
         for a in range(pre):
             for r, v in zip(act.tgt, act.wt):

@@ -108,7 +108,7 @@ class SessionFile:
         table = getattr(self, section)
         if not isinstance(name, str) or name not in table:
             where = f"{path}: " if path else ""
-            raise InputError(f"{where}unknown {section[:-1]} {name!r}")
+            raise InputError(f"{where}unknown {section.removesuffix('s')} {name!r}")
         return table[name]
 
 

@@ -117,6 +117,17 @@
   on every corpus lift quotient, the maps, inherited actions, marks, pks
   handed to `kills` and descent errors must match.  A monomial pk that
   descends never builds its column dicts or rows.
+* A pipe stage through a `Monomial` (`Monomial.padded_matmul`) re-indexes
+  and scales the rows of the accumulated matrix from the two lists; it
+  must equal `Matrix.padded_matmul` and the plain Kronecker product over
+  QQ and GF(101), with dead columns, weights other than +-1, colliding
+  targets that cancel, empty rows and a marked-identity operand, and build
+  no column dict.  Every non-flat `section` is a `Monomial`; on union-find
+  and `Echelon` quotients and every corpus lift quotient it must equal the
+  old {c: {t: 1}} section.  `after` for a right action (post = 1) reads
+  both lists through one index list and must equal the plain product.
+  Building and checking a corpus lift runs monomial stages, and none
+  builds a `Monomial.transpose`.
 """
 
 from fractions import Fraction
@@ -3171,3 +3182,213 @@ def test_descending_monomial_pk_keeps_its_lists_only(monkeypatch):
     for pk in handed:
         assert isinstance(pk, exactla.Monomial)
         assert pk._t is None and pk._rows is None
+
+
+# ---------------------------------------------------------------------------
+# pipe stages and sections read the two monomial lists
+
+
+def assert_monomial_padded(mono, pre, post, m):
+    """mono.padded_matmul(pre, post, m) equals `Matrix.padded_matmul` of the
+    plain matrix with mono's entries and the plain Kronecker product times
+    m, stores no empty row and builds no column dict of mono; returns it."""
+    field = mono.field
+    plain = plain_of(field, mono.rows, mono.tgt, mono.wt)
+    fast = mono.padded_matmul(pre, post, m)
+    assert fast == Matrix.padded_matmul(plain, pre, post, m)
+    assert fast == (plain_identity(field, pre).kron(plain)
+                    .kron(plain_identity(field, post)) @ unmarked(m))
+    assert (fast.rows, fast.cols) == (pre * mono.rows * post, m.cols)
+    assert all(fast.data.values())
+    if not m.is_identity:
+        assert mono._t is None and not fast.is_identity
+    return fast
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), pre=st.integers(1, 3), post=st.integers(1, 3))
+def test_monomial_padded_matmul_matches_plain(field, data, pre, post):
+    """The stage of a `Monomial` re-indexes the rows of the accumulated
+    matrix: dead columns, weights other than +-1, colliding targets,
+    accumulated matrices with empty rows, and a marked-identity operand,
+    which takes the plain path."""
+    rows, cols = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
+    tgt, wt = data.draw(monomial_lists(field, rows, cols))
+    m = data.draw(shaped_matrix(field, pre * cols * post, data.draw(st.integers(0, 4))))
+    assert_monomial_padded(exactla.Monomial(field, rows, tgt, wt), pre, post, m)
+    assert_monomial_padded(exactla.Monomial(field, rows, tgt, wt), pre, post,
+                           Matrix.identity(field, pre * cols * post))
+    with pytest.raises(InputError):
+        exactla.Monomial(field, rows, tgt, wt).padded_matmul(
+            pre, post, Matrix.zeros(field, pre * cols * post + 1, 1))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@pytest.mark.parametrize("pre, post", [(1, 1), (1, 3), (2, 1), (2, 3)])
+def test_monomial_padded_matmul_cases(field, pre, post):
+    """Columns 0 and 2 both target row 0, with weights 2 and -2, so the rows
+    they carry cancel where they are equal; column 1 is dead."""
+    one, two = field.one(), field.from_int(2)
+    mono = exactla.Monomial(field, 2, [0, -1, 0, 1], [two, one, field.neg(two), one])
+    n = pre * 4 * post
+    same = Matrix.from_entries(field, n, 2, {(i, 0): one for i in range(n)})
+    out = assert_monomial_padded(mono, pre, post, same)
+    # only the rows from column 3 are left: row (a, 1, b) for each a, b
+    assert sorted(out.data) == sorted((a * 2 + 1) * post + b
+                                      for a in range(pre) for b in range(post))
+    # a matrix with rows only at the dead column gives no row at all
+    dead = Matrix.from_entries(field, n, 1, {
+        ((a * 4 + 1) * post + b, 0): one for a in range(pre) for b in range(post)})
+    assert assert_monomial_padded(mono, pre, post, dead).data == {}
+    odd = Matrix.from_entries(field, n, 3, {(i, i % 3): field.from_int(i + 1)
+                                            for i in range(0, n, 2)})
+    assert_monomial_padded(mono, pre, post, odd)
+    assert_monomial_padded(mono, pre, post, Matrix.identity(field, n))
+
+
+def old_section(tq):
+    """The section as it was built before it was monomial: row c is {t: 1}
+    when c is the t-th free column."""
+    one = tq.field.one()
+    return Matrix(tq.field, tq.project.cols, tq.dim,
+                  {c: {t: one} for t, c in enumerate(tq.free_cols)})
+
+
+def assert_section_matches(tq):
+    """tq's section is a `Monomial` that equals the old one under `==`,
+    `data` and `transpose()`, or a flat quotient's marked identity."""
+    if tq.project.is_identity:
+        assert tq.section is tq.project
+        return
+    want = old_section(tq)
+    assert isinstance(tq.section, exactla.Monomial)
+    assert tq.section.tgt == list(tq.free_cols)
+    fresh = type(tq).section.func(tq)
+    assert fresh == want and want == fresh
+    assert fresh.transpose() == want.transpose()
+    assert fresh.transpose().data == want.transpose().data
+    assert type(tq).section.func(tq).data == want.data
+
+
+@st.composite
+def echelon_input(draw, field):
+    """(a, m, n) over kZ2 or kZ3 with identity outer actions, whose R_k and
+    L_k are random monomials and at least one of them has two entries in a
+    column, so the quotient goes through `Echelon`."""
+    g = draw(st.integers(2, 3))
+    a, outer = group_algebra_cyclic(field, g), group_algebra_cyclic(field, 1)
+    dm, dn = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    rk = [draw(monomial_matrix(field, dm)) for _ in range(g)]
+    lk = [draw(monomial_matrix(field, dn)) for _ in range(g)]
+    if draw(st.booleans()):
+        rk[draw(st.integers(0, g - 1))] = draw(two_entry_matrix(field, dm))
+    else:
+        lk[draw(st.integers(0, g - 1))] = draw(two_entry_matrix(field, dn))
+    m = Bimodule(outer, a, dm, [plain_identity(field, dm)], rk, name="M")
+    n = Bimodule(a, outer, dn, lk, [plain_identity(field, dn)], name="N")
+    return a, m, n
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_monomial_section_matches_old_section(field, data):
+    """On union-find and on `Echelon` quotients the monomial section is the
+    old {c: {t: 1}} section."""
+    a, m, n = data.draw(union_find_input(field, data.draw(st.integers(2, 3))))
+    try:
+        tq = bimodule._build_tensor(a, m, n, None)
+    except WellDefinednessError:
+        tq = None
+    if tq is not None:
+        assert tq.project.is_identity or isinstance(tq.project, exactla.Monomial)
+        assert_section_matches(tq)
+    a, m, n = data.draw(echelon_input(field))
+    tq = bimodule._build_tensor(a, m, n, None)
+    assert tq.project.is_identity or not isinstance(tq.project, exactla.Monomial)
+    assert_section_matches(tq)
+
+
+def test_corpus_lift_sections_match_old_section(monkeypatch):
+    """Every quotient the corpus lifts build, with their checks and
+    products, has the old section; the conjugated regular kZ2 with a
+    two-entry action takes the `Echelon` path and has it too."""
+    from coringlab import cowreath
+    built = []
+    real = bimodule._build_tensor
+
+    def spy(a, m, n, name):
+        built.append(real(a, m, n, name))
+        return built[-1]
+
+    monkeypatch.setattr(bimodule, "_build_tensor", spy)
+    corpus = Corpus()
+    for w in (corpus.lifted_flip_cw, corpus.lifted_dk_cw):
+        assert cowreath.check_cowreath(w).ok
+        product, morph = cowreath.cowreath_product(w)
+        assert morph.ok and check_coring(product).ok
+    monkeypatch.setattr(bimodule, "_build_tensor", real)
+    for tq in built:
+        assert_section_matches(tq)
+    assert sum(isinstance(tq.project, exactla.Monomial) for tq in built) >= 10
+    a = group_algebra_cyclic(QQ, 2)
+    reg = regular_bimodule(a)
+    p = Matrix.from_rows(QQ, [[1, 1], [0, 1]])
+    p_inv = solve(p, plain_identity(QQ, 2))
+    m = Bimodule(a, a, 2, [p_inv @ x @ p for x in reg.left_action],
+                 [p_inv @ x @ p for x in reg.right_action], name="M")
+    tq = tensor_over(a, m, m)
+    assert isinstance(tq.project, exactla.Transposed)
+    assert not isinstance(tq.project, exactla.Monomial)
+    assert_section_matches(tq)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_monomial_after_right_action_matches_plain(field, data):
+    """`after` with post = 1 (a right action I_pre (x) act) equals the plain
+    product, with dead columns and weights other than +-1 in the action
+    and in self, and with an action that has no rows."""
+    draw = data.draw
+    pre, d, e, rows = (draw(st.integers(1, 3)), draw(st.integers(0, 3)),
+                       draw(st.integers(0, 3)), draw(st.integers(0, 3)))
+    tgt, wt = draw(monomial_lists(field, rows, pre * d))
+    act = draw(monomial_lists(field, d, e))
+    got = exactla.Monomial(field, rows, tgt, wt).after(
+        pre, exactla.Monomial(field, d, *act), 1)
+    assert isinstance(got, exactla.Monomial)
+    assert got.cols == pre * e and got.rows == rows
+    assert got == plain_of(field, rows, tgt, wt) @ plain_identity(field, pre).kron(
+        plain_of(field, d, *act))
+
+
+def test_corpus_lift_stages_build_no_monomial_transpose(monkeypatch):
+    """Building and checking a corpus lift runs monomial pipe stages, and
+    none of them builds the column dicts of a `Monomial` (`transpose`)."""
+    from coringlab import cowreath
+    built, stage, monomial_stages = [], [0], [0]
+    real_t, real_stage = exactla.Monomial.transpose, bimodule._Stages._stage
+
+    def transpose(self):
+        if self._t is None and stage[0]:
+            built.append(self.cols)
+        return real_t(self)
+
+    def spy_stage(self, flat_map, *args):
+        monomial_stages[0] += isinstance(flat_map, exactla.Monomial)
+        stage[0] += 1
+        try:
+            return real_stage(self, flat_map, *args)
+        finally:
+            stage[0] -= 1
+
+    monkeypatch.setattr(exactla.Monomial, "transpose", transpose)
+    monkeypatch.setattr(bimodule._Stages, "_stage", spy_stage)
+    corpus = Corpus()
+    for e in (corpus.flip_entwining, corpus.dk_entwining):
+        lifted = cowreath.entwining_lift_cowreath(e, corpus.flip_cw)
+        assert cowreath.check_cowreath(lifted).ok
+    assert monomial_stages[0] >= 10
+    assert built == []

@@ -7,6 +7,7 @@ from coringlab.cli import main
 from coringlab.corpus import corpus_sessions
 from coringlab.exactla import QQ
 from coringlab.session import (
+    SECTIONS,
     SessionStore,
     parse_session,
     serialize_session,
@@ -94,6 +95,25 @@ class TestCliExitCodes:
         code = main(["--session", session_files["grouplike_coalgebras.json"],
                      "check", "coring", "nope"])
         assert code == 2
+
+    def test_unknown_skewpoly_names_its_kind(self, session_files, capsys):
+        code = main(["--session", session_files["ore_rational.json"],
+                     "ore", "check", "--data", "nope", "--degree", "2"])
+        assert code == 2
+        assert capsys.readouterr().err.strip() == "error: unknown skewpoly 'nope'"
+
+    def test_unknown_entry_messages_name_each_kind(self, session_files):
+        """Every plural section names its kind without the trailing s, as
+        it always has; `skewpoly` is singular and keeps its name."""
+        s = parse_session(session_files["ore_rational.json"])
+        for section in SECTIONS:
+            kind = section if section == "skewpoly" else section[:-1]
+            with pytest.raises(InputError) as err:
+                s.lookup(section, "nope")
+            assert str(err.value) == f"unknown {kind} 'nope'"
+            with pytest.raises(InputError) as err:
+                s.lookup(section, "nope", "$.x.y")
+            assert str(err.value) == f"$.x.y: unknown {kind} 'nope'"
 
     def test_missing_session_is_two(self, capsys):
         code = main(["--session", "/no/such/file.json",
