@@ -8,14 +8,17 @@ For each case it prints the wall-clock seconds of the lift
 and the product's `check_coring`, each run from fresh structures, and the
 dimensions of the product's coassociativity space P (x) P (x) P: the
 quotient, the factor-flat space (dim P cubed) and the leaf-flat space.
-Four more columns are not added to the total.  `quotients` is the part
+Five more columns are not added to the total.  `quotients` is the part
 of the four timings spent inside `bimodule._build_tensor`, which builds
 each tensor quotient: it shows how much of a lift is the quotients
 themselves.  `stages` is the part spent inside `bimodule._Stages._stage`,
 the pipe stages that multiply by I (x) F (x) I.  `regroup` and `rev`
 time the changes of bracketing on the coassociativity space: `regroup`
 between space(P, P, P) and space(P, P (x) P), both ways, and `rev` of
-space(P, P, P)'s quotient and of its mirror.
+space(P, P, P)'s quotient and of its mirror.  `homs` times the two
+`coring.hom_basis` solves of the cowreath adjunction, with X the lifted
+coring over itself and Y = X (x) M: Hom((Y)_xi, X) over the coring and
+Hom(Y, X (x) M) over the product.
 With `--runs N` (default 1) each case is run N times, each time from fresh
 structures, and every time column is the median of the N runs (the total
 column is the median of the per-run totals).  It checks every verdict but
@@ -33,12 +36,14 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from coringlab import bimodule
 from coringlab.algebra import group_algebra_cyclic
 from coringlab.bimodule import mirror, regroup, rev, space, tensor_over
-from coringlab.coring import check_coring, grouplike_coalgebra
+from coringlab.coring import check_coring, comodule_over_itself, grouplike_coalgebra, hom_basis
 from coringlab.cowreath import (
     check_cowreath,
     cowreath_product,
     entwining_lift_cowreath,
     flip_cowreath,
+    induced_comodule_tensor,
+    induction_xi,
 )
 from coringlab.entwine import doi_koppinen_entwining, doi_koppinen_self, flip_entwining
 from coringlab.exactla import GF, QQ, Matrix
@@ -101,15 +106,24 @@ def timed_parts(fn, *args):
 
 
 def run_case(entwine, c, d):
-    """The four timings of one case, whether every verdict passed, and the
-    product's carrier."""
+    """The four timings of one case, whether every verdict passed, the
+    lifted cowreath and its product coring."""
     e = entwine(c)
     lifted, t_lift = timed(entwining_lift_cowreath, e, flip_cowreath(c, d))
     rep, t_check = timed(check_cowreath, lifted)
     (prod, morph), t_prod = timed(cowreath_product, lifted)
     prep, t_pcheck = timed(check_coring, prod)
     times = (t_lift, t_check, t_prod, t_pcheck)
-    return times, rep.ok and morph.ok and prep.ok, prod.carrier
+    return times, rep.ok and morph.ok and prep.ok, lifted, prod
+
+
+def time_homs(w, prod):
+    """The seconds of the two Hom solves of the adjunction; the comodules
+    are built before the clock starts."""
+    x = comodule_over_itself(w.coring)
+    y = induced_comodule_tensor(w, x, prod)
+    y_xi = induction_xi(w, y, w.coring)
+    return timed(lambda: (hom_basis(y_xi, x), hom_basis(y, y)))[1]
 
 
 def time_bracketings(p):
@@ -138,17 +152,19 @@ def main(argv=None):
         ap.error("--runs must be at least 1")
     print(f"{'case':<24} {'lift':>7} {'check':>7} {'product':>8} "
           f"{'p-check':>8} {'total':>7} {'quotients':>9} {'stages':>7} {'regroup':>8} "
-          f"{'rev':>7}   "
+          f"{'rev':>7} {'homs':>7}   "
           "coassoc dims: quotient / factor-flat / leaf-flat")
     bad = 0
     for index, (label, *_) in enumerate(cases()):
-        runs, parts, brackets, ok = [], [], [], True
+        runs, parts, brackets, homs, ok = [], [], [], [], True
         for _ in range(args.runs):
             # a fresh case each run, so that no memo carries over
             _, entwine, c, d = list(cases())[index]
-            (times, passed, p), spent = timed_parts(run_case, entwine, c, d)
+            (times, passed, lifted, prod), spent = timed_parts(run_case, entwine, c, d)
             runs.append(times)
             parts.append(spent)
+            homs.append(time_homs(lifted, prod))
+            p = prod.carrier
             bracket, trips = time_bracketings(p)
             brackets.append(bracket)
             ok = ok and passed and trips
@@ -161,7 +177,7 @@ def main(argv=None):
         sp = space(p, p, p)
         print(f"{label:<24} {t_lift:7.3f} {t_check:7.3f} {t_prod:8.3f} "
               f"{t_pcheck:8.3f} {total:7.3f} {t_quot:9.3f} {t_stages:7.3f} "
-              f"{t_regroup:8.3f} {t_rev:7.3f}   "
+              f"{t_regroup:8.3f} {t_rev:7.3f} {statistics.median(homs):7.3f}   "
               f"{sp.dim} / {p.dim ** 3} / {sp.leaf_flat_dim()}")
     if bad:
         print(f"{bad} case(s) did not pass", file=sys.stderr)

@@ -58,7 +58,8 @@ The mirror reads a bimodule in the opposite bicategory: `op` gives the
 opposite algebra, `mirror` swaps a bimodule's two actions and reverses the
 factors of a tensor quotient, and `rev` is the explicit isomorphism
 x -> mirror(x); `mirror_map` conjugates a map by it.  Left-handed structures
-are checked as the mirrors of right-handed ones.
+are checked as the mirrors of right-handed ones.  Spaces of bimodule maps
+are solved in `coring.hom_basis`, with those of comodule maps.
 
 All values are immutable after construction and all operations are pure.
 Derived structures (quotients, spaces, mirrors, regular bimodules) are
@@ -1032,116 +1033,3 @@ def clear_caches():
     """Nothing to do: every memo entry is kept on the object it was built
     from and dies with it (see `memo`).  Kept so that callers which reset
     between runs still import."""
-
-
-# ---------------------------------------------------------------------------
-# solving for maps subject to linear constraints
-
-
-class MapSolver:
-    """Finds all matrices F: in_dim -> out_dim satisfying linear equations.
-
-    Each equation is a list of terms (sign, L, R, wrap, d) contributing
-    sign * L @ w(F) @ R, where w(F) is F, F (x) I_d, or I_d (x) F.  The
-    solution space is returned as its canonical kernel basis, so sampling
-    from it is reproducible.
-    """
-
-    def __init__(self, field, out_dim: int, in_dim: int):
-        self.field = field
-        self.out_dim = out_dim
-        self.in_dim = in_dim
-        self.rows: list = []
-
-    def add_equation(self, terms):
-        f = self.field
-        coeffs: dict = {}
-        shape = None
-        for sign, L, R, wrap, d in terms:
-            sgn = f.one() if sign > 0 else f.neg(f.one())
-            if shape is None:
-                shape = (L.rows, R.cols)
-            for p, lrow in L.data.items():
-                for lcol, lv in lrow.items():
-                    if wrap == "none":
-                        i, c = lcol, None
-                    elif wrap == "right":
-                        i, c = divmod(lcol, d)
-                    else:  # left
-                        c, i = divmod(lcol, self.out_dim)
-                    if i >= self.out_dim:
-                        continue
-                    for j in range(self.in_dim):
-                        if wrap == "none":
-                            rrow = j
-                        elif wrap == "right":
-                            rrow = j * d + c
-                        else:
-                            rrow = c * self.in_dim + j
-                        rr = R.data.get(rrow)
-                        if not rr:
-                            continue
-                        for q, rv in rr.items():
-                            key = (p * shape[1] + q, i * self.in_dim + j)
-                            val = f.add(coeffs.get(key, f.zero()),
-                                        f.mul(sgn, f.mul(lv, rv)))
-                            if f.is_zero(val):
-                                coeffs.pop(key, None)
-                            else:
-                                coeffs[key] = val
-        rows: dict = {}
-        for (r, c), v in coeffs.items():
-            rows.setdefault(r, {})[c] = v
-        self.rows.extend(rows.values())
-        return self
-
-    def add_intertwining(self, pairs):
-        """F . a = b . F for each (b, a) in order: b acts on the output
-        space and a on the input space."""
-        ident_in = Matrix.identity(self.field, self.in_dim)
-        ident_out = Matrix.identity(self.field, self.out_dim)
-        for b, a in pairs:
-            self.add_equation([(1, b, ident_in, "none", 0),
-                               (-1, ident_out, a, "none", 0)])
-        return self
-
-    def solve_basis(self):
-        """Canonical basis of the solution space, as a list of matrices."""
-        from .exactla import kernel_basis
-        n = self.out_dim * self.in_dim
-        mat = Matrix(self.field, len(self.rows), n,
-                     {i: dict(r) for i, r in enumerate(self.rows) if r})
-        ker = kernel_basis(mat)
-        out = []
-        for t in range(ker.cols):
-            col = ker.col(t)
-            entries = {}
-            for flat, v in col.items():
-                i, j = divmod(flat, self.in_dim)
-                entries[(i, j)] = v
-            out.append(Matrix.from_entries(self.field, self.out_dim,
-                                           self.in_dim, entries))
-        return out
-
-
-def sample_solutions(basis, count, seed, field):
-    """Deterministic small-integer combinations of a solution basis."""
-    import random
-    rng = random.Random(seed)
-    out = []
-    if not basis:
-        return out
-    guard = 0
-    while len(out) < count and guard < 50 * count:
-        guard += 1
-        coeffs = [rng.randint(-2, 2) for _ in basis]
-        if all(c == 0 for c in coeffs):
-            continue
-        acc = Matrix.zeros(field, basis[0].rows, basis[0].cols)
-        for c, b in zip(coeffs, basis):
-            if c:
-                acc = acc + b.scale(field.from_int(c))
-        if acc.is_zero():
-            continue
-        out.append(acc)
-    return out

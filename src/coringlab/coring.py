@@ -4,6 +4,14 @@ A coring over A is an A-bimodule C with A-bilinear comultiplication
 Delta: C -> C (x)_A C and counit eps: C -> A satisfying coassociativity and
 the two counit laws; the counit laws are evaluated through the explicit unit
 isomorphisms, never by silent identification.
+
+Hom bases.  `hom_basis` solves every Hom space the package needs: bimodule
+maps, colinear bimodule maps between comodules on one side, and bicolinear
+maps between bicomodules.  Each constraint is one linear equation in the
+unknown matrix F, L . F = P . w(F) . S with w(F) = F (x) I_d or I_d (x) F,
+and the answer is the canonical kernel basis of the reduced echelon form,
+which depends only on the solution space.  The samplers of the adjunctions
+and of twist-object morphisms draw from these bases (`sample_solutions`).
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ from .bimodule import (
     space,
     tensor_maps,
 )
+from .exactla import kernel_basis
 from .reports import InputError, Report, Witness
 
 
@@ -302,6 +311,91 @@ def is_colinear(f: LinearMap, src: Comodule, dst: Comodule) -> Report:
         )
     compare_maps(rep, "colinear", lhs, rhs)
     return rep
+
+
+def hom_basis(src, dst) -> list:
+    """Canonical basis, as matrices, of the maps src -> dst that are
+    bimodule maps between two `Bimodule`s, colinear bimodule maps between
+    two `Comodule`s on one side of a coring, or bicolinear bimodule maps
+    between two `Bicomodule`s.  Comodules on different sides, or over
+    corings of different dimensions, raise InputError.
+
+    Every constraint is L . F = P . w(F) . S with w(F) = F (x) I_d (right)
+    or I_d (x) F (left).  An action pair b . F = F . a is the case d = 1,
+    P = I.  A coaction's is rho' . F = P . w(F) . S with P the projection
+    onto the target's tensor quotient and S the section of the source's
+    after rho, which is exact on the bimodule maps the action pairs cut
+    out.  The basis is the kernel basis of the reduced echelon form, which
+    depends only on the solution space, so it is the same however the
+    constraints are written."""
+    if isinstance(src, Bicomodule):
+        pairs = [(src.left_part(), dst.left_part()),
+                 (src.right_part(), dst.right_part())]
+    elif isinstance(src, Comodule):
+        if src.side != dst.side:
+            raise InputError("comodule sides differ")
+        pairs = [(src, dst)]
+    else:
+        pairs = []
+    X, Y = (getattr(m, "carrier", m) for m in (src, dst))
+    f = X.field
+    n_in, n_out = X.dim, Y.dim
+    ident = Matrix.identity(f, n_out)
+    eqs = [(b, ident, a, "right", 1)
+           for b, a in zip(Y.left_action + Y.right_action,
+                           X.left_action + X.right_action)]
+    for s, t in pairs:
+        C = s.coring.carrier
+        sp_x, sp_y = ((space(X, C), space(Y, C)) if s.side == "right"
+                      else (space(C, X), space(C, Y)))
+        if t.coaction.matrix.rows != sp_y.dim:
+            raise InputError("comodules over different corings")
+        eqs.append((t.coaction.matrix, sp_y.project,
+                    sp_x.section @ s.coaction.matrix, s.side, C.dim))
+    rows = []
+    for L, P, S, side, d in eqs:
+        block: dict = {}
+        for p, lrow in L.data.items():
+            for i, v in lrow.items():
+                for q in range(n_in):
+                    block.setdefault(p * n_in + q, {})[i * n_in + q] = v
+        for p, prow in P.data.items():
+            for r, pv in prow.items():
+                i, c = divmod(r, d) if side == "right" else divmod(r, n_out)[::-1]
+                for j in range(n_in):
+                    s_at = j * d + c if side == "right" else c * n_in + j
+                    for q, sv in S.data.get(s_at, {}).items():
+                        row, key = block.setdefault(p * n_in + q, {}), i * n_in + j
+                        row[key] = f.sub(row.get(key, f.zero()), f.mul(pv, sv))
+        rows += ({k: v for k, v in row.items() if not f.is_zero(v)}
+                 for row in block.values())
+    ker = kernel_basis(Matrix(f, len(rows), n_out * n_in, dict(enumerate(rows))))
+    return [Matrix.from_entries(f, n_out, n_in, {divmod(k, n_in): v
+                                                 for k, v in ker.col(t).items()})
+            for t in range(ker.cols)]
+
+
+def sample_solutions(basis, count, seed, field):
+    """Deterministic small-integer combinations of a solution basis."""
+    import random
+    rng = random.Random(seed)
+    out = []
+    if not basis:
+        return out
+    guard = 0
+    while len(out) < count and guard < 50 * count:
+        guard += 1
+        coeffs = [rng.randint(-2, 2) for _ in basis]
+        if all(c == 0 for c in coeffs):
+            continue
+        acc = Matrix.zeros(field, basis[0].rows, basis[0].cols)
+        for c, b in zip(coeffs, basis):
+            if c:
+                acc = acc + b.scale(field.from_int(c))
+        if acc.is_zero():
+            continue
+        out.append(acc)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -19,18 +19,17 @@ from __future__ import annotations
 from .algebra import multiplication_matrix
 from .bimodule import (
     LinearMap,
-    MapSolver,
     Matrix,
     bilinearity_report,
     mirror_map,
     pipe,
     regroup,
     regular_bimodule,
-    sample_solutions,
     space,
     tensor_over,
 )
-from .coring import Comodule, Coring, check_coring_morphism, compare_maps, flip_map
+from .coring import (Comodule, Coring, check_coring_morphism, compare_maps, flip_map,
+                     hom_basis, sample_solutions)
 from .entwine import EntwiningStructure, entwined_coring, lift_r_object, _normal_form_matrix
 from .rcat import (LObject, RMorphism, RObject, check_r_morphism, check_r_object,
                    identity_r_object, mirror_object, r_tensor_objects)
@@ -232,18 +231,25 @@ def unit_cowreath(c: Coring) -> Cowreath:
 def flip_cowreath(c: Coring, d: Coring, name=None) -> Cowreath:
     """Coalgebra D over coalgebra C through the flip, xi = C (x) eps_D,
     delta = C (x) comult_D."""
-    C, D = c.carrier, d.carrier
-    obj = RObject(c, D, flip_map(C, D), name=f"({d.name},flip)")
-    kreg = regular_bimodule(c.base)
+    obj = RObject(c, d.carrier, flip_map(c.carrier, d.carrier),
+                  name=f"({d.name},flip)")
+    return _flip_shaped(obj, d, name or f"flip({c.name},{d.name})")
+
+
+def _flip_shaped(obj: RObject, d: Coring, name) -> Cowreath:
+    """The cowreath on obj, whose carrier is that of the coring d, with
+    xi = C (x) eps_D (then absorbed) and delta = C (x) comult_D."""
+    C, D = obj.coring.carrier, d.carrier
+    areg = regular_bimodule(obj.coring.base)
     xi = (
-        pipe(space(C, D)).apply(d.counit, 1, 1, [kreg]).absorb_left(1)
+        pipe(space(C, D)).apply(d.counit, 1, 1, [areg]).absorb_left(1)
         .done(space(C), name="xi")
     )
     delta = (
         pipe(space(C, D)).apply(d.comult, 1, 1, [D, D])
         .done(space(C, D, D), name="delta")
     )
-    return Cowreath(obj, xi, delta, name=name or f"flip({c.name},{d.name})")
+    return Cowreath(obj, xi, delta, name=name)
 
 
 class LCowreath:
@@ -327,15 +333,7 @@ def coring_distributive_cowreath(c: Coring, d: Coring, dmap: LinearMap,
         raise PreconditionFailure(rep)
 
     obj = RObject(c, D, dmap, name=f"({d.name},{dmap.name})")
-    xi = (
-        pipe(space(C, D)).apply(d.counit, 1, 1, [areg]).absorb_left(1)
-        .done(space(C), name="xi")
-    )
-    delta = (
-        pipe(space(C, D)).apply(d.comult, 1, 1, [D, D])
-        .done(space(C, D, D), name="delta")
-    )
-    right = Cowreath(obj, xi, delta, name=name or f"dl({c.name},{d.name})")
+    right = _flip_shaped(obj, d, name or f"dl({c.name},{d.name})")
 
     lobj = LObject(d, C, dmap, name=f"({c.name},{dmap.name})")
     xi_l = (
@@ -635,9 +633,18 @@ def induction_xi(w: Cowreath, y: Comodule, c: Coring, name=None) -> Comodule:
     return Comodule("right", c, Y, coaction, name=name or f"{y.name}_xi")
 
 
+def _right_comodules(*comodules):
+    """Raise InputError naming the first comodule that is not a right one."""
+    for m in comodules:
+        if m.side != "right":
+            raise InputError(f"the adjunction takes right comodules; "
+                             f"{m.name} is a {m.side} comodule")
+
+
 def adjunction_hat(w: Cowreath, x: Comodule, y: Comodule,
                    f: LinearMap) -> LinearMap:
     """Transpose a map (Y)_xi -> X to a map Y -> X (x) M."""
+    _right_comodules(x, y)
     c = w.coring
     C, M = c.carrier, w.object.carrier
     X, Y = x.carrier, y.carrier
@@ -658,6 +665,7 @@ def adjunction_hat(w: Cowreath, x: Comodule, y: Comodule,
 def adjunction_tilde(w: Cowreath, x: Comodule, y: Comodule,
                      g: LinearMap) -> LinearMap:
     """Transpose a map Y -> X (x) M back to a map (Y)_xi -> X."""
+    _right_comodules(x, y)
     c = w.coring
     C, M = c.carrier, w.object.carrier
     X, Y = x.carrier, y.carrier
@@ -767,39 +775,15 @@ def sample_adjunction_maps(w: Cowreath, x: Comodule, y: Comodule,
                            count=5, seed=0):
     """Deterministic sample of maps (Y)_xi -> X that are bimodule maps and
     colinear for the xi-corestricted coaction."""
-    c = w.coring
-    C = c.carrier
-    X, Y = x.carrier, y.carrier
-    f_field = X.field
-    solver = MapSolver(f_field, X.dim, Y.dim).add_intertwining(
-        [*zip(X.left_action, Y.left_action), *zip(X.right_action, Y.right_action)])
-    y_xi = induction_xi(w, y, c)
-    xc = space(X, C)
-    yc = space(Y, C)
-    solver.add_equation([
-        (1, x.coaction.matrix, Matrix.identity(f_field, Y.dim), "none", 0),
-        (-1, xc.project, yc.section @ y_xi.coaction.matrix, "right", C.dim),
-    ])
-    basis = solver.solve_basis()
-    mats = sample_solutions(basis, count, seed, f_field)
-    return [LinearMap(Y, X, m, name=f"s{i}") for i, m in enumerate(mats)]
+    basis = hom_basis(induction_xi(w, y, w.coring), x)
+    mats = sample_solutions(basis, count, seed, x.carrier.field)
+    return [LinearMap(y.carrier, x.carrier, m, name=f"s{i}")
+            for i, m in enumerate(mats)]
 
 
 def sample_vw_maps(o: RObject, z: Comodule, count=5, seed=0):
     """Deterministic sample of bicomodule maps C (x) Y -> Z."""
-    c = o.coring
-    C, Y, Z = c.carrier, o.carrier, z.carrier
-    f_field = C.field
     wy = vw_functor_w(o)
-    CY = wy.carrier
-    solver = MapSolver(f_field, Z.dim, CY.dim).add_intertwining(
-        [*zip(Z.left_action, CY.left_action), *zip(Z.right_action, CY.right_action)])
-    zc = space(Z, C)
-    cyc = space(CY, C)
-    solver.add_equation([
-        (1, z.coaction.matrix, Matrix.identity(f_field, CY.dim), "none", 0),
-        (-1, zc.project, cyc.section @ wy.coaction.matrix, "right", C.dim),
-    ])
-    basis = solver.solve_basis()
-    mats = sample_solutions(basis, count, seed, f_field)
-    return [LinearMap(CY, Z, m, name=f"s{i}") for i, m in enumerate(mats)]
+    mats = sample_solutions(hom_basis(wy, z), count, seed, z.carrier.field)
+    return [LinearMap(wy.carrier, z.carrier, m, name=f"s{i}")
+            for i, m in enumerate(mats)]

@@ -20,7 +20,6 @@ from __future__ import annotations
 from .bimodule import (
     Bimodule,
     LinearMap,
-    Matrix,
     bilinearity_report,
     mirror,
     mirror_map,
@@ -30,7 +29,7 @@ from .bimodule import (
     space,
     tensor_over,
 )
-from .coring import Bicomodule, Coring, compare_maps, coop
+from .coring import Bicomodule, Coring, compare_maps, coop, hom_basis, sample_solutions
 from .reports import InputError, Report, mirrored_report
 
 
@@ -320,39 +319,12 @@ def check_r_algebra(o: RObject, eta: LinearMap, mu: LinearMap) -> Report:
 
 
 def sample_r_morphisms(src: RObject, dst: RObject, count=5, seed=0):
-    """Deterministic sample of morphisms src -> dst over a ground-field
-    coring, by solving the two colinearity constraints exactly."""
-    from .bimodule import MapSolver, sample_solutions
-    c = src.coring
-    if c.base.dim != 1:
-        raise InputError("morphism sampling is implemented over the field")
-    C = c.carrier
-    M, N = src.carrier, dst.carrier
-    f = C.field
-    dc = C.dim
-    dom = src.cm.quotient
-    cod = dst.cm.quotient
-    delta = c.cc.section @ c.comult.matrix  # flat comultiplication
-    d_m = delta.kron(Matrix.identity(f, M.dim))
-    d_n = delta.kron(Matrix.identity(f, N.dim))
-    tw_m = src.twist.matrix
-    tw_n = dst.twist.matrix
-    ic = Matrix.identity(f, dc)
-    solver = MapSolver(f, cod.dim, dom.dim)
-    # left colinearity: (comult x N).F = (C x F).(comult x M)
-    solver.add_equation([
-        (1, d_n, Matrix.identity(f, dom.dim), "none", 0),
-        (-1, Matrix.identity(f, dc * cod.dim), d_m, "left", dc),
-    ])
-    # right colinearity: (C x tw').(comult x N).F = (F x C).(C x tw).(comult x M)
-    lhs_fixed = ic.kron(tw_n) @ d_n
-    rhs_fixed = ic.kron(tw_m) @ d_m
-    solver.add_equation([
-        (1, lhs_fixed, Matrix.identity(f, dom.dim), "none", 0),
-        (-1, Matrix.identity(f, cod.dim * dc), rhs_fixed, "right", dc),
-    ])
-    basis = solver.solve_basis()
-    mats = sample_solutions(basis, count, seed, f)
+    """Deterministic sample of morphisms src -> dst: the bicolinear maps
+    between the induced bicomodules (`r_object_bicomodule`), solved
+    exactly."""
+    basis = hom_basis(r_object_bicomodule(src), r_object_bicomodule(dst))
+    dom, cod = src.cm.quotient, dst.cm.quotient
+    mats = sample_solutions(basis, count, seed, dom.field)
     return [RMorphism(src, dst, LinearMap(dom, cod, m, name=f"r{i}"))
             for i, m in enumerate(mats)]
 

@@ -23,7 +23,6 @@ from .algebra import (
 from .bimodule import (
     Bimodule,
     LinearMap,
-    MapSolver,
     Matrix,
     bilinearity_report,
     memo,
@@ -34,11 +33,10 @@ from .bimodule import (
     pipe,
     regular_bimodule,
     restricted_bimodule,
-    sample_solutions,
     space,
     tensor_over,
 )
-from .coring import compare_maps
+from .coring import compare_maps, hom_basis, sample_solutions
 from .reports import InputError, PreconditionFailure, Report, Witness, mirrored_report
 
 
@@ -1051,12 +1049,11 @@ def sample_dual_maps(o: RTObject, x_carrier: Bimodule, l_x: LinearMap,
     ext = o.ext
     tb = ext.t_bimodule
     P = o.carrier
-    f = P.field
     pt = tensor_over(P.right_algebra, P, tb)
-    pt_tt = pt_bimodule(o)
     x_lacts = element_action_matrices(l_x, tb, x_carrier)
-    solver = MapSolver(f, pt.dim, x_carrier.dim).add_intertwining(
-        [*zip(pt_tt.left_action, x_lacts), *zip(pt.right_action, x_carrier.right_action)])
-    basis = solver.solve_basis()
-    mats = sample_solutions(basis, count, seed, f)
+    src = Bimodule(ext.total, x_carrier.right_algebra, x_carrier.dim, x_lacts,
+                   x_carrier.right_action)
+    dst = Bimodule(ext.total, pt.right_algebra, pt.dim,
+                   pt_bimodule(o).left_action, pt.right_action)
+    mats = sample_solutions(hom_basis(src, dst), count, seed, P.field)
     return [LinearMap(x_carrier, pt, m, name=f"g{i}") for i, m in enumerate(mats)]

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from coringlab.exactla import QQ, Matrix
@@ -8,6 +10,7 @@ from coringlab.coring import (
     check_coring,
     comodule_over_itself,
     flip_map,
+    hom_basis,
     is_colinear,
     tensor_coalgebra,
 )
@@ -37,7 +40,7 @@ from coringlab.cowreath import (
     vw_tilde,
 )
 from coringlab.rcat import check_r_object
-from coringlab.reports import PreconditionFailure
+from coringlab.reports import InputError, PreconditionFailure
 
 
 def valid_corpus_cowreaths(corpus):
@@ -311,6 +314,54 @@ class TestAdjunction:
             if flagged:
                 break
         assert flagged is not None and flagged.witnesses
+
+
+class TestExactAdjunction:
+    """The adjunction decided on bases of both Hom spaces instead of on
+    samples: the transposes are linear, so a basis covers every map."""
+
+    DIMS = {"flip_cw": 4, "flip_cw3": 6, "unit_cw": 2, "dl_cw": 4,
+            "lifted_flip_cw": 8, "lifted_dk_cw": 8}
+
+    @pytest.mark.parametrize("which", list(DIMS))
+    def test_hom_bases_correspond(self, corpus, which):
+        w = corpus.dl_cw[0] if which == "dl_cw" else getattr(corpus, which)
+        prod, _ = cowreath_product(w)
+        x = comodule_over_itself(w.coring)
+        y = induced_comodule_tensor(w, x, prod)
+        y_xi = induction_xi(w, y, w.coring)
+        target = induced_comodule_tensor(w, x, prod)
+        left = hom_basis(y_xi, x)
+        right = hom_basis(y, target)
+        assert len(left) == len(right) == self.DIMS[which]
+        for m in left:
+            f = LinearMap(y.carrier, x.carrier, m, name="f")
+            g = adjunction_hat(w, x, y, f)
+            rep = is_colinear(g, y, target)
+            assert rep.ok, rep.summary()
+            assert adjunction_tilde(w, x, y, g).matrix == m
+        for m in right:
+            g = LinearMap(y.carrier, target.carrier, m, name="g")
+            f = adjunction_tilde(w, x, y, g)
+            rep = is_colinear(f, y_xi, x)
+            assert rep.ok, rep.summary()
+            assert adjunction_hat(w, x, y, f).matrix == m
+
+    @pytest.mark.parametrize("transpose", [adjunction_hat, adjunction_tilde])
+    def test_left_comodules_are_input_errors(self, corpus, transpose):
+        w = corpus.flip_cw
+        prod, _ = cowreath_product(w)
+        x = comodule_over_itself(corpus.c2)
+        y = induced_comodule_tensor(w, x, prod)
+        xl = comodule_over_itself(corpus.c2, side="left")
+        yl = comodule_over_itself(prod, side="left")
+        f = LinearMap(y.carrier, x.carrier,
+                      Matrix.zeros(QQ, x.carrier.dim, y.carrier.dim))
+        for xx, yy, bad in ((xl, y, xl), (x, yl, yl)):
+            with pytest.raises(InputError, match=re.escape(
+                    f"the adjunction takes right comodules; {bad.name} is a "
+                    "left comodule")):
+                transpose(w, xx, yy, f)
 
 
 class TestComparisonFunctor:

@@ -128,6 +128,14 @@
   both lists through one index list and must equal the plain product.
   Building and checking a corpus lift runs monomial stages, and none
   builds a `Monomial.transpose`.
+* `coring.hom_basis` writes each constraint of a Hom space as one sparse
+  equation in the unknown matrix instead of evaluating the checkers on
+  maps; its basis must equal `oracle_hom_basis`, the kernel of the
+  bilinearity residues and `is_colinear`'s piped coaction equations on
+  every elementary matrix, for generated bimodules over kZ2 and kZ3 (QQ
+  and GF(101)), corings over themselves as right and left comodules, both
+  Hom spaces of the cowreath adjunction and the bicomodules of twist
+  objects, over the field, the corpus kZ2 lifts and a kZ2 lift over GF(3).
 """
 
 from fractions import Fraction
@@ -148,7 +156,6 @@ from coringlab.algebra import (
 from coringlab.bimodule import (
     Bimodule,
     LinearMap,
-    MapSolver,
     TensorQuotient,
     _contract_matrix,
     associator,
@@ -166,7 +173,8 @@ from coringlab.bimodule import (
     tensor_maps,
     tensor_over,
 )
-from coringlab.coring import Coring, check_coring, check_coring_morphism, compare_maps
+from coringlab.coring import (Coring, check_coring, check_coring_morphism, compare_maps,
+                             hom_basis)
 from coringlab.corpus import Corpus
 from coringlab.exactla import GF, QQ, Echelon, Matrix, _canon, solve, vec_scale
 from coringlab.ore import (
@@ -1107,13 +1115,6 @@ class LeafPipe:
             raise InputError("pipe target leaves do not match")
         mat = deep_project(target) @ self.matrix @ deep_section(self.source)
         return LinearMap(self.source.quotient, target.quotient, mat, name)
-
-
-def hom_basis(x, y):
-    """Canonical basis of the bimodule maps x -> y."""
-    return MapSolver(x.field, y.dim, x.dim).add_intertwining(
-        [*zip(y.left_action, x.left_action), *zip(y.right_action, x.right_action)]
-    ).solve_basis()
 
 
 @st.composite
@@ -3392,3 +3393,183 @@ def test_corpus_lift_stages_build_no_monomial_transpose(monkeypatch):
         assert cowreath.check_cowreath(lifted).ok
     assert monomial_stages[0] >= 10
     assert built == []
+
+
+def _flat_image(mats):
+    """The entries of mats, stacked row major into one vector."""
+    out, off = {}, 0
+    for m in mats:
+        for r, row in m.data.items():
+            for c, v in row.items():
+                out[off + r * m.cols + c] = v
+        off += m.rows * m.cols
+    return out, off
+
+
+def _colinear_defect(e, s, t):
+    """lhs - rhs of `is_colinear`'s coaction equation for e: s -> t."""
+    C = s.coring.carrier
+    X, Y = s.carrier, t.carrier
+    if s.side == "right":
+        lhs = (bimodule.pipe(space(X)).apply(s.coaction, 0, 1, [X, C])
+               .apply(e, 0, 1, [Y]).done())
+        rhs = (bimodule.pipe(space(X)).apply(e, 0, 1, [Y])
+               .apply(t.coaction, 0, 1, [Y, C]).done())
+    else:
+        lhs = (bimodule.pipe(space(X)).apply(s.coaction, 0, 1, [C, X])
+               .apply(e, 1, 1, [Y]).done())
+        rhs = (bimodule.pipe(space(X)).apply(e, 0, 1, [Y])
+               .apply(t.coaction, 0, 1, [C, Y]).done())
+    return lhs.matrix - rhs.matrix
+
+
+def oracle_hom_basis(src, dst):
+    """The Hom space of `coring.hom_basis` by brute force: every constraint
+    evaluated on every elementary matrix E_ki (the bilinearity residues
+    b . E - E . a, and each coaction's two sides piped as `is_colinear`
+    pipes them), stacked as columns, and the kernel of that matrix.  On a
+    non-flat base the pipes are exact only for bilinear maps, which are
+    all the kernel holds, so the kernel is the Hom space."""
+    if isinstance(src, coring.Bicomodule):
+        parts = [(src.left_part(), dst.left_part()),
+                 (src.right_part(), dst.right_part())]
+    elif isinstance(src, coring.Comodule):
+        parts = [(src, dst)]
+    else:
+        parts = []
+    X, Y = (getattr(m, "carrier", m) for m in (src, dst))
+    field = X.field
+    cols, height = {}, 0
+    for k in range(Y.dim):
+        for i in range(X.dim):
+            e = LinearMap(X, Y, Matrix.from_entries(field, Y.dim, X.dim,
+                                                    {(k, i): field.one()}), "e")
+            image = [b @ e.matrix - e.matrix @ a for b, a in zip(
+                Y.left_action + Y.right_action, X.left_action + X.right_action)]
+            image += [_colinear_defect(e, s, t) for s, t in parts]
+            cols[k * X.dim + i], height = _flat_image(image)
+    rows: dict = {}
+    for c, col in cols.items():
+        for r, v in col.items():
+            rows.setdefault(r, {})[c] = v
+    ker = exactla.kernel_basis(Matrix(field, height, Y.dim * X.dim, rows))
+    return [Matrix.from_entries(field, Y.dim, X.dim,
+                                {divmod(k, X.dim): v for k, v in ker.col(t).items()})
+            for t in range(ker.cols)]
+
+
+def assert_hom_basis_matches_oracle(src, dst):
+    basis = hom_basis(src, dst)
+    assert basis == oracle_hom_basis(src, dst)
+    return basis
+
+
+@pytest.mark.parametrize("g", [2, 3])
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_hom_basis_of_bimodules_matches_oracle(field, g, data):
+    """Bimodule maps between generated bimodules over kZg and their tensor
+    quotient, in random bases, over QQ and GF(101)."""
+    base = group_algebra_cyclic(field, g)
+    m = data.draw(side_bimodule(field, base, True, "M"))
+    n = data.draw(side_bimodule(field, base, True, "N"))
+    pool = [m, n, tensor_over(base, m, n)]
+    x, y = data.draw(st.sampled_from(pool)), data.draw(st.sampled_from(pool))
+    assert_hom_basis_matches_oracle(x, y)
+
+
+def _gf3_lift():
+    """The kZ2/C2/D2 flip lift over GF(3)."""
+    from coringlab.cowreath import entwining_lift_cowreath, flip_cowreath
+    from coringlab.entwine import flip_entwining
+    field = GF(3)
+    z2 = group_algebra_cyclic(field, 2, name="kZ2")
+    c = coring.grouplike_coalgebra(field, 2, name="C2")
+    d = coring.grouplike_coalgebra(field, 2, name="D2")
+    return entwining_lift_cowreath(flip_entwining(z2, c), flip_cowreath(c, d))
+
+
+def _adjunction_comodules(w):
+    """X = C over itself, Y = X (x) M over the product and (Y)_xi."""
+    from coringlab.cowreath import cowreath_product, induced_comodule_tensor, induction_xi
+    prod, _ = cowreath_product(w)
+    x = coring.comodule_over_itself(w.coring)
+    y = induced_comodule_tensor(w, x, prod)
+    return x, y, induction_xi(w, y, w.coring)
+
+
+def _hom_case_cowreath(corpus, which):
+    return _gf3_lift() if which == "gf3_lift" else getattr(corpus, which)
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+@pytest.mark.parametrize("which", ["c2", "triv_z2", "dk", "lifted_flip_cw", "gf3_lift"])
+def test_hom_basis_of_comodules_matches_oracle(corpus, which, side):
+    """A coring over itself as a right and as a left comodule: over the
+    field (C2), over kZ2 (the trivial coring, the Doi-Koppinen entwined
+    coring and the lifted coring), and over kZ2 in GF(3)."""
+    from coringlab import entwine
+    if which == "c2":
+        c = corpus.c2
+    elif which == "triv_z2":
+        c = corpus.triv_z2
+    elif which == "dk":
+        c = entwine.entwined_coring(corpus.dk_entwining)
+    else:
+        c = _hom_case_cowreath(corpus, which).coring
+    x = coring.comodule_over_itself(c, side=side)
+    assert assert_hom_basis_matches_oracle(x, x)
+
+
+@pytest.mark.parametrize("which", ["flip_cw", "lifted_flip_cw", "lifted_dk_cw", "gf3_lift"])
+def test_hom_basis_of_adjunction_comodules_matches_oracle(corpus, which):
+    """Both Hom spaces of the cowreath adjunction: (Y)_xi -> X over C and
+    Y -> X (x) M over the product coring."""
+    x, y, y_xi = _adjunction_comodules(_hom_case_cowreath(corpus, which))
+    assert assert_hom_basis_matches_oracle(y_xi, x)
+    assert assert_hom_basis_matches_oracle(y, y)
+
+
+@pytest.mark.parametrize("which", ["flip_cw", "flip_cw3", "lifted_flip_cw", "lifted_dk_cw",
+                                   "gf3_lift"])
+def test_hom_basis_of_r_object_bicomodules_matches_oracle(corpus, which):
+    """Bicolinear maps between the bicomodules C (x) M of twist objects,
+    on the ground field and over kZ2."""
+    from coringlab.rcat import r_object_bicomodule
+    o = _hom_case_cowreath(corpus, which).object
+    b = r_object_bicomodule(o)
+    assert assert_hom_basis_matches_oracle(b, b)
+    if which == "lifted_flip_cw":
+        other = r_object_bicomodule(corpus.lifted_dk_cw.object)
+        assert_hom_basis_matches_oracle(b, other)
+
+
+def test_hom_basis_of_mixed_sides_is_input_error(corpus):
+    right = coring.comodule_over_itself(corpus.c2)
+    left = coring.comodule_over_itself(corpus.c2, side="left")
+    for src, dst in ((right, left), (left, right)):
+        with pytest.raises(InputError, match="comodule sides differ"):
+            hom_basis(src, dst)
+
+
+def test_hom_basis_of_different_corings_is_input_error(corpus):
+    """Comodules whose coactions land over corings of other dimensions
+    have no common colinearity equation."""
+    c2, c3 = (coring.comodule_over_itself(c) for c in (corpus.c2, corpus.c3))
+    for src, dst in ((c2, c3), (c3, c2)):
+        with pytest.raises(InputError, match="comodules over different corings"):
+            hom_basis(src, dst)
+
+
+@pytest.mark.parametrize("which", ["lifted_flip_cw", "lifted_dk_cw"])
+def test_sampled_r_morphisms_over_kz2_are_morphisms(corpus, which):
+    """`sample_r_morphisms` over a base that is not the ground field gives
+    twist-object morphisms."""
+    from coringlab.rcat import check_r_morphism, sample_r_morphisms
+    o = getattr(corpus, which).object
+    samples = sample_r_morphisms(o, o, count=4, seed=5)
+    assert len(samples) == 4
+    for m in samples:
+        rep = check_r_morphism(m)
+        assert rep.ok, rep.summary()

@@ -263,6 +263,7 @@ class TestAdjointCommand:
         store.add_coring("P", prod)
         xn = store.add_comodule("X", x)
         yn = store.add_comodule("Y", y)
+        store.add_comodule("XL", comodule_over_itself(CORPUS.c2, side="left"))
         fn = store.map_name(f, "f")
         path = str(tmp_path / "adj.json")
         write_session(store.raw, path)
@@ -298,6 +299,20 @@ class TestAdjointCommand:
         assert out.err == (f"error: --out {taken} is already taken in the session "
                            f"(the result would be stored as {taken}2)\n")
         assert not saved.exists()
+
+    @pytest.mark.parametrize("direction", ["hat", "tilde"])
+    @pytest.mark.parametrize("role", ["--x", "--y"])
+    def test_left_comodule_exits_2(self, hat_argv, capsys, direction, role):
+        """The adjunction takes right comodules: a left one exits 2 with one
+        error line naming it, and prints nothing on stdout."""
+        argv = list(hat_argv)
+        argv[argv.index("hat")] = direction
+        argv[argv.index(role) + 1] = "XL"
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == ("error: the adjunction takes right comodules; "
+                           "XL is a left comodule\n")
 
 
 class TestWitnessReevaluation:
