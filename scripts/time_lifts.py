@@ -52,8 +52,9 @@ from coringlab.exactla import GF, QQ, Matrix
 def cases():
     """(label, entwining builder, C, D) for each lift; C is the coalgebra
     the entwining is over and the first factor of the flip cowreath.  The
-    last two are over GF(2) and GF(3), where kZ2 and kZ3 are modular group
-    algebras, so they are not semisimple."""
+    Doi-Koppinen rows take the bialgebra kZg, with C as its coalgebra,
+    acting and coacting on itself (`doi_koppinen_self`).  The last two are over GF(2) and GF(3), where
+    kZ2 and kZ3 are modular group algebras, so they are not semisimple."""
     z2 = group_algebra_cyclic(QQ, 2, name="kZ2")
     z3 = group_algebra_cyclic(QQ, 3, name="kZ3")
 
@@ -66,6 +67,9 @@ def cases():
            gl(2, "C2"), gl(2, "D2"))
     yield "kZ2/C3/D2 flip", lambda c: flip_entwining(z2, c), gl(3, "C3"), gl(2, "D2")
     yield "kZ3/C2/D2 flip", lambda c: flip_entwining(z3, c), gl(2, "C2"), gl(2, "D2")
+    yield ("kZ3/C3/D2 doi-koppinen",
+           lambda c: doi_koppinen_entwining(doi_koppinen_self(z3, c)),
+           gl(3, "C3"), gl(2, "D2"))
     for g in (2, 3):
         field = GF(g)
         zg = group_algebra_cyclic(field, g, name=f"kZ{g}")

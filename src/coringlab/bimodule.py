@@ -42,7 +42,10 @@ projection of a union-find quotient) re-indexes and scales those rows
 from its two lists.  This is the only level, and the only projection
 mechanism: a pipe goes down by sections (`refine` splits a quotient
 factor into its two factors) and up by projections (two neighbouring
-factors merge into their quotient), one level at a time.  `Pipe.apply`
+factors merge into their quotient), one level at a time.  A plain
+carrier with the flat order of its legs' quotient over the field (the
+entwined coring's A (x) C) enters and leaves its legs by an identity map
+(`entwine.relabel`), so the lifts along an entwining are pipes too.  `Pipe.apply`
 merges the factors it consumes into their quotient, applies its map to
 that one factor and refines the image into the factors it gives;
 `Pipe.done` merges into the target's quotient; `Space.project` is those

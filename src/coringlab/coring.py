@@ -21,6 +21,7 @@ from .bimodule import (
     Bimodule,
     LinearMap,
     Matrix,
+    algebras_match,
     bilinearity_report,
     k_bimodule,
     mirror,
@@ -78,6 +79,22 @@ class Coring:
 
     def __repr__(self):
         return f"Coring({self.name} over {self.base.name}, dim={self.carrier.dim})"
+
+
+def corings_match(c: Coring, d: Coring) -> bool:
+    """c is d, or the bases `algebras_match` and the carrier actions,
+    comultiplication and counit matrices are equal."""
+    x, y = c.carrier, d.carrier
+    return c is d or (algebras_match(c.base, d.base) and x.left_action == y.left_action
+                      and x.right_action == y.right_action
+                      and c.comult.matrix == d.comult.matrix
+                      and c.counit.matrix == d.counit.matrix)
+
+
+def _same_coring(src, dst):
+    if not corings_match(src.coring, dst.coring):
+        raise InputError(f"comodules over different corings: {src.coring.name} "
+                         f"and {dst.coring.name}")
 
 
 def coop(c: Coring) -> Coring:
@@ -280,6 +297,7 @@ def is_colinear(f: LinearMap, src: Comodule, dst: Comodule) -> Report:
     rep = Report(f"colinearity of {f.name}")
     if src.side != dst.side:
         raise InputError("comodule sides differ")
+    _same_coring(src, dst)
     rep.extend(bilinearity_report(f, "map"))
     C = src.coring.carrier
     X, Y = src.carrier, dst.carrier
@@ -318,7 +336,7 @@ def hom_basis(src, dst) -> list:
     bimodule maps between two `Bimodule`s, colinear bimodule maps between
     two `Comodule`s on one side of a coring, or bicolinear bimodule maps
     between two `Bicomodule`s.  Comodules on different sides, or over
-    corings of different dimensions, raise InputError.
+    corings that do not match (`corings_match`), raise InputError.
 
     Every constraint is L . F = P . w(F) . S with w(F) = F (x) I_d (right)
     or I_d (x) F (left).  An action pair b . F = F . a is the case d = 1,
@@ -345,11 +363,10 @@ def hom_basis(src, dst) -> list:
            for b, a in zip(Y.left_action + Y.right_action,
                            X.left_action + X.right_action)]
     for s, t in pairs:
+        _same_coring(s, t)
         C = s.coring.carrier
         sp_x, sp_y = ((space(X, C), space(Y, C)) if s.side == "right"
                       else (space(C, X), space(C, Y)))
-        if t.coaction.matrix.rows != sp_y.dim:
-            raise InputError("comodules over different corings")
         eqs.append((t.coaction.matrix, sp_y.project,
                     sp_x.section @ s.coaction.matrix, s.side, C.dim))
     rows = []

@@ -16,10 +16,8 @@ co-opposite coring.
 
 from __future__ import annotations
 
-from .algebra import multiplication_matrix
 from .bimodule import (
     LinearMap,
-    Matrix,
     bilinearity_report,
     mirror_map,
     pipe,
@@ -30,7 +28,8 @@ from .bimodule import (
 )
 from .coring import (Comodule, Coring, check_coring_morphism, compare_maps, flip_map,
                      hom_basis, sample_solutions)
-from .entwine import EntwiningStructure, entwined_coring, lift_r_object, _normal_form_matrix
+from .entwine import (EntwiningStructure, entwined_coring, lift_normal_form, lift_r_object,
+                      relabel)
 from .rcat import (LObject, RMorphism, RObject, check_r_morphism, check_r_object,
                    identity_r_object, mirror_object, r_tensor_objects)
 from .reports import InputError, PreconditionFailure, Report, mirrored_report
@@ -350,56 +349,31 @@ def coring_distributive_cowreath(c: Coring, d: Coring, dmap: LinearMap,
 
 def entwining_lift_cowreath(e: EntwiningStructure, n: Cowreath,
                             name=None) -> Cowreath:
-    """Lift a cowreath over the coalgebra to one over the induced coring."""
+    """Lift a cowreath over the coalgebra to one over the induced coring:
+    n's xi and delta on the legs of `lift_normal_form`.  xi lands in a
+    coring equal to, but not, the object's (see `entwine`)."""
     cor = entwined_coring(e)
-    A = e.algebra
-    f = A.field
-    da = A.dim
-    dc = e.coalgebra.carrier.dim
-    dn = n.object.carrier.dim
     obj = lift_r_object(e, n.object)
-    M = obj.carrier
-    nf = _normal_form_matrix(e, cor.carrier, M, dn)
-    psi = e.psi.matrix
-    mu = multiplication_matrix(A)
-    ia = Matrix.identity(f, da)
-    src = space(cor.carrier, M)
-
-    # xi-tilde: normal form, A x xi x A, A x psi, mu x C
-    xi_flat = ia.kron(n.xi.matrix).kron(ia)
-    step = ia.kron(psi)
-    final = mu.kron(Matrix.identity(f, dc))
-    xi_mat = final @ step @ xi_flat @ nf @ src.section
-    xi = LinearMap(src.quotient, cor.carrier, xi_mat, name="xi-lift")
-
-    # delta-tilde: normal form, A x delta x A, then the identification
-    # sending a(x)c(x)u(x)v(x)b to (a(x)c) (x) (1(x)u(x)1) (x) (1(x)v(x)b)
-    delta_flat = ia.kron(n.delta.matrix).kron(ia)
-    dm = M.dim
-    dcc = da * dc
-    emb_entries = {}
-    for a in range(da):
-        for q in range(dc):
-            cidx = a * dc + q
-            for u in range(dn):
-                for v in range(dn):
-                    for b in range(da):
-                        col = (((a * dc + q) * dn + u) * dn + v) * da + b
-                        for k1, w1 in A.unit.items():
-                            for k2, w2 in A.unit.items():
-                                for k3, w3 in A.unit.items():
-                                    m1 = (k1 * dn + u) * da + k2
-                                    m2 = (k3 * dn + v) * da + b
-                                    row = (cidx * dm + m1) * dm + m2
-                                    key = (row, col)
-                                    val = f.mul(w1, f.mul(w2, w3))
-                                    emb_entries[key] = f.add(
-                                        emb_entries.get(key, f.zero()), val)
-    embed = Matrix.from_entries(f, dcc * dm * dm, dcc * dn * dn * da,
-                                emb_entries)
-    dst = space(cor.carrier, M, M)
-    delta_mat = dst.project @ embed @ delta_flat @ nf @ src.section
-    delta = LinearMap(src.quotient, dst.quotient, delta_mat, name="delta-lift")
+    ab, C, N, M = e.a_bimodule, e.coalgebra.carrier, n.object.carrier, obj.carrier
+    legs_c, legs_m = space(ab, C).quotient, space(ab, N, ab).quotient
+    unit = e.algebra.unit
+    # a (x) xi(c (x) u) (x) b -> a psi(xi(c (x) u) (x) b)
+    xi = (
+        lift_normal_form(e, cor.carrier, M, N)
+        .apply(n.xi, 1, 2, [C]).apply(e.psi, 1, 2, [ab, C])
+        .apply(e.mu, 0, 2, [ab]).apply(relabel(legs_c, cor.carrier), 0, 2)
+        .done(space(cor.carrier), name="xi-lift")
+    )
+    # a (x) delta(c (x) u) (x) b, with c' (x) u' (x) v' in delta's image,
+    # -> (a (x) c') (x) (1 (x) u' (x) 1) (x) (1 (x) v' (x) b)
+    delta = (
+        lift_normal_form(e, cor.carrier, M, N)
+        .apply(n.delta, 1, 2, [C, N, N]).insert_central(ab, unit, 3)
+        .insert_central(ab, unit, 3).insert_central(ab, unit, 2)
+        .apply(relabel(legs_c, cor.carrier), 0, 2)
+        .apply(relabel(legs_m, M), 1, 3).apply(relabel(legs_m, M), 2, 3)
+        .done(space(cor.carrier, M, M), name="delta-lift")
+    )
     return Cowreath(obj, xi, delta, name=name or f"lift({n.name})")
 
 

@@ -1,6 +1,17 @@
 """Entwining structures over the ground field, their induced corings over
 the algebra, the Doi-Koppinen construction, object lifting, and the induced
 wreath data over the coalgebra.
+
+The induced coring's maps and the lifts are pipes over the ground-field
+legs A, C and N.  The plain carriers A (x) C and A (x) N (x) A have the flat
+order of their legs' quotient over the field, and `relabel` is the
+identity between the two.  `lift_normal_form` pushes the middle A of
+(A (x) C) (x)_A (A (x) N (x) A) through psi and multiplies; each lifted map
+then applies N's map, psi, mu and A's unit, relabels back and ends in
+`done`.  `cowreath.entwining_lift_cowreath` builds the entwined coring
+twice, itself and in `lift_r_object`: xi lands in the first, the object
+lives over the second, and saved lift sessions hold both, so building one
+would change their bytes.
 """
 
 from __future__ import annotations
@@ -13,8 +24,8 @@ from .algebra import (
     multiplication_matrix,
     unit_column,
 )
-from .bimodule import Bimodule, LinearMap, Matrix, k_bimodule, memo, regular_bimodule, space
-from .coring import Coring
+from .bimodule import Bimodule, LinearMap, Matrix, k_bimodule, memo, pipe, regular_bimodule, space
+from .coring import Coring, corings_match
 from .rcat import RObject, check_r_algebra
 from .reports import InputError, Report, Witness
 
@@ -45,6 +56,13 @@ class EntwiningStructure:
     @property
     def a_bimodule(self):
         return algebra_as_k_bimodule(self.algebra, self.kalg)
+
+    @property
+    def mu(self):
+        """The multiplication of A on the ground-field legs A (x) A -> A."""
+        ab = self.a_bimodule
+        return LinearMap(space(ab, ab).quotient, ab, multiplication_matrix(self.algebra),
+                         name="mu")
 
     def __repr__(self):
         return f"Entwining({self.algebra.name}, {self.coalgebra.name})"
@@ -144,29 +162,23 @@ def entwined_coring(e: EntwiningStructure, name=None) -> Coring:
               for p in range(da) for q in range(dc)]
     carrier = Bimodule(A, A, da * dc, left, right, labels,
                        name=name or f"{A.name}(x){C.name}")
-    sp = space(carrier, carrier)
-    dmat = _comult_flat(C)
-    entries = {}
-    dcc = da * dc
-    for p in range(da):
-        for q in range(dc):
-            for flat, v in dmat.col(q).items():
-                jj, ll = divmod(flat, dc)
-                for k, w in A.unit.items():
-                    row = (p * dc + jj) * dcc + (k * dc + ll)
-                    entries[(row, p * dc + q)] = f.mul(v, w)
-    up = Matrix.from_entries(f, dcc * dcc, dcc, entries)
-    comult = LinearMap(carrier, sp.quotient, sp.project @ up, name="comult")
-    eps_entries = {}
-    epsm = e.coalgebra.counit.matrix
-    for p in range(da):
-        for q in range(dc):
-            v = epsm.entry(0, q)
-            if not f.is_zero(v):
-                eps_entries[(p, p * dc + q)] = v
-    counit = LinearMap(carrier, regular_bimodule(A),
-                       Matrix.from_entries(f, da, dcc, eps_entries),
-                       name="counit")
+    ab, cc = e.a_bimodule, C.carrier
+    legs = space(ab, cc).quotient
+    to_legs, from_legs = relabel(carrier, legs), relabel(legs, carrier)
+    # a (x) c -> (a (x) c1) (x) (1 (x) c2)
+    comult = (
+        pipe(space(carrier)).apply(to_legs, 0, 1, [ab, cc])
+        .apply(C.comult, 1, 1, [cc, cc]).insert_central(ab, A.unit, 2)
+        .apply(from_legs, 0, 2).apply(from_legs, 1, 2)
+        .done(space(carrier, carrier), name="comult")
+    )
+    # a (x) c -> a . eps(c)
+    counit = (
+        pipe(space(carrier)).apply(to_legs, 0, 1, [ab, cc])
+        .apply(C.counit, 1, 1).absorb_left(1)
+        .apply(relabel(ab, regular_bimodule(A)), 0, 1)
+        .done(name="counit")
+    )
     return Coring(A, carrier, comult, counit,
                   name=name or f"{A.name}(x){C.name}")
 
@@ -339,53 +351,46 @@ def lift_carrier(e: EntwiningStructure, n_carrier: Bimodule) -> Bimodule:
                     name=f"{A.name}(x){n_carrier.name}(x){A.name}")
 
 
-def _normal_form_matrix(e: EntwiningStructure, coring_carrier: Bimodule,
-                        m_carrier: Bimodule, dn: int) -> Matrix:
-    """Flat map (A (x) C) (x) (A (x) N (x) A) -> A (x) C (x) N (x) A that
-    pushes the middle algebra leg through the entwining map."""
-    A = e.algebra
-    f = A.field
-    da, dc = A.dim, e.coalgebra.carrier.dim
-    psi = e.psi.matrix
-    mu = multiplication_matrix(A)
-    ident_tail = Matrix.identity(f, dn * da)
-    step1 = Matrix.identity(f, da).kron(psi).kron(ident_tail)
-    step2 = mu.kron(Matrix.identity(f, dc * dn * da))
-    return step2 @ step1
+def relabel(src: Bimodule, dst: Bimodule) -> LinearMap:
+    """The identity between two bimodules with one flat basis order: a plain
+    carrier over A and the ground-field quotient of its legs, either way."""
+    return LinearMap(src, dst, Matrix.identity(src.field, src.dim), name="relabel")
+
+
+def lift_normal_form(e: EntwiningStructure, coring_carrier: Bimodule,
+                     m_carrier: Bimodule, n_carrier: Bimodule):
+    """The pipe from (A (x) C) (x)_A (A (x) N (x) A) to the ground-field legs
+    [A, C, N, A]: relabel both carriers into their legs, push the middle A
+    leg through the entwining map and multiply the two A legs,
+    a (x) c (x) a' (x) u (x) b -> a psi(c (x) a') (x) u (x) b."""
+    ab, C = e.a_bimodule, e.coalgebra.carrier
+    return (
+        pipe(space(coring_carrier, m_carrier))
+        .apply(relabel(coring_carrier, space(ab, C).quotient), 0, 1, [ab, C])
+        .apply(relabel(m_carrier, space(ab, n_carrier, ab).quotient), 2, 1,
+               [ab, n_carrier, ab])
+        .apply(e.psi, 1, 2, [ab, C]).apply(e.mu, 0, 2, [ab])
+    )
 
 
 def lift_r_object(e: EntwiningStructure, n: RObject, name=None) -> RObject:
     """Lift an object over the coalgebra to one over the induced coring."""
-    if n.coring is not e.coalgebra and n.coring.carrier.dim != e.coalgebra.carrier.dim:
-        raise InputError("object must live over the entwining coalgebra")
+    if not corings_match(n.coring, e.coalgebra):
+        raise InputError(f"object over {n.coring.name} must live over the "
+                         f"entwining coalgebra {e.coalgebra.name}")
     cor = entwined_coring(e)
-    A = e.algebra
-    f = A.field
-    da, dc, dn = A.dim, e.coalgebra.carrier.dim, n.carrier.dim
-    M = lift_carrier(e, n.carrier)
-    nf = _normal_form_matrix(e, cor.carrier, M, dn)
-    psi = e.psi.matrix
-    # over the field the twist of n already acts on plain flat coordinates
-    ntw_flat = n.twist.matrix
-    step_a = Matrix.identity(f, da).kron(ntw_flat).kron(Matrix.identity(f, da))
-    step_b = Matrix.identity(f, da * dn).kron(psi)
-    # embed A (x) N (x) A (x) C into M (x)_A coring
-    entries = {}
-    dm = da * dn * da
-    dcc = da * dc
-    for a in range(da):
-        for u in range(dn):
-            for b in range(da):
-                for q in range(dc):
-                    col = ((a * dn + u) * da + b) * dc + q
-                    for k, w in A.unit.items():
-                        row = ((a * dn + u) * da + b) * dcc + (k * dc + q)
-                        entries[(row, col)] = w
-    embed = Matrix.from_entries(f, dm * dcc, dm * dc, entries)
-    src = space(cor.carrier, M)
-    dst = space(M, cor.carrier)
-    mat = dst.project @ embed @ step_b @ step_a @ nf @ src.section
-    twist = LinearMap(src.quotient, dst.quotient, mat, name="lifted-twist")
+    ab, C, N = e.a_bimodule, e.coalgebra.carrier, n.carrier
+    M = lift_carrier(e, N)
+    # after the normal form: twist C (x) N, push the last A leg through psi
+    # and embed a (x) u (x) b (x) c as (a (x) u (x) b) (x) (1 (x) c)
+    twist = (
+        lift_normal_form(e, cor.carrier, M, N)
+        .apply(n.twist, 1, 2, [N, C]).apply(e.psi, 2, 2, [ab, C])
+        .insert_central(ab, e.algebra.unit, 3)
+        .apply(relabel(space(ab, N, ab).quotient, M), 0, 3)
+        .apply(relabel(space(ab, C).quotient, cor.carrier), 1, 2)
+        .done(space(M, cor.carrier), name="lifted-twist")
+    )
     return RObject(cor, M, twist, name=name or f"lift({n.name})")
 
 

@@ -1,7 +1,10 @@
+import re
+
 import pytest
 
 from coringlab.exactla import QQ, Matrix
 from coringlab.algebra import field_algebra
+from coringlab.reports import InputError
 from coringlab.bimodule import LinearMap, space
 from coringlab.coring import (
     Bicomodule,
@@ -11,8 +14,10 @@ from coringlab.coring import (
     check_coring,
     check_coring_morphism,
     comodule_over_itself,
+    corings_match,
     grouplike_coalgebra,
     grouplike_primitive_coalgebra,
+    hom_basis,
     is_colinear,
     tensor_coalgebra,
     trivial_coring,
@@ -96,6 +101,44 @@ class TestColinearity:
         rep = is_colinear(perm, m, m)
         assert not rep.ok
         assert any("g" in str(w.basis) for w in rep.witnesses)
+
+
+class TestCoringsMatch:
+    """Comodules compare only over one coring: the same object, or one
+    with equal base, carrier actions, comultiplication and counit."""
+
+    def test_equal_structure_matches(self, corpus):
+        import os
+        from coringlab.entwine import entwined_coring
+        from coringlab.session import parse_session
+        assert corings_match(corpus.c2, corpus.c2)
+        assert corings_match(corpus.c2, corpus.d2)
+        lifted = corpus.lifted_flip_cw
+        assert lifted.xi.codomain is not lifted.coring.carrier
+        assert corings_match(lifted.coring, entwined_coring(corpus.flip_entwining))
+        path = os.path.join(os.path.dirname(__file__), "..", "sessions",
+                            "grouplike_coalgebras.json")
+        loaded = parse_session(path).lookup("corings", "C2")
+        assert loaded is not corpus.c2 and corings_match(loaded, corpus.c2)
+
+    def test_other_structure_does_not_match(self, corpus):
+        assert not corings_match(corpus.c2, corpus.gp)
+        assert not corings_match(corpus.c2, corpus.c3)
+        assert not corings_match(corpus.c2, corpus.triv_z2)
+        assert not corings_match(corpus.c2, corpus.broken_coalgebra)
+
+    def test_hom_basis_and_colinearity_refuse_other_corings(self, corpus):
+        x, y = comodule_over_itself(corpus.c2), comodule_over_itself(corpus.gp)
+        message = re.escape("comodules over different corings: C2 and C[g,x]")
+        with pytest.raises(InputError, match=message):
+            hom_basis(x, y)
+        with pytest.raises(InputError, match=message):
+            is_colinear(LinearMap.identity(corpus.c2.carrier), x, y)
+
+    def test_equal_corings_are_accepted(self, corpus):
+        x, y = comodule_over_itself(corpus.c2), comodule_over_itself(corpus.d2)
+        assert len(hom_basis(x, y)) == 2
+        assert is_colinear(LinearMap.identity(corpus.c2.carrier), x, y).ok
 
 
 class TestCoringMorphism:

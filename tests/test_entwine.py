@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from coringlab.exactla import QQ, Matrix
@@ -129,6 +131,22 @@ class TestLift:
         lifted = lift_r_object(corpus.flip_entwining, bad)
         rep = check_r_object(lifted)
         assert not rep.ok and rep.witnesses
+
+
+    def test_lift_over_another_coring_is_input_error(self, corpus):
+        """C[g,x] has the dimension of C2 but another comultiplication."""
+        from coringlab.cowreath import entwining_lift_cowreath, flip_cowreath
+        w = flip_cowreath(corpus.gp, corpus.d2)
+        message = re.escape("object over C[g,x] must live over the entwining coalgebra C2")
+        with pytest.raises(InputError, match=message):
+            lift_r_object(corpus.flip_entwining, w.object)
+        with pytest.raises(InputError, match=message):
+            entwining_lift_cowreath(corpus.flip_entwining, w)
+
+    def test_lift_over_an_equal_coring_is_accepted(self, corpus):
+        from coringlab.cowreath import check_cowreath, entwining_lift_cowreath, flip_cowreath
+        w = flip_cowreath(corpus.d2, corpus.c2)
+        assert check_cowreath(entwining_lift_cowreath(corpus.flip_entwining, w)).ok
 
 
 class TestEntwiningWreath:

@@ -136,6 +136,14 @@
   and GF(101)), corings over themselves as right and left comodules, both
   Hom spaces of the cowreath adjunction and the bicomodules of twist
   objects, over the field, the corpus kZ2 lifts and a kZ2 lift over GF(3).
+* Lifts along an entwining are pipes over the ground-field legs A, C and
+  N.  The lifted twist, xi and delta, and the comultiplication and counit
+  of `entwined_coring`, must equal the flat Kronecker chains and embedding
+  loops they replaced, kept here as the oracle, entry for entry.  Inputs:
+  the corpus flip and Doi-Koppinen lifts, kZ3/C2/D2, kZ2/C3/D2, the
+  kZ3/C3/D2 Doi-Koppinen lift, kZ2 over GF(2) and kZ3 over GF(3), and
+  arbitrary twist, xi and delta over QQ and GF(101), which need not be
+  lawful because the construction is linear in them.
 """
 
 from fractions import Fraction
@@ -3535,14 +3543,24 @@ def test_hom_basis_of_adjunction_comodules_matches_oracle(corpus, which):
                                    "gf3_lift"])
 def test_hom_basis_of_r_object_bicomodules_matches_oracle(corpus, which):
     """Bicolinear maps between the bicomodules C (x) M of twist objects,
-    on the ground field and over kZ2."""
+    on the ground field and over kZ2.  The flip lift's bicomodule is also
+    compared with that of another object lifted along the flip entwining,
+    over an equal but distinct coring.  The Doi-Koppinen lift's coring has
+    another right action, so a Hom space between the two lifts is an input
+    error."""
+    from coringlab.entwine import lift_r_object
     from coringlab.rcat import r_object_bicomodule
     o = _hom_case_cowreath(corpus, which).object
     b = r_object_bicomodule(o)
     assert assert_hom_basis_matches_oracle(b, b)
     if which == "lifted_flip_cw":
-        other = r_object_bicomodule(corpus.lifted_dk_cw.object)
-        assert_hom_basis_matches_oracle(b, other)
+        other = r_object_bicomodule(lift_r_object(corpus.flip_entwining,
+                                                  corpus.flip_cw3.object))
+        assert other.left_coring is not b.left_coring
+        assert assert_hom_basis_matches_oracle(b, other)
+        dk = r_object_bicomodule(corpus.lifted_dk_cw.object)
+        with pytest.raises(InputError, match="comodules over different corings"):
+            hom_basis(b, dk)
 
 
 def test_hom_basis_of_mixed_sides_is_input_error(corpus):
@@ -3573,3 +3591,212 @@ def test_sampled_r_morphisms_over_kz2_are_morphisms(corpus, which):
     for m in samples:
         rep = check_r_morphism(m)
         assert rep.ok, rep.summary()
+
+
+# ---------------------------------------------------------------------------
+# lifts along an entwining: pipes over the ground-field legs against the
+# flat Kronecker chains and embedding loops they replaced
+
+
+def _normal_form_matrix(e, coring_carrier, m_carrier, dn):
+    """Flat map (A (x) C) (x) (A (x) N (x) A) -> A (x) C (x) N (x) A that
+    pushes the middle algebra leg through the entwining map."""
+    from coringlab.algebra import multiplication_matrix
+    A = e.algebra
+    f = A.field
+    da, dc = A.dim, e.coalgebra.carrier.dim
+    psi = e.psi.matrix
+    mu = multiplication_matrix(A)
+    ident_tail = Matrix.identity(f, dn * da)
+    step1 = Matrix.identity(f, da).kron(psi).kron(ident_tail)
+    step2 = mu.kron(Matrix.identity(f, dc * dn * da))
+    return step2 @ step1
+
+
+def flat_lifted_twist(e, n):
+    """The matrix of the lifted twist of the object n, as `lift_r_object`
+    built it from flat Kronecker chains."""
+    from coringlab.entwine import entwined_coring, lift_carrier
+    cor = entwined_coring(e)
+    A = e.algebra
+    f = A.field
+    da, dc, dn = A.dim, e.coalgebra.carrier.dim, n.carrier.dim
+    M = lift_carrier(e, n.carrier)
+    nf = _normal_form_matrix(e, cor.carrier, M, dn)
+    psi = e.psi.matrix
+    # over the field the twist of n already acts on plain flat coordinates
+    ntw_flat = n.twist.matrix
+    step_a = Matrix.identity(f, da).kron(ntw_flat).kron(Matrix.identity(f, da))
+    step_b = Matrix.identity(f, da * dn).kron(psi)
+    # embed A (x) N (x) A (x) C into M (x)_A coring
+    entries = {}
+    dm = da * dn * da
+    dcc = da * dc
+    for a in range(da):
+        for u in range(dn):
+            for b in range(da):
+                for q in range(dc):
+                    col = ((a * dn + u) * da + b) * dc + q
+                    for k, w in A.unit.items():
+                        row = ((a * dn + u) * da + b) * dcc + (k * dc + q)
+                        entries[(row, col)] = w
+    embed = Matrix.from_entries(f, dm * dcc, dm * dc, entries)
+    src = space(cor.carrier, M)
+    dst = space(M, cor.carrier)
+    return dst.project @ embed @ step_b @ step_a @ nf @ src.section
+
+
+def flat_lifted_xi_delta(e, n, cor_carrier, M):
+    """The matrices of xi and delta of the cowreath n lifted onto the
+    coring carrier cor_carrier and the lifted carrier M, as
+    `entwining_lift_cowreath` built them from flat Kronecker chains."""
+    from coringlab.algebra import multiplication_matrix
+    A = e.algebra
+    f = A.field
+    da = A.dim
+    dc = e.coalgebra.carrier.dim
+    dn = n.object.carrier.dim
+    nf = _normal_form_matrix(e, cor_carrier, M, dn)
+    psi = e.psi.matrix
+    mu = multiplication_matrix(A)
+    ia = Matrix.identity(f, da)
+    src = space(cor_carrier, M)
+
+    # xi-tilde: normal form, A x xi x A, A x psi, mu x C
+    xi_flat = ia.kron(n.xi.matrix).kron(ia)
+    step = ia.kron(psi)
+    final = mu.kron(Matrix.identity(f, dc))
+    xi_mat = final @ step @ xi_flat @ nf @ src.section
+
+    # delta-tilde: normal form, A x delta x A, then the identification
+    # sending a(x)c(x)u(x)v(x)b to (a(x)c) (x) (1(x)u(x)1) (x) (1(x)v(x)b)
+    delta_flat = ia.kron(n.delta.matrix).kron(ia)
+    dm = M.dim
+    dcc = da * dc
+    emb_entries = {}
+    for a in range(da):
+        for q in range(dc):
+            cidx = a * dc + q
+            for u in range(dn):
+                for v in range(dn):
+                    for b in range(da):
+                        col = (((a * dc + q) * dn + u) * dn + v) * da + b
+                        for k1, w1 in A.unit.items():
+                            for k2, w2 in A.unit.items():
+                                for k3, w3 in A.unit.items():
+                                    m1 = (k1 * dn + u) * da + k2
+                                    m2 = (k3 * dn + v) * da + b
+                                    row = (cidx * dm + m1) * dm + m2
+                                    key = (row, col)
+                                    val = f.mul(w1, f.mul(w2, w3))
+                                    emb_entries[key] = f.add(
+                                        emb_entries.get(key, f.zero()), val)
+    embed = Matrix.from_entries(f, dcc * dm * dm, dcc * dn * dn * da,
+                                emb_entries)
+    dst = space(cor_carrier, M, M)
+    delta_mat = dst.project @ embed @ delta_flat @ nf @ src.section
+    return xi_mat, delta_mat
+
+
+def flat_entwined_comult_counit(e, carrier):
+    """The matrices of the comultiplication and counit of the entwined
+    coring on carrier, as `entwined_coring` built them by embedding loops."""
+    from coringlab.entwine import _comult_flat
+    A, C = e.algebra, e.coalgebra
+    da, dc = A.dim, C.carrier.dim
+    f = A.field
+    sp = space(carrier, carrier)
+    dmat = _comult_flat(C)
+    entries = {}
+    dcc = da * dc
+    for p in range(da):
+        for q in range(dc):
+            for flat, v in dmat.col(q).items():
+                jj, ll = divmod(flat, dc)
+                for k, w in A.unit.items():
+                    row = (p * dc + jj) * dcc + (k * dc + ll)
+                    entries[(row, p * dc + q)] = f.mul(v, w)
+    up = Matrix.from_entries(f, dcc * dcc, dcc, entries)
+    eps_entries = {}
+    epsm = e.coalgebra.counit.matrix
+    for p in range(da):
+        for q in range(dc):
+            v = epsm.entry(0, q)
+            if not f.is_zero(v):
+                eps_entries[(p, p * dc + q)] = v
+    return sp.project @ up, Matrix.from_entries(f, da, dcc, eps_entries)
+
+
+def assert_lift_matches_flat(e, n):
+    """The lifted twist, xi and delta of the cowreath n, and the
+    comultiplication and counit of the entwined coring, equal the flat
+    construction entry for entry."""
+    from coringlab.cowreath import entwining_lift_cowreath
+    from coringlab.entwine import entwined_coring
+    lifted = entwining_lift_cowreath(e, n)
+    obj = lifted.object
+    assert obj.twist.matrix == flat_lifted_twist(e, n.object)
+    xi, delta = flat_lifted_xi_delta(e, n, lifted.xi.codomain, obj.carrier)
+    assert lifted.xi.matrix == xi
+    assert lifted.delta.matrix == delta
+    for cor in (obj.coring, entwined_coring(e)):
+        comult, counit = flat_entwined_comult_counit(e, cor.carrier)
+        assert cor.comult.matrix == comult
+        assert cor.counit.matrix == counit
+    return lifted
+
+
+def lift_case(corpus, which):
+    """(entwining, cowreath over its coalgebra) of each named lift."""
+    from coringlab.coring import grouplike_coalgebra
+    from coringlab.cowreath import flip_cowreath
+    from coringlab.entwine import doi_koppinen_entwining, doi_koppinen_self, flip_entwining
+    if which == "flip":
+        return corpus.flip_entwining, corpus.flip_cw
+    if which == "dk":
+        return corpus.dk_entwining, corpus.flip_cw
+    g, c, field, dk = {"kz3-c2-d2": (3, 2, QQ, False), "kz2-c3-d2": (2, 3, QQ, False),
+                       "kz3-c3-d2-dk": (3, 3, QQ, True), "kz2-gf2": (2, 2, GF(2), False),
+                       "kz3-gf3": (3, 2, GF(3), False)}[which]
+    a = group_algebra_cyclic(field, g, name=f"kZ{g}")
+    cc = grouplike_coalgebra(field, c, name=f"C{c}")
+    e = (doi_koppinen_entwining(doi_koppinen_self(a, cc)) if dk
+         else flip_entwining(a, cc))
+    return e, flip_cowreath(cc, grouplike_coalgebra(field, 2, name="D2"))
+
+
+@pytest.mark.parametrize("which", ["flip", "dk", "kz3-c2-d2", "kz2-c3-d2", "kz3-c3-d2-dk",
+                                   "kz2-gf2", "kz3-gf3"])
+def test_lift_pipes_match_flat_construction(corpus, which):
+    """The corpus flip and Doi-Koppinen lifts, kZ3/C2/D2, kZ2/C3/D2, the
+    kZ3/C3/D2 Doi-Koppinen lift and the modular kZ2 over GF(2) and kZ3
+    over GF(3)."""
+    assert_lift_matches_flat(*lift_case(corpus, which))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_lift_pipes_of_arbitrary_maps_match_flat_construction(field, data):
+    """Arbitrary twist, xi and delta over the flip or Doi-Koppinen
+    entwining of kZ2 with C2: the construction is linear in them, so they
+    need not satisfy any law."""
+    from coringlab.coring import grouplike_coalgebra
+    from coringlab.cowreath import Cowreath
+    from coringlab.entwine import doi_koppinen_entwining, doi_koppinen_self, flip_entwining
+    from coringlab.rcat import RObject
+    a = group_algebra_cyclic(field, 2, name="kZ2")
+    c = grouplike_coalgebra(field, 2, name="C2")
+    e = (doi_koppinen_entwining(doi_koppinen_self(a, c)) if data.draw(st.booleans())
+         else flip_entwining(a, c))
+    dn = data.draw(st.integers(1, 2))
+    n = k_bimodule(c.base, dn, name="N")
+    cn, nc, cnn = space(c.carrier, n), space(n, c.carrier), space(c.carrier, n, n)
+
+    def arbitrary(dom, cod, name):
+        return LinearMap(dom.quotient, cod.quotient,
+                         data.draw(shaped_matrix(field, cod.dim, dom.dim)), name)
+
+    obj = RObject(c, n, arbitrary(cn, nc, "twist"))
+    w = Cowreath(obj, arbitrary(cn, space(c.carrier), "xi"), arbitrary(cn, cnn, "delta"))
+    assert_lift_matches_flat(e, w)

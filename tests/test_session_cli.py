@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -190,6 +191,15 @@ class TestCliBuilds:
                      "--out", "L", "--save", saved]) == 0
         assert main(["--session", saved, "check", "cowreath", "L"]) == 0
 
+    def test_build_lift_saves_pinned_bytes(self, session_files, tmp_path):
+        """The saved lift, with its two equal entwined corings, byte for byte."""
+        saved = tmp_path / "lift.json"
+        assert main(["--session", session_files["cowreaths.json"],
+                     "build", "lift", "flip-ent", "flip",
+                     "--out", "L", "--save", str(saved)]) == 0
+        assert hashlib.sha256(saved.read_bytes()).hexdigest() == (
+            "5ab29f61009264a0d6f30b3a8630a983cd6514a926550a0e70327e2dbe22ef65")
+
     def test_build_wreath_product_from_named_wreath(self, session_files,
                                                     tmp_path):
         saved = str(tmp_path / "with_wp.json")
@@ -220,6 +230,16 @@ class TestCliBuilds:
         assert main(["--session", session_files[fname],
                      "build", kind, *names, "--out", "x"]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_build_lift_over_another_coring_exits_2(self, session_files, capsys):
+        """`unit` is a cowreath over the trivial kZ2 coring, which has the
+        dimension of the entwining's C2 but another base."""
+        assert main(["--session", session_files["cowreaths.json"],
+                     "build", "lift", "flip-ent", "unit", "--out", "L"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: object over triv(kZ2) must live over the entwining "
+                       "coalgebra C2\n")
 
     @pytest.mark.parametrize("fname, kind, names, out, stored", [
         ("cowreaths.json", "cowreath-product", ["flip"], "C2", "C22"),

@@ -2,9 +2,11 @@
 the text of `json.dumps(raw, indent=1, sort_keys=True)`, which stays here
 as the oracle.  It is checked on the shipped files, on `SessionStore`
 output for the corpus corings, cowreaths, products and lifts and for the
-ladder products over QQ and GF(101), and on generated JSON trees."""
+ladder products over QQ and GF(101), and on generated JSON trees.  The
+bytes of the two corpus lifts with their products are pinned by digest."""
 
 import glob
+import hashlib
 import json
 import os
 
@@ -51,6 +53,24 @@ def test_corpus_objects_products_and_lifts(corpus):
             store.add_cowreath("W", obj)
             store.add_coring("P", cowreath_product(obj)[0])
         assert serialize_session(store.raw) == oracle(store.raw), name
+
+
+# sha256 of the serialized one-lift sessions (the lifted cowreath W and its
+# product coring P); a change to these bytes changes the session format
+LIFT_DIGESTS = {
+    "lifted_flip_cw": "72dd8d7e041be593c575c9fad24143b8471d72910bbdcd4c51c51090c6dca975",
+    "lifted_dk_cw": "4bfb03ccc725cf647dbf4aecd101da2c22b074c270237c34f6b4f3710365da84",
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIFT_DIGESTS))
+def test_lift_bytes_are_pinned(corpus, name):
+    w = getattr(corpus, name)
+    store = SessionStore.empty(QQ)
+    store.add_cowreath("W", w)
+    store.add_coring("P", cowreath_product(w)[0])
+    text = serialize_session(store.raw)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == LIFT_DIGESTS[name]
 
 
 @pytest.mark.parametrize("field", [QQ, GF(101)], ids=repr)
