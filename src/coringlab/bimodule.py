@@ -65,6 +65,9 @@ are checked as the mirrors of right-handed ones.  Spaces of bimodule maps
 are solved in `coring.hom_basis`, with those of comodule maps.
 
 All values are immutable after construction and all operations are pure.
+A pipe is a value too: each stage returns a new `Pipe` and leaves its
+input as it was, so a checker builds a prefix that several of its
+composites share once, binds it to a name and continues it on each branch.
 Derived structures (quotients, spaces, mirrors, regular bimodules) are
 memoized by `memo` on the object they are built from, so an entry lives
 exactly as long as its owner and nothing is kept at module level.  The memo
@@ -809,16 +812,29 @@ def mirror_map(f: LinearMap, dom: Space = None, cod: Space = None) -> LinearMap:
 
 
 class _Stages:
-    """A matrix into the factor-flat space of a factor list, changed stage by
-    stage: a stage replaces the factors at [at, at+takes) by `gives` and
-    multiplies by I (x) F (x) I through `padded_matmul`, so the Kronecker
-    product is never built.  A monomial F (`exactla.Monomial`) takes its
-    own kernel, which moves each row of the matrix to its target row,
-    scaled by its weight, and builds no column dict."""
+    """A matrix into the factor-flat space of a factor tuple, changed stage
+    by stage.  A stage is a new value and leaves its input as it was: it
+    replaces the factors at [at, at+takes) by `gives` and multiplies by
+    I (x) F (x) I through `padded_matmul`, so the Kronecker product is never
+    built.  A monomial F (`exactla.Monomial`) takes its own kernel, which
+    moves each row of the matrix to its target row, scaled by its weight,
+    and builds no column dict."""
 
-    def __init__(self, factors, matrix):
-        self.factors = list(factors)
+    __slots__ = ("factors", "matrix", "source")
+
+    def __init__(self, factors, matrix, source=None):
+        self.factors = tuple(factors)
         self.matrix = matrix
+        self.source = source
+
+    def _with(self, at, takes, gives, matrix):
+        """A copy of self on matrix, with the factors at [at, at+takes)
+        replaced by gives."""
+        new = object.__new__(type(self))
+        new.source = self.source
+        new.factors = self.factors[:at] + tuple(gives) + self.factors[at + takes:]
+        new.matrix = matrix
+        return new
 
     def _stage(self, flat_map: Matrix, at, takes, gives):
         dims = [f.dim for f in self.factors]
@@ -826,34 +842,36 @@ class _Stages:
         if flat_map.cols != mid:
             raise InputError(
                 f"stage expects flat dim {mid}, map has {flat_map.cols}")
-        self.matrix = flat_map.padded_matmul(
-            prod(dims[:at]), prod(dims[at + takes:]), self.matrix)
-        self.factors[at:at + takes] = list(gives)
-        return self
+        return self._with(at, takes, gives, flat_map.padded_matmul(
+            prod(dims[:at]), prod(dims[at + takes:]), self.matrix))
 
     def _level(self, mat, at, takes, gives):
         """The stage of mat, a quotient's projection or section; a flat
         quotient's is the marked identity and only renames the factors."""
         if mat.is_identity:
-            self.factors[at:at + takes] = gives
-            return self
+            return self._with(at, takes, gives, self.matrix)
         return self._stage(mat, at, takes, gives)
 
     def _merge(self, node, at):
         """Merge the factors from position at on into node, which they
         bracket: children first, each quotient by its projection."""
-        if self.factors[at] is not node:
-            self._merge(node.factor_left, at)
-            self._merge(node.factor_right, at + 1)
-            self._level(node.project, at, 2, [node])
-        return self
+        if self.factors[at] is node:
+            return self
+        return (self._merge(node.factor_left, at)
+                ._merge(node.factor_right, at + 1)
+                ._level(node.project, at, 2, [node]))
 
 
 class Pipe(_Stages):
     """Builds a composite map between iterated quotients stage by stage.
 
+    A pipe is a value: every stage returns a new pipe and leaves its input
+    as it was, so a prefix that several composites share is built once,
+    bound to a name and continued on each branch.  The checkers do this
+    for the prefixes their equations share (comult (x) M, delta, ...).
+
     The accumulated matrix maps the source quotient into the factor-flat
-    space of the current factor list.  A map on some factors is applied in
+    space of the current factors.  A map on some factors is applied in
     stages: the factors are merged into their quotient by the projection of
     each level, the map acts on that one factor, and its image is refined
     into the factors given by the section of each level.  Every stage acts
@@ -869,17 +887,23 @@ class Pipe(_Stages):
     and the final projection is independent of the chosen representatives.
     """
 
+    __slots__ = ()
+
     def __init__(self, source: Space):
-        super().__init__(source.factors, source.section)
-        self.source = source
-        self.field = source.field
+        super().__init__(source.factors, source.section, source)
+
+    @property
+    def field(self):
+        return self.source.field
 
     # -- stages ---------------------------------------------------------------
 
     def apply(self, f: LinearMap, at=0, takes=1, gives=None):
         """Apply f to the factors at positions [at, at+takes): merge them
         into their quotient, apply f to it and refine its image into
-        `gives` (by default f's codomain)."""
+        `gives` (by default f's codomain).  When every level of the merge
+        (or of the refinement) is flat, it only renames factors, so the
+        stage takes the factors (or gives the factors) as they are."""
         consumed = self.factors[at:at + takes]
         dom = space(*consumed)
         if dom.quotient.dim != f.domain.dim:
@@ -892,10 +916,15 @@ class Pipe(_Stages):
             raise InputError(
                 f"pipe stage {f.name}: codomain dim {f.codomain.dim} but "
                 f"gives has dim {cod.quotient.dim}")
-        self._merge(dom.quotient, at)._stage(f.matrix, at, 1, [cod.quotient])
+        p = self
+        if dom.quotient.dim != prod(x.dim for x in consumed):
+            p, takes = p._merge(dom.quotient, at), 1
+        if cod.quotient.dim == prod(x.dim for x in gives):
+            return p._stage(f.matrix, at, takes, gives)
+        p = p._stage(f.matrix, at, takes, [cod.quotient])
         for _ in gives[1:]:
-            self.refine(at)
-        return self
+            p = p.refine(at)
+        return p
 
     def insert_central(self, b: Bimodule, element: dict, at):
         """Insert a factor at a fixed central element (units of algebras)."""
@@ -931,31 +960,32 @@ class Pipe(_Stages):
         return self._level(f.section, at, 1, [f.factor_left, f.factor_right])
 
     def _refine_all(self):
-        """Refine every quotient factor down to its leaves."""
-        at = 0
-        while at < len(self.factors):
-            if isinstance(self.factors[at], TensorQuotient):
-                self.refine(at)
+        """Refined through every quotient factor down to the leaves."""
+        p, at = self, 0
+        while at < len(p.factors):
+            if isinstance(p.factors[at], TensorQuotient):
+                p = p.refine(at)
             else:
                 at += 1
+        return p
 
     def reverse(self):
         """Reverse the leaves, m1 (x) ... (x) mk -> mk (x) ... (x) m1, and
         replace each leaf by its mirror: refine to the leaves, then renumber
         the rows of the matrix into the reversed mixed-radix order."""
-        self._refine_all()
-        dims = [l.dim for l in self.factors]
+        p = self._refine_all()
+        dims = [l.dim for l in p.factors]
+        mat = p.matrix
         if len(dims) > 1:
             rows = {}
-            for r, row in self.matrix.data.items():
+            for r, row in mat.data.items():
                 out = 0
                 for d in reversed(dims):
                     r, digit = divmod(r, d)
                     out = out * d + digit
                 rows[out] = row
-            self.matrix = Matrix(self.field, self.matrix.rows, self.matrix.cols, rows)
-        self.factors = [mirror(l) for l in reversed(self.factors)]
-        return self
+            mat = Matrix(self.field, mat.rows, mat.cols, rows)
+        return p._with(0, len(dims), [mirror(l) for l in reversed(p.factors)], mat)
 
     # -- finish ---------------------------------------------------------------
 
@@ -963,15 +993,18 @@ class Pipe(_Stages):
         """The composite into target, by default the space of the current
         factors, merged into the target's quotient by projection stages.  A
         target with other factors must have the same leaves: the current
-        factors are first refined down to them (sections)."""
+        factors are first refined down to them (sections).  A merge whose
+        levels are all flat only renames factors, and is skipped."""
+        p = self
         if target is None:
-            target = space(*self.factors)
-        if target.factors != tuple(self.factors):
-            self._refine_all()
-            if target.leaves != tuple(self.factors):
+            target = space(*p.factors)
+        if target.factors != p.factors:
+            p = p._refine_all()
+            if target.leaves != p.factors:
                 raise InputError("pipe target leaves do not match")
-        self._merge(target.quotient, 0)
-        return LinearMap(self.source.quotient, target.quotient, self.matrix, name)
+        if target.quotient.dim != prod(x.dim for x in p.factors):
+            p = p._merge(target.quotient, 0)
+        return LinearMap(self.source.quotient, target.quotient, p.matrix, name)
 
 
 def _contract_matrix(x: Bimodule, b: Bimodule, into_left: bool) -> Matrix:

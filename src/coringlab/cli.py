@@ -94,6 +94,21 @@ def parse_with_location(path):
         raise InputError(f"session file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except OSError as exc:
+        raise InputError(f"cannot read session file {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"session file {path} is not UTF-8 text ({exc.reason} "
+                         f"at byte {exc.start})") from exc
+
+
+def _save(raw, path):
+    """Write the session to path; a path that cannot be written is an
+    InputError naming it."""
+    from .session_write import write_session
+    try:
+        write_session(raw, path)
+    except OSError as exc:
+        raise InputError(f"cannot write session file {path}: {exc.strerror}") from exc
 
 
 def run_check(s, kind, name):
@@ -210,8 +225,7 @@ def main(argv=None) -> int:
             except PreconditionFailure as exc:
                 return emit([exc.report], args.format)
             if args.save:
-                from .session_write import write_session
-                write_session(s.raw, args.save)
+                _save(s.raw, args.save)
             return emit(reports, args.format)
         if args.command == "ore":
             from .ore import check_ore_wreath, ore_vs_wreath_product, twist_vs_skew_mul
@@ -227,10 +241,10 @@ def main(argv=None) -> int:
                 raise InputError("--save needs --out")
             out_map = run_adjoint(s, args)
             if args.out:
-                from .session_write import SessionStore, write_session
+                from .session_write import SessionStore
                 _stored_as(args.out, SessionStore(s).map_name(out_map, args.out))
                 if args.save:
-                    write_session(s.raw, args.save)
+                    _save(s.raw, args.save)
             payload = {
                 "name": out_map.name,
                 "matrix": session_mod._fmt_matrix(s.field, out_map.matrix),

@@ -110,33 +110,18 @@ def check_coring(c: Coring) -> Report:
     rep.extend(bilinearity_report(c.comult, "comult"))
     rep.extend(bilinearity_report(c.counit, "counit"))
     C = c.carrier
-    lhs = (
-        pipe(space(C))
-        .apply(c.comult, 0, 1, [C, C])
-        .apply(c.comult, 0, 1, [C, C])
-        .done(name="(comult x C).comult")
-    )
-    rhs = (
-        pipe(space(C))
-        .apply(c.comult, 0, 1, [C, C])
-        .apply(c.comult, 1, 1, [C, C])
-        .done(name="(C x comult).comult")
-    )
+    cm = pipe(space(C)).apply(c.comult, 0, 1, [C, C])
+    lhs = cm.apply(c.comult, 0, 1, [C, C]).done(name="(comult x C).comult")
+    rhs = cm.apply(c.comult, 1, 1, [C, C]).done(name="(C x comult).comult")
     compare_maps(rep, "coassoc", lhs, rhs)
     areg = regular_bimodule(c.base)
     left = (
-        pipe(space(C))
-        .apply(c.comult, 0, 1, [C, C])
-        .apply(c.counit, 0, 1, [areg])
-        .absorb_right(0)
+        cm.apply(c.counit, 0, 1, [areg]).absorb_right(0)
         .done(name="(eps x C).comult")
     )
     compare_maps(rep, "counit-left", left, LinearMap.identity(C))
     right = (
-        pipe(space(C))
-        .apply(c.comult, 0, 1, [C, C])
-        .apply(c.counit, 1, 1, [areg])
-        .absorb_left(1)
+        cm.apply(c.counit, 1, 1, [areg]).absorb_left(1)
         .done(name="(C x eps).comult")
     )
     compare_maps(rep, "counit-right", right, LinearMap.identity(C))
@@ -204,46 +189,22 @@ def check_comodule(m: Comodule) -> Report:
     rep.extend(bilinearity_report(rho, "coaction"))
     areg = regular_bimodule(m.coring.base)
     if m.side == "right":
-        lhs = (
-            pipe(space(X))
-            .apply(rho, 0, 1, [X, C])
-            .apply(rho, 0, 1, [X, C])
-            .done(name="(rho x C).rho")
-        )
-        rhs = (
-            pipe(space(X))
-            .apply(rho, 0, 1, [X, C])
-            .apply(m.coring.comult, 1, 1, [C, C])
-            .done(name="(X x comult).rho")
-        )
+        co = pipe(space(X)).apply(rho, 0, 1, [X, C])
+        lhs = co.apply(rho, 0, 1, [X, C]).done(name="(rho x C).rho")
+        rhs = co.apply(m.coring.comult, 1, 1, [C, C]).done(name="(X x comult).rho")
         compare_maps(rep, "coaction-coassoc", lhs, rhs)
         cu = (
-            pipe(space(X))
-            .apply(rho, 0, 1, [X, C])
-            .apply(m.coring.counit, 1, 1, [areg])
-            .absorb_left(1)
+            co.apply(m.coring.counit, 1, 1, [areg]).absorb_left(1)
             .done(name="(X x eps).rho")
         )
         compare_maps(rep, "coaction-counit", cu, LinearMap.identity(X))
     else:
-        lhs = (
-            pipe(space(X))
-            .apply(rho, 0, 1, [C, X])
-            .apply(rho, 1, 1, [C, X])
-            .done(name="(C x lam).lam")
-        )
-        rhs = (
-            pipe(space(X))
-            .apply(rho, 0, 1, [C, X])
-            .apply(m.coring.comult, 0, 1, [C, C])
-            .done(name="(comult x X).lam")
-        )
+        co = pipe(space(X)).apply(rho, 0, 1, [C, X])
+        lhs = co.apply(rho, 1, 1, [C, X]).done(name="(C x lam).lam")
+        rhs = co.apply(m.coring.comult, 0, 1, [C, C]).done(name="(comult x X).lam")
         compare_maps(rep, "coaction-coassoc", lhs, rhs)
         cu = (
-            pipe(space(X))
-            .apply(rho, 0, 1, [C, X])
-            .apply(m.coring.counit, 0, 1, [areg])
-            .absorb_right(0)
+            co.apply(m.coring.counit, 0, 1, [areg]).absorb_right(0)
             .done(name="(eps x X).lam")
         )
         compare_maps(rep, "coaction-counit", cu, LinearMap.identity(X))
@@ -301,32 +262,16 @@ def is_colinear(f: LinearMap, src: Comodule, dst: Comodule) -> Report:
     rep.extend(bilinearity_report(f, "map"))
     C = src.coring.carrier
     X, Y = src.carrier, dst.carrier
+    x = pipe(space(X))
+    fx = x.apply(f, 0, 1, [Y])
     if src.side == "right":
-        lhs = (
-            pipe(space(X))
-            .apply(src.coaction, 0, 1, [X, C])
-            .apply(f, 0, 1, [Y])
-            .done(name="(f x C).rho")
-        )
-        rhs = (
-            pipe(space(X))
-            .apply(f, 0, 1, [Y])
-            .apply(dst.coaction, 0, 1, [Y, C])
-            .done(name="rho'.f")
-        )
+        lhs = x.apply(src.coaction, 0, 1, [X, C]).apply(f, 0, 1, [Y]).done(
+            name="(f x C).rho")
+        rhs = fx.apply(dst.coaction, 0, 1, [Y, C]).done(name="rho'.f")
     else:
-        lhs = (
-            pipe(space(X))
-            .apply(src.coaction, 0, 1, [C, X])
-            .apply(f, 1, 1, [Y])
-            .done(name="(C x f).lam")
-        )
-        rhs = (
-            pipe(space(X))
-            .apply(f, 0, 1, [Y])
-            .apply(dst.coaction, 0, 1, [C, Y])
-            .done(name="lam'.f")
-        )
+        lhs = x.apply(src.coaction, 0, 1, [C, X]).apply(f, 1, 1, [Y]).done(
+            name="(C x f).lam")
+        rhs = fx.apply(dst.coaction, 0, 1, [C, Y]).done(name="lam'.f")
     compare_maps(rep, "colinear", lhs, rhs)
     return rep
 

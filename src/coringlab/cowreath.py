@@ -30,8 +30,9 @@ from .coring import (Comodule, Coring, check_coring_morphism, compare_maps, flip
                      hom_basis, sample_solutions)
 from .entwine import (EntwiningStructure, entwined_coring, lift_normal_form, lift_r_object,
                       relabel)
-from .rcat import (LObject, RMorphism, RObject, check_r_morphism, check_r_object,
-                   identity_r_object, mirror_object, r_tensor_objects)
+from .rcat import (LObject, RMorphism, RObject, _check_r_object, check_r_morphism,
+                   check_r_object, identity_r_object, mirror_object,
+                   r_tensor_objects)
 from .reports import InputError, PreconditionFailure, Report, mirrored_report
 
 
@@ -60,89 +61,62 @@ class Cowreath:
         return f"Cowreath({self.name})"
 
 
-def _structure_colinearity(w: Cowreath, rep: Report):
-    """xi and delta are morphisms in the category (bicolinear maps)."""
+def _object_and_colinearity(w: Cowreath, rep: Report):
+    """The laws of w's twist object (`check_r_object`), then that xi and
+    delta are morphisms in the category (bicolinear maps), on pipes from
+    C (x) M that are built once: comult (x) M, its continuation by
+    C (x) twist, and delta.  Returns the pipes of delta and of
+    (comult x M x M).delta, which the cowreath laws continue."""
     c = w.coring
     C, M = c.carrier, w.object.carrier
     tw = w.object.twist
+    src = pipe(space(C, M))
+    cm = src.apply(c.comult, 0, 1, [C, C])
+    ct = cm.apply(tw, 1, 2, [M, C])
+    d = src.apply(w.delta, 0, 2, [C, M, M])
+    rep.extend(_check_r_object(w.object, src, ct))
     rep.extend(bilinearity_report(w.xi, "xi"))
     rep.extend(bilinearity_report(w.delta, "delta"))
 
-    lhs = (
-        pipe(space(C, M)).apply(w.xi, 0, 2, [C])
-        .apply(c.comult, 0, 1, [C, C]).done(name="comult.xi")
-    )
-    rhs = (
-        pipe(space(C, M)).apply(c.comult, 0, 1, [C, C])
-        .apply(w.xi, 1, 2, [C]).done(name="(C x xi).(comult x M)")
-    )
+    lhs = src.apply(w.xi, 0, 2, [C]).apply(c.comult, 0, 1, [C, C]).done(
+        name="comult.xi")
+    rhs = cm.apply(w.xi, 1, 2, [C]).done(name="(C x xi).(comult x M)")
     compare_maps(rep, "xi-left-colinear", lhs, rhs)
-    rhs2 = (
-        pipe(space(C, M)).apply(c.comult, 0, 1, [C, C])
-        .apply(tw, 1, 2, [M, C]).apply(w.xi, 0, 2, [C])
-        .done(name="(xi x C).(C x tw).(comult x M)")
-    )
+    rhs2 = ct.apply(w.xi, 0, 2, [C]).done(name="(xi x C).(C x tw).(comult x M)")
     compare_maps(rep, "xi-right-colinear", lhs, rhs2)
 
-    dl = (
-        pipe(space(C, M)).apply(w.delta, 0, 2, [C, M, M])
-        .apply(c.comult, 0, 1, [C, C]).done(name="(comult x M x M).delta")
-    )
-    dr = (
-        pipe(space(C, M)).apply(c.comult, 0, 1, [C, C])
-        .apply(w.delta, 1, 2, [C, M, M]).done(name="(C x delta).(comult x M)")
-    )
+    dc = d.apply(c.comult, 0, 1, [C, C])
+    dl = dc.done(name="(comult x M x M).delta")
+    dr = cm.apply(w.delta, 1, 2, [C, M, M]).done(name="(C x delta).(comult x M)")
     compare_maps(rep, "delta-left-colinear", dl, dr)
-    dl2 = (
-        pipe(space(C, M)).apply(w.delta, 0, 2, [C, M, M])
-        .apply(c.comult, 0, 1, [C, C])
-        .apply(tw, 1, 2, [M, C])
-        .apply(tw, 2, 2, [M, C])
-        .done(name="(C x tw2).(comult x MM).delta")
-    )
-    dr2 = (
-        pipe(space(C, M)).apply(c.comult, 0, 1, [C, C])
-        .apply(tw, 1, 2, [M, C])
-        .apply(w.delta, 0, 2, [C, M, M])
-        .done(name="(delta x C).(C x tw).(comult x M)")
-    )
+    dl2 = dc.apply(tw, 1, 2, [M, C]).apply(tw, 2, 2, [M, C]).done(
+        name="(C x tw2).(comult x MM).delta")
+    dr2 = ct.apply(w.delta, 0, 2, [C, M, M]).done(
+        name="(delta x C).(C x tw).(comult x M)")
     compare_maps(rep, "delta-right-colinear", dl2, dr2)
+    return d, dc
 
 
 def check_cowreath(w: Cowreath) -> Report:
-    """The three defining diagrams, after bicolinearity of xi and delta."""
+    """The three defining diagrams, after the object laws and the
+    bicolinearity of xi and delta."""
     rep = Report(f"cowreath {w.name}")
-    rep.extend(check_r_object(w.object))
-    _structure_colinearity(w, rep)
+    d, _ = _object_and_colinearity(w, rep)
     c = w.coring
     C, M = c.carrier, w.object.carrier
     tw = w.object.twist
 
-    d1 = (
-        pipe(space(C, M)).apply(w.delta, 0, 2, [C, M, M])
-        .apply(w.xi, 0, 2, [C]).done(name="(xi x M).delta")
-    )
+    d1 = d.apply(w.xi, 0, 2, [C]).done(name="(xi x M).delta")
     compare_maps(rep, "cw-counit", d1,
                  LinearMap.identity(space(C, M).quotient))
 
-    d2 = (
-        pipe(space(C, M)).apply(w.delta, 0, 2, [C, M, M])
-        .apply(tw, 0, 2, [M, C])
-        .apply(w.xi, 1, 2, [C])
-        .done(name="(M x xi).(tw x M).delta")
-    )
+    dt = d.apply(tw, 0, 2, [M, C])
+    d2 = dt.apply(w.xi, 1, 2, [C]).done(name="(M x xi).(tw x M).delta")
     compare_maps(rep, "cw-twist", d2, tw)
 
-    lhs = (
-        pipe(space(C, M)).apply(w.delta, 0, 2, [C, M, M])
-        .apply(tw, 0, 2, [M, C])
-        .apply(w.delta, 1, 2, [C, M, M])
-        .done(name="(M x delta).(tw x M).delta")
-    )
+    lhs = dt.apply(w.delta, 1, 2, [C, M, M]).done(name="(M x delta).(tw x M).delta")
     rhs = (
-        pipe(space(C, M)).apply(w.delta, 0, 2, [C, M, M])
-        .apply(w.delta, 0, 2, [C, M, M])
-        .apply(tw, 0, 2, [M, C])
+        d.apply(w.delta, 0, 2, [C, M, M]).apply(tw, 0, 2, [M, C])
         .done(name="(tw x M x M).(delta x M).delta")
     )
     compare_maps(rep, "cw-coassoc", lhs, rhs)
@@ -153,20 +127,16 @@ def check_cowreath_abstract(w: Cowreath) -> Report:
     """The coalgebra equations written through the categorical product of
     morphisms, an independent route to the same property."""
     rep = Report(f"cowreath {w.name} (abstract)")
-    rep.extend(check_r_object(w.object))
-    _structure_colinearity(w, rep)
+    _, dc = _object_and_colinearity(w, rep)
     c = w.coring
     C, M = c.carrier, w.object.carrier
     tw = w.object.twist
     areg = regular_bimodule(c.base)
     ident = LinearMap.identity(space(C, M).quotient)
 
+    dct = dc.apply(tw, 1, 2, [M, C])
     e1 = (
-        pipe(space(C, M))
-        .apply(w.delta, 0, 2, [C, M, M])
-        .apply(c.comult, 0, 1, [C, C])
-        .apply(tw, 1, 2, [M, C])
-        .apply(w.xi, 2, 2, [C])
+        dct.apply(w.xi, 2, 2, [C])
         .apply(c.counit, 2, 1, [areg])
         .absorb_left(2)
         .done(name="abstract-counit-1")
@@ -174,10 +144,7 @@ def check_cowreath_abstract(w: Cowreath) -> Report:
     compare_maps(rep, "cw-abstract-counit-1", e1, ident)
 
     e2 = (
-        pipe(space(C, M))
-        .apply(w.delta, 0, 2, [C, M, M])
-        .apply(c.comult, 0, 1, [C, C])
-        .apply(w.xi, 1, 2, [C])
+        dc.apply(w.xi, 1, 2, [C])
         .apply(c.counit, 1, 1, [areg])
         .absorb_right(1)
         .done(name="abstract-counit-2")
@@ -185,10 +152,7 @@ def check_cowreath_abstract(w: Cowreath) -> Report:
     compare_maps(rep, "cw-abstract-counit-2", e2, ident)
 
     lhs = (
-        pipe(space(C, M))
-        .apply(w.delta, 0, 2, [C, M, M])
-        .apply(c.comult, 0, 1, [C, C])
-        .apply(w.delta, 1, 2, [C, M, M])
+        dc.apply(w.delta, 1, 2, [C, M, M])
         .apply(tw, 1, 2, [M, C])
         .apply(tw, 2, 2, [M, C])
         .apply(c.counit, 3, 1, [areg])
@@ -196,11 +160,7 @@ def check_cowreath_abstract(w: Cowreath) -> Report:
         .done(name="abstract-coassoc-lhs")
     )
     rhs = (
-        pipe(space(C, M))
-        .apply(w.delta, 0, 2, [C, M, M])
-        .apply(c.comult, 0, 1, [C, C])
-        .apply(tw, 1, 2, [M, C])
-        .apply(w.delta, 2, 2, [C, M, M])
+        dct.apply(w.delta, 2, 2, [C, M, M])
         .apply(c.counit, 2, 1, [areg])
         .absorb_left(2)
         .done(name="abstract-coassoc-rhs")
@@ -230,16 +190,9 @@ def unit_cowreath(c: Coring) -> Cowreath:
 def flip_cowreath(c: Coring, d: Coring, name=None) -> Cowreath:
     """Coalgebra D over coalgebra C through the flip, xi = C (x) eps_D,
     delta = C (x) comult_D."""
-    obj = RObject(c, d.carrier, flip_map(c.carrier, d.carrier),
-                  name=f"({d.name},flip)")
-    return _flip_shaped(obj, d, name or f"flip({c.name},{d.name})")
-
-
-def _flip_shaped(obj: RObject, d: Coring, name) -> Cowreath:
-    """The cowreath on obj, whose carrier is that of the coring d, with
-    xi = C (x) eps_D (then absorbed) and delta = C (x) comult_D."""
-    C, D = obj.coring.carrier, d.carrier
-    areg = regular_bimodule(obj.coring.base)
+    C, D = c.carrier, d.carrier
+    obj = RObject(c, D, flip_map(C, D), name=f"({d.name},flip)")
+    areg = regular_bimodule(c.base)
     xi = (
         pipe(space(C, D)).apply(d.counit, 1, 1, [areg]).absorb_left(1)
         .done(space(C), name="xi")
@@ -248,7 +201,7 @@ def _flip_shaped(obj: RObject, d: Coring, name) -> Cowreath:
         pipe(space(C, D)).apply(d.comult, 1, 1, [D, D])
         .done(space(C, D, D), name="delta")
     )
-    return Cowreath(obj, xi, delta, name=name)
+    return Cowreath(obj, xi, delta, name=name or f"flip({c.name},{d.name})")
 
 
 class LCowreath:
@@ -288,61 +241,36 @@ def coring_distributive_cowreath(c: Coring, d: Coring, dmap: LinearMap,
     rep.extend(bilinearity_report(dmap, "dmap"))
     areg = regular_bimodule(c.base)
 
-    l1 = (
-        pipe(space(C, D)).apply(dmap, 0, 2, [D, C])
-        .apply(c.counit, 1, 1, [areg]).absorb_left(1).done(name="lhs")
-    )
-    r1 = (
-        pipe(space(C, D)).apply(c.counit, 0, 1, [areg]).absorb_right(0)
-        .done(name="rhs")
-    )
-    compare_maps(rep, "dl-1", l1, r1)
-    l2 = (
-        pipe(space(C, D)).apply(dmap, 0, 2, [D, C])
-        .apply(c.comult, 1, 1, [C, C]).done(name="lhs")
-    )
-    r2 = (
-        pipe(space(C, D)).apply(c.comult, 0, 1, [C, C])
-        .apply(dmap, 1, 2, [D, C])
-        .apply(dmap, 0, 2, [D, C])
-        .done(name="rhs")
-    )
+    src = pipe(space(C, D))
+    dm = src.apply(dmap, 0, 2, [D, C])
+    # eps_C (x) D and comult_C (x) D are the left xi and delta, and
+    # C (x) eps_D and C (x) comult_D the right ones, as in `flip_cowreath`
+    ed = src.apply(c.counit, 0, 1, [areg]).absorb_right(0)
+    cd = src.apply(c.comult, 0, 1, [C, C])
+    de = src.apply(d.counit, 1, 1, [areg]).absorb_left(1)
+    dd = src.apply(d.comult, 1, 1, [D, D])
+
+    l1 = dm.apply(c.counit, 1, 1, [areg]).absorb_left(1).done(name="lhs")
+    compare_maps(rep, "dl-1", l1, ed.done(name="rhs"))
+    l2 = dm.apply(c.comult, 1, 1, [C, C]).done(name="lhs")
+    r2 = cd.apply(dmap, 1, 2, [D, C]).apply(dmap, 0, 2, [D, C]).done(name="rhs")
     compare_maps(rep, "dl-2", l2, r2)
-    l3 = (
-        pipe(space(C, D)).apply(dmap, 0, 2, [D, C])
-        .apply(d.counit, 0, 1, [areg]).absorb_right(0).done(name="lhs")
-    )
-    r3 = (
-        pipe(space(C, D)).apply(d.counit, 1, 1, [areg]).absorb_left(1)
-        .done(name="rhs")
-    )
-    compare_maps(rep, "dl-3", l3, r3)
-    l4 = (
-        pipe(space(C, D)).apply(dmap, 0, 2, [D, C])
-        .apply(d.comult, 0, 1, [D, D]).done(name="lhs")
-    )
-    r4 = (
-        pipe(space(C, D)).apply(d.comult, 1, 1, [D, D])
-        .apply(dmap, 0, 2, [D, C])
-        .apply(dmap, 1, 2, [D, C])
-        .done(name="rhs")
-    )
+    l3 = dm.apply(d.counit, 0, 1, [areg]).absorb_right(0).done(name="lhs")
+    compare_maps(rep, "dl-3", l3, de.done(name="rhs"))
+    l4 = dm.apply(d.comult, 0, 1, [D, D]).done(name="lhs")
+    r4 = dd.apply(dmap, 0, 2, [D, C]).apply(dmap, 1, 2, [D, C]).done(name="rhs")
     compare_maps(rep, "dl-4", l4, r4)
     if not rep.ok:
         raise PreconditionFailure(rep)
 
     obj = RObject(c, D, dmap, name=f"({d.name},{dmap.name})")
-    right = _flip_shaped(obj, d, name or f"dl({c.name},{d.name})")
+    right = Cowreath(obj, de.done(space(C), name="xi"),
+                     dd.done(space(C, D, D), name="delta"),
+                     name=name or f"dl({c.name},{d.name})")
 
     lobj = LObject(d, C, dmap, name=f"({c.name},{dmap.name})")
-    xi_l = (
-        pipe(space(C, D)).apply(c.counit, 0, 1, [areg]).absorb_right(0)
-        .done(space(D), name="xi-left")
-    )
-    delta_l = (
-        pipe(space(C, D)).apply(c.comult, 0, 1, [C, C])
-        .done(space(C, C, D), name="delta-left")
-    )
+    xi_l = ed.done(space(D), name="xi-left")
+    delta_l = cd.done(space(C, C, D), name="delta-left")
     left = LCowreath(lobj, xi_l, delta_l, name=f"ldl({c.name},{d.name})")
     return right, left
 
@@ -357,18 +285,17 @@ def entwining_lift_cowreath(e: EntwiningStructure, n: Cowreath,
     ab, C, N, M = e.a_bimodule, e.coalgebra.carrier, n.object.carrier, obj.carrier
     legs_c, legs_m = space(ab, C).quotient, space(ab, N, ab).quotient
     unit = e.algebra.unit
+    normal = lift_normal_form(e, cor.carrier, M, N)
     # a (x) xi(c (x) u) (x) b -> a psi(xi(c (x) u) (x) b)
     xi = (
-        lift_normal_form(e, cor.carrier, M, N)
-        .apply(n.xi, 1, 2, [C]).apply(e.psi, 1, 2, [ab, C])
+        normal.apply(n.xi, 1, 2, [C]).apply(e.psi, 1, 2, [ab, C])
         .apply(e.mu, 0, 2, [ab]).apply(relabel(legs_c, cor.carrier), 0, 2)
         .done(space(cor.carrier), name="xi-lift")
     )
     # a (x) delta(c (x) u) (x) b, with c' (x) u' (x) v' in delta's image,
     # -> (a (x) c') (x) (1 (x) u' (x) 1) (x) (1 (x) v' (x) b)
     delta = (
-        lift_normal_form(e, cor.carrier, M, N)
-        .apply(n.delta, 1, 2, [C, N, N]).insert_central(ab, unit, 3)
+        normal.apply(n.delta, 1, 2, [C, N, N]).insert_central(ab, unit, 3)
         .insert_central(ab, unit, 3).insert_central(ab, unit, 2)
         .apply(relabel(legs_c, cor.carrier), 0, 2)
         .apply(relabel(legs_m, M), 1, 3).apply(relabel(legs_m, M), 2, 3)
@@ -458,44 +385,27 @@ def check_cow_comodule(x: CowComodule) -> Report:
     rep.extend(check_r_morphism(
         RMorphism(x.object, prod, conv.after(x.coaction), name="coaction")))
     if x.side == "right":
-        d1 = (
-            pipe(space(C, X)).apply(x.coaction, 0, 2, [C, X, M])
-            .apply(xt, 0, 2, [X, C])
-            .apply(w.xi, 1, 2, [C])
-            .done(name="(X x xi).(xt x M).rho")
-        )
+        co = pipe(space(C, X)).apply(x.coaction, 0, 2, [C, X, M])
+        cot = co.apply(xt, 0, 2, [X, C])
+        d1 = cot.apply(w.xi, 1, 2, [C]).done(name="(X x xi).(xt x M).rho")
         compare_maps(rep, "comodule-counit", d1, xt)
         lhs = (
-            pipe(space(C, X)).apply(x.coaction, 0, 2, [C, X, M])
-            .apply(x.coaction, 0, 2, [C, X, M])
-            .apply(xt, 0, 2, [X, C])
+            co.apply(x.coaction, 0, 2, [C, X, M]).apply(xt, 0, 2, [X, C])
             .done(name="(xt x M x M).(rho x M).rho")
         )
-        rhs = (
-            pipe(space(C, X)).apply(x.coaction, 0, 2, [C, X, M])
-            .apply(xt, 0, 2, [X, C])
-            .apply(w.delta, 1, 2, [C, M, M])
-            .done(name="(X x delta).(xt x M).rho")
-        )
+        rhs = cot.apply(w.delta, 1, 2, [C, M, M]).done(name="(X x delta).(xt x M).rho")
         compare_maps(rep, "comodule-coassoc", lhs, rhs)
     else:
-        d1 = (
-            pipe(space(C, X)).apply(x.coaction, 0, 2, [C, M, X])
-            .apply(w.xi, 0, 2, [C])
-            .done(name="(xi x X).lam")
-        )
+        co = pipe(space(C, X)).apply(x.coaction, 0, 2, [C, M, X])
+        d1 = co.apply(w.xi, 0, 2, [C]).done(name="(xi x X).lam")
         compare_maps(rep, "comodule-counit", d1,
                      LinearMap.identity(space(C, X).quotient))
         lhs = (
-            pipe(space(C, X)).apply(x.coaction, 0, 2, [C, M, X])
-            .apply(w.delta, 0, 2, [C, M, M])
-            .apply(mt, 0, 2, [M, C])
+            co.apply(w.delta, 0, 2, [C, M, M]).apply(mt, 0, 2, [M, C])
             .done(name="(tw x M x X).(delta x X).lam")
         )
         rhs = (
-            pipe(space(C, X)).apply(x.coaction, 0, 2, [C, M, X])
-            .apply(mt, 0, 2, [M, C])
-            .apply(x.coaction, 1, 2, [C, M, X])
+            co.apply(mt, 0, 2, [M, C]).apply(x.coaction, 1, 2, [C, M, X])
             .done(name="(M x lam).(tw x X).lam")
         )
         compare_maps(rep, "comodule-coassoc", lhs, rhs)

@@ -164,18 +164,17 @@ def entwined_coring(e: EntwiningStructure, name=None) -> Coring:
                        name=name or f"{A.name}(x){C.name}")
     ab, cc = e.a_bimodule, C.carrier
     legs = space(ab, cc).quotient
-    to_legs, from_legs = relabel(carrier, legs), relabel(legs, carrier)
+    from_legs = relabel(legs, carrier)
+    split = pipe(space(carrier)).apply(relabel(carrier, legs), 0, 1, [ab, cc])
     # a (x) c -> (a (x) c1) (x) (1 (x) c2)
     comult = (
-        pipe(space(carrier)).apply(to_legs, 0, 1, [ab, cc])
-        .apply(C.comult, 1, 1, [cc, cc]).insert_central(ab, A.unit, 2)
+        split.apply(C.comult, 1, 1, [cc, cc]).insert_central(ab, A.unit, 2)
         .apply(from_legs, 0, 2).apply(from_legs, 1, 2)
         .done(space(carrier, carrier), name="comult")
     )
     # a (x) c -> a . eps(c)
     counit = (
-        pipe(space(carrier)).apply(to_legs, 0, 1, [ab, cc])
-        .apply(C.counit, 1, 1).absorb_left(1)
+        split.apply(C.counit, 1, 1).absorb_left(1)
         .apply(relabel(ab, regular_bimodule(A)), 0, 1)
         .done(name="counit")
     )

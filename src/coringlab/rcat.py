@@ -82,38 +82,28 @@ class RMorphism:
 
 def check_r_object(o: RObject) -> Report:
     """Bilinearity plus the twist-comultiplication and twist-counit laws."""
+    C, M = o.coring.carrier, o.carrier
+    src = pipe(space(C, M))
+    ct = src.apply(o.coring.comult, 0, 1, [C, C]).apply(o.twist, 1, 2, [M, C])
+    return _check_r_object(o, src, ct)
+
+
+def _check_r_object(o: RObject, src, ct) -> Report:
+    """`check_r_object` on the pipe src from C (x) M and its continuation
+    ct = (C x twist).(comult x M), which a caller that checks more laws on
+    the same pipes builds once and shares."""
     rep = Report(f"twist object {o.name}")
     c = o.coring
     C, M = c.carrier, o.carrier
     rep.extend(bilinearity_report(o.twist, "twist"))
-    lhs = (
-        pipe(space(C, M))
-        .apply(o.twist, 0, 2, [M, C])
-        .apply(c.comult, 1, 1, [C, C])
-        .done(name="(M x comult).twist")
-    )
-    rhs = (
-        pipe(space(C, M))
-        .apply(c.comult, 0, 1, [C, C])
-        .apply(o.twist, 1, 2, [M, C])
-        .apply(o.twist, 0, 2, [M, C])
-        .done(name="(twist x C).(C x twist).(comult x M)")
-    )
+    tw = src.apply(o.twist, 0, 2, [M, C])
+    lhs = tw.apply(c.comult, 1, 1, [C, C]).done(name="(M x comult).twist")
+    rhs = ct.apply(o.twist, 0, 2, [M, C]).done(
+        name="(twist x C).(C x twist).(comult x M)")
     compare_maps(rep, "twist-comult", lhs, rhs)
     areg = regular_bimodule(c.base)
-    lhs2 = (
-        pipe(space(C, M))
-        .apply(o.twist, 0, 2, [M, C])
-        .apply(c.counit, 1, 1, [areg])
-        .absorb_left(1)
-        .done(name="(M x eps).twist")
-    )
-    rhs2 = (
-        pipe(space(C, M))
-        .apply(c.counit, 0, 1, [areg])
-        .absorb_right(0)
-        .done(name="eps x M")
-    )
+    lhs2 = tw.apply(c.counit, 1, 1, [areg]).absorb_left(1).done(name="(M x eps).twist")
+    rhs2 = src.apply(c.counit, 0, 1, [areg]).absorb_right(0).done(name="eps x M")
     compare_maps(rep, "twist-counit", lhs2, rhs2)
     return rep
 
@@ -125,31 +115,15 @@ def check_r_morphism(m: RMorphism) -> Report:
     C = c.carrier
     M, N = m.src.carrier, m.dst.carrier
     rep.extend(bilinearity_report(m.map, "morphism"))
-    lhs = (
-        pipe(space(C, M))
-        .apply(m.map, 0, 2, [C, N])
-        .apply(c.comult, 0, 1, [C, C])
-        .done(name="(comult x N).f")
-    )
-    rhs = (
-        pipe(space(C, M))
-        .apply(c.comult, 0, 1, [C, C])
-        .apply(m.map, 1, 2, [C, N])
-        .done(name="(C x f).(comult x M)")
-    )
+    src = pipe(space(C, M))
+    fc = src.apply(m.map, 0, 2, [C, N]).apply(c.comult, 0, 1, [C, C])
+    cm = src.apply(c.comult, 0, 1, [C, C])
+    lhs = fc.done(name="(comult x N).f")
+    rhs = cm.apply(m.map, 1, 2, [C, N]).done(name="(C x f).(comult x M)")
     compare_maps(rep, "morphism-left-colinear", lhs, rhs)
-    lhs2 = (
-        pipe(space(C, M))
-        .apply(m.map, 0, 2, [C, N])
-        .apply(c.comult, 0, 1, [C, C])
-        .apply(m.dst.twist, 1, 2, [N, C])
-        .done(name="(C x twist').(comult x N).f")
-    )
+    lhs2 = fc.apply(m.dst.twist, 1, 2, [N, C]).done(name="(C x twist').(comult x N).f")
     rhs2 = (
-        pipe(space(C, M))
-        .apply(c.comult, 0, 1, [C, C])
-        .apply(m.src.twist, 1, 2, [M, C])
-        .apply(m.map, 0, 2, [C, N])
+        cm.apply(m.src.twist, 1, 2, [M, C]).apply(m.map, 0, 2, [C, N])
         .done(name="(f x C).(C x twist).(comult x M)")
     )
     compare_maps(rep, "morphism-right-colinear", lhs2, rhs2)

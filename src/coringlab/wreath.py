@@ -190,17 +190,16 @@ def threaded_left_action(ext: RingExtension, twists, factors) -> LinearMap:
     n = len(factors)
     p = pipe(space(tb, *factors, tb))
     for i, tw in enumerate(twists):
-        p.apply(tw, i, 2, [factors[i], tb])
-    p.apply(ext.mult_map(), n, 2, [tb])
-    return p.done(space(*factors, tb), name="l-threaded")
+        p = p.apply(tw, i, 2, [factors[i], tb])
+    return p.apply(ext.mult_map(), n, 2, [tb]).done(space(*factors, tb),
+                                                    name="l-threaded")
 
 
 def outer_right_action(ext: RingExtension, factors) -> LinearMap:
     tb = ext.t_bimodule
     n = len(factors)
-    p = pipe(space(*factors, tb, tb))
-    p.apply(ext.mult_map(), n, 2, [tb])
-    return p.done(space(*factors, tb), name="r-outer")
+    return (pipe(space(*factors, tb, tb)).apply(ext.mult_map(), n, 2, [tb])
+            .done(space(*factors, tb), name="r-outer"))
 
 
 def element_action_matrices(action: LinearMap, elt_carrier: Bimodule,
@@ -601,6 +600,9 @@ def twisted_tensor_product(rext: RingExtension, text: RingExtension,
     rep.extend(bilinearity_report(rmap, "rmap"))
     one_r = rext.total.unit_vector()
     one_t = text.total.unit_vector()
+    # the inclusions r -> r (x) 1 and t -> 1 (x) t, also the two wreaths' units
+    incl_r = pipe(space(rb)).insert_central(tb, one_t, 1)
+    incl_t = pipe(space(tb)).insert_central(rb, one_r, 0)
 
     l1 = (
         pipe(space(rb))
@@ -608,8 +610,7 @@ def twisted_tensor_product(rext: RingExtension, text: RingExtension,
         .apply(rmap, 0, 2, [rb, tb])
         .done(name="lhs")
     )
-    r1 = pipe(space(rb)).insert_central(tb, one_t, 1).done(space(rb, tb))
-    compare_maps(rep, "ttp-1", l1, r1)
+    compare_maps(rep, "ttp-1", l1, incl_r.done(space(rb, tb)))
     l2 = (
         pipe(space(tb, tb, rb))
         .apply(mu_t, 0, 2, [tb])
@@ -630,8 +631,7 @@ def twisted_tensor_product(rext: RingExtension, text: RingExtension,
         .apply(rmap, 0, 2, [rb, tb])
         .done(name="lhs")
     )
-    r3 = pipe(space(tb)).insert_central(rb, one_r, 0).done(space(rb, tb))
-    compare_maps(rep, "ttp-3", l3, r3)
+    compare_maps(rep, "ttp-3", l3, incl_t.done(space(rb, tb)))
     l4 = (
         pipe(space(tb, rb, rb))
         .apply(mu_r, 1, 2, [rb])
@@ -650,20 +650,14 @@ def twisted_tensor_product(rext: RingExtension, text: RingExtension,
         raise PreconditionFailure(rep)
 
     obj = RTObject(text, rb, rmap, name=f"({rext.total.name},tw)")
-    eta = (
-        pipe(space(tb)).insert_central(rb, one_r, 0)
-        .done(space(rb, tb), name="eta")
-    )
+    eta = incl_t.done(space(rb, tb), name="eta")
     mu_w = (
         pipe(space(rb, rb, tb)).apply(mu_r, 0, 2, [rb])
         .done(space(rb, tb), name="mu")
     )
     right_wreath = Wreath(obj, eta, mu_w,
                           name=name or f"ttp({rext.total.name},{text.total.name})")
-    eta_l = (
-        pipe(space(rb)).insert_central(tb, one_t, 1)
-        .done(space(rb, tb), name="eta-left")
-    )
+    eta_l = incl_r.done(space(rb, tb), name="eta-left")
     mu_l = (
         pipe(space(rb, tb, tb)).apply(mu_t, 1, 2, [tb])
         .done(space(rb, tb), name="mu-left")
@@ -933,9 +927,9 @@ def r_action_matrices_check(mt: ModuleTwist, y: Bimodule, l_y: LinearMap,
     lx_mats = element_action_matrices(mt.l_x, rb, mt.carrier)
     one_t = mt.wreath.ext.total.unit_vector()
     sp = space(mt.carrier, y)
+    tb = mt.wreath.ext.t_bimodule
+    emb = pipe(space(rb)).insert_central(tb, one_t, 1).done(space(rb, tb))
     for i in range(mt.rext.total.dim):
-        emb = pipe(space(rb)).insert_central(
-            mt.wreath.ext.t_bimodule, one_t, 1).done(space(rb, mt.wreath.ext.t_bimodule))
         u = emb.matrix.tapply({i: f.one()})
         act_u = Matrix.zeros(f, xy.dim, xy.dim)
         for k, v in u.items():

@@ -57,6 +57,15 @@
   composites must equal those of `LeafPipe`, the leaf-flat pipe it
   replaced, on generated stage sequences over kZ2 and kZ3 and on every
   corpus checker.
+* A `Pipe` is a value: every stage returns a new pipe and leaves its input
+  as it was, so the checkers build each shared prefix once and continue it
+  on each branch.  No stage, nor `done`, may change the matrix or factors
+  of the pipe it starts from, and a prefix drawn on corpus spaces (the
+  flip cowreath and its kZ2 lift, with union-find quotients, over QQ and
+  GF(101)) and continued two ways must give the composites of two pipes
+  run from the source.  The corpus reports and maps, and the reports of
+  both corpus lifts, are pinned by digest, since the `LeafPipe` oracle
+  changes with `Pipe`.
 * Every change of bracketing is a pipe program on that level: `Pipe.done`
   into another bracketing refines to the leaves by sections and merges
   them by projections, and `Pipe.reverse` renumbers the rows into the
@@ -146,6 +155,8 @@
   lawful because the construction is linear in them.
 """
 
+import hashlib
+import json
 from fractions import Fraction
 from math import prod
 
@@ -1044,13 +1055,20 @@ def leaf_mirror_map(f, dom=None, cod=None):
 class LeafPipe:
     """The leaf-level pipe: the accumulated matrix acts on the flat space of
     the current leaves, and every stage goes through the deep projections
-    and sections of the quotients it touches."""
+    and sections of the quotients it touches.  Like `Pipe`, every stage
+    returns a new pipe and leaves its input as it was."""
 
     def __init__(self, source):
         self.source = source
         self.factors = list(source.factors)
         self.field = source.field
         self.matrix = Matrix.identity(self.field, source.leaf_flat_dim())
+
+    def _with(self, factors, matrix):
+        new = object.__new__(LeafPipe)
+        new.source, new.field = self.source, self.field
+        new.factors, new.matrix = factors, matrix
+        return new
 
     def _stage(self, flat_map, at, takes, gives):
         pre = _leaf_dim(self.factors[:at])
@@ -1064,9 +1082,8 @@ class LeafPipe:
             stage = Matrix.identity(self.field, pre).kron(stage)
         if post != 1:
             stage = stage.kron(Matrix.identity(self.field, post))
-        self.matrix = stage @ self.matrix
-        self.factors[at:at + takes] = list(gives)
-        return self
+        return self._with(self.factors[:at] + list(gives) + self.factors[at + takes:],
+                          stage @ self.matrix)
 
     def apply(self, f, at=0, takes=1, gives=None):
         dom = space(*self.factors[at:at + takes])
@@ -1106,14 +1123,13 @@ class LeafPipe:
         f = self.factors[at]
         if not isinstance(f, TensorQuotient):
             raise InputError("refine needs a TensorQuotient factor")
-        self.factors[at:at + 1] = [f.factor_left, f.factor_right]
-        return self
+        return self._with(self.factors[:at] + [f.factor_left, f.factor_right]
+                          + self.factors[at + 1:], self.matrix)
 
     def reverse(self):
         leaves = [l for f in self.factors for l in leaf_factors(f)]
-        self.matrix = leaf_reversal(leaves) @ self.matrix
-        self.factors = [mirror(l) for l in reversed(leaves)]
-        return self
+        return self._with([mirror(l) for l in reversed(leaves)],
+                          leaf_reversal(leaves) @ self.matrix)
 
     def done(self, target=None, name="pipe"):
         cur = space(*self.factors)
@@ -1230,7 +1246,7 @@ def pipe_program(draw, field, base):
 def run_program(cls, source, stages, target):
     p = cls(source)
     for stage in stages:
-        getattr(p, stage[0])(*stage[1:])
+        p = getattr(p, stage[0])(*stage[1:])
     return p.done(target)
 
 
@@ -1384,6 +1400,175 @@ def test_corpus_checkers_match_leaf_pipe(monkeypatch):
         assert a == b
 
 
+def _sha256(obj):
+    """The digest of obj as canonical JSON: sorted keys, scalars by str."""
+    text = json.dumps(obj, sort_keys=True, default=str)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_corpus_outputs_are_pinned():
+    """Every corpus report and piped structure map, byte for byte: the
+    `LeafPipe` oracle changes with `Pipe`, so the outputs are also pinned
+    without it."""
+    assert _sha256(corpus_outputs(Corpus())) == (
+        "accccda073eb2dd88d2c031dc0ecce330744ceacbe729dc2de794072cffcb130")
+
+
+@pytest.mark.parametrize("which", ["lifted_flip_cw", "lifted_dk_cw"])
+def test_lift_cowreath_reports_are_pinned(which):
+    from coringlab.cowreath import check_cowreath
+    assert _sha256(check_cowreath(getattr(Corpus(), which)).to_json()) == (
+        "6771489b51a1fa151685a1ee6d19ce960473c36e24fab339fdddd07b1cee5013")
+
+
+# ---------------------------------------------------------------------------
+# pipes are values: a shared prefix continued two ways against fresh pipes
+
+
+def test_stage_leaves_its_input_pipe_unchanged():
+    """Every stage, and `done`, returns a new value: the pipe it starts
+    from keeps its matrix (entries included) and its factors, and the same
+    stage run again on it gives the same matrix.  The spaces are those of
+    the corpus kZ2 lift, whose quotients come from the union-find."""
+    w = Corpus().lifted_flip_cw
+    c = w.coring
+    C, M = c.carrier, w.object.carrier
+    areg = regular_bimodule(c.base)
+    unit = c.base.unit_vector()
+    src = bimodule.pipe(space(C, M))
+    counit = src.apply(c.counit, 0, 1, [areg])
+    cases = [
+        (src, lambda p: p.apply(w.delta, 0, 2, [C, M, M])),
+        (src, lambda p: p.apply(w.object.twist, 0, 2)),
+        (src, lambda p: p.insert_central(areg, unit, 2)),
+        (counit, lambda p: p.absorb_right(0)),
+        (src.insert_central(areg, unit, 2), lambda p: p.absorb_left(2)),
+        (src.apply(w.xi, 0, 2, [C]).apply(c.comult, 0, 1), lambda p: p.refine(0)),
+        (src, lambda p: p.reverse()),
+        (src.apply(w.delta, 0, 2, [C, M, M]), lambda p: p.done()),
+        (src, lambda p: p.done(space(space(C, M).quotient))),
+    ]
+    for p, stage in cases:
+        factors, mat = tuple(p.factors), p.matrix
+        data = {r: dict(row) for r, row in mat.data.items()}
+        out = stage(p)
+        assert out is not p
+        assert p.matrix is mat and p.matrix.data == data
+        assert tuple(p.factors) == factors
+        assert stage(p).matrix == out.matrix
+
+
+@pytest.fixture(scope="module")
+def branch_cowreaths():
+    """{(field, kind): cowreath}: over QQ and GF(101), the corpus flip
+    cowreath on C2 and D2 (flat quotients) and its lift along the flip
+    entwining of kZ2 (union-find quotients)."""
+    from coringlab.coring import grouplike_coalgebra
+    from coringlab.cowreath import entwining_lift_cowreath, flip_cowreath
+    from coringlab.entwine import flip_entwining
+    out = {}
+    for field in FIELDS:
+        c = grouplike_coalgebra(field, 2, name="C2")
+        w = out[field, "flip"] = flip_cowreath(c, grouplike_coalgebra(field, 2, name="D2"))
+        a = group_algebra_cyclic(field, 2, name="kZ2")
+        out[field, "lift"] = entwining_lift_cowreath(flip_entwining(a, c), w)
+    return out
+
+
+# factor-flat spaces of the branch programs stay at most this large
+BRANCH_BUDGET = 256
+
+
+def _after(stage, factors):
+    """The factors after stage."""
+    kind = stage[0]
+    if kind == "apply":
+        _, _, at, takes, gives = stage
+        return factors[:at] + list(gives) + factors[at + takes:]
+    if kind == "insert_central":
+        _, b, _, at = stage
+        return factors[:at] + [b] + factors[at:]
+    at = stage[1]
+    if kind == "refine":
+        x = factors[at]
+        return factors[:at] + [x.factor_left, x.factor_right] + factors[at + 1:]
+    return factors[:at] + factors[at + 1:]  # absorb_left, absorb_right
+
+
+@st.composite
+def cowreath_stages(draw, w, factors, most):
+    """Up to `most` stages on factors: w's comult, counit, twist, xi and
+    delta where their domain sits (as leaves, or as the one quotient
+    factor), giving leaves or the codomain quotient; the unit of the base
+    inserted anywhere and absorbed into a neighbour; and `refine`.
+    Returns (stages, the factors after them)."""
+    c = w.coring
+    C, M = c.carrier, w.object.carrier
+    areg = regular_bimodule(c.base)
+    maps = [(c.comult, [C], [C, C]), (c.counit, [C], [areg]),
+            (w.object.twist, [C, M], [M, C]), (w.xi, [C, M], [C]),
+            (w.delta, [C, M], [C, M, M])]
+    factors, stages = list(factors), []
+    for _ in range(draw(st.integers(0, most))):
+        applies, refines, absorbs = [], [], []
+        for f, takes, gives in maps:
+            for shape in ([takes, [f.domain]] if len(takes) > 1 else [takes]):
+                n = len(shape)
+                for at in range(len(factors) - n + 1):
+                    if all(x is y for x, y in zip(factors[at:at + n], shape)):
+                        applies += [("apply", f, at, n, gives),
+                                    ("apply", f, at, n, [f.codomain])]
+        for at, x in enumerate(factors):
+            if isinstance(x, TensorQuotient):
+                refines.append(("refine", at))
+            if x is areg and at > 0:
+                absorbs.append(("absorb_left", at))
+            if x is areg and at < len(factors) - 1:
+                absorbs.append(("absorb_right", at))
+        inserts = [("insert_central", areg, c.base.unit_vector(), at)
+                   for at in range(len(factors) + 1)]
+        # a kind first, then a stage of it; maps are drawn most often
+        kinds = [k for k in (applies, applies, refines, absorbs, inserts) if k]
+        stage = draw(st.sampled_from(draw(st.sampled_from(kinds))))
+        new = _after(stage, factors)
+        if _leaf_dim(new) <= BRANCH_BUDGET:
+            stages.append(stage)
+            factors = new
+    return stages, factors
+
+
+@pytest.mark.parametrize("which", ["flip", "lift"])
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_shared_prefix_branches_match_fresh_pipes(branch_cowreaths, field, which, data):
+    """A prefix of stages on corpus spaces, over QQ and GF(101), built
+    once and continued two ways: each branch's composite, into the space of
+    its factors or another bracketing of them, must equal that of a pipe
+    that runs the whole program from the source, and the prefix must stay
+    as it was."""
+    w = branch_cowreaths[field, which]
+    C, M = w.coring.carrier, w.object.carrier
+    source = space(*data.draw(st.sampled_from(
+        [[C], [C, M], [space(C, M).quotient], [C, C], [C, M, M]])))
+    prefix, factors = data.draw(cowreath_stages(w, source.factors, 3))
+    shared = bimodule.pipe(source)
+    for stage in prefix:
+        shared = getattr(shared, stage[0])(*stage[1:])
+    kept = (shared.matrix, tuple(shared.factors))
+    for _ in range(2):
+        rest, end = data.draw(cowreath_stages(w, factors, 3))
+        target = data.draw(bracketing(end)) if data.draw(st.booleans()) else None
+        branch = shared
+        for stage in rest:
+            branch = getattr(branch, stage[0])(*stage[1:])
+        got = branch.done(target)
+        fresh = run_program(bimodule.Pipe, source, prefix + rest, target)
+        assert got.codomain is fresh.codomain
+        assert got.matrix == fresh.matrix
+    assert (shared.matrix, tuple(shared.factors)) == kept
+
+
 @st.composite
 def perturbation(draw, field, rows, cols):
     entries = draw(st.dictionaries(
@@ -1499,9 +1684,7 @@ def plain_stage(self, flat_map, at, takes, gives):
         stage = Matrix.identity(self.field, pre).kron(stage)
     if post != 1:
         stage = stage.kron(Matrix.identity(self.field, post))
-    self.matrix = stage @ self.matrix
-    self.factors[at:at + takes] = list(gives)
-    return self
+    return self._with(at, takes, gives, stage @ self.matrix)
 
 
 def rescaled_grouplike(field, lams, name):
@@ -1793,16 +1976,17 @@ class ProjectPipe(bimodule.Pipe):
         return self._stage(flat_map, at, takes, gives)
 
     def done(self, target=None, name="pipe"):
+        p = self
         if target is None:
-            target = space(*self.factors)
-        if target.factors != tuple(self.factors):
-            self._refine_all()
-            assert target.leaves == tuple(self.factors)
+            target = space(*p.factors)
+        if target.factors != tuple(p.factors):
+            p = p._refine_all()
+            assert target.leaves == tuple(p.factors)
             for at, f in enumerate(target.factors):
-                self._merge(f, at)
+                p = p._merge(f, at)
         proj = eager_project_section(target.factors)[0]
         return LinearMap(self.source.quotient, target.quotient,
-                         proj @ self.matrix, name)
+                         proj @ p.matrix, name)
 
 
 @st.composite
@@ -1927,9 +2111,9 @@ def test_flat_levels_cost_no_stage(field, monkeypatch):
         calls.append("padded_matmul"), _f(*a))[1])
     monkeypatch.setattr(bimodule.Pipe, "_stage", lambda *a, _f=bimodule.Pipe._stage: (
         calls.append("stage"), _f(*a))[1])
-    p.apply(f, 0, 2, [x, x, x])
+    p = p.apply(f, 0, 2, [x, x, x])
     assert calls == ["stage", "padded_matmul"]
-    p.apply(g, 2, 1, [x, x]).apply(f, 1, 2, [x, x, x])
+    p = p.apply(g, 2, 1, [x, x]).apply(f, 1, 2, [x, x, x])
     lin = p.done()
     assert calls == ["stage", "padded_matmul"] * 3
     monkeypatch.undo()

@@ -121,6 +121,22 @@ class TestCliExitCodes:
                      "check", "coring", "C2"])
         assert code == 2
 
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+    def test_unreadable_session_is_two(self, tmp_path, capsys, kind):
+        """A directory, or a file that is not UTF-8 (bytes ff fe 7b), exits
+        2 with one error line naming the path, and prints nothing on
+        stdout."""
+        path = tmp_path / "session.json"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"\xff\xfe{")
+        assert main(["--session", str(path), "check", "coring", "C2"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and str(path) in err
+        assert err.count("\n") == 1
+
     def test_json_format(self, session_files, capsys):
         code = main(["--session", session_files["entwinings.json"],
                      "check", "entwining", "dk", "--format", "json"])
@@ -261,6 +277,23 @@ class TestCliBuilds:
             f"(the result would be stored as {stored})\n")
         assert not saved.exists()
 
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    def test_build_save_to_unwritable_path_exits_2(self, session_files, tmp_path,
+                                                   capsys, where):
+        """--save into a directory that does not exist, or onto a
+        directory, exits 2 with one error line naming the path, and prints
+        no report."""
+        saved = (tmp_path / "no" / "such" / "x.json" if where == "missing-dir"
+                 else tmp_path)
+        assert main(["--session", session_files["cowreaths.json"],
+                     "build", "lift", "flip-ent", "flip",
+                     "--out", "L", "--save", str(saved)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: cannot write session file {saved}: " + (
+            "No such file or directory\n" if where == "missing-dir"
+            else "Is a directory\n")
+
 
 class TestAdjointCommand:
     @pytest.fixture
@@ -300,6 +333,31 @@ class TestAdjointCommand:
         saved = tmp_path / "saved.json"
         assert main(hat_argv + ["--out", "g", "--save", str(saved)]) == 0
         assert "g" in parse_session(str(saved)).maps
+
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    def test_save_to_unwritable_path_exits_2(self, hat_argv, tmp_path, capsys,
+                                             where):
+        """`--out g --save` to a path that cannot be written exits 2 with
+        one error line naming it, and prints no matrix."""
+        saved = tmp_path / "no" / "x.json" if where == "missing-dir" else tmp_path
+        assert main(hat_argv + ["--out", "g", "--save", str(saved)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: cannot write session file {saved}: ")
+        assert err.count("\n") == 1
+
+    def test_fixture_session_save_to_unwritable_path_exits_2(self, tmp_path, capsys):
+        """The same on the benchmark's session fixture."""
+        fixture = os.path.join(os.path.dirname(__file__), "..", "perfbench",
+                               "fixtures", "my_session.json")
+        argv = ["--session", fixture, "adjoint", "hat", "--cowreath", "W",
+                "--x", "X", "--y", "Y", "--map", "f", "--out", "g"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(argv + ["--save", str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: cannot write session file {tmp_path}: Is a directory\n"
 
     def test_save_needs_out(self, hat_argv, tmp_path, capsys):
         saved = tmp_path / "saved.json"
