@@ -8,10 +8,13 @@ For each case it prints the wall-clock seconds of the lift
 and the product's `check_coring`, each run from fresh structures, and the
 dimensions of the product's coassociativity space P (x) P (x) P: the
 quotient, the factor-flat space (dim P cubed) and the leaf-flat space.
-Five more columns are not added to the total.  `quotients` is the part
-of the four timings spent inside `bimodule._build_tensor`, which builds
-each tensor quotient: it shows how much of a lift is the quotients
-themselves.  `stages` is the part spent inside `bimodule._Stages._stage`,
+Six more columns are not added to the total.  `quotients` is the part
+of the four timings spent inside `bimodule._shared_tensor`, which makes
+each tensor quotient that the identity memo of `tensor_over` misses: it
+shows how much of a lift is the quotients themselves.  `shared` counts
+those quotients, over the four timings, as taken from the content table
+(their numeric core is that of a live quotient of equal content) against
+built by `bimodule._build_tensor`.  `stages` is the part spent inside `bimodule._Stages._stage`,
 the pipe stages that multiply by I (x) F (x) I.  `regroup` and `rev`
 time the changes of bracketing on the coassociativity space: `regroup`
 between space(P, P, P) and space(P, P (x) P), both ways, and `rev` of
@@ -83,16 +86,20 @@ def timed(fn, *args):
     return out, time.perf_counter() - t0
 
 
-PARTS = ((bimodule, "_build_tensor"), (bimodule._Stages, "_stage"))
+PARTS = ((bimodule, "_shared_tensor"), (bimodule._Stages, "_stage"),
+         (bimodule, "_build_tensor"))
 
 
 def timed_parts(fn, *args):
-    """fn(*args) and the seconds spent inside each of `PARTS` (the
-    quotients and the pipe stages) while it ran."""
-    reals, spent = [getattr(owner, name) for owner, name in PARTS], [0.0] * len(PARTS)
+    """fn(*args), and the seconds spent inside each of `PARTS` (the
+    quotients, the pipe stages and the quotients built afresh) while it
+    ran, and the calls of each."""
+    reals = [getattr(owner, name) for owner, name in PARTS]
+    spent, calls = [0.0] * len(PARTS), [0] * len(PARTS)
 
     def wrap(k, real):
         def wrapped(*a):
+            calls[k] += 1
             t0 = time.perf_counter()
             try:
                 return real(*a)
@@ -103,7 +110,7 @@ def timed_parts(fn, *args):
     for k, ((owner, name), real) in enumerate(zip(PARTS, reals)):
         setattr(owner, name, wrap(k, real))
     try:
-        return fn(*args), spent
+        return fn(*args), spent, calls
     finally:
         for (owner, name), real in zip(PARTS, reals):
             setattr(owner, name, real)
@@ -155,8 +162,8 @@ def main(argv=None):
     if args.runs < 1:
         ap.error("--runs must be at least 1")
     print(f"{'case':<24} {'lift':>7} {'check':>7} {'product':>8} "
-          f"{'p-check':>8} {'total':>7} {'quotients':>9} {'stages':>7} {'regroup':>8} "
-          f"{'rev':>7} {'homs':>7}   "
+          f"{'p-check':>8} {'total':>7} {'quotients':>9} {'shared':>7} {'stages':>7} "
+          f"{'regroup':>8} {'rev':>7} {'homs':>7}   "
           "coassoc dims: quotient / factor-flat / leaf-flat")
     bad = 0
     for index, (label, *_) in enumerate(cases()):
@@ -164,9 +171,12 @@ def main(argv=None):
         for _ in range(args.runs):
             # a fresh case each run, so that no memo carries over
             _, entwine, c, d = list(cases())[index]
-            (times, passed, lifted, prod), spent = timed_parts(run_case, entwine, c, d)
+            (times, passed, lifted, prod), spent, calls = timed_parts(
+                run_case, entwine, c, d)
             runs.append(times)
-            parts.append(spent)
+            parts.append(spent[:2])
+            # the same on every run: each starts from fresh structures
+            shared = f"{calls[0] - calls[2]}/{calls[2]}"
             homs.append(time_homs(lifted, prod))
             p = prod.carrier
             bracket, trips = time_bracketings(p)
@@ -180,7 +190,7 @@ def main(argv=None):
         t_quot, t_stages = (statistics.median(col) for col in zip(*parts))
         sp = space(p, p, p)
         print(f"{label:<24} {t_lift:7.3f} {t_check:7.3f} {t_prod:8.3f} "
-              f"{t_pcheck:8.3f} {total:7.3f} {t_quot:9.3f} {t_stages:7.3f} "
+              f"{t_pcheck:8.3f} {total:7.3f} {t_quot:9.3f} {shared:>7} {t_stages:7.3f} "
               f"{t_regroup:8.3f} {t_rev:7.3f} {statistics.median(homs):7.3f}   "
               f"{sp.dim} / {p.dim ** 3} / {sp.leaf_flat_dim()}")
     if bad:

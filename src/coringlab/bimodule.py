@@ -70,15 +70,24 @@ input as it was, so a checker builds a prefix that several of its
 composites share once, binds it to a name and continues it on each branch.
 Derived structures (quotients, spaces, mirrors, regular bimodules) are
 memoized by `memo` on the object they are built from, so an entry lives
-exactly as long as its owner and nothing is kept at module level.  The memo
-entries are the only mutable state, so concurrent readers are safe once the
-structures they share have been built.
+exactly as long as its owner and nothing is kept at module level.  A
+tensor quotient has two memo levels.  The first is keyed on the identity
+of its inputs and kept on M, so a repeated call returns the same object,
+which `regroup` and `mirror` rely on.  On a miss, a weak content table
+kept on the base algebra gives the new quotient (its own object, with its
+own factors and name) the numeric core of a live quotient whose inputs
+have the same dims and action entries: `project`, `free_cols` and the
+inherited actions, all immutable.  So equal content is built once, and
+since the table holds its quotients weakly, no entry outlives them.  The
+memo entries are the only mutable state, so concurrent readers are safe
+once the structures they share have been built.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 from math import prod
+from weakref import WeakValueDictionary
 
 from .algebra import FinAlgebra, opposite_algebra
 from .exactla import Echelon, Matrix, Monomial, Transposed
@@ -92,7 +101,10 @@ def memo(owner, key, build):
 
     A key may contain id(x) only if the built value references x: x then
     outlives every entry whose key holds its id, so no other object can
-    reuse that id while the entry is live.
+    reuse that id while the entry is live.  A built value may itself be a
+    `weakref.WeakValueDictionary` (`tensor_over`'s content table, keyed on
+    content and holding no id): its values then live as long as their
+    other references, not as long as owner.
     """
     try:
         table = owner._memo
@@ -437,7 +449,9 @@ class TensorQuotient(Bimodule):
 
 def tensor_over(a: FinAlgebra, m: Bimodule, n: Bimodule, name=None) -> TensorQuotient:
     """The quotient M (x)_A N with projection, section and inherited actions,
-    memoized on m.
+    memoized on m by the identity of a and n.  A miss takes the numeric
+    core of a live quotient over a with the same content when there is one
+    (`_shared_tensor`), so equal quotients are built once.
 
     The relation m.e_k (x) n - m (x) e_k.n is 0 for every m and n when both
     actions of e_k are marked identities, so those k contribute nothing and
@@ -471,7 +485,51 @@ def tensor_over(a: FinAlgebra, m: Bimodule, n: Bimodule, name=None) -> TensorQuo
     quotient inherits act (x) I and has nothing to check.
     """
     return memo(m, ("tensor", id(a), id(n)),
-                lambda: _build_tensor(a, m, n, name))
+                lambda: _shared_tensor(a, m, n, name))
+
+
+def _shared_tensor(a, m, n, name):
+    """M (x)_A N on a miss of the identity memo: a new quotient with its own
+    factors and name, whose numeric core (`project`, `free_cols` and the
+    inherited actions) is that of a live quotient over a with the same
+    content when there is one, else from `_build_tensor`.  The content is
+    all that the build reads: the two dims and the entries of the four
+    action lists (`_content`).  The table is a `WeakValueDictionary` kept
+    on a, so an entry lives as long as the quotient it holds; a build that
+    raises stores nothing.  A quotient whose pairs are all marked is flat
+    and costs nothing to build, so it computes no key."""
+    if all(rk.is_identity and lk.is_identity
+           for rk, lk in zip(m.right_action, n.left_action)):
+        return _build_tensor(a, m, n, name)
+    table = memo(a, "tensor_content", WeakValueDictionary)
+    key = _content(m, n)
+    hit = table.get(key)
+    if hit is None:
+        table[key] = hit = _build_tensor(a, m, n, name)
+        return hit
+    _check_bases(a, m, n)
+    return TensorQuotient(a, m, n, hit.left_action, hit.right_action,
+                          hit.project, hit.free_cols,
+                          name or f"({m.name}(x){n.name})")
+
+
+def _content(m, n):
+    """A key equal for two pairs (m, n) exactly when their dims and the
+    entries of their four action lists are equal: per action its size for
+    the marked identity, its targets and live weights when it is monomial,
+    else its sorted entries.  It holds no id()."""
+    return (m.dim, n.dim, *(tuple(map(_action_content, acts)) for acts in (
+        m.right_action, n.left_action, m.left_action, n.right_action)))
+
+
+def _action_content(x):
+    if x.is_identity:
+        return x.rows
+    k = x.monomial()
+    if k is not None:
+        return tuple(k.tgt), tuple(w for t, w in zip(k.tgt, k.wt) if t >= 0)
+    return "entries", tuple(sorted((i, j, v) for j, col in x.transpose().data.items()
+                                   for i, v in col.items()))
 
 
 def _balancing(m, n):
@@ -498,13 +556,17 @@ def _balancing(m, n):
                     yield rel
 
 
-def _build_tensor(a, m, n, name):
+def _check_bases(a, m, n):
     if not algebras_match(m.right_algebra, a) or not algebras_match(n.left_algebra, a):
         raise InputError(
             f"tensor base mismatch: {m.name} has right algebra "
             f"{m.right_algebra.name}, {n.name} has left algebra "
             f"{n.left_algebra.name}, expected {a.name}"
         )
+
+
+def _build_tensor(a, m, n, name):
+    _check_bases(a, m, n)
     f, dm, dn = m.field, m.dim, n.dim
     flat = dm * dn
     pairs = [(rk, lk) for rk, lk in zip(m.right_action, n.left_action)

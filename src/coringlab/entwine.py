@@ -11,7 +11,10 @@ then applies N's map, psi, mu and A's unit, relabels back and ends in
 `done`.  `cowreath.entwining_lift_cowreath` builds the entwined coring
 twice, itself and in `lift_r_object`: xi lands in the first, the object
 lives over the second, and saved lift sessions hold both, so building one
-would change their bytes.
+would change their bytes.  The second is still its own carrier with its
+own names, so the saved bytes are unchanged, but its quotients reuse the
+numeric core of the first's, which have the same content (`tensor_over`'s
+content table), so they are not built again.
 """
 
 from __future__ import annotations

@@ -2,7 +2,9 @@
 the command line can check or build.
 
 Scalars are written as integers or "p/q" strings (integers mod p for prime
-fields); a float, a boolean or null is malformed input.  Matrices are
+fields), one grammar for every field: an optionally signed integer in
+ASCII digits, optionally over an unsigned one.  A float, a boolean, null
+or any other string is malformed input.  Matrices are
 row-major lists of rows.  A space reference is a bimodule name, an algebra
 name (standing for its regular bimodule), or a list of space references
 meaning the left-associated tensor product of the referenced factors over
@@ -24,6 +26,7 @@ only read a session do not compile it.
 from __future__ import annotations
 
 import json
+import re
 from importlib import import_module
 
 from .algebra import AlgebraMorphism, FinAlgebra
@@ -193,16 +196,29 @@ def _parse_matrix(field, rows_data, rows, cols, where) -> Matrix:
     return Matrix.from_rows(field, rows_data)
 
 
+# A session scalar string, over every field: an optionally signed integer
+# in ASCII digits, optionally over an unsigned one.  No decimal point,
+# exponent or space, so QQ and GF(p) read the same strings.
+_SCALAR = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
 def _scalars(entries, path):
-    """Check that each entry is a JSON integer or string: a float, a
-    boolean or null is not a session scalar (a string is checked by the
-    field's `parse`)."""
+    """Check that each entry is a JSON integer or a string of the scalar
+    grammar (`_SCALAR`): a float, a boolean, null or another string is not
+    a session scalar.  The field's `parse` then rejects a zero
+    denominator."""
     for k, v in enumerate(entries):
-        if type(v) is not int and type(v) is not str:
+        if type(v) is str:
+            if _SCALAR.fullmatch(v):
+                continue
+            got = repr(v)
+        elif type(v) is int:
+            continue
+        else:
             got = "a float" if type(v) is float else _JSON_KINDS.get(
                 type(v), type(v).__name__)
-            raise InputError(f'{path}[{k}]: expected an integer or a "p/q" '
-                             f"string, got {got}")
+        raise InputError(f'{path}[{k}]: expected an integer or a "p/q" '
+                         f"string, got {got}")
 
 
 def _parse_vec(field, entries, path) -> dict:
@@ -225,22 +241,33 @@ def _field(s, data, key, kind):
     return s.lookup(kind, data[key], path)
 
 
+def _read_json(source):
+    """The JSON value of a file object, a JSON text or a path.  json raises
+    a plain ValueError, not a JSONDecodeError, for an integer literal with
+    more digits than int() converts; that is malformed input, named by the
+    path when there is one."""
+    where = "session"
+    try:
+        if hasattr(source, "read"):
+            return json.load(source)
+        text = str(source)
+        if text.lstrip().startswith("{"):
+            return json.loads(text)
+        where = text
+        with open(text, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError):
+        raise
+    except ValueError:
+        raise InputError(f"{where}: a JSON integer literal is too long") from None
+
+
 def parse_session(source) -> SessionFile:
     """Parse a session from a path, file object, JSON text, or dict.
 
     A section imports the class of its entries at its first entry, so
     parsing loads only the modules that the session's sections need."""
-    if isinstance(source, dict):
-        raw = source
-    elif hasattr(source, "read"):
-        raw = json.load(source)
-    else:
-        text = str(source)
-        if text.lstrip().startswith("{"):
-            raw = json.loads(text)
-        else:
-            with open(text, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
+    raw = source if isinstance(source, dict) else _read_json(source)
     _expect(raw, dict, "$")
     if "field" not in raw:
         raise InputError("session needs a 'field' entry")

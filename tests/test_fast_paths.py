@@ -3367,7 +3367,12 @@ def test_descending_monomial_pk_keeps_its_lists_only(monkeypatch):
     monkeypatch.setattr(bimodule, "_scatter", no_scatter)
     for field in FIELDS:
         reg = regular_bimodule(group_algebra_cyclic(field, 3))
-        tq = space(reg, reg, reg).quotient
+        # kZ3 twisted on the right by g -> g^2, so that level 2 of the space
+        # differs in content from level 1 and is built, not shared
+        twisted = Bimodule(reg.left_algebra, reg.right_algebra, 3, reg.left_action,
+                           [reg.right_action[2 * k % 3] for k in range(3)],
+                           name="kZ3^s")
+        tq = space(reg, reg, twisted).quotient
         assert isinstance(tq.project, exactla.Monomial)
         assert tq.factor_left.dim == 3 and tq.dim == 3
     # the unmarked g and g^2 on each side, at both levels, over each field
@@ -3984,3 +3989,145 @@ def test_lift_pipes_of_arbitrary_maps_match_flat_construction(field, data):
     obj = RObject(c, n, arbitrary(cn, nc, "twist"))
     w = Cowreath(obj, arbitrary(cn, space(c.carrier), "xi"), arbitrary(cn, cnn, "delta"))
     assert_lift_matches_flat(e, w)
+
+
+# ---------------------------------------------------------------------------
+# quotients of equal content share one numeric core
+
+
+def _quotient_or_error(build):
+    """build(), or the message and relation of its descent error."""
+    try:
+        return build()
+    except WellDefinednessError as err:
+        return str(err), err.relation
+
+
+def assert_same_quotient(got, want):
+    """got, from `tensor_over`, is want, a fresh `_build_tensor`, field by
+    field: the project lists (or columns), the free columns, both inherited
+    action lists with their marks, the name and the basis labels; or both
+    are the same descent error."""
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert not isinstance(got, tuple)
+    assert type(got.project) is type(want.project) and got.project == want.project
+    if isinstance(want.project, exactla.Monomial):
+        assert got.project.tgt == want.project.tgt
+        assert got.project.wt == want.project.wt
+    assert got.free_cols == want.free_cols and got.dim == want.dim
+    assert len(got.left_action) == len(want.left_action)
+    assert len(got.right_action) == len(want.right_action)
+    for x, y in zip(got.left_action + got.right_action,
+                    want.left_action + want.right_action):
+        assert type(x) is type(y) and x == y and x.is_identity == y.is_identity
+    assert got.name == want.name
+    assert [got.basis_label(t) for t in range(got.dim)] == [
+        want.basis_label(t) for t in range(want.dim)]
+
+
+def _has_relations(m, n):
+    return any(not (rk.is_identity and lk.is_identity)
+               for rk, lk in zip(m.right_action, n.left_action))
+
+
+@pytest.mark.parametrize("g", [2, 3])
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_shared_quotients_match_fresh_builds(field, g, data):
+    """tensor_over on (m, n), and then on three pairs of new objects with
+    the same balancing actions R_k and L_k: with the same outer actions
+    (M's left, N's right), with M's left actions scaled by c != 1 and with
+    N's right actions scaled by c.  Each must equal a fresh
+    `_build_tensor`; the first pair shares `project`, and a key that
+    ignored either outer action list would hand the others the wrong
+    inherited actions.  Inputs take the union-find path over kZg or the
+    `Echelon` path."""
+    a, m, n = data.draw(st.one_of(union_find_input(field, g), echelon_input(field)))
+    c = data.draw(nonzero_scalars(field).filter(lambda v: v != 1), label="c")
+    first = _quotient_or_error(lambda: tensor_over(a, m, n))
+    assert_same_quotient(first, _quotient_or_error(
+        lambda: bimodule._build_tensor(a, m, n, None)))
+    for scale_left, scale_right in ((False, False), (True, False), (False, True)):
+        m2 = Bimodule(m.left_algebra, a, m.dim,
+                      [x.scale(c) for x in m.left_action] if scale_left else m.left_action,
+                      m.right_action, name="M2")
+        n2 = Bimodule(a, n.right_algebra, n.dim, n.left_action,
+                      [x.scale(c) for x in n.right_action] if scale_right
+                      else n.right_action, name="N2")
+        got = _quotient_or_error(lambda: tensor_over(a, m2, n2))
+        assert_same_quotient(got, _quotient_or_error(
+            lambda: bimodule._build_tensor(a, m2, n2, None)))
+        if not (scale_left or scale_right or isinstance(got, tuple)) and _has_relations(m, n):
+            assert got.project is first.project and got.factor_left is m2
+
+
+def test_corpus_quotients_match_fresh_builds(monkeypatch):
+    """Every quotient that the corpus checkers, lifts and products take from
+    `tensor_over` (every miss of its identity memo) against a fresh
+    `_build_tensor`; many come from the content table."""
+    made, built = [], set()
+    real_shared, real_build = bimodule._shared_tensor, bimodule._build_tensor
+
+    def shared(a, m, n, name):
+        made.append((a, m, n, name, real_shared(a, m, n, name)))
+        return made[-1][-1]
+
+    def build(a, m, n, name):
+        tq = real_build(a, m, n, name)
+        built.add(id(tq))
+        return tq
+
+    monkeypatch.setattr(bimodule, "_shared_tensor", shared)
+    monkeypatch.setattr(bimodule, "_build_tensor", build)
+    corpus_outputs(Corpus())
+    monkeypatch.undo()
+    for a, m, n, name, tq in made:
+        assert_same_quotient(tq, bimodule._build_tensor(a, m, n, name))
+    assert sum(id(tq) not in built for *_, tq in made) >= 10
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_failed_descent_raises_on_every_equal_content_call(field):
+    """The kZ3 (x) kZ3 whose left action of g is a transposition does not
+    descend; a failed build is never stored, so every new M of that
+    content raises the same error, naming the same echelon row."""
+    a = group_algebra_cyclic(field, 3)
+    reg = regular_bimodule(a)
+    swap = Matrix.from_entries(field, 3, 3, {(1, 0): 1, (0, 1): 1, (2, 2): 1})
+    errors = []
+    for _ in range(3):
+        m = Bimodule(a, a, 3, [reg.left_action[0], swap, swap @ swap @ swap],
+                     reg.right_action, name="M")
+        for _ in range(2):
+            with pytest.raises(WellDefinednessError) as err:
+                tensor_over(a, m, reg)
+            errors.append((str(err.value), err.value.relation))
+    assert errors == errors[:1] * 6
+    assert not a._memo["tensor_content"]
+
+
+def test_dropped_quotients_free_their_content_entry():
+    """The content table holds its quotients weakly: two quotients of one
+    content share their core, and once both are dropped the entry is gone
+    after a collection, while the table itself stays on the algebra."""
+    import gc
+    import weakref
+    a = group_algebra_cyclic(QQ, 2)
+    reg = regular_bimodule(a)
+
+    def copy(name):
+        return Bimodule(a, a, 2, reg.left_action, reg.right_action, name=name)
+
+    m1, m2 = copy("M1"), copy("M2")
+    q1, q2 = tensor_over(a, m1, reg), tensor_over(a, m2, reg)
+    assert q2.project is q1.project and q2.factor_left is m2
+    table = a._memo["tensor_content"]
+    assert len(table) == 1
+    gone = weakref.ref(q1), weakref.ref(q2)
+    del m1, m2, q1, q2
+    gc.collect()
+    assert [r() for r in gone] == [None, None]
+    assert len(table) == 0 and a._memo["tensor_content"] is table

@@ -137,6 +137,17 @@ class TestCliExitCodes:
         assert err.startswith("error: ") and str(path) in err
         assert err.count("\n") == 1
 
+    def test_overlong_json_integer_is_two(self, tmp_path, capsys):
+        """json raises a plain ValueError, not a JSONDecodeError, for an
+        integer literal of more digits than int() converts (4,300 by
+        default): exit 2 with one error line naming the path."""
+        path = tmp_path / "session.json"
+        path.write_text('{"field": "QQ", "algebras": {"A": {"dim": %s}}}' % ("1" * 5000))
+        assert main(["--session", str(path), "check", "coring", "C2"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {path}: a JSON integer literal is too long\n"
+
     def test_json_format(self, session_files, capsys):
         code = main(["--session", session_files["entwinings.json"],
                      "check", "entwining", "dk", "--format", "json"])
@@ -435,6 +446,35 @@ class TestMalformedScalarsExitTwo:
             raw["algebras"]["kZ2"]["unit"] = [text, "0"]
         assert self._run(tmp_path, mutate) == 2
         assert repr(text) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["QQ", "GF(5)"])
+    @pytest.mark.parametrize("text", ["0.5", "1e3", "1e5000", "1e40000000", "3/-4",
+                                      "1/ 2", " 1", "1_0", "\u0661", "0x1", "+-1"])
+    def test_scalar_grammar_is_one_for_both_fields(self, tmp_path, capsys, field,
+                                                    text):
+        """A scalar string is an optionally signed integer in ASCII digits,
+        optionally over an unsigned one, on every field: decimals and
+        exponents (which QQ read, and "1e40000000" took the parser minutes)
+        and a signed or spaced denominator (which GF(p) read) exit 2 with
+        the JSON path."""
+        def mutate(raw):
+            raw["field"] = field
+            raw["algebras"]["kZ2"]["unit"] = [text, "0"]
+        assert self._run(tmp_path, mutate) == 2
+        assert capsys.readouterr().err == (
+            f'error: $.algebras.kZ2.unit[0]: expected an integer or a "p/q" '
+            f"string, got {text!r}\n")
+
+    @pytest.mark.parametrize("field", ["QQ", "GF(5)"])
+    @pytest.mark.parametrize("text", ["1", "+1", "2/2", "4/4", "0001"])
+    def test_scalar_grammar_reads_the_same_strings(self, tmp_path, capsys, field,
+                                                   text):
+        """The strings of the grammar that equal 1 leave C2 lawful on both
+        fields."""
+        def mutate(raw):
+            raw["field"] = field
+            raw["algebras"]["kZ2"]["unit"] = [text, "0"]
+        assert self._run(tmp_path, mutate) == 0
 
     def test_gf_denominator_zero_mod_p(self, tmp_path, capsys):
         def mutate(raw):
