@@ -14,8 +14,8 @@ each tensor quotient that the identity memo of `tensor_over` misses: it
 shows how much of a lift is the quotients themselves.  `shared` counts
 those quotients, over the four timings, as taken from the content table
 (their numeric core is that of a live quotient of equal content) against
-built by `bimodule._build_tensor`.  `stages` is the part spent inside `bimodule._Stages._stage`,
-the pipe stages that multiply by I (x) F (x) I.  `regroup` and `rev`
+built by `bimodule._build_tensor`.  `stages` is the part spent inside
+`bimodule._Stages._stage`, the pipe stages that multiply by I (x) F (x) I.  `regroup` and `rev`
 time the changes of bracketing on the coassociativity space: `regroup`
 between space(P, P, P) and space(P, P (x) P), both ways, and `rev` of
 space(P, P, P)'s quotient and of its mirror.  `homs` times the two

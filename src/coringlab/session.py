@@ -4,9 +4,9 @@ the command line can check or build.
 Scalars are written as integers or "p/q" strings (integers mod p for prime
 fields), one grammar for every field: an optionally signed integer in
 ASCII digits, optionally over an unsigned one.  A float, a boolean, null
-or any other string is malformed input.  Matrices are
-row-major lists of rows.  A space reference is a bimodule name, an algebra
-name (standing for its regular bimodule), or a list of space references
+or any other string is malformed input.  Matrices are row-major lists of
+rows.  A space reference is a bimodule name, an algebra name (standing
+for its regular bimodule), or a list of space references
 meaning the left-associated tensor product of the referenced factors over
 their boundary algebras; matrix coordinates on such spaces use the
 canonical quotient bases.
