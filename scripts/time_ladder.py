@@ -12,12 +12,15 @@ product's `check_coring`, each run from fresh structures, and the
 dimension of the product's coassociativity space (n^6, every quotient is
 flat).  The `morph` column times `check_coring_morphism(xi, product, c)`
 run again on the built product: the equation that `cowreath_product`
-checks, which is also inside its time and not added to the total.  With
-`--runs N` (default 1) each time column is the median of the N runs (the
-total column is the median of the per-run totals).  After the two rows of
-a rung it prints the ratio of the QQ total to the GF(101) total, and of
-the QQ morph time to the GF(101) one: the same shapes cost that much more
-with Fraction scalars.  It checks every verdict but gates nothing on time.
+checks, which is also inside its time and not added to the total.  The
+`write` column times writing the product as a session,
+`SessionStore.add_coring` and `serialize_session`; it is not added to the
+total either.  With `--runs N` (default 1) each time column is the median
+of the N runs (the total column is the median of the per-run totals).
+After the two rows of a rung it prints the ratio of the QQ total to the
+GF(101) total, and of the QQ morph time to the GF(101) one: the same
+shapes cost that much more with Fraction scalars.  It checks every verdict
+but gates nothing on time.
 """
 
 import argparse
@@ -33,6 +36,7 @@ from coringlab.bimodule import LinearMap
 from coringlab.coring import check_coring, check_coring_morphism, coalgebra_over_field
 from coringlab.cowreath import check_cowreath, cowreath_product, flip_cowreath
 from coringlab.exactla import GF, QQ
+from coringlab.session import SessionStore, serialize_session
 
 FIELDS = (QQ, GF(101))
 
@@ -53,9 +57,16 @@ def timed(fn, *args):
     return out, time.perf_counter() - t0
 
 
+def write_product(field, prod):
+    """The session text of the product coring alone."""
+    store = SessionStore.empty(field)
+    store.add_coring("P", prod)
+    return serialize_session(store.raw)
+
+
 def run_rung(field, n):
-    """The four timings of one rung and the morph time, whether every
-    verdict passed, and the product's dimension."""
+    """The four timings of one rung, the morph and write times, whether
+    every verdict passed, and the product's dimension."""
     c = rescaled_grouplike(field, n, 2, f"C{n}")
     d = rescaled_grouplike(field, n, 3, f"D{n}")
     w, t_flip = timed(flip_cowreath, c, d)
@@ -64,7 +75,8 @@ def run_rung(field, n):
     prep, t_pcheck = timed(check_coring, prod)
     xi = LinearMap(prod.carrier, c.carrier, w.xi.matrix, name="xi")
     again, t_morph = timed(check_coring_morphism, xi, prod, c)
-    times = (t_flip, t_check, t_prod, t_pcheck, t_morph)
+    _, t_write = timed(write_product, field, prod)
+    times = (t_flip, t_check, t_prod, t_pcheck, t_morph, t_write)
     ok = rep.ok and morph.ok and prep.ok and again.ok
     return times, ok, prod.carrier.dim
 
@@ -82,7 +94,8 @@ def main(argv=None):
     if any(n < 1 for n in args.rungs):
         ap.error("--rungs must be at least 1")
     print(f"{'rung':<12} {'flip':>7} {'check':>7} {'product':>8} "
-          f"{'p-check':>8} {'total':>7} {'morph':>7}   coassoc flat dim")
+          f"{'p-check':>8} {'total':>7} {'morph':>7} {'write':>7}"
+          f"   coassoc flat dim")
     bad = 0
     for n in args.rungs:
         totals, morphs = [], []
@@ -93,14 +106,14 @@ def main(argv=None):
                 runs.append(times)
                 ok = ok and passed
             bad += not ok
-            t_flip, t_check, t_prod, t_pcheck, t_morph = (
+            t_flip, t_check, t_prod, t_pcheck, t_morph, t_write = (
                 statistics.median(col) for col in zip(*runs))
             total = statistics.median(sum(times[:4]) for times in runs)
             totals.append(total)
             morphs.append(t_morph)
             print(f"{f'n={n} {field!r}':<12} {t_flip:7.3f} {t_check:7.3f} "
                   f"{t_prod:8.3f} {t_pcheck:8.3f} {total:7.3f} {t_morph:7.4f}"
-                  f"   {pdim ** 3}")
+                  f" {t_write:7.4f}   {pdim ** 3}")
         print(f"{f'n={n}':<12} {'QQ / GF(101)':>33} "
               f"{totals[0] / totals[1]:7.2f} {morphs[0] / morphs[1]:7.2f}")
     if bad:

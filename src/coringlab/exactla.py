@@ -4,6 +4,8 @@ Scalars over Q are exact rationals in canonical form: a Python `int` when
 the value is integral and a `fractions.Fraction` otherwise (arbitrary
 precision, so row reduction never overflows, and integer arithmetic skips
 the gcd work of `Fraction`).  Over GF(p) they are canonical ints in [0, p).
+`parse` and `fmt` are exact for integers of any length: past the
+interpreter's digit limit they convert decimal text in pieces.
 No scalar is ever a float or a bool.  Each field has two vector kernels:
 `axpy` adds a scaled vector into another in place, and `scaled` returns a
 scaled copy with no lookups and no zero tests (a nonzero times a nonzero
@@ -66,6 +68,48 @@ def _is_prime(n: int) -> bool:
 def _canon(x):
     """x as a canonical QQ scalar: an integral Fraction becomes its int."""
     return x.numerator if type(x) is Fraction and x.denominator == 1 else x
+
+
+# Decimal text and ints convert in pieces of at most 600 digits: the
+# interpreter refuses `int()` of a string and `str()` of an int past its
+# digit limit (4,300 by default, never below 640), and the limit is left as
+# it is.  These run only where the plain conversion raised.
+
+def _from_digits(s: str) -> int:
+    """int(s) for a string of ASCII digits of any length."""
+    if len(s) <= 600:
+        return int(s)
+    k = len(s) // 2
+    return _from_digits(s[:-k]) * 10 ** k + _from_digits(s[-k:])
+
+
+def _to_digits(n: int) -> str:
+    """str(n) for an int n >= 0 of any length."""
+    if n.bit_length() <= 1990:  # below 10**600
+        return str(n)
+    k = n.bit_length() * 3 // 20  # about half its digits, so hi > 0
+    hi, lo = divmod(n, 10 ** k)
+    return _to_digits(hi) + _to_digits(lo).zfill(k)
+
+
+def _long_text(a) -> str:
+    """str(a) for an int or a Fraction, its integers of any length."""
+    if type(a) is Fraction:
+        return f"{_long_text(a.numerator)}/{_to_digits(a.denominator)}"
+    return "-" + _to_digits(-a) if a < 0 else _to_digits(a)
+
+
+def _long_ratio(text: str):
+    """(numerator, denominator) of a scalar string of the session grammar,
+    `[+-]?[0-9]+(/[0-9]+)?`, its integers of any length; a ValueError for
+    any other text."""
+    num, slash, den = text.partition("/")
+    digits = num[1:] if num[:1] in ("+", "-") else num
+    for part in (digits, den) if slash else (digits,):
+        if not (part.isascii() and part.isdigit()):
+            raise ValueError(text)
+    n = _from_digits(digits)
+    return -n if num[:1] == "-" else n, _from_digits(den) if slash else 1
 
 
 class RationalField:
@@ -154,12 +198,18 @@ class RationalField:
         if isinstance(text, (int, Fraction)):
             return _canon(Fraction(text))
         try:
-            return _canon(Fraction(str(text)))
+            try:
+                return _canon(Fraction(str(text)))
+            except ValueError:
+                return _canon(Fraction(*_long_ratio(str(text))))
         except (ValueError, ZeroDivisionError):
             raise InputError(f"bad scalar {text!r} for QQ") from None
 
     def fmt(self, a) -> str:
-        return str(a)
+        try:
+            return str(a)
+        except ValueError:
+            return _long_text(a)
 
     def __repr__(self):
         return "QQ"
@@ -246,9 +296,13 @@ class PrimeField:
             if isinstance(text, Fraction):
                 return self.div(text.numerator % self.p, text.denominator % self.p)
             num, slash, den = str(text).partition("/")
-            if not slash:
-                return int(num) % self.p
-            return self.div(int(num) % self.p, int(den) % self.p)
+            try:
+                if not slash:
+                    return int(num) % self.p
+                return self.div(int(num) % self.p, int(den) % self.p)
+            except ValueError:
+                num, den = _long_ratio(str(text))
+                return self.div(num % self.p, den % self.p)
         except (ValueError, ZeroDivisionError):
             raise InputError(f"bad scalar {text!r} for {self.name}") from None
 

@@ -3,13 +3,14 @@ the command line can check or build.
 
 Scalars are written as integers or "p/q" strings (integers mod p for prime
 fields), one grammar for every field: an optionally signed integer in
-ASCII digits, optionally over an unsigned one.  A float, a boolean, null
-or any other string is malformed input.  Matrices are row-major lists of
-rows.  A space reference is a bimodule name, an algebra name (standing
-for its regular bimodule), or a list of space references
+ASCII digits, optionally over an unsigned one, of any length.  A float, a
+boolean, null or any other string is malformed input.  Matrices are
+row-major lists of rows.  A space reference is a bimodule name, an algebra
+name (standing for its regular bimodule), or a list of space references
 meaning the left-associated tensor product of the referenced factors over
 their boundary algebras; matrix coordinates on such spaces use the
-canonical quotient bases.
+canonical quotient bases.  JSON nested past the recursion limit, in the
+file or in a space reference, is malformed input too.
 
 The ten reference sections, `corings` to `twistings`, are defined once, in
 `SCHEMA`, which both `parse_session` and `SessionStore` read; the sections
@@ -90,7 +91,14 @@ class SessionFile:
     # -- resolution ---------------------------------------------------------
 
     def resolve_space(self, ref, path) -> Bimodule:
-        """The bimodule that ref names; path is its JSON path, for errors."""
+        """The bimodule that ref names; path is its JSON path, for errors.
+        A reference nested past the recursion limit is malformed input."""
+        try:
+            return self._space(ref, path)
+        except RecursionError:
+            raise InputError(f"{path}: space reference is nested too deeply") from None
+
+    def _space(self, ref, path) -> Bimodule:
         if isinstance(ref, str):
             if ref in self.bimodules:
                 return self.bimodules[ref]
@@ -100,7 +108,7 @@ class SessionFile:
         if isinstance(ref, list):
             if not ref:
                 raise InputError(f"{path}: space needs at least one factor")
-            factors = [self.resolve_space(r, f"{path}[{i}]")
+            factors = [self._space(r, f"{path}[{i}]")
                        for i, r in enumerate(ref)]
             return space(*factors).quotient
         raise InputError(f"{path}: bad space reference {ref!r}")
@@ -244,8 +252,9 @@ def _field(s, data, key, kind):
 def _read_json(source):
     """The JSON value of a file object, a JSON text or a path.  json raises
     a plain ValueError, not a JSONDecodeError, for an integer literal with
-    more digits than int() converts; that is malformed input, named by the
-    path when there is one."""
+    more digits than int() converts, and a RecursionError for arrays or
+    objects nested past the recursion limit; both are malformed input,
+    named by the path when there is one."""
     where = "session"
     try:
         if hasattr(source, "read"):
@@ -260,6 +269,8 @@ def _read_json(source):
         raise
     except ValueError:
         raise InputError(f"{where}: a JSON integer literal is too long") from None
+    except RecursionError:
+        raise InputError(f"{where}: JSON arrays or objects are nested too deeply") from None
 
 
 def parse_session(source) -> SessionFile:
@@ -348,8 +359,16 @@ def parse_session(source) -> SessionFile:
 
 
 def _fmt_matrix(field, mat: Matrix):
-    data = mat.data
-    return [_fmt_vec(field, data.get(i, {}), mat.cols) for i in range(mat.rows)]
+    """The rows of mat as scalar texts: a copy of one blank row per row,
+    with only the nonzero entries written."""
+    fmt = field.fmt
+    blank = [fmt(field.zero())] * mat.cols
+    rows = [blank.copy() for _ in range(mat.rows)]
+    for i, vec in mat.data.items():
+        row = rows[i]
+        for k, v in vec.items():
+            row[k] = fmt(v)
+    return rows
 
 
 def _fmt_vec(field, vec, dim):

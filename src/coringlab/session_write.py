@@ -5,6 +5,15 @@ into session data, and `serialize_session` writes that data as text.
 section from `session.SCHEMA`, the table the reader uses too; the sections
 with inline data keep their own writers.
 
+The writer's cost follows the bytes it writes.  `serialize_session`
+appends pieces of text to one list and joins them once, so no subtree is
+copied again at each level that encloses it.  A list whose items are all
+plain strings (printable ASCII other than `"` and `\\`, which JSON writes
+between quotes with no escape), or all nonempty lists of plain strings, as
+every matrix `_fmt_matrix` makes is, is written by `str.join` alone, with
+no Python frame per row or entry; one `fullmatch` over its strings run
+together decides that.  Every other value takes the per-item path.
+
 Only commands that write a session import this module; `coringlab.session`
 resolves `SessionStore`, `serialize_session` and `write_session` from here.
 """
@@ -12,6 +21,7 @@ resolves `SessionStore`, `serialize_session` and `write_session` from here.
 from __future__ import annotations
 
 import json
+import re
 from json.encoder import encode_basestring_ascii as _quote
 
 from .algebra import FinAlgebra
@@ -21,35 +31,81 @@ from .session import SCHEMA, SessionFile, _fmt_matrix, _fmt_vec
 
 def serialize_session(raw: dict) -> str:
     """The text of `json.dumps(raw, indent=1, sort_keys=True)`, written
-    directly: with an indent, `json` runs its pure-Python encoder, which
-    spends several generator frames on every matrix entry."""
-    return _dump(raw, "\n")
+    directly (with an indent, `json` runs its pure-Python encoder, which
+    spends several generator frames on every matrix entry) as pieces
+    appended to one list and joined once.  Matrices and other lists of
+    plain strings are joined in bulk (`_bulk`); any other list goes item
+    by item, its strings through `_quote` and other leaves through
+    `json.dumps`."""
+    out = []
+    _dump(raw, "\n", out)
+    return "".join(out)
 
 
-def _dump(value, nl):
-    """`value` as indented JSON whose closing bracket follows `nl`."""
+# a plain string: printable ASCII other than '"' and '\', which JSON writes
+# between quotes with no escape
+_PLAIN = re.compile(r'[ !#-\[\]-~]*')
+
+
+def _dump(value, nl, out):
+    """Append to out the pieces of `value` as indented JSON whose closing
+    bracket follows `nl`."""
     if isinstance(value, str):
-        return _quote(value)
+        out.append(_quote(value))
+        return
     inner = nl + " "
-    sep = "," + inner
     if isinstance(value, dict):
         if not value:
-            return "{}"
-        items = [f"{_quote(k)}: {_dump(value[k], inner)}" for k in sorted(value)]
-        return "{" + inner + sep.join(items) + nl + "}"
-    if isinstance(value, (list, tuple)):
+            out.append("{}")
+            return
+        lead = "{" + inner
+        for k in sorted(value):
+            out.append(f"{lead}{_quote(k)}: ")
+            _dump(value[k], inner, out)
+            lead = "," + inner
+        out.append(nl + "}")
+    elif isinstance(value, (list, tuple)):
         if not value:
-            return "[]"
-        try:
-            # a list of strings, as every matrix row is, in one join
-            body = sep.join(map(_quote, value))
-        except TypeError:
-            body = sep.join([_dump(v, inner) for v in value])
-        return "[" + inner + body + nl + "]"
-    return json.dumps(value)
+            out.append("[]")
+            return
+        body = _bulk(value, inner)
+        if body:
+            out += ("[" + inner, *body, nl + "]")
+            return
+        lead = "[" + inner
+        for v in value:
+            out.append(lead)
+            _dump(v, inner, out)
+            lead = "," + inner
+        out.append(nl + "]")
+    else:
+        out.append(json.dumps(value))
+
+
+def _bulk(value, inner):
+    """The pieces of the items of a list of plain strings, or of nonempty
+    lists of plain strings, each joined in one call with no Python frame
+    per item; None for any other list.  One `fullmatch` over the strings
+    run together tests that they are plain."""
+    rows = set(map(type, value)) == {list} and all(value)
+    try:
+        text = "".join(map("".join, value) if rows else value)
+    except TypeError:
+        return None
+    if not _PLAIN.fullmatch(text):
+        return None
+    if not rows:
+        return '"', f'",{inner}"'.join(value), '"'
+    inner2 = inner + " "
+    return (f'[{inner2}"',
+            f'"{inner}],{inner}[{inner2}"'.join(map(f'",{inner2}"'.join, value)),
+            f'"{inner}]')
 
 
 def write_session(raw: dict, path):
+    """Write `serialize_session(raw)` and a newline to path.  The text is
+    built whole before it is written: the layer tracer of `perfbench`
+    counts the bytes a command writes at `serialize_session`."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(serialize_session(raw))
         fh.write("\n")

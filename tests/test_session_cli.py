@@ -1,12 +1,17 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
+from fractions import Fraction
 
 import pytest
 
 from coringlab.cli import main
+from coringlab.coring import check_coring, coalgebra_over_field
 from coringlab.corpus import corpus_sessions
-from coringlab.exactla import QQ
+from coringlab.cowreath import cowreath_product, flip_cowreath
+from coringlab.exactla import GF, QQ
 from coringlab.session import (
     SECTIONS,
     SessionStore,
@@ -17,6 +22,7 @@ from coringlab.session import (
 from coringlab.reports import InputError
 
 SESSIONS_DIR = os.path.join(os.path.dirname(__file__), "..", "sessions")
+SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
 
 @pytest.fixture(scope="module")
@@ -147,6 +153,36 @@ class TestCliExitCodes:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"error: {path}: a JSON integer literal is too long\n"
+
+    def test_json_nested_past_the_recursion_limit_is_two(self, tmp_path, capsys):
+        """json raises a RecursionError, not a ValueError, for arrays nested
+        past the recursion limit: exit 2 with one error line naming the
+        path."""
+        path = tmp_path / "session.json"
+        path.write_text('{"field":"QQ","x":' + "[" * 100000 + "]" * 100000 + "}")
+        assert main(["--session", str(path), "check", "coring", "C2"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: {path}: JSON arrays or objects are nested "
+                       f"too deeply\n")
+
+    def test_space_reference_nested_past_the_recursion_limit_is_two(self, tmp_path):
+        """A map's domain wrapped in 950 one-element lists, which json reads
+        but `resolve_space` cannot recurse through, exits 2 with one error
+        line naming the reference's JSON path.  It runs as a command in its
+        own process, whose stack starts shallower than the test's."""
+        raw = json.loads(json.dumps(corpus_sessions()["grouplike_coalgebras.json"]))
+        raw["maps"]["C2.comult"]["domain"] = "@"
+        path = tmp_path / "session.json"
+        path.write_text(json.dumps(raw).replace('"@"', "[" * 950 + '"C2"' + "]" * 950))
+        proc = subprocess.run(
+            [sys.executable, "-m", "coringlab.cli", "--session", str(path),
+             "check", "coring", "C2"],
+            env=dict(os.environ, PYTHONPATH=SRC), capture_output=True,
+            text=True, timeout=60)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == ("error: $.maps.C2.comult.domain: space reference "
+                               "is nested too deeply\n")
 
     def test_json_format(self, session_files, capsys):
         code = main(["--session", session_files["entwinings.json"],
@@ -489,6 +525,109 @@ class TestMalformedScalarsExitTwo:
             raw["field"] = field
         assert self._run(tmp_path, mutate) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+def str_of_any_length(n):
+    """str(n) with the interpreter's digit limit lifted for this one call:
+    the oracle for the integers the program converts in pieces."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+class TestIntegersOfAnyLength:
+    """Scalars whose integers pass the interpreter's limit on int() of a
+    string and str() of an int (4,300 digits by default) are read and
+    written exactly, with the limit left as it is."""
+
+    def test_failing_witness_with_long_integers_is_one(self, tmp_path, capsys):
+        """kZ2 with the 3,000-digit 77...7 as its unit and as e0.e0 breaks
+        its laws; the witnesses hold it and its 6,000-digit square."""
+        big = "7" * 3000
+        square = str_of_any_length(int(big) ** 2)
+        kz2 = json.loads(json.dumps(
+            corpus_sessions()["grouplike_coalgebras.json"]["algebras"]["kZ2"]))
+        kz2["unit"] = [big, "0"]
+        kz2["mult"][0][0] = [big, "0"]
+        raw = {"field": "QQ", "algebras": {"kZ2": kz2}}
+        path = tmp_path / "big.json"
+        write_session(raw, path)
+        assert main(["--session", str(path), "check", "algebra", "kZ2"]) == 1
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out == "\n".join([
+            "algebra kZ2: fail",
+            f"  assoc at ('1', '1', 'g'): lhs={big}*g rhs=g",
+            f"  assoc at ('1', 'g', 'g'): lhs=1 rhs={big}*1",
+            f"  assoc at ('g', '1', '1'): lhs=g rhs={big}*g",
+            f"  assoc at ('g', 'g', '1'): lhs={big}*1 rhs=1",
+            f"  unit-left at ('1',): lhs={square}*1 rhs=1",
+            f"  unit-right at ('1',): lhs={square}*1 rhs=1",
+            f"  unit-left at ('g',): lhs={big}*g rhs=g",
+            f"  unit-right at ('g',): lhs={big}*g rhs=g", ""])
+
+    @staticmethod
+    def long_product_session():
+        """The session of the flip cowreath W of two rescaled grouplike
+        coalgebras over QQ, Delta(h_i) = lam_i^-1 h_i (x) h_i and
+        eps(h_i) = lam_i with lam_i of 4,401 digits over 1 digit, and its
+        product coring P, whose comultiplication has entries of more than
+        8,800 digits."""
+        def coalgebra(lams, name):
+            return coalgebra_over_field(
+                QQ, 2, [{3 * i: 1 / lam} for i, lam in enumerate(lams)],
+                lams, ["h0", "h1"], name)
+        big = 10 ** 4400
+        w = flip_cowreath(
+            coalgebra([Fraction(big + 1, 3), Fraction(-big - 2, 7)], "C"),
+            coalgebra([Fraction(big + 3, 2), Fraction(big + 4, 9)], "D"))
+        store = SessionStore.empty(QQ)
+        store.add_cowreath("W", w)
+        store.add_coring("P", cowreath_product(w)[0])
+        return store.raw
+
+    @staticmethod
+    def save_read_save(raw, path):
+        """The text of raw as written to path, and the text of the objects
+        read back from path, added to a new store in the same order."""
+        write_session(raw, path)
+        text = path.read_text()
+        s = parse_session(str(path))
+        again = SessionStore.empty(s.field)
+        again.add_cowreath("W", s.cowreaths["W"])
+        again.add_coring("P", s.corings["P"])
+        assert check_coring(s.corings["P"]).ok
+        return text, serialize_session(again.raw) + "\n", s
+
+    def test_long_entries_round_trip_over_qq(self, tmp_path):
+        raw = self.long_product_session()
+        text, again, _ = self.save_read_save(raw, tmp_path / "qq.json")
+        entries = raw["maps"]["P.comult"]["matrix"]
+        assert max(len(v) for row in entries for v in row) > 8800
+        assert again == text
+
+    def test_long_entries_round_trip_over_gf(self, tmp_path):
+        """The QQ session read over GF(101): each long p/q entry is read
+        as p * q^-1 mod 101, and the session written from it reads back and
+        writes again byte-identically."""
+        raw = self.long_product_session()
+        raw["field"] = "GF(101)"
+        path = tmp_path / "long.json"
+        write_session(raw, path)
+        s = parse_session(str(path))
+        qq = parse_session(self.long_product_session())
+        want = {i: {j: v.numerator * pow(v.denominator, -1, 101) % 101
+                    for j, v in row.items()}
+                for i, row in qq.maps["P.comult"].matrix.data.items()}
+        assert s.maps["P.comult"].matrix.data == want
+        store = SessionStore.empty(GF(101))
+        store.add_cowreath("W", s.cowreaths["W"])
+        store.add_coring("P", s.corings["P"])
+        text, again, _ = self.save_read_save(store.raw, tmp_path / "gf.json")
+        assert again == text
 
 
 class TestMalformedShapesExitTwo:
