@@ -10,10 +10,16 @@ every reported pass exact rather than a truncation.
 Each side computes a value once.  `skew_mul` keeps the rewrite Y^n . c in a
 memo on the `SkewPolyData`, keyed on (n, c), so it lives exactly as long as
 the data and references nothing that points back at it; it never reads an
-`OreTwistTable`.  A table twists each basis vector once per degree, and the
-checks below read those twists and form each product once instead of
-recomputing them inside their loops.  Neither hands a cached dict to a
-caller: `twist`, `ore_twist` and `skew_mul` return fresh dicts.  Like every
+`OreTwistTable`.  A table twists each basis vector once per degree.  The
+wreath checks hold each such twist of X^n (x) e_k as one flat dict keyed
+degree * dim + c, and every law they evaluate is linear in its input, so
+it is read off those basis twists: a twist of X^n (x) v is the sum of
+v[c] times the twist of e_c, raised by whole degree blocks.  The products
+e_a . twist(X^n (x) e_k) are formed once per (n, a, k), and the product
+comparison forms (e_i Y^n)(e_j) once per (n, i, j) on each side and
+raises it by m for every X^m.  Polynomials go back to {degree: vector}
+only to format a witness.  Nothing hands a cached dict to a caller:
+`twist`, `ore_twist` and `skew_mul` return fresh dicts.  Like every
 structure here, a `SkewPolyData` is treated as immutable once built.
 """
 
@@ -59,13 +65,8 @@ def check_skew_data(d: SkewPolyData) -> Report:
         si = d.sigma.matrix.col(i)
         for j in range(b.dim):
             lhs = d.delta.apply(b.mult[i][j])
-            rhs = b.mul_vec(di, {j: f.one()})
-            for k, v in b.mul_vec(si, d.delta.col(j)).items():
-                u = f.add(rhs.get(k, f.zero()), v)
-                if f.is_zero(u):
-                    rhs.pop(k, None)
-                else:
-                    rhs[k] = u
+            rhs = f.axpy(b.mul_vec(di, {j: f.one()}),
+                         b.mul_vec(si, d.delta.col(j)), f.one())
             if lhs != rhs:
                 rep.add(Witness("derivation", (b.labels[i], b.labels[j]),
                                 b.fmt_vec(lhs), b.fmt_vec(rhs)))
@@ -118,13 +119,7 @@ class SkewPoly:
         f = self.data.coeff_algebra.field
         out = {n: dict(v) for n, v in self.coeffs.items()}
         for n, v in other.coeffs.items():
-            tgt = out.setdefault(n, {})
-            for k, c in v.items():
-                u = f.add(tgt.get(k, f.zero()), c)
-                if f.is_zero(u):
-                    tgt.pop(k, None)
-                else:
-                    tgt[k] = u
+            tgt = f.axpy(out.setdefault(n, {}), v, f.one())
             if not tgt:
                 del out[n]
         return SkewPoly(self.data, out)
@@ -243,15 +238,36 @@ def _fmt_poly(b: FinAlgebra, coeffs: dict) -> str:
     return " + ".join(f"({b.fmt_vec(coeffs[n])})X^{n}" for n in sorted(coeffs))
 
 
-def _left_mul(b: FinAlgebra, u: dict, poly: dict, shift: int = 0) -> dict:
-    """u . poly for a {degree: vector} poly, degrees raised by shift and
-    zero coefficients dropped."""
-    out = {}
-    for deg, vec in poly.items():
-        prod = b.mul_vec(u, vec)
-        if prod:
-            out[deg + shift] = prod
+def _flat(dim: int, poly: dict) -> dict:
+    """A {degree: vector} polynomial as one flat dict {degree * dim + c: scalar}."""
+    return {deg * dim + c: v for deg, vec in poly.items() for c, v in vec.items()}
+
+
+def _fmt_flat(b: FinAlgebra, flat: dict, shift: int = 0) -> str:
+    """`_fmt_poly` of a flat polynomial, its degrees raised by shift."""
+    poly: dict = {}
+    for p, v in flat.items():
+        poly.setdefault(p // b.dim + shift, {})[p % b.dim] = v
+    return _fmt_poly(b, poly)
+
+
+def _lin(f, dim: int, rows: list, flat: dict) -> dict:
+    """The linear map e_c X^deg -> rows[c] X^deg on a flat polynomial, each
+    rows[c] flat too; a vector of B is a flat polynomial of degree 0."""
+    out: dict = {}
+    for p, v in flat.items():
+        c = p % dim
+        s = p - c
+        f.axpy(out, {q + s: w for q, w in rows[c].items()} if s else rows[c], v)
     return out
+
+
+def _flat_twists(table: OreTwistTable) -> list:
+    """tw[n][k], the twist of X^n (x) e_k as a flat polynomial, for every
+    degree of the table."""
+    dim = table.data.coeff_algebra.dim
+    return [[_flat(dim, t) for t in table._basis_twists(n)]
+            for n in range(table.max_degree + 1)]
 
 
 def check_ore_wreath(d: SkewPolyData, bound: int) -> Report:
@@ -260,84 +276,80 @@ def check_ore_wreath(d: SkewPolyData, bound: int) -> Report:
     rep = Report(f"ore wreath {d.name} (degree <= {bound})")
     rep.extend(check_skew_data(d))
     b = d.coeff_algebra
-    f = b.field
-    one_f = f.one()
-    table = OreTwistTable(d, bound)
-    # tw[n][k] is the twist of X^n (x) e_k
-    tw = [table._basis_twists(n) for n in range(bound + 1)]
-    basis = [{i: one_f} for i in range(b.dim)]
+    f, dim, mult, labels = b.field, b.dim, b.mult, b.labels
+    one = b.unit
+    basis = [{i: f.one()} for i in range(dim)]
+    tw = _flat_twists(OreTwistTable(d, bound))
+    # prods[n][a][k] is e_a . tw[n][k]
+    prods = [[[_lin(f, dim, row, t) for t in twn] for row in mult] for twn in tw]
+
+    def fail(tag, where, lhs, rhs):
+        rep.add(Witness(tag, where, _fmt_flat(b, lhs), _fmt_flat(b, rhs)))
 
     for i, e in enumerate(basis):
-        if tw[0][i] != {0: e}:
-            rep.add(Witness("rt-unit", (b.labels[i],),
-                            _fmt_poly(b, tw[0][i]), _fmt_poly(b, {0: e})))
+        if tw[0][i] != e:
+            fail("rt-unit", (labels[i],), tw[0][i], e)
 
     for n in range(bound + 1):
         for m in range(bound + 1 - n):
-            for idx in range(b.dim):
-                lhs = tw[n + m][idx]
-                rhs: dict = {}
-                for i, vec in tw[m][idx].items():
-                    for j, vec2 in table.twist(n, vec).items():
-                        f.axpy(rhs.setdefault(i + j, {}), vec2, one_f)
-                rhs = {k: v for k, v in rhs.items() if v}
-                if lhs != rhs:
-                    rep.add(Witness("rt-mult", (n, m, b.labels[idx]),
-                                    _fmt_poly(b, lhs), _fmt_poly(b, rhs)))
+            for idx in range(dim):
+                rhs = _lin(f, dim, tw[n], tw[m][idx])
+                if tw[n + m][idx] != rhs:
+                    fail("rt-mult", (n, m, labels[idx]), tw[n + m][idx], rhs)
 
-    one = b.unit_vector()
     for n in range(bound + 1):
-        img = table.twist(n, one)
-        if img != {n: one}:
-            rep.add(Witness("eta-left-linear", (n,),
-                            _fmt_poly(b, img), _fmt_poly(b, {n: one})))
+        img = _lin(f, dim, tw[n], one)
+        want = {n * dim + c: v for c, v in one.items()}
+        if img != want:
+            fail("eta-left-linear", (n,), img, want)
 
     # T-bilinearity of the multiplication: threading X^n through b then b'
     # must match threading through bb'
     for n in range(bound + 1):
-        for i in range(b.dim):
-            ti = tw[n][i]
-            for j in range(b.dim):
-                lhs = {}
-                for deg1, vec1 in ti.items():
-                    for deg2, vec2 in tw[deg1][j].items():
-                        f.axpy(lhs.setdefault(deg2, {}),
-                               b.mul_vec(vec1, vec2), one_f)
-                lhs = {k: v for k, v in lhs.items() if v}
-                rhs = table.twist(n, b.mult[i][j])
+        for i in range(dim):
+            for j in range(dim):
+                lhs: dict = {}
+                for p, v in tw[n][i].items():
+                    f.axpy(lhs, prods[p // dim][p % dim][j], v)
+                rhs = _lin(f, dim, tw[n], mult[i][j])
                 if lhs != rhs:
-                    rep.add(Witness("mu-left-linear",
-                                    (n, b.labels[i], b.labels[j]),
-                                    _fmt_poly(b, lhs), _fmt_poly(b, rhs)))
+                    fail("mu-left-linear", (n, labels[i], labels[j]), lhs, rhs)
 
-    # the three wreath diagrams on monomial inputs
+    # the three wreath diagrams on monomial inputs.  Each side of w-twist
+    # and w-assoc maps the twist linearly by e_c -> 1.e_c, (e_i e_j) e_c or
+    # e_i (e_j e_c); where the two w-assoc rows agree on every e_c, so do
+    # both sides, whatever the twist
+    units = [b.mul_vec(e, one) for e in basis]
+    unit_rows = [b.mul_vec(one, e) for e in basis]
+    assoc = [[([b.mul_vec(mult[i][j], e) for e in basis],
+               [b.mul_vec(ei, mult[j][c]) for c in range(dim)])
+              for j in range(dim)] for i, ei in enumerate(basis)]
     for n in range(bound + 1):
-        # e_j . tw(X^n (x) e_k), shared by every i below
-        jk = [[_left_mul(b, ej, tk) for tk in tw[n]] for ej in basis]
-        for i, bi in enumerate(basis):
+        for i, ei in enumerate(basis):
             # unit section: mu.(B x eta) applied to b (x) X^n
-            if b.mul_vec(bi, one) != bi:
-                rep.add(Witness("w-unit", (b.labels[i], n), "b.1", "b"))
+            if units[i] != ei:
+                rep.add(Witness("w-unit", (labels[i], n), b.fmt_vec(units[i]),
+                                b.fmt_vec(ei)))
             # twist compatibility: mu.(B x tw).(eta x B) = tw
-            lhs = _left_mul(b, one, tw[n][i])
+            lhs = _lin(f, dim, unit_rows, tw[n][i])
             if lhs != tw[n][i]:
-                rep.add(Witness("w-twist", (n, b.labels[i]),
-                                _fmt_poly(b, lhs), _fmt_poly(b, tw[n][i])))
-            for j in range(b.dim):
-                for k in range(b.dim):
-                    lhs = _left_mul(b, b.mult[i][j], tw[n][k])
-                    rhs = _left_mul(b, bi, jk[j][k])
+                fail("w-twist", (n, labels[i]), lhs, tw[n][i])
+            for j, (left, right) in enumerate(assoc[i]):
+                for k in range(dim) if left != right else ():
+                    lhs = _lin(f, dim, left, tw[n][k])
+                    rhs = _lin(f, dim, right, tw[n][k])
                     if lhs != rhs:
-                        rep.add(Witness("w-assoc",
-                                        (b.labels[i], b.labels[j], n, b.labels[k]),
-                                        _fmt_poly(b, lhs), _fmt_poly(b, rhs)))
+                        fail("w-assoc", (labels[i], labels[j], n, labels[k]),
+                             lhs, rhs)
     return rep
 
 
 def wreath_monomial_product(table: OreTwistTable, bvec: dict, n: int,
                             cvec: dict, m: int) -> dict:
     """(b (x) X^n)(c (x) X^m) through the twist table; {degree: vector}."""
-    return _left_mul(table.data.coeff_algebra, bvec, table.twist(n, cvec), m)
+    b = table.data.coeff_algebra
+    return {deg + m: p for deg, vec in table.twist(n, cvec).items()
+            if (p := b.mul_vec(bvec, vec))}
 
 
 def ore_vs_wreath_product(d: SkewPolyData, bound: int) -> Report:
@@ -345,25 +357,26 @@ def ore_vs_wreath_product(d: SkewPolyData, bound: int) -> Report:
     all monomials of total degree within the bound."""
     rep = Report(f"ore product comparison {d.name} (degree <= {bound})")
     b = d.coeff_algebra
-    f = b.field
-    table = OreTwistTable(d, bound)
-    basis = [{i: f.one()} for i in range(b.dim)]
-    monos = [[SkewPoly.monomial(d, e, n) for e in basis]
-             for n in range(bound + 1)]
+    f, dim = b.field, b.dim
+    tw = _flat_twists(OreTwistTable(d, bound))
+    basis = [{i: f.one()} for i in range(dim)]
+    monos = [SkewPoly.monomial(d, e) for e in basis]
     for n in range(bound + 1):
-        # (e_i (x) X^n)(e_j (x) 1) through the table; X^m only shifts it
-        prods = [[_left_mul(b, ei, tj) for tj in table._basis_twists(n)]
-                 for ei in basis]
+        # (e_i (x) X^n)(e_j (x) X^m) on each side is the product at m = 0
+        # raised by m, so each pair is compared once and reported per m
+        bad = []
+        for i, ei in enumerate(basis):
+            y = SkewPoly.monomial(d, ei, n)
+            for j, mono in enumerate(monos):
+                lhs = _lin(f, dim, b.mult[i], tw[n][j])
+                rhs = _flat(dim, skew_mul(d, y, mono).coeffs)
+                if lhs != rhs:
+                    bad.append((i, j, lhs, rhs))
         for m in range(bound + 1 - n):
-            for i in range(b.dim):
-                for j in range(b.dim):
-                    lhs = {deg + m: v for deg, v in prods[i][j].items()}
-                    rhs = skew_mul(d, monos[n][i], monos[m][j]).coeffs
-                    if lhs != rhs:
-                        rep.add(Witness(
-                            "product-mismatch",
-                            (b.labels[i], n, b.labels[j], m),
-                            _fmt_poly(b, lhs), _fmt_poly(b, rhs)))
+            for i, j, lhs, rhs in bad:
+                rep.add(Witness("product-mismatch",
+                                (b.labels[i], n, b.labels[j], m),
+                                _fmt_flat(b, lhs, m), _fmt_flat(b, rhs, m)))
     return rep
 
 
@@ -419,13 +432,8 @@ def ore_universal_check(d: SkewPolyData, bound: int, target: FinAlgebra,
     for i in range(b.dim):
         e = {i: f.one()}
         lhs = target.mul_vec(z_vec, phi.apply(e))
-        rhs = target.mul_vec(phi.apply(d.sigma.matrix.apply(e)), z_vec)
-        for k, v in phi.apply(d.delta.apply(e)).items():
-            u = f.add(rhs.get(k, f.zero()), v)
-            if f.is_zero(u):
-                rhs.pop(k, None)
-            else:
-                rhs[k] = u
+        rhs = f.axpy(target.mul_vec(phi.apply(d.sigma.matrix.apply(e)), z_vec),
+                     phi.apply(d.delta.apply(e)), f.one())
         if lhs != rhs:
             rep.add(Witness("ore-relation", (b.labels[i],),
                             target.fmt_vec(lhs), target.fmt_vec(rhs)))
@@ -440,13 +448,7 @@ def ore_universal_check(d: SkewPolyData, bound: int, target: FinAlgebra,
     def extend(coeffs: dict) -> dict:
         out: dict = {}
         for n, vec in coeffs.items():
-            img = target.mul_vec(phi.apply(vec), zpow[n])
-            for k, v in img.items():
-                u = f.add(out.get(k, f.zero()), v)
-                if f.is_zero(u):
-                    out.pop(k, None)
-                else:
-                    out[k] = u
+            f.axpy(out, target.mul_vec(phi.apply(vec), zpow[n]), f.one())
         return out
 
     one_img = extend({0: b.unit_vector()})

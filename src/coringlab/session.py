@@ -352,6 +352,9 @@ def parse_session(source) -> SessionFile:
         from .ore import SkewPolyData
         coeff = s.lookup("algebras", data["coeff"], f"{data.path}.coeff")
         sigma = s.lookup("morphisms", data["sigma"], f"{data.path}.sigma")
+        if sigma.source is not coeff or sigma.target is not coeff:
+            raise InputError(
+                f"{data.path}.sigma: sigma must be an endomorphism of B")
         delta = _parse_matrix(field, data["delta"], coeff.dim, coeff.dim,
                               f"{data.path}.delta")
         s.skewpoly[name] = SkewPolyData(coeff, sigma, delta, name=name)

@@ -23,12 +23,15 @@
 * The Ore twist table and rewrite apply their matrices by `tapply`; twists,
   rewrites and reports must match the row loop of `Matrix.apply`.
 * `skew_mul` reads Y^n . c from a memo on the `SkewPolyData` and sums into
-  one dict, and the Ore checks twist each basis vector once per table and
-  form each product once; products, twists and reports (witness order
-  included) must match the plain rewrite loop, a fresh `tapply` twist and
-  the re-twisting check loops, from a cold and a warm memo.  `skew_mul`
-  must never read a twist table, no cached dict may reach a caller, and a
-  dropped `SkewPolyData` must be freed without the cyclic collector.
+  one dict, and the Ore checks evaluate every law on flat coefficient
+  vectors, by linearity from the basis twists, forming each product once
+  per (n, i, j); products, twists and reports (witness order included)
+  must match the plain rewrite loop, a fresh `tapply` twist and the
+  re-twisting check loops, from a cold and a warm memo, at every bound up
+  to the corpus's 8 and on tables perturbed at degrees 2 and 5.
+  `skew_mul` must never read a twist table, no cached dict may reach a
+  caller, and a dropped `SkewPolyData` must be freed without the cyclic
+  collector.
 * `Echelon.free_columns` of an echelon without pivots, which every flat
   quotient has, is `range(ncols)`; with and without pivots it must equal
   the column-by-column test against `pivot_rows`.  `TensorQuotient`
@@ -157,6 +160,7 @@
 
 import hashlib
 import json
+import os
 from fractions import Fraction
 from math import prod
 
@@ -210,6 +214,7 @@ from coringlab.reports import (
     Report,
     WellDefinednessError,
 )
+from coringlab.session import parse_session
 
 FIELDS = [QQ, GF(101)]
 QQ_VALUES = st.one_of(
@@ -2420,8 +2425,9 @@ def plain_check_ore_wreath(d, bound):
                     rep.add(W("rt-mult", (n, m, b.labels[idx]), fmt(b, lhs), fmt(b, rhs)))
     one = b.unit_vector()
     for n in range(bound + 1):
-        if tw(n, one) != {n: one}:
-            rep.add(W("eta-left-linear", (n,), fmt(b, tw(n, one)), fmt(b, {n: one})))
+        want = {n: one} if one else {}
+        if tw(n, one) != want:
+            rep.add(W("eta-left-linear", (n,), fmt(b, tw(n, one)), fmt(b, want)))
     for n in range(bound + 1):
         for i in range(b.dim):
             for j in range(b.dim):
@@ -2444,7 +2450,8 @@ def plain_check_ore_wreath(d, bound):
         for i in range(b.dim):
             bi = {i: f.one()}
             if b.mul_vec(bi, one) != bi:
-                rep.add(W("w-unit", (b.labels[i], n), "b.1", "b"))
+                rep.add(W("w-unit", (b.labels[i], n), b.fmt_vec(b.mul_vec(bi, one)),
+                          b.fmt_vec(bi)))
             lhs = times(one, tw(n, bi))
             if lhs != tw(n, bi):
                 rep.add(W("w-twist", (n, b.labels[i]), fmt(b, lhs), fmt(b, tw(n, bi))))
@@ -2634,6 +2641,27 @@ def test_ore_reports_match_plain_loops(make, data):
                 twist_vs_skew_mul(d, bound)] == expected
 
 
+def _plain_ore_reports(d, bound):
+    return [plain_check_ore_wreath(d, bound), plain_ore_vs_wreath_product(d, bound),
+            plain_twist_vs_skew_mul(d, bound)]
+
+
+def _ore_reports(d, bound):
+    return [check_ore_wreath(d, bound), ore_vs_wreath_product(d, bound),
+            twist_vs_skew_mul(d, bound)]
+
+
+@pytest.mark.parametrize("case", ORE_CASES)
+def test_ore_reports_match_plain_loops_up_to_the_corpus_bound(case):
+    """Every bound from 0 to 8, the degrees the `corpus` benchmark runs, on
+    fresh data (a cold memo) and again on the same data (a warm one)."""
+    for bound in range(9):
+        d = _fresh_corpus_data(case)
+        expected = _plain_ore_reports(d, bound)
+        for _ in range(2):
+            assert _ore_reports(d, bound) == expected
+
+
 def test_skew_mul_never_reads_the_twist_table(monkeypatch):
     """A spy on every `OreTwistTable` entry point sees no call from
     `skew_mul`, cold or warm, and the memo holds only dicts."""
@@ -2691,6 +2719,56 @@ def test_perturbed_table_is_caught_as_by_the_plain_loops(case, monkeypatch):
     assert "twist-vs-rewrite" in expected[1].equations()
     for _ in range(2):
         assert [ore_vs_wreath_product(d, 4), twist_vs_skew_mul(d, 4)] == expected
+
+
+@pytest.mark.parametrize("degree", [2, 5])
+@pytest.mark.parametrize("case", ORE_CASES)
+def test_perturbed_table_at_the_corpus_bound(case, degree, monkeypatch):
+    """A table perturbed at degree 2 or 5 and read up to degree 8 makes
+    `rt-mult`, `mu-left-linear` and `product-mismatch` fire at high degree,
+    with the witnesses of the plain loops, cold and warm."""
+    _perturbed_table(monkeypatch, degree)
+    d = _fresh_corpus_data(case)
+    expected = _plain_ore_reports(d, 8)
+    assert {"rt-mult", "mu-left-linear"} <= set(expected[0].equations())
+    assert "product-mismatch" in expected[1].equations()
+    assert any(w.basis[3] > 0 for w in expected[1].witnesses)
+    for _ in range(2):
+        assert _ore_reports(d, 8) == expected
+
+
+def _ore_session_with_unit(unit):
+    """sessions/ore_rational.json with the unit of k[y]/(y^3), the
+    coefficient algebra of `quantum-plane`, replaced."""
+    path = os.path.join(os.path.dirname(__file__), "..", "sessions", "ore_rational.json")
+    with open(path) as fh:
+        raw = json.load(fh)
+    raw["algebras"]["k[y]/(y^3)"]["unit"] = unit
+    return raw
+
+
+def test_zero_unit_fails_through_the_unit_laws_only():
+    """With a zero unit, eta twists 0 to 0 at every degree, so
+    `eta-left-linear` holds; the report fails through `w-unit`, which shows
+    b.1 = 0 against b, and `w-twist`, as the plain loops say."""
+    d = parse_session(_ore_session_with_unit(["0", "0", "0"])).skewpoly["quantum-plane"]
+    rep = check_ore_wreath(d, 2)
+    assert rep.equations() == ["w-twist", "w-unit"]
+    assert rep == plain_check_ore_wreath(d, 2)
+    units = [(w.basis, w.lhs, w.rhs) for w in rep.witnesses if w.equation == "w-unit"]
+    assert units == [((label, n), "0", label) for n in range(3)
+                     for label in ("1", "y", "y^2")]
+
+
+def test_w_unit_witness_shows_both_values():
+    """A unit moved to y: each `w-unit` witness prints b.1 = b.y against
+    b, in the order of the plain loops."""
+    d = parse_session(_ore_session_with_unit(["0", "1", "0"])).skewpoly["quantum-plane"]
+    rep = check_ore_wreath(d, 1)
+    assert rep == plain_check_ore_wreath(d, 1)
+    units = [(w.basis, w.lhs, w.rhs) for w in rep.witnesses if w.equation == "w-unit"]
+    assert units == [((label, n), lhs, label) for n in range(2)
+                     for label, lhs in (("1", "y"), ("y", "y^2"), ("y^2", "0"))]
 
 
 def test_cached_values_are_not_handed_out(corpus):

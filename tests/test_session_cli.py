@@ -109,6 +109,22 @@ class TestCliExitCodes:
         assert code == 2
         assert capsys.readouterr().err.strip() == "error: unknown skewpoly 'nope'"
 
+    def test_sigma_of_another_algebra_names_its_entry(self, session_files, tmp_path,
+                                                      capsys):
+        """A `skewpoly` sigma that is a morphism of another algebra exits 2
+        with its JSON path, as a dangling name does."""
+        with open(session_files["ore_rational.json"]) as fh:
+            raw = json.load(fh)
+        raw["skewpoly"]["quantum-plane"]["sigma"] = "id"
+        path = tmp_path / "bad_sigma.json"
+        path.write_text(json.dumps(raw))
+        code = main(["--session", str(path), "ore", "check", "--data",
+                     "quantum-plane", "--degree", "2"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: $.skewpoly.quantum-plane.sigma: sigma must be an "
+            "endomorphism of B\n")
+
     def test_unknown_entry_messages_name_each_kind(self, session_files):
         """Every plural section names its kind without the trailing s, as
         it always has; `skewpoly` is singular and keeps its name."""
