@@ -2624,6 +2624,16 @@ def test_twists_match_uncached_tapply(make, data):
             assert ore.ore_twist(table, n, v) == tapply_twist(table, n, v)
 
 
+def _plain_ore_reports(d, bound):
+    return [plain_check_ore_wreath(d, bound), plain_ore_vs_wreath_product(d, bound),
+            plain_twist_vs_skew_mul(d, bound)]
+
+
+def _ore_reports(d, bound):
+    return [check_ore_wreath(d, bound), ore_vs_wreath_product(d, bound),
+            twist_vs_skew_mul(d, bound)]
+
+
 @pytest.mark.parametrize("make", ORE_DATA)
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())
@@ -2633,22 +2643,9 @@ def test_ore_reports_match_plain_loops(make, data):
     memo) and again on the same data (a warm one)."""
     d = make(data)
     bound = data.draw(st.integers(0, 4))
-    expected = [plain_check_ore_wreath(d, bound),
-                plain_ore_vs_wreath_product(d, bound),
-                plain_twist_vs_skew_mul(d, bound)]
+    expected = _plain_ore_reports(d, bound)
     for _ in range(2):
-        assert [check_ore_wreath(d, bound), ore_vs_wreath_product(d, bound),
-                twist_vs_skew_mul(d, bound)] == expected
-
-
-def _plain_ore_reports(d, bound):
-    return [plain_check_ore_wreath(d, bound), plain_ore_vs_wreath_product(d, bound),
-            plain_twist_vs_skew_mul(d, bound)]
-
-
-def _ore_reports(d, bound):
-    return [check_ore_wreath(d, bound), ore_vs_wreath_product(d, bound),
-            twist_vs_skew_mul(d, bound)]
+        assert _ore_reports(d, bound) == expected
 
 
 @pytest.mark.parametrize("case", ORE_CASES)
@@ -2735,6 +2732,23 @@ def test_perturbed_table_at_the_corpus_bound(case, degree, monkeypatch):
     assert any(w.basis[3] > 0 for w in expected[1].witnesses)
     for _ in range(2):
         assert _ore_reports(d, 8) == expected
+
+
+@pytest.mark.parametrize("field", ORE_GEN_FIELDS, ids=repr)
+def test_non_associative_data_reports_as_the_plain_loops(field):
+    """Fixed data on which the unit, multiplication and wreath-diagram laws
+    fail: structure constants that are neither associative nor unital, a
+    sigma that is no morphism and a delta that is no derivation.  `w-assoc`
+    is evaluated only where (e_i e_j) e_c and e_i (e_j e_c) differ, so it
+    must still report each witness of the plain loops."""
+    B = FinAlgebra(field, 2, [[{0: 1, 1: 1}, {1: 1}], [{}, {0: 2}]], {0: 1, 1: 1})
+    sigma = Matrix.from_entries(field, 2, 2, {(0, 1): 1, (1, 0): 1})
+    delta = Matrix.from_entries(field, 2, 2, {(1, 0): 1})
+    d = SkewPolyData(B, AlgebraMorphism(B, B, sigma, name="s"), delta, name="gen")
+    expected = plain_check_ore_wreath(d, 8)
+    assert {"mu-left-linear", "w-assoc", "w-twist", "w-unit"} <= set(expected.equations())
+    for _ in range(2):
+        assert check_ore_wreath(d, 8) == expected
 
 
 def _ore_session_with_unit(unit):
