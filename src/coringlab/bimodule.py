@@ -165,16 +165,13 @@ class Bimodule:
 
     # -- actions by arbitrary elements --------------------------------------
 
-    def act_left_matrix(self, vec: dict) -> Matrix:
+    def act_matrix(self, acts, vec: dict) -> Matrix:
+        """sum_k vec[k] acts[k]: the element vec acting through acts, one
+        matrix on this carrier per basis element of an algebra (for
+        example `left_action`)."""
         out = Matrix.zeros(self.field, self.dim, self.dim)
         for k, c in vec.items():
-            out = out + self.left_action[k].scale(c)
-        return out
-
-    def act_right_matrix(self, vec: dict) -> Matrix:
-        out = Matrix.zeros(self.field, self.dim, self.dim)
-        for k, c in vec.items():
-            out = out + self.right_action[k].scale(c)
+            out = out + acts[k].scale(c)
         return out
 
     def basis_label(self, i) -> str:
@@ -195,34 +192,42 @@ class Bimodule:
         return f"Bimodule({self.name}, dim={self.dim})"
 
 
-def check_bimodule(m: Bimodule) -> Report:
-    """Unitality and associativity of both actions, and their commuting."""
-    rep = Report(f"bimodule {m.name}")
-    A, B = m.left_algebra, m.right_algebra
-    f = m.field
-    ident = Matrix.identity(f, m.dim)
-    if m.act_left_matrix(A.unit) != ident:
-        rep.add(Witness("left-unital", ("1",), "L(1)", "id"))
-    if m.act_right_matrix(B.unit) != ident:
-        rep.add(Witness("right-unital", ("1",), "R(1)", "id"))
-    for i in range(A.dim):
-        for j in range(A.dim):
-            lhs = m.act_left_matrix(A.mult[i][j])
-            rhs = m.left_action[i] @ m.left_action[j]
-            if lhs != rhs:
-                rep.add(Witness("left-assoc", (A.labels[i], A.labels[j]), "L(ei*ej)", "L(ei)L(ej)"))
-    for i in range(B.dim):
-        for j in range(B.dim):
-            lhs = m.act_right_matrix(B.mult[i][j])
-            rhs = m.right_action[j] @ m.right_action[i]
-            if lhs != rhs:
-                rep.add(Witness("right-assoc", (B.labels[i], B.labels[j]), "R(ei*ej)", "R(ej)R(ei)"))
-    for i in range(A.dim):
-        for j in range(B.dim):
-            lhs = m.left_action[i] @ m.right_action[j]
-            rhs = m.right_action[j] @ m.left_action[i]
-            if lhs != rhs:
-                rep.add(Witness("actions-commute", (A.labels[i], B.labels[j]), "L;R", "R;L"))
+def check_bimodule(m: Bimodule, left=None, right=None,
+                   tags=("left-unital", "right-unital", "left-assoc",
+                         "right-assoc", "actions-commute"), name=None) -> Report:
+    """The action laws on the carrier m: unitality and associativity of
+    each action given, then their commuting when both are given.  left and
+    right are (algebra, action matrices) pairs, m's own two actions when
+    neither is given.  tags name the left and right unit laws, the left and
+    right associativity laws and the commuting law, in the order they are
+    checked.  Each failing element or pair gives one witness: its labels
+    and the first column of m where the two sides differ, both printed on
+    m (`compare_maps`)."""
+    if left is None and right is None:
+        left, right = (m.left_algebra, m.left_action), (m.right_algebra, m.right_action)
+    rep = Report(name or f"bimodule {m.name}")
+    given = [(k, *pair) for k, pair in enumerate((left, right)) if pair]
+
+    def law(tag, where, lhs, rhs):
+        if lhs != rhs:
+            compare_maps(rep, tag, LinearMap(m, m, lhs), LinearMap(m, m, rhs), 1, where)
+
+    ident = Matrix.identity(m.field, m.dim)
+    for k, alg, acts in given:
+        law(tags[k], ("1",), m.act_matrix(acts, alg.unit), ident)
+    for k, alg, acts in given:
+        for i in range(alg.dim):
+            for j in range(alg.dim):
+                # right actions compose the other way: x.(ei ej) = (x.ei).ej
+                rhs = acts[j] @ acts[i] if k else acts[i] @ acts[j]
+                law(tags[2 + k], (alg.labels[i], alg.labels[j]),
+                    m.act_matrix(acts, alg.mult[i][j]), rhs)
+    if left and right:
+        (a, lacts), (b, racts) = left, right
+        for i in range(a.dim):
+            for j in range(b.dim):
+                law(tags[4], (a.labels[i], b.labels[j]), lacts[i] @ racts[j],
+                    racts[j] @ lacts[i])
     return rep
 
 
@@ -261,8 +266,8 @@ def restricted_bimodule(total: FinAlgebra, iota, name=None) -> Bimodule:
     for i in range(a.dim):
         img = iota.apply({i: a.field.one()})
         reg = regular_bimodule(total)
-        left.append(reg.act_left_matrix(img))
-        right.append(reg.act_right_matrix(img))
+        left.append(reg.act_matrix(reg.left_action, img))
+        right.append(reg.act_matrix(reg.right_action, img))
     return Bimodule(a, a, total.dim, left, right, labels=total.labels,
                     name=name or f"{total.name}|{a.name}")
 
@@ -334,17 +339,38 @@ class LinearMap:
         return f"LinearMap({self.name}: {self.domain.name} -> {self.codomain.name})"
 
 
+def compare_maps(rep: Report, tag: str, lhs: LinearMap, rhs: LinearMap,
+                 max_witnesses=3, prefix=()):
+    """Record witnesses for the first max_witnesses basis columns where lhs
+    and rhs disagree: the basis tuple is prefix and the column's label, and
+    both columns are printed on the codomain."""
+    if lhs.matrix == rhs.matrix:
+        return rep
+    dom, cod = lhs.domain, lhs.codomain
+    count = 0
+    for j in range(dom.dim):
+        lc, rc = lhs.matrix.col(j), rhs.matrix.col(j)
+        if lc != rc:
+            rep.add(Witness(tag, (*prefix, dom.basis_label(j)),
+                            cod.fmt_vec(lc), cod.fmt_vec(rc)))
+            count += 1
+            if count >= max_witnesses:
+                break
+    return rep
+
+
 def bilinearity_report(f: LinearMap, check_name=None) -> Report:
+    """a.f(x) = f(a.x) and f(x).a = f(x.a) for each basis element a of the
+    two algebras; a failing a names a and the first x where they differ."""
     rep = Report(check_name or f"bilinearity of {f.name}")
     dom, cod = f.domain, f.codomain
-    for k in range(dom.left_algebra.dim):
-        if cod.left_action[k] @ f.matrix != f.matrix @ dom.left_action[k]:
-            rep.add(Witness("left-linear", (dom.left_algebra.labels[k],),
-                            f"{f.name} o L", f"L o {f.name}"))
-    for k in range(dom.right_algebra.dim):
-        if cod.right_action[k] @ f.matrix != f.matrix @ dom.right_action[k]:
-            rep.add(Witness("right-linear", (dom.right_algebra.labels[k],),
-                            f"{f.name} o R", f"R o {f.name}"))
+    for tag, alg, ca, da in (("left-linear", dom.left_algebra, cod.left_action, dom.left_action),
+                             ("right-linear", dom.right_algebra, cod.right_action, dom.right_action)):
+        for k in range(alg.dim):
+            lhs, rhs = ca[k] @ f.matrix, f.matrix @ da[k]
+            if lhs != rhs:
+                compare_maps(rep, tag, LinearMap(dom, cod, lhs), LinearMap(dom, cod, rhs),
+                             1, (alg.labels[k],))
     return rep
 
 

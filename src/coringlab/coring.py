@@ -23,6 +23,7 @@ from .bimodule import (
     Matrix,
     algebras_match,
     bilinearity_report,
+    compare_maps,
     k_bimodule,
     mirror,
     mirror_map,
@@ -34,25 +35,7 @@ from .bimodule import (
     tensor_maps,
 )
 from .exactla import kernel_basis
-from .reports import InputError, Report, Witness
-
-
-def compare_maps(rep: Report, tag: str, lhs: LinearMap, rhs: LinearMap,
-                 max_witnesses=3):
-    """Record witnesses for every basis column where lhs and rhs disagree."""
-    if lhs.matrix == rhs.matrix:
-        return rep
-    dom, cod = lhs.domain, lhs.codomain
-    count = 0
-    for j in range(dom.dim):
-        lc, rc = lhs.matrix.col(j), rhs.matrix.col(j)
-        if lc != rc:
-            rep.add(Witness(tag, (dom.basis_label(j),),
-                            cod.fmt_vec(lc), cod.fmt_vec(rc)))
-            count += 1
-            if count >= max_witnesses:
-                break
-    return rep
+from .reports import InputError, Report
 
 
 class Coring:

@@ -15,6 +15,14 @@ would change their bytes.  The second is still its own carrier with its
 own names, so the saved bytes are unchanged, but its quotients reuse the
 numeric core of the first's, which have the same content (`tensor_over`'s
 content table), so they are not built again.
+
+The entwining laws and the Doi-Koppinen coaction and action laws are
+evaluated on flat matrices over the ground-field legs.  A law whose two
+matrices differ is compared by `compare_maps` on the legs' tensor
+quotients over the field, which have the kron order, so its witness names
+a flat label such as `g(x)1` and prints both sides on the codomain legs.
+The Doi-Koppinen module laws are those of the right action c.h, checked
+by `check_bimodule`.
 """
 
 from __future__ import annotations
@@ -27,10 +35,11 @@ from .algebra import (
     multiplication_matrix,
     unit_column,
 )
-from .bimodule import Bimodule, LinearMap, Matrix, k_bimodule, memo, pipe, regular_bimodule, space
-from .coring import Coring, corings_match
+from .bimodule import (Bimodule, LinearMap, Matrix, check_bimodule, compare_maps, k_bimodule,
+                       memo, pipe, regular_bimodule, space)
+from .coring import Coring, corings_match, flip_map
 from .rcat import RObject, check_r_algebra
-from .reports import InputError, Report, Witness
+from .reports import InputError, Report
 
 
 def algebra_as_k_bimodule(a: FinAlgebra, kalg: FinAlgebra) -> Bimodule:
@@ -73,70 +82,37 @@ class EntwiningStructure:
 
 def flip_entwining(a: FinAlgebra, c: Coring, name="flip") -> EntwiningStructure:
     ab = algebra_as_k_bimodule(a, c.base)
-    from .coring import flip_map
     return EntwiningStructure(a, c, flip_map(c.carrier, ab), name)
 
 
 def check_entwining(e: EntwiningStructure) -> Report:
     """The four compatibility laws with multiplication, unit,
-    comultiplication and counit."""
+    comultiplication and counit, on flat matrices over the ground-field
+    legs (`_flat_law`)."""
     rep = Report(f"entwining {e.name}")
     A, C = e.algebra, e.coalgebra
-    da, dc = A.dim, C.carrier.dim
-    f = A.field
-    psi = e.psi.matrix
-    mu = multiplication_matrix(A)
-    one = unit_column(A)
-    dmat = _comult_flat(C)
+    ab, cc = e.a_bimodule, C.carrier
+    psi, mu, one = e.psi.matrix, multiplication_matrix(A), unit_column(A)
+    dmat = C.cc.section @ C.comult.matrix
     eps = C.counit.matrix
-    ic = Matrix.identity(f, dc)
-    ia = Matrix.identity(f, da)
-
-    lhs = psi @ ic.kron(mu)
-    rhs = mu.kron(ic) @ ia.kron(psi) @ psi.kron(ia)
-    _flat_compare(rep, "entwine-mult", lhs, rhs, e, ("C", "A", "A"))
-
-    lhs = psi @ ic.kron(one)
-    rhs = one.kron(ic)
-    _flat_compare(rep, "entwine-unit", lhs, rhs, e, ("C",))
-
-    lhs = ia.kron(dmat) @ psi
-    rhs = psi.kron(ic) @ ic.kron(psi) @ dmat.kron(ia)
-    _flat_compare(rep, "entwine-comult", lhs, rhs, e, ("C", "A"))
-
-    lhs = ia.kron(eps) @ psi
-    rhs = eps.kron(ia)
-    _flat_compare(rep, "entwine-counit", lhs, rhs, e, ("C", "A"))
+    ic, ia = Matrix.identity(A.field, cc.dim), Matrix.identity(A.field, A.dim)
+    _flat_law(rep, "entwine-mult", psi @ ic.kron(mu),
+              mu.kron(ic) @ ia.kron(psi) @ psi.kron(ia), (cc, ab, ab), (ab, cc))
+    _flat_law(rep, "entwine-unit", psi @ ic.kron(one), one.kron(ic), (cc,), (ab, cc))
+    _flat_law(rep, "entwine-comult", ia.kron(dmat) @ psi,
+              psi.kron(ic) @ ic.kron(psi) @ dmat.kron(ia), (cc, ab), (ab, cc, cc))
+    _flat_law(rep, "entwine-counit", ia.kron(eps) @ psi, eps.kron(ia), (cc, ab), (ab,))
     return rep
 
 
-def _comult_flat(c: Coring) -> Matrix:
-    """Comultiplication of a coalgebra over the field as a flat matrix."""
-    sp = c.cc
-    return sp.section @ c.comult.matrix
-
-
-def _flat_compare(rep, tag, lhs, rhs, e, shape):
-    if lhs == rhs:
-        return
-    dims = {"C": e.coalgebra.carrier.dim, "A": e.algebra.dim}
-    labels = {"C": e.coalgebra.carrier.labels, "A": e.algebra.labels}
-    count = 0
-    for j in range(lhs.cols):
-        lc, rc = lhs.col(j), rhs.col(j)
-        if lc != rc:
-            idx = []
-            rem = j
-            for s in reversed(shape):
-                rem, r = divmod(rem, dims[s])
-                idx.append(labels[s][r])
-            f = e.algebra.field
-            rep.add(Witness(tag, tuple(reversed(idx)),
-                            str({k: f.fmt(v) for k, v in sorted(lc.items())}),
-                            str({k: f.fmt(v) for k, v in sorted(rc.items())})))
-            count += 1
-            if count >= 3:
-                break
+def _flat_law(rep, tag, lhs, rhs, dom, cod):
+    """`compare_maps` of two flat matrices between the tensor quotients over
+    the field of the legs dom and cod, which have the kron order.  The
+    quotients that label a witness are built only when the matrices
+    differ."""
+    if lhs != rhs:
+        d, c = space(*dom).quotient, space(*cod).quotient
+        compare_maps(rep, tag, LinearMap(d, c, lhs), LinearMap(d, c, rhs))
 
 
 def entwined_coring(e: EntwiningStructure, name=None) -> Coring:
@@ -230,71 +206,39 @@ def tensor_fin_algebra(a: FinAlgebra, b: FinAlgebra, name=None) -> FinAlgebra:
 
 
 def check_doi_koppinen(dk: DoiKoppinenData) -> Report:
-    """Bialgebra laws, comodule-algebra laws, module-coalgebra laws."""
+    """Bialgebra laws, comodule-algebra laws, module-coalgebra laws.  The
+    right action c.h has the matrices act . (I_C (x) e_h), whose laws are
+    checked by `check_bimodule`; the coaction and the action's coalgebra
+    laws are flat (`_flat_law`)."""
     rep = Report("doi-koppinen data")
-    H, Hc = dk.h_algebra, dk.h_coalgebra
+    H, Hc, A, C = dk.h_algebra, dk.h_coalgebra, dk.algebra, dk.coalgebra
     f = H.field
-    dh = H.dim
-    hh = tensor_fin_algebra(H, H)
-    dflat = _comult_flat(Hc)
-    rep.extend(_morph_report(
-        "bialgebra-comult", AlgebraMorphism(H, hh, dflat)))
-    kalg_target = field_algebra(f)
-    rep.extend(_morph_report(
-        "bialgebra-counit",
-        AlgebraMorphism(H, kalg_target, Hc.counit.matrix)))
-
-    A = dk.algebra
-    da = A.dim
-    ah = tensor_fin_algebra(A, H)
-    rep.extend(_morph_report(
-        "comodule-algebra-mult", AlgebraMorphism(A, ah, dk.coaction)))
-    ia, ih = Matrix.identity(f, da), Matrix.identity(f, dh)
-    lhs = dk.coaction.kron(ih) @ dk.coaction
-    rhs = ia.kron(dflat) @ dk.coaction
-    if lhs != rhs:
-        rep.add(Witness("comodule-coassoc", ("A",), "rho twice", "Delta after rho"))
-    if ia.kron(Hc.counit.matrix) @ dk.coaction != ia:
-        rep.add(Witness("comodule-counit", ("A",), "eps after rho", "id"))
-
-    C = dk.coalgebra
-    dc = C.carrier.dim
-    ic = Matrix.identity(f, dc)
-    act = dk.action
-    if act @ ic.kron(unit_column(H)) != ic:
-        rep.add(Witness("module-unit", ("C",), "act(1)", "id"))
-    lhs = act @ ic.kron(multiplication_matrix(H))
-    rhs = act @ act.kron(ih)
-    if lhs != rhs:
-        rep.add(Witness("module-assoc", ("C",), "act(hh')", "act;act"))
-    # action is a coalgebra morphism
-    cflat = _comult_flat(C)
-    lhs = cflat @ act
-    mid = ic.kron(_swap_matrix(f, dc, dh)).kron(ih)
-    rhs = act.kron(act) @ mid @ cflat.kron(dflat)
-    if lhs != rhs:
-        rep.add(Witness("action-comult", ("C", "H"), "Delta(c.h)",
-                        "(c1.h1)(x)(c2.h2)"))
-    if C.counit.matrix @ act != C.counit.matrix.kron(Hc.counit.matrix):
-        rep.add(Witness("action-counit", ("C", "H"), "eps(c.h)",
-                        "eps(c)eps(h)"))
+    hb, cb, ab = Hc.carrier, C.carrier, algebra_as_k_bimodule(A, Hc.base)
+    dflat = Hc.cc.section @ Hc.comult.matrix
+    rep.extend(check_algebra_morphism(
+        AlgebraMorphism(H, tensor_fin_algebra(H, H), dflat)), prefix="bialgebra-comult")
+    rep.extend(check_algebra_morphism(
+        AlgebraMorphism(H, field_algebra(f), Hc.counit.matrix)), prefix="bialgebra-counit")
+    rep.extend(check_algebra_morphism(
+        AlgebraMorphism(A, tensor_fin_algebra(A, H), dk.coaction)),
+        prefix="comodule-algebra-mult")
+    rho, act = dk.coaction, dk.action
+    ia, ih, ic = (Matrix.identity(f, x.dim) for x in (A, H, cb))
+    _flat_law(rep, "comodule-coassoc", rho.kron(ih) @ rho, ia.kron(dflat) @ rho,
+              (ab,), (ab, hb, hb))
+    _flat_law(rep, "comodule-counit", ia.kron(Hc.counit.matrix) @ rho, ia, (ab,), (ab,))
+    racts = [act @ ic.kron(Matrix.from_entries(f, H.dim, 1, {(h, 0): f.one()}))
+             for h in range(H.dim)]
+    rep.extend(check_bimodule(cb, right=(H, racts),
+                              tags=(None, "module-unit", None, "module-assoc", None)))
+    # the action is a coalgebra morphism
+    cflat = C.cc.section @ C.comult.matrix
+    _flat_law(rep, "action-comult", cflat @ act,
+              act.kron(act) @ ic.kron(flip_map(cb, hb).matrix).kron(ih) @ cflat.kron(dflat),
+              (cb, hb), (cb, cb))
+    _flat_law(rep, "action-counit", C.counit.matrix @ act,
+              C.counit.matrix.kron(Hc.counit.matrix), (cb, hb), (regular_bimodule(C.base),))
     return rep
-
-
-def _swap_matrix(f, m, n) -> Matrix:
-    entries = {}
-    for i in range(m):
-        for j in range(n):
-            entries[(j * m + i, i * n + j)] = f.one()
-    return Matrix.from_entries(f, m * n, m * n, entries)
-
-
-def _morph_report(tag, morphism) -> Report:
-    sub = check_algebra_morphism(morphism)
-    out = Report(tag)
-    for w in sub.witnesses:
-        out.add(Witness(f"{tag}-{w.equation}", w.basis, w.lhs, w.rhs))
-    return out
 
 
 def doi_koppinen_entwining(dk: DoiKoppinenData, name="dk") -> EntwiningStructure:
@@ -327,7 +271,7 @@ def doi_koppinen_self(h_algebra: FinAlgebra, h_coalgebra: Coring) -> DoiKoppinen
     multiplication."""
     return DoiKoppinenData(
         h_algebra, h_coalgebra,
-        h_algebra, _comult_flat(h_coalgebra),
+        h_algebra, h_coalgebra.cc.section @ h_coalgebra.comult.matrix,
         h_coalgebra, multiplication_matrix(h_algebra),
     )
 

@@ -55,9 +55,7 @@ def check_skew_data(d: SkewPolyData) -> Report:
     """sigma is an algebra endomorphism; delta obeys the twisted Leibniz
     rule delta(bb') = delta(b) b' + sigma(b) delta(b')."""
     rep = Report(f"skew data {d.name}")
-    sub = check_algebra_morphism(d.sigma)
-    for w in sub.witnesses:
-        rep.add(Witness(f"sigma-{w.equation}", w.basis, w.lhs, w.rhs))
+    rep.extend(check_algebra_morphism(d.sigma), prefix="sigma")
     b = d.coeff_algebra
     f = b.field
     for i in range(b.dim):
@@ -424,10 +422,8 @@ def ore_universal_check(d: SkewPolyData, bound: int, target: FinAlgebra,
     rep = Report(f"universal extension {d.name} -> {target.name}")
     b = d.coeff_algebra
     f = b.field
-    morph = AlgebraMorphism(b, target, phi, name="phi")
-    sub = check_algebra_morphism(morph)
-    for w in sub.witnesses:
-        rep.add(Witness(f"phi-{w.equation}", w.basis, w.lhs, w.rhs))
+    rep.extend(check_algebra_morphism(AlgebraMorphism(b, target, phi, name="phi")),
+               prefix="phi")
     # z . phi(b) = phi(sigma(b)) . z + phi(delta(b))
     for i in range(b.dim):
         e = {i: f.one()}

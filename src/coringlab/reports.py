@@ -87,11 +87,15 @@ class Report(Record):
         self.status = "fail"
         self.witnesses.append(witness)
 
-    def extend(self, other: "Report"):
-        """Fold a sub-report into this one."""
+    def extend(self, other: "Report", prefix=None):
+        """Fold a sub-report into this one, each tag as `prefix-tag` when a
+        prefix is given."""
         if not other.ok:
             self.status = "fail"
-            self.witnesses.extend(other.witnesses)
+            self.witnesses.extend(
+                other.witnesses if prefix is None else
+                (Witness(f"{prefix}-{w.equation}", w.basis, w.lhs, w.rhs)
+                 for w in other.witnesses))
         return self
 
     def equations(self):

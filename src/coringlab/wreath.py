@@ -8,7 +8,10 @@ makes R (x) T a ring extension of T.  Twisted tensor products, module
 twisting maps and the dual comparison functors all live here.  The
 left-handed wreath of a twisted tensor product is checked as the
 right-handed wreath of its mirror over the opposite extension, with the
-tags renamed `rt-` -> `lt-` and `w-` -> `lw-`.
+tags renamed `rt-` -> `lt-` and `w-` -> `lw-`.  The unit, associativity
+and commuting laws of a module over the wreath product (`pm-*`, `od-*`)
+are checked by `check_bimodule` on the matrices by which each basis
+element acts.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ from .bimodule import (
     LinearMap,
     Matrix,
     bilinearity_report,
+    check_bimodule,
+    compare_maps,
     memo,
     mirror,
     mirror_map,
@@ -36,8 +41,8 @@ from .bimodule import (
     space,
     tensor_over,
 )
-from .coring import compare_maps, hom_basis, sample_solutions
-from .reports import InputError, PreconditionFailure, Report, Witness, mirrored_report
+from .coring import hom_basis, sample_solutions
+from .reports import InputError, PreconditionFailure, Report, mirrored_report
 
 
 class RingExtension:
@@ -405,7 +410,7 @@ def wreath_product(w: Wreath, name=None):
     f = R.field
     iota_mat_cols = {}
     for i in range(ext.base.dim):
-        img = rt.act_left_matrix({i: f.one()}).tapply(product.unit)
+        img = rt.left_action[i].tapply(product.unit)
         for r, v in img.items():
             iota_mat_cols[(r, i)] = v
     iota = AlgebraMorphism(
@@ -781,33 +786,6 @@ def induced_twisted_action(mt: ModuleTwist, y: Bimodule,
     )
 
 
-def check_product_module(product: FinAlgebra, rt_carrier: Bimodule,
-                         carrier: Bimodule, action: LinearMap,
-                         check_name="product module") -> Report:
-    """Unit and associativity of a left action of the wreath product given
-    as a map (R (x) T) (x) V -> V."""
-    rep = Report(check_name)
-    f = carrier.field
-    acts = element_action_matrices(action, rt_carrier, carrier)
-    ident = Matrix.identity(f, carrier.dim)
-    one_mat = Matrix.zeros(f, carrier.dim, carrier.dim)
-    for k, v in product.unit.items():
-        one_mat = one_mat + acts[k].scale(v)
-    if one_mat != ident:
-        rep.add(Witness("pm-unit", ("1",), "act(1)", "id"))
-    for i in range(product.dim):
-        for j in range(product.dim):
-            lhs = Matrix.zeros(f, carrier.dim, carrier.dim)
-            for k, v in product.mult[i][j].items():
-                lhs = lhs + acts[k].scale(v)
-            rhs = acts[i] @ acts[j]
-            if lhs != rhs:
-                rep.add(Witness("pm-assoc",
-                                (product.labels[i], product.labels[j]),
-                                "act(uv)", "act(u)act(v)"))
-    return rep
-
-
 def extract_module_twist(mt_shape_action: LinearMap, ttp_wreath: Wreath,
                          rext: RingExtension, carrier: Bimodule) -> LinearMap:
     """Recover the twist T (x) X -> X (x) T from a product action on
@@ -822,6 +800,10 @@ def extract_module_twist(mt_shape_action: LinearMap, ttp_wreath: Wreath,
         .apply(mt_shape_action, 0, 4, [carrier, tb])
         .done(space(carrier, tb), name="extracted-twist")
     )
+
+
+# the action laws of a module over the wreath product (`check_bimodule`)
+_PM_TAGS = ("pm-unit", "pm-right-unit", "pm-assoc", "pm-right-assoc", "pm-commute")
 
 
 class BimoduleTwistData:
@@ -878,66 +860,38 @@ def check_bimodule_twisting(bt: BimoduleTwistData) -> Report:
         .apply(bt.r_v, 1, 2, [V])
         .done(space(xv), name="r-XV")
     )
-    product_ext, _, _ = wreath_product(w)
-    product = product_ext.total
+    product = wreath_product(w)[0].total
     rt = w.rt_carrier()
-    rep.extend(check_product_module(product, rt, xv, l_xv,
-                                    "left product action"))
-    f = X.field
-    lacts = element_action_matrices(l_xv, rt, xv)
-    racts = element_action_matrices(r_xv, rt, xv, side="right")
-    # right action laws through the opposite pattern
-    ident = Matrix.identity(f, xv.dim)
-    one_mat = Matrix.zeros(f, xv.dim, xv.dim)
-    for k, v in product.unit.items():
-        one_mat = one_mat + racts[k].scale(v)
-    if one_mat != ident:
-        rep.add(Witness("pm-right-unit", ("1",), "act(1)", "id"))
-    for i in range(product.dim):
-        for j in range(product.dim):
-            lhs_m = Matrix.zeros(f, xv.dim, xv.dim)
-            for k, v in product.mult[i][j].items():
-                lhs_m = lhs_m + racts[k].scale(v)
-            rhs_m = racts[j] @ racts[i]
-            if lhs_m != rhs_m:
-                rep.add(Witness("pm-right-assoc",
-                                (product.labels[i], product.labels[j]),
-                                "act(uv)", "act(v);act(u)"))
-    for i in range(product.dim):
-        for j in range(product.dim):
-            if lacts[i] @ racts[j] != racts[j] @ lacts[i]:
-                rep.add(Witness("pm-commute",
-                                (product.labels[i], product.labels[j]),
-                                "l;r", "r;l"))
-    return rep
+    return rep.extend(check_bimodule(
+        xv, left=(product, element_action_matrices(l_xv, rt, xv)),
+        right=(product, element_action_matrices(r_xv, rt, xv, side="right")),
+        tags=_PM_TAGS))
 
 
 def r_action_matrices_check(mt: ModuleTwist, y: Bimodule, l_y: LinearMap,
                             product: FinAlgebra, rt_carrier: Bimodule) -> Report:
     """Module laws of the induced action plus compatibility with the
     inclusion of the first tensorand."""
-    rep = Report(f"induced action on {mt.carrier.name}(x){y.name}")
     action = induced_twisted_action(mt, y, l_y)
     xy = action.codomain
-    rep.extend(check_product_module(product, rt_carrier, xy, action))
+    acts = element_action_matrices(action, rt_carrier, xy)
+    rep = check_bimodule(xy, left=(product, acts), tags=_PM_TAGS,
+                         name=f"induced action on {mt.carrier.name}(x){y.name}")
     # (r (x) 1) . (x (x) y) = (r x) (x) y
     f = mt.carrier.field
-    acts = element_action_matrices(action, rt_carrier, xy)
     rb = mt.rext.t_bimodule
     lx_mats = element_action_matrices(mt.l_x, rb, mt.carrier)
     one_t = mt.wreath.ext.total.unit_vector()
     sp = space(mt.carrier, y)
     tb = mt.wreath.ext.t_bimodule
     emb = pipe(space(rb)).insert_central(tb, one_t, 1).done(space(rb, tb))
+    ident_y = Matrix.identity(f, y.dim)
     for i in range(mt.rext.total.dim):
-        u = emb.matrix.tapply({i: f.one()})
-        act_u = Matrix.zeros(f, xy.dim, xy.dim)
-        for k, v in u.items():
-            act_u = act_u + acts[k].scale(v)
-        expect = sp.project @ lx_mats[i].kron(Matrix.identity(f, y.dim)) @ sp.section
+        act_u = xy.act_matrix(acts, emb.matrix.tapply({i: f.one()}))
+        expect = sp.project @ lx_mats[i].kron(ident_y) @ sp.section
         if act_u != expect:
-            rep.add(Witness("mt-inclusion", (mt.rext.total.labels[i],),
-                            "(r x 1).(x x y)", "(r.x) x y"))
+            compare_maps(rep, "mt-inclusion", LinearMap(xy, xy, act_u),
+                         LinearMap(xy, xy, expect), 1, (mt.rext.total.labels[i],))
     return rep
 
 
@@ -973,41 +927,16 @@ def functor_o_dual(w: Wreath, y: RTObject, l_action: LinearMap):
 
 
 def check_functor_o_dual(w: Wreath, y: RTObject, l_action: LinearMap) -> Report:
-    rep = Report(f"dual comparison on {y.name}")
+    """The product's left action and T's right action on Y (x) T are
+    unital, associative and commute."""
     ext = w.ext
-    tb = ext.t_bimodule
     yt, l_map, r_map = functor_o_dual(w, y, l_action)
-    product_ext, _, _ = wreath_product(w)
-    product = product_ext.total
-    rt = w.rt_carrier()
-    rep.extend(check_product_module(product, rt, yt, l_map))
-    f = yt.field
-    racts = element_action_matrices(
-        LinearMap(space(yt, tb).quotient, yt, r_map.matrix, name="r"),
-        tb, yt, side="right")
-    ident = Matrix.identity(f, yt.dim)
-    one_mat = Matrix.zeros(f, yt.dim, yt.dim)
-    for k, v in ext.total.unit.items():
-        one_mat = one_mat + racts[k].scale(v)
-    if one_mat != ident:
-        rep.add(Witness("od-right-unit", ("1",), "act(1)", "id"))
-    for i in range(ext.total.dim):
-        for j in range(ext.total.dim):
-            lhs = Matrix.zeros(f, yt.dim, yt.dim)
-            for k, v in ext.total.mult[i][j].items():
-                lhs = lhs + racts[k].scale(v)
-            if lhs != racts[j] @ racts[i]:
-                rep.add(Witness("od-right-assoc",
-                                (ext.total.labels[i], ext.total.labels[j]),
-                                "act(tt')", "act(t');act(t)"))
-    lacts = element_action_matrices(l_map, rt, yt)
-    for i in range(product.dim):
-        for j in range(ext.total.dim):
-            if lacts[i] @ racts[j] != racts[j] @ lacts[i]:
-                rep.add(Witness("od-commute",
-                                (product.labels[i], ext.total.labels[j]),
-                                "l;r", "r;l"))
-    return rep
+    return check_bimodule(
+        yt, left=(wreath_product(w)[0].total,
+                  element_action_matrices(l_map, w.rt_carrier(), yt)),
+        right=(ext.total, element_action_matrices(r_map, ext.t_bimodule, yt, side="right")),
+        tags=("pm-unit", "od-right-unit", "pm-assoc", "od-right-assoc", "od-commute"),
+        name=f"dual comparison on {y.name}")
 
 
 def dual_hat(o: RTObject, g: LinearMap) -> LinearMap:
