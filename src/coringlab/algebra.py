@@ -83,13 +83,17 @@ class FinAlgebra:
         return self.labels[i]
 
     def fmt_vec(self, v: dict) -> str:
+        """v as `c*label + ...` in basis order, a coefficient 1 as the bare
+        label and the zero vector as `0`.  `Bimodule` shares this method,
+        so it reads the labels through `basis_label`."""
         f = self.field
         if not v:
             return "0"
         parts = []
         for i in sorted(v):
             c = f.fmt(v[i])
-            parts.append(f"{c}*{self.labels[i]}" if c != "1" else self.labels[i])
+            lab = self.basis_label(i)
+            parts.append(lab if c == "1" else f"{c}*{lab}")
         return " + ".join(parts)
 
     def __repr__(self):
@@ -248,7 +252,4 @@ def identity_morphism(a: FinAlgebra) -> AlgebraMorphism:
 
 def unit_inclusion(field_alg: FinAlgebra, a: FinAlgebra) -> AlgebraMorphism:
     """k -> A sending 1 to the unit of A."""
-    mat = Matrix.from_entries(
-        a.field, a.dim, 1, {(k, 0): v for k, v in a.unit.items()}
-    )
-    return AlgebraMorphism(field_alg, a, mat, name="unit")
+    return AlgebraMorphism(field_alg, a, unit_column(a), name="unit")

@@ -177,16 +177,7 @@ class Bimodule:
     def basis_label(self, i) -> str:
         return f"m{i}" if self._labels is None else self._labels[i]
 
-    def fmt_vec(self, v: dict) -> str:
-        f = self.field
-        if not v:
-            return "0"
-        parts = []
-        for i in sorted(v):
-            c = f.fmt(v[i])
-            lab = self.basis_label(i)
-            parts.append(lab if c == "1" else f"{c}*{lab}")
-        return " + ".join(parts)
+    fmt_vec = FinAlgebra.fmt_vec
 
     def __repr__(self):
         return f"Bimodule({self.name}, dim={self.dim})"

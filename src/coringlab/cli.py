@@ -12,9 +12,26 @@ import argparse
 import json
 import os
 import sys
+from importlib import import_module
 
 from . import session as session_mod
 from .reports import InputError, PreconditionFailure, Report, WellDefinednessError
+
+
+# check kind -> (module, checker, session section).  `run_check` imports the
+# checker's module only when its kind runs, so a command loads only what it
+# runs.  A new check kind is one row here.
+CHECKS = {
+    "algebra": ("algebra", "check_algebra", "algebras"),
+    "bimodule": ("bimodule", "check_bimodule", "bimodules"),
+    "coring": ("coring", "check_coring", "corings"),
+    "comodule": ("coring", "check_comodule", "comodules"),
+    "entwining": ("entwine", "check_entwining", "entwinings"),
+    "r-object": ("rcat", "check_r_object", "r_objects"),
+    "cowreath": ("cowreath", "check_cowreath", "cowreaths"),
+    "wreath": ("wreath", "check_wreath", "wreaths"),
+    "twisting": ("wreath", "check_left_module_twisting", "twistings"),
+}
 
 
 def _add_common(sp):
@@ -36,9 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     chk = sub.add_parser("check", help="run a checker on a named object")
-    chk.add_argument("kind", choices=(
-        "algebra", "bimodule", "coring", "comodule", "entwining",
-        "r-object", "cowreath", "wreath", "twisting"))
+    chk.add_argument("kind", choices=tuple(CHECKS))
     chk.add_argument("name")
     _add_common(chk)
 
@@ -112,46 +127,21 @@ def _save(raw, path):
 
 
 def run_check(s, kind, name):
-    """The reports of one check.  Each branch imports its checker, so a
-    command loads only the modules it runs."""
-    if kind == "algebra":
-        from .algebra import check_algebra
-        return [check_algebra(s.lookup("algebras", name))]
-    if kind == "bimodule":
-        from .bimodule import check_bimodule
-        return [check_bimodule(s.lookup("bimodules", name))]
-    if kind == "coring":
-        from .coring import check_coring
-        return [check_coring(s.lookup("corings", name))]
-    if kind == "comodule":
-        from .coring import check_comodule
-        return [check_comodule(s.lookup("comodules", name))]
-    if kind == "entwining":
-        from .entwine import check_entwining
-        return [check_entwining(s.lookup("entwinings", name))]
-    if kind == "r-object":
-        from .rcat import check_r_object
-        return [check_r_object(s.lookup("r_objects", name))]
-    if kind == "cowreath":
-        from .cowreath import check_cowreath
-        return [check_cowreath(s.lookup("cowreaths", name))]
-    if kind == "wreath":
+    """The reports of the `CHECKS` row of kind on the named entry.  A wreath
+    name that only a twisted tensor product has checks its two wreaths and
+    its product."""
+    if kind not in CHECKS:
+        raise InputError(f"unknown check kind {kind!r}")
+    module, checker, section = CHECKS[kind]
+    if kind == "wreath" and name not in s.wreaths and name in s.ttps:
         from .wreath import check_l_wreath, check_wreath, twisted_tensor_product
-        if name in s.wreaths:
-            return [check_wreath(s.wreaths[name])]
-        if name in s.ttps:
-            rext, text, rmap = s.ttps[name]
-            try:
-                rw, lw, prod_ext, alg_rep, eta_rep = twisted_tensor_product(
-                    rext, text, rmap)
-            except PreconditionFailure as exc:
-                return [exc.report]
-            return [check_wreath(rw), check_l_wreath(lw), alg_rep, eta_rep]
-        raise InputError(f"unknown wreath {name!r}")
-    if kind == "twisting":
-        from .wreath import check_left_module_twisting
-        return [check_left_module_twisting(s.lookup("twistings", name))]
-    raise InputError(f"unknown check kind {kind!r}")
+        try:
+            rw, lw, prod_ext, alg_rep, eta_rep = twisted_tensor_product(*s.ttps[name])
+        except PreconditionFailure as exc:
+            return [exc.report]
+        return [check_wreath(rw), check_l_wreath(lw), alg_rep, eta_rep]
+    check = getattr(import_module(f".{module}", __package__), checker)
+    return [check(s.lookup(section, name))]
 
 
 def run_build(s, kind, names, out):

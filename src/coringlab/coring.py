@@ -11,7 +11,8 @@ maps between bicomodules.  Each constraint is one linear equation in the
 unknown matrix F, L . F = P . w(F) . S with w(F) = F (x) I_d or I_d (x) F,
 and the answer is the canonical kernel basis of the reduced echelon form,
 which depends only on the solution space.  The samplers of the adjunctions
-and of twist-object morphisms draw from these bases (`sample_solutions`).
+and of twist-object morphisms draw from these bases through one seeded
+sampler, `sample_maps`.
 """
 
 from __future__ import annotations
@@ -320,9 +321,15 @@ def hom_basis(src, dst) -> list:
             for t in range(ker.cols)]
 
 
-def sample_solutions(basis, count, seed, field):
-    """Deterministic small-integer combinations of a solution basis."""
+def sample_maps(src, dst, count, seed, prefix, dom=None, cod=None) -> list:
+    """Deterministic small-integer combinations of `hom_basis(src, dst)`,
+    as maps dom -> cod named prefix0, prefix1, ...; dom and cod default to
+    the carriers of src and dst."""
     import random
+    dom = getattr(src, "carrier", src) if dom is None else dom
+    cod = getattr(dst, "carrier", dst) if cod is None else cod
+    basis = hom_basis(src, dst)
+    field = dom.field
     rng = random.Random(seed)
     out = []
     if not basis:
@@ -339,12 +346,8 @@ def sample_solutions(basis, count, seed, field):
                 acc = acc + b.scale(field.from_int(c))
         if acc.is_zero():
             continue
-        out.append(acc)
+        out.append(LinearMap(dom, cod, acc, name=f"{prefix}{len(out)}"))
     return out
-
-
-# ---------------------------------------------------------------------------
-# constructors
 
 
 def trivial_coring(a: FinAlgebra) -> Coring:

@@ -4,6 +4,8 @@ built programmatically so sessions and tests share one source of truth.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .algebra import (
     AlgebraMorphism,
     field_algebra,
@@ -13,7 +15,7 @@ from .algebra import (
     truncated_poly_algebra,
     unit_inclusion,
 )
-from .bimodule import LinearMap, Matrix, memo, space
+from .bimodule import LinearMap, Matrix, space
 from .coring import (
     coalgebra_over_field,
     flip_map,
@@ -21,10 +23,15 @@ from .coring import (
     grouplike_primitive_coalgebra,
     trivial_coring,
 )
-from .cowreath import Cowreath, coring_distributive_cowreath, flip_cowreath, unit_cowreath
+from .cowreath import (
+    Cowreath,
+    coring_distributive_cowreath,
+    entwining_lift_cowreath,
+    flip_cowreath,
+    unit_cowreath,
+)
 from .entwine import (
     EntwiningStructure,
-    algebra_as_k_bimodule,
     doi_koppinen_entwining,
     doi_koppinen_self,
     flip_entwining,
@@ -39,126 +46,106 @@ class Corpus:
 
     # -- algebras -----------------------------------------------------------
 
-    @property
+    @cached_property
     def k(self):
-        return memo(self, "k", lambda: field_algebra(QQ))
+        return field_algebra(QQ)
 
-    @property
+    @cached_property
     def z2(self):
-        return memo(self, "z2", lambda: group_algebra_cyclic(QQ, 2, name="kZ2"))
+        return group_algebra_cyclic(QQ, 2, name="kZ2")
 
-    @property
+    @cached_property
     def z3(self):
-        return memo(self, "z3", lambda: group_algebra_cyclic(QQ, 3, name="kZ3"))
+        return group_algebra_cyclic(QQ, 3, name="kZ3")
 
     # -- corings ------------------------------------------------------------
 
-    @property
+    @cached_property
     def triv_z2(self):
-        return memo(self, "triv_z2", lambda: trivial_coring(self.z2))
+        return trivial_coring(self.z2)
 
-    @property
+    @cached_property
     def c2(self):
-        return memo(self, "c2", lambda: grouplike_coalgebra(QQ, 2, name="C2"))
+        return grouplike_coalgebra(QQ, 2, name="C2")
 
-    @property
+    @cached_property
     def c3(self):
-        return memo(self, "c3", lambda: grouplike_coalgebra(QQ, 3, name="C3"))
+        return grouplike_coalgebra(QQ, 3, name="C3")
 
-    @property
+    @cached_property
     def d2(self):
-        return memo(self, "d2", lambda: grouplike_coalgebra(QQ, 2, name="D2"))
+        return grouplike_coalgebra(QQ, 2, name="D2")
 
-    @property
+    @cached_property
     def gp(self):
-        return memo(self, "gp", lambda: grouplike_primitive_coalgebra(QQ))
+        return grouplike_primitive_coalgebra(QQ)
 
-    @property
+    @cached_property
     def broken_coalgebra(self):
         """Two grouplikes but the counit kills the second one."""
-        def build():
-            one = QQ.one()
-            return coalgebra_over_field(
-                QQ, 2, [{0: one}, {3: one}], [one, QQ.zero()],
-                labels=["1", "g"], name="brokenC")
-        return memo(self, "broken_coalgebra", build)
+        one = QQ.one()
+        return coalgebra_over_field(
+            QQ, 2, [{0: one}, {3: one}], [one, QQ.zero()],
+            labels=["1", "g"], name="brokenC")
 
     # -- entwinings ---------------------------------------------------------
 
-    @property
+    @cached_property
     def flip_entwining(self):
-        return memo(
-            self, "flip_entwining", lambda: flip_entwining(self.z2, self.c2))
+        return flip_entwining(self.z2, self.c2)
 
-    @property
+    @cached_property
     def dk_entwining(self):
-        def build():
-            return doi_koppinen_entwining(
-                doi_koppinen_self(self.z2, self.c2), name="dk")
-        return memo(self, "dk_entwining", build)
+        return doi_koppinen_entwining(
+            doi_koppinen_self(self.z2, self.c2), name="dk")
 
-    @property
+    @cached_property
     def broken_entwining(self):
-        def build():
-            base = self.flip_entwining
-            ab = algebra_as_k_bimodule(self.z2, self.c2.base)
-            mat = base.psi.matrix + Matrix.from_entries(
-                QQ, 4, 4, {(3, 3): QQ.one()})
-            psi = LinearMap(base.psi.domain, base.psi.codomain, mat, "bad")
-            return EntwiningStructure(self.z2, self.c2, psi, name="broken")
-        return memo(self, "broken_entwining", build)
+        base = self.flip_entwining
+        mat = base.psi.matrix + Matrix.from_entries(
+            QQ, 4, 4, {(3, 3): QQ.one()})
+        psi = LinearMap(base.psi.domain, base.psi.codomain, mat, "bad")
+        return EntwiningStructure(self.z2, self.c2, psi, name="broken")
 
     # -- cowreaths ----------------------------------------------------------
 
-    @property
+    @cached_property
     def flip_cw(self):
-        return memo(self, "flip_cw", lambda: flip_cowreath(self.c2, self.d2))
+        return flip_cowreath(self.c2, self.d2)
 
-    @property
+    @cached_property
     def flip_cw3(self):
-        return memo(self, "flip_cw3", lambda: flip_cowreath(self.c2, self.c3))
+        return flip_cowreath(self.c2, self.c3)
 
-    @property
+    @cached_property
     def unit_cw(self):
-        return memo(self, "unit_cw", lambda: unit_cowreath(self.triv_z2))
+        return unit_cowreath(self.triv_z2)
 
-    @property
+    @cached_property
     def dl_cw(self):
-        def build():
-            dm = flip_map(self.c2.carrier, self.d2.carrier)
-            return coring_distributive_cowreath(self.c2, self.d2, dm)
-        return memo(self, "dl_cw", build)
+        dm = flip_map(self.c2.carrier, self.d2.carrier)
+        return coring_distributive_cowreath(self.c2, self.d2, dm)
 
-    @property
+    @cached_property
     def lifted_flip_cw(self):
-        from .cowreath import entwining_lift_cowreath
-        return memo(
-            self, "lifted_flip_cw",
-            lambda: entwining_lift_cowreath(self.flip_entwining, self.flip_cw))
+        return entwining_lift_cowreath(self.flip_entwining, self.flip_cw)
 
-    @property
+    @cached_property
     def lifted_dk_cw(self):
-        from .cowreath import entwining_lift_cowreath
-        return memo(
-            self, "lifted_dk_cw",
-            lambda: entwining_lift_cowreath(self.dk_entwining, self.flip_cw))
+        return entwining_lift_cowreath(self.dk_entwining, self.flip_cw)
 
-    @property
+    @cached_property
     def broken_cw_delta(self):
-        def build():
-            w = self.flip_cw
-            return Cowreath(w.object, w.xi,
-                            LinearMap.zero(w.delta.domain, w.delta.codomain),
-                            name="broken-delta")
-        return memo(self, "broken_cw_delta", build)
+        w = self.flip_cw
+        return Cowreath(w.object, w.xi,
+                        LinearMap.zero(w.delta.domain, w.delta.codomain),
+                        name="broken-delta")
 
-    @property
+    @cached_property
     def broken_cw_xi(self):
-        def build():
-            w = self.flip_cw
-            return Cowreath(w.object, w.xi.scale(QQ.from_int(2)), w.delta,
-                            name="broken-xi")
-        return memo(self, "broken_cw_xi", build)
+        w = self.flip_cw
+        return Cowreath(w.object, w.xi.scale(QQ.from_int(2)), w.delta,
+                        name="broken-xi")
 
     # -- twisted tensor products ---------------------------------------------
 
@@ -172,106 +159,90 @@ class Corpus:
         return LinearMap(space(tb, rb).quotient, space(rb, tb).quotient,
                          Matrix.from_entries(QQ, 4, 4, ent), "signflip")
 
-    @property
+    @cached_property
     def sign_flip_ttp(self):
         """Graded flip on k[x]/(x^2) (x) k[y]/(y^2); anticommuting in odd
         degrees."""
-        def build():
-            R = truncated_poly_algebra(QQ, 2, gen="x", name="R")
-            T = truncated_poly_algebra(QQ, 2, gen="y", name="T")
-            rext = RingExtension(self.k, R, unit_inclusion(self.k, R))
-            text = RingExtension(self.k, T, unit_inclusion(self.k, T))
-            rmap = self._sign_flip_map(rext, text)
-            return (rext, text, rmap) + twisted_tensor_product(rext, text, rmap)
-        return memo(self, "sign_flip_ttp", build)
+        R = truncated_poly_algebra(QQ, 2, gen="x", name="R")
+        T = truncated_poly_algebra(QQ, 2, gen="y", name="T")
+        rext = RingExtension(self.k, R, unit_inclusion(self.k, R))
+        text = RingExtension(self.k, T, unit_inclusion(self.k, T))
+        rmap = self._sign_flip_map(rext, text)
+        return (rext, text, rmap) + twisted_tensor_product(rext, text, rmap)
 
-    @property
+    @cached_property
     def plain_flip_ttp(self):
-        def build():
-            R = truncated_poly_algebra(QQ, 2, gen="x", name="R")
-            T = truncated_poly_algebra(QQ, 2, gen="y", name="T")
-            rext = RingExtension(self.k, R, unit_inclusion(self.k, R))
-            text = RingExtension(self.k, T, unit_inclusion(self.k, T))
-            fl = flip_map(text.t_bimodule, rext.t_bimodule)
-            rmap = LinearMap(fl.domain, fl.codomain, fl.matrix, "flip")
-            return (rext, text, rmap) + twisted_tensor_product(rext, text, rmap)
-        return memo(self, "plain_flip_ttp", build)
+        R = truncated_poly_algebra(QQ, 2, gen="x", name="R")
+        T = truncated_poly_algebra(QQ, 2, gen="y", name="T")
+        rext = RingExtension(self.k, R, unit_inclusion(self.k, R))
+        text = RingExtension(self.k, T, unit_inclusion(self.k, T))
+        fl = flip_map(text.t_bimodule, rext.t_bimodule)
+        rmap = LinearMap(fl.domain, fl.codomain, fl.matrix, "flip")
+        return (rext, text, rmap) + twisted_tensor_product(rext, text, rmap)
 
     def broken_ttp_map(self):
         rext, text, rmap = self.sign_flip_ttp[:3]
         bad = rmap.matrix + Matrix.from_entries(QQ, 4, 4, {(2, 2): QQ.one()})
         return rext, text, LinearMap(rmap.domain, rmap.codomain, bad, "bad")
 
-    @property
+    @cached_property
     def module_twist_self(self):
         """X = R with the twisted tensor twist itself and multiplication."""
-        def build():
-            rext, text, rmap, rw, lw, prod_ext, alg_rep, eta_rep = self.sign_flip_ttp
-            return ModuleTwist(rw, rext, rext.t_bimodule, rext.mult_map(),
-                               rmap, name="X=R")
-        return memo(self, "module_twist_self", build)
+        rext, text, rmap, rw, lw, prod_ext, alg_rep, eta_rep = self.sign_flip_ttp
+        return ModuleTwist(rw, rext, rext.t_bimodule, rext.mult_map(),
+                           rmap, name="X=R")
 
     # -- skew polynomial data -------------------------------------------------
 
-    @property
+    @cached_property
     def ore_commutative(self):
-        def build():
-            B = truncated_poly_algebra(QQ, 3)
-            return SkewPolyData(B, identity_morphism(B),
-                                Matrix.zeros(QQ, 3, 3), name="commutative")
-        return memo(self, "ore_commutative", build)
+        B = truncated_poly_algebra(QQ, 3)
+        return SkewPolyData(B, identity_morphism(B),
+                            Matrix.zeros(QQ, 3, 3), name="commutative")
 
-    @property
+    @cached_property
     def ore_quantum_plane(self):
-        def build():
-            B = truncated_poly_algebra(QQ, 3, gen="y")
-            sigma = AlgebraMorphism(
-                B, B,
-                Matrix.from_entries(QQ, 3, 3, {
-                    (0, 0): QQ.one(), (1, 1): QQ.from_int(2),
-                    (2, 2): QQ.from_int(4)}),
-                name="q2")
-            return SkewPolyData(B, sigma, Matrix.zeros(QQ, 3, 3),
-                                name="quantum-plane")
-        return memo(self, "ore_quantum_plane", build)
+        B = truncated_poly_algebra(QQ, 3, gen="y")
+        sigma = AlgebraMorphism(
+            B, B,
+            Matrix.from_entries(QQ, 3, 3, {
+                (0, 0): QQ.one(), (1, 1): QQ.from_int(2),
+                (2, 2): QQ.from_int(4)}),
+            name="q2")
+        return SkewPolyData(B, sigma, Matrix.zeros(QQ, 3, 3),
+                            name="quantum-plane")
 
-    @property
+    @cached_property
     def ore_weyl(self):
         """The derivation case needs characteristic 3 for x^3 = 0 to be
         respected by d/dx."""
-        def build():
-            f3 = GF(3)
-            B = truncated_poly_algebra(f3, 3)
-            delta = Matrix.from_entries(f3, 3, 3, {(0, 1): 1, (1, 2): 2})
-            return SkewPolyData(B, identity_morphism(B), delta, name="weyl")
-        return memo(self, "ore_weyl", build)
+        f3 = GF(3)
+        B = truncated_poly_algebra(f3, 3)
+        delta = Matrix.from_entries(f3, 3, 3, {(0, 1): 1, (1, 2): 2})
+        return SkewPolyData(B, identity_morphism(B), delta, name="weyl")
 
-    @property
+    @cached_property
     def ore_weyl_target(self):
         """Endomorphisms of the length-3 truncated polynomial ring over
         GF(3), the matrix realization hosting the rewrite relation."""
-        def build():
-            f3 = GF(3)
-            S = matrix_algebra(f3, 3)
-            phi = Matrix.from_entries(f3, 9, 3, {
-                (0, 0): 1, (4, 0): 1, (8, 0): 1,
-                (3, 1): 1, (7, 1): 1,
-                (6, 2): 1,
-            })
-            z = {1: 1, 5: 2}
-            return S, phi, z
-        return memo(self, "ore_weyl_target", build)
+        f3 = GF(3)
+        S = matrix_algebra(f3, 3)
+        phi = Matrix.from_entries(f3, 9, 3, {
+            (0, 0): 1, (4, 0): 1, (8, 0): 1,
+            (3, 1): 1, (7, 1): 1,
+            (6, 2): 1,
+        })
+        z = {1: 1, 5: 2}
+        return S, phi, z
 
-    @property
+    @cached_property
     def ore_broken(self):
         """d/dx over the rationals: the Leibniz rule fails on x . x^2."""
-        def build():
-            B = truncated_poly_algebra(QQ, 3)
-            delta = Matrix.from_entries(QQ, 3, 3, {
-                (0, 1): QQ.one(), (1, 2): QQ.from_int(2)})
-            return SkewPolyData(B, identity_morphism(B), delta,
-                                name="broken-derivation")
-        return memo(self, "ore_broken", build)
+        B = truncated_poly_algebra(QQ, 3)
+        delta = Matrix.from_entries(QQ, 3, 3, {
+            (0, 1): QQ.one(), (1, 2): QQ.from_int(2)})
+        return SkewPolyData(B, identity_morphism(B), delta,
+                            name="broken-derivation")
 
 
 CORPUS = Corpus()

@@ -27,7 +27,7 @@ from .bimodule import (
     tensor_over,
 )
 from .coring import (Comodule, Coring, check_coring_morphism, compare_maps, flip_map,
-                     hom_basis, sample_solutions)
+                     sample_maps)
 from .entwine import (EntwiningStructure, entwined_coring, lift_normal_form, lift_r_object,
                       relabel)
 from .rcat import (LObject, RMorphism, RObject, _check_r_object, check_r_morphism,
@@ -659,15 +659,9 @@ def sample_adjunction_maps(w: Cowreath, x: Comodule, y: Comodule,
                            count=5, seed=0):
     """Deterministic sample of maps (Y)_xi -> X that are bimodule maps and
     colinear for the xi-corestricted coaction."""
-    basis = hom_basis(induction_xi(w, y, w.coring), x)
-    mats = sample_solutions(basis, count, seed, x.carrier.field)
-    return [LinearMap(y.carrier, x.carrier, m, name=f"s{i}")
-            for i, m in enumerate(mats)]
+    return sample_maps(induction_xi(w, y, w.coring), x, count, seed, "s")
 
 
 def sample_vw_maps(o: RObject, z: Comodule, count=5, seed=0):
     """Deterministic sample of bicomodule maps C (x) Y -> Z."""
-    wy = vw_functor_w(o)
-    mats = sample_solutions(hom_basis(wy, z), count, seed, z.carrier.field)
-    return [LinearMap(wy.carrier, z.carrier, m, name=f"s{i}")
-            for i, m in enumerate(mats)]
+    return sample_maps(vw_functor_w(o), z, count, seed, "s")

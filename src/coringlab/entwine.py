@@ -49,6 +49,11 @@ def algebra_as_k_bimodule(a: FinAlgebra, kalg: FinAlgebra) -> Bimodule:
                 lambda: k_bimodule(kalg, a.dim, labels=a.labels, name=a.name))
 
 
+def _basis_column(a: FinAlgebra, i) -> Matrix:
+    """The basis vector e_i of a as a column."""
+    return Matrix.from_entries(a.field, a.dim, 1, {(i, 0): a.field.one()})
+
+
 class EntwiningStructure:
     """(A, C, psi) with psi: C (x) A -> A (x) C over the ground field."""
 
@@ -121,22 +126,11 @@ def entwined_coring(e: EntwiningStructure, name=None) -> Coring:
     A, C = e.algebra, e.coalgebra
     da, dc = A.dim, C.carrier.dim
     f = A.field
-    psi = e.psi.matrix
-    left = [A.left_mult_matrix(i).kron(Matrix.identity(f, dc))
-            for i in range(da)]
-    right = []
-    for i in range(da):
-        entries = {}
-        for q in range(dc):
-            img = psi.col(q * da + i)  # psi(c_q (x) a_i)
-            for flat, v in img.items():
-                r, s = divmod(flat, dc)
-                for p in range(da):
-                    for t, w in A.mult[p][r].items():
-                        key = (t * dc + s, p * dc + q)
-                        entries[key] = f.add(entries.get(key, f.zero()),
-                                             f.mul(v, w))
-        right.append(Matrix.from_entries(f, da * dc, da * dc, entries))
+    ia, ic, iac = (Matrix.identity(f, d) for d in (da, dc, da * dc))
+    left = [A.left_mult_matrix(i).kron(ic) for i in range(da)]
+    # (a (x) c).a_i = (mu (x) C)(A (x) psi)(a (x) c (x) a_i)
+    through = multiplication_matrix(A).kron(ic) @ ia.kron(e.psi.matrix)
+    right = [through @ iac.kron(_basis_column(A, i)) for i in range(da)]
     labels = [f"{A.labels[p]}(x){C.carrier.labels[q]}"
               for p in range(da) for q in range(dc)]
     carrier = Bimodule(A, A, da * dc, left, right, labels,
@@ -227,8 +221,7 @@ def check_doi_koppinen(dk: DoiKoppinenData) -> Report:
     _flat_law(rep, "comodule-coassoc", rho.kron(ih) @ rho, ia.kron(dflat) @ rho,
               (ab,), (ab, hb, hb))
     _flat_law(rep, "comodule-counit", ia.kron(Hc.counit.matrix) @ rho, ia, (ab,), (ab,))
-    racts = [act @ ic.kron(Matrix.from_entries(f, H.dim, 1, {(h, 0): f.one()}))
-             for h in range(H.dim)]
+    racts = [act @ ic.kron(_basis_column(H, h)) for h in range(H.dim)]
     rep.extend(check_bimodule(cb, right=(H, racts),
                               tags=(None, "module-unit", None, "module-assoc", None)))
     # the action is a coalgebra morphism
@@ -247,23 +240,14 @@ def doi_koppinen_entwining(dk: DoiKoppinenData, name="dk") -> EntwiningStructure
     if not pre.ok:
         raise InputError("doi-koppinen preconditions failed: "
                          + ", ".join(pre.equations()))
-    A, C, H = dk.algebra, dk.coalgebra, dk.h_algebra
-    f = A.field
-    da, dc, dh = A.dim, C.carrier.dim, H.dim
-    entries = {}
-    for q in range(dc):
-        for i in range(da):
-            for flat, v in dk.coaction.col(i).items():
-                r, s = divmod(flat, dh)  # a_(0) = a_r, a_(1) = h_s
-                for t, w in dk.action.col(q * dh + s).items():
-                    key = (r * dc + t, q * da + i)
-                    entries[key] = f.add(entries.get(key, f.zero()),
-                                         f.mul(v, w))
-    psi_mat = Matrix.from_entries(f, da * dc, dc * da, entries)
-    ab = algebra_as_k_bimodule(A, C.base)
-    psi = LinearMap(space(C.carrier, ab).quotient,
-                    space(ab, C.carrier).quotient, psi_mat, name=name)
-    return EntwiningStructure(A, C, psi, name=name)
+    A, cb, f = dk.algebra, dk.coalgebra.carrier, dk.algebra.field
+    ia, ic, ih = (Matrix.identity(f, d) for d in (A.dim, cb.dim, dk.h_algebra.dim))
+    ab = algebra_as_k_bimodule(A, dk.coalgebra.base)
+    flip = flip_map(cb, ab)
+    # c (x) a -> c (x) a_(0) (x) a_(1) -> a_(0) (x) c (x) a_(1) -> a_(0) (x) c.a_(1)
+    psi_mat = ia.kron(dk.action) @ flip.matrix.kron(ih) @ ic.kron(dk.coaction)
+    psi = LinearMap(flip.domain, flip.codomain, psi_mat, name=name)
+    return EntwiningStructure(A, dk.coalgebra, psi, name=name)
 
 
 def doi_koppinen_self(h_algebra: FinAlgebra, h_coalgebra: Coring) -> DoiKoppinenData:
@@ -353,23 +337,13 @@ def entwining_wreath(e: EntwiningStructure):
     """The algebra structure (unit C (x) 1, multiplication C (x) mu) on the
     twist object (A, psi) over the coalgebra.  Returns (object, eta, mu)."""
     obj = entwining_r_object(e)
-    C = e.coalgebra.carrier
-    ab = e.a_bimodule
-    A = e.algebra
-    f = A.field
-    dc, da = C.dim, A.dim
-    kreg = regular_bimodule(e.kalg)
-    eta_entries = {}
-    for q in range(dc):
-        for k, w in A.unit.items():
-            eta_entries[(q * da + k, q)] = w
-    eta = LinearMap(space(C, kreg).quotient, space(C, ab).quotient,
-                    Matrix.from_entries(f, dc * da, dc, eta_entries),
-                    name="eta")
-    aa = space(ab, ab).quotient
-    mu_mat = Matrix.identity(f, dc).kron(multiplication_matrix(A))
-    mu = LinearMap(space(C, aa).quotient, space(C, ab).quotient, mu_mat,
-                   name="mu")
+    C, ab, A = e.coalgebra.carrier, e.a_bimodule, e.algebra
+    ic = Matrix.identity(A.field, C.dim)
+    ca = space(C, ab).quotient
+    eta = LinearMap(space(C, regular_bimodule(e.kalg)).quotient, ca,
+                    ic.kron(unit_column(A)), name="eta")
+    mu = LinearMap(space(C, space(ab, ab).quotient).quotient, ca,
+                   ic.kron(multiplication_matrix(A)), name="mu")
     return obj, eta, mu
 
 

@@ -29,7 +29,7 @@ from .bimodule import (
     space,
     tensor_over,
 )
-from .coring import Bicomodule, Coring, compare_maps, coop, hom_basis, sample_solutions
+from .coring import Bicomodule, Coring, compare_maps, coop, sample_maps
 from .reports import InputError, Report, mirrored_report
 
 
@@ -296,11 +296,8 @@ def sample_r_morphisms(src: RObject, dst: RObject, count=5, seed=0):
     """Deterministic sample of morphisms src -> dst: the bicolinear maps
     between the induced bicomodules (`r_object_bicomodule`), solved
     exactly."""
-    basis = hom_basis(r_object_bicomodule(src), r_object_bicomodule(dst))
-    dom, cod = src.cm.quotient, dst.cm.quotient
-    mats = sample_solutions(basis, count, seed, dom.field)
-    return [RMorphism(src, dst, LinearMap(dom, cod, m, name=f"r{i}"))
-            for i, m in enumerate(mats)]
+    return [RMorphism(src, dst, f) for f in sample_maps(
+        r_object_bicomodule(src), r_object_bicomodule(dst), count, seed, "r")]
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ from .bimodule import (
     space,
     tensor_over,
 )
-from .coring import hom_basis, sample_solutions
+from .coring import sample_maps
 from .reports import InputError, PreconditionFailure, Report, mirrored_report
 
 
@@ -185,28 +185,6 @@ def strict_morphism_check(f: LinearMap, o: RTObject, p: RTObject) -> Report:
 # induced module structures
 
 
-def threaded_left_action(ext: RingExtension, twists, factors) -> LinearMap:
-    """Left T-action on X1 (x) ... (x) Xn (x) T obtained by threading the
-    incoming T through each factor's twist and multiplying at the end.
-
-    twists[i]: T (x) Xi -> Xi (x) T; factors lists the Xi (without T).
-    """
-    tb = ext.t_bimodule
-    n = len(factors)
-    p = pipe(space(tb, *factors, tb))
-    for i, tw in enumerate(twists):
-        p = p.apply(tw, i, 2, [factors[i], tb])
-    return p.apply(ext.mult_map(), n, 2, [tb]).done(space(*factors, tb),
-                                                    name="l-threaded")
-
-
-def outer_right_action(ext: RingExtension, factors) -> LinearMap:
-    tb = ext.t_bimodule
-    n = len(factors)
-    return (pipe(space(*factors, tb, tb)).apply(ext.mult_map(), n, 2, [tb])
-            .done(space(*factors, tb), name="r-outer"))
-
-
 def element_action_matrices(action: LinearMap, elt_carrier: Bimodule,
                             carrier: Bimodule, side="left"):
     """Per-basis action matrices for an action map elt (x) carrier -> carrier
@@ -257,15 +235,25 @@ def induced_t_bimodule(o: RTObject, x: Bimodule, l_x: LinearMap,
     return t_bimodule_from_maps(ext.total, carrier, lmap, rmap, tb, name)
 
 
+def threaded_t_bimodule(ext: RingExtension, twists, factors, name=None) -> Bimodule:
+    """X1 (x) ... (x) Xn (x) T as a T-bimodule.  T acts on the left by
+    threading through each factor's twist twists[i]: T (x) Xi -> Xi (x) T
+    and multiplying at the end, and on the right by multiplying the T leg."""
+    tb = ext.t_bimodule
+    n = len(factors)
+    out = space(*factors, tb)
+    p = pipe(space(tb, *factors, tb))
+    for i, tw in enumerate(twists):
+        p = p.apply(tw, i, 2, [factors[i], tb])
+    l_map = p.apply(ext.mult_map(), n, 2, [tb]).done(out, name="l-threaded")
+    r_map = (pipe(space(*factors, tb, tb)).apply(ext.mult_map(), n, 2, [tb])
+             .done(out, name="r-outer"))
+    return t_bimodule_from_maps(ext.total, out.quotient, l_map, r_map, tb, name)
+
+
 def pt_bimodule(o: RTObject) -> Bimodule:
     """P (x) T with its canonical T-bimodule structure."""
-    ext = o.ext
-    tb = ext.t_bimodule
-    l_map = threaded_left_action(ext, [o.twist], [o.carrier])
-    r_map = outer_right_action(ext, [o.carrier])
-    carrier = tensor_over(o.carrier.right_algebra, o.carrier, tb)
-    return t_bimodule_from_maps(ext.total, carrier, l_map, r_map, tb,
-                                name=f"{o.name}(x)T")
+    return threaded_t_bimodule(o.ext, [o.twist], [o.carrier], name=f"{o.name}(x)T")
 
 
 def full_t_morphism_check(f: LinearMap, o: RTObject, p: RTObject) -> Report:
@@ -328,10 +316,7 @@ def check_wreath(w: Wreath) -> Report:
 
     t_tt = regular_bimodule(ext.total)
     rt_tt = pt_bimodule(w.object)
-    l_rr = threaded_left_action(ext, [w.object.twist, w.object.twist], [R, R])
-    r_rr = outer_right_action(ext, [R, R])
-    rrt_tt = t_bimodule_from_maps(ext.total, space(R, R, tb).quotient,
-                                  l_rr, r_rr, tb)
+    rrt_tt = threaded_t_bimodule(ext, [w.object.twist, w.object.twist], [R, R])
     eta_t = LinearMap(t_tt, rt_tt, w.eta.matrix, name="eta")
     rep.extend(bilinearity_report(eta_t, "eta-T"))
     mu_t = LinearMap(rrt_tt, rt_tt, w.mu.matrix, name="mu")
@@ -433,15 +418,12 @@ def check_wreath_module(w: Wreath, side: str, y: RTObject,
     tb = ext.t_bimodule
     R = w.object.carrier
     Y = y.carrier
+    factors, twists = (([Y, R], [y.twist, w.object.twist]) if side == "right"
+                       else ([R, Y], [w.object.twist, y.twist]))
+    dom_tt = threaded_t_bimodule(ext, twists, factors)
+    rep.extend(bilinearity_report(
+        LinearMap(dom_tt, pt_bimodule(y), action.matrix, name="action"), "action-T"))
     if side == "right":
-        dom_l = threaded_left_action(ext, [y.twist, w.object.twist], [Y, R])
-        dom_r = outer_right_action(ext, [Y, R])
-        dom_tt = t_bimodule_from_maps(ext.total, space(Y, R, tb).quotient,
-                                      dom_l, dom_r, tb)
-        cod_tt = pt_bimodule(y)
-        rep.extend(bilinearity_report(
-            LinearMap(dom_tt, cod_tt, action.matrix, name="action"),
-            "action-T"))
         d1 = (
             pipe(space(Y, tb))
             .apply(w.eta, 1, 1, [R, tb])
@@ -466,14 +448,6 @@ def check_wreath_module(w: Wreath, side: str, y: RTObject,
         )
         compare_maps(rep, "wm-assoc", lhs, rhs)
     else:
-        dom_l = threaded_left_action(ext, [w.object.twist, y.twist], [R, Y])
-        dom_r = outer_right_action(ext, [R, Y])
-        dom_tt = t_bimodule_from_maps(ext.total, space(R, Y, tb).quotient,
-                                      dom_l, dom_r, tb)
-        cod_tt = pt_bimodule(y)
-        rep.extend(bilinearity_report(
-            LinearMap(dom_tt, cod_tt, action.matrix, name="action"),
-            "action-T"))
         d1 = (
             pipe(space(tb, Y))
             .apply(w.eta, 0, 1, [R, tb])
@@ -978,5 +952,4 @@ def sample_dual_maps(o: RTObject, x_carrier: Bimodule, l_x: LinearMap,
                    x_carrier.right_action)
     dst = Bimodule(ext.total, pt.right_algebra, pt.dim,
                    pt_bimodule(o).left_action, pt.right_action)
-    mats = sample_solutions(hom_basis(src, dst), count, seed, P.field)
-    return [LinearMap(x_carrier, pt, m, name=f"g{i}") for i, m in enumerate(mats)]
+    return sample_maps(src, dst, count, seed, "g", dom=x_carrier, cod=pt)
