@@ -14,7 +14,9 @@ each tensor quotient that the identity memo of `tensor_over` misses: it
 shows how much of a lift is the quotients themselves.  `shared` counts
 those quotients, over the four timings, as taken from the content table
 (their numeric core is that of a live quotient of equal content) against
-built by `bimodule._build_tensor`.  `stages` is the part spent inside
+built by `bimodule._build_tensor`.  `uf` counts the calls of
+`bimodule._union_find`, the quotients whose relations are all monomial;
+every other quotient with relations goes through `Echelon`.  `stages` is the part spent inside
 `bimodule._Stages._stage`, the pipe stages that multiply by I (x) F (x) I.  `regroup` and `rev`
 time the changes of bracketing on the coassociativity space: `regroup`
 between space(P, P, P) and space(P, P (x) P), both ways, and `rev` of
@@ -37,7 +39,7 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from coringlab import bimodule
-from coringlab.algebra import group_algebra_cyclic
+from coringlab.algebra import FinAlgebra, group_algebra_cyclic
 from coringlab.bimodule import mirror, regroup, rev, space, tensor_over
 from coringlab.coring import check_coring, comodule_over_itself, grouplike_coalgebra, hom_basis
 from coringlab.cowreath import (
@@ -56,8 +58,11 @@ def cases():
     """(label, entwining builder, C, D) for each lift; C is the coalgebra
     the entwining is over and the first factor of the flip cowreath.  The
     Doi-Koppinen rows take the bialgebra kZg, with C as its coalgebra,
-    acting and coacting on itself (`doi_koppinen_self`).  The last two are over GF(2) and GF(3), where
-    kZ2 and kZ3 are modular group algebras, so they are not semisimple."""
+    acting and coacting on itself (`doi_koppinen_self`).  Two are over GF(2) and GF(3), where
+    kZ2 and kZ3 are modular group algebras, so they are not semisimple.
+    The last two present kZ2 in the basis 1, u = 1 + 2g, where
+    u^2 = 3 + 2u: its action matrices are not monomial, so every quotient
+    with relations goes through `Echelon` and none through the union-find."""
     z2 = group_algebra_cyclic(QQ, 2, name="kZ2")
     z3 = group_algebra_cyclic(QQ, 3, name="kZ3")
 
@@ -78,6 +83,17 @@ def cases():
         zg = group_algebra_cyclic(field, g, name=f"kZ{g}")
         yield (f"kZ{g}/C2/D2 flip GF({g})", lambda c, zg=zg: flip_entwining(zg, c),
                gl(2, "C2", field), gl(2, "D2", field))
+    for field in (QQ, GF(7)):
+        zu = u_basis_z2(field)
+        yield (f"kZ2(u)/C2/D2 flip {field.name}", lambda c, zu=zu: flip_entwining(zu, c),
+               gl(2, "C2", field), gl(2, "D2", field))
+
+
+def u_basis_z2(field):
+    """kZ2 in the basis 1, u = 1 + 2g, where u^2 = 1 + 4g + 4 = 3 + 2u."""
+    one, u = {0: field.one()}, {1: field.one()}
+    return FinAlgebra(field, 2, [[one, u], [u, {0: field.from_int(3), 1: field.from_int(2)}]],
+                      one, labels=["1", "u"], name="kZ2(u)")
 
 
 def timed(fn, *args):
@@ -87,13 +103,13 @@ def timed(fn, *args):
 
 
 PARTS = ((bimodule, "_shared_tensor"), (bimodule._Stages, "_stage"),
-         (bimodule, "_build_tensor"))
+         (bimodule, "_build_tensor"), (bimodule, "_union_find"))
 
 
 def timed_parts(fn, *args):
     """fn(*args), and the seconds spent inside each of `PARTS` (the
-    quotients, the pipe stages and the quotients built afresh) while it
-    ran, and the calls of each."""
+    quotients, the pipe stages, the quotients built afresh and their
+    union-finds) while it ran, and the calls of each."""
     reals = [getattr(owner, name) for owner, name in PARTS]
     spent, calls = [0.0] * len(PARTS), [0] * len(PARTS)
 
@@ -162,7 +178,7 @@ def main(argv=None):
     if args.runs < 1:
         ap.error("--runs must be at least 1")
     print(f"{'case':<24} {'lift':>7} {'check':>7} {'product':>8} "
-          f"{'p-check':>8} {'total':>7} {'quotients':>9} {'shared':>7} {'stages':>7} "
+          f"{'p-check':>8} {'total':>7} {'quotients':>9} {'shared':>7} {'uf':>4} {'stages':>7} "
           f"{'regroup':>8} {'rev':>7} {'homs':>7}   "
           "coassoc dims: quotient / factor-flat / leaf-flat")
     bad = 0
@@ -177,6 +193,7 @@ def main(argv=None):
             parts.append(spent[:2])
             # the same on every run: each starts from fresh structures
             shared = f"{calls[0] - calls[2]}/{calls[2]}"
+            union_finds = calls[3]
             homs.append(time_homs(lifted, prod))
             p = prod.carrier
             bracket, trips = time_bracketings(p)
@@ -190,7 +207,8 @@ def main(argv=None):
         t_quot, t_stages = (statistics.median(col) for col in zip(*parts))
         sp = space(p, p, p)
         print(f"{label:<24} {t_lift:7.3f} {t_check:7.3f} {t_prod:8.3f} "
-              f"{t_pcheck:8.3f} {total:7.3f} {t_quot:9.3f} {shared:>7} {t_stages:7.3f} "
+              f"{t_pcheck:8.3f} {total:7.3f} {t_quot:9.3f} {shared:>7} {union_finds:>4} "
+              f"{t_stages:7.3f} "
               f"{t_regroup:8.3f} {t_rev:7.3f} {statistics.median(homs):7.3f}   "
               f"{sp.dim} / {p.dim ** 3} / {sp.leaf_flat_dim()}")
     if bad:

@@ -16,6 +16,9 @@ own names, so the saved bytes are unchanged, but its quotients reuse the
 numeric core of the first's, which have the same content (`tensor_over`'s
 content table), so they are not built again.
 
+The entwined coring's right action (mu (x) C)(A (x) psi)(A (x) C (x) e_i),
+the Doi-Koppinen map psi = (A (x) act)(flip (x) H)(C (x) rho) and the
+wreath's unit C (x) 1 are `kron` and `@` formulas on the flat legs.
 The entwining laws and the Doi-Koppinen coaction and action laws are
 evaluated on flat matrices over the ground-field legs.  A law whose two
 matrices differ is compared by `compare_maps` on the legs' tensor

@@ -436,31 +436,33 @@ def ore_universal_check(d: SkewPolyData, bound: int, target: FinAlgebra,
     if not rep.ok:
         return rep
 
-    table = OreTwistTable(d, bound)
+    dim = b.dim
     zpow = [target.unit_vector()]
     for _ in range(bound):
         zpow.append(target.mul_vec(zpow[-1], z_vec))
+    # phiz[n][c] = phi(e_c) z^n; the extension is linear, so it maps a flat
+    # polynomial p to the sum of p[n * dim + c] phiz[n][c]
+    phiz = [[target.mul_vec(phi.col(c), zn) for c in range(dim)] for zn in zpow]
 
-    def extend(coeffs: dict) -> dict:
+    def extend(flat: dict, shift: int = 0) -> dict:
         out: dict = {}
-        for n, vec in coeffs.items():
-            f.axpy(out, target.mul_vec(phi.apply(vec), zpow[n]), f.one())
+        for p, v in flat.items():
+            f.axpy(out, phiz[p // dim + shift][p % dim], v)
         return out
 
-    one_img = extend({0: b.unit_vector()})
+    one_img = extend(b.unit)
     if one_img != target.unit:
         rep.add(Witness("ext-unit", ("1",), target.fmt_vec(one_img),
                         target.fmt_vec(dict(target.unit))))
+    tw = _flat_twists(OreTwistTable(d, bound))
     for n in range(bound + 1):
+        # (e_i X^n)(e_j X^m) is e_i . tw[n][j] raised by m
+        prods = [[_lin(f, dim, row, t) for t in tw[n]] for row in b.mult]
         for m in range(bound + 1 - n):
-            for i in range(b.dim):
-                for j in range(b.dim):
-                    prod = wreath_monomial_product(
-                        table, {i: f.one()}, n, {j: f.one()}, m)
-                    lhs = extend(prod)
-                    rhs = target.mul_vec(
-                        target.mul_vec(phi.apply({i: f.one()}), zpow[n]),
-                        target.mul_vec(phi.apply({j: f.one()}), zpow[m]))
+            for i in range(dim):
+                for j in range(dim):
+                    lhs = extend(prods[i][j], m)
+                    rhs = target.mul_vec(phiz[n][i], phiz[m][j])
                     if lhs != rhs:
                         rep.add(Witness("ext-mult",
                                         (b.labels[i], n, b.labels[j], m),

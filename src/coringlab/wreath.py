@@ -11,7 +11,9 @@ right-handed wreath of its mirror over the opposite extension, with the
 tags renamed `rt-` -> `lt-` and `w-` -> `lw-`.  The unit, associativity
 and commuting laws of a module over the wreath product (`pm-*`, `od-*`)
 are checked by `check_bimodule` on the matrices by which each basis
-element acts.
+element acts.  Every T-bimodule X1 (x) ... (x) Xn (x) T whose left action
+threads T through the twists is built by `threaded_t_bimodule`; the
+T-bilinearity of eta, mu and a wreath module's action is checked on these.
 """
 
 from __future__ import annotations

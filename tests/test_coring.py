@@ -102,6 +102,26 @@ class TestColinearity:
         assert not rep.ok
         assert any("g" in str(w.basis) for w in rep.witnesses)
 
+    def test_left_comodule(self, corpus):
+        """(C x f).lam = lam'.f on C2 over itself from the left: the identity
+        passes; swapping the two grouplikes fails at both columns, and each
+        witness prints the two sides evaluated here on C (x) C."""
+        m = comodule_over_itself(corpus.c2, side="left")
+        C = m.carrier
+        assert is_colinear(LinearMap.identity(C), m, m).ok
+        swap = Matrix.from_rows(QQ, [[0, 1], [1, 0]])
+        rep = is_colinear(LinearMap(C, C, swap), m, m)
+        assert rep.equations() == ["colinear"]
+        cc = space(C, C)
+        lam = cc.section @ m.coaction.matrix
+        lhs = cc.project @ Matrix.identity(QQ, 2).kron(swap) @ lam
+        rhs = cc.project @ lam @ swap
+        assert [(w.basis, w.lhs, w.rhs) for w in rep.witnesses] == [
+            ((C.basis_label(j),), cc.quotient.fmt_vec(lhs.col(j)),
+             cc.quotient.fmt_vec(rhs.col(j))) for j in range(2)]
+        assert [(w.lhs, w.rhs) for w in rep.witnesses] == [
+            ("1(x)g", "g(x)g"), ("g(x)1", "1(x)1")]
+
 
 class TestCoringsMatch:
     """Comodules compare only over one coring: the same object, or one

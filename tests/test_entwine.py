@@ -2,10 +2,12 @@ import re
 
 import pytest
 
-from coringlab.exactla import QQ, Matrix
+from coringlab.exactla import GF, QQ, Matrix
+from coringlab.algebra import FinAlgebra, group_algebra_cyclic
 from coringlab.bimodule import LinearMap, space
-from coringlab.coring import check_coring, flip_map, grouplike_coalgebra
+from coringlab.coring import check_coring, coalgebra_over_field, flip_map, grouplike_coalgebra
 from coringlab.entwine import (
+    DoiKoppinenData,
     algebra_as_k_bimodule,
     check_doi_koppinen,
     check_entwining,
@@ -14,6 +16,7 @@ from coringlab.entwine import (
     doi_koppinen_self,
     entwined_coring,
     entwining_r_object,
+    flip_entwining,
     lift_r_object,
 )
 from coringlab.rcat import RObject, check_r_object
@@ -157,3 +160,79 @@ class TestEntwiningWreath:
     def test_broken_entwining_fails_wreath_laws(self, corpus):
         rep = check_entwining_wreath(corpus.broken_entwining)
         assert not rep.ok
+
+
+# -- the kernel formulas against the index loops they replaced -------------------
+
+
+def loop_right_action(e, i):
+    """(a_p (x) c_q).a_i = sum of v w a_t (x) c_s over psi(c_q (x) a_i) =
+    sum v a_r (x) c_s and a_p a_r = sum w a_t."""
+    A, dc = e.algebra, e.coalgebra.carrier.dim
+    f, da = A.field, A.dim
+    entries = {}
+    for q in range(dc):
+        for flat, v in e.psi.matrix.col(q * da + i).items():
+            r, s = divmod(flat, dc)
+            for p in range(da):
+                for t, w in A.mult[p][r].items():
+                    key = (t * dc + s, p * dc + q)
+                    entries[key] = f.add(entries.get(key, f.zero()), f.mul(v, w))
+    return Matrix.from_entries(f, da * dc, da * dc, entries)
+
+
+def loop_dk_psi(dk):
+    """psi(c_q (x) a_i) = sum of v w a_r (x) c_t over rho(a_i) = sum v a_r
+    (x) h_s and c_q . h_s = sum w c_t."""
+    A, dc, dh = dk.algebra, dk.coalgebra.carrier.dim, dk.h_algebra.dim
+    f, da = A.field, A.dim
+    entries = {}
+    for q in range(dc):
+        for i in range(da):
+            for flat, v in dk.coaction.col(i).items():
+                r, s = divmod(flat, dh)
+                for t, w in dk.action.col(q * dh + s).items():
+                    key = (r * dc + t, q * da + i)
+                    entries[key] = f.add(entries.get(key, f.zero()), f.mul(v, w))
+    return Matrix.from_entries(f, da * dc, dc * da, entries)
+
+
+def u_basis_z2(field):
+    """kZ2 in the basis 1, u = 1 + 2g (u^2 = 3 + 2u): its multiplication
+    matrices are not monomial."""
+    one, u = {0: field.one()}, {1: field.one()}
+    return FinAlgebra(field, 2, [[one, u], [u, {0: field.from_int(3), 1: field.from_int(2)}]],
+                      one, labels=["1", "u"], name="kZ2(u)")
+
+
+def dk_cases():
+    """Doi-Koppinen data: kZn and Cn on themselves, and kZ2 acting on C2
+    relabelled c1, cg."""
+    for n in (2, 3):
+        yield doi_koppinen_self(group_algebra_cyclic(QQ, n, name=f"kZ{n}"),
+                                grouplike_coalgebra(QQ, n, name=f"C{n}"))
+    dk = doi_koppinen_self(group_algebra_cyclic(QQ, 2, name="kZ2"),
+                           grouplike_coalgebra(QQ, 2, name="C2"))
+    one = QQ.one()
+    c = coalgebra_over_field(QQ, 2, [{0: one}, {3: one}], [one, one],
+                             labels=["c1", "cg"], name="C")
+    yield DoiKoppinenData(dk.h_algebra, dk.h_coalgebra, dk.algebra, dk.coaction,
+                          c, dk.action)
+
+
+def entwining_cases(corpus):
+    yield from (corpus.flip_entwining, corpus.dk_entwining, corpus.broken_entwining)
+    yield from (doi_koppinen_entwining(dk) for dk in dk_cases())
+    for field in (QQ, GF(7)):
+        yield flip_entwining(u_basis_z2(field), grouplike_coalgebra(field, 3, name="C3"))
+
+
+class TestKernelFormulas:
+    def test_entwined_right_action_matches_the_index_loop(self, corpus):
+        for e in entwining_cases(corpus):
+            right = entwined_coring(e).carrier.right_action
+            assert right == [loop_right_action(e, i) for i in range(e.algebra.dim)], e
+
+    def test_doi_koppinen_psi_matches_the_index_loop(self):
+        for dk in dk_cases():
+            assert doi_koppinen_entwining(dk).psi.matrix == loop_dk_psi(dk)

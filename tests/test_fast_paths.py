@@ -29,6 +29,9 @@
   must match the plain rewrite loop, a fresh `tapply` twist and the
   re-twisting check loops, from a cold and a warm memo, at every bound up
   to the corpus's 8 and on tables perturbed at degrees 2 and 5.
+  `ore_universal_check` forms each phi(e_c) z^n once and extends the
+  flat products by linearity; its reports must match the loop that
+  re-twists and extends every product, on the same bounds and tables.
   `skew_mul` must never read a twist table, no cached dict may reach a
   caller, and a dropped `SkewPolyData` must be freed without the cyclic
   collector.
@@ -2733,6 +2736,75 @@ def test_perturbed_table_at_the_corpus_bound(case, degree, monkeypatch):
     assert any(w.basis[3] > 0 for w in expected[1].witnesses)
     for _ in range(2):
         assert _ore_reports(d, 8) == expected
+
+
+def plain_ore_universal_check(d, bound, target, phi, z_vec):
+    """`ore_universal_check` that re-twists each product through
+    `wreath_monomial_product` and extends both sides afresh for every
+    (n, m, i, j)."""
+    rep = ore.Report(f"universal extension {d.name} -> {target.name}")
+    b = d.coeff_algebra
+    f = b.field
+    rep.extend(ore.check_algebra_morphism(AlgebraMorphism(b, target, phi, name="phi")),
+               prefix="phi")
+    for i in range(b.dim):
+        e = {i: f.one()}
+        lhs = target.mul_vec(z_vec, phi.apply(e))
+        rhs = f.axpy(target.mul_vec(phi.apply(d.sigma.matrix.apply(e)), z_vec),
+                     phi.apply(d.delta.apply(e)), f.one())
+        if lhs != rhs:
+            rep.add(ore.Witness("ore-relation", (b.labels[i],),
+                                target.fmt_vec(lhs), target.fmt_vec(rhs)))
+    if not rep.ok:
+        return rep
+    table = ore.OreTwistTable(d, bound)
+    zpow = [target.unit_vector()]
+    for _ in range(bound):
+        zpow.append(target.mul_vec(zpow[-1], z_vec))
+
+    def extend(coeffs):
+        out = {}
+        for n, vec in coeffs.items():
+            f.axpy(out, target.mul_vec(phi.apply(vec), zpow[n]), f.one())
+        return out
+
+    one_img = extend({0: b.unit_vector()})
+    if one_img != target.unit:
+        rep.add(ore.Witness("ext-unit", ("1",), target.fmt_vec(one_img),
+                            target.fmt_vec(dict(target.unit))))
+    for n in range(bound + 1):
+        for m in range(bound + 1 - n):
+            for i in range(b.dim):
+                for j in range(b.dim):
+                    lhs = extend(ore.wreath_monomial_product(
+                        table, {i: f.one()}, n, {j: f.one()}, m))
+                    rhs = target.mul_vec(
+                        target.mul_vec(phi.apply({i: f.one()}), zpow[n]),
+                        target.mul_vec(phi.apply({j: f.one()}), zpow[m]))
+                    if lhs != rhs:
+                        rep.add(ore.Witness("ext-mult", (b.labels[i], n, b.labels[j], m),
+                                            target.fmt_vec(lhs), target.fmt_vec(rhs)))
+    return rep
+
+
+@pytest.mark.parametrize("degree", [None, 1, 2, 5])
+def test_universal_check_matches_the_retwisting_loop(degree, monkeypatch):
+    """The Weyl data into its corpus target at every bound from 0 to 8, on
+    fresh data, with the table as built and perturbed at degree 1, 2 or 5:
+    the same report, witnesses in order, as the loop that re-twists every
+    product.  Only a perturbed table can make `ext-mult` fail, from its
+    perturbed degree on; z^3 = 0 in the target, so a perturbation at
+    degree 5 maps to 0 and fails nothing."""
+    if degree is not None:
+        _perturbed_table(monkeypatch, degree)
+    for bound in range(9):
+        corpus = Corpus()
+        d, target = corpus.ore_weyl, corpus.ore_weyl_target
+        expected = plain_ore_universal_check(d, bound, *target)
+        fails = degree in (1, 2) and bound >= degree
+        assert ("ext-mult" in expected.equations()) == fails
+        assert expected.ok != fails
+        assert ore_universal_check(d, bound, *target) == expected
 
 
 @pytest.mark.parametrize("field", ORE_GEN_FIELDS, ids=repr)

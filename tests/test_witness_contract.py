@@ -35,6 +35,7 @@ from coringlab.bimodule import (
     regular_bimodule,
     space,
 )
+from coringlab.coring import coalgebra_over_field
 from coringlab.corpus import corpus_sessions
 from coringlab.entwine import (
     DoiKoppinenData,
@@ -333,6 +334,32 @@ def test_doi_koppinen_witnesses_reevaluate(field, data):
     rep = check_doi_koppinen(bad)
     assert not rep.ok
     assert {w.equation for w in rep.witnesses} <= DK_TAGS
+    assert_witnesses_reevaluate(rep, doi_koppinen_laws(bad))
+
+
+def test_doi_koppinen_witness_names_the_coalgebra_leg_first():
+    """C2 relabelled c1, cg, acting on itself through kZ2's multiplication.
+    kZ2 and C2 share the labels 1 and g, so this coalgebra's own labels
+    show which leg of C (x) H a flat witness names."""
+    s = sessions("QQ")
+    kz2 = s["z2_group_algebra.json"].algebras["kZ2"]
+    dk = doi_koppinen_self(kz2, s["grouplike_coalgebras.json"].corings["C2"])
+    f = kz2.field
+    one = f.one()
+    c = coalgebra_over_field(f, 2, [{0: one}, {3: one}], [one, one],
+                             labels=["c1", "cg"], name="C")
+
+    def data(action):
+        return DoiKoppinenData(dk.h_algebra, dk.h_coalgebra, dk.algebra, dk.coaction,
+                               c, action)
+
+    assert check_doi_koppinen(data(dk.action)).ok
+    # cg . 1 = c1 + cg
+    bad = data(dk.action + Matrix.from_entries(f, 2, 4, {(0, 2): one}))
+    rep = check_doi_koppinen(bad)
+    assert [w for w in rep.witnesses if w.equation == "action-comult"] == [
+        Witness("action-comult", ("cg(x)1",), "c1(x)c1 + cg(x)cg",
+                "c1(x)c1 + c1(x)cg + cg(x)c1 + cg(x)cg")]
     assert_witnesses_reevaluate(rep, doi_koppinen_laws(bad))
 
 
