@@ -8,7 +8,7 @@ For each case it prints the wall-clock seconds of the lift
 and the product's `check_coring`, each run from fresh structures, and the
 dimensions of the product's coassociativity space P (x) P (x) P: the
 quotient, the factor-flat space (dim P cubed) and the leaf-flat space.
-Six more columns are not added to the total.  `quotients` is the part
+Seven more columns are not added to the total.  `quotients` is the part
 of the four timings spent inside `bimodule._shared_tensor`, which makes
 each tensor quotient that the identity memo of `tensor_over` misses: it
 shows how much of a lift is the quotients themselves.  `shared` counts
@@ -16,8 +16,9 @@ those quotients, over the four timings, as taken from the content table
 (their numeric core is that of a live quotient of equal content) against
 built by `bimodule._build_tensor`.  `uf` counts the calls of
 `bimodule._union_find`, the quotients whose relations are all monomial;
-every other quotient with relations goes through `Echelon`.  `stages` is the part spent inside
-`bimodule._Stages._stage`, the pipe stages that multiply by I (x) F (x) I.  `regroup` and `rev`
+every other quotient with relations goes through `Echelon`.  `stages`
+is the part spent inside `bimodule._Stages._stage`, the pipe stages that
+multiply by I (x) F (x) I.  `regroup` and `rev`
 time the changes of bracketing on the coassociativity space: `regroup`
 between space(P, P, P) and space(P, P (x) P), both ways, and `rev` of
 space(P, P, P)'s quotient and of its mirror.  `homs` times the two

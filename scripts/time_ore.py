@@ -7,8 +7,8 @@ For each corpus Ore data at degrees 4, 8 and 16 it prints the seconds of
 `check_ore_wreath`, `ore_vs_wreath_product` and `twist_vs_skew_mul`, and
 for the Weyl data, the one with a target ring, of `ore_universal_check`
 into that target (`-` for the others).  Each check runs on fresh data, so
-that no rewrite memo carries over from an earlier run.  With `--runs N` (default 1) each time is the median of N runs.  It
-checks every status: each check passes, except `check_ore_wreath` on
+that no rewrite memo carries over from an earlier run.  With `--runs N`
+(default 1) each time is the median of N runs.  It checks every status: each check passes, except `check_ore_wreath` on
 `ore_broken`, whose derivation breaks the twisted Leibniz rule.  It gates
 nothing on time.
 """
@@ -72,9 +72,9 @@ def main(argv=None):
                         print(f"{case} {check.__name__} at degree {degree}: "
                               f"{rep.status}", file=sys.stderr)
                 times.append(statistics.median(runs))
+            cells = ["-" if t is None else f"{t:.4f}" for t in times]
             print(f"{case:<18} {degree:>6} " + " ".join(
-                f"{t:8.4f}" for t in times[:3]) + (
-                f" {times[3]:9.4f}" if times[3] is not None else f" {'-':>9}"))
+                f"{c:>{w}}" for c, w in zip(cells, (8, 8, 8, 9))))
     if bad:
         print(f"{bad} run(s) had an unexpected status", file=sys.stderr)
     return 1 if bad else 0

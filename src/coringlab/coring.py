@@ -350,6 +350,10 @@ def sample_maps(src, dst, count, seed, prefix, dom=None, cod=None) -> list:
     return out
 
 
+# ---------------------------------------------------------------------------
+# constructors
+
+
 def trivial_coring(a: FinAlgebra) -> Coring:
     """A as a coring over itself: comultiplication A = A (x)_A A, counit id."""
     areg = regular_bimodule(a)
