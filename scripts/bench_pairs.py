@@ -11,10 +11,13 @@ with the run length of the change's BENCHMARK.json.  It writes
 `BENCH_<N>.json` into the change checkout: per workload and end-to-end
 metric, each side's runs, median and quartiles, the pairs the change won,
 and whether the change stays within the metric's bound.  With
-`--trace-seeds` it also runs `--trace 1` once per side per seed and keeps
-every per-layer metric that is nonzero on either side.  Only the standard
-library is used; each run is a fresh process in its own checkout.  A
-checkout that holds `__pycache__` directories under `src/` is refused.
+`--trace-seeds` it also runs `--trace 1` twice per side per seed and keeps
+every per-layer metric that is nonzero on either side: of each time (unit
+`s`) the lower of the two runs, of every other metric the first run's
+value, recording a problem when the second run reads another.  Only the
+standard library is used; each run is a fresh process in its own
+checkout.  A checkout that holds `__pycache__` directories under `src/`
+is refused.
 """
 
 from __future__ import annotations
@@ -86,6 +89,25 @@ def compare(spec, parent_runs, change_runs):
     }
 
 
+def merge_traces(specs, first, second, seed, problems):
+    """One seed's per-layer values on one side, from its two traced runs:
+    of each time (unit `s`) the lower, since a run can be slowed but not
+    sped up by the machine; of every other metric the first run's value,
+    appending to problems when the second run reads another."""
+    out = {}
+    for spec in specs:
+        name = spec["name"]
+        a, b = (r["metrics"][name]["value"] for r in (first, second))
+        if spec["unit"] == "s":
+            out[name] = min(a, b)
+            continue
+        if a != b:
+            problems.append(f"seed {seed}: {name} reads {a} in the first "
+                            f"traced run and {b} in the second")
+        out[name] = a
+    return out
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True, help="checkout of the parent commit")
@@ -138,14 +160,18 @@ def main():
         entry = {"seeds": args.trace_seeds, "correct": {}, "problems": {}}
         for i, seed in enumerate(args.trace_seeds):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            for name in order:
+            runs = {"parent": [], "change": []}
+            for name in order * 2:
                 result, record = run_bench(sides[name], w, seed, seconds, 1)
-                values[name].append(result)
+                runs[name].append(result)
                 entry["correct"][name] = entry["correct"].get(name, True) and result["correct"]
                 entry["problems"].setdefault(name, []).extend(record.get("problems", []))
+            for name, (first, second) in runs.items():
+                values[name].append(merge_traces(
+                    bench["per_layer"], first, second, seed,
+                    entry["problems"][name]))
         for spec in bench["per_layer"]:
-            series = {k: [r["metrics"][spec["name"]]["value"] for r in rs]
-                      for k, rs in values.items()}
+            series = {k: [v[spec["name"]] for v in vs] for k, vs in values.items()}
             if any(v for vs in series.values() for v in vs):
                 entry[spec["name"]] = series
         per_layer[w] = entry
@@ -165,8 +191,11 @@ def main():
                    f"are reference seconds (RefClock, perfbench/workloads.py). "
                    f"Quartiles: statistics.quantiles n=4, inclusive. "
                    f"change_wins counts pairs where the change reads better. "
-                   f"Per-layer values come from --trace 1 runs, one per side "
-                   f"per seed in per_layer.seeds."),
+                   f"Per-layer values come from --trace 1 runs, two per side "
+                   f"per seed in per_layer.seeds, interleaved as the pairs "
+                   f"are: each time (unit s) is the lower of the two, every "
+                   f"other value is the first run's, and a value that differs "
+                   f"between the two runs is listed in per_layer problems."),
         "end_to_end": end_to_end,
         "per_layer": per_layer,
     }

@@ -123,7 +123,7 @@ def check_coring_morphism(phi: LinearMap, src: Coring, dst: Coring,
     `tensor_maps`, which builds phi (x) phi and raises WellDefinednessError
     when it does not descend to the quotients."""
     rep = Report(name or f"coring morphism {phi.name}: {src.name} -> {dst.name}")
-    if not (src.base is dst.base or src.base.mult == dst.base.mult):
+    if not algebras_match(src.base, dst.base):
         raise InputError("coring morphism needs a common base")
     bilinear = bilinearity_report(phi, "morphism")
     rep.extend(bilinear)
@@ -264,8 +264,9 @@ def hom_basis(src, dst) -> list:
     """Canonical basis, as matrices, of the maps src -> dst that are
     bimodule maps between two `Bimodule`s, colinear bimodule maps between
     two `Comodule`s on one side of a coring, or bicolinear bimodule maps
-    between two `Bicomodule`s.  Comodules on different sides, or over
-    corings that do not match (`corings_match`), raise InputError.
+    between two `Bicomodule`s.  Arguments of two kinds, comodules on
+    different sides, or comodules over corings that do not match
+    (`corings_match`), raise InputError.
 
     Every constraint is L . F = P . w(F) . S with w(F) = F (x) I_d (right)
     or I_d (x) F (left).  An action pair b . F = F . a is the case d = 1,
@@ -275,6 +276,11 @@ def hom_basis(src, dst) -> list:
     out.  The basis is the kernel basis of the reduced echelon form, which
     depends only on the solution space, so it is the same however the
     constraints are written."""
+    kinds = ["Bimodule" if isinstance(m, Bimodule) else type(m).__name__
+             for m in (src, dst)]
+    if kinds[0] != kinds[1]:
+        raise InputError(f"hom_basis needs two of one kind, got a {kinds[0]} "
+                         f"and a {kinds[1]}")
     if isinstance(src, Bicomodule):
         pairs = [(src.left_part(), dst.left_part()),
                  (src.right_part(), dst.right_part())]

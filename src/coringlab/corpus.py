@@ -291,12 +291,12 @@ def corpus_sessions() -> dict:
     out["sign_flip_ttp.json"] = store.raw
 
     store = SessionStore.empty(QQ)
-    store.add_skewpoly("commutative", CORPUS.ore_commutative)
-    store.add_skewpoly("quantum-plane", CORPUS.ore_quantum_plane)
-    store.add_skewpoly("broken-derivation", CORPUS.ore_broken)
+    store.add("skewpoly", "commutative", CORPUS.ore_commutative)
+    store.add("skewpoly", "quantum-plane", CORPUS.ore_quantum_plane)
+    store.add("skewpoly", "broken-derivation", CORPUS.ore_broken)
     out["ore_rational.json"] = store.raw
 
     store = SessionStore.empty(GF(3))
-    store.add_skewpoly("weyl", CORPUS.ore_weyl)
+    store.add("skewpoly", "weyl", CORPUS.ore_weyl)
     out["ore_gf3.json"] = store.raw
     return out

@@ -12,9 +12,10 @@ their boundary algebras; matrix coordinates on such spaces use the
 canonical quotient bases.  JSON nested past the recursion limit, in the
 file or in a space reference, is malformed input too.
 
-The ten reference sections, `corings` to `twistings`, are defined once, in
-`SCHEMA`, which both `parse_session` and `SessionStore` read; the sections
-with inline data are read and written by hand.
+The thirteen sections that name other entries, `morphisms`, `maps`,
+`corings` to `twistings` and `skewpoly`, are defined once, in `SCHEMA`,
+which both `parse_session` and `SessionStore` read; only `algebras` and
+`bimodules`, whose entries are inline data, are read and written by hand.
 
 A session file is written with the bytes `json.dumps(raw, indent=1,
 sort_keys=True)` would give, followed by a newline.  This module holds the
@@ -30,19 +31,27 @@ import json
 import re
 from importlib import import_module
 
-from .algebra import AlgebraMorphism, FinAlgebra
-from .bimodule import Bimodule, LinearMap, Matrix, regular_bimodule, space
+from .algebra import FinAlgebra
+from .bimodule import Bimodule, Matrix, regular_bimodule, space
 from .exactla import field_from_name
 from .reports import InputError
 
 
-# The ten reference sections, whose entries only name other entries: each
+# The thirteen reference sections, whose entries name other entries: each
 # maps to the module and class of its entries and lists their fields as
 # (key, kind, attribute) in constructor order.  A kind is the section the
-# key names, "space" for a space reference or "side" for a comodule's side.
-# `parse_session` and `SessionStore` both read this table.  A `ttps` entry
-# is a plain (r, t, rmap) tuple, so it has no class and no attributes.
+# key names, "space" for a space reference, "side" for a comodule's side,
+# or, for a matrix, the pair of earlier keys whose entries' dims are its
+# row and column counts.  `parse_session` and `SessionStore` both read
+# this table, the reader in its order.  A `ttps` entry is a plain (r, t,
+# rmap) tuple, so it has no class and no attributes.
 SCHEMA = {
+    "morphisms": ("algebra", "AlgebraMorphism", (
+        ("source", "algebras", "source"), ("target", "algebras", "target"),
+        ("matrix", ("target", "source"), "matrix"))),
+    "maps": ("bimodule", "LinearMap", (
+        ("domain", "space", "domain"), ("codomain", "space", "codomain"),
+        ("matrix", ("codomain", "domain"), "matrix"))),
     "corings": ("coring", "Coring", (
         ("base", "algebras", "base"), ("carrier", "space", "carrier"),
         ("comult", "maps", "comult"), ("counit", "maps", "counit"))),
@@ -74,9 +83,12 @@ SCHEMA = {
         ("wreath", "wreaths", "wreath"), ("r", "extensions", "rext"),
         ("carrier", "space", "carrier"), ("action", "maps", "l_x"),
         ("twist", "maps", "twist"))),
+    "skewpoly": ("ore", "SkewPolyData", (
+        ("coeff", "algebras", "coeff_algebra"), ("sigma", "morphisms", "sigma"),
+        ("delta", ("coeff", "coeff"), "delta"))),
 }
 
-SECTIONS = ("algebras", "morphisms", "bimodules", "maps", *SCHEMA, "skewpoly")
+SECTIONS = ("algebras", "bimodules", *SCHEMA)
 
 
 class SessionFile:
@@ -236,9 +248,13 @@ def _parse_vec(field, entries, path) -> dict:
     return {k: v for k, v in vec.items() if not field.is_zero(v)}
 
 
-def _field(s, data, key, kind):
-    """The value of one field of a reference entry (see `SCHEMA`)."""
+def _field(s, data, key, kind, read):
+    """The value of one field of a reference entry (see `SCHEMA`); read
+    holds the values of the fields before it."""
     path = f"{data.path}.{key}"
+    if isinstance(kind, tuple):
+        rows, cols = (read[k].dim for k in kind)
+        return _parse_matrix(s.field, data[key], rows, cols, path)
     if kind == "space":
         return s.resolve_space(data[key], path)
     if kind == "side":
@@ -310,13 +326,6 @@ def parse_session(source) -> SessionFile:
         s.algebras[name] = FinAlgebra(field, dim, mult, unit,
                                       labels=data.labels(dim), name=name)
 
-    for name, data in _entries(raw, "morphisms"):
-        src = s.lookup("algebras", data["source"], f"{data.path}.source")
-        dst = s.lookup("algebras", data["target"], f"{data.path}.target")
-        mat = _parse_matrix(field, data["matrix"], dst.dim, src.dim,
-                            f"{data.path}.matrix")
-        s.morphisms[name] = AlgebraMorphism(src, dst, mat, name=name)
-
     for name, data in _entries(raw, "bimodules"):
         if name in s.algebras:
             raise InputError(
@@ -332,32 +341,21 @@ def parse_session(source) -> SessionFile:
         s.bimodules[name] = Bimodule(left, right, dim, las, ras,
                                      labels=data.labels(dim), name=name)
 
-    for name, data in _entries(raw, "maps"):
-        dom = s.resolve_space(data["domain"], f"{data.path}.domain")
-        cod = s.resolve_space(data["codomain"], f"{data.path}.codomain")
-        mat = _parse_matrix(field, data["matrix"], cod.dim, dom.dim,
-                            f"{data.path}.matrix")
-        s.maps[name] = LinearMap(dom, cod, mat, name=name)
-
     for section, (module, cls_name, fields) in SCHEMA.items():
         entries = _entries(raw, section)
         if entries and cls_name:
             cls = getattr(import_module(f".{module}", __package__), cls_name)
         table = getattr(s, section)
         for name, data in entries:
-            args = [_field(s, data, key, kind) for key, kind, _ in fields]
+            read = {}
+            for key, kind, _ in fields:
+                read[key] = _field(s, data, key, kind, read)
+            if section == "skewpoly" and not (
+                    read["sigma"].source is read["coeff"] is read["sigma"].target):
+                raise InputError(
+                    f"{data.path}.sigma: sigma must be an endomorphism of B")
+            args = read.values()
             table[name] = cls(*args, name=name) if cls_name else tuple(args)
-
-    for name, data in _entries(raw, "skewpoly"):
-        from .ore import SkewPolyData
-        coeff = s.lookup("algebras", data["coeff"], f"{data.path}.coeff")
-        sigma = s.lookup("morphisms", data["sigma"], f"{data.path}.sigma")
-        if sigma.source is not coeff or sigma.target is not coeff:
-            raise InputError(
-                f"{data.path}.sigma: sigma must be an endomorphism of B")
-        delta = _parse_matrix(field, data["delta"], coeff.dim, coeff.dim,
-                              f"{data.path}.delta")
-        s.skewpoly[name] = SkewPolyData(coeff, sigma, delta, name=name)
     return s
 
 
@@ -383,7 +381,7 @@ def _fmt_vec(field, vec, dim):
 
 
 _WRITING = ("SessionStore", "serialize_session", "write_session",
-            "algebra_to_data", "bimodule_to_data", "map_to_data")
+            "algebra_to_data", "bimodule_to_data")
 
 
 def __getattr__(name):

@@ -1,9 +1,9 @@
 """The writing half of the session format: `SessionStore` turns objects
 into session data, and `serialize_session` writes that data as text.
 
-`SessionStore.add(section, name, obj)` writes an entry of any reference
-section from `session.SCHEMA`, the table the reader uses too; the sections
-with inline data keep their own writers.
+`SessionStore.add(section, name, obj)` writes an entry of any section of
+`session.SCHEMA`, the table the reader uses too; only `algebras` and
+`bimodules`, whose entries are inline data, have writers of their own.
 
 The writer's cost follows the bytes it writes.  `serialize_session`
 appends pieces of text to one list and joins them once, so no subtree is
@@ -132,12 +132,12 @@ def bimodule_to_data(b: Bimodule, left_name, right_name):
     }
 
 
-def map_to_data(m: LinearMap, domain_ref, codomain_ref):
-    return {
-        "domain": domain_ref,
-        "codomain": codomain_ref,
-        "matrix": _fmt_matrix(m.matrix.field, m.matrix),
-    }
+def _known(table, obj):
+    """The name under which `obj` itself is in a session table, or None."""
+    for name, x in table.items():
+        if x is obj:
+            return name
+    return None
 
 
 class SessionStore:
@@ -169,37 +169,25 @@ class SessionStore:
     def algebra_name(self, alg) -> str:
         """Algebras and bimodules share one namespace: an algebra name also
         resolves to its regular bimodule, so clashes must be avoided."""
-        for name, a in self.s.algebras.items():
-            if a is alg:
-                return name
-        name = self._fresh(self.s.algebras, alg.name, self.s.bimodules)
-        self.s.algebras[name] = alg
-        self.raw.setdefault("algebras", {})[name] = algebra_to_data(alg)
-        return name
-
-    def morphism_name(self, m) -> str:
-        for name, x in self.s.morphisms.items():
-            if x is m:
-                return name
-        name = self._fresh(self.s.morphisms, m.name)
-        self.s.morphisms[name] = m
-        self.raw.setdefault("morphisms", {})[name] = {
-            "source": self.algebra_name(m.source),
-            "target": self.algebra_name(m.target),
-            "matrix": _fmt_matrix(m.source.field, m.matrix),
-        }
+        name = _known(self.s.algebras, alg)
+        if name is None:
+            name = self._fresh(self.s.algebras, alg.name, self.s.bimodules)
+            self.s.algebras[name] = alg
+            self.raw.setdefault("algebras", {})[name] = algebra_to_data(alg)
         return name
 
     def space_ref(self, b: Bimodule):
-        for name, x in self.s.bimodules.items():
-            if x is b:
-                return name
-        for name, a in self.s.algebras.items():
-            if a is b.left_algebra and is_regular(b):
-                return name
+        """A tensor quotient is written as the references of its factors;
+        neither a session bimodule nor a regular bimodule is one."""
         if isinstance(b, TensorQuotient):
             return [self.space_ref(b.factor_left),
                     self.space_ref(b.factor_right)]
+        name = _known(self.s.bimodules, b)
+        if name is not None:
+            return name
+        name = _known(self.s.algebras, b.left_algebra)
+        if name is not None and is_regular(b):
+            return name
         name = self._fresh(self.s.bimodules, b.name, self.s.algebras)
         self.s.bimodules[name] = b
         self.raw.setdefault("bimodules", {})[name] = bimodule_to_data(
@@ -208,51 +196,43 @@ class SessionStore:
         return name
 
     def map_name(self, m: LinearMap, name=None) -> str:
-        for nm, x in self.s.maps.items():
-            if x is m:
-                return nm
-        name = self._fresh(self.s.maps, name or m.name)
-        self.s.maps[name] = m
-        self.raw.setdefault("maps", {})[name] = map_to_data(
-            m, self.space_ref(m.domain), self.space_ref(m.codomain))
-        return name
+        return self.name_of("maps", m, name)
 
     # -- adders ----------------------------------------------------------------
 
     def add(self, section, name, obj) -> str:
-        """Add `obj` to a reference section (see `SCHEMA`) under a fresh form
-        of `name`, adding what its fields refer to first, in field order."""
+        """Add `obj` to a section of `SCHEMA` under a fresh form of `name`,
+        adding what its fields refer to first, in field order."""
         _, cls_name, fields = SCHEMA[section]
         table = getattr(self.s, section)
         name = self._fresh(table, name)
         values = obj if cls_name is None else [
             getattr(obj, attr) for _, _, attr in fields]
         self.raw.setdefault(section, {})[name] = {
-            key: self._field(kind, value, f"{name}.{key}")
+            key: self._field(kind, value, name, key)
             for (key, kind, _), value in zip(fields, values)}
         table[name] = obj
         return name
 
-    def name_of(self, section, obj) -> str:
-        """The name of `obj` in a reference section, adding it under its own
-        name if it is not there yet."""
-        for name, x in getattr(self.s, section).items():
-            if x is obj:
-                return name
-        return self.add(section, obj.name, obj)
+    def name_of(self, section, obj, name=None) -> str:
+        """The name of `obj` in a section of `SCHEMA`, adding it under
+        `name`, or its own name, if it is not there yet."""
+        known = _known(getattr(self.s, section), obj)
+        return self.add(section, name or obj.name, obj) if known is None else known
 
-    def _field(self, kind, value, map_name):
-        """The session value of one field; a new map is named `map_name`."""
-        if kind == "side":
-            return value
+    def _field(self, kind, value, name, key):
+        """The session value of field `key` of entry `name`; a new map is
+        named `name.key`."""
         if kind == "space":
             return self.space_ref(value)
         if kind == "maps":
-            return self.map_name(value, map_name)
+            return self.name_of(kind, value, f"{name}.{key}")
         if kind == "algebras":
             return self.algebra_name(value)
-        if kind == "morphisms":
-            return self.morphism_name(value)
+        if kind == "side":
+            return value
+        if isinstance(kind, tuple):
+            return _fmt_matrix(value.field, value)
         return self.name_of(kind, value)
 
     def add_coring(self, name, cor) -> str:
@@ -263,13 +243,3 @@ class SessionStore:
 
     def add_cowreath(self, name, w) -> str:
         return self.add("cowreaths", name, w)
-
-    def add_skewpoly(self, name, d: SkewPolyData) -> str:
-        name = self._fresh(self.s.skewpoly, name)
-        self.raw.setdefault("skewpoly", {})[name] = {
-            "coeff": self.algebra_name(d.coeff_algebra),
-            "sigma": self.morphism_name(d.sigma),
-            "delta": _fmt_matrix(d.coeff_algebra.field, d.delta),
-        }
-        self.s.skewpoly[name] = d
-        return name

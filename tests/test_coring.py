@@ -2,7 +2,7 @@ import re
 
 import pytest
 
-from coringlab.exactla import QQ, Matrix
+from coringlab.exactla import GF, QQ, Matrix
 from coringlab.algebra import field_algebra
 from coringlab.reports import InputError
 from coringlab.bimodule import LinearMap, space
@@ -160,6 +160,23 @@ class TestCoringsMatch:
         assert len(hom_basis(x, y)) == 2
         assert is_colinear(LinearMap.identity(corpus.c2.carrier), x, y).ok
 
+    @pytest.mark.parametrize("src, dst", [
+        ("bimodule", "comodule"), ("comodule", "bimodule"),
+        ("bicomodule", "comodule")])
+    def test_hom_basis_refuses_mixed_kinds(self, corpus, src, dst):
+        """A Hom space between two kinds of object is malformed input: with
+        a bimodule source, the coaction of a comodule target used to be
+        ignored (4 maps where the colinear space has dimension 2)."""
+        c = corpus.c2
+        objects = {"bimodule": c.carrier, "comodule": comodule_over_itself(c),
+                   "bicomodule": Bicomodule(c, c, c.carrier, c.comult, c.comult)}
+        names = {"bimodule": "Bimodule", "comodule": "Comodule",
+                 "bicomodule": "Bicomodule"}
+        with pytest.raises(InputError) as err:
+            hom_basis(objects[src], objects[dst])
+        assert str(err.value) == (f"hom_basis needs two of one kind, got a "
+                                  f"{names[src]} and a {names[dst]}")
+
 
 class TestCoringMorphism:
     def test_identity(self, corpus):
@@ -170,6 +187,20 @@ class TestCoringMorphism:
         trivk = trivial_coring(corpus.c2.base)
         rep = check_coring_morphism(corpus.c2.counit, corpus.c2, trivk)
         assert rep.ok
+
+    def test_base_over_another_field_is_refused(self, corpus):
+        """The bases must match as algebras, field included: kZ2's
+        multiplication table over QQ and over GF(3) is the same."""
+        c, d = grouplike_coalgebra(QQ, 2), grouplike_coalgebra(GF(3), 2)
+        ident = LinearMap(c.carrier, d.carrier, Matrix.identity(QQ, 2), "id")
+        with pytest.raises(InputError, match="coring morphism needs a common base"):
+            check_coring_morphism(ident, c, d)
+
+    def test_equal_bases_that_are_distinct_objects_pass(self, corpus):
+        assert corpus.c2.base is not corpus.d2.base
+        ident = LinearMap(corpus.c2.carrier, corpus.d2.carrier,
+                          Matrix.identity(QQ, 2), "id")
+        assert check_coring_morphism(ident, corpus.c2, corpus.d2).ok
 
     def test_doubling_fails(self, corpus):
         dbl = LinearMap.identity(corpus.c2.carrier).scale(QQ.from_int(2))

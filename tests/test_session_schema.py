@@ -1,8 +1,9 @@
-"""`SCHEMA` defines the ten reference sections once, for the reader and the
-writer alike.  Every field of every section is checked here: a missing key
-and a dangling name are malformed input naming the entry, and an object of
-any section written alone into an empty store (with everything it names)
-parses back to objects that write the same bytes again."""
+"""`SCHEMA` defines the thirteen reference sections once, for the reader
+and the writer alike.  Every field of every section is checked here: a
+missing key and a dangling name are malformed input naming the entry, and
+an object of any section written alone into an empty store (with
+everything it names) parses back to objects that write the same bytes
+again."""
 
 import json
 
@@ -28,6 +29,8 @@ def one_of_each():
     """section -> one corpus object of that section."""
     rext, text, rmap, rw = CORPUS.sign_flip_ttp[:4]
     return {
+        "morphisms": rext.iota,
+        "maps": CORPUS.c3.comult,
         "corings": CORPUS.c2,
         "comodules": comodule_over_itself(CORPUS.c2),
         "r_objects": CORPUS.flip_cw.object,
@@ -38,6 +41,7 @@ def one_of_each():
         "wreaths": rw,
         "ttps": (rext, text, rmap),
         "twistings": CORPUS.module_twist_self,
+        "skewpoly": CORPUS.ore_quantum_plane,
     }
 
 
@@ -47,9 +51,15 @@ FIELDS = [(section, key, kind) for section, (_, _, fields) in SCHEMA.items()
 
 def test_schema_covers_the_reference_sections():
     assert set(one_of_each()) == set(SCHEMA)
-    assert SECTIONS == ("algebras", "morphisms", "bimodules", "maps",
-                        *SCHEMA, "skewpoly")
-    assert {kind for _, _, kind in FIELDS} <= set(SECTIONS) | {"space", "side"}
+    assert SECTIONS == ("algebras", "bimodules", *SCHEMA)
+    names = {kind for _, _, kind in FIELDS if isinstance(kind, str)}
+    assert names <= set(SECTIONS) | {"space", "side"}
+    # a matrix kind is the pair of keys read before it that fix its shape
+    for _, _, fields in SCHEMA.values():
+        for i, (_, kind, _) in enumerate(fields):
+            if not isinstance(kind, str):
+                assert len(kind) == 2
+                assert set(kind) <= {key for key, _, _ in fields[:i]}
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +101,9 @@ def test_dangling_name(every_section, section, key, kind):
         parse_session(raw)
     expected = {"space": "unknown space reference 'nowhere'",
                 "side": "side must be 'left' or 'right'"}
+    if isinstance(kind, tuple):
+        # a matrix kind reads the value as a matrix, not as a name
+        expected[kind] = "expected an array, got a string"
     assert str(err.value) == f"$.{section}.x.{key}: " + expected.get(
         kind, f"unknown {kind[:-1]} 'nowhere'")
 
