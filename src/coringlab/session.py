@@ -12,10 +12,9 @@ their boundary algebras; matrix coordinates on such spaces use the
 canonical quotient bases.  JSON nested past the recursion limit, in the
 file or in a space reference, is malformed input too.
 
-The thirteen sections that name other entries, `morphisms`, `maps`,
-`corings` to `twistings` and `skewpoly`, are defined once, in `SCHEMA`,
-which both `parse_session` and `SessionStore` read; only `algebras` and
-`bimodules`, whose entries are inline data, are read and written by hand.
+The sections other than `algebras` and `bimodules`, whose inline data are
+read and written by hand, are defined once, in `SCHEMA`, which both
+`parse_session` and `SessionStore` read.
 
 A session file is written with the bytes `json.dumps(raw, indent=1,
 sort_keys=True)` would give, followed by a newline.  This module holds the
@@ -350,6 +349,7 @@ def parse_session(source) -> SessionFile:
             read = {}
             for key, kind, _ in fields:
                 read[key] = _field(s, data, key, kind, read)
+            # SkewPolyData checks this too, but cannot name the JSON path
             if section == "skewpoly" and not (
                     read["sigma"].source is read["coeff"] is read["sigma"].target):
                 raise InputError(

@@ -177,16 +177,15 @@ class SessionStore:
         return name
 
     def space_ref(self, b: Bimodule):
-        """A tensor quotient is written as the references of its factors;
-        neither a session bimodule nor a regular bimodule is one."""
+        """A tensor quotient, never a named or regular bimodule, is written
+        as the references of its factors."""
         if isinstance(b, TensorQuotient):
             return [self.space_ref(b.factor_left),
                     self.space_ref(b.factor_right)]
         name = _known(self.s.bimodules, b)
+        if name is None and is_regular(b):
+            name = _known(self.s.algebras, b.left_algebra)
         if name is not None:
-            return name
-        name = _known(self.s.algebras, b.left_algebra)
-        if name is not None and is_regular(b):
             return name
         name = self._fresh(self.s.bimodules, b.name, self.s.algebras)
         self.s.bimodules[name] = b
@@ -209,7 +208,7 @@ class SessionStore:
         values = obj if cls_name is None else [
             getattr(obj, attr) for _, _, attr in fields]
         self.raw.setdefault(section, {})[name] = {
-            key: self._field(kind, value, name, key)
+            key: self._field(kind, value, f"{name}.{key}")
             for (key, kind, _), value in zip(fields, values)}
         table[name] = obj
         return name
@@ -220,20 +219,17 @@ class SessionStore:
         known = _known(getattr(self.s, section), obj)
         return self.add(section, name or obj.name, obj) if known is None else known
 
-    def _field(self, kind, value, name, key):
-        """The session value of field `key` of entry `name`; a new map is
-        named `name.key`."""
+    def _field(self, kind, value, map_name):
+        """The session value of one field; a new map is named `map_name`."""
         if kind == "space":
             return self.space_ref(value)
-        if kind == "maps":
-            return self.name_of(kind, value, f"{name}.{key}")
         if kind == "algebras":
             return self.algebra_name(value)
         if kind == "side":
             return value
         if isinstance(kind, tuple):
             return _fmt_matrix(value.field, value)
-        return self.name_of(kind, value)
+        return self.name_of(kind, value, map_name if kind == "maps" else None)
 
     def add_coring(self, name, cor) -> str:
         return self.add("corings", name, cor)

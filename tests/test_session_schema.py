@@ -113,8 +113,8 @@ def test_dangling_name(every_section, section, key, kind):
     ("bimodules", "left", "kZ2"), ("bimodules", "right", "kZ2"),
     ("skewpoly", "coeff", "kZ2"), ("skewpoly", "sigma", "id")])
 def test_dangling_name_outside_the_schema(section, key, name):
-    """The references that entries of the other sections make name their
-    JSON path too."""
+    """The references that entries of `bimodules`, read by hand, and of
+    `morphisms` and `skewpoly` make name their JSON path too."""
     raw = {"field": "QQ",
            "algebras": {"kZ2": {"dim": 2, "mult": [[[1, 0], [0, 1]], [[0, 1], [1, 0]]],
                                 "unit": [1, 0]}},
