@@ -188,7 +188,7 @@ class TestCoringMorphism:
         rep = check_coring_morphism(corpus.c2.counit, corpus.c2, trivk)
         assert rep.ok
 
-    def test_base_over_another_field_is_refused(self, corpus):
+    def test_base_over_another_field_is_refused(self):
         """The bases must match as algebras, field included: kZ2's
         multiplication table over QQ and over GF(3) is the same."""
         c, d = grouplike_coalgebra(QQ, 2), grouplike_coalgebra(GF(3), 2)
