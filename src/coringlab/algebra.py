@@ -8,7 +8,7 @@ only; element identity is positional.
 
 from __future__ import annotations
 
-from .exactla import Matrix, vec_add_scaled
+from .exactla import Matrix
 from .reports import InputError, Record, Report, Witness
 
 
@@ -53,7 +53,7 @@ class FinAlgebra:
         out: dict = {}
         for i, a in u.items():
             for j, b in v.items():
-                vec_add_scaled(f, out, self.mult[i][j], f.mul(a, b))
+                f.axpy(out, self.mult[i][j], f.mul(a, b))
         return out
 
     def left_mult_matrix(self, i) -> Matrix:

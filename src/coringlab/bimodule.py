@@ -28,7 +28,8 @@ through project (`TensorQuotient.kills`).  With a monomial project and a
 monomial action, project . K is again monomial (block copies or a
 permutation of project's lists), the inherited action is its free
 columns and the test is one pass over the lists; otherwise project . K
-is scattered column by column and tested pivot by pivot.
+is scattered column by column (`exactla.Transposed.after`) and tested
+pivot by pivot.
 
 Iterated tensors are built left associated.  A `Space` wraps a factor list
 with the projection/section between its *factor-flat* space (the ground
@@ -121,12 +122,6 @@ def algebras_match(a: FinAlgebra, b: FinAlgebra) -> bool:
     )
 
 
-def _marked(mat: Matrix) -> Matrix:
-    """mat, or the marked identity when mat is a square identity matrix
-    (`Matrix.marked`, which reads each matrix kind in its own form)."""
-    return mat.marked()
-
-
 class Bimodule:
     """An (A, B)-bimodule with explicit action matrices.
 
@@ -142,8 +137,8 @@ class Bimodule:
         self.left_algebra = left_algebra
         self.right_algebra = right_algebra
         self.dim = dim
-        self.left_action = [_marked(m) for m in left_action]
-        self.right_action = [_marked(m) for m in right_action]
+        self.left_action = [m.marked() for m in left_action]
+        self.right_action = [m.marked() for m in right_action]
         if len(self.left_action) != left_algebra.dim:
             raise InputError("need one left action matrix per basis element")
         if len(self.right_action) != right_algebra.dim:
@@ -419,12 +414,9 @@ class TensorQuotient(Bimodule):
         """The reduced echelon form of the relations: the row of pivot p is
         e_p - sum_t project[t, p] e_(free_cols[t])."""
         f, free, cols = self.field, self.free_cols, self.project.transpose().data
-        ech = Echelon(f, self.project.cols)
-        for p in self.pivots:
-            ech.pivot_rows[p] = row = {free[t]: f.neg(v)
-                                       for t, v in cols.get(p, {}).items()}
-            ech._track(p, row)
-        return ech
+        return Echelon.from_reduced(f, self.project.cols, {
+            p: {free[t]: f.neg(v) for t, v in cols.get(p, {}).items()}
+            for p in self.pivots})
 
     @cached_property
     def relations(self):
@@ -480,16 +472,19 @@ def tensor_over(a: FinAlgebra, m: Bimodule, n: Bimodule, name=None) -> TensorQuo
     action on N) is monomial, with at most one entry per column, each
     relation is e_a = lam e_b or e_a = 0, and the quotient comes from a
     weighted union-find over the flat columns with no `Echelon`
-    (`_union_find`).  Otherwise the relations go through `Echelon`.  Both
-    paths give the same reduced echelon form, as the columns of `project`.
+    (`_union_find`).  Otherwise the relations go through `Echelon`, and
+    `project` is the transpose of its canonical kernel basis
+    (`Echelon.kernel`).  Both paths give the same reduced echelon form, as
+    the columns of `project`.
 
     Each inherited action is pk . section for pk = project . K, with K the
     action tensored with an identity, and pk . section is the free columns
-    of pk.  When project and the action are monomial, pk is a monomial
-    built from project's lists (`Monomial.after`: O(flat) list copies and
-    no dict, the inherited action O(qdim)).  Otherwise pk is built in
-    column form from the columns of project and of the action
-    (`_scatter`).  Neither builds a Kronecker product or a matrix product.
+    of pk.  pk is `project.after`: when project and the action are
+    monomial, a monomial built from project's lists (`Monomial.after`:
+    O(flat) list copies and no dict, the inherited action O(qdim));
+    otherwise the columns of project scattered through those of the
+    action, in column form (`Transposed.after`, one `padded_matmul`).
+    Neither builds a Kronecker product or a matrix product.
     The action is well defined when K keeps the relation span, that is
     when pk kills the relations (`TensorQuotient.kills`, one test per
     action, a single pass over the lists for a monomial pk).  A
@@ -593,16 +588,9 @@ def _build_tensor(a, m, n, name):
     if pairs and all(mono):
         free, project = _union_find(f, dm, dn, mono)
     elif pairs:
-        ech = Echelon(f, flat)
-        for rel in _balancing(m, n):
-            ech.add(rel)
-        free, rows = ech.free_columns(), ech.pivot_rows
-        pos = {c: t for t, c in enumerate(free)}
-        # a pivot with an empty row is 0 in the quotient: no column entry
-        project = Transposed(Matrix(f, flat, len(free), {
-            p: {pos[c]: f.neg(v) for c, v in rows[p].items()}
-            if p in rows else {pos[p]: f.one()}
-            for p in range(flat) if rows.get(p, True)}))
+        # column p of project is row p of the canonical kernel basis
+        ech = Echelon(f, flat, _balancing(m, n))
+        free, project = ech.free_columns(), Transposed(ech.kernel())
     qdim = len(free) if pairs else flat
     ident = Matrix.identity(f, qdim)
     if qdim == flat:  # no relations, or all of them 0
@@ -615,12 +603,7 @@ def _build_tensor(a, m, n, name):
         if project.is_identity:
             return (act.kron(Matrix.identity(f, dn)) if left
                     else Matrix.identity(f, dm).kron(act))
-        k = isinstance(project, Monomial) and act.monomial()
-        if k:
-            pk = project.after(1, k, dn) if left else project.after(dm, k, 1)
-        else:
-            pk = Transposed(Matrix(f, flat, qdim, _scatter(
-                f, project.transpose().data, act, dm, dn, left)))
+        pk = project.after(1, act, dn) if left else project.after(dm, act, 1)
         checks.append((side, label, pk))
         return pk.columns(free)
 
@@ -637,28 +620,6 @@ def _build_tensor(a, m, n, name):
                 f"{side} action of {label} does not descend to {tq.name}",
                 relation=tq.echelon.full_row(next(tq._moved(pk))))
     return tq
-
-
-def _scatter(f, proj, act, dm, dn, left):
-    """The columns of project . K, K = act (x) I_dn (left) or I_dm (x) act,
-    from the columns proj of project: column (i, j) of K is column i (or j)
-    of act placed at j (or i)."""
-    axpy, scaled = f.axpy, f.scaled
-    stride = dn if left else 1
-    out = {}
-    for own, acol in act.transpose().data.items():
-        for r, v in acol.items():
-            shift = (r - own) * stride
-            for c in (range(own * dn, own * dn + dn) if left
-                      else range(own, dm * dn, dn)):
-                src = proj.get(c + shift)
-                if src:
-                    col = out.get(c)
-                    if col is None:
-                        out[c] = scaled(src, v)
-                    else:
-                        axpy(col, src, v)
-    return {c: col for c, col in out.items() if col}
 
 
 def _union_find(f, dm, dn, mono):

@@ -35,7 +35,7 @@ from .bimodule import (
     space,
     tensor_maps,
 )
-from .exactla import kernel_basis
+from .exactla import Echelon
 from .reports import InputError, Report
 
 
@@ -321,10 +321,10 @@ def hom_basis(src, dst) -> list:
                         row[key] = f.sub(row.get(key, f.zero()), f.mul(pv, sv))
         rows += ({k: v for k, v in row.items() if not f.is_zero(v)}
                  for row in block.values())
-    ker = kernel_basis(Matrix(f, len(rows), n_out * n_in, dict(enumerate(rows))))
+    ker = Echelon(f, n_out * n_in, rows).kernel().transpose().data
     return [Matrix.from_entries(f, n_out, n_in, {divmod(k, n_in): v
-                                                 for k, v in ker.col(t).items()})
-            for t in range(ker.cols)]
+                                                 for k, v in ker[t].items()})
+            for t in range(len(ker))]
 
 
 def sample_maps(src, dst, count, seed, prefix, dom=None, cod=None) -> list:

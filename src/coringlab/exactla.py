@@ -11,7 +11,7 @@ No scalar is ever a float or a bool.  Each field has two vector kernels:
 scaled copy with no lookups and no zero tests (a nonzero times a nonzero
 is nonzero).  `Matrix.__matmul__` and `Matrix.padded_matmul` start each
 output row as a scaled copy of its first contribution and add the rest
-with `axpy`; `vec_scale` and `Matrix.scale` are `scaled`.  The QQ kernels
+with `axpy`, and `Matrix.scale` is `scaled`.  The QQ kernels
 do no Fraction arithmetic whose result is known: `axpy` stores the product
 alone in an entry new to its target, `axpy` and `scaled` copy or negate
 for a coefficient of +-1, and `inv(+-1)` is its argument.
@@ -24,17 +24,21 @@ shared.  Two more kinds keep a matrix by its columns and build its rows
 only when `data` is read: `Transposed` holds the column dicts, and
 `Monomial`, a matrix with at most one entry per column, holds two flat
 lists (target row and weight per column) and builds even its column dicts
-only on first read.  Monomials compose with the padded form
-I (x) act (x) I of another monomial, select columns and test that they
-factor through a monomial projection in one pass over the lists, with no
-dict, and their padded form I (x) self (x) I times a matrix
+only on first read.  `Transposed.after`, a matrix in column form times
+I (x) act (x) I, is one `padded_matmul` of its column dicts.  Monomials
+compose with the padded form of another monomial, select columns and test
+that they factor through a monomial projection in one pass over the lists,
+with no dict, and their padded form I (x) self (x) I times a matrix
 (`padded_matmul`) moves and scales whole rows of that matrix by the lists,
 with no column dict.  `Matrix.monomial` converts any matrix that
 qualifies, and `Matrix.marked` finds an identity in each kind's own form.
 
 Reduced row echelon forms are unique for a given row space, so pivot
 columns, kernels and quotient bases are reproducible no matter in which
-order relations are fed in.
+order relations are fed in.  `Echelon` takes its rows when built, and
+`Echelon.kernel` reads the canonical kernel basis off its pivot rows in
+one pass; every solver, the tensor quotients and `coring.hom_basis` use
+both.
 
 Pivoting convention: columns are eliminated left to right; within a column
 the first remaining row with a nonzero entry is used.  This matches the
@@ -347,20 +351,6 @@ def field_from_name(name: str):
 
 
 # ---------------------------------------------------------------------------
-# sparse vectors (dict col -> scalar, zeros never stored)
-
-
-def vec_add_scaled(field, target: dict, src: dict, coeff):
-    """target += coeff * src, in place, by the field's own `axpy` loop."""
-    return field.axpy(target, src, coeff)
-
-
-def vec_scale(field, src: dict, coeff) -> dict:
-    """coeff * src as a new dict, by the field's own `scaled` kernel."""
-    return field.scaled(src, coeff)
-
-
-# ---------------------------------------------------------------------------
 # matrices
 
 
@@ -468,7 +458,7 @@ class Matrix:
         data = {i: dict(r) for i, r in self.data.items()}
         for i, r in other.data.items():
             tgt = data.setdefault(i, {})
-            vec_add_scaled(f, tgt, r, f.one())
+            f.axpy(tgt, r, f.one())
             if not tgt:
                 del data[i]
         return Matrix(f, self.rows, self.cols, data)
@@ -711,6 +701,13 @@ class Transposed(Matrix):
         return Transposed(Matrix(self.field, len(cols), self.rows,
                                  {t: data[c] for t, c in enumerate(cols) if c in data}))
 
+    def after(self, pre, act, post):
+        """self @ (I_pre (x) act (x) I_post) in column form: its transpose
+        is (I_pre (x) act^T (x) I_post) @ self^T, one `padded_matmul` that
+        scatters each column of self through the columns of act, with no
+        Kronecker product and no row of self built."""
+        return Transposed(act.transpose().padded_matmul(pre, post, self.transpose()))
+
 
 class Monomial(Transposed):
     """A rows x cols matrix with at most one entry per column, kept as two
@@ -789,12 +786,16 @@ class Monomial(Transposed):
         return Matrix(f, pre * fr * post, m.cols, {i: acc for i, acc in data.items() if acc})
 
     def after(self, pre, act, post):
-        """self @ (I_pre (x) act (x) I_post) for a monomial act: column
-        (a, c, b) is column (a, r, b) of self times v, for act's column c
-        = {r: v}.  With post > 1 that copies blocks of the lists, scaled
-        only where v is not 1; with post = 1 column (a, c) is column
-        a * act.rows + r of self, so both lists are read through one index
-        list."""
+        """self @ (I_pre (x) act (x) I_post), a `Monomial` when act is
+        monomial: column (a, c, b) is column (a, r, b) of self times v, for
+        act's column c = {r: v}.  With post > 1 that copies blocks of the
+        lists, scaled only where v is not 1; with post = 1 column (a, c) is
+        column a * act.rows + r of self, so both lists are read through one
+        index list.  Any other act takes `Transposed.after`."""
+        k = act.monomial()
+        if k is None:
+            return super().after(pre, act, post)
+        act = k
         tgt, wt, mul, one = self.tgt, self.wt, self.field.mul, self.field.one()
         if self.cols != pre * act.rows * post:
             raise InputError("monomial product shape mismatch")
@@ -841,13 +842,28 @@ class Echelon:
     `pivot_rows[c]` is the unique basis row with leading 1 in column c; its
     other nonzero entries sit only on non-pivot columns.  `touch[c]` indexes
     which pivot rows have a nonzero entry in column c (for back substitution).
+    The rows it is built with are added in order, skipping empty ones.
     """
 
-    def __init__(self, field, ncols: int):
+    def __init__(self, field, ncols: int, rows=()):
         self.field = field
         self.ncols = ncols
         self.pivot_rows: dict = {}
         self.touch: dict = {}
+        for row in rows:
+            if row:
+                self.add(row)
+
+    @classmethod
+    def from_reduced(cls, field, ncols: int, pivot_rows: dict) -> "Echelon":
+        """The echelon whose rows are already reduced: pivot_rows[p] is the
+        row of pivot p without its leading 1, on non-pivot columns only.
+        Nothing is added or reduced; the rows are only indexed."""
+        ech = cls(field, ncols)
+        ech.pivot_rows = pivot_rows
+        for p, row in pivot_rows.items():
+            ech._track(p, row)
+        return ech
 
     def reduce(self, vec: dict) -> dict:
         """Residual of vec modulo the current row space (vec is not mutated).
@@ -860,7 +876,7 @@ class Echelon:
         v = dict(vec)
         for p in list(v.keys() & self.pivot_rows.keys()):
             coeff = v.pop(p)
-            vec_add_scaled(f, v, self.pivot_rows[p], f.neg(coeff))
+            f.axpy(v, self.pivot_rows[p], f.neg(coeff))
         return v
 
     def add(self, vec: dict) -> bool:
@@ -870,7 +886,7 @@ class Echelon:
         if not v:
             return False
         lead = min(v)
-        v = vec_scale(f, v, f.inv(v[lead]))
+        v = f.scaled(v, f.inv(v[lead]))
         del v[lead]
         # back-substitute the new pivot into existing rows
         for q in list(self.touch.get(lead, ())):
@@ -878,7 +894,7 @@ class Echelon:
             coeff = row.pop(lead)
             self._untrack(q, (lead,))
             before = set(row)
-            vec_add_scaled(f, row, v, f.neg(coeff))
+            f.axpy(row, v, f.neg(coeff))
             self._track(q, set(row) - before)
             for c in before - set(row):
                 self._untrack(q, (c,))
@@ -912,18 +928,27 @@ class Echelon:
         row[pivot] = self.field.one()
         return row
 
+    def kernel(self) -> Matrix:
+        """The canonical null space basis, ncols x (number of free
+        columns): column t has 1 at the t-th free column c and -r[c] at
+        each pivot whose row r holds c.  One pass over the pivot rows, so
+        O(ncols + nnz): row p is the negated row of pivot p, re-indexed by
+        free position; a free column's row is its 1, and a pivot with an
+        empty row has no row."""
+        f, rows = self.field, self.pivot_rows
+        free = self.free_columns()
+        pos = {c: t for t, c in enumerate(free)}
+        return Matrix(f, self.ncols, len(free), {
+            p: {pos[c]: f.neg(v) for c, v in rows[p].items()}
+            if p in rows else {pos[p]: f.one()}
+            for p in range(self.ncols) if rows.get(p, True)})
+
 
 def rref(m: Matrix):
     """Reduced row echelon form.  Returns (reduced Matrix, pivot columns)."""
-    ech = Echelon(m.field, m.cols)
-    for i in range(m.rows):
-        row = m.data.get(i)
-        if row:
-            ech.add(row)
+    ech = Echelon(m.field, m.cols, map(m.data.get, range(m.rows)))
     pivots = ech.pivots()
-    data = {}
-    for i, p in enumerate(pivots):
-        data[i] = ech.full_row(p)
+    data = {i: ech.full_row(p) for i, p in enumerate(pivots)}
     return Matrix(m.field, m.rows, m.cols, data), pivots
 
 
@@ -932,25 +957,9 @@ def rank(m: Matrix) -> int:
 
 
 def kernel_basis(m: Matrix) -> Matrix:
-    """Columns form the canonical null space basis, one per free column.
-
-    The column for free column f has 1 at coordinate f and -r[p][f] at each
-    pivot coordinate p, in increasing free-column order.
-    """
-    ech = Echelon(m.field, m.cols)
-    for i in range(m.rows):
-        row = m.data.get(i)
-        if row:
-            ech.add(row)
-    f = m.field
-    free = ech.free_columns()
-    data = {}
-    for t, c in enumerate(free):
-        data.setdefault(c, {})[t] = f.one()
-        for p, row in ech.pivot_rows.items():
-            if c in row:
-                data.setdefault(p, {})[t] = f.neg(row[c])
-    return Matrix(f, m.cols, len(free), data)
+    """Columns form the canonical null space basis, one per free column,
+    in increasing free-column order (`Echelon.kernel`)."""
+    return Echelon(m.field, m.cols, map(m.data.get, range(m.rows))).kernel()
 
 
 def solve(m: Matrix, rhs: Matrix):
@@ -960,21 +969,15 @@ def solve(m: Matrix, rhs: Matrix):
     """
     if rhs.rows != m.rows:
         raise InputError("rhs row count does not match")
-    f = m.field
-    aug_cols = m.cols + rhs.cols
-    ech = Echelon(f, aug_cols)
-    for i in range(m.rows):
-        row = dict(m.data.get(i, {}))
-        for j, v in rhs.data.get(i, {}).items():
-            row[m.cols + j] = v
-        if row:
-            ech.add(row)
-    for p in ech.pivot_rows:
-        if p >= m.cols:
-            return None
+    n = m.cols
+    ech = Echelon(m.field, n + rhs.cols, (
+        {**m.data.get(i, {}), **{n + j: v for j, v in rhs.data.get(i, {}).items()}}
+        for i in range(m.rows)))
+    if any(p >= n for p in ech.pivot_rows):
+        return None
     data = {}
     for p, row in ech.pivot_rows.items():
         for j, v in row.items():
-            if j >= m.cols:
-                data.setdefault(p, {})[j - m.cols] = v
-    return Matrix(f, m.cols, rhs.cols, data)
+            if j >= n:
+                data.setdefault(p, {})[j - n] = v
+    return Matrix(m.field, n, rhs.cols, data)

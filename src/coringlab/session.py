@@ -355,7 +355,10 @@ def parse_session(source) -> SessionFile:
                 raise InputError(
                     f"{data.path}.sigma: sigma must be an endomorphism of B")
             args = read.values()
-            table[name] = cls(*args, name=name) if cls_name else tuple(args)
+            try:
+                table[name] = cls(*args, name=name) if cls_name else tuple(args)
+            except InputError as exc:  # a constructor's check: name the entry
+                raise InputError(f"{data.path}: {exc}") from None
     return s
 
 

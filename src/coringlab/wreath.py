@@ -195,11 +195,12 @@ def element_action_matrices(action: LinearMap, elt_carrier: Bimodule,
     ident = Matrix.identity(f, carrier.dim)
     sp = (space(elt_carrier, carrier) if side == "left"
           else space(carrier, elt_carrier))
+    ap = action.matrix @ sp.project
     out = []
     for i in range(elt_carrier.dim):
         col = Matrix.from_entries(f, elt_carrier.dim, 1, {(i, 0): f.one()})
         emb = col.kron(ident) if side == "left" else ident.kron(col)
-        out.append(action.matrix @ sp.project @ emb)
+        out.append(ap @ emb)
     return out
 
 

@@ -39,13 +39,19 @@
   quotient has, is `range(ncols)`; with and without pivots it must equal
   the column-by-column test against `pivot_rows`.  `TensorQuotient`
   reads its `free_cols` from its echelon on first use.
+* `Echelon.kernel` builds the canonical kernel basis in one pass over the
+  pivot rows; it must equal `plain_kernel`, the scan of every free column
+  against every pivot row, over QQ and GF(101), with empty rows, pivots
+  with empty rows, full rank and the zero matrix.  An `Echelon` built
+  with rows adds each non-empty one in order, and `Echelon.from_reduced`
+  indexes reduced rows as `add` does.
 * QQ scalars are ints when integral and Fractions otherwise; every
   operation must agree with plain `Fraction` arithmetic.
 * Each field's `axpy` replaces a loop of `field.add` and `field.mul`; it
   must store the same canonical sums and drop the same cancelled entries.
 * The QQ `axpy` stores the product alone in an entry new to its target and
   copies or negates for a coefficient of +-1, `QQ.inv(+-1)` returns its
-  argument and `vec_scale` by 1 copies; each must match the plain path on
+  argument and `scaled` by 1 copies; each must match the plain path on
   every such case, with canonical types, and the ladder rungs 1-4 and the
   corpus lifts must give the same matrices and reports with the plain
   paths patched in.
@@ -53,7 +59,7 @@
   test, and `@` and `padded_matmul` start each output row with it; it
   must match the plain loop for coefficients 0, +-1, an int and a
   Fraction, with canonical types, and `@` must match the entry-by-entry
-  sum of products.  `vec_scale` and `Matrix.scale` are `scaled`.
+  sum of products.  `Matrix.scale` and `Echelon` use `scaled`.
 * `check_coring_morphism` pipes (phi (x) phi) . Delta for a bilinear phi
   instead of building phi (x) phi with `tensor_maps`; the left side must
   be the matrix `tensor_maps` gives and the report (or the error) must be
@@ -100,7 +106,7 @@
   levels, with three-factor and re-bracketed targets, and on
   P (x) P (x) P of the kZ2/C2/D2 flip product, the maps must be equal.  A
   flat level costs no stage (an `apply` over flat levels is one
-  `padded_matmul`), and `_marked` tests a `Transposed` on its columns
+  `padded_matmul`), and `marked` tests a `Transposed` on its columns
   without building its rows.
 * When every unmarked R_k and L_k is monomial, `tensor_over` builds the
   column form of `project` from a weighted union-find over the flat
@@ -123,9 +129,13 @@
   (`Monomial.after`), inherits its free columns (`columns`) and tests
   descent in one pass (`factors_through`).  A `Monomial` must read like
   the plain Matrix with its entries (`==`, `transpose`, `@` on either
-  side, `kron`, `tapply`, `padded_matmul`, `_marked`), and its kernels
-  must match plain products.  Against `scatter_path` (project as a
-  `Transposed` of column dicts, `_scatter`, the pivot-by-pivot `_moved`),
+  side, `kron`, `tapply`, `padded_matmul`, `marked`), and its kernels
+  must match plain products.  Any other act goes through
+  `Transposed.after`, one `padded_matmul` of the column dicts, which must
+  equal M @ (I (x) act (x) I) with the plain Kronecker product on either
+  side and in the middle.  Against `scatter_path` (project as a
+  `Transposed` of column dicts, `plain_scatter`, the column loop
+  `Transposed.after` replaced, and the pivot-by-pivot `_moved`),
   on generated inputs over kZ2 and kZ3, QQ and GF(101), with one-term
   kills, dead components, monomial actions that do not descend and
   actions with two entries in a column (which keep the scatter path), and
@@ -202,7 +212,7 @@ from coringlab.bimodule import (
 from coringlab.coring import (Coring, check_coring, check_coring_morphism, compare_maps,
                              hom_basis)
 from coringlab.corpus import Corpus
-from coringlab.exactla import GF, QQ, Echelon, Matrix, _canon, solve, vec_scale
+from coringlab.exactla import GF, QQ, Echelon, Matrix, _canon, solve
 from coringlab.ore import (
     OreTwistTable,
     SkewPolyData,
@@ -750,6 +760,83 @@ def test_free_columns_with_and_without_pivots(field):
     assert Echelon(field, 0).free_columns() == ()
 
 
+def plain_kernel(ech):
+    """The canonical kernel basis by the loop `kernel_basis` ran before
+    `Echelon.kernel`: each free column against every pivot row."""
+    f = ech.field
+    free = ech.free_columns()
+    data = {}
+    for t, c in enumerate(free):
+        data.setdefault(c, {})[t] = f.one()
+        for p, row in ech.pivot_rows.items():
+            if c in row:
+                data.setdefault(p, {})[t] = f.neg(row[c])
+    return Matrix(f, ech.ncols, len(free), data)
+
+
+@st.composite
+def echelon_rows(draw, field, ncols):
+    """Rows for an `Echelon` on ncols >= 1 columns: a mix of empty rows,
+    unit rows (pivots whose rows are empty) and sparse rows; a full-rank
+    triangle in shuffled order; or empty rows only (the zero matrix)."""
+    kind = draw(st.sampled_from(["mixed", "full", "zero"]))
+    scalar = nonzero_scalars(field).map(field.parse)
+    if kind == "zero":
+        return [{}] * draw(st.integers(0, 3))
+    if kind == "full":
+        return draw(st.permutations([{**draw(st.dictionaries(
+            st.integers(c, ncols - 1), scalar, max_size=2)), c: draw(scalar)}
+            for c in range(ncols)]))
+    col = st.integers(0, ncols - 1)
+    return draw(st.lists(st.one_of(
+        st.just({}), col.map(lambda c: {c: field.one()}),
+        st.dictionaries(col, scalar, max_size=ncols)), max_size=5))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_echelon_kernel_matches_free_pivot_scan(field, data):
+    """`Echelon.kernel`, one pass over the pivot rows, equals the scan of
+    every free column against every pivot row, stores no empty row and is
+    killed by every row fed in; `kernel_basis` of those rows is it too.
+    `Echelon.from_reduced` of the reduced rows indexes them as `add` did."""
+    ncols = data.draw(st.integers(1, 6))
+    rows = data.draw(echelon_rows(field, ncols))
+    ech = Echelon(field, ncols, rows)
+    got = ech.kernel()
+    assert got == plain_kernel(ech) and all(got.data.values())
+    assert got.cols == ncols - len(ech.pivot_rows)
+    m = Matrix(field, len(rows), ncols, {i: r for i, r in enumerate(rows) if r})
+    assert (m @ got).is_zero()
+    assert exactla.kernel_basis(m) == got
+    same = Echelon.from_reduced(field, ncols, {p: dict(r) for p, r in ech.pivot_rows.items()})
+    assert same.pivot_rows == ech.pivot_rows and same.touch == ech.touch
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_echelon_kernel_cases(field, monkeypatch):
+    """No columns give an empty kernel, and the zero matrix the identity; a
+    unit row is a pivot with an empty row and no kernel entry; an `Echelon`
+    built with rows adds each non-empty one, in order, and skips the rest."""
+    added = []
+    real = Echelon.add
+
+    def spy(self, vec):
+        added.append(dict(vec))
+        return real(self, vec)
+
+    monkeypatch.setattr(Echelon, "add", spy)
+    one, two = field.one(), field.from_int(2)
+    assert Echelon(field, 0).kernel() == Matrix(field, 0, 0)
+    assert Echelon(field, 3, [{}, {}]).kernel() == plain_identity(field, 3)
+    assert added == []
+    ech = Echelon(field, 3, [{1: one}, {}, {0: one, 2: two}])
+    assert added == [{1: one}, {0: one, 2: two}]
+    assert ech.pivot_rows == {1: {}, 0: {2: two}}
+    assert ech.kernel().data == {0: {0: field.neg(two)}, 2: {0: one}}
+
+
 def test_axpy_cancels_and_canonicalizes():
     half, third = Fraction(1, 2), Fraction(1, 3)
     target = {0: half, 1: third, 2: 5}
@@ -855,7 +942,7 @@ def test_vec_scale_matches_plain_loop(field, data):
     scalar = st.fractions(max_denominator=7).map(field.parse)
     src = data.draw(st.dictionaries(st.integers(0, 5), scalar.filter(bool)))
     coeff = data.draw(st.one_of(st.sampled_from([0, 1, -1]).map(field.parse), scalar))
-    got = vec_scale(field, src, coeff)
+    got = field.scaled(src, coeff)
     assert got == plain_vec_scale(field, src, coeff)
     assert got is not src
     if field == QQ:
@@ -864,7 +951,7 @@ def test_vec_scale_matches_plain_loop(field, data):
 
 def test_vec_scale_by_one_is_a_copy():
     src = {0: Fraction(1, 2), 3: 5}
-    out = vec_scale(QQ, src, 1)
+    out = QQ.scaled(src, 1)
     assert out == src and out is not src
 
 
@@ -951,12 +1038,11 @@ def test_matmul_drops_rows_that_cancel(field):
 
 
 def plain_qq_kernels(monkeypatch):
-    """Replace the QQ `axpy`, `scaled`, `inv` and `vec_scale` fast paths by
-    the plain paths they replaced."""
+    """Replace the QQ `axpy`, `scaled` and `inv` fast paths by the plain
+    paths they replaced; `Echelon` scales its rows by `scaled`."""
     monkeypatch.setattr(QQ, "axpy", lambda t, s, c: plain_axpy(QQ, t, s, c))
     monkeypatch.setattr(QQ, "scaled", lambda s, c: plain_scaled(QQ, s, c))
     monkeypatch.setattr(QQ, "inv", lambda a: _canon(Fraction(1, a)))
-    monkeypatch.setattr(exactla, "vec_scale", plain_vec_scale)
 
 
 def _assert_canonical_outputs(outputs):
@@ -2140,15 +2226,15 @@ def test_flat_levels_cost_no_stage(field, monkeypatch):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), n=st.integers(0, 4))
 def test_marked_transposed_matches_plain_rows(field, data, n):
-    """`_marked` reads a `Transposed` by its columns: it marks exactly the
+    """`marked` reads a `Transposed` by its columns: it marks exactly the
     matrices the row test marks, and leaves the rows of the others
     unbuilt."""
     m = data.draw(st.one_of(shaped_matrix(field, n, n),
                             st.just(plain_identity(field, n)),
                             shaped_matrix(field, n, n + 1)))
     t = exactla.Transposed(m)
-    out = bimodule._marked(t)
-    plain = bimodule._marked(unmarked(m.transpose()))
+    out = t.marked()
+    plain = unmarked(m.transpose()).marked()
     assert out.is_identity == plain.is_identity
     if not out.is_identity:
         assert out is t and t._rows is None
@@ -3247,7 +3333,7 @@ def test_monomial_matches_plain_matrix(field, data, rows, cols):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), n=st.integers(0, 4))
 def test_marked_monomial_matches_plain_rows(field, data, n):
-    """`_marked` finds an identity in a `Monomial`'s lists: it marks exactly
+    """`marked` finds an identity in a `Monomial`'s lists: it marks exactly
     the matrices the row test marks, and builds neither the rows nor the
     column dicts of the others."""
     tgt, wt = data.draw(st.one_of(
@@ -3255,8 +3341,8 @@ def test_marked_monomial_matches_plain_rows(field, data, n):
         st.just((list(range(n)), [field.one()] * n)),
         monomial_lists(field, n, n + 1)))
     mono = exactla.Monomial(field, n, tgt, wt)
-    out = bimodule._marked(mono)
-    plain = bimodule._marked(plain_of(field, n, tgt, wt))
+    out = mono.marked()
+    plain = plain_of(field, n, tgt, wt).marked()
     assert out.is_identity == plain.is_identity
     if not out.is_identity:
         assert out is mono and mono._t is None and mono._rows is None
@@ -3313,11 +3399,66 @@ def test_monomial_kernels_match_plain_products(field, data):
         changed == changed @ sec @ plain_proj)
 
 
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_after_matches_dense_kron_product(field, data):
+    """`Transposed.after`, and `Monomial.after` with an act that is not
+    monomial, equal M @ (I_pre (x) act (x) I_post) with the plain Kronecker
+    product, for act on the left (pre = 1), on the right (post = 1) and in
+    the middle, with the identities of size up to 3; the result is in
+    column form and no row of M is built."""
+    draw = data.draw
+    pre, post = draw(st.sampled_from([(1, 2), (1, 3), (2, 1), (3, 1), (2, 2), (2, 3)]))
+    d, e, rows = draw(st.integers(2, 3)), draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    base = draw(shaped_matrix(field, d, e))
+    # two entries in column 0, so that act is not monomial
+    act = Matrix.from_entries(field, d, e, {
+        **{(i, j): v for i, row in base.data.items() for j, v in row.items()},
+        (0, 0): field.parse(draw(nonzero_scalars(field))),
+        (1, 0): field.parse(draw(nonzero_scalars(field)))})
+    assert act.monomial() is None
+    padded = plain_identity(field, pre).kron(act).kron(plain_identity(field, post))
+    m = draw(shaped_matrix(field, rows, pre * d * post))
+    t = exactla.Transposed(m.transpose())
+    got = t.after(pre, act, post)
+    assert isinstance(got, exactla.Transposed) and t._rows is None
+    assert got == m @ padded
+    tgt, wt = draw(monomial_lists(field, rows, pre * d * post))
+    mono = exactla.Monomial(field, rows, tgt, wt)
+    got = mono.after(pre, act, post)
+    assert not isinstance(got, exactla.Monomial) and mono._rows is None
+    assert got == plain_of(field, rows, tgt, wt) @ padded
+
+
+def plain_scatter(f, proj, act, dm, dn, left):
+    """The columns of project . K, K = act (x) I_dn (left) or I_dm (x) act,
+    from the columns proj of project: column (i, j) of K is column i (or j)
+    of act placed at j (or i).  The column loop `tensor_over` ran before
+    `Transposed.after`."""
+    axpy, scaled = f.axpy, f.scaled
+    stride = dn if left else 1
+    out = {}
+    for own, acol in act.transpose().data.items():
+        for r, v in acol.items():
+            shift = (r - own) * stride
+            for c in (range(own * dn, own * dn + dn) if left
+                      else range(own, dm * dn, dn)):
+                src = proj.get(c + shift)
+                if src:
+                    col = out.get(c)
+                    if col is None:
+                        out[c] = scaled(src, v)
+                    else:
+                        axpy(col, src, v)
+    return {c: col for c, col in out.items() if col}
+
+
 def scatter_path(a, m, n):
     """What `tensor_over` gave before monomial projects, on input whose
     unmarked R_k and L_k are monomial: `project` a `Transposed` of column
     dicts (from the plain echelon of the raw relations), each unmarked
-    action scattered through them (`_scatter`) into pk, its inherited
+    action scattered through them (`plain_scatter`) into pk, its inherited
     action the free columns of pk, and descent tested pivot by pivot on
     dicts (`_moved`).  Returns {"error": (message, relation)} for the first
     action that does not descend, else project, section, free columns, the
@@ -3346,7 +3487,7 @@ def scatter_path(a, m, n):
         if act.is_identity:
             acts.append(ident)
             continue
-        pkt = Matrix(f, flat, len(free), bimodule._scatter(f, cols, act, dm, dn, left))
+        pkt = Matrix(f, flat, len(free), plain_scatter(f, cols, act, dm, dn, left))
         pk = exactla.Transposed(pkt)
         moved = next(old._moved(pk), None)
         if moved is not None:
@@ -3516,8 +3657,8 @@ def test_corpus_lift_quotients_match_scatter_path(monkeypatch):
 
 def test_descending_monomial_pk_keeps_its_lists_only(monkeypatch):
     """When a union-find quotient with monomial actions descends, no action
-    is scattered, and the pk handed to `kills` builds neither its column
-    dicts (`transpose`) nor its rows."""
+    is scattered (`Transposed.after`), and the pk handed to `kills` builds
+    neither its column dicts (`transpose`) nor its rows."""
     handed = []
     real = TensorQuotient.kills
 
@@ -3529,7 +3670,7 @@ def test_descending_monomial_pk_keeps_its_lists_only(monkeypatch):
         raise AssertionError("a monomial action was scattered")
 
     monkeypatch.setattr(TensorQuotient, "kills", spy)
-    monkeypatch.setattr(bimodule, "_scatter", no_scatter)
+    monkeypatch.setattr(exactla.Transposed, "after", no_scatter)
     for field in FIELDS:
         reg = regular_bimodule(group_algebra_cyclic(field, 3))
         # kZ3 twisted on the right by g -> g^2, so that level 2 of the space

@@ -125,6 +125,28 @@ class TestCliExitCodes:
             "error: $.skewpoly.quantum-plane.sigma: sigma must be an "
             "endomorphism of B\n")
 
+    @pytest.mark.parametrize("fname, section, entry, swap, command, message", [
+        ("sign_flip_ttp.json", "extensions", "QQ->R", ("base", "total"),
+         ["check", "wreath", "signflip"],
+         "$.extensions.QQ->R: iota must run from the base into the total ring"),
+        ("cowreaths.json", "cowreaths", "broken-delta", ("xi", "delta"),
+         ["check", "cowreath", "broken-delta"],
+         "$.cowreaths.broken-delta: broken-delta: xi must map C(x)M to C"),
+    ])
+    def test_constructor_error_names_its_entry(self, session_files, tmp_path, capsys,
+                                               fname, section, entry, swap, command,
+                                               message):
+        """An entry that its section's constructor refuses while the session
+        is parsed exits 2 with the entry's JSON path."""
+        with open(session_files[fname]) as fh:
+            raw = json.load(fh)
+        data = raw[section][entry]
+        data[swap[0]], data[swap[1]] = data[swap[1]], data[swap[0]]
+        path = tmp_path / "swapped.json"
+        path.write_text(json.dumps(raw))
+        assert main(["--session", str(path), *command]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_unknown_entry_messages_name_each_kind(self, session_files):
         """Every plural section names its kind without the trailing s, as
         it always has; `skewpoly` is singular and keeps its name."""
