@@ -15,7 +15,11 @@ run again on the built product: the equation that `cowreath_product`
 checks, which is also inside its time and not added to the total.  The
 `write` column times writing the product as a session,
 `SessionStore.add_coring` and `serialize_session`; it is not added to the
-total either.  With `--runs N` (default 1) each time column is the median
+total either.  `list` and `plain` count the `padded_matmul` calls of a run
+(pipe stages and `Space.section`) that ran the list kernel
+(`Monomial._padded_lists`, a monomial map on a monomial running map) and
+the plain row kernel (`_padded_rows`); they are the same on every run.
+With `--runs N` (default 1) each time column is the median
 of the N runs (the total column is the median of the per-run totals).
 After the two rows of a rung it prints the ratio of the QQ total to the
 GF(101) total, and of the QQ morph time to the GF(101) one: the same
@@ -32,6 +36,7 @@ from fractions import Fraction
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from coringlab import exactla
 from coringlab.bimodule import LinearMap
 from coringlab.coring import check_coring, check_coring_morphism, coalgebra_over_field
 from coringlab.cowreath import check_cowreath, cowreath_product, flip_cowreath
@@ -55,6 +60,32 @@ def timed(fn, *args):
     t0 = time.perf_counter()
     out = fn(*args)
     return out, time.perf_counter() - t0
+
+
+# the list kernel, then the plain row kernels, of `padded_matmul`
+KERNELS = ((exactla.Monomial, "_padded_lists"), (exactla.Matrix, "_padded_rows"),
+           (exactla.Monomial, "_padded_rows"))
+
+
+def counted_kernels(fn, *args):
+    """fn(*args), and the calls of the list kernel and of the plain kernel
+    while it ran."""
+    reals = [owner.__dict__[name] for owner, name in KERNELS]
+    calls = [0] * len(KERNELS)
+
+    def wrap(k, real):
+        def wrapped(*a):
+            calls[k] += 1
+            return real(*a)
+        return wrapped
+
+    for k, ((owner, name), real) in enumerate(zip(KERNELS, reals)):
+        setattr(owner, name, wrap(k, real))
+    try:
+        return fn(*args), (calls[0], calls[1] + calls[2])
+    finally:
+        for (owner, name), real in zip(KERNELS, reals):
+            setattr(owner, name, real)
 
 
 def write_product(field, prod):
@@ -95,14 +126,14 @@ def main(argv=None):
         ap.error("--rungs must be at least 1")
     print(f"{'rung':<12} {'flip':>7} {'check':>7} {'product':>8} "
           f"{'p-check':>8} {'total':>7} {'morph':>7} {'write':>7}"
-          f"   coassoc flat dim")
+          f" {'list':>5} {'plain':>5}   coassoc flat dim")
     bad = 0
     for n in args.rungs:
         totals, morphs = [], []
         for field in FIELDS:
             runs, ok = [], True
             for _ in range(args.runs):
-                times, passed, pdim = run_rung(field, n)
+                (times, passed, pdim), kernels = counted_kernels(run_rung, field, n)
                 runs.append(times)
                 ok = ok and passed
             bad += not ok
@@ -113,7 +144,7 @@ def main(argv=None):
             morphs.append(t_morph)
             print(f"{f'n={n} {field!r}':<12} {t_flip:7.3f} {t_check:7.3f} "
                   f"{t_prod:8.3f} {t_pcheck:8.3f} {total:7.3f} {t_morph:7.4f}"
-                  f" {t_write:7.4f}   {pdim ** 3}")
+                  f" {t_write:7.4f} {kernels[0]:5} {kernels[1]:5}   {pdim ** 3}")
         print(f"{f'n={n}':<12} {'QQ / GF(101)':>33} "
               f"{totals[0] / totals[1]:7.2f} {morphs[0] / morphs[1]:7.2f}")
     if bad:

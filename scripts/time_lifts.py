@@ -18,7 +18,10 @@ built by `bimodule._build_tensor`.  `uf` counts the calls of
 `bimodule._union_find`, the quotients whose relations are all monomial;
 every other quotient with relations goes through `Echelon`.  `stages`
 is the part spent inside `bimodule._Stages._stage`, the pipe stages that
-multiply by I (x) F (x) I.  `regroup` and `rev`
+multiply by I (x) F (x) I.  `list` and `plain` count the `padded_matmul`
+calls (pipe stages and `Space.section`) that ran the list kernel
+(`Monomial._padded_lists`, a monomial map on a monomial running map) and
+the plain row kernel (`_padded_rows`).  `regroup` and `rev`
 time the changes of bracketing on the coassociativity space: `regroup`
 between space(P, P, P) and space(P, P (x) P), both ways, and `rev` of
 space(P, P, P)'s quotient and of its mirror.  `homs` times the two
@@ -39,7 +42,7 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from coringlab import bimodule
+from coringlab import bimodule, exactla
 from coringlab.algebra import FinAlgebra, group_algebra_cyclic
 from coringlab.bimodule import mirror, regroup, rev, space, tensor_over
 from coringlab.coring import check_coring, comodule_over_itself, grouplike_coalgebra, hom_basis
@@ -104,14 +107,17 @@ def timed(fn, *args):
 
 
 PARTS = ((bimodule, "_shared_tensor"), (bimodule._Stages, "_stage"),
-         (bimodule, "_build_tensor"), (bimodule, "_union_find"))
+         (bimodule, "_build_tensor"), (bimodule, "_union_find"),
+         (exactla.Monomial, "_padded_lists"), (exactla.Matrix, "_padded_rows"),
+         (exactla.Monomial, "_padded_rows"))
 
 
 def timed_parts(fn, *args):
     """fn(*args), and the seconds spent inside each of `PARTS` (the
-    quotients, the pipe stages, the quotients built afresh and their
-    union-finds) while it ran, and the calls of each."""
-    reals = [getattr(owner, name) for owner, name in PARTS]
+    quotients, the pipe stages, the quotients built afresh, their
+    union-finds, the list kernel and the two plain kernels) while it ran,
+    and the calls of each."""
+    reals = [owner.__dict__[name] for owner, name in PARTS]
     spent, calls = [0.0] * len(PARTS), [0] * len(PARTS)
 
     def wrap(k, real):
@@ -180,6 +186,7 @@ def main(argv=None):
         ap.error("--runs must be at least 1")
     print(f"{'case':<24} {'lift':>7} {'check':>7} {'product':>8} "
           f"{'p-check':>8} {'total':>7} {'quotients':>9} {'shared':>7} {'uf':>4} {'stages':>7} "
+          f"{'list':>5} {'plain':>5} "
           f"{'regroup':>8} {'rev':>7} {'homs':>7}   "
           "coassoc dims: quotient / factor-flat / leaf-flat")
     bad = 0
@@ -194,7 +201,7 @@ def main(argv=None):
             parts.append(spent[:2])
             # the same on every run: each starts from fresh structures
             shared = f"{calls[0] - calls[2]}/{calls[2]}"
-            union_finds = calls[3]
+            union_finds, kernels = calls[3], (calls[4], calls[5] + calls[6])
             homs.append(time_homs(lifted, prod))
             p = prod.carrier
             bracket, trips = time_bracketings(p)
@@ -209,7 +216,7 @@ def main(argv=None):
         sp = space(p, p, p)
         print(f"{label:<24} {t_lift:7.3f} {t_check:7.3f} {t_prod:8.3f} "
               f"{t_pcheck:8.3f} {total:7.3f} {t_quot:9.3f} {shared:>7} {union_finds:>4} "
-              f"{t_stages:7.3f} "
+              f"{t_stages:7.3f} {kernels[0]:5} {kernels[1]:5} "
               f"{t_regroup:8.3f} {t_rev:7.3f} {statistics.median(homs):7.3f}   "
               f"{sp.dim} / {p.dim ** 3} / {sp.leaf_flat_dim()}")
     if bad:

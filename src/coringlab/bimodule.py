@@ -37,13 +37,17 @@ field tensor product of the factors, each on its own quotient basis) and
 the iterated quotient; its quotients are built with it, the two maps on
 first read.  `Pipe` composes maps on factor-flat spaces, and a stage that
 acts on some factors is never materialized as the Kronecker product
-I (x) F (x) I: `Matrix.padded_matmul` scatters the rows of the accumulated
-matrix through F, and a monomial F (every non-flat section, and the
-projection of a union-find quotient) re-indexes and scales those rows
-from its two lists.  This is the only level, and the only projection
-mechanism: a pipe goes down by sections (`refine` splits a quotient
-factor into its two factors) and up by projections (two neighbouring
-factors merge into their quotient), one level at a time.  A plain
+I (x) F (x) I: `Matrix.padded_matmul` forms the product.  While the
+accumulated matrix and F are both monomial (grouplike comultiplications,
+counits, flips, twists, every non-flat section and every union-find
+projection), the accumulated matrix stays an `exactla.Monomial` and a
+stage is one pass over flat lists (the list kernel).  From the first
+stage that is not monomial on, its rows are scattered through F, and a
+monomial F re-indexes and scales them from its two lists.  This is the
+only level, and the only projection mechanism: a pipe goes down by
+sections (`refine` splits a quotient factor into its two factors) and up
+by projections (two neighbouring factors merge into their quotient), one
+level at a time.  A plain
 carrier with the flat order of its legs' quotient over the field (the
 entwined coring's A (x) C) enters and leaves its legs by an identity map
 (`entwine.relabel`), so the lifts along an entwining are pipes too.  `Pipe.apply`
@@ -856,9 +860,10 @@ class _Stages:
     by stage.  A stage is a new value and leaves its input as it was: it
     replaces the factors at [at, at+takes) by `gives` and multiplies by
     I (x) F (x) I through `padded_matmul`, so the Kronecker product is never
-    built.  A monomial F (`exactla.Monomial`) takes its own kernel, which
-    moves each row of the matrix to its target row, scaled by its weight,
-    and builds no column dict."""
+    built.  A monomial F on a monomial matrix keeps the matrix a
+    `exactla.Monomial` (the list kernel); otherwise a monomial F moves each
+    row of the matrix to its target row, scaled by its weight, and builds
+    no column dict."""
 
     __slots__ = ("factors", "matrix", "source")
 
@@ -918,8 +923,13 @@ class Pipe(_Stages):
     by identities on the other factors, through `padded_matmul`, so
     I (x) F (x) I is never built, and a flat level, whose projection and
     section are the marked identity, costs no stage.  Every other section,
-    and the projection of a union-find quotient, is monomial, so its stage
-    only re-indexes rows (`Monomial.padded_matmul`).  Every stage map must
+    and the projection of a union-find quotient, is monomial.  A pipe that
+    starts at the marked identity or at a monomial section keeps its
+    matrix an `exactla.Monomial` while every stage map is monomial, one
+    pass over flat lists per stage (`Monomial._padded_lists`); a pipe with
+    no stage ends in the section it starts from.  The first stage map with
+    two entries in a column turns the matrix into rows, and later
+    monomial stages re-index those rows.  Every stage map must
     be bilinear over its outer algebras (the checkers verify this for
     user-supplied maps before piping them).  A section is bilinear up to
     the balancing relations of its own quotient, so every stage then

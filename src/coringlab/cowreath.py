@@ -48,10 +48,10 @@ class Cowreath:
         C = object.coring.carrier
         M = object.carrier
         if xi.domain.dim != space(C, M).dim or xi.codomain.dim != C.dim:
-            raise InputError(f"{self.name}: xi must map C(x)M to C")
+            raise InputError("xi must map C(x)M to C")
         if (delta.domain.dim != space(C, M).dim
                 or delta.codomain.dim != space(C, M, M).dim):
-            raise InputError(f"{self.name}: delta must map C(x)M to C(x)M(x)M")
+            raise InputError("delta must map C(x)M to C(x)M(x)M")
 
     @property
     def coring(self):

@@ -26,12 +26,23 @@ only when `data` is read: `Transposed` holds the column dicts, and
 lists (target row and weight per column) and builds even its column dicts
 only on first read.  `Transposed.after`, a matrix in column form times
 I (x) act (x) I, is one `padded_matmul` of its column dicts.  Monomials
-compose with the padded form of another monomial, select columns and test
-that they factor through a monomial projection in one pass over the lists,
-with no dict, and their padded form I (x) self (x) I times a matrix
-(`padded_matmul`) moves and scales whole rows of that matrix by the lists,
-with no column dict.  `Matrix.monomial` converts any matrix that
-qualifies, and `Matrix.marked` finds an identity in each kind's own form.
+compose with the padded form of another monomial, select columns, test
+that they factor through a monomial projection and compare (`==`) in one
+pass over the lists, with no dict.  `padded_matmul`, a pipe stage
+I (x) F (x) I times the accumulated matrix M, has two kernels.  While M is
+a `Monomial` and F is monomial, the list kernel (`Monomial._padded_lists`)
+gives a `Monomial` in one pass over the lists: each column of M moves to
+its new row and its weight is multiplied by F's, with no multiply where
+either weight is one.  Otherwise the row kernel (`_padded_rows`) scatters
+the rows of M; a `Monomial` F moves and scales whole rows by its lists,
+with no column dict.  A marked identity M (the start of a pipe over a
+flat source) gives the Kronecker product, and `kron` of a marked identity
+and a `Monomial` copies blocks of the lists, so a monomial F gives a
+`Monomial` there too.  `Matrix.monomial`
+converts any matrix that qualifies, once: the form, or False for none, is
+kept on the matrix (the `_mono` slot every kind sets when built), so a
+structure map that many pipes apply is tested once.  `Matrix.marked`
+finds an identity in each kind's own form.
 
 Reduced row echelon forms are unique for a given row space, so pivot
 columns, kernels and quotient bases are reproducible no matter in which
@@ -363,7 +374,7 @@ class Matrix:
     `is_identity` is true only for the matrices `identity` builds.
     """
 
-    __slots__ = ("field", "rows", "cols", "data", "_t")
+    __slots__ = ("field", "rows", "cols", "data", "_t", "_mono")
     is_identity = False
 
     def __init__(self, field, rows: int, cols: int, data: dict | None = None):
@@ -373,7 +384,7 @@ class Matrix:
         self.rows = rows
         self.cols = cols
         self.data = data if data is not None else {}
-        self._t = None
+        self._t = self._mono = None
 
     # -- construction ------------------------------------------------------
 
@@ -529,13 +540,24 @@ class Matrix:
         return self._t
 
     def monomial(self) -> "Monomial | None":
-        """self as a `Monomial`, or None when a column has two entries."""
-        tgt, wt = [-1] * self.cols, [self.field.zero()] * self.cols
-        for c, col in self.transpose().data.items():
-            if len(col) > 1:
-                return None
-            (tgt[c], wt[c]), = col.items()
-        return Monomial(self.field, self.rows, tgt, wt)
+        """self as a `Monomial`, or None when a column has two entries;
+        found on the first call and kept on self (False for none)."""
+        if self._mono is None:
+            tgt, wt = [-1] * self.cols, [self.field.zero()] * self.cols
+            self._mono = False
+            if self._t is None:  # by rows: a column met twice has two entries
+                for r, row in self.data.items():
+                    for c, v in row.items():
+                        if tgt[c] >= 0:
+                            return None
+                        tgt[c], wt[c] = r, v
+            else:
+                for c, col in self._t.data.items():
+                    if len(col) > 1:
+                        return None
+                    (tgt[c], wt[c]), = col.items()
+            self._mono = Monomial(self.field, self.rows, tgt, wt)
+        return self._mono or None
 
     def marked(self) -> "Matrix":
         """The marked identity when self is a square identity matrix, else
@@ -566,14 +588,12 @@ class Matrix:
 
     def padded_matmul(self, pre: int, post: int, m: "Matrix") -> "Matrix":
         """(I_pre (x) self (x) I_post) @ m without building the Kronecker
-        product.  Row k = (a*fc + c)*post + b of m is scattered into each
-        row (a*fr + r)*post + b, scaled by self[r, c] (read from the cached
-        transpose), for fr x fc the shape of self; rows that cancel are
-        dropped.  The sums are those of the product with the Kronecker
-        product, so every entry is the same.  A marked identity self leaves
-        m as it is, and a marked identity m makes the Kronecker product the
-        result, so it is built.  A `Monomial` self reads its two lists
-        instead of the transpose."""
+        product.  A marked identity self leaves m as it is, and a marked
+        identity m makes the Kronecker product the result, so it is built:
+        a `Monomial` when self is monomial (`monomial`, kept on self).
+        When m is a `Monomial` and self is monomial, the product is a
+        `Monomial` made in one pass over the lists (`Monomial._padded_lists`);
+        any other m is scattered row by row (`_padded_rows`)."""
         fr, fc, f = self.rows, self.cols, self.field
         if m.rows != pre * fc * post:
             raise InputError(
@@ -582,12 +602,25 @@ class Matrix:
         if self.is_identity:
             return m
         if m.is_identity:
-            out = self
+            out = self.monomial() or self
             if pre != 1:
                 out = Matrix.identity(f, pre).kron(out)
             if post != 1:
                 out = out.kron(Matrix.identity(f, post))
             return out
+        if isinstance(m, Monomial):
+            k = self.monomial()
+            if k is not None:
+                return k._padded_lists(pre, post, m)
+        return self._padded_rows(pre, post, m)
+
+    def _padded_rows(self, pre, post, m):
+        """The plain kernel of `padded_matmul`: row k = (a*fc + c)*post + b
+        of m is scattered into each row (a*fr + r)*post + b, scaled by
+        self[r, c] (read from the cached transpose), for fr x fc the shape
+        of self; rows that cancel are dropped.  The sums are those of the
+        product with the Kronecker product, so every entry is the same."""
+        fr, fc, f = self.rows, self.cols, self.field
         cols = self.transpose().data
         axpy, scaled = f.axpy, f.scaled
         block = fc * post
@@ -610,11 +643,20 @@ class Matrix:
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product, row-major index convention.  A marked identity
-        factor makes the product a block copy of the other factor."""
+        factor makes the product a block copy of the other factor, and of
+        its two lists when that is a `Monomial`, so the product is one too."""
         f = self.field
         oc, orr = other.cols, other.rows
         if self.is_identity and other.is_identity:
             return Matrix.identity(f, self.rows * orr)
+        if self.is_identity and isinstance(other, Monomial):
+            return Monomial(f, self.rows * orr, [i * orr + t if t >= 0 else -1
+                                                 for i in range(self.rows) for t in other.tgt],
+                            other.wt * self.rows)
+        if other.is_identity and isinstance(self, Monomial):
+            return Monomial(f, self.rows * orr, [t * orr + i if t >= 0 else -1
+                                                 for t in self.tgt for i in range(orr)],
+                            [w for w in self.wt for _ in range(orr)])
         if self.is_identity:
             data = {
                 i1 * orr + i2: {i1 * oc + j2: v for j2, v in r2.items()}
@@ -657,8 +699,7 @@ class _Identity(Matrix):
             raise InputError("negative matrix dimensions")
         self.field = field
         self.rows = self.cols = n
-        self._t = None
-        self._entries = None
+        self._t = self._mono = self._entries = None
 
     @property
     def data(self):
@@ -686,7 +727,7 @@ class Transposed(Matrix):
         # the base slot `data` stays unset: this class reads `_rows`
         self.field, self.rows, self.cols = t.field, t.cols, t.rows
         self._t = t
-        self._rows = None
+        self._rows = self._mono = None
 
     @property
     def data(self):
@@ -717,9 +758,14 @@ class Monomial(Transposed):
     plain `Matrix` with the same entries, so every other operation reads
     a monomial like any matrix.  Composition with the padded form of
     another monomial (`after`), a choice of columns (`columns`), the test
-    that it factors through a monomial projection (`factors_through`) and
-    a pipe stage through its padded form (`padded_matmul`, which re-indexes
-    the rows of the accumulated matrix) are one pass over the lists."""
+    that it factors through a monomial projection (`factors_through`),
+    equality with another monomial (`==`) and a pipe stage through its
+    padded form are one pass over the lists, and so is its Kronecker
+    product with a marked identity (`kron`).  A stage on a monomial
+    accumulated matrix (`_padded_lists`, the list kernel) keeps that matrix
+    a `Monomial`; on any other it re-indexes the rows (`_padded_rows`).
+    `Matrix.monomial` keeps the monomial form of a plain matrix on it, so
+    a stage map is converted once."""
 
     __slots__ = ("tgt", "wt")
 
@@ -727,7 +773,7 @@ class Monomial(Transposed):
         # the base slot `data` stays unset, as in `Transposed`
         self.field, self.rows, self.cols = field, rows, len(tgt)
         self.tgt, self.wt = tgt, wt
-        self._t = self._rows = None
+        self._t = self._rows = self._mono = None
 
     def transpose(self):
         if self._t is None:
@@ -749,6 +795,22 @@ class Monomial(Transposed):
     def monomial(self):
         return self
 
+    def __eq__(self, other):
+        """Against another `Monomial`, the shapes, the targets and the live
+        weights (dead ones are not read), and against a marked identity the
+        test of `marked`, with no dict built; against any other matrix, the
+        entries."""
+        if isinstance(other, _Identity):
+            return self.rows == other.rows and self.marked() is not self
+        if not isinstance(other, Monomial):
+            return super().__eq__(other)
+        return (self.rows == other.rows and self.tgt == other.tgt
+                and (self.wt == other.wt
+                     or all(w == u for t, w, u in zip(self.tgt, self.wt, other.wt)
+                            if t >= 0)))
+
+    __hash__ = None
+
     def marked(self):
         one = self.field.one()
         if (self.rows == self.cols and self.tgt == list(range(self.rows))
@@ -761,14 +823,36 @@ class Monomial(Transposed):
         return Monomial(self.field, self.rows, [tgt[c] for c in cols],
                         [wt[c] for c in cols])
 
-    def padded_matmul(self, pre, post, m):
-        """`Matrix.padded_matmul` read from the lists: row (a, c, b) of m
-        goes to row (a, tgt[c], b), scaled by wt[c], or is dropped where
-        column c is zero; rows that collide are summed with `axpy` and
-        dropped when they cancel.  No column dict is built.  A marked
-        identity m, or a shape mismatch, takes the plain path."""
-        if m.is_identity or m.rows != pre * self.cols * post:
-            return super().padded_matmul(pre, post, m)
+    def _padded_lists(self, pre, post, m):
+        """The list kernel of `padded_matmul`, for a `Monomial` m: the
+        column of m at row (a, c, b) moves to row (a, tgt[c], b) and its
+        weight is multiplied by wt[c]; it is zero where its column of m or
+        column c of self is.  The result is a `Monomial`, and no dict is
+        built.  A weight that is the field's one is not multiplied: the
+        test is `is`, since a scalar equal to one is that one int in either
+        field, and a miss only multiplies by one."""
+        f, fr, fc, tgt, wt = self.field, self.rows, self.cols, self.tgt, self.wt
+        one, mul = f.one(), f.mul
+        out_t, out_w = [], []
+        for k, w in zip(m.tgt, m.wt):
+            if k >= 0:
+                q, b = divmod(k, post)
+                a, c = divmod(q, fc)
+                r = tgt[c]
+                if r >= 0:
+                    out_t.append((a * fr + r) * post + b)
+                    v = wt[c]
+                    out_w.append(w if v is one else v if w is one else mul(w, v))
+                    continue
+            out_t.append(-1)
+            out_w.append(one)
+        return Monomial(f, pre * fr * post, out_t, out_w)
+
+    def _padded_rows(self, pre, post, m):
+        """The plain kernel read from the lists: row (a, c, b) of m goes to
+        row (a, tgt[c], b), scaled by wt[c], or is dropped where column c
+        is zero; rows that collide are summed with `axpy` and dropped when
+        they cancel.  No column dict is built."""
         tgt, wt, f = self.tgt, self.wt, self.field
         axpy, scaled, fr, block = f.axpy, f.scaled, self.rows, self.cols * post
         data: dict = {}

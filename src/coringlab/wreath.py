@@ -293,10 +293,10 @@ class Wreath:
         tb = ext.t_bimodule
         R = object.carrier
         if eta.domain.dim != tb.dim or eta.codomain.dim != space(R, tb).dim:
-            raise InputError(f"{self.name}: eta must map T to R(x)T")
+            raise InputError("eta must map T to R(x)T")
         if (mu.domain.dim != space(R, R, tb).dim
                 or mu.codomain.dim != space(R, tb).dim):
-            raise InputError(f"{self.name}: mu must map R(x)R(x)T to R(x)T")
+            raise InputError("mu must map R(x)R(x)T to R(x)T")
 
     @property
     def ext(self):

@@ -142,17 +142,33 @@
   on every corpus lift quotient, the maps, inherited actions, marks, pks
   handed to `kills` and descent errors must match.  A monomial pk that
   descends never builds its column dicts or rows.
-* A pipe stage through a `Monomial` (`Monomial.padded_matmul`) re-indexes
-  and scales the rows of the accumulated matrix from the two lists; it
-  must equal `Matrix.padded_matmul` and the plain Kronecker product over
-  QQ and GF(101), with dead columns, weights other than +-1, colliding
-  targets that cancel, empty rows and a marked-identity operand, and build
-  no column dict.  Every non-flat `section` is a `Monomial`; on union-find
+* A pipe stage through a `Monomial` on a plain accumulated matrix
+  (`Monomial._padded_rows`) re-indexes and scales the rows of the
+  accumulated matrix from the two lists; it must equal `Matrix.padded_matmul`
+  and the plain Kronecker product over QQ and GF(101), with dead columns,
+  weights other than +-1, colliding targets that cancel, empty rows and a
+  marked-identity operand, and build no column dict.  Every non-flat `section` is a `Monomial`; on union-find
   and `Echelon` quotients and every corpus lift quotient it must equal the
   old {c: {t: 1}} section.  `after` for a right action (post = 1) reads
   both lists through one index list and must equal the plain product.
   Building and checking a corpus lift runs monomial stages, and none
   builds a `Monomial.transpose`.
+* A monomial stage on a `Monomial` accumulated matrix (the list kernel,
+  `Monomial._padded_lists`) keeps the matrix a `Monomial`: it moves each
+  column to its new row and multiplies the weights, with no multiply by
+  one.  On a marked identity it is the Kronecker product, and `kron` of a
+  marked identity and a `Monomial` copies blocks of the lists.  It must equal `padded_matmul` of
+  plain copies entry for entry, scalar types included, over QQ and
+  GF(101), with zero columns in both, weights of +-1 and Fractions, pre
+  and post of 1 and more, and a marked identity; and every corpus checker,
+  broken twins, lifts, mirrored checks and `gp`, and ladder rungs, must
+  give the same reports, witness text, structure maps and `Pipe.done`
+  matrices with `plain_padded_matmul`, the kernel choice without it.
+  `Matrix.monomial` keeps the form on the matrix, or that there is none,
+  and reads a plain matrix by rows and a `Transposed` by columns.
+  `Monomial ==` compares lists with another `Monomial` or a marked
+  identity and builds no dict; it must agree with plain equality both ways
+  and across kinds, ignore dead weights, and leave `Monomial` unhashable.
 * `coring.hom_basis` writes each constraint of a Hom space as one sparse
   equation in the unknown matrix instead of evaluating the checkers on
   maps; its basis must equal `oracle_hom_basis`, the kernel of the
@@ -4436,3 +4452,234 @@ def test_dropped_quotients_free_their_content_entry():
     gc.collect()
     assert [r() for r in gone] == [None, None]
     assert len(table) == 0 and a._memo["tensor_content"] is table
+
+
+# ---------------------------------------------------------------------------
+# the list kernel: a monomial stage on a monomial running map
+
+
+def plain_padded_matmul(self, pre, post, m):
+    """`Matrix.padded_matmul` without the list kernel: a marked identity
+    self leaves m as it is, a marked identity m makes the Kronecker product
+    the result, and any other m is scattered row by row (`_padded_rows`,
+    which a `Monomial` self reads from its lists)."""
+    if m.rows != pre * self.cols * post:
+        raise InputError("padded matmul shape mismatch")
+    if self.is_identity:
+        return m
+    if m.is_identity:
+        out = self
+        if pre != 1:
+            out = Matrix.identity(self.field, pre).kron(out)
+        if post != 1:
+            out = out.kron(Matrix.identity(self.field, post))
+        return out
+    return self._padded_rows(pre, post, m)
+
+
+def typed_entries(mat):
+    """The shape and entries of mat, each scalar with its type."""
+    return mat.rows, mat.cols, {(i, j): (v, type(v)) for i, row in mat.data.items()
+                                for j, v in row.items()}
+
+
+@st.composite
+def kernel_lists(draw, field, rows, cols):
+    """(tgt, wt) of a rows x cols monomial whose weights are often +-1, and
+    over QQ often Fractions; zero columns (target -1) keep a weight that no
+    reader may use."""
+    units = [field.one(), field.neg(field.one())]
+    tgt = [draw(st.integers(-1, rows - 1)) for _ in range(cols)]
+    wt = [field.parse(draw(st.one_of(st.sampled_from(units), nonzero_scalars(field))))
+          for _ in range(cols)]
+    return tgt, wt
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), pre=st.integers(1, 3), post=st.integers(1, 3))
+def test_list_kernel_matches_plain_padded_matmul(field, data, pre, post):
+    """A monomial F, plain or a `Monomial`, times a `Monomial` M is a
+    `Monomial` equal entry for entry, scalar types included, to
+    `padded_matmul` of plain copies (the row kernel), with zero columns in
+    M and in F and weights of +-1 and Fractions; times a marked identity it
+    is I_pre (x) F (x) I_post, a `Monomial` from `kron` with the marked
+    identities, and a second stage continues on the lists."""
+    draw = data.draw
+    fr, fc, n = draw(st.integers(0, 4)), draw(st.integers(0, 4)), draw(st.integers(0, 6))
+    rows = pre * fc * post
+    ftgt, fwt = draw(kernel_lists(field, fr, fc))
+    mtgt, mwt = draw(kernel_lists(field, rows, n))
+    plain_f = plain_of(field, fr, ftgt, fwt)
+    want = Matrix.padded_matmul(plain_f, pre, post, plain_of(field, rows, mtgt, mwt))
+    for f in (plain_of(field, fr, ftgt, fwt), exactla.Monomial(field, fr, ftgt, fwt)):
+        m = exactla.Monomial(field, rows, list(mtgt), list(mwt))
+        got = f.padded_matmul(pre, post, m)
+        assert isinstance(got, exactla.Monomial)
+        assert got._t is None and got._rows is None and m._rows is None
+        assert typed_entries(got) == typed_entries(want)
+        assert got == want and want == got
+    ident = Matrix.identity(field, rows)
+    got = exactla.Monomial(field, fr, ftgt, fwt).padded_matmul(pre, post, ident)
+    assert isinstance(got, exactla.Monomial)
+    assert typed_entries(got) == typed_entries(
+        plain_identity(field, pre).kron(plain_f).kron(plain_identity(field, post)))
+    mono = exactla.Monomial(field, fr, ftgt, fwt)
+    for block, want in ((Matrix.identity(field, pre).kron(mono),
+                         plain_identity(field, pre).kron(plain_f)),
+                        (mono.kron(Matrix.identity(field, post)),
+                         plain_f.kron(plain_identity(field, post)))):
+        assert isinstance(block, exactla.Monomial)
+        assert typed_entries(block) == typed_entries(want)
+    gr = draw(st.integers(0, 3))
+    again = plain_of(field, gr, *draw(kernel_lists(field, gr, fr)))
+    twice = again.padded_matmul(pre, post, got)
+    assert isinstance(twice, exactla.Monomial)
+    assert typed_entries(twice) == typed_entries(
+        plain_identity(field, pre).kron(again @ plain_f).kron(plain_identity(field, post)))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@pytest.mark.parametrize("pre, post", [(1, 1), (1, 3), (2, 1), (2, 3)])
+def test_list_kernel_cases(field, pre, post):
+    """Columns of M that meet a zero column of F die, two columns that land
+    on one row stay two entries of that row, and a weight of one on either
+    side leaves the other weight itself; a non-monomial F, or a plain M,
+    takes the row kernel."""
+    one, two, half = field.one(), field.from_int(2), field.div(field.one(), field.from_int(2))
+    f = exactla.Monomial(field, 2, [1, -1, 1], [two, one, one])
+    rows = pre * 3 * post
+    m = exactla.Monomial(field, rows, [rows - 1, -1] + list(range(rows)),
+                         [half, one] + [one] * rows)
+    got = f.padded_matmul(pre, post, m)
+    want = Matrix.padded_matmul(unmarked(f), pre, post, unmarked(m))
+    assert isinstance(got, exactla.Monomial) and typed_entries(got) == typed_entries(want)
+    # row (a, 1, b) dies, rows (a, 0, b) and (a, 2, b) both land on (a, 1, b)
+    assert all(got.tgt[2 + k] == -1 for k in range(rows) if (k // post) % 3 == 1)
+    assert got.wt[0] is half and got.wt[2] is two and got.wt[2 + 2 * post] is one
+    wide = Matrix.from_rows(field, [[1, 0, 0], [1, 0, 1]])
+    assert not isinstance(wide.padded_matmul(pre, post, m), exactla.Monomial)
+    assert wide.padded_matmul(pre, post, m) == Matrix.padded_matmul(
+        wide, pre, post, unmarked(m))
+    assert not isinstance(f.padded_matmul(pre, post, unmarked(m)), exactla.Monomial)
+
+
+def test_monomial_form_is_kept_on_the_matrix():
+    """`monomial` finds the form once and keeps it on the matrix, or keeps
+    that there is none; a plain matrix is read by rows without building its
+    transpose, a `Transposed` by its columns without building its rows, and
+    every kind starts with no form kept."""
+    f = QQ
+    plain = Matrix.from_entries(f, 3, 3, {(2, 0): f.from_int(5), (0, 2): f.one()})
+    k = plain.monomial()
+    assert k is plain.monomial() and plain._t is None
+    assert k.tgt == [2, -1, 0] and k == plain
+    two = Matrix.from_entries(f, 2, 2, {(0, 0): f.one(), (1, 0): f.one()})
+    assert two.monomial() is None and two._mono is False and two.monomial() is None
+    cols = exactla.Transposed(unmarked(plain).transpose())
+    assert cols.monomial() == plain and cols._rows is None
+    assert exactla.Transposed(two.transpose()).monomial() is None
+    mono = exactla.Monomial(f, 3, [0, 1], [f.one(), f.one()])
+    assert mono.monomial() is mono
+    for m in (Matrix.zeros(f, 2, 2), Matrix.identity(f, 2), exactla.Transposed(two), mono):
+        assert m._mono is None
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_pipe_over_flat_levels_keeps_a_monomial(field):
+    """A pipe over the ground field starts at the marked identity, ends
+    there when it has no stage, and keeps its running map a `Monomial`
+    through monomial stages; a stage that is not monomial turns it into a
+    plain matrix, and the composites equal the plain kernels'."""
+    x = rescaled_grouplike(field, [Fraction(2), Fraction(-3)], "C").carrier
+    two = space(x, x)
+    assert bimodule.pipe(two).done().matrix.is_identity
+    flip = LinearMap(two.quotient, two.quotient, Matrix.from_entries(
+        field, 4, 4, {(2 * (i % 2) + i // 2, i): field.one() for i in range(4)}), "flip")
+    mix = LinearMap(x, x, Matrix.from_rows(field, [[1, 1], [0, 1]]), "mix")
+    p = bimodule.pipe(two).apply(flip, 0, 2, [x, x])
+    assert isinstance(p.matrix, exactla.Monomial)
+    q = p.apply(flip, 0, 2, [x, x])
+    assert isinstance(q.matrix, exactla.Monomial) and q.done().matrix == Matrix.identity(field, 4)
+    r = p.apply(mix, 1)
+    assert not isinstance(r.matrix, exactla.Monomial)
+    fast = [s.done().matrix for s in (p, q, r)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Matrix, "padded_matmul", plain_padded_matmul)
+        p = bimodule.pipe(two).apply(flip, 0, 2, [x, x])
+        slow = [s.done().matrix for s in (p, p.apply(flip, 0, 2, [x, x]), p.apply(mix, 1))]
+    assert [typed_entries(m) for m in fast] == [typed_entries(m) for m in slow]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), rows=st.integers(0, 4), cols=st.integers(0, 4))
+def test_monomial_equality_matches_plain(field, data, rows, cols):
+    """`==` between two `Monomial`s compares shapes, targets and live
+    weights, and against a marked identity reads the lists too, building no
+    dict; it agrees with plain equality both ways and across kinds, ignores
+    the weights of zero columns, and a `Monomial` is not hashable."""
+    tgt, wt = data.draw(kernel_lists(field, rows, cols))
+    other_t, other_w = list(tgt), list(wt)
+    if cols and data.draw(st.booleans()):
+        c = data.draw(st.integers(0, cols - 1))
+        other_t[c] = data.draw(st.integers(-1, rows - 1))
+        other_w[c] = field.parse(data.draw(nonzero_scalars(field)))
+    dead = [field.from_int(7) if t < 0 else w for t, w in zip(other_t, other_w)]
+    want = plain_of(field, rows, tgt, wt) == plain_of(field, rows, other_t, other_w)
+    for wts in (other_w, dead):
+        a = exactla.Monomial(field, rows, tgt, wt)
+        b = exactla.Monomial(field, rows, other_t, wts)
+        assert (a == b) == (b == a) == want
+        assert (a != b) == (not want)
+        assert a._rows is a._t is b._rows is b._t is None
+        for plain in (plain_of(field, rows, other_t, other_w),
+                      exactla.Transposed(plain_of(field, rows, other_t, other_w).transpose())):
+            assert (a == plain) == (plain == a) == want
+    a, wider = (exactla.Monomial(field, r, tgt, wt) for r in (rows, rows + 1))
+    assert (a == wider) == (wider == a) == (plain_of(field, rows, tgt, wt) == plain_of(
+        field, rows + 1, tgt, wt))
+    square = exactla.Monomial(field, cols, list(range(cols)), [field.one()] * cols)
+    assert square == Matrix.identity(field, cols) and Matrix.identity(field, cols) == square
+    for ident in (Matrix.identity(field, rows), Matrix.identity(field, cols)):
+        a = exactla.Monomial(field, rows, tgt, wt)
+        assert (a == ident) == (plain_of(field, rows, tgt, wt) == plain_identity(field, ident.rows))
+        assert a._rows is a._t is None
+    assert exactla.Monomial.__hash__ is None
+    with pytest.raises(TypeError):
+        hash(a)
+
+
+
+
+def test_corpus_checkers_match_without_list_kernel(monkeypatch):
+    """Every corpus checker, broken twins, the lifts, the mirrored
+    left-handed checks and `gp` (whose comultiplication is not monomial)
+    give the same reports, witness text included, the same structure maps
+    and the same matrix at every `Pipe.done`, entry for entry, with the
+    list kernel patched out of `padded_matmul`."""
+    calls, done = [], []
+    real, real_done = exactla.Monomial._padded_lists, bimodule.Pipe.done
+    monkeypatch.setattr(exactla.Monomial, "_padded_lists",
+                        lambda *a: (calls.append(1), real(*a))[1])
+    monkeypatch.setattr(bimodule.Pipe, "done", lambda *a, **k: (
+        done.append(typed_entries((lin := real_done(*a, **k)).matrix)), lin)[1])
+    fast = corpus_outputs(Corpus())
+    assert len(calls) > 100
+    fast_done, done[:], calls[:] = done[:], [], []
+    monkeypatch.setattr(Matrix, "padded_matmul", plain_padded_matmul)
+    slow, slow_done = corpus_outputs(Corpus()), done
+    assert calls == []
+    assert len(fast) == len(slow)
+    for a, b in zip(fast, slow):
+        assert a == b
+    assert len(fast_done) == len(slow_done) > 100
+    assert fast_done == slow_done
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@pytest.mark.parametrize("n", [2, 3])
+def test_ladder_rung_matches_without_list_kernel(field, n, monkeypatch):
+    fast = ladder_outputs(field, n)
+    monkeypatch.setattr(Matrix, "padded_matmul", plain_padded_matmul)
+    assert ladder_outputs(field, n) == fast

@@ -131,7 +131,10 @@ class TestCliExitCodes:
          "$.extensions.QQ->R: iota must run from the base into the total ring"),
         ("cowreaths.json", "cowreaths", "broken-delta", ("xi", "delta"),
          ["check", "cowreath", "broken-delta"],
-         "$.cowreaths.broken-delta: broken-delta: xi must map C(x)M to C"),
+         "$.cowreaths.broken-delta: xi must map C(x)M to C"),
+        ("sign_flip_ttp.json", "wreaths", "signflip.wreath", ("eta", "mu"),
+         ["check", "wreath", "signflip.wreath"],
+         "$.wreaths.signflip.wreath: eta must map T to R(x)T"),
     ])
     def test_constructor_error_names_its_entry(self, session_files, tmp_path, capsys,
                                                fname, section, entry, swap, command,
