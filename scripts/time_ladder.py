@@ -18,7 +18,8 @@ checks, which is also inside its time and not added to the total.  The
 total either.  `list` and `plain` count the `padded_matmul` calls of a run
 (pipe stages and `Space.section`) that ran the list kernel
 (`Monomial._padded_lists`, a monomial map on a monomial running map) and
-the plain row kernel (`_padded_rows`); they are the same on every run.
+the plain row kernel (`_padded_rows`); a call on a marked identity builds
+a Kronecker product and is in neither.  They are the same on every run.
 With `--runs N` (default 1) each time column is the median
 of the N runs (the total column is the median of the per-run totals).
 After the two rows of a rung it prints the ratio of the QQ total to the
@@ -70,7 +71,7 @@ KERNELS = ((exactla.Monomial, "_padded_lists"), (exactla.Matrix, "_padded_rows")
 def counted_kernels(fn, *args):
     """fn(*args), and the calls of the list kernel and of the plain kernel
     while it ran."""
-    reals = [owner.__dict__[name] for owner, name in KERNELS]
+    reals = [getattr(owner, name) for owner, name in KERNELS]
     calls = [0] * len(KERNELS)
 
     def wrap(k, real):

@@ -21,7 +21,8 @@ is the part spent inside `bimodule._Stages._stage`, the pipe stages that
 multiply by I (x) F (x) I.  `list` and `plain` count the `padded_matmul`
 calls (pipe stages and `Space.section`) that ran the list kernel
 (`Monomial._padded_lists`, a monomial map on a monomial running map) and
-the plain row kernel (`_padded_rows`).  `regroup` and `rev`
+the plain row kernel (`_padded_rows`); a call on a marked identity builds
+a Kronecker product and is in neither.  `regroup` and `rev`
 time the changes of bracketing on the coassociativity space: `regroup`
 between space(P, P, P) and space(P, P (x) P), both ways, and `rev` of
 space(P, P, P)'s quotient and of its mirror.  `homs` times the two
@@ -117,7 +118,7 @@ def timed_parts(fn, *args):
     quotients, the pipe stages, the quotients built afresh, their
     union-finds, the list kernel and the two plain kernels) while it ran,
     and the calls of each."""
-    reals = [owner.__dict__[name] for owner, name in PARTS]
+    reals = [getattr(owner, name) for owner, name in PARTS]
     spent, calls = [0.0] * len(PARTS), [0] * len(PARTS)
 
     def wrap(k, real):
