@@ -52,10 +52,10 @@ class Coring:
         cc = space(carrier, carrier)
         if comult.domain.dim != carrier.dim or comult.codomain.dim != cc.dim:
             raise InputError(
-                f"coring {name}: comultiplication must map the carrier into "
-                f"the {cc.dim}-dimensional tensor square")
+                f"comultiplication must map the carrier into the "
+                f"{cc.dim}-dimensional tensor square")
         if counit.domain.dim != carrier.dim or counit.codomain.dim != base.dim:
-            raise InputError(f"coring {name}: counit must land in the base")
+            raise InputError("counit must land in the base")
 
     @property
     def cc(self):
@@ -159,7 +159,7 @@ class Comodule:
         C = coring.carrier
         target = space(carrier, C) if side == "right" else space(C, carrier)
         if coaction.domain.dim != carrier.dim or coaction.codomain.dim != target.dim:
-            raise InputError(f"comodule {name}: coaction shape mismatch")
+            raise InputError("coaction shape mismatch")
 
     def __repr__(self):
         return f"Comodule({self.name}, {self.side} over {self.coring.name})"

@@ -361,7 +361,7 @@ class CowComodule:
         target = space(C, X, M) if side == "right" else space(C, M, X)
         if (coaction.domain.dim != space(C, X).dim
                 or coaction.codomain.dim != target.dim):
-            raise InputError(f"cow comodule {self.name}: coaction shape")
+            raise InputError("coaction shape mismatch")
 
 
 def check_cow_comodule(x: CowComodule) -> Report:

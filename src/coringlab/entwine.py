@@ -52,11 +52,6 @@ def algebra_as_k_bimodule(a: FinAlgebra, kalg: FinAlgebra) -> Bimodule:
                 lambda: k_bimodule(kalg, a.dim, labels=a.labels, name=a.name))
 
 
-def _basis_column(a: FinAlgebra, i) -> Matrix:
-    """The basis vector e_i of a as a column."""
-    return Matrix.from_entries(a.field, a.dim, 1, {(i, 0): a.field.one()})
-
-
 class EntwiningStructure:
     """(A, C, psi) with psi: C (x) A -> A (x) C over the ground field."""
 
@@ -129,11 +124,12 @@ def entwined_coring(e: EntwiningStructure, name=None) -> Coring:
     A, C = e.algebra, e.coalgebra
     da, dc = A.dim, C.carrier.dim
     f = A.field
-    ia, ic, iac = (Matrix.identity(f, d) for d in (da, dc, da * dc))
+    ia, ic = Matrix.identity(f, da), Matrix.identity(f, dc)
     left = [A.left_mult_matrix(i).kron(ic) for i in range(da)]
     # (a (x) c).a_i = (mu (x) C)(A (x) psi)(a (x) c (x) a_i)
     through = multiplication_matrix(A).kron(ic) @ ia.kron(e.psi.matrix)
-    right = [through @ iac.kron(_basis_column(A, i)) for i in range(da)]
+    # column t da + i of through is (a (x) c)_t (x) a_i
+    right = [through.columns(range(i, da * dc * da, da)) for i in range(da)]
     labels = [f"{A.labels[p]}(x){C.carrier.labels[q]}"
               for p in range(da) for q in range(dc)]
     carrier = Bimodule(A, A, da * dc, left, right, labels,
@@ -204,8 +200,8 @@ def tensor_fin_algebra(a: FinAlgebra, b: FinAlgebra, name=None) -> FinAlgebra:
 
 def check_doi_koppinen(dk: DoiKoppinenData) -> Report:
     """Bialgebra laws, comodule-algebra laws, module-coalgebra laws.  The
-    right action c.h has the matrices act . (I_C (x) e_h), whose laws are
-    checked by `check_bimodule`; the coaction and the action's coalgebra
+    right action c.h has the matrices act . (I_C (x) e_h), read off as the
+    columns c (x) h of act, whose laws are checked by `check_bimodule`; the coaction and the action's coalgebra
     laws are flat (`_flat_law`)."""
     rep = Report("doi-koppinen data")
     H, Hc, A, C = dk.h_algebra, dk.h_coalgebra, dk.algebra, dk.coalgebra
@@ -224,7 +220,8 @@ def check_doi_koppinen(dk: DoiKoppinenData) -> Report:
     _flat_law(rep, "comodule-coassoc", rho.kron(ih) @ rho, ia.kron(dflat) @ rho,
               (ab,), (ab, hb, hb))
     _flat_law(rep, "comodule-counit", ia.kron(Hc.counit.matrix) @ rho, ia, (ab,), (ab,))
-    racts = [act @ ic.kron(_basis_column(H, h)) for h in range(H.dim)]
+    # column c dh + h of act is c (x) h
+    racts = [act.columns(range(h, cb.dim * H.dim, H.dim)) for h in range(H.dim)]
     rep.extend(check_bimodule(cb, right=(H, racts),
                               tags=(None, "module-unit", None, "module-assoc", None)))
     # the action is a coalgebra morphism

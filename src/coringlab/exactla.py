@@ -25,7 +25,9 @@ only when `data` is read: `Transposed` holds the column dicts, and
 `Monomial`, a matrix with at most one entry per column, holds two flat
 lists (target row and weight per column) and builds even its column dicts
 only on first read.  `Transposed.after`, a matrix in column form times
-I (x) act (x) I, is one `padded_matmul` of its column dicts.  Monomials
+I (x) act (x) I, is one `padded_matmul` of its column dicts, and
+`columns`, a choice of columns of any matrix, reads its column dicts
+(the cached `transpose`) with no product by a 0/1 matrix.  Monomials
 compose with the padded form of another monomial, select columns, test
 that they factor through a monomial projection and compare (`==`) in one
 pass over the lists, with no dict.  `padded_matmul`, a pipe stage
@@ -539,6 +541,15 @@ class Matrix:
             self._t = Matrix(self.field, self.cols, self.rows, data)
         return self._t
 
+    def columns(self, cols):
+        """The matrix whose column t is column cols[t] of self, in column
+        form (`Transposed`); it shares the column dicts of self, and is
+        self @ S for the 0/1 matrix S that picks those columns, with no
+        product taken."""
+        data = self.transpose().data
+        return Transposed(Matrix(self.field, len(cols), self.rows,
+                                 {t: data[c] for t, c in enumerate(cols) if c in data}))
+
     def monomial(self) -> "Monomial | None":
         """self as a `Monomial`, or None when a column has two entries;
         found on the first call and kept on self (False for none)."""
@@ -734,13 +745,6 @@ class Transposed(Matrix):
         if self._rows is None:
             self._rows = self._t.transpose().data
         return self._rows
-
-    def columns(self, cols):
-        """The matrix whose column t is column cols[t] of self, in column
-        form; it shares the column dicts of self."""
-        data = self._t.data
-        return Transposed(Matrix(self.field, len(cols), self.rows,
-                                 {t: data[c] for t, c in enumerate(cols) if c in data}))
 
     def after(self, pre, act, post):
         """self @ (I_pre (x) act (x) I_post) in column form: its transpose

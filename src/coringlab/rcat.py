@@ -45,7 +45,7 @@ class RObject:
         C = coring.carrier
         if (twist.domain.dim != space(C, carrier).dim
                 or twist.codomain.dim != space(carrier, C).dim):
-            raise InputError(f"twist of {self.name}: shape mismatch")
+            raise InputError("twist must map C(x)M to M(x)C")
 
     @property
     def cm(self):
@@ -68,7 +68,7 @@ class RMorphism:
         self.map = map
         self.name = name or map.name
         if (map.domain.dim != src.cm.dim or map.codomain.dim != dst.cm.dim):
-            raise InputError(f"morphism {self.name}: shape mismatch")
+            raise InputError("morphism must map C(x)M to C(x)M'")
 
     @classmethod
     def identity(cls, o: RObject):
@@ -317,7 +317,7 @@ class LObject:
         C = coring.carrier
         if (twist.domain.dim != space(carrier, C).dim
                 or twist.codomain.dim != space(C, carrier).dim):
-            raise InputError(f"left twist of {self.name}: shape mismatch")
+            raise InputError("twist must map L(x)C to C(x)L")
 
     @property
     def lc(self):
@@ -333,7 +333,7 @@ class LMorphism:
         self.map = map
         self.name = name or map.name
         if (map.domain.dim != src.lc.dim or map.codomain.dim != dst.lc.dim):
-            raise InputError(f"left morphism {self.name}: shape mismatch")
+            raise InputError("morphism must map L(x)C to L'(x)C")
 
     @classmethod
     def identity(cls, o: LObject):

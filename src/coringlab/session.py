@@ -12,9 +12,10 @@ their boundary algebras; matrix coordinates on such spaces use the
 canonical quotient bases.  JSON nested past the recursion limit, in the
 file or in a space reference, is malformed input too.
 
-The sections other than `algebras` and `bimodules`, whose inline data are
-read and written by hand, are defined once, in `SCHEMA`, which both
-`parse_session` and `SessionStore` read.
+Every section, from `algebras` and `bimodules`, whose entries hold their
+data inline, to those whose entries name other entries, is defined once,
+in `SCHEMA`, which both `parse_session` and `SessionStore` read.
+Algebras and bimodules share one namespace (`_SHARED`).
 
 A session file is written with the bytes `json.dumps(raw, indent=1,
 sort_keys=True)` would give, followed by a newline.  This module holds the
@@ -30,21 +31,33 @@ import json
 import re
 from importlib import import_module
 
-from .algebra import FinAlgebra
 from .bimodule import Bimodule, Matrix, regular_bimodule, space
 from .exactla import field_from_name
 from .reports import InputError
 
 
-# The thirteen reference sections, whose entries name other entries: each
-# maps to the module and class of its entries and lists their fields as
-# (key, kind, attribute) in constructor order.  A kind is the section the
-# key names, "space" for a space reference, "side" for a comodule's side,
-# or, for a matrix, the pair of earlier keys whose entries' dims are its
-# row and column counts.  `parse_session` and `SessionStore` both read
-# this table, the reader in its order.  A `ttps` entry is a plain (r, t,
-# rmap) tuple, so it has no class and no attributes.
+# The fifteen sections: each maps to the module and class of its entries
+# and lists their fields as (key, kind, attribute) in constructor order.
+# A kind is the section the key names, "space" for a space reference,
+# "side" for a comodule's side, one of the inline kinds of `algebras` and
+# `bimodules` ("dim", "mult", "unit", "actions" and the optional
+# "labels", each sized by the entry's "dim"), or, for a matrix, the pair
+# of earlier keys whose entries' dims are its row and column counts.  The
+# "field" kind, under no key, is the session's field.  `parse_session`
+# and `SessionStore` both read this table, the reader in its order.  A
+# `ttps` entry is a plain (r, t, rmap) tuple, so it has no class and no
+# attributes.
 SCHEMA = {
+    "algebras": ("algebra", "FinAlgebra", (
+        (None, "field", "field"), ("dim", "dim", "dim"),
+        ("mult", "mult", "mult"), ("unit", "unit", "unit"),
+        ("labels", "labels", "labels"))),
+    "bimodules": ("bimodule", "Bimodule", (
+        ("left", "algebras", "left_algebra"),
+        ("right", "algebras", "right_algebra"), ("dim", "dim", "dim"),
+        ("left_action", "actions", "left_action"),
+        ("right_action", "actions", "right_action"),
+        ("labels", "labels", "labels"))),
     "morphisms": ("algebra", "AlgebraMorphism", (
         ("source", "algebras", "source"), ("target", "algebras", "target"),
         ("matrix", ("target", "source"), "matrix"))),
@@ -87,7 +100,11 @@ SCHEMA = {
         ("delta", ("coeff", "coeff"), "delta"))),
 }
 
-SECTIONS = ("algebras", "bimodules", *SCHEMA)
+SECTIONS = tuple(SCHEMA)
+
+# Algebras and bimodules share one namespace: a space reference names
+# either, an algebra standing for its regular bimodule.
+_SHARED = ("algebras", "bimodules")
 
 
 class SessionFile:
@@ -133,6 +150,13 @@ class SessionFile:
             raise InputError(f"{where}unknown {section.removesuffix('s')} {name!r}")
         return table[name]
 
+    def taken(self, section, name) -> bool:
+        """Whether a new entry of section may not be called name: the
+        name is already in section, or in the other section of `_SHARED`
+        when section is one of them."""
+        return any(name in getattr(self, t)
+                   for t in (_SHARED if section in _SHARED else (section,)))
+
 
 # ---------------------------------------------------------------------------
 # shape validation: every malformed value raises InputError naming its
@@ -166,25 +190,6 @@ class _Entry:
 
     def get(self, key, default=None):
         return self.data.get(key, default)
-
-    def list(self, key):
-        return _expect(self[key], list, f"{self.path}.{key}")
-
-    def labels(self, dim):
-        labels = self.get("labels")
-        if labels is not None:
-            _expect(labels, list, f"{self.path}.labels")
-            for i, label in enumerate(labels):
-                _expect(label, str, f"{self.path}.labels[{i}]")
-            if len(labels) != dim:
-                raise InputError(f"{self.path}.labels: must have length {dim}")
-        return labels
-
-    def dim(self):
-        dim = _expect(self["dim"], int, f"{self.path}.dim")
-        if dim < 0:
-            raise InputError(f"{self.path}.dim: must not be negative")
-        return dim
 
 
 def _entries(raw, section):
@@ -240,20 +245,26 @@ def _scalars(entries, path):
                          f"string, got {got}")
 
 
-def _parse_vec(field, entries, path) -> dict:
-    """Sparse vector {index: scalar} of a list of scalar texts, zeros dropped."""
+def _parse_vec(field, entries, dim, path) -> dict:
+    """Sparse vector {index: scalar} of a list of dim scalar texts, zeros
+    dropped."""
+    if len(_expect(entries, list, path)) != dim:
+        raise InputError(f"{path}: must have length {dim}")
     _scalars(entries, path)
     vec = {k: field.parse(v) for k, v in enumerate(entries)}
     return {k: v for k, v in vec.items() if not field.is_zero(v)}
 
 
 def _field(s, data, key, kind, read):
-    """The value of one field of a reference entry (see `SCHEMA`); read
-    holds the values of the fields before it."""
+    """The value of one field of an entry (see `SCHEMA`); read holds the
+    values of the fields before it."""
     path = f"{data.path}.{key}"
+    field, dim = s.field, read.get("dim")
+    if kind == "field":
+        return field
     if isinstance(kind, tuple):
         rows, cols = (read[k].dim for k in kind)
-        return _parse_matrix(s.field, data[key], rows, cols, path)
+        return _parse_matrix(field, data[key], rows, cols, path)
     if kind == "space":
         return s.resolve_space(data[key], path)
     if kind == "side":
@@ -261,6 +272,31 @@ def _field(s, data, key, kind, read):
         if side not in ("left", "right"):
             raise InputError(f"{path}: side must be 'left' or 'right'")
         return side
+    if kind == "dim":
+        if _expect(data[key], int, path) < 0:
+            raise InputError(f"{path}: must not be negative")
+        return data[key]
+    if kind == "labels":
+        labels = data.get(key)
+        if labels is not None:
+            for i, label in enumerate(_expect(labels, list, path)):
+                _expect(label, str, f"{path}[{i}]")
+            if len(labels) != dim:
+                raise InputError(f"{path}: must have length {dim}")
+        return labels
+    if kind == "unit":
+        return _parse_vec(field, data[key], dim, path)
+    if kind == "mult":
+        rows = _expect(data[key], list, path)
+        for i, r in enumerate(rows):
+            _expect(r, list, f"{path}[{i}]")
+        if len(rows) != dim or any(len(r) != dim for r in rows):
+            raise InputError(f"{path}: must be {dim}x{dim}")
+        return [[_parse_vec(field, vec, dim, f"{path}[{i}][{j}]")
+                 for j, vec in enumerate(r)] for i, r in enumerate(rows)]
+    if kind == "actions":
+        return [_parse_matrix(field, m, dim, dim, f"{path}[{k}]")
+                for k, m in enumerate(_expect(data[key], list, path))]
     return s.lookup(kind, data[key], path)
 
 
@@ -300,52 +336,16 @@ def parse_session(source) -> SessionFile:
     field = field_from_name(raw["field"])
     s = SessionFile(field, raw)
 
-    for name, data in _entries(raw, "algebras"):
-        dim = data.dim()
-        mult_rows = data.list("mult")
-        for i, r in enumerate(mult_rows):
-            _expect(r, list, f"{data.path}.mult[{i}]")
-        if len(mult_rows) != dim or any(len(r) != dim for r in mult_rows):
-            raise InputError(f"{data.path}.mult: must be {dim}x{dim}")
-        mult = []
-        for i in range(dim):
-            row = []
-            for j in range(dim):
-                vec = _expect(mult_rows[i][j], list,
-                              f"{data.path}.mult[{i}][{j}]")
-                if len(vec) != dim:
-                    raise InputError(
-                        f"{data.path}.mult[{i}][{j}]: must have length {dim}")
-                row.append(_parse_vec(field, vec,
-                                      f"{data.path}.mult[{i}][{j}]"))
-            mult.append(row)
-        if len(data.list("unit")) != dim:
-            raise InputError(f"{data.path}.unit: must have length {dim}")
-        unit = _parse_vec(field, data["unit"], f"{data.path}.unit")
-        s.algebras[name] = FinAlgebra(field, dim, mult, unit,
-                                      labels=data.labels(dim), name=name)
-
-    for name, data in _entries(raw, "bimodules"):
-        if name in s.algebras:
-            raise InputError(
-                f"name {name!r} is declared both as an algebra and a "
-                f"bimodule; space references would be ambiguous")
-        left = s.lookup("algebras", data["left"], f"{data.path}.left")
-        right = s.lookup("algebras", data["right"], f"{data.path}.right")
-        dim = data.dim()
-        las = [_parse_matrix(field, m, dim, dim, f"{data.path}.left_action[{k}]")
-               for k, m in enumerate(data.list("left_action"))]
-        ras = [_parse_matrix(field, m, dim, dim, f"{data.path}.right_action[{k}]")
-               for k, m in enumerate(data.list("right_action"))]
-        s.bimodules[name] = Bimodule(left, right, dim, las, ras,
-                                     labels=data.labels(dim), name=name)
-
     for section, (module, cls_name, fields) in SCHEMA.items():
         entries = _entries(raw, section)
         if entries and cls_name:
             cls = getattr(import_module(f".{module}", __package__), cls_name)
         table = getattr(s, section)
         for name, data in entries:
+            if s.taken(section, name):
+                raise InputError(
+                    f"name {name!r} is declared both as an algebra and a "
+                    f"bimodule; space references would be ambiguous")
             read = {}
             for key, kind, _ in fields:
                 read[key] = _field(s, data, key, kind, read)
@@ -383,8 +383,7 @@ def _fmt_vec(field, vec, dim):
     return out
 
 
-_WRITING = ("SessionStore", "serialize_session", "write_session",
-            "algebra_to_data", "bimodule_to_data")
+_WRITING = ("SessionStore", "serialize_session", "write_session")
 
 
 def __getattr__(name):

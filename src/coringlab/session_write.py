@@ -2,8 +2,8 @@
 into session data, and `serialize_session` writes that data as text.
 
 `SessionStore.add(section, name, obj)` writes an entry of any section of
-`session.SCHEMA`, the table the reader uses too; only `algebras` and
-`bimodules`, whose entries are inline data, have writers of their own.
+`session.SCHEMA`, the table the reader uses too, under a name that no
+entry of its namespace holds (`SessionFile.taken`).
 
 The writer's cost follows the bytes it writes.  `serialize_session`
 appends pieces of text to one list and joins them once, so no subtree is
@@ -24,7 +24,6 @@ import json
 import re
 from json.encoder import encode_basestring_ascii as _quote
 
-from .algebra import FinAlgebra
 from .bimodule import Bimodule, LinearMap, TensorQuotient, is_regular
 from .session import SCHEMA, SessionFile, _fmt_matrix, _fmt_vec
 
@@ -111,27 +110,6 @@ def write_session(raw: dict, path):
         fh.write("\n")
 
 
-def algebra_to_data(a: FinAlgebra):
-    return {
-        "dim": a.dim,
-        "labels": list(a.labels),
-        "mult": [[_fmt_vec(a.field, a.mult[i][j], a.dim)
-                  for j in range(a.dim)] for i in range(a.dim)],
-        "unit": _fmt_vec(a.field, a.unit, a.dim),
-    }
-
-
-def bimodule_to_data(b: Bimodule, left_name, right_name):
-    return {
-        "left": left_name,
-        "right": right_name,
-        "dim": b.dim,
-        "labels": list(b.labels),
-        "left_action": [_fmt_matrix(b.field, m) for m in b.left_action],
-        "right_action": [_fmt_matrix(b.field, m) for m in b.right_action],
-    }
-
-
 def _known(table, obj):
     """The name under which `obj` itself is in a session table, or None."""
     for name, x in table.items():
@@ -158,23 +136,18 @@ class SessionStore:
 
     # -- reverse lookups ------------------------------------------------------
 
-    def _fresh(self, table, name, *extra_tables):
+    def _fresh(self, section, name):
+        """name, or name with the first number from 2 on that makes it a
+        name a new entry of section may take (`SessionFile.taken`)."""
         out = name
         n = 2
-        while out in table or any(out in t for t in extra_tables):
+        while self.s.taken(section, out):
             out = f"{name}{n}"
             n += 1
         return out
 
     def algebra_name(self, alg) -> str:
-        """Algebras and bimodules share one namespace: an algebra name also
-        resolves to its regular bimodule, so clashes must be avoided."""
-        name = _known(self.s.algebras, alg)
-        if name is None:
-            name = self._fresh(self.s.algebras, alg.name, self.s.bimodules)
-            self.s.algebras[name] = alg
-            self.raw.setdefault("algebras", {})[name] = algebra_to_data(alg)
-        return name
+        return self.name_of("algebras", alg)
 
     def space_ref(self, b: Bimodule):
         """A tensor quotient, never a named or regular bimodule, is written
@@ -185,14 +158,7 @@ class SessionStore:
         name = _known(self.s.bimodules, b)
         if name is None and is_regular(b):
             name = _known(self.s.algebras, b.left_algebra)
-        if name is not None:
-            return name
-        name = self._fresh(self.s.bimodules, b.name, self.s.algebras)
-        self.s.bimodules[name] = b
-        self.raw.setdefault("bimodules", {})[name] = bimodule_to_data(
-            b, self.algebra_name(b.left_algebra),
-            self.algebra_name(b.right_algebra))
-        return name
+        return self.add("bimodules", b.name, b) if name is None else name
 
     def map_name(self, m: LinearMap, name=None) -> str:
         return self.name_of("maps", m, name)
@@ -203,14 +169,16 @@ class SessionStore:
         """Add `obj` to a section of `SCHEMA` under a fresh form of `name`,
         adding what its fields refer to first, in field order."""
         _, cls_name, fields = SCHEMA[section]
-        table = getattr(self.s, section)
-        name = self._fresh(table, name)
+        name = self._fresh(section, name)
+        # held before its fields are added, so that none of them takes name
+        getattr(self.s, section)[name] = obj
         values = obj if cls_name is None else [
             getattr(obj, attr) for _, _, attr in fields]
-        self.raw.setdefault(section, {})[name] = {
-            key: self._field(kind, value, f"{name}.{key}")
-            for (key, kind, _), value in zip(fields, values)}
-        table[name] = obj
+        entry = {}
+        for (key, kind, _), value in zip(fields, values):
+            if key is not None:  # the "field" kind: the session's own
+                entry[key] = self._field(kind, value, entry, f"{name}.{key}")
+        self.raw.setdefault(section, {})[name] = entry
         return name
 
     def name_of(self, section, obj, name=None) -> str:
@@ -219,16 +187,24 @@ class SessionStore:
         known = _known(getattr(self.s, section), obj)
         return self.add(section, name or obj.name, obj) if known is None else known
 
-    def _field(self, kind, value, map_name):
-        """The session value of one field; a new map is named `map_name`."""
+    def _field(self, kind, value, entry, map_name):
+        """The session value of one field; entry holds the fields written
+        before it, and a new map is named `map_name`."""
         if kind == "space":
             return self.space_ref(value)
-        if kind == "algebras":
-            return self.algebra_name(value)
-        if kind == "side":
+        if kind in ("side", "dim"):
             return value
+        if kind == "labels":
+            return list(value)
         if isinstance(kind, tuple):
             return _fmt_matrix(value.field, value)
+        if kind == "actions":
+            return [_fmt_matrix(m.field, m) for m in value]
+        field, dim = self.s.field, entry.get("dim")
+        if kind == "unit":
+            return _fmt_vec(field, value, dim)
+        if kind == "mult":
+            return [[_fmt_vec(field, vec, dim) for vec in row] for row in value]
         return self.name_of(kind, value, map_name if kind == "maps" else None)
 
     def add_coring(self, name, cor) -> str:

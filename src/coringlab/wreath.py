@@ -103,7 +103,7 @@ class RTObject:
         tb = ext.t_bimodule
         if (twist.domain.dim != space(tb, carrier).dim
                 or twist.codomain.dim != space(carrier, tb).dim):
-            raise InputError(f"twist of {self.name}: shape mismatch")
+            raise InputError("twist must map T(x)P to P(x)T")
 
     def __repr__(self):
         return f"RTObject({self.name} over {self.ext.name})"
@@ -191,17 +191,14 @@ def element_action_matrices(action: LinearMap, elt_carrier: Bimodule,
                             carrier: Bimodule, side="left"):
     """Per-basis action matrices for an action map elt (x) carrier -> carrier
     (or carrier (x) elt -> carrier) where elt may itself be a quotient."""
-    f = carrier.field
-    ident = Matrix.identity(f, carrier.dim)
+    d, n = elt_carrier.dim, carrier.dim
     sp = (space(elt_carrier, carrier) if side == "left"
           else space(carrier, elt_carrier))
     ap = action.matrix @ sp.project
-    out = []
-    for i in range(elt_carrier.dim):
-        col = Matrix.from_entries(f, elt_carrier.dim, 1, {(i, 0): f.one()})
-        emb = col.kron(ident) if side == "left" else ident.kron(col)
-        out.append(ap @ emb)
-    return out
+    # e_i (x) m is flat column i n + m, and m (x) e_i is m d + i
+    if side == "left":
+        return [ap.columns(range(i * n, i * n + n)) for i in range(d)]
+    return [ap.columns(range(i, n * d, d)) for i in range(d)]
 
 
 def t_bimodule_from_maps(total: FinAlgebra, carrier: Bimodule,

@@ -166,6 +166,14 @@
   matrices with `plain_padded_matmul`, the kernel choice without it.
   `Matrix.monomial` keeps the form on the matrix, or that there is none,
   and reads a plain matrix by rows and a `Transposed` by columns.
+* `Matrix.columns` picks columns of any matrix from its column dicts; a
+  plain matrix, its `Transposed` and a marked identity must give
+  M @ S for the 0/1 matrix S that picks them, repeats included, in
+  column form, and the `Transposed` builds no row.  The per-element
+  action matrices of `wreath.element_action_matrices`, the right action
+  of `entwine.entwined_coring` and the `racts` of `check_doi_koppinen`
+  are such columns; on a non-flat quotient over kZ2 the first must
+  equal the plain product by e_i (x) I or I (x) e_i.
   `Monomial ==` compares lists with another `Monomial` or a marked
   identity and builds no dict; it must agree with plain equality both ways
   and across kinds, ignore dead weights, and leave `Monomial` unhashable.
@@ -3445,6 +3453,53 @@ def test_after_matches_dense_kron_product(field, data):
     got = mono.after(pre, act, post)
     assert not isinstance(got, exactla.Monomial) and mono._rows is None
     assert got == plain_of(field, rows, tgt, wt) @ padded
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_columns_match_the_plain_selection_product(field, data):
+    """`columns` of a plain matrix, of its column form and of a marked
+    identity is M @ S for the 0/1 matrix S that picks the columns,
+    repeats included; the result is in column form, and the `Transposed`
+    builds no row."""
+    draw = data.draw
+    rows, cols = draw(st.integers(0, 3)), draw(st.integers(1, 4))
+    m = draw(shaped_matrix(field, rows, cols))
+    picks = draw(st.lists(st.integers(0, cols - 1), max_size=5))
+    select = Matrix.from_entries(field, cols, len(picks),
+                                 {(c, s): field.one() for s, c in enumerate(picks)})
+    t = exactla.Transposed(m.transpose())
+    for x, plain in ((m, m), (t, m),
+                     (Matrix.identity(field, cols), plain_identity(field, cols))):
+        got = x.columns(picks)
+        assert isinstance(got, exactla.Transposed)
+        assert got == plain_matmul(plain, select)
+    assert t._rows is None
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_element_action_matrices_match_the_kron_product(side, data):
+    """The action matrices of e_i on X = kZ2 (x) C2 (dim 4) through a map
+    on kZ2 (x)_kZ2 X or X (x)_kZ2 kZ2, whose flat basis is not its
+    quotient basis, are the columns e_i (x) x or x (x) e_i of
+    action . project: the plain path multiplies by e_i (x) I or
+    I (x) e_i."""
+    from coringlab.wreath import element_action_matrices
+    corpus = Corpus()
+    e, x = regular_bimodule(corpus.z2), corpus.lifted_flip_cw.coring.carrier
+    sp = space(e, x) if side == "left" else space(x, e)
+    assert sp.quotient.dim < e.dim * x.dim
+    action = LinearMap(sp.quotient, x, data.draw(shaped_matrix(QQ, x.dim, sp.quotient.dim)))
+    ident = plain_identity(QQ, x.dim)
+    ap = action.matrix @ sp.project
+    got = element_action_matrices(action, e, x, side)
+    assert len(got) == e.dim
+    for i, m in enumerate(got):
+        col = Matrix.from_entries(QQ, e.dim, 1, {(i, 0): QQ.one()})
+        assert m == ap @ (col.kron(ident) if side == "left" else ident.kron(col))
 
 
 def plain_scatter(f, proj, act, dm, dn, left):

@@ -135,6 +135,10 @@ class TestCliExitCodes:
         ("sign_flip_ttp.json", "wreaths", "signflip.wreath", ("eta", "mu"),
          ["check", "wreath", "signflip.wreath"],
          "$.wreaths.signflip.wreath: eta must map T to R(x)T"),
+        ("grouplike_coalgebras.json", "corings", "C2", ("comult", "counit"),
+         ["check", "coring", "C2"],
+         "$.corings.C2: comultiplication must map the carrier into the "
+         "4-dimensional tensor square"),
     ])
     def test_constructor_error_names_its_entry(self, session_files, tmp_path, capsys,
                                                fname, section, entry, swap, command,
@@ -147,6 +151,28 @@ class TestCliExitCodes:
         data[swap[0]], data[swap[1]] = data[swap[1]], data[swap[0]]
         path = tmp_path / "swapped.json"
         path.write_text(json.dumps(raw))
+        assert main(["--session", str(path), *command]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    KZ2 = {"dim": 2, "mult": [[[1, 0], [0, 1]], [[0, 1], [1, 0]]], "unit": [1, 0]}
+
+    @pytest.mark.parametrize("raw, command, message", [
+        ({"algebras": {"Z": {"dim": 0, "mult": [], "unit": []}}},
+         ["check", "algebra", "Z"],
+         "$.algebras.Z: algebra dimension must be positive"),
+        ({"algebras": {"kZ2": KZ2},
+          "bimodules": {"M": {"left": "kZ2", "right": "kZ2", "dim": 1,
+                              "left_action": [[[1]]],
+                              "right_action": [[[1]], [[1]]]}}},
+         ["check", "bimodule", "M"],
+         "$.bimodules.M: need one left action matrix per basis element"),
+    ], ids=["zero-dim-algebra", "one-left-action"])
+    def test_inline_constructor_error_names_its_entry(self, tmp_path, capsys, raw,
+                                                      command, message):
+        """The checks of `FinAlgebra` and `Bimodule` that the reader leaves
+        to them name the entry's JSON path, as every section's do."""
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"field": "QQ", **raw}))
         assert main(["--session", str(path), *command]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 

@@ -1,11 +1,13 @@
-"""`SCHEMA` defines the thirteen reference sections once, for the reader
-and the writer alike.  Every field of every section is checked here: a
-missing key and a dangling name are malformed input naming the entry, and
-an object of any section written alone into an empty store (with
-everything it names) parses back to objects that write the same bytes
-again."""
+"""`SCHEMA` defines the fifteen sections once, for the reader and the
+writer alike.  Every keyed field of every section is checked here: a
+missing key and a dangling name are malformed input naming the entry
+(an optional field is read as absent), and an object of any section
+written alone into an empty store (with everything it names) parses back
+to objects that write the same bytes again."""
 
 import json
+import os
+import re
 
 import pytest
 
@@ -29,6 +31,9 @@ def one_of_each():
     """section -> one corpus object of that section."""
     rext, text, rmap, rw = CORPUS.sign_flip_ttp[:4]
     return {
+        "algebras": CORPUS.z2,
+        # over kZ2, neither regular nor over the field
+        "bimodules": CORPUS.lifted_flip_cw.coring.carrier,
         "morphisms": rext.iota,
         "maps": CORPUS.c3.comult,
         "corings": CORPUS.c2,
@@ -45,15 +50,32 @@ def one_of_each():
     }
 
 
+# the fields with a JSON key: the "field" kind, the session's own, has none
 FIELDS = [(section, key, kind) for section, (_, _, fields) in SCHEMA.items()
-          for key, kind, _ in fields]
+          for key, kind, _ in fields if key is not None]
+
+# The name of each section's entry in `every_section`: algebras and
+# bimodules share one namespace, so the bimodule cannot be "x" too.
+NAME = dict.fromkeys(SCHEMA, "x") | {"bimodules": "y"}
+
+INLINE = {"dim", "mult", "unit", "actions", "labels"}
 
 
 def test_schema_covers_the_reference_sections():
     assert set(one_of_each()) == set(SCHEMA)
-    assert SECTIONS == ("algebras", "bimodules", *SCHEMA)
+    assert SECTIONS == tuple(SCHEMA)
+    assert SECTIONS[:2] == ("algebras", "bimodules")
     names = {kind for _, _, kind in FIELDS if isinstance(kind, str)}
-    assert names <= set(SECTIONS) | {"space", "side"}
+    assert names <= set(SECTIONS) | {"space", "side"} | INLINE
+    keyless = [(section, kind) for section, (_, _, fields) in SCHEMA.items()
+               for key, kind, _ in fields if key is None]
+    assert keyless == [("algebras", "field")]
+    # an inline kind but "dim" is sized by a "dim" read before it
+    for _, _, fields in SCHEMA.values():
+        keys = [key for key, _, _ in fields]
+        for i, (_, kind, _) in enumerate(fields):
+            if kind in INLINE - {"dim"}:
+                assert "dim" in keys[:i]
     # a matrix kind is the pair of keys read before it that fix its shape
     for _, _, fields in SCHEMA.values():
         for i, (_, kind, _) in enumerate(fields):
@@ -62,19 +84,45 @@ def test_schema_covers_the_reference_sections():
                 assert set(kind) <= {key for key, _, _ in fields[:i]}
 
 
+README = os.path.join(os.path.dirname(__file__), "..", "README.md")
+
+
+def readme_sections():
+    """section -> the set of its keys, as the JSONC block of README "Session file
+    format" shows them: each top-level key but "field" opens a section
+    whose first key names its example entry."""
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    block = text.split("## Session file format", 1)[1]
+    block = block.split("```jsonc\n", 1)[1].split("```", 1)[0]
+    block = re.sub(r"//[^\n]*", "", block)
+    out = {}
+    for part in re.split(r'\n  (?=")', block)[1:]:
+        section, *names = re.findall(r'"(\w+)"\s*:', part)
+        if section != "field":
+            out[section] = set(names[1:])
+    return out
+
+
+def test_readme_session_block_names_the_schema():
+    assert readme_sections() == {
+        section: {key for key, _, _ in fields if key is not None}
+        for section, (_, _, fields) in SCHEMA.items()}
+
+
 @pytest.fixture(scope="module")
 def every_section():
-    """Raw session data with an entry "x" in each reference section."""
+    """Raw session data with an entry `NAME[section]` in each section."""
     store = SessionStore.empty(QQ)
     for section, obj in one_of_each().items():
-        assert store.add(section, "x", obj) == "x"
+        assert store.add(section, NAME[section], obj) == NAME[section]
     return json.loads(serialize_session(store.raw))
 
 
 def test_every_section_parses(every_section):
     s = parse_session(every_section)
     for section in SCHEMA:
-        assert "x" in getattr(s, section)
+        assert NAME[section] in getattr(s, section)
     assert isinstance(s.ttps["x"], tuple) and len(s.ttps["x"]) == 3
 
 
@@ -82,29 +130,38 @@ def test_every_section_parses(every_section):
                          ids=[f"{s}.{k}" for s, k, _ in FIELDS])
 def test_missing_key(every_section, section, key, kind):
     raw = json.loads(json.dumps(every_section))
-    del raw[section]["x"][key]
+    name = NAME[section]
+    del raw[section][name][key]
     if kind == "side":
         # a comodule without a side is a right comodule
-        assert parse_session(raw).comodules["x"].side == "right"
+        assert parse_session(raw).comodules[name].side == "right"
+        return
+    if kind == "labels":
+        # an entry without labels takes the default ones
+        entry = getattr(parse_session(raw), section)[name]
+        prefix = "e" if section == "algebras" else "m"
+        assert entry.labels == [f"{prefix}{i}" for i in range(entry.dim)]
         return
     with pytest.raises(InputError) as err:
         parse_session(raw)
-    assert str(err.value) == f"$.{section}.x.{key}: missing"
+    assert str(err.value) == f"$.{section}.{name}.{key}: missing"
 
 
 @pytest.mark.parametrize("section, key, kind", FIELDS,
                          ids=[f"{s}.{k}" for s, k, _ in FIELDS])
 def test_dangling_name(every_section, section, key, kind):
     raw = json.loads(json.dumps(every_section))
-    raw[section]["x"][key] = "nowhere"
+    name = NAME[section]
+    raw[section][name][key] = "nowhere"
     with pytest.raises(InputError) as err:
         parse_session(raw)
     expected = {"space": "unknown space reference 'nowhere'",
-                "side": "side must be 'left' or 'right'"}
-    if isinstance(kind, tuple):
-        # a matrix kind reads the value as a matrix, not as a name
+                "side": "side must be 'left' or 'right'",
+                "dim": "expected an integer, got a string"}
+    if isinstance(kind, tuple) or kind in INLINE - {"dim"}:
+        # a matrix or inline kind reads the value as data, not as a name
         expected[kind] = "expected an array, got a string"
-    assert str(err.value) == f"$.{section}.x.{key}: " + expected.get(
+    assert str(err.value) == f"$.{section}.{name}.{key}: " + expected.get(
         kind, f"unknown {kind[:-1]} 'nowhere'")
 
 
@@ -113,8 +170,8 @@ def test_dangling_name(every_section, section, key, kind):
     ("bimodules", "left", "kZ2"), ("bimodules", "right", "kZ2"),
     ("skewpoly", "coeff", "kZ2"), ("skewpoly", "sigma", "id")])
 def test_dangling_name_outside_the_schema(section, key, name):
-    """The references that entries of `bimodules`, read by hand, and of
-    `morphisms` and `skewpoly` make name their JSON path too."""
+    """The references that entries of `bimodules`, `morphisms` and
+    `skewpoly` make name their JSON path in a hand-written session too."""
     raw = {"field": "QQ",
            "algebras": {"kZ2": {"dim": 2, "mult": [[[1, 0], [0, 1]], [[0, 1], [1, 0]]],
                                 "unit": [1, 0]}},
