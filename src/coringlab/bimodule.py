@@ -90,7 +90,7 @@ once the structures they share have been built.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, partial
 from math import prod
 from weakref import WeakValueDictionary
 
@@ -251,13 +251,10 @@ def k_bimodule(kalg: FinAlgebra, dim, labels=None, name="V") -> Bimodule:
 
 def restricted_bimodule(total: FinAlgebra, iota, name=None) -> Bimodule:
     """The target of a ring extension iota: A -> T as an (A, A)-bimodule."""
-    a = iota.source
-    left, right = [], []
-    for i in range(a.dim):
-        img = iota.apply({i: a.field.one()})
-        reg = regular_bimodule(total)
-        left.append(reg.act_matrix(reg.left_action, img))
-        right.append(reg.act_matrix(reg.right_action, img))
+    a, reg = iota.source, regular_bimodule(total)
+    imgs = [iota.apply({i: a.field.one()}) for i in range(a.dim)]
+    left, right = ([reg.act_matrix(acts, img) for img in imgs]
+                   for acts in (reg.left_action, reg.right_action))
     return Bimodule(a, a, total.dim, left, right, labels=total.labels,
                     name=name or f"{total.name}|{a.name}")
 
@@ -346,6 +343,20 @@ def compare_maps(rep: Report, tag: str, lhs: LinearMap, rhs: LinearMap,
             count += 1
             if count >= max_witnesses:
                 break
+    return rep
+
+
+def compare_pipes(rep: Report, tag: str, lhs: "Pipe", rhs: "Pipe"):
+    """`compare_maps` of lhs.done() and rhs.done(), two pipes from one
+    source that end on the same factors.  When the outer level X (x)_A N
+    of their target is not built yet, is not flat, has monomial unmarked
+    pairs and passes the guards of `_decided`, the equation is decided on
+    the relations of that level and a pass builds no quotient.  Otherwise,
+    and whenever a column of lhs - rhs is not in the relation span, both
+    pipes are finished and compared as today, so every status, witness
+    and error is that of `compare_maps`."""
+    if not _decided(lhs, rhs):
+        compare_maps(rep, tag, lhs.done(), rhs.done())
     return rep
 
 
@@ -500,8 +511,19 @@ def tensor_over(a: FinAlgebra, m: Bimodule, n: Bimodule, name=None) -> TensorQuo
     acting by another idempotent included, is computed and checked.  A flat
     quotient inherits act (x) I and has nothing to check.
     """
-    return memo(m, ("tensor", id(a), id(n)),
-                lambda: _shared_tensor(a, m, n, name))
+    return memo(m, _tensor_key(a, n), lambda: _shared_tensor(a, m, n, name))
+
+
+def _tensor_key(a, n):
+    """The key of M (x)_A N in the memo of M."""
+    return "tensor", id(a), id(n)
+
+
+def _unmarked(m, n):
+    """The pairs (R_k, L_k) of M (x)_A N whose two actions are not both
+    marked: the only ones that give relations."""
+    return [(rk, lk) for rk, lk in zip(m.right_action, n.left_action)
+            if not (rk.is_identity and lk.is_identity)]
 
 
 def _shared_tensor(a, m, n, name):
@@ -514,8 +536,7 @@ def _shared_tensor(a, m, n, name):
     on a, so an entry lives as long as the quotient it holds; a build that
     raises stores nothing.  A quotient whose pairs are all marked is flat
     and costs nothing to build, so it computes no key."""
-    if all(rk.is_identity and lk.is_identity
-           for rk, lk in zip(m.right_action, n.left_action)):
+    if not _unmarked(m, n):
         return _build_tensor(a, m, n, name)
     table = memo(a, "tensor_content", WeakValueDictionary)
     key = _content(m, n)
@@ -552,9 +573,7 @@ def _balancing(m, n):
     """The nonzero balancing relations m.e_k (x) n - m (x) e_k.n, by k and
     then by flat index, for the k whose actions are not both marked."""
     f, dn = m.field, n.dim
-    for rk, lk in zip(m.right_action, n.left_action):
-        if rk.is_identity and lk.is_identity:
-            continue
+    for rk, lk in _unmarked(m, n):
         # row c of a transpose is column c of the action
         rcols, lcols = rk.transpose().data, lk.transpose().data
         for i in range(m.dim):
@@ -585,8 +604,7 @@ def _build_tensor(a, m, n, name):
     _check_bases(a, m, n)
     f, dm, dn = m.field, m.dim, n.dim
     flat = dm * dn
-    pairs = [(rk, lk) for rk, lk in zip(m.right_action, n.left_action)
-             if not (rk.is_identity and lk.is_identity)]
+    pairs = _unmarked(m, n)
     free = ()
     mono = [x.monomial() for pair in pairs for x in pair]
     if pairs and all(mono):
@@ -626,6 +644,24 @@ def _build_tensor(a, m, n, name):
     return tq
 
 
+def _find(parent, weight, mul, c):
+    """(root, w) with e_c = w e_root in a weighted union-find: e_x =
+    weight[x] e_parent[x], and a root is its own parent with weight 1.
+    The path from c is compressed."""
+    p = parent[c]
+    if parent[p] == p:
+        return p, weight[c]
+    path = []
+    while parent[c] != c:
+        path.append(c)
+        c = parent[c]
+    w = weight[c]
+    for x in reversed(path):
+        w = mul(weight[x], w)
+        parent[x], weight[x] = c, w
+    return c, w
+
+
 def _union_find(f, dm, dn, mono):
     """(free columns, project as a `Monomial`) from the monomial forms
     R_0, L_0, R_1, L_1, ... of the unmarked pairs.
@@ -644,21 +680,7 @@ def _union_find(f, dm, dn, mono):
     """
     flat, one, mul, inv = dm * dn, f.one(), f.mul, f.inv
     parent, weight, dead = list(range(flat)), [one] * flat, [False] * flat
-
-    def find(c):
-        """(root, w) with e_c = w e_root; a root has weight 1."""
-        p = parent[c]
-        if parent[p] == p:
-            return p, weight[c]
-        path = []
-        while parent[c] != c:
-            path.append(c)
-            c = parent[c]
-        w = one
-        for x in reversed(path):
-            w = mul(weight[x], w)
-            parent[x], weight[x] = c, w
-        return c, w
+    find = partial(_find, parent, weight, mul)
 
     for rk, lk in zip(mono[::2], mono[1::2]):
         ls = list(enumerate(zip(lk.tgt, lk.wt)))
@@ -689,6 +711,113 @@ def _union_find(f, dm, dn, mono):
     for t, c in enumerate(free):
         pos[c] = t
     return free, Monomial(f, len(free), [pos[r] for r in parent], weight)
+
+
+def _decided(lhs, rhs) -> bool:
+    """True when the pipes lhs and rhs, merged only as far as the factors
+    (X, N) of the outer level X (x)_A N of their target, agree on it, found
+    without building that level; False sends `compare_pipes` to the built
+    quotient.  It decides only on a level that is not built yet (the
+    identity memo of `tensor_over`), is not flat and whose unmarked pairs
+    are all monomial.  The inner levels are built as `Pipe.done` builds
+    them, and so are their errors.  Building the outer level could raise
+    only in `_check_bases`, which runs, or when an inherited action does
+    not descend: the left action of X descends when the two actions of X
+    commute, and the right action of N when those of N do, so each must be
+    a `TensorQuotient` or pass `_commutes`.  Then a column of lhs - rhs is
+    zero on the quotient exactly when it lies in the relation span
+    (`_span_test`)."""
+    fs = lhs.factors
+    # X inherits each marked right action of fs[-2] as a marked action, so
+    # a level whose last two factors have only marked pairs is flat
+    if len(fs) < 2 or rhs.factors != fs or not _unmarked(fs[-2], fs[-1]):
+        return False
+    x, n = fs[0], fs[-1]
+    for f in fs[1:-1]:
+        x = tensor_over(x.right_algebra, x, f)
+    a = x.right_algebra
+    mono = [k.monomial() for pair in _unmarked(x, n) for k in pair]
+    if not mono or not all(mono) or _tensor_key(a, n) in getattr(x, "_memo", ()):
+        return False
+    _check_bases(a, x, n)
+    if not (_commutes(x) and _commutes(n)):
+        return False
+    lm, rm = lhs._merge(x, 0).matrix, rhs._merge(x, 0).matrix
+    return lm == rm or all(map(_span_test(x.field, n.dim, mono),
+                               (lm - rm).transpose().data.values()))
+
+
+def _commutes(b) -> bool:
+    """True when the left and right actions of b commute, so that both
+    descend to every tensor quotient with b as a factor; a tensor quotient
+    always passes.  Tested once per bimodule and kept on it."""
+    return isinstance(b, TensorQuotient) or memo(b, "actions_commute", lambda: all(
+        lk.is_identity or rk.is_identity or lk @ rk == rk @ lk
+        for lk in b.left_action for rk in b.right_action))
+
+
+def _span_test(f, dn, mono):
+    """in_span(vec): whether a flat vector of X (x)_A N, a dict, lies in
+    the span of its balancing relations, from the monomial forms R_0, L_0,
+    R_1, L_1, ... of the unmarked pairs (those of `_union_find`) and dn,
+    the dim of N.
+
+    Each call runs a weighted union-find local to vec, with `_union_find`'s
+    rules: it starts from the support of vec and takes only the relations
+    that touch a column it has reached, found through the inverse target
+    lists of R_k and L_k, so what it reaches is a union of whole
+    components.  Column (i, j) is touched by relation (s, j) for each s
+    with R_k e_s on row i, which reads R_k[i, s] e_(i, j) = L_k[q, j]
+    e_(s, q) for the entry q of column j of L_k, and by relation (i, s) for
+    each s with L_k e_s on row j, which reads L_k[j, s] e_(i, j) =
+    R_k[p, i] e_(p, s) for the entry p of column i of R_k; with that entry
+    missing it kills (i, j).  A component with a one-term kill or a cycle
+    whose weights disagree is dead, and e_c = weight(c) e_root elsewhere,
+    so vec is in the span exactly when the sum of vec[c] weight(c) is 0
+    over each live component."""
+    one, mul = f.one(), f.mul
+    # row t of a `Monomial` is {s: weight} over the columns s it sends to t
+    pairs = [(r.tgt, r.wt, r.data, l.tgt, l.wt, l.data)
+             for r, l in zip(mono[::2], mono[1::2])]
+
+    def in_span(vec):
+        # parent and weight hold every column reached (`_find`)
+        parent, weight, dead = {c: c for c in vec}, dict.fromkeys(vec, one), set()
+        todo, find = list(vec), partial(_find, parent, weight, mul)
+
+        def tie(c, x, y, p, q):
+            """x e_c = y e_(p, q), or x e_c = 0 when p or q is -1."""
+            rc, wc = find(c)
+            if p < 0 or q < 0:
+                return dead.add(rc)
+            b = p * dn + q
+            if b not in parent:
+                parent[b], weight[b] = b, one
+                todo.append(b)
+            rb, wb = find(b)
+            x, y = mul(x, wc), mul(y, wb)
+            if rc == rb:
+                if x != y:
+                    dead.add(rc)
+            else:
+                parent[rc], weight[rc] = rb, f.div(y, x)
+                if rc in dead:
+                    dead.add(rb)
+
+        for c in todo:  # grows while it is read
+            i, j = divmod(c, dn)
+            for rt, rw, rrows, lt, lw, lrows in pairs:
+                for s, v in rrows.get(i, {}).items():
+                    tie(c, v, lw[j], s, lt[j])
+                for s, v in lrows.get(j, {}).items():
+                    tie(c, v, rw[i], rt[i], s)
+        sums = {}
+        for c, v in vec.items():
+            r, w = find(c)
+            if r not in dead:
+                f.axpy(sums, {r: w}, v)
+        return not sums
+    return in_span
 
 
 def tensor_maps(f: LinearMap, g: LinearMap, source_q: TensorQuotient,
@@ -987,19 +1116,15 @@ class Pipe(_Stages):
         """Contract a regular-algebra factor into its left neighbour."""
         if at == 0:
             raise InputError("absorb_left needs a left neighbour")
-        b = self.factors[at]
         x = self.factors[at - 1]
-        mat = _contract_matrix(x, b, into_left=True)
-        return self._stage(mat, at - 1, 2, [x])
+        return self._stage(_contract_matrix(x, self.factors[at], True), at - 1, 2, [x])
 
     def absorb_right(self, at):
         """Contract a regular-algebra factor into its right neighbour."""
         if at == len(self.factors) - 1:
             raise InputError("absorb_right needs a right neighbour")
-        b = self.factors[at]
         x = self.factors[at + 1]
-        mat = _contract_matrix(x, b, into_left=False)
-        return self._stage(mat, at, 2, [x])
+        return self._stage(_contract_matrix(x, self.factors[at], False), at, 2, [x])
 
     def refine(self, at):
         """Re-bracket: expose the two factors of a quotient factor, lifting
@@ -1062,21 +1187,13 @@ def _contract_matrix(x: Bimodule, b: Bimodule, into_left: bool) -> Matrix:
 
     b must be the regular bimodule of the algebra acting on x on that side.
     """
-    f = x.field
-    actions = x.right_action if into_left else x.left_action
-    alg_dim = len(actions)
-    if b.dim != alg_dim:
+    acts = x.right_action if into_left else x.left_action
+    d = len(acts)
+    if b.dim != d:
         raise InputError("absorbed factor is not the acting algebra")
-    entries = {}
-    for k in range(alg_dim):
-        act = actions[k]
-        for i, row in act.data.items():
-            for j, v in row.items():
-                if into_left:
-                    entries[(i, j * alg_dim + k)] = v
-                else:
-                    entries[(i, k * x.dim + j)] = v
-    return Matrix.from_entries(f, x.dim, x.dim * alg_dim, entries)
+    return Matrix.from_entries(x.field, x.dim, x.dim * d, {
+        (i, j * d + k if into_left else k * x.dim + j): v
+        for k, act in enumerate(acts) for i, row in act.data.items() for j, v in row.items()})
 
 
 def pipe(source: Space) -> Pipe:
@@ -1092,22 +1209,16 @@ def unit_iso(side: str, m: Bimodule):
 
     Returns (iso, inverse) as LinearMaps on the canonical quotient bases.
     """
-    if side == "left":
-        a_reg = regular_bimodule(m.left_algebra)
-        src = space(a_reg, m)
-        iso = pipe(src).absorb_right(0).done(space(m), name="unit-l")
-        inv = pipe(space(m)).insert_central(
-            a_reg, m.left_algebra.unit_vector(), 0
-        ).done(src, name="unit-l-inv")
-    elif side == "right":
-        a_reg = regular_bimodule(m.right_algebra)
-        src = space(m, a_reg)
-        iso = pipe(src).absorb_left(1).done(space(m), name="unit-r")
-        inv = pipe(space(m)).insert_central(
-            a_reg, m.right_algebra.unit_vector(), 1
-        ).done(src, name="unit-r-inv")
-    else:
+    if side not in ("left", "right"):
         raise InputError("side must be 'left' or 'right'")
+    left = side == "left"
+    alg = m.left_algebra if left else m.right_algebra
+    a_reg, at, name = regular_bimodule(alg), 0 if left else 1, f"unit-{side[0]}"
+    src = space(a_reg, m) if left else space(m, a_reg)
+    iso = (pipe(src).absorb_right(0) if left else pipe(src).absorb_left(1)).done(
+        space(m), name=name)
+    inv = pipe(space(m)).insert_central(a_reg, alg.unit_vector(), at).done(
+        src, name=f"{name}-inv")
     ident_q = Matrix.identity(m.field, iso.domain.dim)
     ident_m = Matrix.identity(m.field, m.dim)
     if iso.matrix @ inv.matrix != ident_m or inv.matrix @ iso.matrix != ident_q:

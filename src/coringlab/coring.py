@@ -25,6 +25,7 @@ from .bimodule import (
     algebras_match,
     bilinearity_report,
     compare_maps,
+    compare_pipes,
     k_bimodule,
     mirror,
     mirror_map,
@@ -95,9 +96,8 @@ def check_coring(c: Coring) -> Report:
     rep.extend(bilinearity_report(c.counit, "counit"))
     C = c.carrier
     cm = pipe(space(C)).apply(c.comult, 0, 1, [C, C])
-    lhs = cm.apply(c.comult, 0, 1, [C, C]).done(name="(comult x C).comult")
-    rhs = cm.apply(c.comult, 1, 1, [C, C]).done(name="(C x comult).comult")
-    compare_maps(rep, "coassoc", lhs, rhs)
+    compare_pipes(rep, "coassoc", cm.apply(c.comult, 0, 1, [C, C]),
+                  cm.apply(c.comult, 1, 1, [C, C]))
     areg = regular_bimodule(c.base)
     left = (
         cm.apply(c.counit, 0, 1, [areg]).absorb_right(0)
@@ -174,9 +174,8 @@ def check_comodule(m: Comodule) -> Report:
     areg = regular_bimodule(m.coring.base)
     if m.side == "right":
         co = pipe(space(X)).apply(rho, 0, 1, [X, C])
-        lhs = co.apply(rho, 0, 1, [X, C]).done(name="(rho x C).rho")
-        rhs = co.apply(m.coring.comult, 1, 1, [C, C]).done(name="(X x comult).rho")
-        compare_maps(rep, "coaction-coassoc", lhs, rhs)
+        compare_pipes(rep, "coaction-coassoc", co.apply(rho, 0, 1, [X, C]),
+                      co.apply(m.coring.comult, 1, 1, [C, C]))
         cu = (
             co.apply(m.coring.counit, 1, 1, [areg]).absorb_left(1)
             .done(name="(X x eps).rho")
@@ -184,9 +183,8 @@ def check_comodule(m: Comodule) -> Report:
         compare_maps(rep, "coaction-counit", cu, LinearMap.identity(X))
     else:
         co = pipe(space(X)).apply(rho, 0, 1, [C, X])
-        lhs = co.apply(rho, 1, 1, [C, X]).done(name="(C x lam).lam")
-        rhs = co.apply(m.coring.comult, 0, 1, [C, C]).done(name="(comult x X).lam")
-        compare_maps(rep, "coaction-coassoc", lhs, rhs)
+        compare_pipes(rep, "coaction-coassoc", co.apply(rho, 1, 1, [C, X]),
+                      co.apply(m.coring.comult, 0, 1, [C, C]))
         cu = (
             co.apply(m.coring.counit, 0, 1, [areg]).absorb_right(0)
             .done(name="(eps x X).lam")
@@ -221,19 +219,10 @@ def check_bicomodule(m: Bicomodule) -> Report:
     C = m.left_coring.carrier
     D = m.right_coring.carrier
     X = m.carrier
-    lhs = (
-        pipe(space(X))
-        .apply(m.rho, 0, 1, [X, D])
-        .apply(m.lam, 0, 1, [C, X])
-        .done(name="(lam x D).rho")
-    )
-    rhs = (
-        pipe(space(X))
-        .apply(m.lam, 0, 1, [C, X])
-        .apply(m.rho, 1, 1, [X, D])
-        .done(name="(C x rho).lam")
-    )
-    compare_maps(rep, "bicomodule-compat", lhs, rhs)
+    x = pipe(space(X))
+    compare_pipes(rep, "bicomodule-compat",
+                  x.apply(m.rho, 0, 1, [X, D]).apply(m.lam, 0, 1, [C, X]),
+                  x.apply(m.lam, 0, 1, [C, X]).apply(m.rho, 1, 1, [X, D]))
     return rep
 
 
@@ -249,14 +238,12 @@ def is_colinear(f: LinearMap, src: Comodule, dst: Comodule) -> Report:
     x = pipe(space(X))
     fx = x.apply(f, 0, 1, [Y])
     if src.side == "right":
-        lhs = x.apply(src.coaction, 0, 1, [X, C]).apply(f, 0, 1, [Y]).done(
-            name="(f x C).rho")
-        rhs = fx.apply(dst.coaction, 0, 1, [Y, C]).done(name="rho'.f")
+        lhs = x.apply(src.coaction, 0, 1, [X, C]).apply(f, 0, 1, [Y])
+        rhs = fx.apply(dst.coaction, 0, 1, [Y, C])
     else:
-        lhs = x.apply(src.coaction, 0, 1, [C, X]).apply(f, 1, 1, [Y]).done(
-            name="(C x f).lam")
-        rhs = fx.apply(dst.coaction, 0, 1, [C, Y]).done(name="lam'.f")
-    compare_maps(rep, "colinear", lhs, rhs)
+        lhs = x.apply(src.coaction, 0, 1, [C, X]).apply(f, 1, 1, [Y])
+        rhs = fx.apply(dst.coaction, 0, 1, [C, Y])
+    compare_pipes(rep, "colinear", lhs, rhs)
     return rep
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 from .bimodule import (
     LinearMap,
     bilinearity_report,
+    compare_pipes,
     mirror_map,
     pipe,
     regroup,
@@ -78,22 +79,15 @@ def _object_and_colinearity(w: Cowreath, rep: Report):
     rep.extend(bilinearity_report(w.xi, "xi"))
     rep.extend(bilinearity_report(w.delta, "delta"))
 
-    lhs = src.apply(w.xi, 0, 2, [C]).apply(c.comult, 0, 1, [C, C]).done(
-        name="comult.xi")
-    rhs = cm.apply(w.xi, 1, 2, [C]).done(name="(C x xi).(comult x M)")
-    compare_maps(rep, "xi-left-colinear", lhs, rhs)
-    rhs2 = ct.apply(w.xi, 0, 2, [C]).done(name="(xi x C).(C x tw).(comult x M)")
-    compare_maps(rep, "xi-right-colinear", lhs, rhs2)
+    lhs = src.apply(w.xi, 0, 2, [C]).apply(c.comult, 0, 1, [C, C])
+    compare_pipes(rep, "xi-left-colinear", lhs, cm.apply(w.xi, 1, 2, [C]))
+    compare_pipes(rep, "xi-right-colinear", lhs, ct.apply(w.xi, 0, 2, [C]))
 
     dc = d.apply(c.comult, 0, 1, [C, C])
-    dl = dc.done(name="(comult x M x M).delta")
-    dr = cm.apply(w.delta, 1, 2, [C, M, M]).done(name="(C x delta).(comult x M)")
-    compare_maps(rep, "delta-left-colinear", dl, dr)
-    dl2 = dc.apply(tw, 1, 2, [M, C]).apply(tw, 2, 2, [M, C]).done(
-        name="(C x tw2).(comult x MM).delta")
-    dr2 = ct.apply(w.delta, 0, 2, [C, M, M]).done(
-        name="(delta x C).(C x tw).(comult x M)")
-    compare_maps(rep, "delta-right-colinear", dl2, dr2)
+    compare_pipes(rep, "delta-left-colinear", dc, cm.apply(w.delta, 1, 2, [C, M, M]))
+    compare_pipes(rep, "delta-right-colinear",
+                  dc.apply(tw, 1, 2, [M, C]).apply(tw, 2, 2, [M, C]),
+                  ct.apply(w.delta, 0, 2, [C, M, M]))
     return d, dc
 
 
@@ -114,12 +108,8 @@ def check_cowreath(w: Cowreath) -> Report:
     d2 = dt.apply(w.xi, 1, 2, [C]).done(name="(M x xi).(tw x M).delta")
     compare_maps(rep, "cw-twist", d2, tw)
 
-    lhs = dt.apply(w.delta, 1, 2, [C, M, M]).done(name="(M x delta).(tw x M).delta")
-    rhs = (
-        d.apply(w.delta, 0, 2, [C, M, M]).apply(tw, 0, 2, [M, C])
-        .done(name="(tw x M x M).(delta x M).delta")
-    )
-    compare_maps(rep, "cw-coassoc", lhs, rhs)
+    compare_pipes(rep, "cw-coassoc", dt.apply(w.delta, 1, 2, [C, M, M]),
+                  d.apply(w.delta, 0, 2, [C, M, M]).apply(tw, 0, 2, [M, C]))
     return rep
 
 
@@ -157,15 +147,13 @@ def check_cowreath_abstract(w: Cowreath) -> Report:
         .apply(tw, 2, 2, [M, C])
         .apply(c.counit, 3, 1, [areg])
         .absorb_left(3)
-        .done(name="abstract-coassoc-lhs")
     )
     rhs = (
         dct.apply(w.delta, 2, 2, [C, M, M])
         .apply(c.counit, 2, 1, [areg])
         .absorb_left(2)
-        .done(name="abstract-coassoc-rhs")
     )
-    compare_maps(rep, "cw-abstract-coassoc", lhs, rhs)
+    compare_pipes(rep, "cw-abstract-coassoc", lhs, rhs)
     return rep
 
 
@@ -250,16 +238,12 @@ def coring_distributive_cowreath(c: Coring, d: Coring, dmap: LinearMap,
     de = src.apply(d.counit, 1, 1, [areg]).absorb_left(1)
     dd = src.apply(d.comult, 1, 1, [D, D])
 
-    l1 = dm.apply(c.counit, 1, 1, [areg]).absorb_left(1).done(name="lhs")
-    compare_maps(rep, "dl-1", l1, ed.done(name="rhs"))
-    l2 = dm.apply(c.comult, 1, 1, [C, C]).done(name="lhs")
-    r2 = cd.apply(dmap, 1, 2, [D, C]).apply(dmap, 0, 2, [D, C]).done(name="rhs")
-    compare_maps(rep, "dl-2", l2, r2)
-    l3 = dm.apply(d.counit, 0, 1, [areg]).absorb_right(0).done(name="lhs")
-    compare_maps(rep, "dl-3", l3, de.done(name="rhs"))
-    l4 = dm.apply(d.comult, 0, 1, [D, D]).done(name="lhs")
-    r4 = dd.apply(dmap, 0, 2, [D, C]).apply(dmap, 1, 2, [D, C]).done(name="rhs")
-    compare_maps(rep, "dl-4", l4, r4)
+    compare_pipes(rep, "dl-1", dm.apply(c.counit, 1, 1, [areg]).absorb_left(1), ed)
+    compare_pipes(rep, "dl-2", dm.apply(c.comult, 1, 1, [C, C]),
+                  cd.apply(dmap, 1, 2, [D, C]).apply(dmap, 0, 2, [D, C]))
+    compare_pipes(rep, "dl-3", dm.apply(d.counit, 0, 1, [areg]).absorb_right(0), de)
+    compare_pipes(rep, "dl-4", dm.apply(d.comult, 0, 1, [D, D]),
+                  dd.apply(dmap, 0, 2, [D, C]).apply(dmap, 1, 2, [D, C]))
     if not rep.ok:
         raise PreconditionFailure(rep)
 
@@ -389,26 +373,17 @@ def check_cow_comodule(x: CowComodule) -> Report:
         cot = co.apply(xt, 0, 2, [X, C])
         d1 = cot.apply(w.xi, 1, 2, [C]).done(name="(X x xi).(xt x M).rho")
         compare_maps(rep, "comodule-counit", d1, xt)
-        lhs = (
-            co.apply(x.coaction, 0, 2, [C, X, M]).apply(xt, 0, 2, [X, C])
-            .done(name="(xt x M x M).(rho x M).rho")
-        )
-        rhs = cot.apply(w.delta, 1, 2, [C, M, M]).done(name="(X x delta).(xt x M).rho")
-        compare_maps(rep, "comodule-coassoc", lhs, rhs)
+        compare_pipes(rep, "comodule-coassoc",
+                      co.apply(x.coaction, 0, 2, [C, X, M]).apply(xt, 0, 2, [X, C]),
+                      cot.apply(w.delta, 1, 2, [C, M, M]))
     else:
         co = pipe(space(C, X)).apply(x.coaction, 0, 2, [C, M, X])
         d1 = co.apply(w.xi, 0, 2, [C]).done(name="(xi x X).lam")
         compare_maps(rep, "comodule-counit", d1,
                      LinearMap.identity(space(C, X).quotient))
-        lhs = (
-            co.apply(w.delta, 0, 2, [C, M, M]).apply(mt, 0, 2, [M, C])
-            .done(name="(tw x M x X).(delta x X).lam")
-        )
-        rhs = (
-            co.apply(mt, 0, 2, [M, C]).apply(x.coaction, 1, 2, [C, M, X])
-            .done(name="(M x lam).(tw x X).lam")
-        )
-        compare_maps(rep, "comodule-coassoc", lhs, rhs)
+        compare_pipes(rep, "comodule-coassoc",
+                      co.apply(w.delta, 0, 2, [C, M, M]).apply(mt, 0, 2, [M, C]),
+                      co.apply(mt, 0, 2, [M, C]).apply(x.coaction, 1, 2, [C, M, X]))
     return rep
 
 
@@ -425,29 +400,25 @@ def check_cow_comodule_morphism(f: LinearMap, x: CowComodule,
         lhs = (
             pipe(space(C, X)).apply(f, 0, 2, [C, Y])
             .apply(y.coaction, 0, 2, [C, Y, M])
-            .done(name="rho'.f")
         )
         rhs = (
             pipe(space(C, X)).apply(x.coaction, 0, 2, [C, X, M])
             .apply(f, 0, 2, [C, Y])
-            .done(name="(f x M).rho")
         )
-        compare_maps(rep, "comodule-morphism", lhs, rhs)
+        compare_pipes(rep, "comodule-morphism", lhs, rhs)
     else:
         mt = w.object.twist
         lhs = (
             pipe(space(C, X)).apply(f, 0, 2, [C, Y])
             .apply(y.coaction, 0, 2, [C, M, Y])
             .apply(mt, 0, 2, [M, C])
-            .done(name="(tw x Y).lam'.f")
         )
         rhs = (
             pipe(space(C, X)).apply(x.coaction, 0, 2, [C, M, X])
             .apply(mt, 0, 2, [M, C])
             .apply(f, 1, 2, [C, Y])
-            .done(name="(M x f).(tw x X).lam")
         )
-        compare_maps(rep, "comodule-morphism", lhs, rhs)
+        compare_pipes(rep, "comodule-morphism", lhs, rhs)
     return rep
 
 

@@ -28,9 +28,9 @@ only on first read.  `Transposed.after`, a matrix in column form times
 I (x) act (x) I, is one `padded_matmul` of its column dicts, and
 `columns`, a choice of columns of any matrix, reads its column dicts
 (the cached `transpose`) with no product by a 0/1 matrix.  Monomials
-compose with the padded form of another monomial, select columns, test
-that they factor through a monomial projection and compare (`==`) in one
-pass over the lists, with no dict.  `padded_matmul`, a pipe stage
+compose with another monomial (`@`) and with the padded form of one,
+select columns, test that they factor through a monomial projection and
+compare (`==`) in one pass over the lists, with no dict.  `padded_matmul`, a pipe stage
 I (x) F (x) I times the accumulated matrix M, has two kernels.  While M is
 a `Monomial` and F is monomial, the list kernel (`Monomial._padded_lists`)
 gives a `Monomial` in one pass over the lists: each column of M moves to
@@ -501,6 +501,8 @@ class Matrix:
             return other
         if other.is_identity:
             return self
+        if isinstance(other, Monomial) and isinstance(self, Monomial):
+            return self._compose(other)
         axpy, scaled = self.field.axpy, self.field.scaled
         data = {}
         orows = other.data
@@ -760,8 +762,9 @@ class Monomial(Transposed):
     tgt[c] is -1 (wt[c] is then not read).  The column dicts (`transpose`)
     and the rows (`data`) are built on first read and equal those of a
     plain `Matrix` with the same entries, so every other operation reads
-    a monomial like any matrix.  Composition with the padded form of
-    another monomial (`after`), a choice of columns (`columns`), the test
+    a monomial like any matrix.  The product with another monomial (`@`,
+    `_compose`), composition with the padded form of one (`after`), a
+    choice of columns (`columns`), the test
     that it factors through a monomial projection (`factors_through`),
     equality with another monomial (`==`) and a pipe stage through its
     padded form are one pass over the lists, and so is its Kronecker
@@ -826,6 +829,23 @@ class Monomial(Transposed):
         tgt, wt = self.tgt, self.wt
         return Monomial(self.field, self.rows, [tgt[c] for c in cols],
                         [wt[c] for c in cols])
+
+    def _compose(self, other):
+        """self @ other for a `Monomial` other, a `Monomial`: column c is
+        column other.tgt[c] of self times other.wt[c], zero where either
+        column is.  One pass over the lists, no dict built; a weight that
+        is the field's one is not multiplied (`_padded_lists`)."""
+        tgt, wt, one, mul = self.tgt, self.wt, self.field.one(), self.field.mul
+        out_t, out_w = [], []
+        for k, v in zip(other.tgt, other.wt):
+            r = tgt[k] if k >= 0 else -1
+            out_t.append(r)
+            if r < 0:
+                out_w.append(one)
+            else:
+                w = wt[k]
+                out_w.append(w if v is one else v if w is one else mul(w, v))
+        return Monomial(self.field, self.rows, out_t, out_w)
 
     def _padded_lists(self, pre, post, m):
         """The list kernel of `padded_matmul`, for a `Monomial` m: the

@@ -22,6 +22,7 @@ from .bimodule import (
     LinearMap,
     bilinearity_report,
     mirror,
+    compare_pipes,
     mirror_map,
     pipe,
     regroup,
@@ -97,14 +98,11 @@ def _check_r_object(o: RObject, src, ct) -> Report:
     C, M = c.carrier, o.carrier
     rep.extend(bilinearity_report(o.twist, "twist"))
     tw = src.apply(o.twist, 0, 2, [M, C])
-    lhs = tw.apply(c.comult, 1, 1, [C, C]).done(name="(M x comult).twist")
-    rhs = ct.apply(o.twist, 0, 2, [M, C]).done(
-        name="(twist x C).(C x twist).(comult x M)")
-    compare_maps(rep, "twist-comult", lhs, rhs)
+    compare_pipes(rep, "twist-comult", tw.apply(c.comult, 1, 1, [C, C]),
+                  ct.apply(o.twist, 0, 2, [M, C]))
     areg = regular_bimodule(c.base)
-    lhs2 = tw.apply(c.counit, 1, 1, [areg]).absorb_left(1).done(name="(M x eps).twist")
-    rhs2 = src.apply(c.counit, 0, 1, [areg]).absorb_right(0).done(name="eps x M")
-    compare_maps(rep, "twist-counit", lhs2, rhs2)
+    compare_pipes(rep, "twist-counit", tw.apply(c.counit, 1, 1, [areg]).absorb_left(1),
+                  src.apply(c.counit, 0, 1, [areg]).absorb_right(0))
     return rep
 
 
@@ -118,15 +116,9 @@ def check_r_morphism(m: RMorphism) -> Report:
     src = pipe(space(C, M))
     fc = src.apply(m.map, 0, 2, [C, N]).apply(c.comult, 0, 1, [C, C])
     cm = src.apply(c.comult, 0, 1, [C, C])
-    lhs = fc.done(name="(comult x N).f")
-    rhs = cm.apply(m.map, 1, 2, [C, N]).done(name="(C x f).(comult x M)")
-    compare_maps(rep, "morphism-left-colinear", lhs, rhs)
-    lhs2 = fc.apply(m.dst.twist, 1, 2, [N, C]).done(name="(C x twist').(comult x N).f")
-    rhs2 = (
-        cm.apply(m.src.twist, 1, 2, [M, C]).apply(m.map, 0, 2, [C, N])
-        .done(name="(f x C).(C x twist).(comult x M)")
-    )
-    compare_maps(rep, "morphism-right-colinear", lhs2, rhs2)
+    compare_pipes(rep, "morphism-left-colinear", fc, cm.apply(m.map, 1, 2, [C, N]))
+    compare_pipes(rep, "morphism-right-colinear", fc.apply(m.dst.twist, 1, 2, [N, C]),
+                  cm.apply(m.src.twist, 1, 2, [M, C]).apply(m.map, 0, 2, [C, N]))
     return rep
 
 

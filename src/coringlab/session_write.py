@@ -25,6 +25,7 @@ import re
 from json.encoder import encode_basestring_ascii as _quote
 
 from .bimodule import Bimodule, LinearMap, TensorQuotient, is_regular
+from .reports import InputError
 from .session import SCHEMA, SessionFile, _fmt_matrix, _fmt_vec
 
 
@@ -167,7 +168,13 @@ class SessionStore:
 
     def add(self, section, name, obj) -> str:
         """Add `obj` to a section of `SCHEMA` under a fresh form of `name`,
-        adding what its fields refer to first, in field order."""
+        adding what its fields refer to first, in field order.  An object
+        over another field than the store's raises `InputError`: its file
+        would read back over the store's field."""
+        field = getattr(obj, "field", self.s.field)
+        if field != self.s.field:
+            raise InputError(f"{section} entry {name} is over {field.name}, "
+                             f"not the session's field {self.s.field.name}")
         _, cls_name, fields = SCHEMA[section]
         name = self._fresh(section, name)
         # held before its fields are added, so that none of them takes name

@@ -32,6 +32,7 @@ from .bimodule import (
     bilinearity_report,
     check_bimodule,
     compare_maps,
+    compare_pipes,
     memo,
     mirror,
     mirror_map,
@@ -135,28 +136,21 @@ def check_rt_object(o: RTObject) -> Report:
         .apply(o.twist, 1, 2, [P, tb])
         .apply(o.twist, 0, 2, [P, tb])
         .apply(mult, 1, 2, [tb])
-        .done(name="(P x mult).(tw x T).(T x tw)")
     )
     rhs = (
         pipe(space(tb, tb, P))
         .apply(mult, 0, 2, [tb])
         .apply(o.twist, 0, 2, [P, tb])
-        .done(name="tw.(mult x P)")
     )
-    compare_maps(rep, "rt-mult", lhs, rhs)
+    compare_pipes(rep, "rt-mult", lhs, rhs)
     one = ext.total.unit_vector()
     lhs2 = (
         pipe(space(P))
         .insert_central(tb, one, 0)
         .apply(o.twist, 0, 2, [P, tb])
-        .done(name="tw.(1 x P)")
     )
-    rhs2 = (
-        pipe(space(P))
-        .insert_central(tb, one, 1)
-        .done(space(P, tb), name="P x 1")
-    )
-    compare_maps(rep, "rt-unit", lhs2, rhs2)
+    rhs2 = pipe(space(P)).insert_central(tb, one, 1)
+    compare_pipes(rep, "rt-unit", lhs2, rhs2)
     return rep
 
 
@@ -171,15 +165,13 @@ def strict_morphism_check(f: LinearMap, o: RTObject, p: RTObject) -> Report:
         pipe(space(tb, P))
         .apply(f, 1, 1, [Q])
         .apply(p.twist, 0, 2, [Q, tb])
-        .done(name="tw'.(T x f)")
     )
     rhs = (
         pipe(space(tb, P))
         .apply(o.twist, 0, 2, [P, tb])
         .apply(f, 0, 1, [Q])
-        .done(name="(f x T).tw")
     )
-    compare_maps(rep, "strict-intertwine", lhs, rhs)
+    compare_pipes(rep, "strict-intertwine", lhs, rhs)
     return rep
 
 
@@ -342,16 +334,14 @@ def check_wreath(w: Wreath) -> Report:
         .apply(w.mu, 0, 3, [R, tb])
         .apply(w.object.twist, 1, 2, [R, tb])
         .apply(w.mu, 0, 3, [R, tb])
-        .done(name="mu.(R x tw).(mu x R)")
     )
     rhs = (
         pipe(space(R, R, tb, R))
         .apply(w.object.twist, 2, 2, [R, tb])
         .apply(w.mu, 1, 3, [R, tb])
         .apply(w.mu, 0, 3, [R, tb])
-        .done(name="mu.(R x mu).(R x R x tw)")
     )
-    compare_maps(rep, "w-assoc", lhs, rhs)
+    compare_pipes(rep, "w-assoc", lhs, rhs)
     return rep
 
 
@@ -437,16 +427,14 @@ def check_wreath_module(w: Wreath, side: str, y: RTObject,
             .apply(w.object.twist, 2, 2, [R, tb])
             .apply(w.mu, 1, 3, [R, tb])
             .apply(action, 0, 3, [Y, tb])
-            .done(name="act.(Y x mu).(Y x R x tw)")
         )
         rhs = (
             pipe(space(Y, R, tb, R))
             .apply(action, 0, 3, [Y, tb])
             .apply(w.object.twist, 1, 2, [R, tb])
             .apply(action, 0, 3, [Y, tb])
-            .done(name="act.(Y x tw).(act x R)")
         )
-        compare_maps(rep, "wm-assoc", lhs, rhs)
+        compare_pipes(rep, "wm-assoc", lhs, rhs)
     else:
         d1 = (
             pipe(space(tb, Y))
@@ -461,16 +449,14 @@ def check_wreath_module(w: Wreath, side: str, y: RTObject,
             .apply(y.twist, 2, 2, [Y, tb])
             .apply(action, 1, 3, [Y, tb])
             .apply(action, 0, 3, [Y, tb])
-            .done(name="act.(R x act).(R x R x tw)")
         )
         rhs = (
             pipe(space(R, R, tb, Y))
             .apply(w.mu, 0, 3, [R, tb])
             .apply(y.twist, 1, 2, [Y, tb])
             .apply(action, 0, 3, [Y, tb])
-            .done(name="act.(R x tw).(mu x Y)")
         )
-        compare_maps(rep, "wm-assoc", lhs, rhs)
+        compare_pipes(rep, "wm-assoc", lhs, rhs)
     return rep
 
 
@@ -491,7 +477,6 @@ def check_wreath_bimodule(w: Wreath, y: RTObject, l_action: LinearMap,
         .apply(r_action, 1, 3, [Y, tb])
         .apply(ext.mult_map(), 2, 2, [tb])
         .apply(l_action, 0, 3, [Y, tb])
-        .done(name="l.(R x Y x mult).(R x r x T)")
     )
     rhs = (
         pipe(space(R, Y, R, tb))
@@ -500,9 +485,8 @@ def check_wreath_bimodule(w: Wreath, y: RTObject, l_action: LinearMap,
         .apply(w.object.twist, 1, 2, [R, tb])
         .apply(ext.mult_map(), 2, 2, [tb])
         .apply(r_action, 0, 3, [Y, tb])
-        .done(name="r.(Y x R x mult).(Y x tw x T).(l x R x T)")
     )
-    compare_maps(rep, "wb-compat", lhs, rhs)
+    compare_pipes(rep, "wb-compat", lhs, rhs)
     return rep
 
 
@@ -587,44 +571,38 @@ def twisted_tensor_product(rext: RingExtension, text: RingExtension,
         pipe(space(rb))
         .insert_central(tb, one_t, 0)
         .apply(rmap, 0, 2, [rb, tb])
-        .done(name="lhs")
     )
-    compare_maps(rep, "ttp-1", l1, incl_r.done(space(rb, tb)))
+    compare_pipes(rep, "ttp-1", l1, incl_r)
     l2 = (
         pipe(space(tb, tb, rb))
         .apply(mu_t, 0, 2, [tb])
         .apply(rmap, 0, 2, [rb, tb])
-        .done(name="lhs")
     )
     r2 = (
         pipe(space(tb, tb, rb))
         .apply(rmap, 1, 2, [rb, tb])
         .apply(rmap, 0, 2, [rb, tb])
         .apply(mu_t, 1, 2, [tb])
-        .done(name="rhs")
     )
-    compare_maps(rep, "ttp-2", l2, r2)
+    compare_pipes(rep, "ttp-2", l2, r2)
     l3 = (
         pipe(space(tb))
         .insert_central(rb, one_r, 1)
         .apply(rmap, 0, 2, [rb, tb])
-        .done(name="lhs")
     )
-    compare_maps(rep, "ttp-3", l3, incl_t.done(space(rb, tb)))
+    compare_pipes(rep, "ttp-3", l3, incl_t)
     l4 = (
         pipe(space(tb, rb, rb))
         .apply(mu_r, 1, 2, [rb])
         .apply(rmap, 0, 2, [rb, tb])
-        .done(name="lhs")
     )
     r4 = (
         pipe(space(tb, rb, rb))
         .apply(rmap, 0, 2, [rb, tb])
         .apply(rmap, 1, 2, [rb, tb])
         .apply(mu_r, 0, 2, [rb])
-        .done(name="rhs")
     )
-    compare_maps(rep, "ttp-4", l4, r4)
+    compare_pipes(rep, "ttp-4", l4, r4)
     if not rep.ok:
         raise PreconditionFailure(rep)
 
@@ -691,53 +669,46 @@ def check_left_module_twisting(mt: ModuleTwist) -> Report:
         pipe(space(rb, rb, X))
         .apply(mu_r, 0, 2, [rb])
         .apply(mt.l_x, 0, 2, [X])
-        .done(name="act.(mult x X)")
     )
     a2r = (
         pipe(space(rb, rb, X))
         .apply(mt.l_x, 1, 2, [X])
         .apply(mt.l_x, 0, 2, [X])
-        .done(name="act.(R x act)")
     )
-    compare_maps(rep, "mt-action-assoc", a2l, a2r)
+    compare_pipes(rep, "mt-action-assoc", a2l, a2r)
 
     one_t = ext.total.unit_vector()
     l1 = (
         pipe(space(X))
         .insert_central(tb, one_t, 0)
         .apply(mt.twist, 0, 2, [X, tb])
-        .done(name="tw.(1 x X)")
     )
-    r1 = pipe(space(X)).insert_central(tb, one_t, 1).done(space(X, tb))
-    compare_maps(rep, "mt-unit", l1, r1)
+    r1 = pipe(space(X)).insert_central(tb, one_t, 1)
+    compare_pipes(rep, "mt-unit", l1, r1)
     l2 = (
         pipe(space(tb, tb, X))
         .apply(mu_t, 0, 2, [tb])
         .apply(mt.twist, 0, 2, [X, tb])
-        .done(name="lhs")
     )
     r2 = (
         pipe(space(tb, tb, X))
         .apply(mt.twist, 1, 2, [X, tb])
         .apply(mt.twist, 0, 2, [X, tb])
         .apply(mu_t, 1, 2, [tb])
-        .done(name="rhs")
     )
-    compare_maps(rep, "mt-mult", l2, r2)
+    compare_pipes(rep, "mt-mult", l2, r2)
     l3 = (
         pipe(space(tb, rb, X))
         .apply(mt.l_x, 1, 2, [X])
         .apply(mt.twist, 0, 2, [X, tb])
-        .done(name="tw.(T x act)")
     )
     r3 = (
         pipe(space(tb, rb, X))
         .apply(w.object.twist, 0, 2, [rb, tb])
         .apply(mt.twist, 1, 2, [X, tb])
         .apply(mt.l_x, 0, 2, [X])
-        .done(name="(act x T).(R x tw).(rtw x X)")
     )
-    compare_maps(rep, "mt-action", l3, r3)
+    compare_pipes(rep, "mt-action", l3, r3)
     return rep
 
 
@@ -813,7 +784,6 @@ def check_bimodule_twisting(bt: BimoduleTwistData) -> Report:
         .apply(bt.l_v, 1, 2, [V])
         .apply(bt.v_twist, 1, 2, [rb, V])
         .apply(bt.r_x, 0, 2, [X])
-        .done(name="right-then-left")
     )
     rhs = (
         pipe(space(tb, X, V, rb))
@@ -821,9 +791,8 @@ def check_bimodule_twisting(bt: BimoduleTwistData) -> Report:
         .apply(bt.r_x, 1, 2, [X])
         .apply(mt.twist, 0, 2, [X, tb])
         .apply(bt.l_v, 1, 2, [V])
-        .done(name="left-then-right")
     )
-    compare_maps(rep, "bt-compat", lhs, rhs)
+    compare_pipes(rep, "bt-compat", lhs, rhs)
 
     xv = tensor_over(X.right_algebra, X, V)
     l_xv = induced_twisted_action(mt, V, bt.l_v)

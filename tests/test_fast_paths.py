@@ -1512,6 +1512,8 @@ def corpus_outputs(corpus):
 def test_corpus_checkers_match_leaf_pipe(monkeypatch):
     fast = corpus_outputs(Corpus())
     monkeypatch.setattr(bimodule, "Pipe", LeafPipe)
+    # the oracle finishes every pipe: `compare_pipes` decides on `Pipe`s
+    monkeypatch.setattr(bimodule, "_decided", lambda lhs, rhs: False)
     slow = corpus_outputs(Corpus())
     assert len(fast) == len(slow)
     for a, b in zip(fast, slow):
@@ -1720,6 +1722,7 @@ def test_perturbed_coring_over_kz2_matches_leaf_pipe(data, which):
     fast = check_coring(c)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(bimodule, "Pipe", LeafPipe)
+        mp.setattr(bimodule, "_decided", lambda lhs, rhs: False)
         slow = check_coring(c)
     assert fast.status == slow.status
     if bilinearity_report(c.comult).ok and bilinearity_report(c.counit).ok:
@@ -4738,3 +4741,227 @@ def test_ladder_rung_matches_without_list_kernel(field, n, monkeypatch):
     fast = ladder_outputs(field, n)
     monkeypatch.setattr(Matrix, "padded_matmul", plain_padded_matmul)
     assert ladder_outputs(field, n) == fast
+
+
+# ---------------------------------------------------------------------------
+# a compared equation decided on a level that is not built
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), rows=st.integers(0, 4), mid=st.integers(0, 4),
+       cols=st.integers(0, 4))
+def test_monomial_product_matches_plain(field, data, rows, mid, cols):
+    """`Monomial @ Monomial` composes the lists: a `Monomial` equal entry
+    for entry, scalar types included, to the product of plain copies, with
+    zero columns on either side and weights of +-1 and Fractions, building
+    no dict on the operands or the result; a marked identity on either side
+    returns the other operand."""
+    a_t, a_w = data.draw(kernel_lists(field, rows, mid))
+    b_t, b_w = data.draw(kernel_lists(field, mid, cols))
+    a, b = (exactla.Monomial(field, rows, a_t, a_w),
+            exactla.Monomial(field, mid, b_t, b_w))
+    got = a @ b
+    assert isinstance(got, exactla.Monomial)
+    assert a._rows is a._t is b._rows is b._t is got._rows is got._t is None
+    want = plain_of(field, rows, a_t, a_w) @ plain_of(field, mid, b_t, b_w)
+    assert typed_entries(got) == typed_entries(want)
+    assert a @ Matrix.identity(field, mid) is a
+    assert Matrix.identity(field, mid) @ b is b
+
+
+@st.composite
+def span_vectors(draw, field, flat, relations):
+    """Flat vectors of a level: sums of relations (in the span), each
+    perturbed or not by a unit vector, and two-term differences."""
+    scalar = nonzero_scalars(field)
+    out = []
+    for _ in range(draw(st.integers(1, 4))):
+        vec = {}
+        for rel in draw(st.lists(st.sampled_from(relations), max_size=3)
+                        if relations else st.just([])):
+            field.axpy(vec, rel, field.parse(draw(scalar)))
+        if flat and draw(st.booleans()):
+            field.axpy(vec, {draw(st.integers(0, flat - 1)): field.one()},
+                       field.parse(draw(scalar)))
+        out.append(vec)
+    if flat:
+        a, b = draw(st.integers(0, flat - 1)), draw(st.integers(0, flat - 1))
+        out.append(field.axpy({a: field.one()}, {b: field.parse(draw(scalar))},
+                              field.neg(field.one())))
+    return [v for v in out if v]
+
+
+def assert_span_test_matches(field, m, n, vectors):
+    """`_span_test` on each vector (every unit vector among them) against
+    project @ vec == 0 for the union-find `project` of the level, and
+    against reduction by the raw relations through `Echelon`."""
+    flat = m.dim * n.dim
+    mono = [k.monomial() for pair in bimodule._unmarked(m, n) for k in pair]
+    _, project = bimodule._union_find(field, m.dim, n.dim, mono)
+    ech = Echelon(field, flat, bimodule._balancing(m, n))
+    in_span = bimodule._span_test(field, n.dim, mono)
+    for vec in vectors + [{c: field.one()} for c in range(flat)]:
+        want = not project.tapply(vec)
+        assert want == (not ech.reduce(vec))
+        assert in_span(vec) == want
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_span_test_matches_the_quotient(field, data):
+    """A flat vector of a generated monomial level is in the relation span
+    exactly when the canonical `project` kills it: free monomial R_k and
+    L_k with one-term kills, inconsistent cycles and dead components, and
+    vectors in the span and out of it."""
+    a, m, n = data.draw(monomial_input(field))
+    relations = list(bimodule._balancing(m, n))
+    vectors = data.draw(span_vectors(field, m.dim * n.dim, relations))
+    assert_span_test_matches(field, m, n, vectors)
+
+
+def free_level(field, right, left, dm, dn):
+    """(M, N) over kZ_len(right) with R_k = right[k] and L_k = left[k],
+    each a (tgt, wt) monomial, and the other actions the identity."""
+    a = group_algebra_cyclic(field, len(right))
+    k = field_algebra(field)
+    m = Bimodule(k, a, dm, [plain_identity(field, dm)],
+                 [exactla.Monomial(field, dm, *r) for r in right], name="M")
+    n = Bimodule(a, k, dn, [exactla.Monomial(field, dn, *l) for l in left],
+                 [plain_identity(field, dn)], name="N")
+    return m, n
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_span_test_cases(field):
+    """The rules one at a time, on M (x) N with dim N = 1, so that flat
+    column i is e_i, and L_k the identity: column i of R_k = {p: v} ties
+    v e_p = e_i, and a zero column kills e_i.  A weighted tie e_0 = 2 e_1
+    keeps e_0 - e_1 out of the span and puts e_0 - 2 e_1 in it; a one-term
+    kill of e_1 kills e_0 = e_1 too; a chain e_0 = e_1 = e_2 = e_3 is
+    followed through the columns the vector does not hold; and the cycle
+    e_0 = e_1, e_0 = 2 e_1 of two pairs kills both."""
+    one, two, neg = field.one(), field.from_int(2), field.neg(field.one())
+    ident = ([0], [one])
+
+    def case(right, dm, vectors):
+        m, n = free_level(field, right, [ident] * len(right), dm, 1)
+        mono = [k.monomial() for pair in bimodule._unmarked(m, n) for k in pair]
+        assert_span_test_matches(field, m, n, vectors)
+        return bimodule._span_test(field, 1, mono)
+
+    in_span = case([([1, 1], [two, one])], 2, [])
+    assert not in_span({0: one, 1: neg}) and in_span({0: one, 1: field.neg(two)})
+    in_span = case([([1, -1], [one, one])], 2, [])
+    assert in_span({0: one}) and in_span({1: one})
+    in_span = case([([1, 2, 3, 3], [one] * 4)], 4, [])
+    assert in_span({0: one, 3: neg}) and not in_span({0: one})
+    in_span = case([([1, 1], [one, one]), ([1, 1], [two, one])], 2, [])
+    assert in_span({0: one}) and in_span({1: one})
+
+
+def decision_outcome(fn):
+    """The report of fn() as JSON, or the type, text and relation of the
+    error it raises."""
+    try:
+        return fn().to_json()
+    except Exception as err:  # noqa: BLE001  (every error is an outcome)
+        return type(err).__name__, str(err), getattr(err, "relation", None)
+
+
+def test_corpus_checkers_match_without_the_decision(monkeypatch):
+    """Every corpus checker, broken twins, the lifts, the mirrored
+    left-handed checks and `gp` give the same reports, witness text
+    included, and the same structure maps with `_decided` forced off, and
+    with it on some equations are decided and fewer quotients are built."""
+    decided, built = [], []
+    real, real_build = bimodule._decided, bimodule._build_tensor
+    monkeypatch.setattr(bimodule, "_decided", lambda *a: (
+        decided.append(out := real(*a)), out)[1])
+    monkeypatch.setattr(bimodule, "_build_tensor", lambda *a: (
+        built.append(1), real_build(*a))[1])
+    fast, fast_built = corpus_outputs(Corpus()), len(built)
+    assert decided.count(True) >= 12 and False in decided
+    built[:] = []
+    monkeypatch.setattr(bimodule, "_decided", lambda *a: False)
+    slow = corpus_outputs(Corpus())
+    assert len(fast) == len(slow)
+    for a, b in zip(fast, slow):
+        assert a == b
+    assert fast_built < len(built)
+
+
+PERTURBED = {
+    "entwined": lambda c: c.flip_entwining,
+    "lifted-flip": lambda c: c.lifted_flip_cw,
+    "lifted-dk": lambda c: c.lifted_dk_cw,
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), which=st.sampled_from(sorted(PERTURBED)),
+       part=st.sampled_from(["delta", "xi", "twist"]))
+def test_perturbed_structures_match_without_the_decision(data, which, part):
+    """A perturbed comultiplication of the entwined coring, or a perturbed
+    delta, xi or twist of a corpus lift, mostly breaks a law, often one
+    whose codomain the decision would skip, and often bilinearity: the
+    report, witness text included, or the error must be those of the
+    built path, each side from fresh structures."""
+    from coringlab import cowreath, entwine
+    from coringlab.rcat import RObject
+
+    def perturbed(x):
+        return LinearMap(x.domain, x.codomain, x.matrix + data.draw(perturbation(
+            x.field if hasattr(x, "field") else x.domain.field,
+            x.matrix.rows, x.matrix.cols)), x.name)
+
+    bumps = {}
+
+    def make():
+        base = PERTURBED[which](Corpus())
+        if which == "entwined":
+            c = entwine.entwined_coring(base)
+            if "c" not in bumps:
+                bumps["c"] = perturbed(c.comult)
+            return lambda: check_coring(Coring(c.base, c.carrier, LinearMap(
+                c.comult.domain, c.comult.codomain, bumps["c"].matrix), c.counit))
+        maps = {"delta": base.delta, "xi": base.xi, "twist": base.object.twist}
+        if part not in bumps:
+            bumps[part] = perturbed(maps[part]).matrix
+        maps[part] = LinearMap(maps[part].domain, maps[part].codomain, bumps[part])
+        obj = RObject(base.coring, base.object.carrier, maps["twist"], base.object.name)
+        return lambda: cowreath.check_cowreath(
+            cowreath.Cowreath(obj, maps["xi"], maps["delta"], name=base.name))
+
+    fast = decision_outcome(make())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bimodule, "_decided", lambda *a: False)
+        slow = decision_outcome(make())
+    assert fast == slow
+
+
+def test_noncommuting_leaf_raises_as_the_built_path():
+    """N over kZ2 whose left g swaps its basis and whose right g is
+    diag(1, -1): the two actions do not commute, so the right action of N
+    does not descend to kZ2 (x) N.  Two equal pipes that end on
+    (kZ2, N) must not pass unbuilt: `compare_pipes` builds the level and
+    raises the `WellDefinednessError` of the built path, relation
+    included."""
+    def run(decide):
+        a = group_algebra_cyclic(QQ, 2)
+        one, neg = QQ.one(), QQ.neg(QQ.one())
+        n = Bimodule(a, a, 2, [plain_identity(QQ, 2), Matrix.from_rows(QQ, [[0, 1], [1, 0]])],
+                     [plain_identity(QQ, 2), Matrix.from_entries(QQ, 2, 2, {(0, 0): one,
+                                                                          (1, 1): neg})],
+                     name="N")
+        p = bimodule.pipe(space(regular_bimodule(a))).insert_central(n, {0: one}, 1)
+        with pytest.MonkeyPatch.context() as mp:
+            if not decide:
+                mp.setattr(bimodule, "_decided", lambda *a: False)
+            return decision_outcome(
+                lambda: bimodule.compare_pipes(Report("t"), "t", p, p))
+
+    fast = run(True)
+    assert fast[0] == "WellDefinednessError" and fast[2]
+    assert fast == run(False)
