@@ -22,7 +22,11 @@ multiply by I (x) F (x) I.  `list` and `plain` count the `padded_matmul`
 calls (pipe stages and `Space.section`) that ran the list kernel
 (`Monomial._padded_lists`, a monomial map on a monomial running map) and
 the plain row kernel (`_padded_rows`); a call on a marked identity builds
-a Kronecker product and is in neither.  `regroup` and `rev`
+a Kronecker product and is in neither.  `decided` counts the compared
+equations between two pipes (`bimodule.compare_pipes`) that were decided
+on the relations of their codomain's outer level without building it,
+against those that finished both pipes and compared them (`_decided`
+false); on the `Echelon` levels of the kZ2(u) rows every one falls back.  `regroup` and `rev`
 time the changes of bracketing on the coassociativity space: `regroup`
 between space(P, P, P) and space(P, P (x) P), both ways, and `rev` of
 space(P, P, P)'s quotient and of its mirror.  `homs` times the two
@@ -110,23 +114,26 @@ def timed(fn, *args):
 PARTS = ((bimodule, "_shared_tensor"), (bimodule._Stages, "_stage"),
          (bimodule, "_build_tensor"), (bimodule, "_union_find"),
          (exactla.Monomial, "_padded_lists"), (exactla.Matrix, "_padded_rows"),
-         (exactla.Monomial, "_padded_rows"))
+         (exactla.Monomial, "_padded_rows"), (bimodule, "_decided"))
 
 
 def timed_parts(fn, *args):
     """fn(*args), and the seconds spent inside each of `PARTS` (the
     quotients, the pipe stages, the quotients built afresh, their
-    union-finds, the list kernel and the two plain kernels) while it ran,
-    and the calls of each."""
+    union-finds, the list kernel, the two plain kernels and the decisions
+    of compared equations) while it ran, the calls of each and the calls
+    that returned a true value."""
     reals = [getattr(owner, name) for owner, name in PARTS]
-    spent, calls = [0.0] * len(PARTS), [0] * len(PARTS)
+    spent, calls, hits = [0.0] * len(PARTS), [0] * len(PARTS), [0] * len(PARTS)
 
     def wrap(k, real):
         def wrapped(*a):
             calls[k] += 1
             t0 = time.perf_counter()
             try:
-                return real(*a)
+                out = real(*a)
+                hits[k] += bool(out)
+                return out
             finally:
                 spent[k] += time.perf_counter() - t0
         return wrapped
@@ -134,7 +141,7 @@ def timed_parts(fn, *args):
     for k, ((owner, name), real) in enumerate(zip(PARTS, reals)):
         setattr(owner, name, wrap(k, real))
     try:
-        return fn(*args), spent, calls
+        return fn(*args), spent, calls, hits
     finally:
         for (owner, name), real in zip(PARTS, reals):
             setattr(owner, name, real)
@@ -187,7 +194,7 @@ def main(argv=None):
         ap.error("--runs must be at least 1")
     print(f"{'case':<24} {'lift':>7} {'check':>7} {'product':>8} "
           f"{'p-check':>8} {'total':>7} {'quotients':>9} {'shared':>7} {'uf':>4} {'stages':>7} "
-          f"{'list':>5} {'plain':>5} "
+          f"{'list':>5} {'plain':>5} {'decided':>7} "
           f"{'regroup':>8} {'rev':>7} {'homs':>7}   "
           "coassoc dims: quotient / factor-flat / leaf-flat")
     bad = 0
@@ -196,13 +203,14 @@ def main(argv=None):
         for _ in range(args.runs):
             # a fresh case each run, so that no memo carries over
             _, entwine, c, d = list(cases())[index]
-            (times, passed, lifted, prod), spent, calls = timed_parts(
+            (times, passed, lifted, prod), spent, calls, hits = timed_parts(
                 run_case, entwine, c, d)
             runs.append(times)
             parts.append(spent[:2])
             # the same on every run: each starts from fresh structures
             shared = f"{calls[0] - calls[2]}/{calls[2]}"
             union_finds, kernels = calls[3], (calls[4], calls[5] + calls[6])
+            decided = f"{hits[7]}/{calls[7] - hits[7]}"
             homs.append(time_homs(lifted, prod))
             p = prod.carrier
             bracket, trips = time_bracketings(p)
@@ -217,7 +225,7 @@ def main(argv=None):
         sp = space(p, p, p)
         print(f"{label:<24} {t_lift:7.3f} {t_check:7.3f} {t_prod:8.3f} "
               f"{t_pcheck:8.3f} {total:7.3f} {t_quot:9.3f} {shared:>7} {union_finds:>4} "
-              f"{t_stages:7.3f} {kernels[0]:5} {kernels[1]:5} "
+              f"{t_stages:7.3f} {kernels[0]:5} {kernels[1]:5} {decided:>7} "
               f"{t_regroup:8.3f} {t_rev:7.3f} {statistics.median(homs):7.3f}   "
               f"{sp.dim} / {p.dim ** 3} / {sp.leaf_flat_dim()}")
     if bad:

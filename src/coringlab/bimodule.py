@@ -62,6 +62,19 @@ explicit associator between two bracketings of the same atomic
 to the leaves and up again one quotient at a time, so no map is built on
 the product of all leaf dimensions.
 
+A checker equation between two pipes that end on the same factors is
+compared by `compare_pipes`.  Whether lhs = rhs holds does not depend on
+the basis of the target quotient, so when its outer level X (x)_A N is
+not built yet, is not flat and has monomial unmarked pairs, the two pipes
+are merged only as far as (X, N) and each column of lhs - rhs is tested
+against the relation span by a weighted union-find local to that column
+(`_span_test`); when every column is in the span the equation passes and
+the level is never built.  It is built, and the two sides compared on its
+canonical basis by `compare_maps`, for a witness (a column outside the
+span), on a flat, built or `Echelon` level, and when building it could
+raise: X and N must each be a tensor quotient or have commuting actions
+(`_commutes`), so that every inherited action descends.
+
 The mirror reads a bimodule in the opposite bicategory: `op` gives the
 opposite algebra, `mirror` swaps a bimodule's two actions and reverses the
 factors of a tensor quotient, and `rev` is the explicit isomorphism
@@ -353,8 +366,8 @@ def compare_pipes(rep: Report, tag: str, lhs: "Pipe", rhs: "Pipe"):
     pairs and passes the guards of `_decided`, the equation is decided on
     the relations of that level and a pass builds no quotient.  Otherwise,
     and whenever a column of lhs - rhs is not in the relation span, both
-    pipes are finished and compared as today, so every status, witness
-    and error is that of `compare_maps`."""
+    pipes are finished into the built quotient and compared there, so
+    every status, witness and error is that of `compare_maps`."""
     if not _decided(lhs, rhs):
         compare_maps(rep, tag, lhs.done(), rhs.done())
     return rep

@@ -193,6 +193,23 @@
   kZ3/C3/D2 Doi-Koppinen lift, kZ2 over GF(2) and kZ3 over GF(3), and
   arbitrary twist, xi and delta over QQ and GF(101), which need not be
   lawful because the construction is linear in them.
+* `Monomial @ Monomial` composes the two lists; it must equal the plain
+  product entry for entry, scalar types included, over QQ and GF(101),
+  with dead columns on either side, and a marked-identity operand returns
+  the other one.
+* `compare_pipes` decides an equation between two pipes on a union-find
+  level it does not build: a column of lhs - rhs passes when
+  `_span_test`, a weighted union-find over the relations that touch the
+  column's support, finds it in the relation span.  That must agree with
+  project @ vec == 0 for the canonical `project` and with reduction by the
+  raw relations through `Echelon`, on generated monomial levels over QQ
+  and GF(101) (one-term kills, inconsistent cycles, vectors in and out of
+  the span, every unit vector) and on one case per rule.  Every corpus
+  checker, broken twins, lifts, mirrored checks and `gp`, and perturbed
+  entwined corings and lifts, must give the same reports, witness text
+  and errors with `_decided` forced off, and a leaf whose two actions do
+  not commute must raise the `WellDefinednessError` of the built path.
+  The `LeafPipe` oracle runs with the decision off.
 """
 
 import hashlib
@@ -4911,25 +4928,23 @@ def test_perturbed_structures_match_without_the_decision(data, which, part):
     from coringlab import cowreath, entwine
     from coringlab.rcat import RObject
 
-    def perturbed(x):
-        return LinearMap(x.domain, x.codomain, x.matrix + data.draw(perturbation(
-            x.field if hasattr(x, "field") else x.domain.field,
-            x.matrix.rows, x.matrix.cols)), x.name)
-
     bumps = {}
+
+    def bump(key, x):
+        """x with its matrix perturbed, by the same draw on both sides."""
+        if key not in bumps:
+            bumps[key] = x.matrix + data.draw(perturbation(
+                x.domain.field, x.matrix.rows, x.matrix.cols))
+        return LinearMap(x.domain, x.codomain, bumps[key], x.name)
 
     def make():
         base = PERTURBED[which](Corpus())
         if which == "entwined":
             c = entwine.entwined_coring(base)
-            if "c" not in bumps:
-                bumps["c"] = perturbed(c.comult)
-            return lambda: check_coring(Coring(c.base, c.carrier, LinearMap(
-                c.comult.domain, c.comult.codomain, bumps["c"].matrix), c.counit))
+            return lambda: check_coring(
+                Coring(c.base, c.carrier, bump("comult", c.comult), c.counit))
         maps = {"delta": base.delta, "xi": base.xi, "twist": base.object.twist}
-        if part not in bumps:
-            bumps[part] = perturbed(maps[part]).matrix
-        maps[part] = LinearMap(maps[part].domain, maps[part].codomain, bumps[part])
+        maps[part] = bump(part, maps[part])
         obj = RObject(base.coring, base.object.carrier, maps["twist"], base.object.name)
         return lambda: cowreath.check_cowreath(
             cowreath.Cowreath(obj, maps["xi"], maps["delta"], name=base.name))

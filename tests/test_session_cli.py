@@ -54,6 +54,25 @@ class TestRoundTrip:
             again = parse_session(store.raw)
             assert set(again.algebras) == set(s.algebras)
 
+    def test_store_refuses_an_object_over_another_field(self):
+        """An object over another field than the store's would be written
+        as if over the store's field and read back over it: `add` raises
+        `InputError` and writes nothing, for an algebra and for a cowreath
+        whose base algebra is the first entry it adds."""
+        from coringlab.algebra import group_algebra_cyclic
+        from coringlab.coring import grouplike_coalgebra
+        z3 = group_algebra_cyclic(GF(3), 3)
+        store = SessionStore.empty(QQ)
+        with pytest.raises(InputError, match=r"algebras entry k\[Z/3\] is over "
+                                             r"GF\(3\), not the session's field QQ"):
+            store.algebra_name(z3)
+        assert store.raw == {"field": "QQ"}
+        w = flip_cowreath(*(grouplike_coalgebra(GF(101), 2, name=n) for n in "CD"))
+        with pytest.raises(InputError, match="over GF"):
+            store.add_cowreath("W", w)
+        assert store.raw == {"field": "QQ"}
+        assert SessionStore.empty(GF(3)).algebra_name(z3) == "k[Z/3]"
+
     def test_empty_session_is_valid(self):
         s = parse_session({"field": "QQ"})
         assert s.field is QQ
