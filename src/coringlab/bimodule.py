@@ -763,10 +763,15 @@ def _decided(lhs, rhs) -> bool:
 def _commutes(b) -> bool:
     """True when the left and right actions of b commute, so that both
     descend to every tensor quotient with b as a factor; a tensor quotient
-    always passes.  Tested once per bimodule and kept on it."""
-    return isinstance(b, TensorQuotient) or memo(b, "actions_commute", lambda: all(
-        lk.is_identity or rk.is_identity or lk @ rk == rk @ lk
-        for lk in b.left_action for rk in b.right_action))
+    always passes.  Tested once per bimodule and kept on it, on the
+    monomial forms of the actions where they have one, so that those
+    products compose lists (`Monomial @ Monomial`); a marked action
+    commutes with everything and is skipped."""
+    def commute():
+        left, right = ([k.monomial() or k for k in acts if not k.is_identity]
+                       for acts in (b.left_action, b.right_action))
+        return all(lk @ rk == rk @ lk for lk in left for rk in right)
+    return isinstance(b, TensorQuotient) or memo(b, "actions_commute", commute)
 
 
 def _span_test(f, dn, mono):
@@ -788,10 +793,7 @@ def _span_test(f, dn, mono):
     whose weights disagree is dead, and e_c = weight(c) e_root elsewhere,
     so vec is in the span exactly when the sum of vec[c] weight(c) is 0
     over each live component."""
-    one, mul = f.one(), f.mul
-    # row t of a `Monomial` is {s: weight} over the columns s it sends to t
-    pairs = [(r.tgt, r.wt, r.data, l.tgt, l.wt, l.data)
-             for r, l in zip(mono[::2], mono[1::2])]
+    one, mul, pairs = f.one(), f.mul, list(zip(mono[::2], mono[1::2]))
 
     def in_span(vec):
         # parent and weight hold every column reached (`_find`)
@@ -819,11 +821,12 @@ def _span_test(f, dn, mono):
 
         for c in todo:  # grows while it is read
             i, j = divmod(c, dn)
-            for rt, rw, rrows, lt, lw, lrows in pairs:
-                for s, v in rrows.get(i, {}).items():
-                    tie(c, v, lw[j], s, lt[j])
-                for s, v in lrows.get(j, {}).items():
-                    tie(c, v, rw[i], rt[i], s)
+            # row t of a `Monomial` is {s: weight} over the columns s it sends to t
+            for r, l in pairs:
+                for s, v in r.data.get(i, {}).items():
+                    tie(c, v, l.wt[j], s, l.tgt[j])
+                for s, v in l.data.get(j, {}).items():
+                    tie(c, v, r.wt[i], r.tgt[i], s)
         sums = {}
         for c, v in vec.items():
             r, w = find(c)
