@@ -18,8 +18,10 @@ checks, which is also inside its time and not added to the total.  The
 total either.  `list` and `plain` count the `padded_matmul` calls of a run
 (pipe stages and `Space.section`) that ran the list kernel
 (`Monomial._padded_lists`, a monomial map on a monomial running map) and
-the plain row kernel (`_padded_rows`); a call on a marked identity builds
-a Kronecker product and is in neither.  They are the same on every run.
+the row kernel (`Matrix._padded_rows`); a call on a marked identity
+builds a Kronecker product and is in neither.  `list` also counts the
+products `Monomial @ Monomial`, which are the list kernel with
+pre = post = 1.  They are the same on every run.
 With `--runs N` (default 1) each time column is the median
 of the N runs (the total column is the median of the per-run totals).
 After the two rows of a rung it prints the ratio of the QQ total to the
@@ -63,13 +65,12 @@ def timed(fn, *args):
     return out, time.perf_counter() - t0
 
 
-# the list kernel, then the plain row kernels, of `padded_matmul`
-KERNELS = ((exactla.Monomial, "_padded_lists"), (exactla.Matrix, "_padded_rows"),
-           (exactla.Monomial, "_padded_rows"))
+# the list kernel, then the row kernel, of `padded_matmul`
+KERNELS = ((exactla.Monomial, "_padded_lists"), (exactla.Matrix, "_padded_rows"))
 
 
 def counted_kernels(fn, *args):
-    """fn(*args), and the calls of the list kernel and of the plain kernel
+    """fn(*args), and the calls of the list kernel and of the row kernel
     while it ran."""
     reals = [getattr(owner, name) for owner, name in KERNELS]
     calls = [0] * len(KERNELS)
@@ -83,7 +84,7 @@ def counted_kernels(fn, *args):
     for k, ((owner, name), real) in enumerate(zip(KERNELS, reals)):
         setattr(owner, name, wrap(k, real))
     try:
-        return fn(*args), (calls[0], calls[1] + calls[2])
+        return fn(*args), tuple(calls)
     finally:
         for (owner, name), real in zip(KERNELS, reals):
             setattr(owner, name, real)

@@ -21,12 +21,13 @@ is the part spent inside `bimodule._Stages._stage`, the pipe stages that
 multiply by I (x) F (x) I.  `list` and `plain` count the `padded_matmul`
 calls (pipe stages and `Space.section`) that ran the list kernel
 (`Monomial._padded_lists`, a monomial map on a monomial running map) and
-the plain row kernel (`_padded_rows`); a call on a marked identity builds
-a Kronecker product and is in neither.  `decided` counts the compared
-equations between two pipes (`bimodule.compare_pipes`) that were decided
-on the relations of their codomain's outer level without building it,
-against those that finished both pipes and compared them (`_decided`
-false); on the `Echelon` levels of the kZ2(u) rows every one falls back.  `regroup` and `rev`
+the row kernel (`Matrix._padded_rows`); a call on a marked identity
+builds a Kronecker product and is in neither.  `list` also counts the
+products `Monomial @ Monomial`, which are the list kernel with
+pre = post = 1.  `decided` counts the compared equations between two
+pipes (`bimodule.compare_pipes`) that were decided on the relations of
+their codomain's outer level without building it, against those that
+finished both pipes and compared them (`_decided` false); on the `Echelon` levels of the kZ2(u) rows every one falls back.  `regroup` and `rev`
 time the changes of bracketing on the coassociativity space: `regroup`
 between space(P, P, P) and space(P, P (x) P), both ways, and `rev` of
 space(P, P, P)'s quotient and of its mirror.  `homs` times the two
@@ -114,13 +115,13 @@ def timed(fn, *args):
 PARTS = ((bimodule, "_shared_tensor"), (bimodule._Stages, "_stage"),
          (bimodule, "_build_tensor"), (bimodule, "_union_find"),
          (exactla.Monomial, "_padded_lists"), (exactla.Matrix, "_padded_rows"),
-         (exactla.Monomial, "_padded_rows"), (bimodule, "_decided"))
+         (bimodule, "_decided"))
 
 
 def timed_parts(fn, *args):
     """fn(*args), and the seconds spent inside each of `PARTS` (the
     quotients, the pipe stages, the quotients built afresh, their
-    union-finds, the list kernel, the two plain kernels and the decisions
+    union-finds, the list kernel, the row kernel and the decisions
     of compared equations) while it ran, the calls of each and the calls
     that returned a true value."""
     reals = [getattr(owner, name) for owner, name in PARTS]
@@ -209,8 +210,8 @@ def main(argv=None):
             parts.append(spent[:2])
             # the same on every run: each starts from fresh structures
             shared = f"{calls[0] - calls[2]}/{calls[2]}"
-            union_finds, kernels = calls[3], (calls[4], calls[5] + calls[6])
-            decided = f"{hits[7]}/{calls[7] - hits[7]}"
+            union_finds, kernels = calls[3], calls[4:6]
+            decided = f"{hits[6]}/{calls[6] - hits[6]}"
             homs.append(time_homs(lifted, prod))
             p = prod.carrier
             bracket, trips = time_bracketings(p)

@@ -42,12 +42,12 @@ accumulated matrix and F are both monomial (grouplike comultiplications,
 counits, flips, twists, every non-flat section and every union-find
 projection), the accumulated matrix stays an `exactla.Monomial` and a
 stage is one pass over flat lists (the list kernel).  From the first
-stage that is not monomial on, its rows are scattered through F, and a
-monomial F re-indexes and scales them from its two lists.  This is the
-only level, and the only projection mechanism: a pipe goes down by
-sections (`refine` splits a quotient factor into its two factors) and up
-by projections (two neighbouring factors merge into their quotient), one
-level at a time.  A plain
+stage that is not monomial on, its rows are scattered through the column
+dicts of F (the row kernel), which a monomial F builds once from its two
+lists.  This is the only level, and the only projection mechanism: a
+pipe goes down by sections (`refine` splits a quotient factor into its
+two factors) and up by projections (two neighbouring factors merge into
+their quotient), one level at a time.  A plain
 carrier with the flat order of its legs' quotient over the field (the
 entwined coring's A (x) C) enters and leaves its legs by an identity map
 (`entwine.relabel`), so the lifts along an entwining are pipes too.  `Pipe.apply`
@@ -1006,9 +1006,9 @@ class _Stages:
     replaces the factors at [at, at+takes) by `gives` and multiplies by
     I (x) F (x) I through `padded_matmul`, so the Kronecker product is never
     built.  A monomial F on a monomial matrix keeps the matrix a
-    `exactla.Monomial` (the list kernel); otherwise a monomial F moves each
-    row of the matrix to its target row, scaled by its weight, and builds
-    no column dict."""
+    `exactla.Monomial` (the list kernel); otherwise the rows of the matrix
+    are scattered through the column dicts of F (the row kernel), which a
+    monomial F builds once from its two lists."""
 
     __slots__ = ("factors", "matrix", "source")
 
@@ -1073,8 +1073,9 @@ class Pipe(_Stages):
     matrix an `exactla.Monomial` while every stage map is monomial, one
     pass over flat lists per stage (`Monomial._padded_lists`); a pipe with
     no stage ends in the section it starts from.  The first stage map with
-    two entries in a column turns the matrix into rows, and later
-    monomial stages re-index those rows.  Every stage map must
+    two entries in a column turns the matrix into rows, and every later
+    stage, a monomial one too, scatters those rows through the column
+    dicts of its map (the row kernel).  Every stage map must
     be bilinear over its outer algebras (the checkers verify this for
     user-supplied maps before piping them).  A section is bilinear up to
     the balancing relations of its own quotient, so every stage then

@@ -28,23 +28,24 @@ only on first read.  `Transposed.after`, a matrix in column form times
 I (x) act (x) I, is one `padded_matmul` of its column dicts, and
 `columns`, a choice of columns of any matrix, reads its column dicts
 (the cached `transpose`) with no product by a 0/1 matrix.  Monomials
-compose with another monomial (`@`) and with the padded form of one,
-select columns, test that they factor through a monomial projection and
-compare (`==`) in one pass over the lists, with no dict.  `padded_matmul`, a pipe stage
-I (x) F (x) I times the accumulated matrix M, has two kernels.  While M is
-a `Monomial` and F is monomial, the list kernel (`Monomial._padded_lists`)
-gives a `Monomial` in one pass over the lists: each column of M moves to
-its new row and its weight is multiplied by F's, with no multiply where
-either weight is one.  Otherwise the row kernel (`_padded_rows`) scatters
-the rows of M; a `Monomial` F moves and scales whole rows by its lists,
-with no column dict.  A marked identity M (the start of a pipe over a
-flat source) gives the Kronecker product, and `kron` of a marked identity
-and a `Monomial` copies blocks of the lists, so a monomial F gives a
-`Monomial` there too.  `Matrix.monomial`
-converts any matrix that qualifies, once: the form, or False for none, is
-kept on the matrix (the `_mono` slot every kind sets when built), so a
-structure map that many pipes apply is tested once.  `Matrix.marked`
-finds an identity in each kind's own form.
+compose with the padded form of one, select columns, test that they
+factor through a monomial projection and compare (`==`) in one pass over
+the lists, with no dict.  Two matrix kernels serve the pipe stages,
+I (x) F (x) I times the accumulated matrix M (`padded_matmul`).  While M
+is a `Monomial` and F is monomial, the list kernel
+(`Monomial._padded_lists`) gives a `Monomial` in one pass over the lists:
+each column of M moves to its new row and its weight is multiplied by
+F's, with no multiply where either weight is one; `@` of two `Monomial`s
+is that kernel's stage with pre = post = 1.  Otherwise the row kernel
+(`Matrix._padded_rows`) scatters the rows of M through the column dicts
+of F, which a `Monomial` F builds once from its lists.  A marked
+identity M (the start of a pipe over a flat source) gives the Kronecker
+product, and `kron` of a marked identity and a `Monomial` copies blocks
+of the lists, so a monomial F gives a `Monomial` there too.
+`Matrix.monomial` converts any matrix that qualifies, once: the form, or
+False for none, is kept on the matrix (the `_mono` slot every kind sets
+when built), so a structure map that many pipes apply is tested once.
+`Matrix.marked` finds an identity in each kind's own form.
 
 Reduced row echelon forms are unique for a given row space, so pivot
 columns, kernels and quotient bases are reproducible no matter in which
@@ -502,7 +503,7 @@ class Matrix:
         if other.is_identity:
             return self
         if isinstance(other, Monomial) and isinstance(self, Monomial):
-            return self._compose(other)
+            return self._padded_lists(1, 1, other)  # the stage I_1 (x) self (x) I_1
         axpy, scaled = self.field.axpy, self.field.scaled
         data = {}
         orows = other.data
@@ -605,8 +606,9 @@ class Matrix:
         identity m makes the Kronecker product the result, so it is built:
         a `Monomial` when self is monomial (`monomial`, kept on self).
         When m is a `Monomial` and self is monomial, the product is a
-        `Monomial` made in one pass over the lists (`Monomial._padded_lists`);
-        any other m is scattered row by row (`_padded_rows`)."""
+        `Monomial` made in one pass over the lists (`Monomial._padded_lists`,
+        the list kernel); any other m is scattered row by row (`_padded_rows`,
+        the row kernel), a `Monomial` self included."""
         fr, fc, f = self.rows, self.cols, self.field
         if m.rows != pre * fc * post:
             raise InputError(
@@ -628,11 +630,12 @@ class Matrix:
         return self._padded_rows(pre, post, m)
 
     def _padded_rows(self, pre, post, m):
-        """The plain kernel of `padded_matmul`: row k = (a*fc + c)*post + b
+        """The row kernel of `padded_matmul`: row k = (a*fc + c)*post + b
         of m is scattered into each row (a*fr + r)*post + b, scaled by
-        self[r, c] (read from the cached transpose), for fr x fc the shape
-        of self; rows that cancel are dropped.  The sums are those of the
-        product with the Kronecker product, so every entry is the same."""
+        self[r, c] (read from the cached transpose, which a `Monomial` builds
+        from its lists once), for fr x fc the shape of self; rows that
+        cancel are dropped.  The sums are those of the product with the
+        Kronecker product, so every entry is the same."""
         fr, fc, f = self.rows, self.cols, self.field
         cols = self.transpose().data
         axpy, scaled = f.axpy, f.scaled
@@ -762,17 +765,17 @@ class Monomial(Transposed):
     tgt[c] is -1 (wt[c] is then not read).  The column dicts (`transpose`)
     and the rows (`data`) are built on first read and equal those of a
     plain `Matrix` with the same entries, so every other operation reads
-    a monomial like any matrix.  The product with another monomial (`@`,
-    `_compose`), composition with the padded form of one (`after`), a
-    choice of columns (`columns`), the test
-    that it factors through a monomial projection (`factors_through`),
-    equality with another monomial (`==`) and a pipe stage through its
-    padded form are one pass over the lists, and so is its Kronecker
-    product with a marked identity (`kron`).  A stage on a monomial
-    accumulated matrix (`_padded_lists`, the list kernel) keeps that matrix
-    a `Monomial`; on any other it re-indexes the rows (`_padded_rows`).
-    `Matrix.monomial` keeps the monomial form of a plain matrix on it, so
-    a stage map is converted once."""
+    a monomial like any matrix.  Composition with the padded form of one
+    (`after`), a choice of columns (`columns`), the test that it factors
+    through a monomial projection (`factors_through`) and equality with
+    another monomial (`==`) are one pass over the lists, and so is its
+    Kronecker product with a marked identity (`kron`).  A pipe stage
+    through its padded form on a monomial accumulated matrix, and the
+    product with another monomial (`@`), are the list kernel
+    (`_padded_lists`), which keeps the result a `Monomial`; a stage on any
+    other matrix is the row kernel (`Matrix._padded_rows`), which reads
+    the column dicts.  `Matrix.monomial` keeps the monomial form of a plain
+    matrix on it, so a stage map is converted once."""
 
     __slots__ = ("tgt", "wt")
 
@@ -830,68 +833,32 @@ class Monomial(Transposed):
         return Monomial(self.field, self.rows, [tgt[c] for c in cols],
                         [wt[c] for c in cols])
 
-    def _compose(self, other):
-        """self @ other for a `Monomial` other, a `Monomial`: column c is
-        column other.tgt[c] of self times other.wt[c], zero where either
-        column is.  One pass over the lists, no dict built; a weight that
-        is the field's one is not multiplied (`_padded_lists`)."""
-        tgt, wt, one, mul = self.tgt, self.wt, self.field.one(), self.field.mul
-        out_t, out_w = [], []
-        for k, v in zip(other.tgt, other.wt):
-            r = tgt[k] if k >= 0 else -1
-            out_t.append(r)
-            if r < 0:
-                out_w.append(one)
-            else:
-                w = wt[k]
-                out_w.append(w if v is one else v if w is one else mul(w, v))
-        return Monomial(self.field, self.rows, out_t, out_w)
-
     def _padded_lists(self, pre, post, m):
-        """The list kernel of `padded_matmul`, for a `Monomial` m: the
-        column of m at row (a, c, b) moves to row (a, tgt[c], b) and its
-        weight is multiplied by wt[c]; it is zero where its column of m or
-        column c of self is.  The result is a `Monomial`, and no dict is
+        """The list kernel of `padded_matmul`, for a `Monomial` m, and of
+        `self @ m` (pre = post = 1): the column of m at row
+        k = (a*fc + c)*post + b moves to row (a, tgt[c], b), which is
+        k + (a*(fr - fc) + tgt[c] - c)*post with a*fc + c = k // post, and
+        its weight is multiplied by wt[c]; it is zero where its column of m
+        or column c of self is.  The result is a `Monomial`, and no dict is
         built.  A weight that is the field's one is not multiplied: the
         test is `is`, since a scalar equal to one is that one int in either
         field, and a miss only multiplies by one."""
         f, fr, fc, tgt, wt = self.field, self.rows, self.cols, self.tgt, self.wt
-        one, mul = f.one(), f.mul
+        one, mul, d = f.one(), f.mul, fr - fc
         out_t, out_w = [], []
         for k, w in zip(m.tgt, m.wt):
             if k >= 0:
-                q, b = divmod(k, post)
-                a, c = divmod(q, fc)
+                q = k // post
+                c = q % fc
                 r = tgt[c]
                 if r >= 0:
-                    out_t.append((a * fr + r) * post + b)
+                    out_t.append(k + ((q // fc) * d + r - c) * post)
                     v = wt[c]
                     out_w.append(w if v is one else v if w is one else mul(w, v))
                     continue
             out_t.append(-1)
             out_w.append(one)
         return Monomial(f, pre * fr * post, out_t, out_w)
-
-    def _padded_rows(self, pre, post, m):
-        """The plain kernel read from the lists: row (a, c, b) of m goes to
-        row (a, tgt[c], b), scaled by wt[c], or is dropped where column c
-        is zero; rows that collide are summed with `axpy` and dropped when
-        they cancel.  No column dict is built."""
-        tgt, wt, f = self.tgt, self.wt, self.field
-        axpy, scaled, fr, block = f.axpy, f.scaled, self.rows, self.cols * post
-        data: dict = {}
-        for k, row in m.data.items():
-            a, rest = divmod(k, block)
-            c, b = divmod(rest, post)
-            r = tgt[c]
-            if r >= 0:
-                i = (a * fr + r) * post + b
-                acc = data.get(i)
-                if acc is None:
-                    data[i] = scaled(row, wt[c])
-                else:
-                    axpy(acc, row, wt[c])
-        return Matrix(f, pre * fr * post, m.cols, {i: acc for i, acc in data.items() if acc})
 
     def after(self, pre, act, post):
         """self @ (I_pre (x) act (x) I_post), a `Monomial` when act is

@@ -142,12 +142,14 @@
   on every corpus lift quotient, the maps, inherited actions, marks, pks
   handed to `kills` and descent errors must match.  A monomial pk that
   descends never builds its column dicts or rows.
-* A pipe stage through a `Monomial` on a plain accumulated matrix
-  (`Monomial._padded_rows`) re-indexes and scales the rows of the
-  accumulated matrix from the two lists; it must equal `Matrix.padded_matmul`
-  and the plain Kronecker product over QQ and GF(101), with dead columns,
-  weights other than +-1, colliding targets that cancel, empty rows and a
-  marked-identity operand, and build no column dict.  Every non-flat `section` is a `Monomial`; on union-find
+* A pipe stage through a `Monomial` on a plain accumulated matrix takes
+  the row kernel (`Matrix._padded_rows`), which scatters the rows of the
+  accumulated matrix through the column dicts of the `Monomial`; it must
+  equal `Matrix.padded_matmul` of the plain copy and the plain Kronecker
+  product over QQ and GF(101), with dead columns, weights other than +-1,
+  colliding targets that cancel, empty rows and a marked-identity operand,
+  and a second stage through the same `Monomial` reuses the column dicts
+  the first built.  Every non-flat `section` is a `Monomial`; on union-find
   and `Echelon` quotients and every corpus lift quotient it must equal the
   old {c: {t: 1}} section.  `after` for a right action (post = 1) reads
   both lists through one index list and must equal the plain product.
@@ -193,10 +195,11 @@
   kZ3/C3/D2 Doi-Koppinen lift, kZ2 over GF(2) and kZ3 over GF(3), and
   arbitrary twist, xi and delta over QQ and GF(101), which need not be
   lawful because the construction is linear in them.
-* `Monomial @ Monomial` composes the two lists; it must equal the plain
-  product entry for entry, scalar types included, over QQ and GF(101),
-  with dead columns on either side, and a marked-identity operand returns
-  the other one.
+* `Monomial @ Monomial` is the list kernel's stage with pre = post = 1;
+  it must equal the plain product entry for entry, scalar types included,
+  over QQ and GF(101), with dead columns on either side, and a
+  marked-identity operand returns the other one.  The corpus comparison
+  without the list kernel multiplies plain copies there too.
 * `compare_pipes` decides an equation between two pipes on a union-find
   level it does not build: a column of lhs - rhs passes when
   `_span_test`, a weighted union-find over the relations that touch the
@@ -3786,7 +3789,8 @@ def test_descending_monomial_pk_keeps_its_lists_only(monkeypatch):
 def assert_monomial_padded(mono, pre, post, m):
     """mono.padded_matmul(pre, post, m) equals `Matrix.padded_matmul` of the
     plain matrix with mono's entries and the plain Kronecker product times
-    m, stores no empty row and builds no column dict of mono; returns it."""
+    m and stores no empty row, and a second stage through mono reuses the
+    column dicts the first built (`mono._t`); returns it."""
     field = mono.field
     plain = plain_of(field, mono.rows, mono.tgt, mono.wt)
     fast = mono.padded_matmul(pre, post, m)
@@ -3796,7 +3800,9 @@ def assert_monomial_padded(mono, pre, post, m):
     assert (fast.rows, fast.cols) == (pre * mono.rows * post, m.cols)
     assert all(fast.data.values())
     if not m.is_identity:
-        assert mono._t is None and not fast.is_identity
+        cols = mono._t
+        assert cols is not None and not fast.is_identity
+        assert mono.padded_matmul(pre, post, m) == fast and mono._t is cols
     return fast
 
 
@@ -3804,10 +3810,10 @@ def assert_monomial_padded(mono, pre, post, m):
 @settings(max_examples=80, deadline=None)
 @given(data=st.data(), pre=st.integers(1, 3), post=st.integers(1, 3))
 def test_monomial_padded_matmul_matches_plain(field, data, pre, post):
-    """The stage of a `Monomial` re-indexes the rows of the accumulated
-    matrix: dead columns, weights other than +-1, colliding targets,
+    """The stage of a `Monomial` on a plain accumulated matrix is the row
+    kernel: dead columns, weights other than +-1, colliding targets,
     accumulated matrices with empty rows, and a marked-identity operand,
-    which takes the plain path."""
+    which gives the Kronecker product."""
     rows, cols = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
     tgt, wt = data.draw(monomial_lists(field, rows, cols))
     m = data.draw(shaped_matrix(field, pre * cols * post, data.draw(st.integers(0, 4))))
@@ -4537,7 +4543,8 @@ def plain_padded_matmul(self, pre, post, m):
     """`Matrix.padded_matmul` without the list kernel: a marked identity
     self leaves m as it is, a marked identity m makes the Kronecker product
     the result, and any other m is scattered row by row (`_padded_rows`,
-    which a `Monomial` self reads from its lists)."""
+    which reads the column dicts of a `Monomial` self from its cached
+    `transpose`)."""
     if m.rows != pre * self.cols * post:
         raise InputError("padded matmul shape mismatch")
     if self.is_identity:
@@ -4732,9 +4739,11 @@ def test_corpus_checkers_match_without_list_kernel(monkeypatch):
     left-handed checks and `gp` (whose comultiplication is not monomial)
     give the same reports, witness text included, the same structure maps
     and the same matrix at every `Pipe.done`, entry for entry, with the
-    list kernel patched out of `padded_matmul`."""
+    list kernel patched out of `padded_matmul` and of `Monomial @ Monomial`,
+    which then multiplies plain copies."""
     calls, done = [], []
     real, real_done = exactla.Monomial._padded_lists, bimodule.Pipe.done
+    real_matmul = Matrix.__matmul__
     monkeypatch.setattr(exactla.Monomial, "_padded_lists",
                         lambda *a: (calls.append(1), real(*a))[1])
     monkeypatch.setattr(bimodule.Pipe, "done", lambda *a, **k: (
@@ -4743,6 +4752,9 @@ def test_corpus_checkers_match_without_list_kernel(monkeypatch):
     assert len(calls) > 100
     fast_done, done[:], calls[:] = done[:], [], []
     monkeypatch.setattr(Matrix, "padded_matmul", plain_padded_matmul)
+    monkeypatch.setattr(Matrix, "__matmul__", lambda a, b: real_matmul(
+        *((unmarked(a), unmarked(b)) if isinstance(a, exactla.Monomial)
+          and isinstance(b, exactla.Monomial) else (a, b))))
     slow, slow_done = corpus_outputs(Corpus()), done
     assert calls == []
     assert len(fast) == len(slow)
