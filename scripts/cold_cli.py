@@ -6,7 +6,9 @@
 For each README command and each checkout (default: the one holding this
 script) it prints the exit code, the median wall time of N cold runs in a
 fresh interpreter, and the `coringlab` submodules the command loaded,
-followed by `+dataclasses` or `+inspect` when either was loaded.  With
+followed by `+dataclasses` or `+inspect` when either was loaded.  The
+first row, `import coringlab.cli`, runs no command: it is the start-up
+every command pays, and what the `cli` workload's `setup_s` times.  With
 several checkouts the runs alternate between them, each round starting
 with the next checkout, so drift in the machine's speed falls on all of
 them alike.  After that table it prints, for each `coringlab` module any
@@ -14,11 +16,13 @@ command loaded, its line count, its parser token count (`tokenize`
 tokens other than COMMENT and NL), the median ms of `compile()` of its
 source over 30 runs in each checkout and the `tracemalloc` peak of one
 `compile()`: without cached bytecode every cold command pays that compile,
-so this shows the start-up cost of code size.  The compile peak steps up
-when a module's token count passes a power of two (the parser's token
-array doubles), so a module just past 8,192 tokens peaks about 0.45 MB
-higher.  Wall time includes interpreter start-up; nothing here gates a
-test.  Only the standard library is used.
+so this shows the start-up cost of code size.  The package's other
+modules are listed with them, marked as loaded by no command, and left
+out of the totals.  The compile peak steps up when a module's token count
+passes a power of two (the parser's token array doubles), so a module
+just past 8,192 tokens peaks about 0.45 MB higher.  Wall time includes
+interpreter start-up; nothing here gates a test.  Only the standard
+library is used.
 """
 
 from __future__ import annotations
@@ -54,6 +58,9 @@ COMMANDS = [
     ("build lift",
      ["--session", "sessions/cowreaths.json", "build", "lift", "flip-ent", "flip",
       "--out", "L", "--save", "{tmp}/lift.json"]),
+    ("check cowreath flip",
+     ["--session", "sessions/cowreaths.json", "check", "cowreath", "flip",
+      "--format", "json"]),
     ("check wreath signflip",
      ["--session", "sessions/sign_flip_ttp.json", "check", "wreath", "signflip"]),
     ("check twisting X=R",
@@ -69,12 +76,16 @@ COMMANDS = [
       "--cowreath", "W", "--x", "X", "--y", "Y", "--map", "f"]),
 ]
 
-# Runs one command through `coringlab.cli.main`, then writes the names of
-# the loaded modules, one a line, to the file named by its first argument.
+# The row of a bare `import coringlab.cli`: no arguments, no command.
+IMPORT = ("import coringlab.cli", [])
+
+# Runs one command through `coringlab.cli.main` (none when given no
+# arguments), then writes the names of the loaded modules, one a line, to
+# the file named by its first argument.
 CHILD = """\
 import sys
 from coringlab.cli import main
-code = main(sys.argv[2:])
+code = main(sys.argv[2:]) if sys.argv[2:] else 0
 with open(sys.argv[1], "w", encoding="utf-8") as fh:
     fh.write("\\n".join(sorted(sys.modules)))
 sys.exit(code)
@@ -155,7 +166,8 @@ def main():
     args = ap.parse_args()
     checkouts = [os.path.abspath(c) for c in args.checkouts]
 
-    walls = {(c, name): [] for c in checkouts for name, _ in COMMANDS}
+    rows = [IMPORT, *COMMANDS]
+    walls = {(c, name): [] for c in checkouts for name, _ in rows}
     seen = {}
     loaded = {c: set() for c in checkouts}
     with tempfile.TemporaryDirectory() as scratch:
@@ -164,7 +176,7 @@ def main():
             os.mkdir(tmp)
         for r in range(args.runs):
             for c in checkouts[r % len(checkouts):] + checkouts[:r % len(checkouts)]:
-                for name, argv in COMMANDS:
+                for name, argv in rows:
                     wall, code, modules = run_command(c, argv, tmps[c])
                     walls[c, name].append(wall)
                     seen[c, name] = code, describe(modules)
@@ -172,7 +184,7 @@ def main():
                                      or m.startswith("coringlab."))
 
     width = max(len(c) for c in checkouts)
-    for name, _ in COMMANDS:
+    for name, _ in rows:
         print(name)
         for c in checkouts:
             code, mods = seen[c, name]
@@ -183,11 +195,14 @@ def main():
         print(f"total of medians  {c:<{width}}  {total:7.1f} ms")
 
     modules = set().union(*loaded.values())
-    costs = compile_costs(checkouts, modules, COMPILES)
+    unloaded = {f"coringlab.{f[:-3]}" for c in checkouts
+                for f in os.listdir(os.path.join(c, "src", "coringlab"))
+                if f.endswith(".py") and f != "__init__.py"} - modules
+    costs = compile_costs(checkouts, modules | unloaded, COMPILES)
     print("\nlines, parser tokens, median compile() ms and compile() peak "
-          "of each loaded module")
-    for mod in sorted(modules):
-        print(mod)
+          "of each module; the totals are of those some command loaded")
+    for mod in sorted(modules | unloaded):
+        print(mod + ("  (loaded by no command)" if mod in unloaded else ""))
         for c in checkouts:
             lines, toks, ms, kb = costs.get((c, mod), (0, 0, 0.0, 0.0))
             print(f"  {c:<{width}}  {lines:6d} lines  {toks:6d} tokens  "

@@ -11,7 +11,8 @@ from importlib import import_module as _import_module
 __version__ = "0.1.0"
 
 _EXPORTS_BY_MODULE = {
-    "exactla": ("GF", "QQ", "Matrix", "kernel_basis", "rank", "rref", "solve"),
+    "exactla": ("GF", "QQ", "Matrix"),
+    "echelon": ("Echelon", "kernel_basis", "rank", "rref", "solve"),
     "algebra": ("AlgebraMorphism", "FinAlgebra", "check_algebra",
                 "check_algebra_morphism", "field_algebra",
                 "group_algebra_cyclic", "matrix_algebra",

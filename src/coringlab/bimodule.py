@@ -108,7 +108,7 @@ from math import prod
 from weakref import WeakValueDictionary
 
 from .algebra import FinAlgebra, opposite_algebra
-from .exactla import Echelon, Matrix, Monomial, Transposed
+from .exactla import Matrix, Monomial, Transposed
 from .reports import InputError, Report, WellDefinednessError, Witness
 
 
@@ -359,7 +359,7 @@ def compare_maps(rep: Report, tag: str, lhs: LinearMap, rhs: LinearMap,
     return rep
 
 
-def compare_pipes(rep: Report, tag: str, lhs: "Pipe", rhs: "Pipe"):
+def compare_pipes(rep: Report, tag: str, lhs: "Pipe", rhs: "Pipe", done=None):
     """`compare_maps` of lhs.done() and rhs.done(), two pipes from one
     source that end on the same factors.  When the outer level X (x)_A N
     of their target is not built yet, is not flat, has monomial unmarked
@@ -367,10 +367,13 @@ def compare_pipes(rep: Report, tag: str, lhs: "Pipe", rhs: "Pipe"):
     the relations of that level and a pass builds no quotient.  Otherwise,
     and whenever a column of lhs - rhs is not in the relation span, both
     pipes are finished into the built quotient and compared there, so
-    every status, witness and error is that of `compare_maps`."""
+    every status, witness and error is that of `compare_maps`.  Returns
+    lhs.done() when it ran, else done: passed back as done with the same
+    lhs, it spares a later comparison finishing lhs again."""
     if not _decided(lhs, rhs):
-        compare_maps(rep, tag, lhs.done(), rhs.done())
-    return rep
+        done = done or lhs.done()
+        compare_maps(rep, tag, done, rhs.done())
+    return done
 
 
 def bilinearity_report(f: LinearMap, check_name=None) -> Report:
@@ -441,6 +444,7 @@ class TensorQuotient(Bimodule):
     def echelon(self):
         """The reduced echelon form of the relations: the row of pivot p is
         e_p - sum_t project[t, p] e_(free_cols[t])."""
+        from .echelon import Echelon
         f, free, cols = self.field, self.free_cols, self.project.transpose().data
         return Echelon.from_reduced(f, self.project.cols, {
             p: {free[t]: f.neg(v) for t, v in cols.get(p, {}).items()}
@@ -624,6 +628,7 @@ def _build_tensor(a, m, n, name):
         free, project = _union_find(f, dm, dn, mono)
     elif pairs:
         # column p of project is row p of the canonical kernel basis
+        from .echelon import Echelon
         ech = Echelon(f, flat, _balancing(m, n))
         free, project = ech.free_columns(), Transposed(ech.kernel())
     qdim = len(free) if pairs else flat

@@ -36,7 +36,6 @@ from .bimodule import (
     space,
     tensor_maps,
 )
-from .exactla import Echelon
 from .reports import InputError, Report
 
 
@@ -308,6 +307,7 @@ def hom_basis(src, dst) -> list:
                         row[key] = f.sub(row.get(key, f.zero()), f.mul(pv, sv))
         rows += ({k: v for k, v in row.items() if not f.is_zero(v)}
                  for row in block.values())
+    from .echelon import Echelon
     ker = Echelon(f, n_out * n_in, rows).kernel().transpose().data
     return [Matrix.from_entries(f, n_out, n_in, {divmod(k, n_in): v
                                                  for k, v in ker[t].items()})

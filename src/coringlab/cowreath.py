@@ -29,8 +29,6 @@ from .bimodule import (
 )
 from .coring import (Comodule, Coring, check_coring_morphism, compare_maps, flip_map,
                      sample_maps)
-from .entwine import (EntwiningStructure, entwined_coring, lift_normal_form, lift_r_object,
-                      relabel)
 from .rcat import (LObject, RMorphism, RObject, _check_r_object, check_r_morphism,
                    check_r_object, identity_r_object, mirror_object,
                    r_tensor_objects)
@@ -80,8 +78,8 @@ def _object_and_colinearity(w: Cowreath, rep: Report):
     rep.extend(bilinearity_report(w.delta, "delta"))
 
     lhs = src.apply(w.xi, 0, 2, [C]).apply(c.comult, 0, 1, [C, C])
-    compare_pipes(rep, "xi-left-colinear", lhs, cm.apply(w.xi, 1, 2, [C]))
-    compare_pipes(rep, "xi-right-colinear", lhs, ct.apply(w.xi, 0, 2, [C]))
+    done = compare_pipes(rep, "xi-left-colinear", lhs, cm.apply(w.xi, 1, 2, [C]))
+    compare_pipes(rep, "xi-right-colinear", lhs, ct.apply(w.xi, 0, 2, [C]), done)
 
     dc = d.apply(c.comult, 0, 1, [C, C])
     compare_pipes(rep, "delta-left-colinear", dc, cm.apply(w.delta, 1, 2, [C, M, M]))
@@ -264,6 +262,7 @@ def entwining_lift_cowreath(e: EntwiningStructure, n: Cowreath,
     """Lift a cowreath over the coalgebra to one over the induced coring:
     n's xi and delta on the legs of `lift_normal_form`.  xi lands in a
     coring equal to, but not, the object's (see `entwine`)."""
+    from .entwine import entwined_coring, lift_normal_form, lift_r_object, relabel
     cor = entwined_coring(e)
     obj = lift_r_object(e, n.object)
     ab, C, N, M = e.a_bimodule, e.coalgebra.carrier, n.object.carrier, obj.carrier

@@ -41,7 +41,6 @@ from .algebra import (
 from .bimodule import (Bimodule, LinearMap, Matrix, check_bimodule, compare_maps, k_bimodule,
                        memo, pipe, regular_bimodule, space)
 from .coring import Coring, corings_match, flip_map
-from .rcat import RObject, check_r_algebra
 from .reports import InputError, Report
 
 
@@ -305,6 +304,7 @@ def lift_normal_form(e: EntwiningStructure, coring_carrier: Bimodule,
 
 def lift_r_object(e: EntwiningStructure, n: RObject, name=None) -> RObject:
     """Lift an object over the coalgebra to one over the induced coring."""
+    from .rcat import RObject
     if not corings_match(n.coring, e.coalgebra):
         raise InputError(f"object over {n.coring.name} must live over the "
                          f"entwining coalgebra {e.coalgebra.name}")
@@ -330,6 +330,7 @@ def lift_r_object(e: EntwiningStructure, n: RObject, name=None) -> RObject:
 
 def entwining_r_object(e: EntwiningStructure) -> RObject:
     """(A, psi) as a twist object over the coalgebra."""
+    from .rcat import RObject
     return RObject(e.coalgebra, e.a_bimodule, e.psi, name=f"({e.algebra.name},{e.name})")
 
 
@@ -348,5 +349,6 @@ def entwining_wreath(e: EntwiningStructure):
 
 
 def check_entwining_wreath(e: EntwiningStructure) -> Report:
+    from .rcat import check_r_algebra
     obj, eta, mu = entwining_wreath(e)
     return check_r_algebra(obj, eta, mu)

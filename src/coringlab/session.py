@@ -22,7 +22,10 @@ sort_keys=True)` would give, followed by a newline.  This module holds the
 reading half, which every command needs.  The writing half, `SessionStore`,
 `serialize_session` and `write_session`, lives in `session_write` and is
 imported on first use of those names (PEP 562), so that commands which
-only read a session do not compile it.
+only read a session do not compile it.  In the same way `bimodule` (and
+with it `algebra`) is loaded by the first space reference, or by the
+first entry of a section whose class lives there, so importing this
+module, and `coringlab.cli` with it, loads only `exactla` and `reports`.
 """
 
 from __future__ import annotations
@@ -31,8 +34,7 @@ import json
 import re
 from importlib import import_module
 
-from .bimodule import Bimodule, Matrix, regular_bimodule, space
-from .exactla import field_from_name
+from .exactla import Matrix, field_from_name
 from .reports import InputError
 
 
@@ -118,7 +120,7 @@ class SessionFile:
 
     # -- resolution ---------------------------------------------------------
 
-    def resolve_space(self, ref, path) -> Bimodule:
+    def resolve_space(self, ref, path):
         """The bimodule that ref names; path is its JSON path, for errors.
         A reference nested past the recursion limit is malformed input."""
         try:
@@ -126,7 +128,8 @@ class SessionFile:
         except RecursionError:
             raise InputError(f"{path}: space reference is nested too deeply") from None
 
-    def _space(self, ref, path) -> Bimodule:
+    def _space(self, ref, path):
+        from .bimodule import regular_bimodule, space
         if isinstance(ref, str):
             if ref in self.bimodules:
                 return self.bimodules[ref]

@@ -44,7 +44,6 @@ from .bimodule import (
     space,
     tensor_over,
 )
-from .coring import sample_maps
 from .reports import InputError, PreconditionFailure, Report, mirrored_report
 
 
@@ -912,6 +911,7 @@ def dual_tilde(o: RTObject, f: LinearMap, x_carrier: Bimodule) -> LinearMap:
 def sample_dual_maps(o: RTObject, x_carrier: Bimodule, l_x: LinearMap,
                      count=5, seed=0):
     """Deterministic sample of left-T right-A linear maps X -> P (x) T."""
+    from .coring import sample_maps
     ext = o.ext
     tb = ext.t_bimodule
     P = o.carrier

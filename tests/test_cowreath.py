@@ -81,6 +81,25 @@ class TestCowreathChecks:
                 assert concrete.witnesses and abstract.witnesses
 
 
+    def test_no_pipe_is_finished_twice(self, corpus, monkeypatch):
+        """xi-left-colinear and xi-right-colinear share their lhs pipe;
+        when neither is decided unbuilt, lhs is finished once, for both."""
+        from coringlab import bimodule
+        finished = []
+        real = bimodule.Pipe.done
+
+        def spy(self, *args, **kwargs):
+            finished.append(self)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(bimodule.Pipe, "done", spy)
+        for w in valid_corpus_cowreaths(corpus) + invalid_corpus_cowreaths(corpus):
+            finished.clear()
+            check_cowreath(w)
+            assert finished, w.name
+            assert len({id(p) for p in finished}) == len(finished), w.name
+
+
 class TestCollapseCases:
     def test_flip_over_one_dimensional_coalgebra(self, corpus):
         # D of dimension one: the cowreath is the unit one up to the

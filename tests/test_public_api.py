@@ -86,3 +86,38 @@ def test_submodule_resolves_after_bare_import():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+SOLVERS = ("Echelon", "kernel_basis", "rank", "rref", "solve")
+
+
+@pytest.mark.parametrize("name", SOLVERS)
+def test_solvers_resolve_from_the_package_and_exactla(name):
+    """The solvers live in `coringlab.echelon`; the package and `exactla`
+    hand out the same objects."""
+    from coringlab import echelon, exactla
+    package, old = {}, {}
+    exec(f"from coringlab import {name}", package)
+    exec(f"from coringlab.exactla import {name}", old)
+    assert package[name] is old[name] is getattr(exactla, name) is getattr(echelon, name)
+    assert name in coringlab.__all__
+
+
+def test_exactla_echelon_is_the_echelon_class():
+    from coringlab import echelon, exactla
+    assert exactla.Echelon is echelon.Echelon
+    with pytest.raises(AttributeError, match="no attribute 'Pivot'"):
+        exactla.Pivot
+
+
+def test_exactla_loads_the_solvers_on_first_use():
+    code = ("import sys, coringlab.exactla as x\n"
+            "assert 'coringlab.echelon' not in sys.modules\n"
+            "assert x.Matrix.identity(x.QQ, 2).rows == 2\n"
+            "assert 'coringlab.echelon' not in sys.modules\n"
+            "assert x.rank(x.Matrix.identity(x.QQ, 2)) == 2\n"
+            "assert 'coringlab.echelon' in sys.modules\n")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
