@@ -103,9 +103,8 @@ def test_solvers_resolve_from_the_package_and_exactla(name):
     assert name in coringlab.__all__
 
 
-def test_exactla_echelon_is_the_echelon_class():
-    from coringlab import echelon, exactla
-    assert exactla.Echelon is echelon.Echelon
+def test_exactla_unknown_name_raises_attribute_error():
+    from coringlab import exactla
     with pytest.raises(AttributeError, match="no attribute 'Pivot'"):
         exactla.Pivot
 
