@@ -15,7 +15,9 @@ shows how much of a lift is the quotients themselves.  `shared` counts
 those quotients, over the four timings, as taken from the content table
 (their numeric core is that of a live quotient of equal content) against
 built by `bimodule._build_tensor`.  `uf` counts the calls of
-`bimodule._union_find`, the quotients whose relations are all monomial;
+`bimodule._union_find`: the quotients whose relations are all monomial,
+and the decided equations below whose two sides differ before their
+level's projection (`_decided` runs it on the level it does not build);
 every other quotient with relations goes through `Echelon`.  `stages`
 is the part spent inside `bimodule._Stages._stage`, the pipe stages that
 multiply by I (x) F (x) I.  `list` and `plain` count the `padded_matmul`
@@ -27,7 +29,8 @@ products `Monomial @ Monomial`, which are the list kernel with
 pre = post = 1.  `decided` counts the compared equations between two
 pipes (`bimodule.compare_pipes`) that were decided on the relations of
 their codomain's outer level without building it, against those that
-finished both pipes and compared them (`_decided` false); on the `Echelon` levels of the kZ2(u) rows every one falls back.  `regroup` and `rev`
+finished both pipes and compared them (`_decided` false); on the
+`Echelon` levels of the kZ2(u) rows every one falls back.  `regroup` and `rev`
 time the changes of bracketing on the coassociativity space: `regroup`
 between space(P, P, P) and space(P, P (x) P), both ways, and `rev` of
 space(P, P, P)'s quotient and of its mirror.  `homs` times the two

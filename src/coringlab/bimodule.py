@@ -66,11 +66,11 @@ A checker equation between two pipes that end on the same factors is
 compared by `compare_pipes`.  Whether lhs = rhs holds does not depend on
 the basis of the target quotient, so when its outer level X (x)_A N is
 not built yet, is not flat and has monomial unmarked pairs, the two pipes
-are merged only as far as (X, N) and each column of lhs - rhs is tested
-against the relation span by a weighted union-find local to that column
-(`_span_test`); when every column is in the span the equation passes and
-the level is never built.  It is built, and the two sides compared on its
-canonical basis by `compare_maps`, for a witness (a column outside the
+are merged only as far as (X, N) and lhs - rhs is tested against the
+relation span with the projection the level would have (`_union_find`,
+whose kernel is that span); when it kills lhs - rhs the equation passes
+and the level is never built.  It is built, and the two sides compared on
+its canonical basis by `compare_maps`, for a witness (a column outside the
 span), on a flat, built or `Echelon` level, and when building it could
 raise: X and N must each be a tensor quotient or have commuting actions
 (`_commutes`), so that every inherited action descends.
@@ -363,13 +363,14 @@ def compare_pipes(rep: Report, tag: str, lhs: "Pipe", rhs: "Pipe", done=None):
     """`compare_maps` of lhs.done() and rhs.done(), two pipes from one
     source that end on the same factors.  When the outer level X (x)_A N
     of their target is not built yet, is not flat, has monomial unmarked
-    pairs and passes the guards of `_decided`, the equation is decided on
-    the relations of that level and a pass builds no quotient.  Otherwise,
-    and whenever a column of lhs - rhs is not in the relation span, both
-    pipes are finished into the built quotient and compared there, so
-    every status, witness and error is that of `compare_maps`.  Returns
-    lhs.done() when it ran, else done: passed back as done with the same
-    lhs, it spares a later comparison finishing lhs again."""
+    pairs and passes the guards of `_decided`, the equation is decided by
+    the projection that level would have (`_union_find`), and a pass
+    builds no quotient.  Otherwise, and whenever that projection does not
+    kill lhs - rhs, both pipes are finished into the built quotient and
+    compared there, so every status, witness and error is that of
+    `compare_maps`.  Returns lhs.done() when it ran, else done: passed
+    back as done with the same lhs, it spares a later comparison finishing
+    lhs again."""
     if not _decided(lhs, rhs):
         done = done or lhs.done()
         compare_maps(rep, tag, done, rhs.done())
@@ -663,9 +664,9 @@ def _build_tensor(a, m, n, name):
 
 
 def _find(parent, weight, mul, c):
-    """(root, w) with e_c = w e_root in a weighted union-find: e_x =
-    weight[x] e_parent[x], and a root is its own parent with weight 1.
-    The path from c is compressed."""
+    """(root, w) with e_c = w e_root in the weighted union-find of
+    `_union_find`: e_x = weight[x] e_parent[x], and a root is its own
+    parent with weight 1.  The path from c is compressed."""
     p = parent[c]
     if parent[p] == p:
         return p, weight[c]
@@ -742,9 +743,10 @@ def _decided(lhs, rhs) -> bool:
     only in `_check_bases`, which runs, or when an inherited action does
     not descend: the left action of X descends when the two actions of X
     commute, and the right action of N when those of N do, so each must be
-    a `TensorQuotient` or pass `_commutes`.  Then a column of lhs - rhs is
-    zero on the quotient exactly when it lies in the relation span
-    (`_span_test`)."""
+    a `TensorQuotient` or pass `_commutes`.  Then lhs - rhs is zero on the
+    quotient exactly when the level's canonical projection kills it: that
+    `project` of `_union_find`, made from the same monomial pairs and kept
+    nowhere, has the relation span as its kernel."""
     fs = lhs.factors
     # X inherits each marked right action of fs[-2] as a marked action, so
     # a level whose last two factors have only marked pairs is flat
@@ -761,8 +763,10 @@ def _decided(lhs, rhs) -> bool:
     if not (_commutes(x) and _commutes(n)):
         return False
     lm, rm = lhs._merge(x, 0).matrix, rhs._merge(x, 0).matrix
-    return lm == rm or all(map(_span_test(x.field, n.dim, mono),
-                               (lm - rm).transpose().data.values()))
+    if lm == rm:
+        return True
+    project = _union_find(x.field, x.dim, n.dim, mono)[1]
+    return project @ lm == project @ rm
 
 
 def _commutes(b) -> bool:
@@ -777,68 +781,6 @@ def _commutes(b) -> bool:
                        for acts in (b.left_action, b.right_action))
         return all(lk @ rk == rk @ lk for lk in left for rk in right)
     return isinstance(b, TensorQuotient) or memo(b, "actions_commute", commute)
-
-
-def _span_test(f, dn, mono):
-    """in_span(vec): whether a flat vector of X (x)_A N, a dict, lies in
-    the span of its balancing relations, from the monomial forms R_0, L_0,
-    R_1, L_1, ... of the unmarked pairs (those of `_union_find`) and dn,
-    the dim of N.
-
-    Each call runs a weighted union-find local to vec, with `_union_find`'s
-    rules: it starts from the support of vec and takes only the relations
-    that touch a column it has reached, found through the inverse target
-    lists of R_k and L_k, so what it reaches is a union of whole
-    components.  Column (i, j) is touched by relation (s, j) for each s
-    with R_k e_s on row i, which reads R_k[i, s] e_(i, j) = L_k[q, j]
-    e_(s, q) for the entry q of column j of L_k, and by relation (i, s) for
-    each s with L_k e_s on row j, which reads L_k[j, s] e_(i, j) =
-    R_k[p, i] e_(p, s) for the entry p of column i of R_k; with that entry
-    missing it kills (i, j).  A component with a one-term kill or a cycle
-    whose weights disagree is dead, and e_c = weight(c) e_root elsewhere,
-    so vec is in the span exactly when the sum of vec[c] weight(c) is 0
-    over each live component."""
-    one, mul, pairs = f.one(), f.mul, list(zip(mono[::2], mono[1::2]))
-
-    def in_span(vec):
-        # parent and weight hold every column reached (`_find`)
-        parent, weight, dead = {c: c for c in vec}, dict.fromkeys(vec, one), set()
-        todo, find = list(vec), partial(_find, parent, weight, mul)
-
-        def tie(c, x, y, p, q):
-            """x e_c = y e_(p, q), or x e_c = 0 when p or q is -1."""
-            rc, wc = find(c)
-            if p < 0 or q < 0:
-                return dead.add(rc)
-            b = p * dn + q
-            if b not in parent:
-                parent[b], weight[b] = b, one
-                todo.append(b)
-            rb, wb = find(b)
-            x, y = mul(x, wc), mul(y, wb)
-            if rc == rb:
-                if x != y:
-                    dead.add(rc)
-            else:
-                parent[rc], weight[rc] = rb, f.div(y, x)
-                if rc in dead:
-                    dead.add(rb)
-
-        for c in todo:  # grows while it is read
-            i, j = divmod(c, dn)
-            # row t of a `Monomial` is {s: weight} over the columns s it sends to t
-            for r, l in pairs:
-                for s, v in r.data.get(i, {}).items():
-                    tie(c, v, l.wt[j], s, l.tgt[j])
-                for s, v in l.data.get(j, {}).items():
-                    tie(c, v, r.wt[i], r.tgt[i], s)
-        sums = {}
-        for c, v in vec.items():
-            r, w = find(c)
-            if r not in dead:
-                f.axpy(sums, {r: w}, v)
-        return not sums
-    return in_span
 
 
 def tensor_maps(f: LinearMap, g: LinearMap, source_q: TensorQuotient,

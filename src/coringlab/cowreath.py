@@ -27,8 +27,8 @@ from .bimodule import (
     space,
     tensor_over,
 )
-from .coring import (Comodule, Coring, check_coring_morphism, compare_maps, flip_map,
-                     sample_maps)
+from .coring import (Comodule, Coring, check_coring_morphism, compare_maps, corings_match,
+                     flip_map, sample_maps)
 from .rcat import (LObject, RMorphism, RObject, _check_r_object, check_r_morphism,
                    check_r_object, identity_r_object, mirror_object,
                    r_tensor_objects)
@@ -455,6 +455,7 @@ def induced_comodule_tensor(w: Cowreath, x: Comodule, product: Coring,
     tensoring with M and twisting."""
     if x.side != "right":
         raise InputError("the induction functor takes right comodules")
+    _right_comodules(w, x)
     c = w.coring
     C, M = c.carrier, w.object.carrier
     X = x.carrier
@@ -487,18 +488,22 @@ def induction_xi(w: Cowreath, y: Comodule, c: Coring, name=None) -> Comodule:
     return Comodule("right", c, Y, coaction, name=name or f"{y.name}_xi")
 
 
-def _right_comodules(*comodules):
-    """Raise InputError naming the first comodule that is not a right one."""
-    for m in comodules:
+def _right_comodules(w, x, *others):
+    """Raise InputError naming the first of x and others that is not a
+    right comodule, or x when it is not over the coring of w."""
+    for m in (x, *others):
         if m.side != "right":
             raise InputError(f"the adjunction takes right comodules; "
                              f"{m.name} is a {m.side} comodule")
+    if not corings_match(x.coring, w.coring):
+        raise InputError(f"{x.name} is a comodule over {x.coring.name}, not over "
+                         f"{w.coring.name}, the coring of {w.name}")
 
 
 def adjunction_hat(w: Cowreath, x: Comodule, y: Comodule,
                    f: LinearMap) -> LinearMap:
     """Transpose a map (Y)_xi -> X to a map Y -> X (x) M."""
-    _right_comodules(x, y)
+    _right_comodules(w, x, y)
     c = w.coring
     C, M = c.carrier, w.object.carrier
     X, Y = x.carrier, y.carrier
@@ -519,7 +524,7 @@ def adjunction_hat(w: Cowreath, x: Comodule, y: Comodule,
 def adjunction_tilde(w: Cowreath, x: Comodule, y: Comodule,
                      g: LinearMap) -> LinearMap:
     """Transpose a map Y -> X (x) M back to a map (Y)_xi -> X."""
-    _right_comodules(x, y)
+    _right_comodules(w, x, y)
     c = w.coring
     C, M = c.carrier, w.object.carrier
     X, Y = x.carrier, y.carrier

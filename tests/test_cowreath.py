@@ -3,7 +3,7 @@ import re
 import pytest
 
 from coringlab.exactla import QQ, Matrix
-from coringlab.bimodule import LinearMap
+from coringlab.bimodule import LinearMap, tensor_over
 from coringlab.coring import (
     Comodule,
     check_comodule,
@@ -381,6 +381,28 @@ class TestExactAdjunction:
                     f"the adjunction takes right comodules; {bad.name} is a "
                     "left comodule")):
                 transpose(w, xx, yy, f)
+
+    @pytest.mark.parametrize("functor", ["hat", "tilde", "induced"])
+    def test_comodule_over_another_coring_is_input_error(self, corpus, functor):
+        """X must coact into the coring of the cowreath: X = C[g,x] over
+        itself, with each map of the shape the functor takes, used to give
+        a map (or a comodule) for the flip cowreath over C2."""
+        w = corpus.flip_cw
+        prod, _ = cowreath_product(w)
+        y = induced_comodule_tensor(w, comodule_over_itself(corpus.c2), prod)
+        xg = comodule_over_itself(corpus.gp)
+        target = tensor_over(xg.carrier.right_algebra, xg.carrier, w.object.carrier)
+        call = {
+            "hat": lambda: adjunction_hat(w, xg, y, LinearMap(
+                y.carrier, xg.carrier, Matrix.zeros(QQ, xg.carrier.dim, y.carrier.dim))),
+            "tilde": lambda: adjunction_tilde(w, xg, y, LinearMap(
+                y.carrier, target, Matrix.zeros(QQ, target.dim, y.carrier.dim))),
+            "induced": lambda: induced_comodule_tensor(w, xg, prod),
+        }[functor]
+        with pytest.raises(InputError, match=re.escape(
+                f"{xg.name} is a comodule over C[g,x], not over C2, the coring "
+                f"of {w.name}")):
+            call()
 
 
 class TestComparisonFunctor:

@@ -201,13 +201,14 @@
   marked-identity operand returns the other one.  The corpus comparison
   without the list kernel multiplies plain copies there too.
 * `compare_pipes` decides an equation between two pipes on a union-find
-  level it does not build: a column of lhs - rhs passes when
-  `_span_test`, a weighted union-find over the relations that touch the
-  column's support, finds it in the relation span.  That must agree with
-  project @ vec == 0 for the canonical `project` and with reduction by the
-  raw relations through `Echelon`, on generated monomial levels over QQ
-  and GF(101) (one-term kills, inconsistent cycles, vectors in and out of
-  the span, every unit vector) and on one case per rule.  Every corpus
+  level it does not build: it passes when the canonical `project` of
+  `_union_find` kills lhs - rhs.  project @ vec == 0 must agree with
+  reduction by the raw relations through `Echelon`, on generated monomial
+  levels over QQ and GF(101) (one-term kills, inconsistent cycles,
+  vectors in and out of the span, every unit vector) and on one case per
+  rule, and `_decided` itself must agree with `Echelon` on every column
+  of lhs - rhs, on weighted levels that it leaves unbuilt (every corpus
+  tie has weight 1).  Every corpus
   checker, broken twins, lifts, mirrored checks and `gp`, and perturbed
   entwined corings and lifts, must give the same reports, witness text
   and errors with `_decided` forced off, and a leaf whose two actions do
@@ -4821,25 +4822,23 @@ def span_vectors(draw, field, flat, relations):
     return [v for v in out if v]
 
 
-def assert_span_test_matches(field, m, n, vectors):
-    """`_span_test` on each vector (every unit vector among them) against
-    project @ vec == 0 for the union-find `project` of the level, and
-    against reduction by the raw relations through `Echelon`."""
+def assert_projection_kills_the_span(field, m, n, vectors):
+    """project @ vec == 0 for the union-find `project` of the level, on
+    each vector (every unit vector among them), against reduction by the
+    raw relations through `Echelon`; returns in_span(vec), the first."""
     flat = m.dim * n.dim
     mono = [k.monomial() for pair in bimodule._unmarked(m, n) for k in pair]
     _, project = bimodule._union_find(field, m.dim, n.dim, mono)
     ech = Echelon(field, flat, bimodule._balancing(m, n))
-    in_span = bimodule._span_test(field, n.dim, mono)
     for vec in vectors + [{c: field.one()} for c in range(flat)]:
-        want = not project.tapply(vec)
-        assert want == (not ech.reduce(vec))
-        assert in_span(vec) == want
+        assert (not project.tapply(vec)) == (not ech.reduce(vec))
+    return lambda vec: not project.tapply(vec)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
-def test_span_test_matches_the_quotient(field, data):
+def test_union_find_projection_kills_the_span(field, data):
     """A flat vector of a generated monomial level is in the relation span
     exactly when the canonical `project` kills it: free monomial R_k and
     L_k with one-term kills, inconsistent cycles and dead components, and
@@ -4847,7 +4846,7 @@ def test_span_test_matches_the_quotient(field, data):
     a, m, n = data.draw(monomial_input(field))
     relations = list(bimodule._balancing(m, n))
     vectors = data.draw(span_vectors(field, m.dim * n.dim, relations))
-    assert_span_test_matches(field, m, n, vectors)
+    assert_projection_kills_the_span(field, m, n, vectors)
 
 
 def free_level(field, right, left, dm, dn):
@@ -4863,31 +4862,94 @@ def free_level(field, right, left, dm, dn):
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
-def test_span_test_cases(field):
+def test_union_find_projection_cases(field):
     """The rules one at a time, on M (x) N with dim N = 1, so that flat
     column i is e_i, and L_k the identity: column i of R_k = {p: v} ties
     v e_p = e_i, and a zero column kills e_i.  A weighted tie e_0 = 2 e_1
     keeps e_0 - e_1 out of the span and puts e_0 - 2 e_1 in it; a one-term
-    kill of e_1 kills e_0 = e_1 too; a chain e_0 = e_1 = e_2 = e_3 is
-    followed through the columns the vector does not hold; and the cycle
-    e_0 = e_1, e_0 = 2 e_1 of two pairs kills both."""
+    kill of e_1 kills e_0 = e_1 too; a chain e_0 = e_1 = e_2 = e_3 ties
+    its ends; and the cycle e_0 = e_1, e_0 = 2 e_1 of two pairs kills
+    both."""
     one, two, neg = field.one(), field.from_int(2), field.neg(field.one())
     ident = ([0], [one])
 
-    def case(right, dm, vectors):
+    def case(right, dm):
         m, n = free_level(field, right, [ident] * len(right), dm, 1)
-        mono = [k.monomial() for pair in bimodule._unmarked(m, n) for k in pair]
-        assert_span_test_matches(field, m, n, vectors)
-        return bimodule._span_test(field, 1, mono)
+        return assert_projection_kills_the_span(field, m, n, [])
 
-    in_span = case([([1, 1], [two, one])], 2, [])
+    in_span = case([([1, 1], [two, one])], 2)
     assert not in_span({0: one, 1: neg}) and in_span({0: one, 1: field.neg(two)})
-    in_span = case([([1, -1], [one, one])], 2, [])
+    in_span = case([([1, -1], [one, one])], 2)
     assert in_span({0: one}) and in_span({1: one})
-    in_span = case([([1, 2, 3, 3], [one] * 4)], 4, [])
+    in_span = case([([1, 2, 3, 3], [one] * 4)], 4)
     assert in_span({0: one, 3: neg}) and not in_span({0: one})
-    in_span = case([([1, 1], [one, one]), ([1, 1], [two, one])], 2, [])
+    in_span = case([([1, 1], [one, one]), ([1, 1], [two, one])], 2)
     assert in_span({0: one}) and in_span({1: one})
+
+
+def assert_decided_as_echelon(field, m, n, base, diffs):
+    """`_decided` on two pipes that end on (M, N), with columns base and
+    base - diffs, is true exactly when `Echelon` reduces every column of
+    diffs to 0, and M (x)_A N stays unbuilt; returns the decision."""
+    flat, a = m.dim * n.dim, m.right_algebra
+
+    def stages(cols):
+        rows = Matrix(field, len(cols), flat, {t: c for t, c in enumerate(cols) if c})
+        return bimodule._Stages((m, n), rows.transpose())
+
+    rhs = [field.axpy(dict(b), d, field.neg(field.one())) for b, d in zip(base, diffs)]
+    got = bimodule._decided(stages(base), stages(rhs))
+    ech = Echelon(field, flat, bimodule._balancing(m, n))
+    assert got == all(not ech.reduce(d) for d in diffs)
+    assert bimodule._tensor_key(a, n) not in getattr(m, "_memo", {})
+    return got
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_decided_on_weighted_levels(field):
+    """`_decided` on the weighted levels of `test_union_find_projection_cases`,
+    left unbuilt.  Every corpus tie has weight 1, so the weighted tie
+    e_0 = 2 e_1 is what tells a decision that reads the weights from one
+    that drops them, and a first column in the span with a second out of
+    it what tells one that reads every column of lhs - rhs."""
+    one, two, neg = field.one(), field.from_int(2), field.neg(field.one())
+    ident, base = ([0], [one]), [{0: one}, {1: two}]
+
+    def decide(right, dm, diffs):
+        m, n = free_level(field, right, [ident] * len(right), dm, 1)
+        return assert_decided_as_echelon(field, m, n, base[:len(diffs)], diffs)
+
+    tie = [([1, 1], [two, one])]
+    assert not decide(tie, 2, [{0: one, 1: neg}])
+    assert decide(tie, 2, [{0: one, 1: field.neg(two)}])
+    assert decide(tie, 2, [{0: two, 1: field.from_int(-4)}, {}])
+    assert not decide(tie, 2, [{0: one, 1: field.neg(two)}, {0: one, 1: neg}])
+    assert not decide(tie, 2, [{}, {1: one}])
+    assert decide([([1, -1], [one, one])], 2, [{0: one}, {1: neg}])
+    chain = [([1, 2, 3, 3], [one] * 4)]
+    assert decide(chain, 4, [{0: one, 3: neg}, {1: two, 2: field.neg(two)}])
+    assert not decide(chain, 4, [{0: one, 3: neg}, {2: one}])
+    assert decide([([1, 1], [one, one]), ([1, 1], [two, one])], 2, [{0: one}, {1: two}])
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_decided_on_generated_weighted_levels(field, data):
+    """`_decided` on random weighted `free_level` levels (one or two pairs,
+    weights often not 1, zero columns) against `Echelon`, with columns of
+    lhs - rhs in the span and out of it, in random order."""
+    dm, dn = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))
+    count = data.draw(st.integers(1, 2))
+    right = [data.draw(kernel_lists(field, dm, dm)) for _ in range(count)]
+    left = [data.draw(kernel_lists(field, dn, dn)) for _ in range(count)]
+    m, n = free_level(field, right, left, dm, dn)
+    assume(bimodule._unmarked(m, n))
+    flat = dm * dn
+    diffs = data.draw(st.permutations(data.draw(span_vectors(
+        field, flat, list(bimodule._balancing(m, n))))))
+    base = [{data.draw(st.integers(0, flat - 1)): field.one()} for _ in diffs]
+    assert_decided_as_echelon(field, m, n, base, diffs)
 
 
 def decision_outcome(fn):

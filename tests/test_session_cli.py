@@ -450,6 +450,7 @@ class TestAdjointCommand:
         xn = store.add_comodule("X", x)
         yn = store.add_comodule("Y", y)
         store.add_comodule("XL", comodule_over_itself(CORPUS.c2, side="left"))
+        store.add_comodule("XG", comodule_over_itself(CORPUS.gp))
         fn = store.map_name(f, "f")
         path = str(tmp_path / "adj.json")
         write_session(store.raw, path)
@@ -524,6 +525,20 @@ class TestAdjointCommand:
         assert out.out == ""
         assert out.err == ("error: the adjunction takes right comodules; "
                            "XL is a left comodule\n")
+
+    @pytest.mark.parametrize("direction", ["hat", "tilde"])
+    def test_comodule_over_another_coring_exits_2(self, hat_argv, capsys, direction):
+        """X over C[g,x] against the flip cowreath over C2 is malformed
+        input: exit 2 with one error line naming both corings, nothing on
+        stdout."""
+        argv = list(hat_argv)
+        argv[argv.index("hat")] = direction
+        argv[argv.index("--x") + 1] = "XG"
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == ("error: XG is a comodule over C[g,x], not over C2, "
+                           "the coring of W\n")
 
 
 class TestWitnessReevaluation:
