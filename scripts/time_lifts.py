@@ -30,7 +30,10 @@ pre = post = 1.  `decided` counts the compared equations between two
 pipes (`bimodule.compare_pipes`) that were decided on the relations of
 their codomain's outer level without building it, against those that
 finished both pipes and compared them (`_decided` false); on the
-`Echelon` levels of the kZ2(u) rows every one falls back.  `regroup` and `rev`
+`Echelon` levels of the kZ2(u) rows every one falls back.  The counit
+and twist laws (`cw-counit`, `cw-twist`, and `counit-left`/`-right` of
+the product) are counted too: they end on built levels, so they always
+fall back.  `regroup` and `rev`
 time the changes of bracketing on the coassociativity space: `regroup`
 between space(P, P, P) and space(P, P (x) P), both ways, and `rev` of
 space(P, P, P)'s quotient and of its mirror.  `homs` times the two

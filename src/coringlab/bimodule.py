@@ -63,17 +63,24 @@ to the leaves and up again one quotient at a time, so no map is built on
 the product of all leaf dimensions.
 
 A checker equation between two pipes that end on the same factors is
-compared by `compare_pipes`.  Whether lhs = rhs holds does not depend on
-the basis of the target quotient, so when its outer level X (x)_A N is
-not built yet, is not flat and has monomial unmarked pairs, the two pipes
-are merged only as far as (X, N) and lhs - rhs is tested against the
-relation span with the projection the level would have (`_union_find`,
-whose kernel is that span); when it kills lhs - rhs the equation passes
-and the level is never built.  It is built, and the two sides compared on
-its canonical basis by `compare_maps`, for a witness (a column outside the
-span), on a flat, built or `Echelon` level, and when building it could
-raise: X and N must each be a tensor quotient or have commuting actions
-(`_commutes`), so that every inherited action descends.
+compared by `compare_pipes`; this is the one form of every law between
+composites.  An identity law compares its pipe with the source pipe
+itself, with no stage (project . section is the identity), and a twist
+law with the source pipe continued by the twist.  `compare_maps` is
+called directly only by `compare_pipes`, `check_bimodule`,
+`bilinearity_report`, `entwine._flat_law`, `coring.check_coring_morphism`,
+`rcat.check_r_algebra` and `wreath.r_action_matrices_check`.  Whether
+lhs = rhs holds does not depend on the basis of the target quotient, so
+when its outer level X (x)_A N is not built yet, is not flat and has
+monomial unmarked pairs, the two pipes are merged only as far as (X, N)
+and lhs - rhs is tested against the relation span with the projection
+the level would have (`_union_find`, whose kernel is that span); when it
+kills lhs - rhs the equation passes and the level is never built.  It is
+built, and the two sides compared on its canonical basis by
+`compare_maps`, for a witness (a column outside the span), on a flat,
+built or `Echelon` level, and when building it could raise: X and N must
+each be a tensor quotient or have commuting actions (`_commutes`), so
+that every inherited action descends.
 
 The mirror reads a bimodule in the opposite bicategory: `op` gives the
 opposite algebra, `mirror` swaps a bimodule's two actions and reverses the
@@ -361,20 +368,27 @@ def compare_maps(rep: Report, tag: str, lhs: LinearMap, rhs: LinearMap,
 
 def compare_pipes(rep: Report, tag: str, lhs: "Pipe", rhs: "Pipe", done=None):
     """`compare_maps` of lhs.done() and rhs.done(), two pipes from one
-    source that end on the same factors.  When the outer level X (x)_A N
-    of their target is not built yet, is not flat, has monomial unmarked
+    source that end on the same factors.  rhs may be the source pipe with
+    no stage (an identity law: project . section is the identity) or with
+    one twist.  This is how every checker compares two composites;
+    `compare_maps` is called directly only here, in `check_bimodule`,
+    `bilinearity_report`, `entwine._flat_law`,
+    `coring.check_coring_morphism`, `rcat.check_r_algebra` and
+    `wreath.r_action_matrices_check`.  When the outer level X (x)_A N of
+    their target is not built yet, is not flat, has monomial unmarked
     pairs and passes the guards of `_decided`, the equation is decided by
     the projection that level would have (`_union_find`), and a pass
     builds no quotient.  Otherwise, and whenever that projection does not
     kill lhs - rhs, both pipes are finished into the built quotient and
     compared there, so every status, witness and error is that of
-    `compare_maps`.  Returns lhs.done() when it ran, else done: passed
-    back as done with the same lhs, it spares a later comparison finishing
-    lhs again."""
+    `compare_maps`.  done, a dict that the comparisons sharing a pipe pass
+    on, keeps each pipe they finish, so such a pipe is finished once."""
     if not _decided(lhs, rhs):
-        done = done or lhs.done()
-        compare_maps(rep, tag, done, rhs.done())
-    return done
+        done = {} if done is None else done
+        for p in (lhs, rhs):
+            if p not in done:
+                done[p] = p.done()
+        compare_maps(rep, tag, done[lhs], done[rhs])
 
 
 def bilinearity_report(f: LinearMap, check_name=None) -> Report:
@@ -1188,6 +1202,14 @@ def unit_iso(side: str, m: Bimodule):
     if iso.matrix @ inv.matrix != ident_m or inv.matrix @ iso.matrix != ident_q:
         raise WellDefinednessError("unit isomorphism failed to invert")
     return iso, inv
+
+
+def unit_twist(b: Bimodule, a: FinAlgebra) -> LinearMap:
+    """The twist b (x)_A A -> A (x)_A b, x (x) a -> 1 (x) x.a, of the unit
+    object over b: the carrier of a coring over A, or T of an extension."""
+    areg = regular_bimodule(a)
+    return pipe(space(b, areg)).absorb_left(1).insert_central(
+        areg, a.unit_vector(), 0).done(space(areg, b), name="unit-twist")
 
 
 def clear_caches():

@@ -27,11 +27,11 @@ from .bimodule import (
     space,
     tensor_over,
 )
-from .coring import (Comodule, Coring, check_coring_morphism, compare_maps, corings_match,
-                     flip_map, sample_maps)
+from .coring import (Comodule, Coring, check_coring_morphism, corings_match, flip_map,
+                     sample_maps)
 from .rcat import (LObject, RMorphism, RObject, _check_r_object, check_r_morphism,
                    check_r_object, identity_r_object, mirror_object,
-                   r_tensor_objects)
+                   r_object_bicomodule, r_tensor_objects)
 from .reports import InputError, PreconditionFailure, Report, mirrored_report
 
 
@@ -63,22 +63,25 @@ class Cowreath:
 def _object_and_colinearity(w: Cowreath, rep: Report):
     """The laws of w's twist object (`check_r_object`), then that xi and
     delta are morphisms in the category (bicolinear maps), on pipes from
-    C (x) M that are built once: comult (x) M, its continuation by
-    C (x) twist, and delta.  Returns the pipes of delta and of
-    (comult x M x M).delta, which the cowreath laws continue."""
+    C (x) M that are built once: comult (x) M and its continuation by
+    C (x) twist, twist, and delta.  Returns the source pipe of C (x) M and
+    the pipes of twist, of delta and of (comult x M x M).delta, which the
+    cowreath laws continue."""
     c = w.coring
     C, M = c.carrier, w.object.carrier
     tw = w.object.twist
     src = pipe(space(C, M))
     cm = src.apply(c.comult, 0, 1, [C, C])
     ct = cm.apply(tw, 1, 2, [M, C])
+    st = src.apply(tw, 0, 2, [M, C])
     d = src.apply(w.delta, 0, 2, [C, M, M])
-    rep.extend(_check_r_object(w.object, src, ct))
+    rep.extend(_check_r_object(w.object, src, ct, st))
     rep.extend(bilinearity_report(w.xi, "xi"))
     rep.extend(bilinearity_report(w.delta, "delta"))
 
     lhs = src.apply(w.xi, 0, 2, [C]).apply(c.comult, 0, 1, [C, C])
-    done = compare_pipes(rep, "xi-left-colinear", lhs, cm.apply(w.xi, 1, 2, [C]))
+    done = {}
+    compare_pipes(rep, "xi-left-colinear", lhs, cm.apply(w.xi, 1, 2, [C]), done)
     compare_pipes(rep, "xi-right-colinear", lhs, ct.apply(w.xi, 0, 2, [C]), done)
 
     dc = d.apply(c.comult, 0, 1, [C, C])
@@ -86,25 +89,19 @@ def _object_and_colinearity(w: Cowreath, rep: Report):
     compare_pipes(rep, "delta-right-colinear",
                   dc.apply(tw, 1, 2, [M, C]).apply(tw, 2, 2, [M, C]),
                   ct.apply(w.delta, 0, 2, [C, M, M]))
-    return d, dc
+    return src, st, d, dc
 
 
 def check_cowreath(w: Cowreath) -> Report:
     """The three defining diagrams, after the object laws and the
     bicolinearity of xi and delta."""
     rep = Report(f"cowreath {w.name}")
-    d, _ = _object_and_colinearity(w, rep)
-    c = w.coring
-    C, M = c.carrier, w.object.carrier
+    src, st, d, _ = _object_and_colinearity(w, rep)
+    C, M = w.coring.carrier, w.object.carrier
     tw = w.object.twist
-
-    d1 = d.apply(w.xi, 0, 2, [C]).done(name="(xi x M).delta")
-    compare_maps(rep, "cw-counit", d1,
-                 LinearMap.identity(space(C, M).quotient))
-
+    compare_pipes(rep, "cw-counit", d.apply(w.xi, 0, 2, [C]), src)
     dt = d.apply(tw, 0, 2, [M, C])
-    d2 = dt.apply(w.xi, 1, 2, [C]).done(name="(M x xi).(tw x M).delta")
-    compare_maps(rep, "cw-twist", d2, tw)
+    compare_pipes(rep, "cw-twist", dt.apply(w.xi, 1, 2, [C]), st)
 
     compare_pipes(rep, "cw-coassoc", dt.apply(w.delta, 1, 2, [C, M, M]),
                   d.apply(w.delta, 0, 2, [C, M, M]).apply(tw, 0, 2, [M, C]))
@@ -115,29 +112,19 @@ def check_cowreath_abstract(w: Cowreath) -> Report:
     """The coalgebra equations written through the categorical product of
     morphisms, an independent route to the same property."""
     rep = Report(f"cowreath {w.name} (abstract)")
-    _, dc = _object_and_colinearity(w, rep)
+    src, _, _, dc = _object_and_colinearity(w, rep)
     c = w.coring
     C, M = c.carrier, w.object.carrier
     tw = w.object.twist
     areg = regular_bimodule(c.base)
-    ident = LinearMap.identity(space(C, M).quotient)
-
     dct = dc.apply(tw, 1, 2, [M, C])
-    e1 = (
-        dct.apply(w.xi, 2, 2, [C])
-        .apply(c.counit, 2, 1, [areg])
-        .absorb_left(2)
-        .done(name="abstract-counit-1")
-    )
-    compare_maps(rep, "cw-abstract-counit-1", e1, ident)
-
-    e2 = (
-        dc.apply(w.xi, 1, 2, [C])
-        .apply(c.counit, 1, 1, [areg])
-        .absorb_right(1)
-        .done(name="abstract-counit-2")
-    )
-    compare_maps(rep, "cw-abstract-counit-2", e2, ident)
+    done = {}
+    compare_pipes(rep, "cw-abstract-counit-1",
+                  dct.apply(w.xi, 2, 2, [C]).apply(c.counit, 2, 1, [areg]).absorb_left(2),
+                  src, done)
+    compare_pipes(rep, "cw-abstract-counit-2",
+                  dc.apply(w.xi, 1, 2, [C]).apply(c.counit, 1, 1, [areg]).absorb_right(1),
+                  src, done)
 
     lhs = (
         dc.apply(w.delta, 1, 2, [C, M, M])
@@ -295,17 +282,8 @@ def cowreath_product(w: Cowreath, name=None):
     """The coring on C (x) M, plus the report that xi is a coring morphism
     from it onto C."""
     c = w.coring
-    C, M = c.carrier, w.object.carrier
-    carrier = tensor_over(C.right_algebra, C, M)
-    target = space(carrier, carrier)
-    comult = (
-        pipe(space(carrier))
-        .refine(0)
-        .apply(c.comult, 0, 1, [C, C])
-        .apply(w.delta, 1, 2, [C, M, M])
-        .apply(w.object.twist, 1, 2, [M, C])
-        .done(target, name="comult")
-    )
+    C = c.carrier
+    carrier, comult = _induced_coaction(w, C, c.comult, "comult")
     areg = regular_bimodule(c.base)
     counit = (
         pipe(space(carrier))
@@ -320,6 +298,23 @@ def cowreath_product(w: Cowreath, name=None):
     morph = check_coring_morphism(xi_as_map, product, c,
                                   name=f"xi as coring morphism ({w.name})")
     return product, morph
+
+
+def _induced_coaction(w: Cowreath, X, rho: LinearMap, name, product_carrier=None):
+    """The carrier X (x)_A M and the coaction (X x twist).(X x delta).(rho x M)
+    of it into carrier (x) product_carrier, by default carrier (x) carrier:
+    with X = C and rho = comult the comultiplication of the product coring,
+    and with a right C-comodule X the coaction of `induced_comodule_tensor`."""
+    C, M = w.coring.carrier, w.object.carrier
+    carrier = tensor_over(X.right_algebra, X, M)
+    return carrier, (
+        pipe(space(carrier))
+        .refine(0)
+        .apply(rho, 0, 1, [X, C])
+        .apply(w.delta, 1, 2, [C, M, M])
+        .apply(w.object.twist, 1, 2, [M, C])
+        .done(space(carrier, product_carrier or carrier), name=name)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -367,19 +362,18 @@ def check_cow_comodule(x: CowComodule) -> Report:
     conv = regroup(tshape, space(C, prod.carrier))
     rep.extend(check_r_morphism(
         RMorphism(x.object, prod, conv.after(x.coaction), name="coaction")))
+    src = pipe(space(C, X))
     if x.side == "right":
-        co = pipe(space(C, X)).apply(x.coaction, 0, 2, [C, X, M])
+        co = src.apply(x.coaction, 0, 2, [C, X, M])
         cot = co.apply(xt, 0, 2, [X, C])
-        d1 = cot.apply(w.xi, 1, 2, [C]).done(name="(X x xi).(xt x M).rho")
-        compare_maps(rep, "comodule-counit", d1, xt)
+        compare_pipes(rep, "comodule-counit", cot.apply(w.xi, 1, 2, [C]),
+                      src.apply(xt, 0, 2, [X, C]))
         compare_pipes(rep, "comodule-coassoc",
                       co.apply(x.coaction, 0, 2, [C, X, M]).apply(xt, 0, 2, [X, C]),
                       cot.apply(w.delta, 1, 2, [C, M, M]))
     else:
-        co = pipe(space(C, X)).apply(x.coaction, 0, 2, [C, M, X])
-        d1 = co.apply(w.xi, 0, 2, [C]).done(name="(xi x X).lam")
-        compare_maps(rep, "comodule-counit", d1,
-                     LinearMap.identity(space(C, X).quotient))
+        co = src.apply(x.coaction, 0, 2, [C, M, X])
+        compare_pipes(rep, "comodule-counit", co.apply(w.xi, 0, 2, [C]), src)
         compare_pipes(rep, "comodule-coassoc",
                       co.apply(w.delta, 0, 2, [C, M, M]).apply(mt, 0, 2, [M, C]),
                       co.apply(mt, 0, 2, [M, C]).apply(x.coaction, 1, 2, [C, M, X]))
@@ -456,18 +450,8 @@ def induced_comodule_tensor(w: Cowreath, x: Comodule, product: Coring,
     if x.side != "right":
         raise InputError("the induction functor takes right comodules")
     _right_comodules(w, x)
-    c = w.coring
-    C, M = c.carrier, w.object.carrier
-    X = x.carrier
-    carrier = tensor_over(X.right_algebra, X, M)
-    coaction = (
-        pipe(space(carrier))
-        .refine(0)
-        .apply(x.coaction, 0, 1, [X, C])
-        .apply(w.delta, 1, 2, [C, M, M])
-        .apply(w.object.twist, 1, 2, [M, C])
-        .done(space(carrier, product.carrier), name="rho-tensor")
-    )
+    carrier, coaction = _induced_coaction(w, x.carrier, x.coaction, "rho-tensor",
+                                          product.carrier)
     return Comodule("right", product, carrier, coaction,
                     name=name or f"{x.name}(x)M")
 
@@ -568,19 +552,10 @@ def functor_o(w: Cowreath, x: CowComodule, product: Coring,
 
 
 def vw_functor_w(o: RObject, name=None) -> Comodule:
-    """C (x) Y with the twisted right coaction, as a bicomodule."""
-    c = o.coring
-    C, Y = c.carrier, o.carrier
-    carrier = tensor_over(C.right_algebra, C, Y)
-    coaction = (
-        pipe(space(carrier))
-        .refine(0)
-        .apply(c.comult, 0, 1, [C, C])
-        .apply(o.twist, 1, 2, [Y, C])
-        .done(space(carrier, C), name="rho-W")
-    )
-    return Comodule("right", c, carrier, coaction,
-                    name=name or f"W({o.name})")
+    """C (x) Y with the twisted right coaction: the right half of
+    `r_object_bicomodule`."""
+    b = r_object_bicomodule(o)
+    return Comodule("right", o.coring, b.carrier, b.rho, name=name or f"W({o.name})")
 
 
 def vw_functor_v(z: Comodule, name=None) -> RObject:

@@ -29,6 +29,7 @@ from .bimodule import (
     regular_bimodule,
     space,
     tensor_over,
+    unit_twist,
 )
 from .coring import Bicomodule, Coring, compare_maps, coop, sample_maps
 from .reports import InputError, Report, mirrored_report
@@ -86,18 +87,17 @@ def check_r_object(o: RObject) -> Report:
     C, M = o.coring.carrier, o.carrier
     src = pipe(space(C, M))
     ct = src.apply(o.coring.comult, 0, 1, [C, C]).apply(o.twist, 1, 2, [M, C])
-    return _check_r_object(o, src, ct)
+    return _check_r_object(o, src, ct, src.apply(o.twist, 0, 2, [M, C]))
 
 
-def _check_r_object(o: RObject, src, ct) -> Report:
-    """`check_r_object` on the pipe src from C (x) M and its continuation
-    ct = (C x twist).(comult x M), which a caller that checks more laws on
-    the same pipes builds once and shares."""
+def _check_r_object(o: RObject, src, ct, tw) -> Report:
+    """`check_r_object` on the pipe src from C (x) M and its continuations
+    ct = (C x twist).(comult x M) and tw = twist, which a caller that checks
+    more laws on the same pipes builds once and shares."""
     rep = Report(f"twist object {o.name}")
     c = o.coring
     C, M = c.carrier, o.carrier
     rep.extend(bilinearity_report(o.twist, "twist"))
-    tw = src.apply(o.twist, 0, 2, [M, C])
     compare_pipes(rep, "twist-comult", tw.apply(c.comult, 1, 1, [C, C]),
                   ct.apply(o.twist, 0, 2, [M, C]))
     areg = regular_bimodule(c.base)
@@ -124,15 +124,8 @@ def check_r_morphism(m: RMorphism) -> Report:
 
 def identity_r_object(c: Coring) -> RObject:
     """The unit object: the base algebra with the unit-isomorphism twist."""
-    areg = regular_bimodule(c.base)
-    C = c.carrier
-    twist = (
-        pipe(space(C, areg))
-        .absorb_left(1)
-        .insert_central(areg, c.base.unit_vector(), 0)
-        .done(space(areg, C), name="unit-twist")
-    )
-    return RObject(c, areg, twist, name=f"I({c.base.name})")
+    return RObject(c, regular_bimodule(c.base), unit_twist(c.carrier, c.base),
+                   name=f"I({c.base.name})")
 
 
 def r_object_bicomodule(o: RObject) -> Bicomodule:

@@ -43,6 +43,7 @@ from .bimodule import (
     restricted_bimodule,
     space,
     tensor_over,
+    unit_twist,
 )
 from .reports import InputError, PreconditionFailure, Report, mirrored_report
 
@@ -111,15 +112,8 @@ class RTObject:
 
 def identity_rt_object(ext: RingExtension) -> RTObject:
     """The unit object: the base algebra with its unit-isomorphism twist."""
-    areg = regular_bimodule(ext.base)
-    tb = ext.t_bimodule
-    twist = (
-        pipe(space(tb, areg))
-        .absorb_left(1)
-        .insert_central(areg, ext.base.unit_vector(), 0)
-        .done(space(areg, tb), name="unit-twist")
-    )
-    return RTObject(ext, areg, twist, name=f"I({ext.base.name})")
+    return RTObject(ext, regular_bimodule(ext.base), unit_twist(ext.t_bimodule, ext.base),
+                    name=f"I({ext.base.name})")
 
 
 def check_rt_object(o: RTObject) -> Report:
@@ -313,21 +307,16 @@ def check_wreath(w: Wreath) -> Report:
     mu_t = LinearMap(rrt_tt, rt_tt, w.mu.matrix, name="mu")
     rep.extend(bilinearity_report(mu_t, "mu-T"))
 
-    d1 = (
-        pipe(space(R, tb))
-        .apply(w.eta, 1, 1, [R, tb])
-        .apply(w.mu, 0, 3, [R, tb])
-        .done(name="mu.(R x eta)")
-    )
-    compare_maps(rep, "w-unit", d1, LinearMap.identity(space(R, tb).quotient))
-    d2 = (
-        pipe(space(tb, R))
-        .apply(w.eta, 0, 1, [R, tb])
+    rt = pipe(space(R, tb))
+    compare_pipes(rep, "w-unit",
+                  rt.apply(w.eta, 1, 1, [R, tb]).apply(w.mu, 0, 3, [R, tb]), rt)
+    tr = pipe(space(tb, R))
+    lhs = (
+        tr.apply(w.eta, 0, 1, [R, tb])
         .apply(w.object.twist, 1, 2, [R, tb])
         .apply(w.mu, 0, 3, [R, tb])
-        .done(name="mu.(R x tw).(eta x R)")
     )
-    compare_maps(rep, "w-twist", d2, w.object.twist)
+    compare_pipes(rep, "w-twist", lhs, tr.apply(w.object.twist, 0, 2, [R, tb]))
     lhs = (
         pipe(space(R, R, tb, R))
         .apply(w.mu, 0, 3, [R, tb])
@@ -413,14 +402,9 @@ def check_wreath_module(w: Wreath, side: str, y: RTObject,
     rep.extend(bilinearity_report(
         LinearMap(dom_tt, pt_bimodule(y), action.matrix, name="action"), "action-T"))
     if side == "right":
-        d1 = (
-            pipe(space(Y, tb))
-            .apply(w.eta, 1, 1, [R, tb])
-            .apply(action, 0, 3, [Y, tb])
-            .done(name="act.(Y x eta)")
-        )
-        compare_maps(rep, "wm-unit", d1,
-                     LinearMap.identity(space(Y, tb).quotient))
+        yt = pipe(space(Y, tb))
+        compare_pipes(rep, "wm-unit",
+                      yt.apply(w.eta, 1, 1, [R, tb]).apply(action, 0, 3, [Y, tb]), yt)
         lhs = (
             pipe(space(Y, R, tb, R))
             .apply(w.object.twist, 2, 2, [R, tb])
@@ -435,14 +419,13 @@ def check_wreath_module(w: Wreath, side: str, y: RTObject,
         )
         compare_pipes(rep, "wm-assoc", lhs, rhs)
     else:
-        d1 = (
-            pipe(space(tb, Y))
-            .apply(w.eta, 0, 1, [R, tb])
+        ty = pipe(space(tb, Y))
+        lhs = (
+            ty.apply(w.eta, 0, 1, [R, tb])
             .apply(y.twist, 1, 2, [Y, tb])
             .apply(action, 0, 3, [Y, tb])
-            .done(name="act.(R x tw).(eta x Y)")
         )
-        compare_maps(rep, "wm-unit", d1, y.twist)
+        compare_pipes(rep, "wm-unit", lhs, ty.apply(y.twist, 0, 2, [Y, tb]))
         lhs = (
             pipe(space(R, R, tb, Y))
             .apply(y.twist, 2, 2, [Y, tb])
@@ -657,13 +640,9 @@ def check_left_module_twisting(mt: ModuleTwist) -> Report:
     rep.extend(bilinearity_report(mt.l_x, "action"))
 
     # the action is unital and associative
-    a1 = (
-        pipe(space(X))
-        .insert_central(rb, mt.rext.total.unit_vector(), 0)
-        .apply(mt.l_x, 0, 2, [X])
-        .done(name="act(1)")
-    )
-    compare_maps(rep, "mt-action-unit", a1, LinearMap.identity(X))
+    x = pipe(space(X))
+    r1 = x.insert_central(rb, mt.rext.total.unit_vector(), 0)
+    compare_pipes(rep, "mt-action-unit", r1.apply(mt.l_x, 0, 2, [X]), x)
     a2l = (
         pipe(space(rb, rb, X))
         .apply(mu_r, 0, 2, [rb])
@@ -677,13 +656,8 @@ def check_left_module_twisting(mt: ModuleTwist) -> Report:
     compare_pipes(rep, "mt-action-assoc", a2l, a2r)
 
     one_t = ext.total.unit_vector()
-    l1 = (
-        pipe(space(X))
-        .insert_central(tb, one_t, 0)
-        .apply(mt.twist, 0, 2, [X, tb])
-    )
-    r1 = pipe(space(X)).insert_central(tb, one_t, 1)
-    compare_pipes(rep, "mt-unit", l1, r1)
+    l1 = x.insert_central(tb, one_t, 0).apply(mt.twist, 0, 2, [X, tb])
+    compare_pipes(rep, "mt-unit", l1, x.insert_central(tb, one_t, 1))
     l2 = (
         pipe(space(tb, tb, X))
         .apply(mu_t, 0, 2, [tb])

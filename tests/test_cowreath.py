@@ -82,9 +82,33 @@ class TestCowreathChecks:
 
 
     def test_no_pipe_is_finished_twice(self, corpus, monkeypatch):
-        """xi-left-colinear and xi-right-colinear share their lhs pipe;
-        when neither is decided unbuilt, lhs is finished once, for both."""
+        """A pipe that two comparisons share is finished once, for both:
+        the lhs of xi-left-colinear and xi-right-colinear, and the source
+        pipe of the two counit laws of a coring and of the abstract
+        cowreath.  Checked on every checker that compares a law with its
+        source pipe, over the corpus, the lifts and the product corings."""
         from coringlab import bimodule
+        from coringlab.cowreath import CowComodule
+        from coringlab.wreath import (check_left_module_twisting, check_wreath,
+                                      check_wreath_module, regular_wreath_bimodule)
+        cowreaths = valid_corpus_cowreaths(corpus) + invalid_corpus_cowreaths(corpus)
+        corings = [corpus.c2, corpus.c3, corpus.gp, corpus.triv_z2, corpus.broken_coalgebra] + [
+            cowreath_product(w)[0] for w in (corpus.flip_cw, corpus.unit_cw,
+                                             corpus.lifted_flip_cw)]
+        rw = corpus.sign_flip_ttp[3]
+        y, l_act, r_act = regular_wreath_bimodule(rw)
+        calls = (
+            [(check_coring, c) for c in corings]
+            + [(check_comodule, comodule_over_itself(c, side))
+               for c in corings for side in ("right", "left")]
+            + [(check, w) for w in cowreaths
+               for check in (check_cowreath, check_cowreath_abstract)]
+            + [(check_cow_comodule, x) for w in cowreaths[:4] for x in (
+                cow_comodule_self(w), cow_comodule_square(w),
+                CowComodule("left", w, w.object, w.delta))]
+            + [(check_wreath, rw), (check_wreath_module, rw, "right", y, r_act),
+               (check_wreath_module, rw, "left", y, l_act),
+               (check_left_module_twisting, corpus.module_twist_self)])
         finished = []
         real = bimodule.Pipe.done
 
@@ -93,11 +117,11 @@ class TestCowreathChecks:
             return real(self, *args, **kwargs)
 
         monkeypatch.setattr(bimodule.Pipe, "done", spy)
-        for w in valid_corpus_cowreaths(corpus) + invalid_corpus_cowreaths(corpus):
+        for check, *args in calls:
             finished.clear()
-            check_cowreath(w)
-            assert finished, w.name
-            assert len({id(p) for p in finished}) == len(finished), w.name
+            check(*args)
+            assert finished, (check.__name__, args)
+            assert len({id(p) for p in finished}) == len(finished), (check.__name__, args)
 
 
 class TestCollapseCases:
@@ -169,6 +193,24 @@ class TestProduct:
         for w in valid_corpus_cowreaths(corpus):
             prod, morph = cowreath_product(w)
             assert morph.ok, (w.name, morph.summary())
+
+    def test_comult_is_the_coaction_induced_by_c_over_itself(self, corpus):
+        """The product's comultiplication and `induced_comodule_tensor` of C
+        over itself are one pipe: same carrier and codomain, and both equal
+        (C x twist).(comult x delta) written out here."""
+        from coringlab.bimodule import pipe, space
+        for w in valid_corpus_cowreaths(corpus):
+            c = w.coring
+            C, M = c.carrier, w.object.carrier
+            prod, _ = cowreath_product(w)
+            ind = induced_comodule_tensor(w, comodule_over_itself(c), prod)
+            assert ind.carrier is prod.carrier and prod.comult.name == "comult"
+            assert ind.coaction.codomain is prod.comult.codomain
+            assert ind.coaction.name == "rho-tensor"
+            plain = (pipe(space(C, M)).apply(c.comult, 0, 1, [C, C])
+                     .apply(w.delta, 1, 2, [C, M, M]).apply(w.object.twist, 1, 2, [M, C])
+                     .done(space(prod.carrier, prod.carrier)))
+            assert ind.coaction.matrix == prod.comult.matrix == plain.matrix, w.name
 
     def test_lifted_products_pass(self, corpus):
         for w in (corpus.lifted_flip_cw, corpus.lifted_dk_cw):
@@ -433,6 +475,21 @@ class TestComparisonFunctor:
 
 
 class TestVWAdjunction:
+    def test_w_is_the_right_half_of_the_bicomodule(self, corpus):
+        """W(o) is C (x) Y with the coaction (C x twist).(comult x Y),
+        written out here: the carrier and rho of `r_object_bicomodule`."""
+        from coringlab.bimodule import pipe, space
+        from coringlab.rcat import r_object_bicomodule
+        for w in valid_corpus_cowreaths(corpus):
+            o, c = w.object, w.coring
+            C, Y = c.carrier, o.carrier
+            z, b = vw_functor_w(o), r_object_bicomodule(o)
+            assert z.carrier is b.carrier and z.coring is c
+            assert z.coaction.codomain is b.rho.codomain and z.coaction.name == "rho"
+            plain = (pipe(space(C, Y)).apply(c.comult, 0, 1, [C, C])
+                     .apply(o.twist, 1, 2, [Y, C]).done(space(z.carrier, C)))
+            assert z.coaction.matrix == b.rho.matrix == plain.matrix, w.name
+
     def test_w_then_v_gives_twist_object(self, corpus):
         o = corpus.flip_cw.object
         z = vw_functor_w(o)

@@ -214,8 +214,20 @@
   and errors with `_decided` forced off, and a leaf whose two actions do
   not commute must raise the `WellDefinednessError` of the built path.
   The `LeafPipe` oracle runs with the decision off.
+* Every identity and twist law (`counit-*`, `coaction-counit`,
+  `cw-counit`, `cw-twist`, `cw-abstract-counit-*`, `comodule-counit`,
+  `w-unit`, `w-twist`, `wm-unit`, `mt-action-unit`) goes through
+  `compare_pipes`, with the source pipe, unstaged or with one twist, as
+  its right-hand side.  The old form, the left pipe finished by hand and
+  compared by `compare_maps` with the identity of its source quotient or
+  with the twist, is the oracle: the witnesses of those tags must be
+  equal on the corpus sessions over QQ and GF(101), the flip lift and its
+  product, and on twins with one structure map perturbed, and all fifteen
+  sites must be reached.
 """
 
+import copy
+import functools
 import hashlib
 import json
 import os
@@ -5054,3 +5066,218 @@ def test_noncommuting_leaf_raises_as_the_built_path():
     fast = run(True)
     assert fast[0] == "WellDefinednessError" and fast[2]
     assert fast == run(False)
+
+
+# ---------------------------------------------------------------------------
+# identity and twist laws: the source pipe against the hand-finished form
+
+
+def _old_coring(c):
+    C, areg = c.carrier, regular_bimodule(c.base)
+    cm = bimodule.pipe(space(C)).apply(c.comult, 0, 1, [C, C])
+    left = cm.apply(c.counit, 0, 1, [areg]).absorb_right(0).done(name="(eps x C).comult")
+    right = cm.apply(c.counit, 1, 1, [areg]).absorb_left(1).done(name="(C x eps).comult")
+    return [("counit-left", left, LinearMap.identity(C)),
+            ("counit-right", right, LinearMap.identity(C))]
+
+
+def _old_comodule(m):
+    C, X, counit = m.coring.carrier, m.carrier, m.coring.counit
+    areg = regular_bimodule(m.coring.base)
+    co = bimodule.pipe(space(X))
+    if m.side == "right":
+        cu = co.apply(m.coaction, 0, 1, [X, C]).apply(counit, 1, 1, [areg]).absorb_left(1)
+    else:
+        cu = co.apply(m.coaction, 0, 1, [C, X]).apply(counit, 0, 1, [areg]).absorb_right(0)
+    return [("coaction-counit", cu.done(name="(X x eps).rho"), LinearMap.identity(X))]
+
+
+def _old_cowreath(w):
+    C, M, tw = w.coring.carrier, w.object.carrier, w.object.twist
+    d = bimodule.pipe(space(C, M)).apply(w.delta, 0, 2, [C, M, M])
+    d1 = d.apply(w.xi, 0, 2, [C]).done(name="(xi x M).delta")
+    d2 = d.apply(tw, 0, 2, [M, C]).apply(w.xi, 1, 2, [C]).done(name="(M x xi).(tw x M).delta")
+    return [("cw-counit", d1, LinearMap.identity(space(C, M).quotient)), ("cw-twist", d2, tw)]
+
+
+def _old_cowreath_abstract(w):
+    c = w.coring
+    C, M, tw = c.carrier, w.object.carrier, w.object.twist
+    areg = regular_bimodule(c.base)
+    dc = (bimodule.pipe(space(C, M)).apply(w.delta, 0, 2, [C, M, M])
+          .apply(c.comult, 0, 1, [C, C]))
+    e1 = (dc.apply(tw, 1, 2, [M, C]).apply(w.xi, 2, 2, [C]).apply(c.counit, 2, 1, [areg])
+          .absorb_left(2))
+    e2 = dc.apply(w.xi, 1, 2, [C]).apply(c.counit, 1, 1, [areg]).absorb_right(1)
+    ident = LinearMap.identity(space(C, M).quotient)
+    return [("cw-abstract-counit-1", e1.done(name="abstract-counit-1"), ident),
+            ("cw-abstract-counit-2", e2.done(name="abstract-counit-2"), ident)]
+
+
+def _old_cow_comodule(x):
+    w = x.cowreath
+    C, X, M, xt = w.coring.carrier, x.object.carrier, w.object.carrier, x.object.twist
+    co = bimodule.pipe(space(C, X))
+    if x.side == "right":
+        d1 = co.apply(x.coaction, 0, 2, [C, X, M]).apply(xt, 0, 2, [X, C]).apply(w.xi, 1, 2, [C])
+        return [("comodule-counit", d1.done(name="(X x xi).(xt x M).rho"), xt)]
+    d1 = co.apply(x.coaction, 0, 2, [C, M, X]).apply(w.xi, 0, 2, [C])
+    return [("comodule-counit", d1.done(name="(xi x X).lam"),
+             LinearMap.identity(space(C, X).quotient))]
+
+
+def _old_wreath(w):
+    tb, R, tw = w.ext.t_bimodule, w.object.carrier, w.object.twist
+    d1 = bimodule.pipe(space(R, tb)).apply(w.eta, 1, 1, [R, tb]).apply(w.mu, 0, 3, [R, tb])
+    d2 = (bimodule.pipe(space(tb, R)).apply(w.eta, 0, 1, [R, tb]).apply(tw, 1, 2, [R, tb])
+          .apply(w.mu, 0, 3, [R, tb]))
+    return [("w-unit", d1.done(name="mu.(R x eta)"), LinearMap.identity(space(R, tb).quotient)),
+            ("w-twist", d2.done(name="mu.(R x tw).(eta x R)"), tw)]
+
+
+def _old_wreath_module(w, side, y, action):
+    tb, R, Y = w.ext.t_bimodule, w.object.carrier, y.carrier
+    if side == "right":
+        d1 = bimodule.pipe(space(Y, tb)).apply(w.eta, 1, 1, [R, tb]).apply(action, 0, 3, [Y, tb])
+        return [("wm-unit", d1.done(name="act.(Y x eta)"),
+                 LinearMap.identity(space(Y, tb).quotient))]
+    d1 = (bimodule.pipe(space(tb, Y)).apply(w.eta, 0, 1, [R, tb]).apply(y.twist, 1, 2, [Y, tb])
+          .apply(action, 0, 3, [Y, tb]))
+    return [("wm-unit", d1.done(name="act.(R x tw).(eta x Y)"), y.twist)]
+
+
+def _old_module_twisting(mt):
+    X, rb = mt.carrier, mt.rext.t_bimodule
+    a1 = (bimodule.pipe(space(X)).insert_central(rb, mt.rext.total.unit_vector(), 0)
+          .apply(mt.l_x, 0, 2, [X]))
+    return [("mt-action-unit", a1.done(name="act(1)"), LinearMap.identity(X))]
+
+
+def unit_law_reports(check, args):
+    """(new, old, sites) for the identity and twist laws of check on args:
+    the checker's witnesses of those tags, and the reports of the old form,
+    in which each left pipe is finished by hand and compared by
+    `compare_maps` with the identity of its source quotient or with a
+    twist.  sites names each law by checker, tag and side."""
+    from coringlab import cowreath, wreath
+    old_form = {
+        check_coring: _old_coring,
+        coring.check_comodule: _old_comodule,
+        cowreath.check_cowreath: _old_cowreath,
+        cowreath.check_cowreath_abstract: _old_cowreath_abstract,
+        cowreath.check_cow_comodule: _old_cow_comodule,
+        wreath.check_wreath: _old_wreath,
+        wreath.check_wreath_module: _old_wreath_module,
+        wreath.check_left_module_twisting: _old_module_twisting,
+    }[check]
+    rep = check(*args)
+    laws = old_form(*args)
+    tags = [tag for tag, _, _ in laws]
+    new = Report("laws")
+    for w in rep.witnesses:
+        if w.equation in tags:
+            new.add(w)
+    old = Report("laws")
+    for tag, lhs, rhs in laws:
+        compare_maps(old, tag, lhs, rhs)
+    side = getattr(args[0], "side", None) or (args[1] if len(args) > 1 else None)
+    return new, old, {(check.__name__, tag, side) for tag in tags}
+
+
+@functools.cache
+def unit_law_cases(field):
+    """(check, maps, build) for every checker that compares a law with its
+    source pipe, over the corpus sessions parsed over field, the flip lift
+    and its product coring: build(maps) gives the checker's arguments, and
+    a twin is built from maps with one of them perturbed."""
+    from coringlab import cowreath, wreath
+    from coringlab.corpus import corpus_sessions
+    from coringlab.rcat import RObject
+
+    s = {}
+    for name, raw in corpus_sessions().items():
+        if raw["field"] == "QQ":
+            raw = copy.deepcopy(raw)
+            raw["field"] = field.name
+            s.update({(sec, key): obj for sec in ("corings", "comodules", "cowreaths",
+                                                  "entwinings", "wreaths", "twistings")
+                      for key, obj in getattr(parse_session(raw), sec).items()})
+    cws = [v for (sec, _), v in s.items() if sec == "cowreaths"]
+    lift = cowreath.entwining_lift_cowreath(s["entwinings", "flip-ent"], s["cowreaths", "flip"])
+    cws.append(lift)
+    corings = [v for (sec, _), v in s.items() if sec == "corings"]
+    corings.append(cowreath.cowreath_product(lift)[0])
+    cases = []
+    for c in corings:
+        cases.append((check_coring, {"comult": c.comult, "counit": c.counit}, lambda m, c=c: (
+            Coring(c.base, c.carrier, m["comult"], m["counit"], c.name),)))
+        for side in ("right", "left"):
+            x = coring.comodule_over_itself(c, side)
+            cases.append((coring.check_comodule, {"coaction": x.coaction},
+                          lambda m, x=x: (coring.Comodule(x.side, x.coring, x.carrier,
+                                                          m["coaction"], x.name),)))
+
+    def remade(w, m):
+        o = w.object
+        obj = RObject(o.coring, o.carrier, m.get("twist", o.twist), o.name)
+        return cowreath.Cowreath(obj, m.get("xi", w.xi), m.get("delta", w.delta), w.name)
+
+    for w in cws:
+        maps = {"xi": w.xi, "delta": w.delta, "twist": w.object.twist}
+        for check in (cowreath.check_cowreath, cowreath.check_cowreath_abstract):
+            cases.append((check, maps, lambda m, w=w: (remade(w, m),)))
+        for x in (cowreath.cow_comodule_self(w),
+                  cowreath.CowComodule("left", w, w.object, w.delta, name="self-left")):
+            cases.append((cowreath.check_cow_comodule, {"coaction": x.coaction},
+                          lambda m, x=x: (cowreath.CowComodule(
+                              x.side, x.cowreath, x.object, m["coaction"], x.name),)))
+    for w in (v for (sec, _), v in s.items() if sec == "wreaths"):
+        o = w.object
+        maps = {"eta": w.eta, "mu": w.mu, "twist": o.twist}
+        cases.append((wreath.check_wreath, maps, lambda m, w=w, o=o: (wreath.Wreath(
+            wreath.RTObject(o.ext, o.carrier, m["twist"], o.name), m["eta"], m["mu"], w.name),)))
+        y, l_act, r_act = wreath.regular_wreath_bimodule(w)
+        for side, act in (("right", r_act), ("left", l_act)):
+            cases.append((wreath.check_wreath_module, {"action": act, "twist": y.twist},
+                          lambda m, w=w, y=y, side=side: (w, side, wreath.RTObject(
+                              y.ext, y.carrier, m["twist"], y.name), m["action"])))
+    for mt in (v for (sec, _), v in s.items() if sec == "twistings"):
+        cases.append((wreath.check_left_module_twisting, {"l_x": mt.l_x, "twist": mt.twist},
+                      lambda m, mt=mt: (wreath.ModuleTwist(mt.wreath, mt.rext, mt.carrier,
+                                                           m["l_x"], m["twist"], mt.name),)))
+    return cases
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_unit_laws_match_the_hand_finished_pipes(field):
+    """Every identity and twist law compared with its source pipe by
+    `compare_pipes` gives the report of the old form, on every corpus
+    structure, the flip lift and its product, and the fifteen sites are
+    all reached."""
+    sites = set()
+    for check, maps, build in unit_law_cases(field):
+        new, old, reached = unit_law_reports(check, build(maps))
+        assert new == old, (check.__name__, reached)
+        sites |= reached
+    assert len(sites) == 15, sorted(sites)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_perturbed_unit_laws_match_the_hand_finished_pipes(field, data):
+    """A twin with one structure map perturbed mostly fails the identity
+    or twist law that map enters: its witnesses, text and order included,
+    are those of the old form.  A twin whose checker raises has no report
+    to compare."""
+    check, maps, build = data.draw(st.sampled_from(unit_law_cases(field)))
+    part = data.draw(st.sampled_from(sorted(maps)))
+    x = maps[part]
+    bumped = LinearMap(x.domain, x.codomain, x.matrix + data.draw(perturbation(
+        field, x.matrix.rows, x.matrix.cols)), x.name)
+    args = build({**maps, part: bumped})
+    try:
+        new, old, _ = unit_law_reports(check, args)
+    except (InputError, WellDefinednessError):
+        return
+    assert new == old

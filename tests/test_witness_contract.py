@@ -14,7 +14,9 @@ element or pair has exactly one witness, at its first differing column,
 and a flat law has its first three differing columns, in column order.
 
 A lint test pins that no `Witness(...)` in the package passes a fixed
-string as a side.
+string as a side, and another that every checker equation between two
+composites goes through `compare_pipes`: `compare_maps` is called only
+in the functions listed in `COMPARE_MAPS_CALLERS`.
 """
 
 import ast
@@ -476,4 +478,55 @@ def test_no_witness_has_a_fixed_string_side():
             tree = ast.parse(fh.read())
         found += [(os.path.basename(path), line, side)
                   for line, side in fixed_string_sides(tree)]
+    assert found == []
+
+
+# -- one law form ----------------------------------------------------------------
+
+# The functions, as module.function, that may call `compare_maps` directly:
+# `compare_pipes` itself, the action and bilinearity laws, the flat
+# entwining laws, the coring morphism laws (whose sides are not two pipes
+# from one source) and the laws on matrices built by composition.
+COMPARE_MAPS_CALLERS = {
+    "bimodule.compare_pipes",
+    "bimodule.check_bimodule",
+    "bimodule.bilinearity_report",
+    "entwine._flat_law",
+    "coring.check_coring_morphism",
+    "rcat.check_r_algebra",
+    "wreath.r_action_matrices_check",
+}
+
+
+def compare_maps_callers(tree, module):
+    """(line, module.function) of every call of `compare_maps` in tree,
+    named by the top-level function it is in (module alone outside one)."""
+    for top in tree.body:
+        name = f"{module}.{top.name}" if isinstance(
+            top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else module
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and getattr(
+                    node.func, "id", getattr(node.func, "attr", None)) == "compare_maps":
+                yield node.lineno, name
+
+
+def test_lint_finds_compare_maps_calls():
+    tree = ast.parse("def law(rep):\n"
+                     "    def inner():\n"
+                     "        compare_maps(rep, 't', f, g)\n"
+                     "    bimodule.compare_maps(rep, 't', f, g)\n"
+                     "compare_maps(rep, 't', f, g)\n"
+                     "def other():\n"
+                     "    compare_pipes(rep, 't', p, q)\n")
+    assert sorted(compare_maps_callers(tree, "m")) == [(3, "m.law"), (4, "m.law"), (5, "m")]
+
+
+def test_compare_maps_is_called_only_where_allowed():
+    found = []
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        module = os.path.basename(path)[:-3]
+        found += [(name, line) for line, name in compare_maps_callers(tree, module)
+                  if name not in COMPARE_MAPS_CALLERS]
     assert found == []
