@@ -68,8 +68,8 @@ composites.  An identity law compares its pipe with the source pipe
 itself, with no stage (project . section is the identity), and a twist
 law with the source pipe continued by the twist.  `compare_maps` is
 called directly only by `compare_pipes`, `check_bimodule`,
-`bilinearity_report`, `entwine._flat_law`, `coring.check_coring_morphism`,
-`rcat.check_r_algebra` and `wreath.r_action_matrices_check`.  Whether
+`bilinearity_report`, `coring.check_coring_morphism` and
+`wreath.r_action_matrices_check`.  Whether
 lhs = rhs holds does not depend on the basis of the target quotient, so
 when its outer level X (x)_A N is not built yet, is not flat and has
 monomial unmarked pairs, the two pipes are merged only as far as (X, N)
@@ -372,8 +372,7 @@ def compare_pipes(rep: Report, tag: str, lhs: "Pipe", rhs: "Pipe", done=None):
     no stage (an identity law: project . section is the identity) or with
     one twist.  This is how every checker compares two composites;
     `compare_maps` is called directly only here, in `check_bimodule`,
-    `bilinearity_report`, `entwine._flat_law`,
-    `coring.check_coring_morphism`, `rcat.check_r_algebra` and
+    `bilinearity_report`, `coring.check_coring_morphism` and
     `wreath.r_action_matrices_check`.  When the outer level X (x)_A N of
     their target is not built yet, is not flat, has monomial unmarked
     pairs and passes the guards of `_decided`, the equation is decided by

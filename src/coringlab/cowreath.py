@@ -29,9 +29,9 @@ from .bimodule import (
 )
 from .coring import (Comodule, Coring, check_coring_morphism, corings_match, flip_map,
                      sample_maps)
-from .rcat import (LObject, RMorphism, RObject, _check_r_object, check_r_morphism,
-                   check_r_object, identity_r_object, mirror_object,
-                   r_object_bicomodule, r_tensor_objects)
+from .rcat import (LObject, RMorphism, RObject, _check_r_object, _twist_pipes,
+                   check_r_morphism, identity_r_object, mirror_object, r_object_bicomodule,
+                   r_tensor_objects)
 from .reports import InputError, PreconditionFailure, Report, mirrored_report
 
 
@@ -63,19 +63,16 @@ class Cowreath:
 def _object_and_colinearity(w: Cowreath, rep: Report):
     """The laws of w's twist object (`check_r_object`), then that xi and
     delta are morphisms in the category (bicolinear maps), on pipes from
-    C (x) M that are built once: comult (x) M and its continuation by
-    C (x) twist, twist, and delta.  Returns the source pipe of C (x) M and
+    C (x) M that are built once: those of `_twist_pipes` (comult (x) M, its
+    continuation by C (x) twist, and twist) and delta.  Returns the source pipe of C (x) M and
     the pipes of twist, of delta and of (comult x M x M).delta, which the
     cowreath laws continue."""
     c = w.coring
     C, M = c.carrier, w.object.carrier
     tw = w.object.twist
-    src = pipe(space(C, M))
-    cm = src.apply(c.comult, 0, 1, [C, C])
-    ct = cm.apply(tw, 1, 2, [M, C])
-    st = src.apply(tw, 0, 2, [M, C])
+    src, cm, ct, st = pipes = _twist_pipes(w.object)
     d = src.apply(w.delta, 0, 2, [C, M, M])
-    rep.extend(_check_r_object(w.object, src, ct, st))
+    rep.extend(_check_r_object(w.object, pipes))
     rep.extend(bilinearity_report(w.xi, "xi"))
     rep.extend(bilinearity_report(w.delta, "delta"))
 
@@ -351,7 +348,8 @@ def check_cow_comodule(x: CowComodule) -> Report:
     M = w.object.carrier
     xt = x.object.twist
     mt = w.object.twist
-    rep.extend(check_r_object(x.object))
+    src, _, _, tw = pipes = _twist_pipes(x.object)
+    rep.extend(_check_r_object(x.object, pipes))
     rep.extend(bilinearity_report(x.coaction, "coaction"))
 
     # the coaction is a morphism into the product object
@@ -362,12 +360,10 @@ def check_cow_comodule(x: CowComodule) -> Report:
     conv = regroup(tshape, space(C, prod.carrier))
     rep.extend(check_r_morphism(
         RMorphism(x.object, prod, conv.after(x.coaction), name="coaction")))
-    src = pipe(space(C, X))
     if x.side == "right":
         co = src.apply(x.coaction, 0, 2, [C, X, M])
         cot = co.apply(xt, 0, 2, [X, C])
-        compare_pipes(rep, "comodule-counit", cot.apply(w.xi, 1, 2, [C]),
-                      src.apply(xt, 0, 2, [X, C]))
+        compare_pipes(rep, "comodule-counit", cot.apply(w.xi, 1, 2, [C]), tw)
         compare_pipes(rep, "comodule-coassoc",
                       co.apply(x.coaction, 0, 2, [C, X, M]).apply(xt, 0, 2, [X, C]),
                       cot.apply(w.delta, 1, 2, [C, M, M]))

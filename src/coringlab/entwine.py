@@ -20,12 +20,11 @@ The entwined coring's right action (mu (x) C)(A (x) psi)(A (x) C (x) e_i),
 the Doi-Koppinen map psi = (A (x) act)(flip (x) H)(C (x) rho) and the
 wreath's unit C (x) 1 are `kron` and `@` formulas on the flat legs.
 The entwining laws and the Doi-Koppinen coaction and action laws are
-evaluated on flat matrices over the ground-field legs.  A law whose two
-matrices differ is compared by `compare_maps` on the legs' tensor
-quotients over the field, which have the kron order, so its witness names
-a flat label such as `g(x)1` and prints both sides on the codomain legs.
-The Doi-Koppinen module laws are those of the right action c.h, checked
-by `check_bimodule`.
+pairs of pipes over the ground-field legs, compared by `compare_pipes`.
+The legs' tensor quotients over the field have the kron order, so a
+witness names a flat label such as `g(x)1` and prints both sides on the
+codomain legs.  The Doi-Koppinen module laws are those of the right
+action c.h, checked by `check_bimodule`.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from .algebra import (
     multiplication_matrix,
     unit_column,
 )
-from .bimodule import (Bimodule, LinearMap, Matrix, check_bimodule, compare_maps, k_bimodule,
+from .bimodule import (Bimodule, LinearMap, Matrix, check_bimodule, compare_pipes, k_bimodule,
                        memo, pipe, regular_bimodule, space)
 from .coring import Coring, corings_match, flip_map
 from .reports import InputError, Report
@@ -89,32 +88,27 @@ def flip_entwining(a: FinAlgebra, c: Coring, name="flip") -> EntwiningStructure:
 
 def check_entwining(e: EntwiningStructure) -> Report:
     """The four compatibility laws with multiplication, unit,
-    comultiplication and counit, on flat matrices over the ground-field
-    legs (`_flat_law`)."""
+    comultiplication and counit, as pipes over the ground-field legs."""
     rep = Report(f"entwining {e.name}")
-    A, C = e.algebra, e.coalgebra
-    ab, cc = e.a_bimodule, C.carrier
-    psi, mu, one = e.psi.matrix, multiplication_matrix(A), unit_column(A)
-    dmat = C.cc.section @ C.comult.matrix
-    eps = C.counit.matrix
-    ic, ia = Matrix.identity(A.field, cc.dim), Matrix.identity(A.field, A.dim)
-    _flat_law(rep, "entwine-mult", psi @ ic.kron(mu),
-              mu.kron(ic) @ ia.kron(psi) @ psi.kron(ia), (cc, ab, ab), (ab, cc))
-    _flat_law(rep, "entwine-unit", psi @ ic.kron(one), one.kron(ic), (cc,), (ab, cc))
-    _flat_law(rep, "entwine-comult", ia.kron(dmat) @ psi,
-              psi.kron(ic) @ ic.kron(psi) @ dmat.kron(ia), (cc, ab), (ab, cc, cc))
-    _flat_law(rep, "entwine-counit", ia.kron(eps) @ psi, eps.kron(ia), (cc, ab), (ab,))
+    C = e.coalgebra
+    ab, cc, psi = e.a_bimodule, C.carrier, e.psi
+    areg = regular_bimodule(e.kalg)
+    caa = pipe(space(cc, ab, ab))
+    compare_pipes(rep, "entwine-mult", caa.apply(e.mu, 1, 2, [ab]).apply(psi, 0, 2, [ab, cc]),
+                  caa.apply(psi, 0, 2, [ab, cc]).apply(psi, 1, 2, [ab, cc])
+                  .apply(e.mu, 0, 2, [ab]))
+    c = pipe(space(cc))
+    compare_pipes(rep, "entwine-unit",
+                  c.insert_central(ab, e.algebra.unit, 1).apply(psi, 0, 2, [ab, cc]),
+                  c.insert_central(ab, e.algebra.unit, 0))
+    ca = pipe(space(cc, ab))
+    cap = ca.apply(psi, 0, 2, [ab, cc])
+    compare_pipes(rep, "entwine-comult", cap.apply(C.comult, 1, 1, [cc, cc]),
+                  ca.apply(C.comult, 0, 1, [cc, cc]).apply(psi, 1, 2, [ab, cc])
+                  .apply(psi, 0, 2, [ab, cc]))
+    compare_pipes(rep, "entwine-counit", cap.apply(C.counit, 1, 1, [areg]).absorb_left(1),
+                  ca.apply(C.counit, 0, 1, [areg]).absorb_right(0))
     return rep
-
-
-def _flat_law(rep, tag, lhs, rhs, dom, cod):
-    """`compare_maps` of two flat matrices between the tensor quotients over
-    the field of the legs dom and cod, which have the kron order.  The
-    quotients that label a witness are built only when the matrices
-    differ."""
-    if lhs != rhs:
-        d, c = space(*dom).quotient, space(*cod).quotient
-        compare_maps(rep, tag, LinearMap(d, c, lhs), LinearMap(d, c, rhs))
 
 
 def entwined_coring(e: EntwiningStructure, name=None) -> Coring:
@@ -200,8 +194,9 @@ def tensor_fin_algebra(a: FinAlgebra, b: FinAlgebra, name=None) -> FinAlgebra:
 def check_doi_koppinen(dk: DoiKoppinenData) -> Report:
     """Bialgebra laws, comodule-algebra laws, module-coalgebra laws.  The
     right action c.h has the matrices act . (I_C (x) e_h), read off as the
-    columns c (x) h of act, whose laws are checked by `check_bimodule`; the coaction and the action's coalgebra
-    laws are flat (`_flat_law`)."""
+    columns c (x) h of act, whose laws are checked by `check_bimodule`; the
+    coaction and the action's coalgebra laws are pipes over the
+    ground-field legs."""
     rep = Report("doi-koppinen data")
     H, Hc, A, C = dk.h_algebra, dk.h_coalgebra, dk.algebra, dk.coalgebra
     f = H.field
@@ -214,22 +209,28 @@ def check_doi_koppinen(dk: DoiKoppinenData) -> Report:
     rep.extend(check_algebra_morphism(
         AlgebraMorphism(A, tensor_fin_algebra(A, H), dk.coaction)),
         prefix="comodule-algebra-mult")
-    rho, act = dk.coaction, dk.action
-    ia, ih, ic = (Matrix.identity(f, x.dim) for x in (A, H, cb))
-    _flat_law(rep, "comodule-coassoc", rho.kron(ih) @ rho, ia.kron(dflat) @ rho,
-              (ab,), (ab, hb, hb))
-    _flat_law(rep, "comodule-counit", ia.kron(Hc.counit.matrix) @ rho, ia, (ab,), (ab,))
+    rho = LinearMap(ab, space(ab, hb).quotient, dk.coaction, name="coaction")
+    act = LinearMap(space(cb, hb).quotient, cb, dk.action, name="action")
+    hreg, creg = regular_bimodule(Hc.base), regular_bimodule(C.base)
+    a = pipe(space(ab))
+    ar = a.apply(rho, 0, 1, [ab, hb])
+    compare_pipes(rep, "comodule-coassoc", ar.apply(rho, 0, 1, [ab, hb]),
+                  ar.apply(Hc.comult, 1, 1, [hb, hb]))
+    compare_pipes(rep, "comodule-counit", ar.apply(Hc.counit, 1, 1, [hreg]).absorb_left(1), a)
     # column c dh + h of act is c (x) h
-    racts = [act.columns(range(h, cb.dim * H.dim, H.dim)) for h in range(H.dim)]
+    racts = [dk.action.columns(range(h, cb.dim * H.dim, H.dim)) for h in range(H.dim)]
     rep.extend(check_bimodule(cb, right=(H, racts),
                               tags=(None, "module-unit", None, "module-assoc", None)))
     # the action is a coalgebra morphism
-    cflat = C.cc.section @ C.comult.matrix
-    _flat_law(rep, "action-comult", cflat @ act,
-              act.kron(act) @ ic.kron(flip_map(cb, hb).matrix).kron(ih) @ cflat.kron(dflat),
-              (cb, hb), (cb, cb))
-    _flat_law(rep, "action-counit", C.counit.matrix @ act,
-              C.counit.matrix.kron(Hc.counit.matrix), (cb, hb), (regular_bimodule(C.base),))
+    ch = pipe(space(cb, hb))
+    cha = ch.apply(act, 0, 2, [cb])
+    compare_pipes(rep, "action-comult", cha.apply(C.comult, 0, 1, [cb, cb]),
+                  ch.apply(C.comult, 0, 1, [cb, cb]).apply(Hc.comult, 2, 1, [hb, hb])
+                  .apply(flip_map(cb, hb), 1, 2, [hb, cb])
+                  .apply(act, 0, 2, [cb]).apply(act, 1, 2, [cb]))
+    compare_pipes(rep, "action-counit", cha.apply(C.counit, 0, 1, [creg]),
+                  ch.apply(C.counit, 0, 1, [creg]).apply(Hc.counit, 1, 1, [hreg])
+                  .absorb_left(1))
     return rep
 
 

@@ -23,15 +23,15 @@ from .bimodule import (
     bilinearity_report,
     mirror,
     compare_pipes,
+    memo,
     mirror_map,
     pipe,
-    regroup,
     regular_bimodule,
     space,
     tensor_over,
     unit_twist,
 )
-from .coring import Bicomodule, Coring, compare_maps, coop, sample_maps
+from .coring import Bicomodule, Coring, coop, sample_maps
 from .reports import InputError, Report, mirrored_report
 
 
@@ -84,19 +84,25 @@ class RMorphism:
 
 def check_r_object(o: RObject) -> Report:
     """Bilinearity plus the twist-comultiplication and twist-counit laws."""
+    return _check_r_object(o, _twist_pipes(o))
+
+
+def _twist_pipes(o: RObject):
+    """The pipe src from C (x) M, cm = comult (x) M, ct = (C x twist).cm and
+    tw = twist: the pipes of `check_r_object`, which a caller that checks
+    more laws on them builds once and shares."""
     C, M = o.coring.carrier, o.carrier
     src = pipe(space(C, M))
-    ct = src.apply(o.coring.comult, 0, 1, [C, C]).apply(o.twist, 1, 2, [M, C])
-    return _check_r_object(o, src, ct, src.apply(o.twist, 0, 2, [M, C]))
+    cm = src.apply(o.coring.comult, 0, 1, [C, C])
+    return src, cm, cm.apply(o.twist, 1, 2, [M, C]), src.apply(o.twist, 0, 2, [M, C])
 
 
-def _check_r_object(o: RObject, src, ct, tw) -> Report:
-    """`check_r_object` on the pipe src from C (x) M and its continuations
-    ct = (C x twist).(comult x M) and tw = twist, which a caller that checks
-    more laws on the same pipes builds once and shares."""
+def _check_r_object(o: RObject, pipes) -> Report:
+    """`check_r_object` on the pipes of `_twist_pipes`."""
     rep = Report(f"twist object {o.name}")
     c = o.coring
     C, M = c.carrier, o.carrier
+    src, _, ct, tw = pipes
     rep.extend(bilinearity_report(o.twist, "twist"))
     compare_pipes(rep, "twist-comult", tw.apply(c.comult, 1, 1, [C, C]),
                   ct.apply(o.twist, 0, 2, [M, C]))
@@ -129,21 +135,17 @@ def identity_r_object(c: Coring) -> RObject:
 
 
 def r_object_bicomodule(o: RObject) -> Bicomodule:
-    """The bicomodule on C (x) M induced by a twist object."""
+    """The bicomodule on C (x) M induced by a twist object (memoized on o)."""
+    return memo(o, "bicomodule", lambda: _r_object_bicomodule(o))
+
+
+def _r_object_bicomodule(o: RObject) -> Bicomodule:
     c = o.coring
     C, M = c.carrier, o.carrier
     X = o.cm.quotient
-    lam = (
-        pipe(space(C, M))
-        .apply(c.comult, 0, 1, [C, C])
-        .done(space(C, X), name="lam")
-    )
-    rho = (
-        pipe(space(C, M))
-        .apply(c.comult, 0, 1, [C, C])
-        .apply(o.twist, 1, 2, [M, C])
-        .done(space(X, C), name="rho")
-    )
+    cm = pipe(space(C, M)).apply(c.comult, 0, 1, [C, C])
+    lam = cm.done(space(C, X), name="lam")
+    rho = cm.apply(o.twist, 1, 2, [M, C]).done(space(X, C), name="rho")
     return Bicomodule(c, c, X, lam, rho, name=f"C(x){o.name}")
 
 
@@ -165,25 +167,30 @@ def r_tensor_objects(o1: RObject, o2: RObject, name=None) -> RObject:
 
 def r_tensor_morphisms(f: RMorphism, g: RMorphism, name=None) -> RMorphism:
     """Monoidal product of morphisms, following the defining composite."""
-    c = f.src.coring
-    C = c.carrier
-    M1, N1 = f.src.carrier, f.dst.carrier
-    M2, N2 = g.src.carrier, g.dst.carrier
+    C = f.src.coring.carrier
     src = r_tensor_objects(f.src, g.src)
     dst = r_tensor_objects(f.dst, g.dst)
-    areg = regular_bimodule(c.base)
-    mp = (
-        pipe(space(C, src.carrier))
-        .refine(1)
-        .apply(c.comult, 0, 1, [C, C])
+    mp = _tensor_stages(pipe(space(C, src.carrier)).refine(1), f, g).done(
+        space(C, dst.carrier), name="f(x)g")
+    return RMorphism(src, dst, mp, name=name or f"{f.name}(x){g.name}")
+
+
+def _tensor_stages(p, f: RMorphism, g: RMorphism):
+    """The defining composite of f (x) g, unreduced, on a pipe p at the
+    factors (C, M1, M2): comult, f and the twist of its target, g, the
+    counit, and the merge of (N1, N2) into N1 (x) N2, ending at
+    (C, N1 (x) N2)."""
+    c = f.src.coring
+    C, N1, N2 = c.carrier, f.dst.carrier, g.dst.carrier
+    return (
+        p.apply(c.comult, 0, 1, [C, C])
         .apply(f.map, 1, 2, [C, N1])
         .apply(f.dst.twist, 1, 2, [N1, C])
         .apply(g.map, 2, 2, [C, N2])
-        .apply(c.counit, 2, 1, [areg])
+        .apply(c.counit, 2, 1, [regular_bimodule(c.base)])
         .absorb_left(2)
-        .done(space(C, dst.carrier), name="f(x)g")
+        ._merge(tensor_over(N1.right_algebra, N1, N2), 1)
     )
-    return RMorphism(src, dst, mp, name=name or f"{f.name}(x){g.name}")
 
 
 def canonical_c_object(c: Coring) -> RObject:
@@ -234,7 +241,12 @@ def check_r_algebra(o: RObject, eta: LinearMap, mu: LinearMap) -> Report:
     """Verify that (eta, mu) make the twist object an algebra in the
     category: morphism conditions, unit laws, associativity.
 
-    eta: C (x) A -> C (x) M and mu: C (x) (M (x) M) -> C (x) M.
+    eta: C (x) A -> C (x) M and mu: C (x) (M (x) M) -> C (x) M.  Each law
+    is a pair of pipes from C (x) (I (x) M), C (x) (M (x) I) or
+    C (x) ((M (x) M) (x) M): the unreduced eta (x) id, id (x) eta,
+    mu (x) id or id (x) mu (`_tensor_stages`) followed by mu, against the
+    unit isomorphism or, for associativity, the other bracketing, which
+    the pipe reaches by refining M (x) M and merging the other pair.
     """
     rep = Report(f"algebra on {o.name}")
     c = o.coring
@@ -246,34 +258,18 @@ def check_r_algebra(o: RObject, eta: LinearMap, mu: LinearMap) -> Report:
     rep.extend(check_r_morphism(eta_mor))
     rep.extend(check_r_morphism(mu_mor))
     id_mor = RMorphism.identity(o)
+    I, A = ident_obj.carrier, M.right_algebra
 
-    left = r_tensor_morphisms(eta_mor, id_mor)
-    lhs = mu.after(left.map)
-    areg = regular_bimodule(c.base)
-    unit_l = (
-        pipe(space(C, left.src.carrier))
-        .refine(1)
-        .absorb_right(1)
-        .done(space(C, M), name="lambda")
-    )
-    compare_maps(rep, "alg-unit-left", lhs, unit_l)
+    def then_mu(p, f, g):
+        return _tensor_stages(p, f, g).apply(mu, 0, 2, [C, M])
 
-    right = r_tensor_morphisms(id_mor, eta_mor)
-    rhs = mu.after(right.map)
-    unit_r = (
-        pipe(space(C, right.src.carrier))
-        .refine(1)
-        .absorb_left(2)
-        .done(space(C, M), name="rho")
-    )
-    compare_maps(rep, "alg-unit-right", rhs, unit_r)
-
-    mm_l = r_tensor_morphisms(mu_mor, id_mor)
-    mm_r = r_tensor_morphisms(id_mor, mu_mor)
-    assoc_l = mu.after(mm_l.map)
-    assoc_r = mu.after(mm_r.map)
-    conj = regroup(space(C, mm_l.src.carrier), space(C, mm_r.src.carrier))
-    compare_maps(rep, "alg-assoc", assoc_l, assoc_r.after(conj))
+    unit_l = pipe(space(C, tensor_over(I.right_algebra, I, M))).refine(1)
+    compare_pipes(rep, "alg-unit-left", then_mu(unit_l, eta_mor, id_mor), unit_l.absorb_right(1))
+    unit_r = pipe(space(C, tensor_over(A, M, I))).refine(1)
+    compare_pipes(rep, "alg-unit-right", then_mu(unit_r, id_mor, eta_mor), unit_r.absorb_left(2))
+    assoc = pipe(space(C, tensor_over(A, o2.carrier, M))).refine(1)
+    compare_pipes(rep, "alg-assoc", then_mu(assoc, mu_mor, id_mor),
+                  then_mu(assoc.refine(1)._merge(o2.carrier, 2), id_mor, mu_mor))
     return rep
 
 

@@ -86,9 +86,13 @@ class TestCowreathChecks:
         the lhs of xi-left-colinear and xi-right-colinear, and the source
         pipe of the two counit laws of a coring and of the abstract
         cowreath.  Checked on every checker that compares a law with its
-        source pipe, over the corpus, the lifts and the product corings."""
+        source pipe, over the corpus, the lifts and the product corings,
+        and on the entwining, Doi-Koppinen and R-algebra laws."""
         from coringlab import bimodule
         from coringlab.cowreath import CowComodule
+        from coringlab.entwine import (check_doi_koppinen, check_entwining,
+                                       doi_koppinen_self, entwining_wreath)
+        from coringlab.rcat import check_r_algebra
         from coringlab.wreath import (check_left_module_twisting, check_wreath,
                                       check_wreath_module, regular_wreath_bimodule)
         cowreaths = valid_corpus_cowreaths(corpus) + invalid_corpus_cowreaths(corpus)
@@ -97,6 +101,7 @@ class TestCowreathChecks:
                                              corpus.lifted_flip_cw)]
         rw = corpus.sign_flip_ttp[3]
         y, l_act, r_act = regular_wreath_bimodule(rw)
+        entwinings = (corpus.flip_entwining, corpus.dk_entwining, corpus.broken_entwining)
         calls = (
             [(check_coring, c) for c in corings]
             + [(check_comodule, comodule_over_itself(c, side))
@@ -108,7 +113,10 @@ class TestCowreathChecks:
                 CowComodule("left", w, w.object, w.delta))]
             + [(check_wreath, rw), (check_wreath_module, rw, "right", y, r_act),
                (check_wreath_module, rw, "left", y, l_act),
-               (check_left_module_twisting, corpus.module_twist_self)])
+               (check_left_module_twisting, corpus.module_twist_self)]
+            + [(check_entwining, e) for e in entwinings]
+            + [(check_r_algebra, *entwining_wreath(e)) for e in entwinings]
+            + [(check_doi_koppinen, doi_koppinen_self(corpus.z2, corpus.c2))])
         finished = []
         real = bimodule.Pipe.done
 

@@ -224,6 +224,19 @@
   equal on the corpus sessions over QQ and GF(101), the flip lift and its
   product, and on twins with one structure map perturbed, and all fifteen
   sites must be reached.
+* The entwining laws (`entwine-*`), the Doi-Koppinen coaction and action
+  laws (`comodule-coassoc`, `comodule-counit`, `action-comult`,
+  `action-counit`) and the R-algebra laws (`alg-*`) are pairs of pipes
+  through `compare_pipes`.  Their former forms are the oracle: flat `kron`
+  chains compared on the legs' quotients, and finished products of
+  morphisms followed by mu, with `regroup` for associativity.  The
+  reports of those eleven tags must be equal, statuses, witness text and
+  order included, on the corpus entwinings parsed over QQ and GF(101),
+  on kZn acting and coacting on itself (n = 2, 3), and on twins with psi,
+  the twist, the coaction, the action, eta or mu perturbed.
+  `r_tensor_morphisms`, which merges (N1, N2) before it finishes, must
+  give the map of the former program.  `LeafPipe` merges by renaming its
+  factors.
 """
 
 import copy
@@ -1282,6 +1295,15 @@ class LeafPipe:
         return self._with([mirror(l) for l in reversed(leaves)],
                           leaf_reversal(leaves) @ self.matrix)
 
+    def _merge(self, node, at):
+        """The factors from position at on that bracket node, as node: the
+        leaves stay, so only the factors change."""
+        end, left = at, len(leaf_factors(node))
+        while left:
+            left -= len(leaf_factors(self.factors[end]))
+            end += 1
+        return self._with(self.factors[:at] + [node] + self.factors[end:], self.matrix)
+
     def done(self, target=None, name="pipe"):
         cur = space(*self.factors)
         if target is None:
@@ -1563,7 +1585,8 @@ def test_corpus_outputs_are_pinned():
     """Every corpus report and piped structure map, byte for byte: the
     `LeafPipe` oracle changes with `Pipe`, so the outputs are also pinned
     without it.  The broken entwining's three witnesses name the flat
-    tensor basis and print both sides on it (`entwine._flat_law`)."""
+    tensor basis and print both sides on it (the entwining laws are pipes
+    over the ground-field legs)."""
     assert _sha256(corpus_outputs(Corpus())) == (
         "3576baa1d5f7bc3a7622bef8a0789907da940c99e0ccf934cae6f67769963ee0")
 
@@ -5185,23 +5208,32 @@ def unit_law_reports(check, args):
 
 
 @functools.cache
+def corpus_objects(field):
+    """{(section, name): object} of the corpus sessions over QQ, parsed over
+    field."""
+    from coringlab.corpus import corpus_sessions
+    s = {}
+    for raw in corpus_sessions().values():
+        if raw["field"] == "QQ":
+            raw = copy.deepcopy(raw)
+            raw["field"] = field.name
+            s.update({(sec, key): obj for sec in ("algebras", "corings", "comodules",
+                                                  "cowreaths", "entwinings", "wreaths",
+                                                  "twistings")
+                      for key, obj in getattr(parse_session(raw), sec).items()})
+    return s
+
+
+@functools.cache
 def unit_law_cases(field):
     """(check, maps, build) for every checker that compares a law with its
     source pipe, over the corpus sessions parsed over field, the flip lift
     and its product coring: build(maps) gives the checker's arguments, and
     a twin is built from maps with one of them perturbed."""
     from coringlab import cowreath, wreath
-    from coringlab.corpus import corpus_sessions
     from coringlab.rcat import RObject
 
-    s = {}
-    for name, raw in corpus_sessions().items():
-        if raw["field"] == "QQ":
-            raw = copy.deepcopy(raw)
-            raw["field"] = field.name
-            s.update({(sec, key): obj for sec in ("corings", "comodules", "cowreaths",
-                                                  "entwinings", "wreaths", "twistings")
-                      for key, obj in getattr(parse_session(raw), sec).items()})
+    s = corpus_objects(field)
     cws = [v for (sec, _), v in s.items() if sec == "cowreaths"]
     lift = cowreath.entwining_lift_cowreath(s["entwinings", "flip-ent"], s["cowreaths", "flip"])
     cws.append(lift)
@@ -5281,3 +5313,195 @@ def test_perturbed_unit_laws_match_the_hand_finished_pipes(field, data):
     except (InputError, WellDefinednessError):
         return
     assert new == old
+
+
+# ---------------------------------------------------------------------------
+# entwining, Doi-Koppinen and R-algebra laws: pipes against the former forms
+
+ENTWINING_TAGS = ("entwine-mult", "entwine-unit", "entwine-comult", "entwine-counit")
+DK_TAGS = ("comodule-coassoc", "comodule-counit", "action-comult", "action-counit")
+R_ALGEBRA_TAGS = ("alg-unit-left", "alg-unit-right", "alg-assoc")
+
+
+def _flat_laws(laws):
+    """(tag, lhs, rhs) maps of flat laws (tag, lhs, rhs, dom, cod) between
+    the tensor quotients over the field of the legs dom and cod."""
+    out = []
+    for tag, lhs, rhs, dom, cod in laws:
+        d, c = space(*dom).quotient, space(*cod).quotient
+        out.append((tag, LinearMap(d, c, lhs), LinearMap(d, c, rhs)))
+    return out
+
+
+def _old_entwining(e):
+    from coringlab.algebra import multiplication_matrix, unit_column
+    A, C = e.algebra, e.coalgebra
+    ab, cc = e.a_bimodule, C.carrier
+    psi, mu, one = e.psi.matrix, multiplication_matrix(A), unit_column(A)
+    dmat = C.cc.section @ C.comult.matrix
+    eps = C.counit.matrix
+    ic, ia = Matrix.identity(A.field, cc.dim), Matrix.identity(A.field, A.dim)
+    return _flat_laws([
+        ("entwine-mult", psi @ ic.kron(mu), mu.kron(ic) @ ia.kron(psi) @ psi.kron(ia),
+         (cc, ab, ab), (ab, cc)),
+        ("entwine-unit", psi @ ic.kron(one), one.kron(ic), (cc,), (ab, cc)),
+        ("entwine-comult", ia.kron(dmat) @ psi, psi.kron(ic) @ ic.kron(psi) @ dmat.kron(ia),
+         (cc, ab), (ab, cc, cc)),
+        ("entwine-counit", ia.kron(eps) @ psi, eps.kron(ia), (cc, ab), (ab,))])
+
+
+def _old_doi_koppinen(dk):
+    from coringlab.coring import flip_map
+    from coringlab.entwine import algebra_as_k_bimodule
+    H, Hc, A, C = dk.h_algebra, dk.h_coalgebra, dk.algebra, dk.coalgebra
+    hb, cb, ab = Hc.carrier, C.carrier, algebra_as_k_bimodule(A, Hc.base)
+    dflat = Hc.cc.section @ Hc.comult.matrix
+    cflat = C.cc.section @ C.comult.matrix
+    rho, act = dk.coaction, dk.action
+    ia, ih, ic = (Matrix.identity(H.field, x.dim) for x in (A, H, cb))
+    return _flat_laws([
+        ("comodule-coassoc", rho.kron(ih) @ rho, ia.kron(dflat) @ rho, (ab,), (ab, hb, hb)),
+        ("comodule-counit", ia.kron(Hc.counit.matrix) @ rho, ia, (ab,), (ab,)),
+        ("action-comult", cflat @ act,
+         act.kron(act) @ ic.kron(flip_map(cb, hb).matrix).kron(ih) @ cflat.kron(dflat),
+         (cb, hb), (cb, cb)),
+        ("action-counit", C.counit.matrix @ act, C.counit.matrix.kron(Hc.counit.matrix),
+         (cb, hb), (regular_bimodule(C.base),))])
+
+
+def _old_tensor_map(f, g):
+    """The map of `rcat.r_tensor_morphisms(f, g)` as it was built before it
+    shared its stages with `check_r_algebra`."""
+    from coringlab.rcat import r_tensor_objects
+    c = f.src.coring
+    C = c.carrier
+    src, dst = r_tensor_objects(f.src, g.src), r_tensor_objects(f.dst, g.dst)
+    return (bimodule.pipe(space(C, src.carrier)).refine(1)
+            .apply(c.comult, 0, 1, [C, C]).apply(f.map, 1, 2, [C, f.dst.carrier])
+            .apply(f.dst.twist, 1, 2, [f.dst.carrier, C])
+            .apply(g.map, 2, 2, [C, g.dst.carrier])
+            .apply(c.counit, 2, 1, [regular_bimodule(c.base)]).absorb_left(2)
+            .done(space(C, dst.carrier), name="f(x)g"))
+
+
+def _r_algebra_morphisms(o, eta, mu):
+    from coringlab.rcat import RMorphism, identity_r_object, r_tensor_objects
+    return (RMorphism(identity_r_object(o.coring), o, eta, name="eta"),
+            RMorphism(r_tensor_objects(o, o), o, mu, name="mu"), RMorphism.identity(o))
+
+
+def _old_r_algebra(o, eta, mu):
+    """The three composite laws of `check_r_algebra` as finished products of
+    morphisms followed by mu, the associativity law through `regroup`."""
+    C, M = o.coring.carrier, o.carrier
+    eta_mor, mu_mor, id_mor = _r_algebra_morphisms(o, eta, mu)
+    left, right = _old_tensor_map(eta_mor, id_mor), _old_tensor_map(id_mor, eta_mor)
+    unit_l = (bimodule.pipe(space(C, left.domain.factor_right)).refine(1).absorb_right(1)
+              .done(space(C, M), name="lambda"))
+    unit_r = (bimodule.pipe(space(C, right.domain.factor_right)).refine(1).absorb_left(2)
+              .done(space(C, M), name="rho"))
+    mm_l, mm_r = _old_tensor_map(mu_mor, id_mor), _old_tensor_map(id_mor, mu_mor)
+    conj = regroup(space(C, mm_l.domain.factor_right), space(C, mm_r.domain.factor_right))
+    return [("alg-unit-left", mu.after(left), unit_l),
+            ("alg-unit-right", mu.after(right), unit_r),
+            ("alg-assoc", mu.after(mm_l), mu.after(mm_r).after(conj))]
+
+
+def composite_law_reports(check, args):
+    """(new, old): the checker's witnesses of the laws of its former form,
+    and the report of that form, each law compared by `compare_maps`."""
+    from coringlab import entwine, rcat
+    old_form, tags = {
+        entwine.check_entwining: (_old_entwining, ENTWINING_TAGS),
+        entwine.check_doi_koppinen: (_old_doi_koppinen, DK_TAGS),
+        rcat.check_r_algebra: (_old_r_algebra, R_ALGEBRA_TAGS),
+    }[check]
+    new = Report("laws")
+    for w in check(*args).witnesses:
+        if w.equation in tags:
+            new.add(w)
+    old = Report("laws")
+    laws = old_form(*args)
+    assert tuple(tag for tag, _, _ in laws) == tags
+    for tag, lhs, rhs in laws:
+        compare_maps(old, tag, lhs, rhs)
+    return new, old
+
+
+@functools.cache
+def composite_law_cases(field):
+    """(check, maps, build) for the entwining laws and the R-algebra laws of
+    every corpus entwining parsed over field, and the Doi-Koppinen laws of
+    kZn acting and coacting on itself (n = 2, 3): build(maps) gives the
+    checker's arguments, and a twin is built from maps with one of them
+    perturbed."""
+    from coringlab import entwine, rcat
+    from coringlab.rcat import RObject
+    s = corpus_objects(field)
+    cases = []
+    for e in (v for (sec, _), v in s.items() if sec == "entwinings"):
+        cases.append((entwine.check_entwining, {"psi": e.psi}, lambda m, e=e: (
+            entwine.EntwiningStructure(e.algebra, e.coalgebra, m["psi"], e.name),)))
+        o, eta, mu = entwine.entwining_wreath(e)
+        cases.append((rcat.check_r_algebra, {"twist": o.twist, "eta": eta, "mu": mu},
+                      lambda m, o=o: (RObject(o.coring, o.carrier, m["twist"], o.name),
+                                      m["eta"], m["mu"])))
+    for n in (2, 3):
+        dk = entwine.doi_koppinen_self(s["algebras", f"kZ{n}"], s["corings", f"C{n}"])
+        cases.append((entwine.check_doi_koppinen,
+                      {"coaction": dk.coaction, "action": dk.action},
+                      lambda m, dk=dk: (entwine.DoiKoppinenData(
+                          dk.h_algebra, dk.h_coalgebra, dk.algebra, m["coaction"],
+                          dk.coalgebra, m["action"]),)))
+    return cases
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_composite_laws_match_the_former_forms(field):
+    """The eleven entwining, Doi-Koppinen and R-algebra laws compared as
+    pipes give the report of the flat `kron` chains and of the finished
+    products of morphisms, on the corpus entwinings (the broken one fails
+    some) and on Doi-Koppinen self-data."""
+    tags = set()
+    for check, maps, build in composite_law_cases(field):
+        new, old = composite_law_reports(check, build(maps))
+        assert new == old, check.__name__
+        tags |= {w.equation for w in new.witnesses}
+    assert tags == {"entwine-mult", "entwine-comult", "entwine-counit", "alg-unit-right",
+                    "alg-assoc"}
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_perturbed_composite_laws_match_the_former_forms(field, data):
+    """A twin with psi, the coaction, the action, eta or mu perturbed gives
+    the report of the former forms for the eleven tags, statuses, witness
+    text and order included.  A twin whose checker raises has no report to
+    compare."""
+    check, maps, build = data.draw(st.sampled_from(composite_law_cases(field)))
+    part = data.draw(st.sampled_from(sorted(maps)))
+    x = maps[part]
+    mat = x.matrix if isinstance(x, LinearMap) else x
+    mat = mat + data.draw(perturbation(field, mat.rows, mat.cols))
+    bumped = LinearMap(x.domain, x.codomain, mat, x.name) if isinstance(x, LinearMap) else mat
+    try:
+        new, old = composite_law_reports(check, build({**maps, part: bumped}))
+    except (InputError, WellDefinednessError):
+        return
+    assert new == old
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_tensor_morphisms_match_the_finished_program(field):
+    """`r_tensor_morphisms` ends its stages by merging (N1, N2) into their
+    quotient before it finishes: its map equals the former program, which
+    finished from (C, N1, N2), for the four products of `check_r_algebra`."""
+    from coringlab import entwine
+    from coringlab.rcat import r_tensor_morphisms
+    for e in (v for (sec, _), v in corpus_objects(field).items() if sec == "entwinings"):
+        eta_mor, mu_mor, id_mor = _r_algebra_morphisms(*entwine.entwining_wreath(e))
+        for f, g in ((eta_mor, id_mor), (id_mor, eta_mor), (mu_mor, id_mor), (id_mor, mu_mor)):
+            got, old = r_tensor_morphisms(f, g).map, _old_tensor_map(f, g)
+            assert (got.domain, got.codomain) == (old.domain, old.codomain)
+            assert got.matrix == old.matrix

@@ -23,11 +23,12 @@ from coringlab.bimodule import (
     space,
     tensor_over,
 )
-from coringlab.coring import check_coring, coop, grouplike_coalgebra
+from coringlab.coring import check_coring, coop, flip_map, grouplike_coalgebra
 from coringlab.corpus import Corpus
 from coringlab.cowreath import check_cowreath, cowreath_product, flip_cowreath
 from coringlab.entwine import algebra_as_k_bimodule, flip_entwining
 from coringlab.exactla import QQ
+from coringlab.rcat import RObject, r_object_bicomodule
 from coringlab.reports import InputError
 from coringlab.wreath import RingExtension, opposite_extension
 
@@ -105,6 +106,30 @@ class TestSameObject:
     def test_coop(self):
         c = grouplike_coalgebra(QQ, 2, name="C")
         assert coop(c) is coop(c)
+
+    def test_r_object_bicomodule(self):
+        o = _flip_object()
+        assert r_object_bicomodule(o) is r_object_bicomodule(o)
+
+
+def _flip_object():
+    c, d = grouplike_coalgebra(QQ, 2, name="C"), grouplike_coalgebra(QQ, 2, name="D")
+    return RObject(c, d.carrier, flip_map(c.carrier, d.carrier), "flip")
+
+
+def test_dropped_object_frees_its_bicomodule_without_gc():
+    """The bicomodule memo holds no reference back to its object, so
+    dropping the object frees both by reference counting alone."""
+    import weakref
+    o = _flip_object()
+    refs = [weakref.ref(o), weakref.ref(r_object_bicomodule(o))]
+    assert refs[1]() is not None
+    gc.disable()
+    try:
+        del o
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 def test_flip_entwinings_over_two_coalgebras_use_their_own_ground_algebras():

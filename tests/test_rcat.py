@@ -154,6 +154,27 @@ class TestTensor:
             right.twist.after(conv_dom).matrix
 
 
+
+class TestAlgebra:
+    def test_algebra_laws_build_one_product_object_and_no_product_morphism(
+            self, corpus, monkeypatch):
+        """`check_r_algebra` builds the product object M (x) M, the domain
+        of mu, and pipes each composite law from its source: no other
+        product object and no product morphism is built."""
+        from coringlab import rcat
+        from coringlab.entwine import entwining_wreath
+        calls = {"r_tensor_objects": 0, "r_tensor_morphisms": 0}
+        for name in calls:
+            real = getattr(rcat, name)
+
+            def spy(*args, name=name, real=real, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(rcat, name, spy)
+        assert rcat.check_r_algebra(*entwining_wreath(corpus.flip_entwining)).ok
+        assert calls == {"r_tensor_objects": 1, "r_tensor_morphisms": 0}
+
+
 class TestLeftSide:
     def test_identity_l_object(self, corpus):
         assert check_l_object(identity_l_object(corpus.c2)).ok

@@ -484,16 +484,15 @@ def test_no_witness_has_a_fixed_string_side():
 # -- one law form ----------------------------------------------------------------
 
 # The functions, as module.function, that may call `compare_maps` directly:
-# `compare_pipes` itself, the action and bilinearity laws, the flat
-# entwining laws, the coring morphism laws (whose sides are not two pipes
-# from one source) and the laws on matrices built by composition.
+# `compare_pipes` itself, the action and bilinearity laws, the coring
+# morphism laws (whose sides are not two pipes from one source) and the
+# inclusion law of `r_action_matrices_check`, one per basis element on
+# matrices built by composition.
 COMPARE_MAPS_CALLERS = {
     "bimodule.compare_pipes",
     "bimodule.check_bimodule",
     "bimodule.bilinearity_report",
-    "entwine._flat_law",
     "coring.check_coring_morphism",
-    "rcat.check_r_algebra",
     "wreath.r_action_matrices_check",
 }
 
