@@ -63,10 +63,10 @@ class Cowreath:
 def _object_and_colinearity(w: Cowreath, rep: Report):
     """The laws of w's twist object (`check_r_object`), then that xi and
     delta are morphisms in the category (bicolinear maps), on pipes from
-    C (x) M that are built once: those of `_twist_pipes` (comult (x) M, its
-    continuation by C (x) twist, and twist) and delta.  Returns the source pipe of C (x) M and
-    the pipes of twist, of delta and of (comult x M x M).delta, which the
-    cowreath laws continue."""
+    C (x) M that are built once: those of `_twist_pipes` (comult (x) M,
+    its continuation by C (x) twist, and twist) and delta.  Returns the
+    source pipe of C (x) M and the pipes of twist, of delta and of
+    (comult x M x M).delta, which the cowreath laws continue."""
     c = w.coring
     C, M = c.carrier, w.object.carrier
     tw = w.object.twist
