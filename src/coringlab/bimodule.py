@@ -64,23 +64,23 @@ the product of all leaf dimensions.
 
 A checker equation between two pipes that end on the same factors is
 compared by `compare_pipes`; this is the one form of every law between
-composites.  An identity law compares its pipe with the source pipe
-itself, with no stage (project . section is the identity), and a twist
-law with the source pipe continued by the twist.  `compare_maps` is
-called directly only by `compare_pipes`, `check_bimodule`,
-`bilinearity_report`, `coring.check_coring_morphism` and
-`wreath.r_action_matrices_check`.  Whether
-lhs = rhs holds does not depend on the basis of the target quotient, so
-when its outer level X (x)_A N is not built yet, is not flat and has
-monomial unmarked pairs, the two pipes are merged only as far as (X, N)
-and lhs - rhs is tested against the relation span with the projection
-the level would have (`_union_find`, whose kernel is that span); when it
-kills lhs - rhs the equation passes and the level is never built.  It is
-built, and the two sides compared on its canonical basis by
-`compare_maps`, for a witness (a column outside the span), on a flat,
-built or `Echelon` level, and when building it could raise: X and N must
-each be a tensor quotient or have commuting actions (`_commutes`), so
-that every inherited action descends.
+composites.  An identity law compares its pipe with the unstaged source
+pipe, which `Pipe.done` finishes as the identity (project . section) with
+no stage, and a twist law with the source pipe continued by the twist; a
+pipe keeps its finished map, so a shared one is finished once.
+`compare_maps` is called directly only by `compare_pipes`,
+`check_bimodule`, `bilinearity_report`, `coring.check_coring_morphism` and
+`wreath.r_action_matrices_check`.  Whether lhs = rhs holds does not depend
+on the basis of the target quotient, so when its outer level X (x)_A N is
+not built yet, is not flat and has monomial unmarked pairs, the two pipes
+are merged only as far as (X, N) and lhs - rhs is tested against the
+relation span with the projection the level would have (`_union_find`,
+whose kernel is that span); when it kills lhs - rhs the equation passes
+and the level is never built.  It is built, and the two sides compared on
+its canonical basis by `compare_maps`, for a witness (a column outside the
+span), on a flat, built or `Echelon` level, and when building it could
+raise: X and N must each be a tensor quotient or have commuting actions
+(`_commutes`), so that every inherited action descends.
 
 The mirror reads a bimodule in the opposite bicategory: `op` gives the
 opposite algebra, `mirror` swaps a bimodule's two actions and reverses the
@@ -93,19 +93,21 @@ All values are immutable after construction and all operations are pure.
 A pipe is a value too: each stage returns a new `Pipe` and leaves its
 input as it was, so a checker builds a prefix that several of its
 composites share once, binds it to a name and continues it on each branch.
-Derived structures (quotients, spaces, mirrors, regular bimodules) are
-memoized by `memo` on the object they are built from, so an entry lives
-exactly as long as its owner and nothing is kept at module level.  A
-tensor quotient has two memo levels.  The first is keyed on the identity
-of its inputs and kept on M, so a repeated call returns the same object,
-which `regroup` and `mirror` rely on.  On a miss, a weak content table
+Derived structures (quotients, spaces, mirrors, regular bimodules, the
+twist pipes of an `rcat` object) are memoized by `memo` on the object
+they are built from, so an entry lives exactly as long as its owner and
+nothing is kept at module level.  A tensor quotient has two memo
+levels.  The first is keyed on the identity of its inputs and kept on M,
+so a repeated call returns the same object, which `regroup` and `mirror`
+rely on.  On a miss, a weak content table
 kept on the base algebra gives the new quotient (its own object, with its
 own factors and name) the numeric core of a live quotient whose inputs
 have the same dims and action entries: `project`, `free_cols` and the
 inherited actions, all immutable.  So equal content is built once, and
 since the table holds its quotients weakly, no entry outlives them.  The
-memo entries are the only mutable state, so concurrent readers are safe
-once the structures they share have been built.
+memo entries and the finished map a pipe keeps (`compare_pipes`) are the
+only mutable state, so concurrent readers are safe once the structures
+they share have been built.
 """
 
 from __future__ import annotations
@@ -366,11 +368,11 @@ def compare_maps(rep: Report, tag: str, lhs: LinearMap, rhs: LinearMap,
     return rep
 
 
-def compare_pipes(rep: Report, tag: str, lhs: "Pipe", rhs: "Pipe", done=None):
+def compare_pipes(rep: Report, tag: str, lhs: "Pipe", rhs: "Pipe"):
     """`compare_maps` of lhs.done() and rhs.done(), two pipes from one
     source that end on the same factors.  rhs may be the source pipe with
-    no stage (an identity law: project . section is the identity) or with
-    one twist.  This is how every checker compares two composites;
+    no stage (an identity law, which `Pipe.done` finishes as the identity)
+    or with one twist.  This is how every checker compares two composites;
     `compare_maps` is called directly only here, in `check_bimodule`,
     `bilinearity_report`, `coring.check_coring_morphism` and
     `wreath.r_action_matrices_check`.  When the outer level X (x)_A N of
@@ -380,14 +382,13 @@ def compare_pipes(rep: Report, tag: str, lhs: "Pipe", rhs: "Pipe", done=None):
     builds no quotient.  Otherwise, and whenever that projection does not
     kill lhs - rhs, both pipes are finished into the built quotient and
     compared there, so every status, witness and error is that of
-    `compare_maps`.  done, a dict that the comparisons sharing a pipe pass
-    on, keeps each pipe they finish, so such a pipe is finished once."""
+    `compare_maps`.  Each finished map is kept on its pipe (`finished`),
+    so a pipe that several laws share is finished once."""
     if not _decided(lhs, rhs):
-        done = {} if done is None else done
         for p in (lhs, rhs):
-            if p not in done:
-                done[p] = p.done()
-        compare_maps(rep, tag, done[lhs], done[rhs])
+            if not hasattr(p, "finished"):
+                p.finished = p.done()
+        compare_maps(rep, tag, lhs.finished, rhs.finished)
 
 
 def bilinearity_report(f: LinearMap, check_name=None) -> Report:
@@ -970,7 +971,7 @@ class _Stages:
     are scattered through the column dicts of F (the row kernel), which a
     monomial F builds once from its two lists."""
 
-    __slots__ = ("factors", "matrix", "source")
+    __slots__ = ("factors", "matrix", "source", "finished")
 
     def __init__(self, factors, matrix, source=None):
         self.factors = tuple(factors)
@@ -1059,7 +1060,8 @@ class Pipe(_Stages):
         into their quotient, apply f to it and refine its image into
         `gives` (by default f's codomain).  When every level of the merge
         (or of the refinement) is flat, it only renames factors, so the
-        stage takes the factors (or gives the factors) as they are."""
+        stage takes the factors (or gives the factors) as they are.  A
+        marked identity f between the same factors returns the pipe."""
         consumed = self.factors[at:at + takes]
         dom = space(*consumed)
         if dom.quotient.dim != f.domain.dim:
@@ -1072,6 +1074,8 @@ class Pipe(_Stages):
             raise InputError(
                 f"pipe stage {f.name}: codomain dim {f.codomain.dim} but "
                 f"gives has dim {cod.quotient.dim}")
+        if f.matrix.is_identity and tuple(gives) == consumed:
+            return self
         p = self
         if dom.quotient.dim != prod(x.dim for x in consumed):
             p, takes = p._merge(dom.quotient, at), 1
@@ -1146,10 +1150,14 @@ class Pipe(_Stages):
         factors, merged into the target's quotient by projection stages.  A
         target with other factors must have the same leaves: the current
         factors are first refined down to them (sections).  A merge whose
-        levels are all flat only renames factors, and is skipped."""
+        levels are all flat only renames factors, and is skipped.  A pipe
+        still at its source's section, into that source, is the identity
+        (project . section) and runs no merge stage."""
         p = self
         if target is None:
             target = space(*p.factors)
+        if p.matrix is self.source.section and target is self.source:
+            return LinearMap.identity(target.quotient, name)
         if target.factors != p.factors:
             p = p._refine_all()
             if target.leaves != p.factors:

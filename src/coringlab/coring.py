@@ -99,11 +99,8 @@ def check_coring(c: Coring) -> Report:
     compare_pipes(rep, "coassoc", cm.apply(c.comult, 0, 1, [C, C]),
                   cm.apply(c.comult, 1, 1, [C, C]))
     areg = regular_bimodule(c.base)
-    done = {}
-    compare_pipes(rep, "counit-left", cm.apply(c.counit, 0, 1, [areg]).absorb_right(0),
-                  src, done)
-    compare_pipes(rep, "counit-right", cm.apply(c.counit, 1, 1, [areg]).absorb_left(1),
-                  src, done)
+    compare_pipes(rep, "counit-left", cm.apply(c.counit, 0, 1, [areg]).absorb_right(0), src)
+    compare_pipes(rep, "counit-right", cm.apply(c.counit, 1, 1, [areg]).absorb_left(1), src)
     return rep
 
 

@@ -29,9 +29,8 @@ from .bimodule import (
 )
 from .coring import (Comodule, Coring, check_coring_morphism, corings_match, flip_map,
                      sample_maps)
-from .rcat import (LObject, RMorphism, RObject, _check_r_object, _twist_pipes,
-                   check_r_morphism, identity_r_object, mirror_object, r_object_bicomodule,
-                   r_tensor_objects)
+from .rcat import (LObject, RMorphism, RObject, _twist_pipes, check_r_morphism, check_r_object,
+                   identity_r_object, mirror_object, r_object_bicomodule, r_tensor_objects)
 from .reports import InputError, PreconditionFailure, Report, mirrored_report
 
 
@@ -63,23 +62,23 @@ class Cowreath:
 def _object_and_colinearity(w: Cowreath, rep: Report):
     """The laws of w's twist object (`check_r_object`), then that xi and
     delta are morphisms in the category (bicolinear maps), on pipes from
-    C (x) M that are built once: those of `_twist_pipes` (comult (x) M,
-    its continuation by C (x) twist, and twist) and delta.  Returns the
-    source pipe of C (x) M and the pipes of twist, of delta and of
-    (comult x M x M).delta, which the cowreath laws continue."""
+    C (x) M: the twist pipes that `check_r_object` reads, kept on w's
+    object (`_twist_pipes`: comult (x) M, its continuation by C (x) twist,
+    and twist), and delta.  Returns the source pipe of C (x) M and the
+    pipes of twist, of delta and of (comult x M x M).delta, which the
+    cowreath laws continue."""
     c = w.coring
     C, M = c.carrier, w.object.carrier
     tw = w.object.twist
-    src, cm, ct, st = pipes = _twist_pipes(w.object)
+    src, cm, ct, st = _twist_pipes(w.object)
     d = src.apply(w.delta, 0, 2, [C, M, M])
-    rep.extend(_check_r_object(w.object, pipes))
+    rep.extend(check_r_object(w.object))
     rep.extend(bilinearity_report(w.xi, "xi"))
     rep.extend(bilinearity_report(w.delta, "delta"))
 
     lhs = src.apply(w.xi, 0, 2, [C]).apply(c.comult, 0, 1, [C, C])
-    done = {}
-    compare_pipes(rep, "xi-left-colinear", lhs, cm.apply(w.xi, 1, 2, [C]), done)
-    compare_pipes(rep, "xi-right-colinear", lhs, ct.apply(w.xi, 0, 2, [C]), done)
+    compare_pipes(rep, "xi-left-colinear", lhs, cm.apply(w.xi, 1, 2, [C]))
+    compare_pipes(rep, "xi-right-colinear", lhs, ct.apply(w.xi, 0, 2, [C]))
 
     dc = d.apply(c.comult, 0, 1, [C, C])
     compare_pipes(rep, "delta-left-colinear", dc, cm.apply(w.delta, 1, 2, [C, M, M]))
@@ -115,13 +114,10 @@ def check_cowreath_abstract(w: Cowreath) -> Report:
     tw = w.object.twist
     areg = regular_bimodule(c.base)
     dct = dc.apply(tw, 1, 2, [M, C])
-    done = {}
     compare_pipes(rep, "cw-abstract-counit-1",
-                  dct.apply(w.xi, 2, 2, [C]).apply(c.counit, 2, 1, [areg]).absorb_left(2),
-                  src, done)
+                  dct.apply(w.xi, 2, 2, [C]).apply(c.counit, 2, 1, [areg]).absorb_left(2), src)
     compare_pipes(rep, "cw-abstract-counit-2",
-                  dc.apply(w.xi, 1, 2, [C]).apply(c.counit, 1, 1, [areg]).absorb_right(1),
-                  src, done)
+                  dc.apply(w.xi, 1, 2, [C]).apply(c.counit, 1, 1, [areg]).absorb_right(1), src)
 
     lhs = (
         dc.apply(w.delta, 1, 2, [C, M, M])
@@ -348,8 +344,8 @@ def check_cow_comodule(x: CowComodule) -> Report:
     M = w.object.carrier
     xt = x.object.twist
     mt = w.object.twist
-    src, _, _, tw = pipes = _twist_pipes(x.object)
-    rep.extend(_check_r_object(x.object, pipes))
+    src, _, _, tw = _twist_pipes(x.object)
+    rep.extend(check_r_object(x.object))
     rep.extend(bilinearity_report(x.coaction, "coaction"))
 
     # the coaction is a morphism into the product object

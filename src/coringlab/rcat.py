@@ -5,6 +5,8 @@ An object is an A-bimodule M with an A-bilinear twist t: C (x) M -> M (x) C
 compatible with the comultiplication and counit.  A morphism (in unreduced
 form) is a C-bicolinear map C (x) M -> C (x) M', where C (x) M carries the
 left coaction comult (x) M and the right coaction (C (x) t).(comult (x) M).
+Those pipes and that of t are kept on the object (`_twist_pipes`), and
+every law on C (x) M continues them.
 
 The left-handed mirror has objects (L, t: L (x) C -> C (x) L).  Its laws are
 not restated: an LObject is the RObject (L^op, rev . t . rev) over the
@@ -83,26 +85,13 @@ class RMorphism:
 
 
 def check_r_object(o: RObject) -> Report:
-    """Bilinearity plus the twist-comultiplication and twist-counit laws."""
-    return _check_r_object(o, _twist_pipes(o))
-
-
-def _twist_pipes(o: RObject):
-    """The pipe src from C (x) M, cm = comult (x) M, ct = (C x twist).cm and
-    tw = twist: the pipes of `check_r_object`, which a caller that checks
-    more laws on them builds once and shares."""
-    C, M = o.coring.carrier, o.carrier
-    src = pipe(space(C, M))
-    cm = src.apply(o.coring.comult, 0, 1, [C, C])
-    return src, cm, cm.apply(o.twist, 1, 2, [M, C]), src.apply(o.twist, 0, 2, [M, C])
-
-
-def _check_r_object(o: RObject, pipes) -> Report:
-    """`check_r_object` on the pipes of `_twist_pipes`."""
+    """Bilinearity plus the twist-comultiplication and twist-counit laws,
+    on the twist pipes kept on o (`_twist_pipes`), which a caller that
+    checks more laws on them (`cowreath`) reads too."""
     rep = Report(f"twist object {o.name}")
     c = o.coring
     C, M = c.carrier, o.carrier
-    src, _, ct, tw = pipes
+    src, _, ct, tw = _twist_pipes(o)
     rep.extend(bilinearity_report(o.twist, "twist"))
     compare_pipes(rep, "twist-comult", tw.apply(c.comult, 1, 1, [C, C]),
                   ct.apply(o.twist, 0, 2, [M, C]))
@@ -112,19 +101,29 @@ def _check_r_object(o: RObject, pipes) -> Report:
     return rep
 
 
+def _twist_pipes(o: RObject):
+    """The pipe src from C (x) M, cm = comult (x) M, ct = (C x twist).cm and
+    tw = twist, memoized on o: every law on C (x) M of o, its morphisms
+    and its cowreaths continues these."""
+    def build():
+        C, M = o.coring.carrier, o.carrier
+        src = pipe(space(C, M))
+        cm = src.apply(o.coring.comult, 0, 1, [C, C])
+        return src, cm, cm.apply(o.twist, 1, 2, [M, C]), src.apply(o.twist, 0, 2, [M, C])
+    return memo(o, "twist_pipes", build)
+
+
 def check_r_morphism(m: RMorphism) -> Report:
     """Left and right C-colinearity in unreduced form."""
     rep = Report(f"twist morphism {m.name}")
     c = m.src.coring
-    C = c.carrier
-    M, N = m.src.carrier, m.dst.carrier
+    C, N = c.carrier, m.dst.carrier
     rep.extend(bilinearity_report(m.map, "morphism"))
-    src = pipe(space(C, M))
+    src, cm, ct, _ = _twist_pipes(m.src)
     fc = src.apply(m.map, 0, 2, [C, N]).apply(c.comult, 0, 1, [C, C])
-    cm = src.apply(c.comult, 0, 1, [C, C])
     compare_pipes(rep, "morphism-left-colinear", fc, cm.apply(m.map, 1, 2, [C, N]))
     compare_pipes(rep, "morphism-right-colinear", fc.apply(m.dst.twist, 1, 2, [N, C]),
-                  cm.apply(m.src.twist, 1, 2, [M, C]).apply(m.map, 0, 2, [C, N]))
+                  ct.apply(m.map, 0, 2, [C, N]))
     return rep
 
 
@@ -141,11 +140,10 @@ def r_object_bicomodule(o: RObject) -> Bicomodule:
 
 def _r_object_bicomodule(o: RObject) -> Bicomodule:
     c = o.coring
-    C, M = c.carrier, o.carrier
-    X = o.cm.quotient
-    cm = pipe(space(C, M)).apply(c.comult, 0, 1, [C, C])
+    C, X = c.carrier, o.cm.quotient
+    _, cm, ct, _ = _twist_pipes(o)
     lam = cm.done(space(C, X), name="lam")
-    rho = cm.apply(o.twist, 1, 2, [M, C]).done(space(X, C), name="rho")
+    rho = ct.done(space(X, C), name="rho")
     return Bicomodule(c, c, X, lam, rho, name=f"C(x){o.name}")
 
 

@@ -14,6 +14,8 @@ are checked by `check_bimodule` on the matrices by which each basis
 element acts.  Every T-bimodule X1 (x) ... (x) Xn (x) T whose left action
 threads T through the twists is built by `threaded_t_bimodule`; the
 T-bilinearity of eta, mu and a wreath module's action is checked on these.
+The product's multiplication and the dual comparison's left action are
+one pipe program (`_left_product`).
 """
 
 from __future__ import annotations
@@ -237,8 +239,9 @@ def threaded_t_bimodule(ext: RingExtension, twists, factors, name=None) -> Bimod
 
 
 def pt_bimodule(o: RTObject) -> Bimodule:
-    """P (x) T with its canonical T-bimodule structure."""
-    return threaded_t_bimodule(o.ext, [o.twist], [o.carrier], name=f"{o.name}(x)T")
+    """P (x) T with its canonical T-bimodule structure (memoized on o)."""
+    return memo(o, "pt_bimodule", lambda: threaded_t_bimodule(
+        o.ext, [o.twist], [o.carrier], name=f"{o.name}(x)T"))
 
 
 def full_t_morphism_check(f: LinearMap, o: RTObject, p: RTObject) -> Report:
@@ -347,26 +350,39 @@ def _product_algebra(carrier: Bimodule, mult: LinearMap, eta: LinearMap,
                       name=name)
 
 
+def _left_product(w: Wreath, y: RTObject, action: LinearMap, name) -> LinearMap:
+    """(R (x) T) (x) (Y (x) T) -> Y (x) T: T passes Y by y's twist, then
+    action: R (x) Y (x) T -> Y (x) T and the multiplication of T.  With
+    Y = R and action = mu it is the product's multiplication."""
+    tb = w.ext.t_bimodule
+    Y = y.carrier
+    yt = tensor_over(Y.right_algebra, Y, tb)
+    return (
+        pipe(space(w.rt_carrier(), yt))
+        .refine(0)
+        .refine(2)
+        .apply(y.twist, 1, 2, [Y, tb])
+        .apply(action, 0, 3, [Y, tb])
+        .apply(w.ext.mult_map(), 1, 2, [tb])
+        .done(space(yt), name=name)
+    )
+
+
+def _product(w: Wreath, name=None) -> FinAlgebra:
+    """The product algebra on R (x) T, with unit eta(1)."""
+    return _product_algebra(w.rt_carrier(), _left_product(w, w.object, w.mu, "product-mult"),
+                            w.eta, w.ext.total, name or f"{w.name}-product")
+
+
 def wreath_product(w: Wreath, name=None):
     """The product algebra on R (x) T and the extension of T into it.
 
     Returns (RingExtension A -> R(x)T, algebra report, eta-morphism report).
     """
     ext = w.ext
-    tb = ext.t_bimodule
     R = w.object.carrier
     rt = w.rt_carrier()
-    mult = (
-        pipe(space(rt, rt))
-        .refine(0)
-        .refine(2)
-        .apply(w.object.twist, 1, 2, [R, tb])
-        .apply(w.mu, 0, 3, [R, tb])
-        .apply(ext.mult_map(), 1, 2, [tb])
-        .done(space(rt), name="product-mult")
-    )
-    product = _product_algebra(rt, mult, w.eta, ext.total,
-                               name or f"{w.name}-product")
+    product = _product(w, name)
     alg_rep = check_algebra(product)
     eta_morph = AlgebraMorphism(ext.total, product, w.eta.matrix, name="eta")
     eta_rep = check_algebra_morphism(eta_morph)
@@ -776,7 +792,7 @@ def check_bimodule_twisting(bt: BimoduleTwistData) -> Report:
         .apply(bt.r_v, 1, 2, [V])
         .done(space(xv), name="r-XV")
     )
-    product = wreath_product(w)[0].total
+    product = _product(w)
     rt = w.rt_carrier()
     return rep.extend(check_bimodule(
         xv, left=(product, element_action_matrices(l_xv, rt, xv)),
@@ -817,40 +833,19 @@ def r_action_matrices_check(mt: ModuleTwist, y: Bimodule, l_y: LinearMap,
 
 def functor_o_dual(w: Wreath, y: RTObject, l_action: LinearMap):
     """Send a left wreath module to a module over the product on Y (x) T;
-    returns (carrier, left action map, right action map)."""
-    ext = w.ext
-    tb = ext.t_bimodule
-    R = w.object.carrier
-    Y = y.carrier
-    yt = tensor_over(Y.right_algebra, Y, tb)
-    rt = w.rt_carrier()
-    l_map = (
-        pipe(space(rt, yt))
-        .refine(0)
-        .refine(2)
-        .apply(y.twist, 1, 2, [Y, tb])
-        .apply(l_action, 0, 3, [Y, tb])
-        .apply(ext.mult_map(), 1, 2, [tb])
-        .done(space(yt), name="l-dual")
-    )
-    r_map = (
-        pipe(space(yt, tb))
-        .refine(0)
-        .apply(ext.mult_map(), 1, 2, [tb])
-        .done(space(yt), name="r-dual")
-    )
-    return yt, l_map, r_map
+    returns (carrier, left action map).  T acts on the right as on
+    `pt_bimodule(y)`."""
+    l_map = _left_product(w, y, l_action, "l-dual")
+    return l_map.codomain, l_map
 
 
 def check_functor_o_dual(w: Wreath, y: RTObject, l_action: LinearMap) -> Report:
     """The product's left action and T's right action on Y (x) T are
     unital, associative and commute."""
-    ext = w.ext
-    yt, l_map, r_map = functor_o_dual(w, y, l_action)
+    yt, l_map = functor_o_dual(w, y, l_action)
     return check_bimodule(
-        yt, left=(wreath_product(w)[0].total,
-                  element_action_matrices(l_map, w.rt_carrier(), yt)),
-        right=(ext.total, element_action_matrices(r_map, ext.t_bimodule, yt, side="right")),
+        yt, left=(_product(w), element_action_matrices(l_map, w.rt_carrier(), yt)),
+        right=(w.ext.total, pt_bimodule(y).right_action),
         tags=("pm-unit", "od-right-unit", "pm-assoc", "od-right-assoc", "od-commute"),
         name=f"dual comparison on {y.name}")
 

@@ -237,6 +237,21 @@
   `r_tensor_morphisms`, which merges (N1, N2) before it finishes, must
   give the map of the former program.  `LeafPipe` merges by renaming its
   factors.
+* `compare_pipes(rep, tag, lhs, rhs)` keeps each finished map on its pipe,
+  and two pipes on the same factors keep their own.  A pipe still at its
+  source's section finishes into that source as the identity with no
+  stage; on every corpus space over QQ and GF(101), lift and product
+  spaces included, that must equal the merge-stage form
+  `pipe(sp)._merge(sp.quotient, 0)`.  A marked identity between the same
+  factors returns the pipe it is applied to, so the entwining wreaths run
+  no identity stage, and a twist object's pipes are kept on it, so a
+  cowreath and its self comodule build the source pipe of C (x) M once.
+* The product of a wreath and the left action of the dual comparison are
+  one pipe program, and T's right action on Y (x) T is read from
+  `pt_bimodule(y)`; the former `l-dual` and `r-dual` programs are the
+  oracle, on the regular module and on twins with its action or twist
+  perturbed.  Neither the dual comparison nor the bimodule twisting check
+  runs `check_algebra`.
 """
 
 import copy
@@ -5505,3 +5520,207 @@ def test_tensor_morphisms_match_the_finished_program(field):
             got, old = r_tensor_morphisms(f, g).map, _old_tensor_map(f, g)
             assert (got.domain, got.codomain) == (old.domain, old.codomain)
             assert got.matrix == old.matrix
+
+
+# ---------------------------------------------------------------------------
+# the one law protocol: the finished map kept on its pipe, the unstaged
+# finish, the identity stage, and one product program on the wreath side
+
+
+def _spy_stages(monkeypatch):
+    """The stage maps that `_Stages._stage` runs from now on."""
+    maps, real = [], bimodule._Stages._stage
+
+    def spy(self, flat_map, *args):
+        maps.append(flat_map)
+        return real(self, flat_map, *args)
+    monkeypatch.setattr(bimodule._Stages, "_stage", spy)
+    return maps
+
+
+def _lift(field):
+    from coringlab.cowreath import entwining_lift_cowreath
+    s = corpus_objects(field)
+    return entwining_lift_cowreath(s["entwinings", "flip-ent"], s["cowreaths", "flip"])
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_source_pipe_of_a_cowreath_object_is_built_once(field, monkeypatch):
+    """The twist pipes are kept on their object: `check_cowreath` and then
+    `check_cow_comodule` of its self comodule, and the morphism check of
+    the coaction in it, build the source pipe of C (x) M once."""
+    from coringlab.cowreath import Cowreath, check_cow_comodule, check_cowreath, cow_comodule_self
+    from coringlab.rcat import RObject, _twist_pipes
+    for key in ("flip", "unit", "broken-delta"):
+        w = corpus_objects(field)["cowreaths", key]
+        o = RObject(w.coring, w.object.carrier, w.object.twist, w.object.name)
+        w = Cowreath(o, w.xi, w.delta, w.name)
+        sp = space(w.coring.carrier, o.carrier)
+        built, real = [], bimodule.Pipe.__init__
+
+        def spy(self, source):
+            built.append(source)
+            real(self, source)
+        monkeypatch.setattr(bimodule.Pipe, "__init__", spy)
+        check_cowreath(w)
+        check_cow_comodule(cow_comodule_self(w))
+        monkeypatch.undo()
+        assert [s for s in built if s is sp] == [sp], key
+        assert _twist_pipes(o)[0].source is sp
+
+
+def test_compare_pipes_takes_the_two_pipes_only():
+    import inspect
+    assert list(inspect.signature(bimodule.compare_pipes).parameters) == [
+        "rep", "tag", "lhs", "rhs"]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_finished_map_is_kept_on_its_own_pipe(field, monkeypatch):
+    """`compare_pipes` keeps each finish on its pipe and reads it back: a
+    second law on the same pipe finishes nothing, and two pipes that end on
+    the same factors keep their own maps."""
+    w = corpus_objects(field)["cowreaths", "broken-delta"]
+    C, M = w.coring.carrier, w.object.carrier
+    src = bimodule.pipe(space(C, M))
+    lhs = src.apply(w.delta, 0, 2, [C, M, M]).apply(w.xi, 0, 2, [C])
+    finished = []
+    real = bimodule.Pipe.done
+    monkeypatch.setattr(bimodule.Pipe, "done",
+                        lambda self, *a, **k: finished.append(self) or real(self, *a, **k))
+    rep = Report("law")
+    bimodule.compare_pipes(rep, "cw-counit", lhs, src)
+    bimodule.compare_pipes(rep, "cw-counit", lhs, src)
+    assert finished == [lhs, src]
+    assert lhs.finished.matrix == real(lhs).matrix != src.finished.matrix
+    assert src.finished.matrix == Matrix.identity(field, space(C, M).dim)
+    assert not rep.ok
+
+
+@functools.cache
+def corpus_spaces(field):
+    """Every live space over field once the unit-law checkers have run on
+    the corpus sessions parsed over field, the flip lift and its product."""
+    import gc
+    for check, maps, build in unit_law_cases(field):
+        check(*build(maps))
+    return [sp for sp in gc.get_objects()
+            if isinstance(sp, bimodule.Space) and sp.field == field]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_unstaged_pipe_finishes_as_the_identity(field, monkeypatch):
+    """A pipe still at its source's section, finished into its source, is
+    the merge-stage form project . section, the identity, and runs no
+    stage, on every corpus space, lift and product spaces included."""
+    spaces = corpus_spaces(field)
+    assert any(not sp.quotient.project.is_identity for sp in spaces if len(sp.factors) > 1)
+    stages = _spy_stages(monkeypatch)
+    for sp in spaces:
+        got = bimodule.pipe(sp).done(name="unstaged")
+        assert not stages, sp
+        monkeypatch.undo()
+        assert got.matrix == bimodule.pipe(sp)._merge(sp.quotient, 0).matrix, sp
+        assert got.domain is got.codomain is sp.quotient and got.name == "unstaged"
+        stages = _spy_stages(monkeypatch)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_entwining_wreaths_run_no_identity_stage(field, monkeypatch):
+    """id (x) eta, eta (x) id, mu (x) id and id (x) mu apply the identity
+    morphism between the same factors, which is no stage."""
+    from coringlab.entwine import check_entwining_wreath
+    stages = _spy_stages(monkeypatch)
+    for (sec, _), e in corpus_objects(field).items():
+        if sec == "entwinings":
+            check_entwining_wreath(e)
+    assert stages and not any(m.is_identity for m in stages)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_identity_between_the_same_factors_returns_the_pipe(field):
+    """On the lifted C (x) M, whose quotient is not flat, the marked
+    identity between the same factors returns the pipe it is applied to;
+    into the quotient factor it is a stage that renames the factors."""
+    w = _lift(field)
+    C, M = w.coring.carrier, w.object.carrier
+    sp = space(C, M)
+    assert not sp.quotient.project.is_identity
+    ident = LinearMap.identity(sp.quotient)
+    src = bimodule.pipe(sp)
+    d = src.apply(w.delta, 0, 2, [C, M, M])
+    assert src.apply(ident, 0, 2, [C, M]) is src
+    assert d.apply(ident, 0, 2, [C, M]) is d
+    merged = src.apply(ident, 0, 2, [sp.quotient])
+    assert merged is not src and merged.factors == (sp.quotient,)
+    assert merged.done().matrix == Matrix.identity(field, sp.dim)
+    with pytest.raises(InputError):
+        src.apply(ident, 0, 1, [C])
+
+
+def _old_functor_o_dual(w, y, l_action):
+    """The former dual comparison: the `l-dual` and `r-dual` programs, and
+    the product algebra of `wreath_product`."""
+    from coringlab import wreath
+    ext, tb, Y = w.ext, w.ext.t_bimodule, y.carrier
+    yt, rt = tensor_over(Y.right_algebra, Y, tb), w.rt_carrier()
+    l_map = (bimodule.pipe(space(rt, yt)).refine(0).refine(2)
+             .apply(y.twist, 1, 2, [Y, tb]).apply(l_action, 0, 3, [Y, tb])
+             .apply(ext.mult_map(), 1, 2, [tb]).done(space(yt), name="l-dual"))
+    r_map = (bimodule.pipe(space(yt, tb)).refine(0).apply(ext.mult_map(), 1, 2, [tb])
+             .done(space(yt), name="r-dual"))
+    product = wreath.wreath_product(w)[0].total
+    return yt, l_map, r_map, product
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_dual_comparison_matches_the_former_programs(field, monkeypatch):
+    """The left action of the dual comparison is the product's program on
+    (Y, action), the right one is that of `pt_bimodule(y)`, and the report
+    is that of the former `l-dual` and `r-dual` programs, on the regular
+    module and on twins with the action or the twist perturbed; neither
+    it nor the bimodule twisting check runs `check_algebra`."""
+    from coringlab import wreath
+    w = corpus_objects(field)["wreaths", "signflip.wreath"]
+    y, l_act, _ = wreath.regular_wreath_bimodule(w)
+    tags = ("pm-unit", "od-right-unit", "pm-assoc", "od-right-assoc", "od-commute")
+    bump = Matrix.from_entries(field, l_act.matrix.rows, l_act.matrix.cols,
+                               {(1, 2): field.one()})
+    twists = (y.twist, LinearMap(y.twist.domain, y.twist.codomain,
+                                 y.twist.matrix + Matrix.from_entries(
+                                     field, y.twist.matrix.rows, y.twist.matrix.cols,
+                                     {(0, 1): field.one()}), "tw"))
+    acts = (l_act, LinearMap(l_act.domain, l_act.codomain, l_act.matrix + bump, "act"))
+    failed = 0
+    for tw in twists:
+        yy = wreath.RTObject(y.ext, y.carrier, tw, y.name)
+        for act in acts:
+            yt, l_old, r_old, product = _old_functor_o_dual(w, yy, act)
+            carrier, l_map = wreath.functor_o_dual(w, yy, act)
+            assert carrier is yt and l_map.codomain is yt and l_map.domain is l_old.domain
+            assert l_map.matrix == l_old.matrix
+            assert (wreath.pt_bimodule(yy).right_action
+                    == wreath.element_action_matrices(r_old, w.ext.t_bimodule, yt, "right"))
+            new = wreath._product(w)
+            assert (new.mult, new.unit, new.labels) == (product.mult, product.unit,
+                                                        product.labels)
+            old = bimodule.check_bimodule(
+                yt, left=(product, wreath.element_action_matrices(l_old, w.rt_carrier(), yt)),
+                right=(w.ext.total, wreath.element_action_matrices(
+                    r_old, w.ext.t_bimodule, yt, side="right")),
+                tags=tags, name=f"dual comparison on {yy.name}")
+            rep = wreath.check_functor_o_dual(w, yy, act)
+            assert rep == old
+            failed += not rep.ok
+    assert failed
+    calls = []
+    monkeypatch.setattr(wreath, "check_algebra", lambda a: calls.append(a))
+    mt = corpus_objects(field)["twistings", "X=R"]
+    text, rmap = mt.wreath.ext, mt.wreath.object.twist
+    data = wreath.BimoduleTwistData(mt, r_x=mt.rext.mult_map(), v_carrier=text.t_bimodule,
+                                    l_v=text.mult_map(), r_v=text.mult_map(),
+                                    v_twist=LinearMap(rmap.domain, rmap.codomain,
+                                                      rmap.matrix, "vtw"))
+    assert wreath.check_bimodule_twisting(data).ok
+    assert wreath.check_functor_o_dual(w, y, l_act).ok
+    assert calls == []

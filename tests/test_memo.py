@@ -27,8 +27,8 @@ from coringlab.coring import check_coring, coop, flip_map, grouplike_coalgebra
 from coringlab.corpus import Corpus
 from coringlab.cowreath import check_cowreath, cowreath_product, flip_cowreath
 from coringlab.entwine import algebra_as_k_bimodule, flip_entwining
-from coringlab.exactla import QQ
-from coringlab.rcat import RObject, r_object_bicomodule
+from coringlab.exactla import GF, QQ
+from coringlab.rcat import RObject, _twist_pipes, r_object_bicomodule
 from coringlab.reports import InputError
 from coringlab.wreath import RingExtension, opposite_extension
 
@@ -111,9 +111,14 @@ class TestSameObject:
         o = _flip_object()
         assert r_object_bicomodule(o) is r_object_bicomodule(o)
 
+    @pytest.mark.parametrize("field", [QQ, GF(101)], ids=repr)
+    def test_twist_pipes(self, field):
+        o = _flip_object(field)
+        assert _twist_pipes(o) is _twist_pipes(o)
 
-def _flip_object():
-    c, d = grouplike_coalgebra(QQ, 2, name="C"), grouplike_coalgebra(QQ, 2, name="D")
+
+def _flip_object(field=QQ):
+    c, d = grouplike_coalgebra(field, 2, name="C"), grouplike_coalgebra(field, 2, name="D")
     return RObject(c, d.carrier, flip_map(c.carrier, d.carrier), "flip")
 
 
@@ -124,6 +129,29 @@ def test_dropped_object_frees_its_bicomodule_without_gc():
     o = _flip_object()
     refs = [weakref.ref(o), weakref.ref(r_object_bicomodule(o))]
     assert refs[1]() is not None
+    gc.disable()
+    try:
+        del o
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=repr)
+def test_dropped_object_frees_its_twist_pipes_without_gc(field):
+    """The twist pipes kept on an object, and the finished map kept on one
+    of them, hold no reference back to the object, so dropping the object
+    frees them by reference counting alone."""
+    import weakref
+    from coringlab.bimodule import compare_pipes
+    from coringlab.rcat import check_r_object
+    from coringlab.reports import Report
+    o = _flip_object(field)
+    assert check_r_object(o).ok
+    tw = _twist_pipes(o)[3]
+    compare_pipes(Report("twist"), "twist", tw, tw)
+    refs = [weakref.ref(o), weakref.ref(tw.finished)]
+    del tw
     gc.disable()
     try:
         del o
