@@ -33,10 +33,7 @@ finished both pipes and compared them (`_decided` false); on the
 `Echelon` levels of the kZ2(u) rows every one falls back.  The counit
 and twist laws (`cw-counit`, `cw-twist`, and `counit-left`/`-right` of
 the product) are counted too: they end on built levels, so they always
-fall back.  Their unstaged right-hand pipe is finished as the identity
-of its source quotient, with no merge stage (`Pipe.done`), so it adds to
-neither `list` nor `plain`; nor does an identity between the same
-factors, which `Pipe.apply` does not stage.  `regroup` and `rev`
+fall back.  `regroup` and `rev`
 time the changes of bracketing on the coassociativity space: `regroup`
 between space(P, P, P) and space(P, P (x) P), both ways, and `rev` of
 space(P, P, P)'s quotient and of its mirror.  `homs` times the two

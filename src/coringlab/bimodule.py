@@ -64,10 +64,10 @@ the product of all leaf dimensions.
 
 A checker equation between two pipes that end on the same factors is
 compared by `compare_pipes`; this is the one form of every law between
-composites.  An identity law compares its pipe with the unstaged source
-pipe, which `Pipe.done` finishes as the identity (project . section) with
-no stage, and a twist law with the source pipe continued by the twist; a
-pipe keeps its finished map, so a shared one is finished once.
+composites.  An identity law compares its pipe with the source pipe
+itself, with no stage (project . section is the identity), and a twist
+law with the source pipe continued by the twist; a pipe keeps its
+finished map, so a shared one is finished once.
 `compare_maps` is called directly only by `compare_pipes`,
 `check_bimodule`, `bilinearity_report`, `coring.check_coring_morphism` and
 `wreath.r_action_matrices_check`.  Whether lhs = rhs holds does not depend
@@ -93,6 +93,8 @@ All values are immutable after construction and all operations are pure.
 A pipe is a value too: each stage returns a new `Pipe` and leaves its
 input as it was, so a checker builds a prefix that several of its
 composites share once, binds it to a name and continues it on each branch.
+The one thing set on a pipe later is the map `compare_pipes` finishes,
+a pure function of the pipe, kept so that a shared pipe is finished once.
 Derived structures (quotients, spaces, mirrors, regular bimodules, the
 twist pipes of an `rcat` object) are memoized by `memo` on the object
 they are built from, so an entry lives exactly as long as its owner and
@@ -371,8 +373,8 @@ def compare_maps(rep: Report, tag: str, lhs: LinearMap, rhs: LinearMap,
 def compare_pipes(rep: Report, tag: str, lhs: "Pipe", rhs: "Pipe"):
     """`compare_maps` of lhs.done() and rhs.done(), two pipes from one
     source that end on the same factors.  rhs may be the source pipe with
-    no stage (an identity law, which `Pipe.done` finishes as the identity)
-    or with one twist.  This is how every checker compares two composites;
+    no stage (an identity law: project . section is the identity) or with
+    one twist.  This is how every checker compares two composites;
     `compare_maps` is called directly only here, in `check_bimodule`,
     `bilinearity_report`, `coring.check_coring_morphism` and
     `wreath.r_action_matrices_check`.  When the outer level X (x)_A N of
@@ -969,7 +971,8 @@ class _Stages:
     built.  A monomial F on a monomial matrix keeps the matrix a
     `exactla.Monomial` (the list kernel); otherwise the rows of the matrix
     are scattered through the column dicts of F (the row kernel), which a
-    monomial F builds once from its two lists."""
+    monomial F builds once from its two lists.  `finished`, unset on a new
+    value, keeps the map that `compare_pipes` finishes from it."""
 
     __slots__ = ("factors", "matrix", "source", "finished")
 
@@ -1019,7 +1022,8 @@ class Pipe(_Stages):
     A pipe is a value: every stage returns a new pipe and leaves its input
     as it was, so a prefix that several composites share is built once,
     bound to a name and continued on each branch.  The checkers do this
-    for the prefixes their equations share (comult (x) M, delta, ...).
+    for the prefixes their equations share (comult (x) M, delta, ...),
+    and `compare_pipes` keeps the map it finishes on the pipe.
 
     The accumulated matrix maps the source quotient into the factor-flat
     space of the current factors.  A map on some factors is applied in
@@ -1060,8 +1064,7 @@ class Pipe(_Stages):
         into their quotient, apply f to it and refine its image into
         `gives` (by default f's codomain).  When every level of the merge
         (or of the refinement) is flat, it only renames factors, so the
-        stage takes the factors (or gives the factors) as they are.  A
-        marked identity f between the same factors returns the pipe."""
+        stage takes the factors (or gives the factors) as they are."""
         consumed = self.factors[at:at + takes]
         dom = space(*consumed)
         if dom.quotient.dim != f.domain.dim:
@@ -1074,8 +1077,6 @@ class Pipe(_Stages):
             raise InputError(
                 f"pipe stage {f.name}: codomain dim {f.codomain.dim} but "
                 f"gives has dim {cod.quotient.dim}")
-        if f.matrix.is_identity and tuple(gives) == consumed:
-            return self
         p = self
         if dom.quotient.dim != prod(x.dim for x in consumed):
             p, takes = p._merge(dom.quotient, at), 1
@@ -1150,14 +1151,10 @@ class Pipe(_Stages):
         factors, merged into the target's quotient by projection stages.  A
         target with other factors must have the same leaves: the current
         factors are first refined down to them (sections).  A merge whose
-        levels are all flat only renames factors, and is skipped.  A pipe
-        still at its source's section, into that source, is the identity
-        (project . section) and runs no merge stage."""
+        levels are all flat only renames factors, and is skipped."""
         p = self
         if target is None:
             target = space(*p.factors)
-        if p.matrix is self.source.section and target is self.source:
-            return LinearMap.identity(target.quotient, name)
         if target.factors != p.factors:
             p = p._refine_all()
             if target.leaves != p.factors:

@@ -239,9 +239,8 @@ def threaded_t_bimodule(ext: RingExtension, twists, factors, name=None) -> Bimod
 
 
 def pt_bimodule(o: RTObject) -> Bimodule:
-    """P (x) T with its canonical T-bimodule structure (memoized on o)."""
-    return memo(o, "pt_bimodule", lambda: threaded_t_bimodule(
-        o.ext, [o.twist], [o.carrier], name=f"{o.name}(x)T"))
+    """P (x) T with its canonical T-bimodule structure."""
+    return threaded_t_bimodule(o.ext, [o.twist], [o.carrier], name=f"{o.name}(x)T")
 
 
 def full_t_morphism_check(f: LinearMap, o: RTObject, p: RTObject) -> Report:

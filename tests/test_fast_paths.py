@@ -238,14 +238,10 @@
   give the map of the former program.  `LeafPipe` merges by renaming its
   factors.
 * `compare_pipes(rep, tag, lhs, rhs)` keeps each finished map on its pipe,
-  and two pipes on the same factors keep their own.  A pipe still at its
-  source's section finishes into that source as the identity with no
-  stage; on every corpus space over QQ and GF(101), lift and product
-  spaces included, that must equal the merge-stage form
-  `pipe(sp)._merge(sp.quotient, 0)`.  A marked identity between the same
-  factors returns the pipe it is applied to, so the entwining wreaths run
-  no identity stage, and a twist object's pipes are kept on it, so a
-  cowreath and its self comodule build the source pipe of C (x) M once.
+  and two pipes on the same factors keep their own.  A twist object's
+  pipes are kept on it, so a cowreath and its self comodule build the
+  source pipe of C (x) M once.  A pipe finished into a space with other
+  leaves raises, even when its matrix is still its source's section.
 * The product of a wreath and the left action of the dual comparison are
   one pipe program, and T's right action on Y (x) T is read from
   `pt_bimodule(y)`; the former `l-dual` and `r-dual` programs are the
@@ -5523,25 +5519,8 @@ def test_tensor_morphisms_match_the_finished_program(field):
 
 
 # ---------------------------------------------------------------------------
-# the one law protocol: the finished map kept on its pipe, the unstaged
-# finish, the identity stage, and one product program on the wreath side
-
-
-def _spy_stages(monkeypatch):
-    """The stage maps that `_Stages._stage` runs from now on."""
-    maps, real = [], bimodule._Stages._stage
-
-    def spy(self, flat_map, *args):
-        maps.append(flat_map)
-        return real(self, flat_map, *args)
-    monkeypatch.setattr(bimodule._Stages, "_stage", spy)
-    return maps
-
-
-def _lift(field):
-    from coringlab.cowreath import entwining_lift_cowreath
-    s = corpus_objects(field)
-    return entwining_lift_cowreath(s["entwinings", "flip-ent"], s["cowreaths", "flip"])
+# the one law protocol: the finished map kept on its pipe, and one
+# product program on the wreath side
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
@@ -5597,65 +5576,17 @@ def test_finished_map_is_kept_on_its_own_pipe(field, monkeypatch):
     assert not rep.ok
 
 
-@functools.cache
-def corpus_spaces(field):
-    """Every live space over field once the unit-law checkers have run on
-    the corpus sessions parsed over field, the flip lift and its product."""
-    import gc
-    for check, maps, build in unit_law_cases(field):
-        check(*build(maps))
-    return [sp for sp in gc.get_objects()
-            if isinstance(sp, bimodule.Space) and sp.field == field]
-
-
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
-def test_unstaged_pipe_finishes_as_the_identity(field, monkeypatch):
-    """A pipe still at its source's section, finished into its source, is
-    the merge-stage form project . section, the identity, and runs no
-    stage, on every corpus space, lift and product spaces included."""
-    spaces = corpus_spaces(field)
-    assert any(not sp.quotient.project.is_identity for sp in spaces if len(sp.factors) > 1)
-    stages = _spy_stages(monkeypatch)
-    for sp in spaces:
-        got = bimodule.pipe(sp).done(name="unstaged")
-        assert not stages, sp
-        monkeypatch.undo()
-        assert got.matrix == bimodule.pipe(sp)._merge(sp.quotient, 0).matrix, sp
-        assert got.domain is got.codomain is sp.quotient and got.name == "unstaged"
-        stages = _spy_stages(monkeypatch)
-
-
-@pytest.mark.parametrize("field", FIELDS, ids=repr)
-def test_entwining_wreaths_run_no_identity_stage(field, monkeypatch):
-    """id (x) eta, eta (x) id, mu (x) id and id (x) mu apply the identity
-    morphism between the same factors, which is no stage."""
-    from coringlab.entwine import check_entwining_wreath
-    stages = _spy_stages(monkeypatch)
-    for (sec, _), e in corpus_objects(field).items():
-        if sec == "entwinings":
-            check_entwining_wreath(e)
-    assert stages and not any(m.is_identity for m in stages)
-
-
-@pytest.mark.parametrize("field", FIELDS, ids=repr)
-def test_identity_between_the_same_factors_returns_the_pipe(field):
-    """On the lifted C (x) M, whose quotient is not flat, the marked
-    identity between the same factors returns the pipe it is applied to;
-    into the quotient factor it is a stage that renames the factors."""
-    w = _lift(field)
-    C, M = w.coring.carrier, w.object.carrier
-    sp = space(C, M)
-    assert not sp.quotient.project.is_identity
-    ident = LinearMap.identity(sp.quotient)
-    src = bimodule.pipe(sp)
-    d = src.apply(w.delta, 0, 2, [C, M, M])
-    assert src.apply(ident, 0, 2, [C, M]) is src
-    assert d.apply(ident, 0, 2, [C, M]) is d
-    merged = src.apply(ident, 0, 2, [sp.quotient])
-    assert merged is not src and merged.factors == (sp.quotient,)
-    assert merged.done().matrix == Matrix.identity(field, sp.dim)
-    with pytest.raises(InputError):
-        src.apply(ident, 0, 1, [C])
+def test_reversed_leaf_does_not_finish_into_its_source(field):
+    """Reversing one leaf keeps the source's section as the matrix but
+    gives the leaf's mirror as the factor, so finishing into the source
+    must still raise on the leaves."""
+    w = corpus_objects(field)["cowreaths", "broken-delta"]
+    x = w.coring.carrier
+    p = bimodule.pipe(space(x)).reverse()
+    assert p.matrix is space(x).section and p.factors == (bimodule.mirror(x),)
+    with pytest.raises(InputError, match="leaves do not match"):
+        p.done(space(x))
 
 
 def _old_functor_o_dual(w, y, l_action):
