@@ -14,8 +14,12 @@ each tensor quotient that the identity memo of `tensor_over` misses: it
 shows how much of a lift is the quotients themselves.  `shared` counts
 those quotients, over the four timings, as taken from the content table
 (their numeric core is that of a live quotient of equal content) against
-built by `bimodule._build_tensor`.  `uf` counts the calls of
-`bimodule._union_find`: the quotients whose relations are all monomial,
+built by `bimodule._build_tensor`; in a lift the hits are the quotients
+of xi and delta, re-homed onto an equal copy of the coring carrier (see
+`entwine`).  `corings` counts the entwined corings built
+(`entwine._build_entwined_coring`): one per case, the lifted object's,
+since `entwined_coring` is memoized on its entwining.  `uf` counts the
+calls of `bimodule._union_find`: the quotients whose relations are all monomial,
 and the decided equations below whose two sides differ before their
 level's projection (`_decided` runs it on the level it does not build);
 every other quotient with relations goes through `Echelon`.  `stages`
@@ -54,7 +58,7 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from coringlab import bimodule, exactla
+from coringlab import bimodule, entwine, exactla
 from coringlab.algebra import FinAlgebra, group_algebra_cyclic
 from coringlab.bimodule import mirror, regroup, rev, space, tensor_over
 from coringlab.coring import check_coring, comodule_over_itself, grouplike_coalgebra, hom_basis
@@ -121,15 +125,15 @@ def timed(fn, *args):
 PARTS = ((bimodule, "_shared_tensor"), (bimodule._Stages, "_stage"),
          (bimodule, "_build_tensor"), (bimodule, "_union_find"),
          (exactla.Monomial, "_padded_lists"), (exactla.Matrix, "_padded_rows"),
-         (bimodule, "_decided"))
+         (bimodule, "_decided"), (entwine, "_build_entwined_coring"))
 
 
 def timed_parts(fn, *args):
     """fn(*args), and the seconds spent inside each of `PARTS` (the
     quotients, the pipe stages, the quotients built afresh, their
-    union-finds, the list kernel, the row kernel and the decisions
-    of compared equations) while it ran, the calls of each and the calls
-    that returned a true value."""
+    union-finds, the list kernel, the row kernel, the decisions of
+    compared equations and the entwined corings) while it ran, the calls
+    of each and the calls that returned a true value."""
     reals = [getattr(owner, name) for owner, name in PARTS]
     spent, calls, hits = [0.0] * len(PARTS), [0] * len(PARTS), [0] * len(PARTS)
 
@@ -200,7 +204,8 @@ def main(argv=None):
     if args.runs < 1:
         ap.error("--runs must be at least 1")
     print(f"{'case':<24} {'lift':>7} {'check':>7} {'product':>8} "
-          f"{'p-check':>8} {'total':>7} {'quotients':>9} {'shared':>7} {'uf':>4} {'stages':>7} "
+          f"{'p-check':>8} {'total':>7} {'quotients':>9} {'shared':>7} {'corings':>7} {'uf':>4} "
+          f"{'stages':>7} "
           f"{'list':>5} {'plain':>5} {'decided':>7} "
           f"{'regroup':>8} {'rev':>7} {'homs':>7}   "
           "coassoc dims: quotient / factor-flat / leaf-flat")
@@ -218,6 +223,7 @@ def main(argv=None):
             shared = f"{calls[0] - calls[2]}/{calls[2]}"
             union_finds, kernels = calls[3], calls[4:6]
             decided = f"{hits[6]}/{calls[6] - hits[6]}"
+            corings = calls[7]
             homs.append(time_homs(lifted, prod))
             p = prod.carrier
             bracket, trips = time_bracketings(p)
@@ -231,8 +237,8 @@ def main(argv=None):
         t_quot, t_stages = (statistics.median(col) for col in zip(*parts))
         sp = space(p, p, p)
         print(f"{label:<24} {t_lift:7.3f} {t_check:7.3f} {t_prod:8.3f} "
-              f"{t_pcheck:8.3f} {total:7.3f} {t_quot:9.3f} {shared:>7} {union_finds:>4} "
-              f"{t_stages:7.3f} {kernels[0]:5} {kernels[1]:5} {decided:>7} "
+              f"{t_pcheck:8.3f} {total:7.3f} {t_quot:9.3f} {shared:>7} {corings:>7} "
+              f"{union_finds:>4} {t_stages:7.3f} {kernels[0]:5} {kernels[1]:5} {decided:>7} "
               f"{t_regroup:8.3f} {t_rev:7.3f} {statistics.median(homs):7.3f}   "
               f"{sp.dim} / {p.dim ** 3} / {sp.leaf_flat_dim()}")
     if bad:

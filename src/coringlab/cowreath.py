@@ -17,6 +17,7 @@ co-opposite coring.
 from __future__ import annotations
 
 from .bimodule import (
+    Bimodule,
     LinearMap,
     bilinearity_report,
     compare_pipes,
@@ -240,30 +241,38 @@ def coring_distributive_cowreath(c: Coring, d: Coring, dmap: LinearMap,
 def entwining_lift_cowreath(e: EntwiningStructure, n: Cowreath,
                             name=None) -> Cowreath:
     """Lift a cowreath over the coalgebra to one over the induced coring:
-    n's xi and delta on the legs of `lift_normal_form`.  xi lands in a
-    coring equal to, but not, the object's (see `entwine`)."""
-    from .entwine import entwined_coring, lift_normal_form, lift_r_object, relabel
-    cor = entwined_coring(e)
-    obj = lift_r_object(e, n.object)
+    n's xi and delta on the legs of `lift_normal_form`, continuing the
+    pipe of the lifted object's twist, so the entwined coring and the
+    normal form are computed once.  xi and delta are then re-homed onto an
+    equal copy of the coring's carrier, which saved lifts hold as a second
+    entry: its quotients share the object's numeric core, so the matrices
+    carry over unchanged (see `entwine`)."""
+    from .entwine import _lift_with_normal_form, relabel
+    obj, normal = _lift_with_normal_form(e, n.object)
+    X = obj.coring.carrier
     ab, C, N, M = e.a_bimodule, e.coalgebra.carrier, n.object.carrier, obj.carrier
     legs_c, legs_m = space(ab, C).quotient, space(ab, N, ab).quotient
     unit = e.algebra.unit
-    normal = lift_normal_form(e, cor.carrier, M, N)
     # a (x) xi(c (x) u) (x) b -> a psi(xi(c (x) u) (x) b)
     xi = (
         normal.apply(n.xi, 1, 2, [C]).apply(e.psi, 1, 2, [ab, C])
-        .apply(e.mu, 0, 2, [ab]).apply(relabel(legs_c, cor.carrier), 0, 2)
-        .done(space(cor.carrier), name="xi-lift")
+        .apply(e.mu, 0, 2, [ab]).apply(relabel(legs_c, X), 0, 2)
+        .done(space(X), name="xi-lift")
     )
     # a (x) delta(c (x) u) (x) b, with c' (x) u' (x) v' in delta's image,
     # -> (a (x) c') (x) (1 (x) u' (x) 1) (x) (1 (x) v' (x) b)
     delta = (
         normal.apply(n.delta, 1, 2, [C, N, N]).insert_central(ab, unit, 3)
         .insert_central(ab, unit, 3).insert_central(ab, unit, 2)
-        .apply(relabel(legs_c, cor.carrier), 0, 2)
+        .apply(relabel(legs_c, X), 0, 2)
         .apply(relabel(legs_m, M), 1, 3).apply(relabel(legs_m, M), 2, 3)
-        .done(space(cor.carrier, M, M), name="delta-lift")
+        .done(space(X, M, M), name="delta-lift")
     )
+    copy = Bimodule(X.left_algebra, X.right_algebra, X.dim, X.left_action, X.right_action,
+                    X.labels, X.name)
+    dom = space(copy, M).quotient
+    xi = LinearMap(dom, copy, xi.matrix, xi.name)
+    delta = LinearMap(dom, space(copy, M, M).quotient, delta.matrix, delta.name)
     return Cowreath(obj, xi, delta, name=name or f"lift({n.name})")
 
 

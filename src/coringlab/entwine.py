@@ -8,13 +8,16 @@ order of their legs' quotient over the field, and `relabel` is the
 identity between the two.  `lift_normal_form` pushes the middle A of
 (A (x) C) (x)_A (A (x) N (x) A) through psi and multiplies; each lifted map
 then applies N's map, psi, mu and A's unit, relabels back and ends in
-`done`.  `cowreath.entwining_lift_cowreath` builds the entwined coring
-twice, itself and in `lift_r_object`: xi lands in the first, the object
-lives over the second, and saved lift sessions hold both, so building one
-would change their bytes.  The second is still its own carrier with its
-own names, so the saved bytes are unchanged, but its quotients reuse the
-numeric core of the first's, which have the same content (`tensor_over`'s
-content table), so they are not built again.
+`done`.  `entwined_coring` is memoized on the entwining, so a lift
+builds its coring only when the entwining has none yet, and
+`cowreath.entwining_lift_cowreath` continues the normal-form pipe that
+the lifted object's twist started from, so it runs that pipe once.
+Saved lift sessions hold xi's carrier as a second entry beside the
+object's coring carrier (`kZ2(x)C22` beside `kZ2(x)C2`), so the lift
+re-homes xi and delta onto an equal copy of that carrier: same actions,
+labels and name, whose quotients take their numeric core from the
+object's (`tensor_over`'s content table), so nothing is built again and
+the saved bytes are unchanged.
 
 The entwined coring's right action (mu (x) C)(A (x) psi)(A (x) C (x) e_i),
 the Doi-Koppinen map psi = (A (x) act)(flip (x) H)(C (x) rho) and the
@@ -113,7 +116,15 @@ def check_entwining(e: EntwiningStructure) -> Report:
 
 def entwined_coring(e: EntwiningStructure, name=None) -> Coring:
     """The coring on A (x) C over A: left action by multiplication, right
-    action through the entwining map, A (x) comult and A (x) counit."""
+    action through the entwining map, A (x) comult and A (x) counit.
+    Memoized on e; a call with a name builds a fresh coring of that name.
+    The coring holds no reference to e, so it lives as long as e does."""
+    if name is not None:
+        return _build_entwined_coring(e, name)
+    return memo(e, "entwined_coring", lambda: _build_entwined_coring(e, None))
+
+
+def _build_entwined_coring(e: EntwiningStructure, name) -> Coring:
     A, C = e.algebra, e.coalgebra
     da, dc = A.dim, C.carrier.dim
     f = A.field
@@ -305,6 +316,13 @@ def lift_normal_form(e: EntwiningStructure, coring_carrier: Bimodule,
 
 def lift_r_object(e: EntwiningStructure, n: RObject, name=None) -> RObject:
     """Lift an object over the coalgebra to one over the induced coring."""
+    return _lift_with_normal_form(e, n, name)[0]
+
+
+def _lift_with_normal_form(e: EntwiningStructure, n: RObject, name=None):
+    """The lifted object over `entwined_coring(e)`, and the
+    `lift_normal_form` pipe from its coring carrier and carrier that its
+    twist continues (`cowreath.entwining_lift_cowreath` continues it too)."""
     from .rcat import RObject
     if not corings_match(n.coring, e.coalgebra):
         raise InputError(f"object over {n.coring.name} must live over the "
@@ -312,17 +330,17 @@ def lift_r_object(e: EntwiningStructure, n: RObject, name=None) -> RObject:
     cor = entwined_coring(e)
     ab, C, N = e.a_bimodule, e.coalgebra.carrier, n.carrier
     M = lift_carrier(e, N)
+    normal = lift_normal_form(e, cor.carrier, M, N)
     # after the normal form: twist C (x) N, push the last A leg through psi
     # and embed a (x) u (x) b (x) c as (a (x) u (x) b) (x) (1 (x) c)
     twist = (
-        lift_normal_form(e, cor.carrier, M, N)
-        .apply(n.twist, 1, 2, [N, C]).apply(e.psi, 2, 2, [ab, C])
+        normal.apply(n.twist, 1, 2, [N, C]).apply(e.psi, 2, 2, [ab, C])
         .insert_central(ab, e.algebra.unit, 3)
         .apply(relabel(space(ab, N, ab).quotient, M), 0, 3)
         .apply(relabel(space(ab, C).quotient, cor.carrier), 1, 2)
         .done(space(M, cor.carrier), name="lifted-twist")
     )
-    return RObject(cor, M, twist, name=name or f"lift({n.name})")
+    return RObject(cor, M, twist, name=name or f"lift({n.name})"), normal
 
 
 # ---------------------------------------------------------------------------

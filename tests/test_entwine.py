@@ -5,9 +5,11 @@ import pytest
 from coringlab.exactla import GF, QQ, Matrix
 from coringlab.algebra import FinAlgebra, group_algebra_cyclic
 from coringlab.bimodule import LinearMap, space
-from coringlab.coring import check_coring, coalgebra_over_field, flip_map, grouplike_coalgebra
+from coringlab.coring import (Coring, check_coring, coalgebra_over_field, corings_match, flip_map,
+                             grouplike_coalgebra)
 from coringlab.entwine import (
     DoiKoppinenData,
+    EntwiningStructure,
     algebra_as_k_bimodule,
     check_doi_koppinen,
     check_entwining,
@@ -150,6 +152,91 @@ class TestLift:
         from coringlab.cowreath import check_cowreath, entwining_lift_cowreath, flip_cowreath
         w = flip_cowreath(corpus.d2, corpus.c2)
         assert check_cowreath(entwining_lift_cowreath(corpus.flip_entwining, w)).ok
+
+
+FIELDS = [QQ, GF(101)]
+
+
+def flip_lift_inputs(field):
+    """A fresh flip entwining of kZ2 over C2, and the flip cowreath of C2
+    and D2 that lifts along it."""
+    from coringlab.cowreath import flip_cowreath
+    c, d = (grouplike_coalgebra(field, 2, name=n) for n in ("C2", "D2"))
+    return flip_entwining(group_algebra_cyclic(field, 2, name="kZ2"), c), flip_cowreath(c, d)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+class TestOneEntwinedCoring:
+    """`entwined_coring` is memoized on its entwining, and a lift builds
+    its coring and its normal form once."""
+
+    def test_memoized_on_its_entwining(self, field):
+        e, _ = flip_lift_inputs(field)
+        cor = entwined_coring(e)
+        assert entwined_coring(e) is cor
+        named = entwined_coring(e, name="E")
+        assert named is not cor and (named.name, named.carrier.name) == ("E", "E")
+        assert corings_match(named, cor) and entwined_coring(e) is cor
+        twin = EntwiningStructure(e.algebra, e.coalgebra, e.psi, e.name)
+        assert entwined_coring(twin) is not cor
+
+    def test_lift_builds_one_entwined_coring(self, field, monkeypatch):
+        """On a fresh entwining a lift builds exactly one coring, the one
+        its object lives over; once `entwined_coring(e)` has run, none."""
+        from coringlab.cowreath import check_cowreath, entwining_lift_cowreath
+        built, real = [], Coring.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(self)
+            real(self, *args, **kwargs)
+
+        (e, w), (e2, w2) = flip_lift_inputs(field), flip_lift_inputs(field)
+        monkeypatch.setattr(Coring, "__init__", spy)
+        lifted = entwining_lift_cowreath(e, w)
+        assert len(built) == 1 and built[0] is lifted.coring is entwined_coring(e)
+        cor = entwined_coring(e2)
+        del built[:]
+        lifted = entwining_lift_cowreath(e2, w2)
+        assert built == [] and lifted.coring is cor
+        monkeypatch.undo()
+        assert check_cowreath(lifted).ok
+
+    def test_xi_and_delta_live_on_one_copy_of_the_carrier(self, field):
+        """xi and delta land on an equal copy of the object's coring
+        carrier, one copy for both, whose quotients share the numeric core
+        of the object's."""
+        from coringlab.cowreath import check_cowreath, entwining_lift_cowreath
+        lifted = entwining_lift_cowreath(*flip_lift_inputs(field))
+        X, M = lifted.coring.carrier, lifted.object.carrier
+        copy = lifted.xi.codomain
+        assert copy is not X
+        assert (copy.name, copy.labels, copy.left_action, copy.right_action) == (
+            X.name, X.labels, X.left_action, X.right_action)
+        assert lifted.xi.domain is lifted.delta.domain is space(copy, M).quotient
+        assert lifted.delta.codomain is space(copy, M, M).quotient
+        assert lifted.xi.domain.project is space(X, M).quotient.project
+        assert lifted.delta.codomain.project is space(X, M, M).quotient.project
+        assert check_cowreath(lifted).ok
+
+    def test_saved_lift_holds_the_carrier_copy(self, field, corpus):
+        """A saved lift holds the copy as `kZ2(x)C22` beside the object's
+        `kZ2(x)C2`, and xi and delta refer to the copy."""
+        from coringlab.cowreath import entwining_lift_cowreath
+        from coringlab.session_write import SessionStore
+        lifts = [entwining_lift_cowreath(*flip_lift_inputs(field))]
+        if field == QQ:
+            lifts += [corpus.lifted_flip_cw, corpus.lifted_dk_cw]
+        for lifted in lifts:
+            store = SessionStore.empty(field)
+            store.add_cowreath("L", lifted)
+            raw = store.raw
+            assert {"kZ2(x)C2", "kZ2(x)C22"} <= set(raw["bimodules"])
+            assert [c["carrier"] for c in raw["corings"].values()] == ["kZ2(x)C2"]
+            mod = "kZ2(x)D2(x)kZ2"
+            assert raw["maps"]["L.xi"]["domain"] == ["kZ2(x)C22", mod]
+            assert raw["maps"]["L.xi"]["codomain"] == "kZ2(x)C22"
+            assert raw["maps"]["L.delta"]["domain"] == ["kZ2(x)C22", mod]
+            assert raw["maps"]["L.delta"]["codomain"] == [["kZ2(x)C22", mod], mod]
 
 
 class TestEntwiningWreath:

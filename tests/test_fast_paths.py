@@ -4183,18 +4183,20 @@ def test_hom_basis_of_adjunction_comodules_matches_oracle(corpus, which):
 def test_hom_basis_of_r_object_bicomodules_matches_oracle(corpus, which):
     """Bicolinear maps between the bicomodules C (x) M of twist objects,
     on the ground field and over kZ2.  The flip lift's bicomodule is also
-    compared with that of another object lifted along the flip entwining,
-    over an equal but distinct coring.  The Doi-Koppinen lift's coring has
+    compared with that of another object lifted along an equal but distinct
+    flip entwining, so over an equal but distinct coring (the entwined
+    coring is memoized on its entwining).  The Doi-Koppinen lift's coring has
     another right action, so a Hom space between the two lifts is an input
     error."""
-    from coringlab.entwine import lift_r_object
+    from coringlab.entwine import EntwiningStructure, lift_r_object
     from coringlab.rcat import r_object_bicomodule
     o = _hom_case_cowreath(corpus, which).object
     b = r_object_bicomodule(o)
     assert assert_hom_basis_matches_oracle(b, b)
     if which == "lifted_flip_cw":
-        other = r_object_bicomodule(lift_r_object(corpus.flip_entwining,
-                                                  corpus.flip_cw3.object))
+        e = corpus.flip_entwining
+        twin = EntwiningStructure(e.algebra, e.coalgebra, e.psi, e.name)
+        other = r_object_bicomodule(lift_r_object(twin, corpus.flip_cw3.object))
         assert other.left_coring is not b.left_coring
         assert assert_hom_basis_matches_oracle(b, other)
         dk = r_object_bicomodule(corpus.lifted_dk_cw.object)
@@ -4516,7 +4518,10 @@ def test_shared_quotients_match_fresh_builds(field, g, data):
 def test_corpus_quotients_match_fresh_builds(monkeypatch):
     """Every quotient that the corpus checkers, lifts and products take from
     `tensor_over` (every miss of its identity memo) against a fresh
-    `_build_tensor`; many come from the content table."""
+    `_build_tensor`.  Six come from the content table: the two quotients
+    of each lift's xi and delta, re-homed onto an equal copy of its coring
+    carrier, which share the numeric core of the object's quotients, and
+    two of kZ2 over itself."""
     made, built = [], set()
     real_shared, real_build = bimodule._shared_tensor, bimodule._build_tensor
 
@@ -4531,11 +4536,17 @@ def test_corpus_quotients_match_fresh_builds(monkeypatch):
 
     monkeypatch.setattr(bimodule, "_shared_tensor", shared)
     monkeypatch.setattr(bimodule, "_build_tensor", build)
-    corpus_outputs(Corpus())
+    C = Corpus()
+    corpus_outputs(C)
     monkeypatch.undo()
     for a, m, n, name, tq in made:
         assert_same_quotient(tq, bimodule._build_tensor(a, m, n, name))
-    assert sum(id(tq) not in built for *_, tq in made) >= 10
+    hits = {id(tq) for *_, tq in made if id(tq) not in built}
+    for w in (C.lifted_flip_cw, C.lifted_dk_cw):
+        X, M = w.coring.carrier, w.object.carrier
+        for q, own in ((w.xi.domain, space(X, M)), (w.delta.codomain, space(X, M, M))):
+            assert id(q) in hits and q.project is own.quotient.project
+    assert len(hits) == 6
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)

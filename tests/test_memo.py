@@ -12,7 +12,8 @@ import gc
 
 import pytest
 
-from coringlab.algebra import field_algebra, truncated_poly_algebra, unit_inclusion
+from coringlab.algebra import (field_algebra, group_algebra_cyclic, truncated_poly_algebra,
+                               unit_inclusion)
 from coringlab.bimodule import (
     Space,
     TensorQuotient,
@@ -26,7 +27,7 @@ from coringlab.bimodule import (
 from coringlab.coring import check_coring, coop, flip_map, grouplike_coalgebra
 from coringlab.corpus import Corpus
 from coringlab.cowreath import check_cowreath, cowreath_product, flip_cowreath
-from coringlab.entwine import algebra_as_k_bimodule, flip_entwining
+from coringlab.entwine import algebra_as_k_bimodule, entwined_coring, flip_entwining
 from coringlab.exactla import GF, QQ
 from coringlab.rcat import RObject, _twist_pipes, r_object_bicomodule
 from coringlab.reports import InputError
@@ -155,6 +156,24 @@ def test_dropped_object_frees_its_twist_pipes_without_gc(field):
     gc.disable()
     try:
         del o
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=repr)
+def test_dropped_entwining_frees_its_entwined_coring_without_gc(field):
+    """The entwined coring is memoized on its entwining and holds no
+    reference back to it, so dropping the entwining frees both by
+    reference counting alone."""
+    import weakref
+    e = flip_entwining(group_algebra_cyclic(field, 2, name="kZ2"),
+                       grouplike_coalgebra(field, 2, name="C2"))
+    refs = [weakref.ref(e), weakref.ref(entwined_coring(e))]
+    assert entwined_coring(e) is refs[1]()
+    gc.disable()
+    try:
+        del e
         assert [r() for r in refs] == [None, None]
     finally:
         gc.enable()
