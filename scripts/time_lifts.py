@@ -8,7 +8,7 @@ For each case it prints the wall-clock seconds of the lift
 and the product's `check_coring`, each run from fresh structures, and the
 dimensions of the product's coassociativity space P (x) P (x) P: the
 quotient, the factor-flat space (dim P cubed) and the leaf-flat space.
-Seven more columns are not added to the total.  `quotients` is the part
+Eight more columns are not added to the total.  `quotients` is the part
 of the four timings spent inside `bimodule._shared_tensor`, which makes
 each tensor quotient that the identity memo of `tensor_over` misses: it
 shows how much of a lift is the quotients themselves.  `shared` counts
@@ -19,10 +19,11 @@ of xi and delta, re-homed onto an equal copy of the coring carrier (see
 `entwine`).  `corings` counts the entwined corings built
 (`entwine._build_entwined_coring`): one per case, the lifted object's,
 since `entwined_coring` is memoized on its entwining.  `uf` counts the
-calls of `bimodule._union_find`: the quotients whose relations are all monomial,
-and the decided equations below whose two sides differ before their
-level's projection (`_decided` runs it on the level it does not build);
-every other quotient with relations goes through `Echelon`.  `stages`
+calls of `bimodule._union_find`: the quotients whose relations are all
+monomial, and the decided equations below whose two sides differ before
+their level's projection (`_decided` runs it on the level it does not
+build); every other quotient with relations goes through `Echelon`.
+`stages`
 is the part spent inside `bimodule._Stages._stage`, the pipe stages that
 multiply by I (x) F (x) I.  `list` and `plain` count the `padded_matmul`
 calls (pipe stages and `Space.section`) that ran the list kernel

@@ -118,7 +118,7 @@ def entwined_coring(e: EntwiningStructure, name=None) -> Coring:
     """The coring on A (x) C over A: left action by multiplication, right
     action through the entwining map, A (x) comult and A (x) counit.
     Memoized on e; a call with a name builds a fresh coring of that name.
-    The coring holds no reference to e, so it lives as long as e does."""
+    The coring holds no reference to e, so dropping e frees the entry."""
     if name is not None:
         return _build_entwined_coring(e, name)
     return memo(e, "entwined_coring", lambda: _build_entwined_coring(e, None))
