@@ -19,9 +19,10 @@ total either.  `list` and `plain` count the `padded_matmul` calls of a run
 (pipe stages and `Space.section`) that ran the list kernel
 (`Monomial._padded_lists`, a monomial map on a monomial running map) and
 the row kernel (`Matrix._padded_rows`); a call on a marked identity
-builds a Kronecker product and is in neither.  `list` also counts the
-products `Monomial @ Monomial`, which are the list kernel with
-pre = post = 1.  They are the same on every run.
+builds a Kronecker product and is in neither.  Each `@` of two unmarked
+matrices is one such call with pre = post = 1 (the list kernel for a
+monomial times a `Monomial`), and each `kron` of two unmarked factors
+A (x) B one with post = B.rows.  They are the same on every run.
 With `--runs N` (default 1) each time column is the median
 of the N runs (the total column is the median of the per-run totals).
 After the two rows of a rung it prints the ratio of the QQ total to the

@@ -29,9 +29,10 @@ multiply by I (x) F (x) I.  `list` and `plain` count the `padded_matmul`
 calls (pipe stages and `Space.section`) that ran the list kernel
 (`Monomial._padded_lists`, a monomial map on a monomial running map) and
 the row kernel (`Matrix._padded_rows`); a call on a marked identity
-builds a Kronecker product and is in neither.  `list` also counts the
-products `Monomial @ Monomial`, which are the list kernel with
-pre = post = 1.  `decided` counts the compared equations between two
+builds a Kronecker product and is in neither.  Each `@` of two unmarked
+matrices is one such call with pre = post = 1 (the list kernel for a
+monomial times a `Monomial`), and each `kron` of two unmarked factors
+A (x) B one with post = B.rows.  `decided` counts the compared equations between two
 pipes (`bimodule.compare_pipes`) that were decided on the relations of
 their codomain's outer level without building it, against those that
 finished both pipes and compared them (`_decided` false); on the

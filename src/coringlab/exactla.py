@@ -9,12 +9,12 @@ interpreter's digit limit they convert decimal text in pieces.
 No scalar is ever a float or a bool.  Each field has two vector kernels:
 `axpy` adds a scaled vector into another in place, and `scaled` returns a
 scaled copy with no lookups and no zero tests (a nonzero times a nonzero
-is nonzero).  `Matrix.__matmul__` and `Matrix.padded_matmul` start each
-output row as a scaled copy of its first contribution and add the rest
-with `axpy`, and `Matrix.scale` is `scaled`.  The QQ kernels
-do no Fraction arithmetic whose result is known: `axpy` stores the product
-alone in an entry new to its target, `axpy` and `scaled` copy or negate
-for a coefficient of +-1, and `inv(+-1)` is its argument.
+is nonzero).  The row kernel starts each output row as a scaled copy of
+its first contribution and adds the rest with `axpy`, `tapply` (= `apply`)
+is one `axpy` per vector entry, and `Matrix.scale` is `scaled`.  The QQ
+kernels do no Fraction arithmetic whose result is known: `axpy` stores the
+product alone in an entry new to its target, `axpy` and `scaled` copy or
+negate for a coefficient of +-1, and `inv(+-1)` is its argument.
 
 Matrices are sparse: a map row -> {col -> nonzero scalar}.  A matrix built
 by `Matrix.identity` carries an identity mark, so products and Kronecker
@@ -30,18 +30,18 @@ I (x) act (x) I, is one `padded_matmul` of its column dicts, and
 (the cached `transpose`) with no product by a 0/1 matrix.  Monomials
 compose with the padded form of one, select columns, test that they
 factor through a monomial projection and compare (`==`) in one pass over
-the lists, with no dict.  Two matrix kernels serve the pipe stages,
-I (x) F (x) I times the accumulated matrix M (`padded_matmul`).  While M
-is a `Monomial` and F is monomial, the list kernel
-(`Monomial._padded_lists`) gives a `Monomial` in one pass over the lists:
-each column of M moves to its new row and its weight is multiplied by
-F's, with no multiply where either weight is one; `@` of two `Monomial`s
-is that kernel's stage with pre = post = 1.  Otherwise the row kernel
-(`Matrix._padded_rows`) scatters the rows of M through the column dicts
-of F, which a `Monomial` F builds once from its lists.  A marked
-identity M (the start of a pipe over a flat source) gives the Kronecker
-product, and `kron` of a marked identity and a `Monomial` copies blocks
-of the lists, so a monomial F gives a `Monomial` there too.
+the lists, with no dict.  Two matrix kernels form every product,
+I (x) F (x) I times M (`padded_matmul`): pipe stages, `F @ M` (pre = post
+= 1) and `kron` of unmarked A, B as (A (x) I)(I (x) B).  While M is a
+`Monomial` and F is monomial, the list kernel (`Monomial._padded_lists`)
+gives a `Monomial` in one pass over the lists: each column of M moves to
+its new row and its weight is multiplied by F's, with no multiply where
+either weight is one.  Otherwise the row kernel (`Matrix._padded_rows`)
+scatters the rows of M through the column dicts of F, which a `Monomial`
+F builds once from its lists.  A marked identity M (the start of a pipe
+over a flat source) gives the Kronecker product, and `kron` of a marked
+identity and a `Monomial` copies blocks of the lists, so a monomial F
+gives a `Monomial` there too.
 `Matrix.monomial` converts any matrix that qualifies, once: the form, or
 False for none, is kept on the matrix (the `_mono` slot every kind sets
 when built), so a structure map that many pipes apply is tested once.
@@ -486,6 +486,8 @@ class Matrix:
         return Matrix(f, self.rows, self.cols, data)
 
     def __matmul__(self, other):
+        """The other operand when one is a marked identity, else the stage
+        `self.padded_matmul(1, 1, other)`: the list or the row kernel."""
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.cols != other.rows:
@@ -496,36 +498,7 @@ class Matrix:
             return other
         if other.is_identity:
             return self
-        if isinstance(other, Monomial) and isinstance(self, Monomial):
-            return self._padded_lists(1, 1, other)  # the stage I_1 (x) self (x) I_1
-        axpy, scaled = self.field.axpy, self.field.scaled
-        data = {}
-        orows = other.data
-        for i, arow in self.data.items():
-            acc = None
-            for k, v in arow.items():
-                brow = orows.get(k)
-                if brow:
-                    if acc is None:
-                        acc = scaled(brow, v)
-                    else:
-                        axpy(acc, brow, v)
-            if acc:
-                data[i] = acc
-        return Matrix(self.field, self.rows, other.cols, data)
-
-    def apply(self, vec: dict) -> dict:
-        """Matrix times sparse column vector."""
-        f = self.field
-        zero = f.zero()
-        out = {}
-        for i, row in self.data.items():
-            acc = zero
-            for j in row.keys() & vec.keys():
-                acc = f.add(acc, f.mul(row[j], vec[j]))
-            if not f.is_zero(acc):
-                out[i] = acc
-        return out
+        return self.padded_matmul(1, 1, other)
 
     def transpose(self):
         """The transpose, computed on the first call and cached; row c of it
@@ -582,9 +555,8 @@ class Matrix:
         return Matrix.identity(self.field, self.rows)
 
     def tapply(self, vec: dict) -> dict:
-        """Matrix times sparse vector, iterating columns (cached transpose);
-        preferable when the vector support is much smaller than the row
-        count."""
+        """Matrix times sparse vector (also `apply`): one `axpy` of column j
+        (cached transpose) per entry j of vec, none for j past the columns."""
         cols = self.transpose().data
         axpy = self.field.axpy
         out: dict = {}
@@ -594,6 +566,8 @@ class Matrix:
                 axpy(out, col, v)
         return out
 
+    apply = tapply
+
     def padded_matmul(self, pre: int, post: int, m: "Matrix") -> "Matrix":
         """(I_pre (x) self (x) I_post) @ m without building the Kronecker
         product.  A marked identity self leaves m as it is, and a marked
@@ -602,7 +576,8 @@ class Matrix:
         When m is a `Monomial` and self is monomial, the product is a
         `Monomial` made in one pass over the lists (`Monomial._padded_lists`,
         the list kernel); any other m is scattered row by row (`_padded_rows`,
-        the row kernel), a `Monomial` self included."""
+        the row kernel), a `Monomial` self included.  `@` and `kron` of
+        unmarked matrices are such stages."""
         fr, fc, f = self.rows, self.cols, self.field
         if m.rows != pre * fc * post:
             raise InputError(
@@ -654,7 +629,8 @@ class Matrix:
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product, row-major index convention.  A marked identity
         factor makes the product a block copy of the other factor, and of
-        its two lists when that is a `Monomial`, so the product is one too."""
+        its two lists when that is a `Monomial`, so the product is one too.
+        Unmarked A (x) B is (A (x) I)(I (x) B), a stage on that block copy."""
         f = self.field
         oc, orr = other.cols, other.rows
         if self.is_identity and other.is_identity:
@@ -679,14 +655,7 @@ class Matrix:
                 for i1, r1 in self.data.items() for i2 in range(orr)
             }
             return Matrix(f, self.rows * orr, self.cols * oc, data)
-        data = {}
-        for i1, r1 in self.data.items():
-            for i2, r2 in other.data.items():
-                tgt = data.setdefault(i1 * orr + i2, {})
-                for j1, v1 in r1.items():
-                    for j2, v2 in r2.items():
-                        tgt[j1 * oc + j2] = f.mul(v1, v2)
-        return Matrix(f, self.rows * orr, self.cols * oc, data)
+        return self.padded_matmul(1, orr, Matrix.identity(f, self.cols).kron(other))
 
     def _expect_shape(self, other, same=False):
         if same and (self.rows != other.rows or self.cols != other.cols):
@@ -764,12 +733,13 @@ class Monomial(Transposed):
     through a monomial projection (`factors_through`) and equality with
     another monomial (`==`) are one pass over the lists, and so is its
     Kronecker product with a marked identity (`kron`).  A pipe stage
-    through its padded form on a monomial accumulated matrix, and the
-    product with another monomial (`@`), are the list kernel
-    (`_padded_lists`), which keeps the result a `Monomial`; a stage on any
-    other matrix is the row kernel (`Matrix._padded_rows`), which reads
-    the column dicts.  `Matrix.monomial` keeps the monomial form of a plain
-    matrix on it, so a stage map is converted once."""
+    through its padded form on a monomial accumulated matrix, and a
+    product `F @ M` of a monomial F (plain or not) by a `Monomial` M, are
+    the list kernel (`_padded_lists`), which keeps the result a
+    `Monomial`; a stage on any other matrix is the row kernel
+    (`Matrix._padded_rows`), which reads the column dicts.
+    `Matrix.monomial` keeps the monomial form of a plain matrix on it, so
+    a stage map is converted once."""
 
     __slots__ = ("tgt", "wt")
 

@@ -21,7 +21,7 @@
   must agree with the per-relation check, and the errors of `tensor_maps`
   must name the relation the plain first-raw-relation loop names.
 * The Ore twist table and rewrite apply their matrices by `tapply`; twists,
-  rewrites and reports must match the row loop of `Matrix.apply`.
+  rewrites and reports must match the entry sums of `plain_apply`.
 * `skew_mul` reads Y^n . c from a memo on the `SkewPolyData` and sums into
   one dict, and the Ore checks evaluate every law on flat coefficient
   vectors, by linearity from the basis twists, forming each product once
@@ -88,8 +88,9 @@
   GF(101), and on P (x) P (x) P of the kZ2/C2/D2 flip product.
 * A `Pipe` stage multiplies by I_pre (x) F (x) I_post through
   `Matrix.padded_matmul`, which scatters rows instead of building the
-  Kronecker product; it must equal that product (no empty row stored,
-  identity marks kept), and the pipes must give the composites, reports
+  Kronecker product; it must equal `plain_matmul` by that product (no
+  `@`, which runs the same kernels; no empty row stored, identity marks
+  kept), and the pipes must give the composites, reports
   and product maps of the plain stage on ladder rungs 1-4, on the corpus
   lifts and on generated stage sequences.
 * `Space.project` and `Space.section` are built on first read; they must
@@ -195,10 +196,18 @@
   kZ3/C3/D2 Doi-Koppinen lift, kZ2 over GF(2) and kZ3 over GF(3), and
   arbitrary twist, xi and delta over QQ and GF(101), which need not be
   lawful because the construction is linear in them.
-* `Monomial @ Monomial` is the list kernel's stage with pre = post = 1;
-  it must equal the plain product entry for entry, scalar types included,
-  over QQ and GF(101), with dead columns on either side, and a
-  marked-identity operand returns the other one.  The corpus comparison
+* Every product runs on the two stage kernels: `@` of two unmarked
+  matrices is `padded_matmul(1, 1, other)`, `kron` of two unmarked
+  factors is (A (x) I)(I (x) B), one stage on the block copy I (x) B, and
+  `apply` is `tapply`.  Over QQ and GF(101), for every pair of kinds
+  (plain, plain monomial, `Transposed`, `Monomial`) and shapes 0-4, `@`
+  must equal `plain_matmul`, `kron` the entry-by-entry products
+  (`plain_kron`) and `apply` the entry sums (`plain_apply`), scalar types
+  included, with vector keys outside the columns and marked identities.
+  `Monomial @ Monomial`, and a plain monomial times a `Monomial`, is the
+  list kernel's stage with pre = post = 1: a `Monomial` built with no
+  dict, equal to the plain product with dead columns on either side, and
+  a marked-identity operand returns the other one.  The corpus comparison
   without the list kernel multiplies plain copies there too.
 * `compare_pipes` decides an equation between two pipes on a union-find
   level it does not build: it passes when the canonical `project` of
@@ -1118,6 +1127,111 @@ def test_matmul_drops_rows_that_cancel(field):
     assert got.data[1] is not b.data[0]
 
 
+KINDS = ["plain", "plain monomial", "transposed", "monomial"]
+
+
+@st.composite
+def kind_matrix(draw, field, rows, cols, kind):
+    """A rows x cols matrix of one kind: plain, plain with at most one
+    entry per column, in column form (`Transposed`) or a `Monomial`; the
+    monomial kinds have zero columns and weights of +-1 and Fractions."""
+    if kind in ("plain monomial", "monomial"):
+        tgt, wt = draw(kernel_lists(field, rows, cols))
+        if kind == "monomial":
+            return exactla.Monomial(field, rows, tgt, wt)
+        return plain_of(field, rows, tgt, wt)
+    m = draw(shaped_matrix(field, rows, cols))
+    if kind == "plain":
+        return m
+    return exactla.Transposed(Matrix(field, cols, rows, m.transpose().data))
+
+
+def plain_kron(a, b):
+    """a (x) b entry by entry, through `field.mul`."""
+    f = a.field
+    data = {}
+    for i1 in range(a.rows):
+        for j1 in range(a.cols):
+            for i2 in range(b.rows):
+                for j2 in range(b.cols):
+                    v = f.mul(a.entry(i1, j1), b.entry(i2, j2))
+                    if not f.is_zero(v):
+                        data.setdefault(i1 * b.rows + i2, {})[j1 * b.cols + j2] = v
+    return Matrix(f, a.rows * b.rows, a.cols * b.cols, data)
+
+
+def plain_apply(m, vec):
+    """m times the sparse vector vec entry by entry, through `field.add`
+    and `field.mul`; a key of vec outside the columns of m adds nothing."""
+    f = m.field
+    out = {}
+    for i in range(m.rows):
+        acc = f.zero()
+        for j, v in vec.items():
+            acc = f.add(acc, f.mul(m.entry(i, j), v))
+        if not f.is_zero(acc):
+            out[i] = acc
+    return out
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@settings(max_examples=120, deadline=None)
+@given(data=st.data(), ka=st.sampled_from(KINDS), kb=st.sampled_from(KINDS))
+def test_unmarked_kron_matches_entry_products(field, data, ka, kb):
+    """`kron` of two unmarked factors, (A (x) I)(I (x) B) through the stage
+    kernels, equals the entry-by-entry products, scalar types included,
+    for every pair of kinds and shapes 0-4, and stores no empty row; it is
+    a `Monomial` when A is monomial and B a `Monomial`."""
+    a_rows, a_cols, b_rows, b_cols = (data.draw(st.integers(0, 4)) for _ in range(4))
+    a = data.draw(kind_matrix(field, a_rows, a_cols, ka))
+    b = data.draw(kind_matrix(field, b_rows, b_cols, kb))
+    got = a.kron(b)
+    assert isinstance(got, exactla.Monomial) == (kb == "monomial" and a.monomial() is not None)
+    assert typed_entries(got) == typed_entries(plain_kron(a, b))
+    assert all(got.data.values())
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@settings(max_examples=120, deadline=None)
+@given(data=st.data(), ka=st.sampled_from(KINDS), kb=st.sampled_from(KINDS))
+def test_matmul_of_every_kind_matches_entry_sums(field, data, ka, kb):
+    """`@` of two unmarked matrices, `padded_matmul(1, 1, other)`, equals
+    `plain_matmul`, scalar types included, for every pair of kinds, and
+    stores no empty row.  A monomial left operand, plain or not, times a
+    `Monomial` is a `Monomial` that builds no dict on the right operand or
+    the result."""
+    rows, mid, cols = (data.draw(st.integers(0, 4)) for _ in range(3))
+    a = data.draw(kind_matrix(field, rows, mid, ka))
+    b = data.draw(kind_matrix(field, mid, cols, kb))
+    got = a @ b
+    if kb == "monomial" and a.monomial() is not None:
+        assert isinstance(got, exactla.Monomial)
+        assert b._rows is b._t is got._rows is got._t is None
+    else:
+        assert not isinstance(got, exactla.Monomial)
+    assert typed_entries(got) == typed_entries(plain_matmul(a, b))
+    assert all(got.data.values())
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(KINDS), rows=st.integers(0, 4),
+       cols=st.integers(0, 4))
+def test_apply_matches_entry_sums(field, data, kind, rows, cols):
+    """`apply` is `tapply`, and on every kind and on a marked identity it
+    equals the entry sums, scalar types included, with vector keys outside
+    the columns of the matrix."""
+    assert Matrix.apply is Matrix.tapply
+    scalar = st.one_of(st.integers(-6, 6), st.fractions(max_denominator=7)).map(field.parse)
+    for m in (data.draw(kind_matrix(field, rows, cols, kind)), Matrix.identity(field, rows)):
+        vec = data.draw(st.dictionaries(st.integers(0, m.cols + 2),
+                                        scalar.filter(lambda v: not field.is_zero(v))))
+        want = plain_apply(m, vec)
+        for got in (m.apply(dict(vec)), m.tapply(dict(vec))):
+            assert {i: (v, type(v)) for i, v in got.items()} == {
+                i: (v, type(v)) for i, v in want.items()}
+
+
 def plain_qq_kernels(monkeypatch):
     """Replace the QQ `axpy`, `scaled` and `inv` fast paths by the plain
     paths they replaced; `Echelon` scales its rows by `scaled`."""
@@ -1805,12 +1919,12 @@ def _assert_padded(f, pre, post, m):
     I_pre (x) f (x) I_post built as a matrix, stores no empty row and keeps
     its identity mark; returns it."""
     field = f.field
-    plain = (Matrix.identity(field, pre).kron(f)
-             .kron(Matrix.identity(field, post)) @ m)
+    padded = Matrix.identity(field, pre).kron(f).kron(Matrix.identity(field, post))
+    plain = plain_matmul(padded, m)
     fast = f.padded_matmul(pre, post, m)
     assert fast == plain
     assert (fast.rows, fast.cols) == (plain.rows, plain.cols)
-    assert fast.is_identity == plain.is_identity
+    assert fast.is_identity == (padded.is_identity and m.is_identity)
     assert all(fast.data.values())
     return fast
 
@@ -2455,24 +2569,24 @@ ORE_CASES = ["ore_commutative", "ore_quantum_plane", "ore_weyl", "ore_broken"]
 
 
 def plain_twist(table, n, bvec):
-    """`OreTwistTable.twist` by the row loop of `Matrix.apply`."""
+    """`OreTwistTable.twist` by the entry sums of `plain_apply`."""
     out = {}
     for i, mat in table.table[n].items():
-        img = mat.apply(bvec)
+        img = plain_apply(mat, bvec)
         if img:
             out[i] = img
     return out
 
 
 def plain_rewrite_once(data, coeffs):
-    """`ore._rewrite_once` by the row loop of `Matrix.apply` and
+    """`ore._rewrite_once` by the entry sums of `plain_apply` and
     `field.add`."""
     f = data.coeff_algebra.field
     out = {}
     for i, vec in coeffs.items():
         for deg, mat in ((i + 1, data.sigma.matrix), (i, data.delta)):
             tgt = out.setdefault(deg, {})
-            for k, c in mat.apply(vec).items():
+            for k, c in plain_apply(mat, vec).items():
                 u = f.add(tgt.get(k, f.zero()), c)
                 if f.is_zero(u):
                     tgt.pop(k, None)

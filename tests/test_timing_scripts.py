@@ -2,8 +2,9 @@
 `scripts/time_lifts.py` (`PARTS`) wrap to count and time must each be
 defined on the owner the script names, not inherited by it, so that a
 deleted or renamed function fails here instead of the script silently
-wrapping an inherited one; and a small ladder rung runs through the
-script's counting wrappers and passes."""
+wrapping an inherited one; and a small ladder rung and the first lift
+case run through the scripts' counting wrappers and pass, with the list
+kernel, the union-finds and the decided equations each counted."""
 
 import importlib.util
 import os
@@ -39,3 +40,16 @@ def test_ladder_rung_runs_through_the_counted_kernels():
     assert ok and dim == 4 and len(times) == 6
     assert lists > 0
     assert [vars(owner)[name] for owner, name in time_ladder.KERNELS] == reals
+
+
+def test_lift_case_runs_through_the_timed_parts():
+    reals = [vars(owner)[name] for owner, name in time_lifts.PARTS]
+    _, entwine, c, d = next(time_lifts.cases())
+    (times, ok, lifted, prod), spent, calls, hits = time_lifts.timed_parts(
+        time_lifts.run_case, entwine, c, d)
+    assert ok and len(times) == 4 and len(spent) == len(time_lifts.PARTS)
+    counted = dict(zip((name for _, name in time_lifts.PARTS), calls))
+    assert counted["_padded_lists"] > 0
+    assert counted["_union_find"] > 0
+    assert counted["_decided"] > 0
+    assert [vars(owner)[name] for owner, name in time_lifts.PARTS] == reals
