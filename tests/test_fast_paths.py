@@ -88,9 +88,9 @@
   GF(101), and on P (x) P (x) P of the kZ2/C2/D2 flip product.
 * A `Pipe` stage multiplies by I_pre (x) F (x) I_post through
   `Matrix.padded_matmul`, which scatters rows instead of building the
-  Kronecker product; it must equal `plain_matmul` by that product (no
-  `@`, which runs the same kernels; no empty row stored, identity marks
-  kept), and the pipes must give the composites, reports
+  Kronecker product; it must equal that product, formed by `plain_matmul`
+  rather than by `@`, which runs the same kernels (no empty row stored,
+  identity marks kept), and the pipes must give the composites, reports
   and product maps of the plain stage on ladder rungs 1-4, on the corpus
   lifts and on generated stage sequences.
 * `Space.project` and `Space.section` are built on first read; they must
@@ -1226,10 +1226,9 @@ def test_apply_matches_entry_sums(field, data, kind, rows, cols):
     for m in (data.draw(kind_matrix(field, rows, cols, kind)), Matrix.identity(field, rows)):
         vec = data.draw(st.dictionaries(st.integers(0, m.cols + 2),
                                         scalar.filter(lambda v: not field.is_zero(v))))
-        want = plain_apply(m, vec)
-        for got in (m.apply(dict(vec)), m.tapply(dict(vec))):
-            assert {i: (v, type(v)) for i, v in got.items()} == {
-                i: (v, type(v)) for i, v in want.items()}
+        got, want = m.apply(vec), plain_apply(m, vec)
+        assert {i: (v, type(v)) for i, v in got.items()} == {
+            i: (v, type(v)) for i, v in want.items()}
 
 
 def plain_qq_kernels(monkeypatch):
