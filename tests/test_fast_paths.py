@@ -371,14 +371,14 @@ def test_identity_matmul_matches_plain(field, data):
 def test_identity_kron_matches_plain(field, data, n):
     m = data.draw(sparse_matrix(field))
     ident, plain = Matrix.identity(field, n), plain_identity(field, n)
-    for fast, slow in ((ident.kron(m), plain.kron(m)),
-                       (m.kron(ident), m.kron(plain))):
+    for fast, slow in ((ident.kron(m), plain_kron(plain, m)),
+                       (m.kron(ident), plain_kron(m, plain))):
         assert fast == slow
         assert (fast.rows, fast.cols) == (slow.rows, slow.cols)
         assert all(fast.data.values())
     both = ident.kron(Matrix.identity(field, m.rows))
     assert both.is_identity
-    assert both == plain.kron(plain_identity(field, m.rows))
+    assert both == plain_kron(plain, plain_identity(field, m.rows))
 
 
 def test_only_identity_is_marked():
@@ -1101,21 +1101,6 @@ def plain_matmul(a, b):
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
-@settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_matmul_matches_entry_sums(field, data):
-    rows, mid, cols = (data.draw(st.integers(0, 5)) for _ in range(3))
-    a = data.draw(shaped_matrix(field, rows, mid))
-    b = data.draw(shaped_matrix(field, mid, cols))
-    got = a @ b
-    assert got == plain_matmul(a, b)
-    assert all(got.data.values())
-    if field == QQ:
-        for row in got.data.values():
-            _assert_canonical_qq(row.values())
-
-
-@pytest.mark.parametrize("field", FIELDS, ids=repr)
 def test_matmul_drops_rows_that_cancel(field):
     """Row 0 of a takes rows 0 and 1 of b, which are negatives, equally: it
     cancels and is not stored.  Row 1 starts as a copy of row 0 of b."""
@@ -1194,13 +1179,13 @@ def test_unmarked_kron_matches_entry_products(field, data, ka, kb):
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
 @settings(max_examples=120, deadline=None)
 @given(data=st.data(), ka=st.sampled_from(KINDS), kb=st.sampled_from(KINDS))
-def test_matmul_of_every_kind_matches_entry_sums(field, data, ka, kb):
+def test_matmul_matches_entry_sums(field, data, ka, kb):
     """`@` of two unmarked matrices, `padded_matmul(1, 1, other)`, equals
-    `plain_matmul`, scalar types included, for every pair of kinds, and
-    stores no empty row.  A monomial left operand, plain or not, times a
-    `Monomial` is a `Monomial` that builds no dict on the right operand or
-    the result."""
-    rows, mid, cols = (data.draw(st.integers(0, 4)) for _ in range(3))
+    `plain_matmul`, scalar types included (canonical over QQ), for every
+    pair of kinds, and stores no empty row.  A monomial left operand,
+    plain or not, times a `Monomial` is a `Monomial` that builds no dict
+    on the right operand or the result."""
+    rows, mid, cols = (data.draw(st.integers(0, 5)) for _ in range(3))
     a = data.draw(kind_matrix(field, rows, mid, ka))
     b = data.draw(kind_matrix(field, mid, cols, kb))
     got = a @ b
@@ -1211,6 +1196,9 @@ def test_matmul_of_every_kind_matches_entry_sums(field, data, ka, kb):
         assert not isinstance(got, exactla.Monomial)
     assert typed_entries(got) == typed_entries(plain_matmul(a, b))
     assert all(got.data.values())
+    if field == QQ:
+        for row in got.data.values():
+            _assert_canonical_qq(row.values())
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
@@ -3563,7 +3551,8 @@ def test_marked_monomial_matches_plain_rows(field, data, n):
 def test_monomial_kernels_match_plain_products(field, data):
     """`after` is self @ (I_pre (x) act (x) I_post), `columns` picks
     columns, and `factors_through` holds exactly when
-    self == self.columns(free) @ proj, each against plain products; a
+    self == self.columns(free) @ proj, each against plain products (for
+    `after`, formed entry by entry by `plain_kron` and `plain_matmul`); a
     monomial that is X @ proj by construction factors, and one with a
     changed weight or target does so only when the plain test says so."""
     draw = data.draw
@@ -3573,11 +3562,11 @@ def test_monomial_kernels_match_plain_products(field, data):
     act = draw(monomial_lists(field, d, e))
     got = exactla.Monomial(field, rows, tgt, wt).after(
         pre, exactla.Monomial(field, d, *act), post)
-    padded = plain_identity(field, pre).kron(plain_of(field, d, *act)).kron(
-        plain_identity(field, post))
+    padded = plain_kron(plain_kron(plain_identity(field, pre), plain_of(field, d, *act)),
+                        plain_identity(field, post))
     assert isinstance(got, exactla.Monomial)
     assert got._t is None and got._rows is None
-    assert got == plain_of(field, rows, tgt, wt) @ padded
+    assert got == plain_matmul(plain_of(field, rows, tgt, wt), padded)
     picks = draw(st.lists(st.integers(0, len(tgt) - 1), max_size=5))
     assert exactla.Monomial(field, rows, tgt, wt).columns(picks) == Matrix.from_entries(
         field, rows, len(picks), {(t, s): wt[c] for s, c in enumerate(picks)
@@ -3611,8 +3600,8 @@ def test_monomial_kernels_match_plain_products(field, data):
 @given(data=st.data())
 def test_after_matches_dense_kron_product(field, data):
     """`Transposed.after`, and `Monomial.after` with an act that is not
-    monomial, equal M @ (I_pre (x) act (x) I_post) with the plain Kronecker
-    product, for act on the left (pre = 1), on the right (post = 1) and in
+    monomial, equal M @ (I_pre (x) act (x) I_post), formed entry by entry
+    (`plain_kron`, `plain_matmul`), for act on the left (pre = 1), on the right (post = 1) and in
     the middle, with the identities of size up to 3; the result is in
     column form and no row of M is built."""
     draw = data.draw
@@ -3625,17 +3614,18 @@ def test_after_matches_dense_kron_product(field, data):
         (0, 0): field.parse(draw(nonzero_scalars(field))),
         (1, 0): field.parse(draw(nonzero_scalars(field)))})
     assert act.monomial() is None
-    padded = plain_identity(field, pre).kron(act).kron(plain_identity(field, post))
+    padded = plain_kron(plain_kron(plain_identity(field, pre), act),
+                        plain_identity(field, post))
     m = draw(shaped_matrix(field, rows, pre * d * post))
     t = exactla.Transposed(m.transpose())
     got = t.after(pre, act, post)
     assert isinstance(got, exactla.Transposed) and t._rows is None
-    assert got == m @ padded
+    assert got == plain_matmul(m, padded)
     tgt, wt = draw(monomial_lists(field, rows, pre * d * post))
     mono = exactla.Monomial(field, rows, tgt, wt)
     got = mono.after(pre, act, post)
     assert not isinstance(got, exactla.Monomial) and mono._rows is None
-    assert got == plain_of(field, rows, tgt, wt) @ padded
+    assert got == plain_matmul(plain_of(field, rows, tgt, wt), padded)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
@@ -3669,7 +3659,7 @@ def test_element_action_matrices_match_the_kron_product(side, data):
     on kZ2 (x)_kZ2 X or X (x)_kZ2 kZ2, whose flat basis is not its
     quotient basis, are the columns e_i (x) x or x (x) e_i of
     action . project: the plain path multiplies by e_i (x) I or
-    I (x) e_i."""
+    I (x) e_i, entry by entry (`plain_kron`, `plain_matmul`)."""
     from coringlab.wreath import element_action_matrices
     corpus = Corpus()
     e, x = regular_bimodule(corpus.z2), corpus.lifted_flip_cw.coring.carrier
@@ -3677,12 +3667,13 @@ def test_element_action_matrices_match_the_kron_product(side, data):
     assert sp.quotient.dim < e.dim * x.dim
     action = LinearMap(sp.quotient, x, data.draw(shaped_matrix(QQ, x.dim, sp.quotient.dim)))
     ident = plain_identity(QQ, x.dim)
-    ap = action.matrix @ sp.project
+    ap = plain_matmul(action.matrix, sp.project)
     got = element_action_matrices(action, e, x, side)
     assert len(got) == e.dim
     for i, m in enumerate(got):
         col = Matrix.from_entries(QQ, e.dim, 1, {(i, 0): QQ.one()})
-        assert m == ap @ (col.kron(ident) if side == "left" else ident.kron(col))
+        assert m == plain_matmul(ap, plain_kron(col, ident) if side == "left"
+                                 else plain_kron(ident, col))
 
 
 def plain_scatter(f, proj, act, dm, dn, left):
@@ -3948,15 +3939,16 @@ def test_descending_monomial_pk_keeps_its_lists_only(monkeypatch):
 
 def assert_monomial_padded(mono, pre, post, m):
     """mono.padded_matmul(pre, post, m) equals `Matrix.padded_matmul` of the
-    plain matrix with mono's entries and the plain Kronecker product times
-    m and stores no empty row, and a second stage through mono reuses the
+    plain matrix with mono's entries and the entry sums (`plain_matmul`) of
+    the entry-by-entry Kronecker product (`plain_kron`) times m and stores
+    no empty row, and a second stage through mono reuses the
     column dicts the first built (`mono._t`); returns it."""
     field = mono.field
     plain = plain_of(field, mono.rows, mono.tgt, mono.wt)
     fast = mono.padded_matmul(pre, post, m)
     assert fast == Matrix.padded_matmul(plain, pre, post, m)
-    assert fast == (plain_identity(field, pre).kron(plain)
-                    .kron(plain_identity(field, post)) @ unmarked(m))
+    assert fast == plain_matmul(plain_kron(plain_kron(plain_identity(field, pre), plain),
+                                           plain_identity(field, post)), m)
     assert (fast.rows, fast.cols) == (pre * mono.rows * post, m.cols)
     assert all(fast.data.values())
     if not m.is_identity:
@@ -4757,7 +4749,9 @@ def test_list_kernel_matches_plain_padded_matmul(field, data, pre, post):
     `padded_matmul` of plain copies (the row kernel), with zero columns in
     M and in F and weights of +-1 and Fractions; times a marked identity it
     is I_pre (x) F (x) I_post, a `Monomial` from `kron` with the marked
-    identities, and a second stage continues on the lists."""
+    identities, and a second stage continues on the lists.  The Kronecker
+    products and the product of two stages are formed entry by entry
+    (`plain_kron`, `plain_matmul`)."""
     draw = data.draw
     fr, fc, n = draw(st.integers(0, 4)), draw(st.integers(0, 4)), draw(st.integers(0, 6))
     rows = pre * fc * post
@@ -4776,20 +4770,21 @@ def test_list_kernel_matches_plain_padded_matmul(field, data, pre, post):
     got = exactla.Monomial(field, fr, ftgt, fwt).padded_matmul(pre, post, ident)
     assert isinstance(got, exactla.Monomial)
     assert typed_entries(got) == typed_entries(
-        plain_identity(field, pre).kron(plain_f).kron(plain_identity(field, post)))
+        plain_kron(plain_kron(plain_identity(field, pre), plain_f), plain_identity(field, post)))
     mono = exactla.Monomial(field, fr, ftgt, fwt)
     for block, want in ((Matrix.identity(field, pre).kron(mono),
-                         plain_identity(field, pre).kron(plain_f)),
+                         plain_kron(plain_identity(field, pre), plain_f)),
                         (mono.kron(Matrix.identity(field, post)),
-                         plain_f.kron(plain_identity(field, post)))):
+                         plain_kron(plain_f, plain_identity(field, post)))):
         assert isinstance(block, exactla.Monomial)
         assert typed_entries(block) == typed_entries(want)
     gr = draw(st.integers(0, 3))
     again = plain_of(field, gr, *draw(kernel_lists(field, gr, fr)))
     twice = again.padded_matmul(pre, post, got)
     assert isinstance(twice, exactla.Monomial)
-    assert typed_entries(twice) == typed_entries(
-        plain_identity(field, pre).kron(again @ plain_f).kron(plain_identity(field, post)))
+    assert typed_entries(twice) == typed_entries(plain_kron(
+        plain_kron(plain_identity(field, pre), plain_matmul(again, plain_f)),
+        plain_identity(field, post)))
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
@@ -4910,11 +4905,9 @@ def test_corpus_checkers_match_without_list_kernel(monkeypatch):
     left-handed checks and `gp` (whose comultiplication is not monomial)
     give the same reports, witness text included, the same structure maps
     and the same matrix at every `Pipe.done`, entry for entry, with the
-    list kernel patched out of `padded_matmul` and of `Monomial @ Monomial`,
-    which then multiplies plain copies."""
+    list kernel patched out of `padded_matmul`, which `@` runs too."""
     calls, done = [], []
     real, real_done = exactla.Monomial._padded_lists, bimodule.Pipe.done
-    real_matmul = Matrix.__matmul__
     monkeypatch.setattr(exactla.Monomial, "_padded_lists",
                         lambda *a: (calls.append(1), real(*a))[1])
     monkeypatch.setattr(bimodule.Pipe, "done", lambda *a, **k: (
@@ -4923,9 +4916,6 @@ def test_corpus_checkers_match_without_list_kernel(monkeypatch):
     assert len(calls) > 100
     fast_done, done[:], calls[:] = done[:], [], []
     monkeypatch.setattr(Matrix, "padded_matmul", plain_padded_matmul)
-    monkeypatch.setattr(Matrix, "__matmul__", lambda a, b: real_matmul(
-        *((unmarked(a), unmarked(b)) if isinstance(a, exactla.Monomial)
-          and isinstance(b, exactla.Monomial) else (a, b))))
     slow, slow_done = corpus_outputs(Corpus()), done
     assert calls == []
     assert len(fast) == len(slow)
